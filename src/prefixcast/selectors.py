@@ -9,7 +9,6 @@ classic GM(1,1) grey-model forecast as a comparison baseline.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -28,6 +27,7 @@ __all__ = [
     "core_volume_score",
     "gm11_fit",
     "gm11_forecast",
+    "gm11_forecast_rows",
     "run_selection",
     "max_core_size",
 ]
@@ -116,38 +116,86 @@ def gm11_fit(series: Sequence[float] | np.ndarray) -> tuple[float, float]:
     return float(sol[0]), float(sol[1])
 
 
-def _gm11_forecast_impl(x0: np.ndarray) -> tuple[float, bool]:
-    """One-step GM(1,1) forecast; returns (value, used_fallback)."""
-    if x0.size < GM11_MIN_POINTS:
-        return float(x0.mean()) if x0.size else 0.0, True
-    try:
-        a, b = gm11_fit(x0)
-    except ValueError:
-        return float(x0.mean()), True
-    length = x0.size
-    if abs(a) < 1e-12:
-        # a -> 0 limit of the forecast formula
-        return max(float(b), 0.0), False
-    with np.errstate(over="ignore"):
-        value = (x0[0] - b / a) * (1.0 - math.exp(a)) * math.exp(-a * length)
-    if not math.isfinite(value):
-        return float(x0.mean()), True
-    return max(float(value), 0.0), False
-
-
 def gm11_forecast(series: Sequence[float] | np.ndarray) -> float:
     """Forecast the next value of a non-negative series with GM(1,1).
 
     Follows the standard construction: fit (a, b) on the cumulated
     series, then extrapolate one step and difference back, clamping the
-    result at zero.  Series shorter than ``GM11_MIN_POINTS`` and
-    degenerate fits fall back to the window mean.
+    result at zero.  Series shorter than ``GM11_MIN_POINTS``, degenerate
+    fits and non-finite forecasts fall back to the window mean.
+
+    This is the scalar reference (one ``lstsq`` fit per call);
+    ``run_selection`` uses the batched ``gm11_forecast_rows``.
     """
     x0 = np.asarray(series, dtype=np.float64)
     if x0.ndim != 1:
         raise ValueError("series must be 1-D")
-    value, _ = _gm11_forecast_impl(x0)
-    return value
+    if x0.size < GM11_MIN_POINTS:
+        return float(x0.mean()) if x0.size else 0.0
+    try:
+        a, b = gm11_fit(x0)
+    except ValueError:
+        return float(x0.mean())
+    if abs(a) < 1e-12:
+        # a -> 0 limit of the forecast formula
+        return max(b, 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = (x0[0] - b / a) * -np.expm1(a) * np.exp(-a * x0.size)
+    if not np.isfinite(value):
+        return float(x0.mean())
+    return max(float(value), 0.0)
+
+
+def gm11_forecast_rows(windows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One-step GM(1,1) forecasts for every row of a (rows, span) block.
+
+    The batched form of ``gm11_forecast``: the 2x2 least-squares problem
+    ``x0(k) + a*z1(k) = b`` is solved in closed form from centred sums,
+    ``a = -S_zy / S_zz`` and ``b = mean(y) + a*mean(z)``, for all rows at
+    once.  ``lstsq``'s rank test becomes an explicit rule: the design
+    ``[-z1, 1]`` over m points is rank-deficient when
+    ``s_min <= eps * max(m, 2) * s_max``, where the singular-value ratio
+    ``s_min / s_max = sqrt(det) / lambda_max`` follows from the 2x2 Gram
+    matrix (``det = m * S_zz``).  Rank-deficient rows, non-finite
+    forecasts and windows shorter than ``GM11_MIN_POINTS`` fall back to
+    the row mean; ``|a| < 1e-12`` uses ``b``.
+
+    Returns
+    -------
+    (forecasts, used_fallback)
+        Two arrays with one entry per row.
+    """
+    x0 = np.asarray(windows, dtype=np.float64)
+    if x0.ndim != 2 or x0.shape[1] < 1:
+        raise ValueError("windows must be a 2-D block with at least one column")
+    span = x0.shape[1]
+    mean = x0.mean(axis=1)
+    if span < GM11_MIN_POINTS:
+        return mean, np.ones(len(x0), dtype=bool)
+
+    x1 = np.cumsum(x0, axis=1)
+    z = 0.5 * (x1[:, 1:] + x1[:, :-1])
+    y = x0[:, 1:]
+    m = span - 1
+    z_bar = z.mean(axis=1)
+    y_bar = y.mean(axis=1)
+    dz = z - z_bar[:, None]
+    s_zz = (dz * dz).sum(axis=1)
+    s_zy = (dz * (y - y_bar[:, None])).sum(axis=1)
+
+    # Gram matrix [[sum z^2, -sum z], [-sum z, m]]: trace and determinant
+    det = m * s_zz
+    trace = s_zz + m * z_bar * z_bar + m
+    lam_max = 0.5 * (trace + np.sqrt(np.maximum(trace * trace - 4.0 * det, 0.0)))
+    full_rank = np.sqrt(det) > np.finfo(np.float64).eps * max(m, 2) * lam_max
+
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a = -s_zy / s_zz
+        b = y_bar + a * z_bar
+        forecast = (x0[:, 0] - b / a) * -np.expm1(a) * np.exp(-a * span)
+    forecast = np.where(np.abs(a) < 1e-12, b, forecast)
+    fallback = ~full_rank | ~np.isfinite(forecast)
+    return np.where(fallback, mean, np.maximum(forecast, 0.0)), fallback
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,10 +300,8 @@ def run_selection(
         elif config.method == "core_volume":
             cand_scores = (cum_cpv[candidates, hi] - cum_cpv[candidates, lo]) / span
         else:
-            cand_scores = np.empty(candidates.size, dtype=np.float64)
-            for k, i in enumerate(candidates):
-                cand_scores[k], fb = _gm11_forecast_impl(values[i, lo:hi])
-                fallbacks += fb
+            cand_scores, fell_back = gm11_forecast_rows(values[candidates, lo:hi])
+            fallbacks += int(fell_back.sum())
 
         positive = cand_scores > 0
         candidates = candidates[positive]

@@ -62,9 +62,9 @@ PINS = {
     "selection_core_volume_L168.csv": "76bcc0f4cd7711d5878a80ff064c9b022eaea634450dd174a849ef3565f8436c",
     "selection_core_volume_L24.csv": "20ded031a586f139940606a8e4b71eddffe93731b30466911666efad5c47b411",
     "selection_gm11_L1.csv": "f7afcedefa2e1478d1b7d1b4cac7194b60c7c118f38844de10c937dd61a095f1",
-    "selection_gm11_L12.csv": "d71e3280e7a4bbf7bb2024cac387b23eb1688a05a5764be0f4d491fb12bd55e6",
-    "selection_gm11_L168.csv": "34cd0fca964e3c2b0c03c4bb058fff26ca6ca68fc0941054c2a49ab70e587f47",
-    "selection_gm11_L24.csv": "e589b370a4bfd1abc238d091c149471617eee186a7ba937205f5c74c4845d54e",
+    "selection_gm11_L12.csv": "82ea4aca1d6ef1a13dc33b69342f39ff20f2f3d0f41831c66aff888408301ba2",
+    "selection_gm11_L168.csv": "1c0570d884c6e1da6e2e011b7ac29991d5ec5b8603f95951bbc3fb6d3744a83f",
+    "selection_gm11_L24.csv": "5388a875631aedd84f5af872f208c9005fd2cea508de30cf060a600883a9adb6",
     "selection_mean_volume_L1.csv": "c92f71cd61c8f1edb302845a691762c6ded1755a974de3f41511e7a67de3359c",
     "selection_mean_volume_L12.csv": "0e4d956133d9f8fc4d4e607452e054dec208cd3b0af697280706bd5648d4e8d6",
     "selection_mean_volume_L168.csv": "d23cb8d05e03d8408377e8fbae6ee7fcf4cfa725fff1a39a1d26f39b1bdf4826",

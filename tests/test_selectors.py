@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prefixcast.dynamism import compute_core_profile
 from prefixcast.evaluation import oracle_topk
@@ -16,6 +18,7 @@ from prefixcast.selectors import (
     core_volume_score,
     gm11_fit,
     gm11_forecast,
+    gm11_forecast_rows,
     max_core_size,
     mean_volume_score,
     run_selection,
@@ -157,6 +160,260 @@ class TestGm11:
             oa, ob = normal_equations_fit(series)
             assert a == pytest.approx(oa, rel=1e-9)
             assert b == pytest.approx(ob, rel=1e-9)
+
+
+def scalar_gm11(window):
+    """Scalar reference: ``gm11_forecast`` plus whether it fell back.
+
+    The fallback flag is re-derived from the lstsq fit of ``gm11_fit``: a
+    short window, a rank-deficient fit, or a non-finite forecast.
+    """
+    x0 = np.asarray(window, dtype=np.float64)
+    value = gm11_forecast(x0)
+    if x0.size < GM11_MIN_POINTS:
+        return value, True
+    try:
+        a, b = gm11_fit(x0)
+    except ValueError:
+        return value, True
+    if abs(a) < 1e-12:
+        return value, False
+    with np.errstate(over="ignore", invalid="ignore"):
+        raw = (x0[0] - b / a) * -np.expm1(a) * np.exp(-a * x0.size)
+    return value, not np.isfinite(raw)
+
+
+def forecast_at(window, a):
+    """Forecast of a window for slope ``a`` and its least-squares ``b(a)``."""
+    x0 = np.asarray(window, dtype=np.float64)
+    x1 = np.cumsum(x0)
+    z_bar = np.mean(0.5 * (x1[1:] + x1[:-1]))
+    b = np.mean(x0[1:]) + a * z_bar
+    if abs(a) < 1e-12:
+        return b
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (x0[0] - b / a) * -np.expm1(a) * np.exp(-a * x0.size)
+
+
+def forecast_tolerance(window):
+    """How closely two correct GM(1,1) forecasts of a window must agree.
+
+    That is 1e-9 of the forecast, plus 1e-12 of the largest term it sums:
+    with ``b / a = mean(y) / a + mean(z)`` the forecast is
+    ``(x0[0] - mean(z) - mean(y)/a) * (1 - e^a) * e^(-a*n)``, and where the
+    terms cancel, as in an exact fit through zero such as ``[x, 0, 0, y]``,
+    only their rounding is left.  On top comes the forecast's spread when
+    the slope moves by its rounding error ``da``: centring z costs
+    ``eps * max|z|`` per point, which matters when z is nearly constant,
+    e.g. ``[2208, 0, 1, 0]``.  Zero for windows that are not fitted (they
+    fall back to the mean).
+    """
+    x0 = np.asarray(window, dtype=np.float64)
+    try:
+        a, _ = gm11_fit(x0)
+    except ValueError:
+        return 0.0
+    x1 = np.cumsum(x0)
+    z = 0.5 * (x1[1:] + x1[:-1])
+    y = x0[1:]
+    dz = z - z.mean()
+    err_z = np.finfo(np.float64).eps * np.abs(z).max()
+    da = err_z * (np.abs(y - y.mean()).sum() + 2 * abs(a) * np.abs(dz).sum()) / (dz * dz).sum()
+    value = forecast_at(x0, a)
+    spread = max(abs(forecast_at(x0, a + da) - value), abs(forecast_at(x0, a - da) - value))
+    if abs(a) < 1e-12:
+        terms = abs(y.mean()) + abs(a * z.mean())
+    else:
+        with np.errstate(over="ignore"):
+            terms = (abs(x0[0]) + abs(z.mean()) + abs(y.mean() / a)) * abs(
+                np.expm1(a)
+            ) * np.exp(-a * x0.size)
+    return 1e-9 * abs(value) + 1e-12 * terms + 16 * spread
+
+
+def assert_rows_match_scalar(block):
+    block = np.asarray(block, dtype=np.float64)
+    values, fell_back = gm11_forecast_rows(block)
+    assert values.shape == fell_back.shape == (len(block),)
+    for row, got, got_fb in zip(block, values, fell_back):
+        want, want_fb = scalar_gm11(row)
+        assert bool(got_fb) == want_fb, row.tolist()
+        if want_fb:
+            assert got == want, row.tolist()
+        else:
+            assert abs(got - want) <= forecast_tolerance(row), (row.tolist(), got, want)
+
+
+def window_blocks(element):
+    """Blocks of 1-8 windows sharing one length in 1-30."""
+    return st.integers(1, 30).flatmap(
+        lambda n: st.lists(st.lists(element, min_size=n, max_size=n), min_size=1, max_size=8)
+    )
+
+
+# Integer volumes up to 1e6 and floats on a 1/64 grid keep every window
+# either exactly rank-deficient or well clear of the rank threshold, where
+# two correct rank tests may disagree.
+INT_VOLUMES = st.one_of(st.just(0), st.integers(1, 10**6))
+GRID_VOLUMES = st.one_of(st.just(0.0), st.integers(1, 10**6).map(lambda k: k / 64))
+
+
+class TestGm11Batched:
+    @settings(max_examples=300, deadline=None)
+    @given(window_blocks(INT_VOLUMES))
+    def test_integer_windows_match_scalar(self, block):
+        assert_rows_match_scalar(block)
+
+    @settings(max_examples=300, deadline=None)
+    @given(window_blocks(GRID_VOLUMES))
+    def test_fractional_windows_match_scalar(self, block):
+        assert_rows_match_scalar(block)
+
+    @pytest.mark.parametrize("length", range(1, 31))
+    def test_every_length(self, length):
+        rng = np.random.default_rng(length)
+        block = rng.integers(0, 50, size=(6, length)).astype(np.float64)
+        block[rng.uniform(size=block.shape) < 0.3] = 0.0
+        block[0] = rng.uniform(0.0, 1e9, size=length)
+        assert_rows_match_scalar(block)
+        _, fell_back = gm11_forecast_rows(block)
+        assert fell_back.all() == (length < GM11_MIN_POINTS)
+
+    @pytest.mark.parametrize("length", [4, 5, 12, 30])
+    def test_constant_windows_are_the_a_to_zero_limit(self, length):
+        block = [[5.0] * length, [7.25] * length, [1e9] * length]
+        assert_rows_match_scalar(block)
+        values, fell_back = gm11_forecast_rows(block)
+        assert not fell_back.any()
+        assert values == pytest.approx([5.0, 7.25, 1e9], rel=1e-9)
+
+    def test_near_constant_windows(self):
+        rng = np.random.default_rng(5)
+        block = 5.0 + rng.normal(0.0, 1e-9, size=(20, 17))
+        block[:, ::3] = 5.0
+        assert_rows_match_scalar(block)
+        values, fell_back = gm11_forecast_rows(block)
+        assert not fell_back.any()
+        assert values == pytest.approx(5.0, rel=1e-6)
+
+    def test_leading_spike_then_zeros_is_rank_deficient(self):
+        block = [[8.0, 0.0, 0.0, 0.0], [3.0, 0.0, 0.0, 0.0], [1e9, 0.0, 0.0, 0.0]]
+        assert_rows_match_scalar(block)
+        values, fell_back = gm11_forecast_rows(block)
+        assert fell_back.all()
+        assert values.tolist() == [2.0, 0.75, 2.5e8]
+
+    def test_all_zero_tail(self):
+        block = [[3.0, 7.0, 2.0, 0.0, 0.0, 0.0, 0.0], [40.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0]]
+        assert_rows_match_scalar(block)
+
+    def test_exact_fit_through_zero(self):
+        # [x, 0, 0, y] fits a = -2, b = -2x exactly: the forecast is 0
+        block = [[44.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 8.0], [32.0] + [0.0] * 7 + [14.0]]
+        assert_rows_match_scalar(block)
+
+    def test_steep_growth_overflow_falls_back_to_mean(self):
+        window = [0.0] * 398 + [1.0, 1e9]
+        assert gm11_forecast(window) == pytest.approx(np.mean(window))
+        values, fell_back = gm11_forecast_rows([window])
+        assert fell_back.tolist() == [True]
+        assert values[0] == np.mean(window)
+        assert_rows_match_scalar([window, [1.0] * 399 + [2.0]])
+
+    def test_mixed_block_rows_are_independent(self):
+        rows = [[8.0, 0, 0, 0, 0], [5.0] * 5, [1, 2, 4, 8, 16], [0, 0, 0, 0, 9], [3, 7, 2, 0, 0]]
+        values, fell_back = gm11_forecast_rows(rows)
+        for k, row in enumerate(rows):
+            alone, alone_fb = gm11_forecast_rows([row])
+            assert (values[k], fell_back[k]) == (alone[0], alone_fb[0])
+        assert_rows_match_scalar(rows)
+
+    def test_empty_block_and_validation(self):
+        values, fell_back = gm11_forecast_rows(np.zeros((0, 6)))
+        assert values.shape == fell_back.shape == (0,)
+        with pytest.raises(ValueError):
+            gm11_forecast_rows([1.0, 2.0, 3.0, 4.0])
+        with pytest.raises(ValueError):
+            gm11_forecast_rows(np.zeros((2, 0)))
+
+
+def reference_gm11_selection(m, config):
+    """Scalar reference loop for ``run_selection(method="gm11")``.
+
+    Returns the ranked (row, score) pairs of every predicted hour, with
+    no top-K cut, and the fallback count.
+    """
+    values = m.values.astype(np.float64)
+    ranked, fallbacks = [], 0
+    for t in range(2, m.bin_count + 1):
+        hi = t - 1
+        lo = max(0, hi - config.window)
+        scored = []
+        for i in range(len(m)):
+            if values[i, lo:hi].any():
+                score, fell_back = scalar_gm11(values[i, lo:hi])
+                fallbacks += fell_back
+                if score > 0:
+                    scored.append((-score, i))
+        ranked.append([(i, -neg) for neg, i in sorted(scored)][: config.size])
+    return ranked, fallbacks
+
+
+def significant(pairs, m, hour, window):
+    """Drop the pairs whose forecast is zero up to rounding (see forecast_tolerance)."""
+    lo, hi = max(0, hour - 1 - window), hour - 1
+    values = m.values.astype(np.float64)
+    return [
+        (i, s) for i, s in pairs if s > forecast_tolerance(values[i, lo:hi])
+    ]
+
+
+class TestGm11RunMatchesScalarLoop:
+    def test_random_integer_matrices(self):
+        rng = np.random.default_rng(919)
+        for trial in range(150):
+            n = int(rng.integers(2, 12))
+            bins = int(rng.integers(4, 12))
+            values = rng.integers(0, 40, size=(n, bins))
+            values[rng.uniform(size=values.shape) < 0.4] = 0
+            values[0, 0] = max(int(values[0, 0]), 1)
+            grid = TimeGrid(start=0, bin_seconds=3600, bin_count=bins)
+            m = HourlyTraceMatrix(
+                grid, {synthetic_prefix(k + 1): values[k] for k in range(n) if values[k].any()}
+            )
+            # K covers every prefix, so no top-K cut can hide a difference
+            config = SelectorConfig("gm11", int(rng.integers(1, 9)), len(m))
+            run = run_selection(m, compute_core_profile(m), config)
+            ranked, fallbacks = reference_gm11_selection(m, config)
+            assert run.gm11_fallbacks == fallbacks
+            for pos, hour in enumerate(run.hours):
+                got = significant(
+                    zip(run.picks[pos].tolist(), run.scores[pos].tolist()),
+                    m, int(hour), config.window,
+                )
+                want = significant(ranked[pos], m, int(hour), config.window)
+                # same prefixes, ranked the same up to forecasts tied within rounding
+                assert sorted(i for i, _ in got) == sorted(i for i, _ in want), (trial, hour)
+                want_score = dict(want)
+                for (i, g), (_, w) in zip(got, want):
+                    assert g == pytest.approx(w, rel=1e-9)
+                    assert g == pytest.approx(want_score[i], rel=1e-9)
+
+    @pytest.mark.parametrize("window", WINDOW_GRID)
+    def test_synthetic_week_picks_identical(self, window):
+        grid = TimeGrid(start=0, bin_seconds=3600, bin_count=72)
+        m = synthesize_trace(
+            SyntheticTraceSpec(prefix_count=30, noise=0.5, diurnal_amplitude=0.3, seed=7), grid
+        )
+        config = SelectorConfig("gm11", window, 8)
+        run = run_selection(m, compute_core_profile(m), config)
+        ranked, fallbacks = reference_gm11_selection(m, config)
+        assert run.gm11_fallbacks == fallbacks
+        for pos in range(len(run.hours)):
+            assert run.picks[pos].tolist() == [i for i, _ in ranked[pos]]
+            assert run.scores[pos].tolist() == pytest.approx(
+                [s for _, s in ranked[pos]], rel=1e-9
+            )
 
 
 class TestSelectorConfig:
