@@ -140,8 +140,6 @@ class HourlyTraceMatrix:
                     f"series for {prefix} has shape {arr.shape}, "
                     f"expected ({grid.bin_count},)"
                 )
-            if np.any(arr < 0):
-                raise ValueError(f"negative volume in series for {prefix}")
             if np.any(arr != 0):
                 rows.append((prefix, arr))
         if not rows:
@@ -151,6 +149,16 @@ class HourlyTraceMatrix:
         if any(not np.issubdtype(arr.dtype, np.integer) for _, arr in rows):
             dtype = np.float64
         values = np.array([arr for _, arr in rows], dtype=dtype)
+        # NaN fails every comparison, so test for the valid range, not
+        # against it; all-zero rows are already dropped, so a bad cell
+        # always sits in a kept row
+        valid = values >= 0
+        if dtype == np.float64:
+            valid &= values < np.inf
+        if not valid.all():
+            bad = int(np.flatnonzero(~valid.all(axis=1))[0])
+            kind = "negative" if (values[bad] < 0).any() else "non-finite"
+            raise ValueError(f"{kind} volume in series for {rows[bad][0]}")
         values.setflags(write=False)
         totals = values.sum(axis=0)
         totals.setflags(write=False)
@@ -500,5 +508,8 @@ def load_matrix(
                 continue
             if len(row) != grid.bin_count + 1:
                 raise ValueError(f"{csv_path}: row for {row[0]!r} has wrong width")
-            series[Prefix.parse(row[0])] = np.array([cast(v) for v in row[1:]])
+            try:
+                series[Prefix.parse(row[0])] = np.array([cast(v) for v in row[1:]])
+            except ValueError as exc:
+                raise ValueError(f"{csv_path}: bad row for {row[0]!r}: {exc}") from None
     return HourlyTraceMatrix(grid, series)

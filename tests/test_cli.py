@@ -105,6 +105,19 @@ class TestSynthAnalyze:
         err = capsys.readouterr().err
         assert "ingest or synth" in err
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_matrix_cell_is_data_error(self, tmp_path, capsys, cell):
+        out = str(tmp_path)
+        assert main(["synth", "--prefixes", "4", "--bins", "6", "--out", out]) == 0
+        rows = read_csv(tmp_path / "matrix.csv")
+        rows[3][4] = cell
+        with open(tmp_path / "matrix.csv", "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+        assert main(["analyze", "--matrix", f"{out}/matrix.csv", "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert rows[3][0] in err
+        assert not (tmp_path / "summary.json").exists()
+
 
 class TestSelectEvaluate:
     @pytest.fixture

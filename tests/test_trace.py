@@ -254,6 +254,17 @@ class TestMatrixModel:
         with pytest.raises(ValueError):
             HourlyTraceMatrix(grid, {P8: [1, 2]})
 
+    @pytest.mark.parametrize("cell", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_cell_rejected_naming_prefix(self, cell):
+        grid = TimeGrid(start=0, bin_seconds=3600, bin_count=3)
+        with pytest.raises(ValueError, match=r"volume in series for 10\.1\.0\.0/16"):
+            HourlyTraceMatrix(grid, {P8: [1.0, 2.0, 3.0], P16: [1.0, cell, 0.0]})
+
+    def test_negative_cell_rejected_naming_prefix(self):
+        grid = TimeGrid(start=0, bin_seconds=3600, bin_count=2)
+        with pytest.raises(ValueError, match="negative volume in series for 10.2.3.0/24"):
+            HourlyTraceMatrix(grid, {P8: [1, 2], P24: [3, -1]})
+
     def test_hour_mapping(self):
         grid = TimeGrid(start=0, bin_seconds=3600, bin_count=2)
         m = HourlyTraceMatrix(grid, {P8: [5, 0], P16: [1, 2]})
@@ -289,6 +300,14 @@ class TestCsvInterfaces:
         assert back.prefixes == m.prefixes
         np.testing.assert_array_equal(back.values, m.values)
         assert back.values.dtype == np.int64
+
+    def test_unparsable_int_cell_names_prefix(self, tmp_path):
+        grid = TimeGrid(start=0, bin_seconds=3600, bin_count=2)
+        save_matrix(HourlyTraceMatrix(grid, {P8: [1, 0], P16: [0, 2]}), tmp_path / "m.csv")
+        text = (tmp_path / "m.csv").read_text().replace("10.1.0.0/16,0,2", "10.1.0.0/16,nan,2")
+        (tmp_path / "m.csv").write_text(text)
+        with pytest.raises(ValueError, match="10.1.0.0/16"):
+            load_matrix(tmp_path / "m.csv")
 
     def test_matrix_roundtrip_float(self, tmp_path):
         grid = TimeGrid(start=0, bin_seconds=3600, bin_count=12)
