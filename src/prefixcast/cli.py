@@ -291,6 +291,7 @@ def _read_selection_csv(path: Path, m: trace.HourlyTraceMatrix, threshold: float
     if not path.exists():
         raise ValueError(f"missing selection artifact {path}; run the select stage first")
     per_hour: dict[int, list[tuple[int, float]]] = {}
+    seen: set[tuple[int, trace.Prefix]] = set()
     config = None
     with open(path, newline="") as fh:
         rows = csv_reader(fh)
@@ -314,6 +315,9 @@ def _read_selection_csv(path: Path, m: trace.HourlyTraceMatrix, threshold: float
                 raise ValueError(f"{path}: mixed selector configurations")
             if prefix not in m:
                 raise ValueError(f"{path}: prefix {prefix} not in matrix")
+            if (hour, prefix) in seen:
+                raise ValueError(f"{path}: duplicate prefix {prefix} in hour {hour}")
+            seen.add((hour, prefix))
             per_hour.setdefault(hour, []).append((rank, float(row[3]), m.index_of(prefix)))
     if config is None:
         raise ValueError(f"{path}: empty selection file")

@@ -195,6 +195,22 @@ class TestSelectEvaluate:
                      "--selection", str(stale), "--out", out]) == 2
         assert "different matrix" in capsys.readouterr().err
 
+    def test_duplicate_selection_row_rejected(self, trace_dir, capsys):
+        out = str(trace_dir)
+        assert main(["select", "--matrix", f"{out}/matrix.csv", "--method", "mean_volume",
+                     "--window", "2", "--size", "3", "--out", out]) == 0
+        path = trace_dir / "selection_mean_volume_L2.csv"
+        rows = read_csv(path)
+        # the hour-2 rank-1 prefix again, as rank 4 of the same hour
+        rows.insert(4, [rows[1][0], "4"] + rows[1][2:])
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+        assert main(["evaluate", "--matrix", f"{out}/matrix.csv",
+                     "--selection", str(path), "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "duplicate" in err and rows[1][2] in err
+        assert not (trace_dir / "evaluation_summary.json").exists()
+
 
 class TestProbeSimulate:
     def test_single_transit_np_is_all_ones(self, tmp_path):
