@@ -522,7 +522,11 @@ def _cmd_report(args) -> int:
                 method, window, size,
                 cov.minimum, cov.p25, cov.median, cov.mean, cov.p75, cov.maximum,
             ] + churn_cells)
-            summary[_report_key(report)] = _report_payload(report)
+            summary[_report_key(report)] = {
+                **_report_payload(report),
+                "gm11_fallbacks": run.gm11_fallbacks,
+                "shortfall_hours": int(run.shortfall.sum()),
+            }
     _write_csv(out / "grid_summary.csv", header, rows)
     _write_json(out / "grid_summary.json", summary)
     print(f"report: {len(rows)} configurations (K={size}) -> {out / 'grid_summary.csv'}")

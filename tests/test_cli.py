@@ -7,6 +7,8 @@ from pathlib import Path
 import pytest
 
 from prefixcast.cli import main
+from prefixcast.dynamism import compute_core_profile
+from prefixcast.selectors import SelectorConfig, run_selection
 from prefixcast.trace import load_matrix
 
 
@@ -164,7 +166,27 @@ class TestSelectEvaluate:
                      "--out", out]) == 0
         rows = read_csv(trace_dir / "grid_summary.csv")
         assert len(rows) == 17  # header + 4 methods x 4 windows
-        assert read_json(trace_dir / "grid_summary.json")
+        summary = read_json(trace_dir / "grid_summary.json")
+        assert len(summary) == 16
+        for key, entry in summary.items():
+            assert entry["shortfall_hours"] >= 0
+            if key.startswith("gm11:"):
+                assert entry["gm11_fallbacks"] > 0  # L=1 windows are all fallbacks
+            else:
+                assert entry["gm11_fallbacks"] == 0
+
+    def test_report_counters_match_library_runs(self, trace_dir):
+        out = str(trace_dir)
+        assert main(["report", "--matrix", f"{out}/matrix.csv", "--size", "6",
+                     "--out", out]) == 0
+        summary = read_json(trace_dir / "grid_summary.json")
+        m = load_matrix(trace_dir / "matrix.csv")
+        profile = compute_core_profile(m)
+        for window in (1, 24):
+            run = run_selection(m, profile, SelectorConfig("gm11", window, 6))
+            entry = summary[f"gm11:L{window}:K6"]
+            assert entry["gm11_fallbacks"] == run.gm11_fallbacks
+            assert entry["shortfall_hours"] == int(run.shortfall.sum())
 
     def test_config_json(self, trace_dir):
         out = str(trace_dir)

@@ -24,7 +24,7 @@ PINS = {
     "cv_bins.csv": "56c494f0ac15f82806033b55f972962e0d8bae619d5235b63297d3976f8a6f3e",
     "evaluation_summary.json": "b08761a001cdfdb732de2cc82abf9981fcf9b09c39b3a9700a2cbf93192b1b43",
     "grid_summary.csv": "af32b962684fff8db8c09c082eb36e0fac2e3c218449c7a3b084f93d8c967732",
-    "grid_summary.json": "b08761a001cdfdb732de2cc82abf9981fcf9b09c39b3a9700a2cbf93192b1b43",
+    "grid_summary.json": "f4e1640864037d2ba8895bc373ba2b316d31a7bf56f36ccf54ea04dcf7b9c7f5",
     "hours.csv": "f9718e9e935a56e59c27c65c4047abb16dff5a848b8832333ac94faa9a3e847e",
     "icp_bins.csv": "747b66c08416976acdda498b2531ce538163d0db164459339f7fb8ab8be2a862",
     "ingested/ingest.json": "3a90b905260ce225683cda8702accb773ee37af0033638e14340bfb0d2c12dc3",
