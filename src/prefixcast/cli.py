@@ -291,7 +291,6 @@ def _read_selection_csv(path: Path, m: trace.HourlyTraceMatrix, threshold: float
     if not path.exists():
         raise ValueError(f"missing selection artifact {path}; run the select stage first")
     per_hour: dict[int, list[tuple[int, float]]] = {}
-    seen: set[tuple[int, trace.Prefix]] = set()
     config = None
     with open(path, newline="") as fh:
         rows = csv_reader(fh)
@@ -315,9 +314,6 @@ def _read_selection_csv(path: Path, m: trace.HourlyTraceMatrix, threshold: float
                 raise ValueError(f"{path}: mixed selector configurations")
             if prefix not in m:
                 raise ValueError(f"{path}: prefix {prefix} not in matrix")
-            if (hour, prefix) in seen:
-                raise ValueError(f"{path}: duplicate prefix {prefix} in hour {hour}")
-            seen.add((hour, prefix))
             per_hour.setdefault(hour, []).append((rank, float(row[3]), m.index_of(prefix)))
     if config is None:
         raise ValueError(f"{path}: empty selection file")
@@ -326,7 +322,11 @@ def _read_selection_csv(path: Path, m: trace.HourlyTraceMatrix, threshold: float
     picks, scores = [], []
     for h in hours:
         entries = sorted(per_hour.get(int(h), []))
-        picks.append(np.array([i for _, _, i in entries], dtype=np.int64))
+        indices = [i for _, _, i in entries]
+        if len(set(indices)) < len(indices):
+            dup = max(set(indices), key=indices.count)
+            raise ValueError(f"{path}: duplicate prefix {m.prefixes[dup]} in hour {h}")
+        picks.append(np.array(indices, dtype=np.int64))
         scores.append(np.array([s for _, s, _ in entries], dtype=np.float64))
     warmup = (hours - 1) < config.window
     shortfall = np.array([p.size < config.size for p in picks])
