@@ -152,9 +152,7 @@ class HourlyTraceMatrix:
         # NaN fails every comparison, so test for the valid range, not
         # against it; all-zero rows are already dropped, so a bad cell
         # always sits in a kept row
-        valid = values >= 0
-        if dtype == np.float64:
-            valid &= values < np.inf
+        valid = np.isfinite(values) & (values >= 0)
         if not valid.all():
             bad = int(np.flatnonzero(~valid.all(axis=1))[0])
             kind = "negative" if (values[bad] < 0).any() else "non-finite"
