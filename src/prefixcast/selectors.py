@@ -5,6 +5,13 @@ only the last L hours of data, then keeps the top K by score (ties broken
 by canonical prefix text).  Three window metrics are provided -- mean
 volume, core presence intensity, and core-masked mean volume -- plus a
 classic GM(1,1) grey-model forecast as a comparison baseline.
+
+``run_selection`` forecasts GM(1,1) for all candidates of an hour at once
+(``gm11_forecast_rows``): the 2x2 least-squares fit is solved in closed
+form from centred sums, and the rank test that ``lstsq`` would apply is
+an explicit rule on the singular-value ratio of the 2x2 Gram matrix.
+``gm11_fit`` and ``gm11_forecast`` fit one series with ``lstsq``; they
+are the scalar reference the batched path is tested against.
 """
 
 from __future__ import annotations
@@ -158,7 +165,9 @@ def gm11_forecast_rows(windows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``s_min / s_max = sqrt(det) / lambda_max`` follows from the 2x2 Gram
     matrix (``det = m * S_zz``).  Rank-deficient rows, non-finite
     forecasts and windows shorter than ``GM11_MIN_POINTS`` fall back to
-    the row mean; ``|a| < 1e-12`` uses ``b``.
+    the row mean; ``|a| < 1e-12`` uses ``b``.  Every reduction runs along
+    a row, so a row's forecast does not depend on the other rows of the
+    block: selections stay free of look-ahead through the candidate set.
 
     Returns
     -------

@@ -259,12 +259,12 @@ GRID_VOLUMES = st.one_of(st.just(0.0), st.integers(1, 10**6).map(lambda k: k / 6
 
 
 class TestGm11Batched:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=150, deadline=None)
     @given(window_blocks(INT_VOLUMES))
     def test_integer_windows_match_scalar(self, block):
         assert_rows_match_scalar(block)
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=150, deadline=None)
     @given(window_blocks(GRID_VOLUMES))
     def test_fractional_windows_match_scalar(self, block):
         assert_rows_match_scalar(block)
