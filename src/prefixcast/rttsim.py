@@ -1,10 +1,10 @@
 """Transit RTT comparison and dynamic route-selection simulation.
 
-A probe log holds RTT samples indexed by (probing round, prefix,
-transit).  Per round, each transit's quality is the mean over probed
-prefixes of its RTT divided by the best RTT any transit achieved for
-that prefix in the same round -- 1.0 means best-everywhere.  On top of
-the physical transits, a virtual "dynamic" transit is simulated: per
+A probe log holds RTT samples as a dense (probing round, prefix,
+transit) cube.  Per round, each transit's quality is the mean over
+probed prefixes of its RTT divided by the best RTT any transit achieved
+for that prefix in the same round -- 1.0 means best-everywhere.  On top
+of the physical transits, a virtual "dynamic" transit is simulated: per
 prefix it uses whichever transit had the smallest RTT in the previous
 round, which quantifies the gain available to a route decision engine.
 
@@ -15,7 +15,9 @@ synthetically with a seeded model.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -60,98 +62,100 @@ class ProbeSample:
     rtt: float | None
 
     def __post_init__(self) -> None:
-        if self.rtt is not None and not self.rtt > 0:
-            raise ValueError(f"rtt must be > 0 ms, got {self.rtt}")
+        if self.rtt is not None and not (math.isfinite(self.rtt) and self.rtt > 0):
+            raise ValueError(f"rtt must be finite and > 0 ms, got {self.rtt}")
 
 
 class ProbeLog:
-    """Immutable RTT sample store indexed by (tick, prefix, transit).
+    """Immutable RTT store: a float64 cube indexed by (tick, prefix, transit).
 
-    The probed prefix set, transit set, and round schedule are the unions
-    seen across all samples, including lost ones.  At most one sample may
-    exist per (tick, prefix, transit).
+    ``cube`` holds the RTT in ms, or NaN where the probe was lost or never
+    sent; the bool ``probed`` mask tells the two apart (False = never
+    probed).  The axes ``ticks``, ``prefixes`` (by text) and ``transits``
+    are the sorted unions seen across all samples, lost ones included.
+    At most one sample may exist per (tick, prefix, transit).
     """
 
-    __slots__ = ("transits", "prefixes", "ticks", "tick_times", "_rtt", "_lost", "_tick_pos")
+    __slots__ = ("ticks", "prefixes", "transits", "tick_times", "cube", "probed", "_pos")
 
-    def __init__(
-        self,
-        samples: Iterable[ProbeSample],
-        tick_times: Sequence[float] | None = None,
-    ):
-        rtts: dict[tuple[int, Prefix, str], float] = {}
-        lost: set[tuple[int, Prefix, str]] = set()
-        transits: set[str] = set()
-        prefixes: set[Prefix] = set()
-        ticks: set[int] = set()
-        for s in samples:
-            key = (s.tick, s.prefix, s.transit)
-            if key in rtts or key in lost:
-                raise ValueError(f"duplicate sample for {key}")
-            if s.rtt is None:
-                lost.add(key)
-            else:
-                rtts[key] = float(s.rtt)
-            transits.add(s.transit)
-            prefixes.add(s.prefix)
-            ticks.add(s.tick)
-        if not ticks:
+    def __init__(self, samples: Iterable[ProbeSample], tick_times: Sequence[float] | None = None):
+        samples = list(samples)
+        rtt = np.array([np.nan if s.rtt is None else s.rtt for s in samples], np.float64)
+        keys = [[getattr(s, field) for s in samples] for field in ("tick", "prefix", "transit")]
+        self._fill(*((column, slice(None)) for column in keys), rtt, tick_times)
+
+    def _fill(self, ticks, prefixes, transits, rtt, tick_times) -> "ProbeLog":
+        """Scatter sample ``i`` (RTT ``rtt[i]``, NaN = lost) into the cube.  Each
+        axis comes as ``(keys, codes)``: sample ``i`` has key ``keys[codes[i]]``."""
+        if rtt.size == 0:
             raise ValueError("empty probe log")
-
-        self.transits = tuple(sorted(transits))
-        self.prefixes = tuple(sorted(prefixes, key=lambda p: p.text))
-        self.ticks = tuple(sorted(ticks))
-        if tick_times is not None and len(tick_times) != len(self.ticks):
-            raise ValueError("tick_times length does not match tick count")
+        axes, index, self._pos = [], [], []
+        orders = (None, attrgetter("text"), None)
+        for (keys, codes), order in zip((ticks, prefixes, transits), orders):
+            axes.append(tuple(sorted(set(keys), key=order)))
+            self._pos.append({label: i for i, label in enumerate(axes[-1])})
+            index.append(np.array([self._pos[-1][k] for k in keys], np.intp)[codes])
+        self.ticks, self.prefixes, self.transits = axes
+        shape = tuple(map(len, axes))
+        if tick_times is not None and len(tick_times) != shape[0]:
+            raise ValueError(f"tick_times has {len(tick_times)} entries for {shape[0]} rounds")
+        flat = np.ravel_multi_index(index, shape).ravel()
+        probed = np.zeros(math.prod(shape), dtype=bool)
+        probed[flat] = True
+        if np.count_nonzero(probed) != flat.size:
+            cell = np.unravel_index(np.argmax(np.bincount(flat) > 1), shape)
+            raise ValueError(f"duplicate sample for {tuple(a[i] for a, i in zip(axes, cell))}")
+        cube = np.full(probed.size, np.nan)
+        cube[flat] = rtt.ravel()
         self.tick_times = tuple(tick_times) if tick_times is not None else None
-        self._rtt = rtts
-        self._lost = frozenset(lost)
-        self._tick_pos = {t: i for i, t in enumerate(self.ticks)}
+        self.cube, self.probed = cube.reshape(shape), probed.reshape(shape)
+        self.cube.flags.writeable = self.probed.flags.writeable = False
+        return self
 
     def rtt(self, tick: int, prefix: Prefix, transit: str) -> float | None:
-        return self._rtt.get((tick, prefix, transit))
-
-    def samples_at(self, tick: int, prefix: Prefix) -> dict[str, float]:
-        """Present samples for one (tick, prefix), keyed by transit."""
-        out = {}
-        for transit in self.transits:
-            value = self._rtt.get((tick, prefix, transit))
-            if value is not None:
-                out[transit] = value
-        return out
+        """RTT of one probe; None when it was lost or is not in the log."""
+        cell = tuple(pos.get(k) for pos, k in zip(self._pos, (tick, prefix, transit)))
+        value = np.nan if None in cell else self.cube[cell]
+        return None if np.isnan(value) else float(value)
 
     def previous_tick(self, tick: int) -> int | None:
         """The probing round before ``tick``, or None at the first round."""
-        pos = self._tick_pos.get(tick)
+        pos = self._pos[0].get(tick)
         if pos is None:
             raise ValueError(f"tick {tick} not in log")
         return self.ticks[pos - 1] if pos > 0 else None
 
+    def _columns(self) -> tuple[list, list, list, list]:
+        """Tick, prefix, transit and RTT (None = lost) of each probe, in cube order."""
+        t, p, r = np.nonzero(self.probed)
+        return (
+            list(map(self.ticks.__getitem__, t.tolist())),
+            list(map(self.prefixes.__getitem__, p.tolist())),
+            list(map(self.transits.__getitem__, r.tolist())),
+            _gaps(self.cube[self.probed]),
+        )
+
     def samples(self) -> Iterable[ProbeSample]:
         """All samples (including losses) in deterministic order."""
-        for tick in self.ticks:
-            for prefix in self.prefixes:
-                for transit in self.transits:
-                    key = (tick, prefix, transit)
-                    if key in self._rtt:
-                        yield ProbeSample(tick, prefix, transit, self._rtt[key])
-                    elif key in self._lost:
-                        yield ProbeSample(tick, prefix, transit, None)
+        return map(ProbeSample, *self._columns())
 
 
-def _np_at(log: ProbeLog, transit: str, tick: int) -> tuple[float | None, int]:
-    total = 0.0
-    included = 0
-    for prefix in log.prefixes:
-        own = log.rtt(tick, prefix, transit)
-        if own is None:
-            continue
-        best = min(log.samples_at(tick, prefix).values())
-        total += own / best
-        included += 1
-    if included == 0:
-        return None, 0
-    return total / included, included
+def _np_table(rtt: np.ndarray, physical: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-round normalized RTT of each column of ``rtt`` (tick, prefix, column)
+    against the per-prefix best of ``physical`` (tick, prefix, transit): the
+    (tick, column) means over prefixes with a sample (NaN if none) and their counts."""
+    ratio = rtt / np.fmin.reduce(physical, axis=2, keepdims=True)
+    present = ~np.isnan(ratio)
+    # add.accumulate adds prefix by prefix like a scalar loop would; sum()
+    # adds pairwise along a contiguous axis, which changes the last bits
+    totals = np.where(present, ratio, 0.0).cumsum(axis=1)[:, -1]
+    included = present.sum(axis=1)
+    values = np.divide(totals, included, out=np.full(totals.shape, np.nan), where=included > 0)
+    return values, included
+
+
+def _gaps(values: np.ndarray) -> tuple[float | None, ...]:
+    return tuple(None if math.isnan(v) else v for v in values.tolist())
 
 
 def normalized_performance(log: ProbeLog, transit: str, tick: int) -> float | None:
@@ -163,10 +167,8 @@ def normalized_performance(log: ProbeLog, transit: str, tick: int) -> float | No
     Prefixes with no sample for this transit at this round are excluded.
     Returns None when no prefix could be included (a gap).
     """
-    if transit not in log.transits:
-        raise ValueError(f"unknown transit {transit!r}")
-    value, _ = _np_at(log, transit, tick)
-    return value
+    series = np_series(log, transit)
+    return series.values[series.ticks.index(tick)]
 
 
 @dataclass(frozen=True)
@@ -184,17 +186,21 @@ class NpSeries:
 
 def np_series(log: ProbeLog, transit: str) -> NpSeries:
     """Normalized RTT series of one transit over all probing rounds."""
-    if transit not in log.transits:
+    column = log._pos[2].get(transit)
+    if column is None:
         raise ValueError(f"unknown transit {transit!r}")
-    values = []
-    included = []
-    for tick in log.ticks:
-        value, count = _np_at(log, transit, tick)
-        values.append(value)
-        included.append(count)
+    values, included = _np_table(log.cube, log.cube)
     return NpSeries(
-        transit=transit, ticks=log.ticks, values=tuple(values), included=tuple(included)
+        transit=transit, ticks=log.ticks, values=_gaps(values[:, column]),
+        included=tuple(included[:, column].tolist()),
     )
+
+
+def _last_round_best(rtt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index of the smallest RTT along the last axis (ties: lowest label),
+    and where no RTT is present along it at all."""
+    lost = np.isnan(rtt)
+    return np.where(lost, np.inf, rtt).argmin(axis=-1), lost.all(axis=-1)
 
 
 def pick_last_round_best(
@@ -206,26 +212,20 @@ def pick_last_round_best(
     no sample for the prefix (or ``tick`` is the first round), a
     uniformly random transit is drawn from ``rng``.
     """
-    prev = log.previous_tick(tick)
-    if prev is not None:
-        last = log.samples_at(prev, prefix)
-        if last:
-            return min(last.items(), key=lambda kv: (kv[1], kv[0]))[0]
+    prev, row = log.previous_tick(tick), log._pos[1].get(prefix)
+    if prev is not None and row is not None:
+        choice, blind = _last_round_best(log.cube[log._pos[0][prev], row])
+        if not blind:
+            return log.transits[int(choice)]
     return log.transits[int(rng.integers(len(log.transits)))]
 
 
 @dataclass(frozen=True)
-class DynamicRouteResult:
+class DynamicRouteResult(NpSeries):
     """Normalized RTT series of the simulated last-round-best transit."""
 
-    ticks: tuple[int, ...]
-    values: tuple[float | None, ...]
-    included: tuple[int, ...]
     excluded_missing: tuple[int, ...]  # chosen transit had no current sample
     seed: int
-
-    def clean(self) -> list[float]:
-        return [v for v in self.values if v is not None]
 
 
 def simulate_dynamic_selection(log: ProbeLog, seed: int = 0) -> DynamicRouteResult:
@@ -241,33 +241,17 @@ def simulate_dynamic_selection(log: ProbeLog, seed: int = 0) -> DynamicRouteResu
     """
     if len(log.ticks) < 2:
         raise ValueError("dynamic selection needs at least 2 probing rounds")
-    rng = np.random.default_rng(seed)
-    ticks = []
-    values: list[float | None] = []
-    included_counts = []
-    missing_counts = []
-    for tick in log.ticks[1:]:
-        total = 0.0
-        included = 0
-        missing = 0
-        for prefix in log.prefixes:
-            choice = pick_last_round_best(log, prefix, tick, rng)
-            own = log.rtt(tick, prefix, choice)
-            if own is None:
-                missing += 1
-                continue
-            best = min(log.samples_at(tick, prefix).values())
-            total += own / best
-            included += 1
-        ticks.append(tick)
-        values.append(total / included if included else None)
-        included_counts.append(included)
-        missing_counts.append(missing)
+    choice, blind = _last_round_best(log.cube[:-1])
+    # one batched draw equals a scalar draw per history-less prefix in tick-major order
+    choice[blind] = np.random.default_rng(seed).integers(len(log.transits), size=blind.sum())
+    own = np.take_along_axis(log.cube[1:], choice[:, :, None], axis=2)
+    values, included = _np_table(own, log.cube[1:])
     return DynamicRouteResult(
-        ticks=tuple(ticks),
-        values=tuple(values),
-        included=tuple(included_counts),
-        excluded_missing=tuple(missing_counts),
+        transit=DYNAMIC_LABEL,
+        ticks=log.ticks[1:],
+        values=_gaps(values[:, 0]),
+        included=tuple(included[:, 0].tolist()),
+        excluded_missing=tuple(np.isnan(own[:, :, 0]).sum(axis=1).tolist()),
         seed=seed,
     )
 
@@ -312,11 +296,6 @@ class RegimeSwitch:
         if self.end_tick <= self.start_tick:
             raise ValueError("end_tick must be > start_tick")
 
-    def applies(self, tick: int, prefix: Prefix, transit: str) -> bool:
-        if transit != self.transit or not self.start_tick <= tick < self.end_tick:
-            return False
-        return self.prefixes is None or prefix in self.prefixes
-
 
 @dataclass(frozen=True)
 class RttModel:
@@ -345,15 +324,10 @@ class RttModel:
             raise ValueError("noise_std must be >= 0")
         if self.min_rtt <= 0:
             raise ValueError("min_rtt must be > 0")
-
-    def loss_for(self, pair: tuple[Prefix, str]) -> float:
-        if isinstance(self.loss_prob, (int, float)):
-            p = float(self.loss_prob)
-        else:
-            p = float(self.loss_prob.get(pair, 0.0))
-        if not 0 <= p <= 1:
-            raise ValueError(f"loss probability {p} outside [0, 1]")
-        return p
+        per_pair = not isinstance(self.loss_prob, (int, float))
+        for p in self.loss_prob.values() if per_pair else [self.loss_prob]:
+            if not 0 <= p <= 1:
+                raise ValueError(f"loss probability {p} outside [0, 1]")
 
 
 def generate_probe_log(schedule: ProbeScheduleSpec, model: RttModel) -> ProbeLog:
@@ -375,20 +349,26 @@ def generate_probe_log(schedule: ProbeScheduleSpec, model: RttModel) -> ProbeLog
         times.append(nxt)
 
     pairs = sorted(model.base_rtt, key=lambda pt: (pt[0].text, pt[1]))
-    samples = []
-    for tick in range(len(times)):
-        for prefix, transit in pairs:
-            if model.loss_for((prefix, transit)) > rng.uniform():
-                samples.append(ProbeSample(tick, prefix, transit, None))
-                continue
-            value = model.base_rtt[(prefix, transit)]
-            for switch in model.regime_switches:
-                if switch.applies(tick, prefix, transit):
-                    value *= switch.multiplier
-            if model.noise_std > 0:
-                value += rng.normal(0.0, model.noise_std)
-            samples.append(ProbeSample(tick, prefix, transit, max(value, model.min_rtt)))
-    return ProbeLog(samples, tick_times=times)
+    prob = model.loss_prob
+    losses = [prob if isinstance(prob, (int, float)) else prob.get(pair, 0.0) for pair in pairs]
+    # per probe in (tick, pair) order: a uniform for loss (random() draws what
+    # uniform() would, faster), then a normal if answered; NaN marks a loss
+    noise = [
+        np.nan if loss > rng.random()
+        else rng.normal(0.0, model.noise_std) if model.noise_std > 0 else 0.0
+        for _ in times for loss in losses
+    ]
+    rtt = np.tile(np.array([model.base_rtt[pair] for pair in pairs], np.float64), (len(times), 1))
+    # one multiplication per switch, in order: a product rounds differently
+    for sw in model.regime_switches:
+        hit = [t == sw.transit and (sw.prefixes is None or p in sw.prefixes) for p, t in pairs]
+        rtt[max(sw.start_tick, 0) : max(sw.end_tick, 0), hit] *= sw.multiplier
+    rtt = np.maximum(rtt + np.reshape(noise, rtt.shape), model.min_rtt)
+    codes = np.arange(len(pairs))
+    return ProbeLog.__new__(ProbeLog)._fill(
+        (range(len(times)), np.arange(len(times))[:, None]), ([p for p, _ in pairs], codes),
+        ([t for _, t in pairs], codes), rtt, times,
+    )
 
 
 @dataclass(frozen=True)
@@ -442,15 +422,10 @@ def rank_transits(
     With ``include_dynamic`` the simulated last-round-best transit is
     ranked alongside the physical ones under the ``dynamic`` label.
     """
-    entries = []
-    for transit in log.transits:
-        series = np_series(log, transit).clean()
-        if series:
-            entries.append((transit, np_summary(series)))
+    series = [np_series(log, transit) for transit in log.transits]
     if include_dynamic and len(log.ticks) >= 2:
-        series = simulate_dynamic_selection(log, seed=seed).clean()
-        if series:
-            entries.append((DYNAMIC_LABEL, np_summary(series)))
+        series.append(simulate_dynamic_selection(log, seed=seed))
+    entries = [(s.transit, np_summary(s.clean())) for s in series if s.clean()]
     entries.sort(key=lambda item: (item[1].mean, item[0]))
     return entries
 
@@ -460,16 +435,33 @@ def save_probe_log(log: ProbeLog, path: str | Path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(PROBE_CSV_HEADER)
-        for s in log.samples():
-            writer.writerow(
-                [s.tick, s.prefix.text, s.transit, "" if s.rtt is None else repr(s.rtt)]
-            )
+        ticks, prefixes, transits, rtts = log._columns()
+        writer.writerows(zip(
+            ticks, [prefix.text for prefix in prefixes], transits,
+            ["" if rtt is None else repr(rtt) for rtt in rtts],
+        ))
 
 
-def load_probe_log(path: str | Path) -> ProbeLog:
+def _parse_column(column: Sequence[str], parse, path, lines) -> tuple[list, np.ndarray]:
+    """Parse each distinct text of a CSV column once: the parsed values,
+    and each row's index into them; errors name the row's line."""
+    codes = dict.fromkeys(column)
+    parsed = []
+    for code, text in enumerate(codes):
+        codes[text] = code
+        try:
+            parsed.append(parse(text))
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {lines[column.index(text)]}: {exc}") from None
+    return parsed, np.fromiter(map(codes.__getitem__, column), np.intp, len(column))
+
+
+def load_probe_log(path: str | Path, tick_times: Sequence[float] | None = None) -> ProbeLog:
     """Read a probe log written by ``save_probe_log`` (or any external
-    prober emitting the same format)."""
-    samples = []
+    prober emitting the same format); ``tick_times`` restores the round
+    start times that the CSV does not carry.  A malformed row, or an RTT
+    that is not finite and > 0, raises ValueError naming the CSV line.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -477,13 +469,20 @@ def load_probe_log(path: str | Path) -> ProbeLog:
             raise ValueError(
                 f"{path}: expected header {','.join(PROBE_CSV_HEADER)!r}, got {header!r}"
             )
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != 4:
-                raise ValueError(f"{path}: bad probe row {row!r}")
-            rtt = None if row[3].strip() == "" else float(row[3])
-            samples.append(
-                ProbeSample(int(row[0]), Prefix.parse(row[1]), row[2].strip(), rtt)
-            )
-    return ProbeLog(samples)
+        rows = [(reader.line_num, *row) for row in reader if row]
+    if set(map(len, rows)) - {5}:
+        line, *row = next(row for row in rows if len(row) != 5)
+        raise ValueError(f"{path}: line {line}: bad probe row {row!r}")
+    lines, ticks, prefixes, transits, texts = list(zip(*rows)) or [()] * 5
+    parsed, codes = _parse_column(
+        texts, lambda text: float(text) if text.strip() else None, path, lines
+    )
+    rtt = np.array(parsed, np.float64)[codes]  # None (a loss) becomes NaN
+    answered = np.array([v is not None for v in parsed], bool)[codes]
+    bad = answered & ~(np.isfinite(rtt) & (rtt > 0))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"{path}: line {lines[i]}: rtt_ms must be finite and > 0, not {texts[i]!r}")
+    axes = zip((ticks, prefixes, transits), (int, Prefix.parse, str.strip))
+    columns = [_parse_column(column, parse, path, lines) for column, parse in axes]
+    return ProbeLog.__new__(ProbeLog)._fill(*columns, rtt, tick_times)

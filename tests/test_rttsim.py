@@ -1,7 +1,11 @@
 """Normalized RTT, last-round-best routing, and the probe log machinery."""
 
+import string
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from prefixcast.rttsim import (
     DYNAMIC_LABEL,
@@ -20,7 +24,7 @@ from prefixcast.rttsim import (
     save_probe_log,
     simulate_dynamic_selection,
 )
-from prefixcast.trace import Prefix
+from prefixcast.trace import Prefix, synthetic_prefix
 
 P1 = Prefix.parse("192.0.2.0/24")
 P2 = Prefix.parse("198.51.100.0/24")
@@ -302,3 +306,237 @@ class TestProbeCsv:
         path.write_text("a,b,c,d\n0,192.0.2.0/24,T1,10\n")
         with pytest.raises(ValueError, match="header"):
             load_probe_log(path)
+
+
+# --------------------------------------------------------------------------
+# Scalar oracle: the former dict-backed probe log, kept independent of the
+# cube.  The cube must reproduce it exactly (==, not approx): sums in
+# prefix order, ties to the lowest label, the same random draws.
+# --------------------------------------------------------------------------
+
+
+class DictLog:
+    def __init__(self, rows):
+        self.rtt = {(t, p, tr): v for t, p, tr, v in rows if v is not None}
+        self.ticks = sorted({t for t, _, _, _ in rows})
+        self.prefixes = sorted({p for _, p, _, _ in rows}, key=lambda p: p.text)
+        self.transits = sorted({tr for _, _, tr, _ in rows})
+
+    def samples_at(self, tick, prefix):
+        return {
+            tr: self.rtt[(tick, prefix, tr)]
+            for tr in self.transits
+            if (tick, prefix, tr) in self.rtt
+        }
+
+
+def oracle_np(d, transit, tick):
+    total = 0.0
+    included = 0
+    for prefix in d.prefixes:
+        own = d.rtt.get((tick, prefix, transit))
+        if own is None:
+            continue
+        total += own / min(d.samples_at(tick, prefix).values())
+        included += 1
+    return (total / included if included else None), included
+
+
+def oracle_pick(d, prefix, prev, rng):
+    last = d.samples_at(prev, prefix) if prev is not None else {}
+    if last:
+        return min(last.items(), key=lambda kv: (kv[1], kv[0]))[0]
+    return d.transits[int(rng.integers(len(d.transits)))]
+
+
+def oracle_dynamic(d, seed):
+    rng = np.random.default_rng(seed)
+    values, included_counts, missing_counts = [], [], []
+    for prev, tick in zip(d.ticks, d.ticks[1:]):
+        total = 0.0
+        included = missing = 0
+        for prefix in d.prefixes:
+            own = d.rtt.get((tick, prefix, oracle_pick(d, prefix, prev, rng)))
+            if own is None:
+                missing += 1
+                continue
+            total += own / min(d.samples_at(tick, prefix).values())
+            included += 1
+        values.append(total / included if included else None)
+        included_counts.append(included)
+        missing_counts.append(missing)
+    return tuple(values), tuple(included_counts), tuple(missing_counts)
+
+
+def oracle_generate(schedule, model):
+    """The former per-sample generator loop: rows and round start times."""
+    rng = np.random.default_rng(schedule.seed)
+    lo = schedule.mean_interval * (1.0 - schedule.jitter)
+    hi = schedule.mean_interval * (1.0 + schedule.jitter)
+    times = [0.0]
+    while True:
+        gap = rng.uniform(lo, hi) if schedule.jitter > 0 else schedule.mean_interval
+        if times[-1] + gap >= schedule.duration:
+            break
+        times.append(times[-1] + gap)
+    rows = []
+    for tick in range(len(times)):
+        for prefix, transit in sorted(model.base_rtt, key=lambda pt: (pt[0].text, pt[1])):
+            loss = model.loss_prob
+            if not isinstance(loss, float):
+                loss = loss.get((prefix, transit), 0.0)
+            if loss > rng.uniform():
+                rows.append((tick, prefix, transit, None))
+                continue
+            value = model.base_rtt[(prefix, transit)]
+            for sw in model.regime_switches:
+                hit = sw.prefixes is None or prefix in sw.prefixes
+                if sw.transit == transit and sw.start_tick <= tick < sw.end_tick and hit:
+                    value *= sw.multiplier
+            if model.noise_std > 0:
+                value += rng.normal(0.0, model.noise_std)
+            rows.append((tick, prefix, transit, max(value, model.min_rtt)))
+    return rows, times
+
+
+def random_rows(rng):
+    """Probe rows with lost probes, never-probed pairs, rounds in which a
+    prefix loses every probe (so the dynamic choice draws at random), tied
+    RTTs and gaps in the tick numbering."""
+    n_transits = int(rng.integers(1, 7))
+    n_prefixes = int(rng.integers(1, 41))
+    n_ticks = int(rng.integers(2, 31))
+    ticks = sorted(rng.choice(4 * n_ticks, size=n_ticks, replace=False).tolist())
+    transits = [f"T{i + 1}" for i in range(n_transits)]
+    prefixes = [synthetic_prefix(k) for k in rng.permutation(300)[:n_prefixes] + 1]
+    rows = []
+    for tick in ticks:
+        for prefix in prefixes:
+            dark = rng.uniform() < 0.1  # every probe lost or never sent
+            for transit in transits:
+                u = rng.uniform()
+                if u < 0.1:
+                    continue  # never probed
+                if dark or u < 0.25:
+                    rows.append((tick, prefix, transit, None))
+                elif u < 0.5:
+                    rows.append((tick, prefix, transit, float(rng.choice([10.0, 20.0, 30.0]))))
+                else:
+                    rows.append((tick, prefix, transit, float(rng.uniform(1.0, 200.0))))
+    if not rows:
+        rows.append((ticks[0], prefixes[0], transits[0], 10.0))
+    return rows
+
+
+class TestCubeMatchesScalarOracle:
+    LOGS = 40
+
+    def logs(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(self.LOGS):
+            rows = random_rows(rng)
+            yield log_from(rows), DictLog(rows)
+
+    def test_np_series_exact(self):
+        for log, d in self.logs():
+            for transit in log.transits:
+                series = np_series(log, transit)
+                expected = [oracle_np(d, transit, tick) for tick in d.ticks]
+                assert series.ticks == tuple(d.ticks)
+                assert series.values == tuple(v for v, _ in expected)
+                assert series.included == tuple(n for _, n in expected)
+                for tick, value in zip(series.ticks, series.values):
+                    assert normalized_performance(log, transit, tick) == value
+
+    def test_dynamic_selection_exact(self):
+        draws = 0
+        for seed, (log, d) in enumerate(self.logs()):
+            result = simulate_dynamic_selection(log, seed=seed)
+            values, included, missing = oracle_dynamic(d, seed)
+            assert result.ticks == tuple(d.ticks[1:])
+            assert result.values == values
+            assert result.included == included
+            assert result.excluded_missing == missing
+            draws += sum(
+                not d.samples_at(prev, p) for prev in d.ticks[:-1] for p in d.prefixes
+            )
+        assert draws > 100  # the batched random draws were exercised
+
+    def test_pick_last_round_best_exact(self):
+        for log, d in self.logs():
+            for prev, tick in zip(d.ticks, d.ticks[1:]):
+                for prefix in d.prefixes:
+                    got = pick_last_round_best(log, prefix, tick, np.random.default_rng(5))
+                    want = oracle_pick(d, prefix, prev, np.random.default_rng(5))
+                    assert got == want
+
+    def test_rank_transits_matches_oracle_series(self):
+        for seed, (log, d) in enumerate(self.logs()):
+            ranking = dict(rank_transits(log, include_dynamic=True, seed=seed))
+            for transit in d.transits:
+                values = [oracle_np(d, transit, tick)[0] for tick in d.ticks]
+                clean = [v for v in values if v is not None]
+                if clean:
+                    assert ranking[transit] == np_summary(clean)
+            dynamic = [v for v in oracle_dynamic(d, seed)[0] if v is not None]
+            if dynamic:
+                assert ranking[DYNAMIC_LABEL] == np_summary(dynamic)
+
+    def test_generator_matches_scalar_loop(self):
+        rng = np.random.default_rng(77)
+        prefixes = [synthetic_prefix(k) for k in range(1, 13)]
+        for seed in range(6):
+            base = {
+                (p, t): float(rng.uniform(5.0, 90.0))
+                for p in prefixes for t in ("T1", "T2", "T3") if rng.uniform() > 0.1
+            }
+            losses = {pair: float(rng.uniform(0.0, 0.6)) for pair in base}
+            switches = (
+                RegimeSwitch("T1", 3, 40, 1.7),
+                RegimeSwitch("T1", 20, 60, 1.3),  # overlaps the first
+                RegimeSwitch("T1", 25, 30, 0.9, prefixes=tuple(prefixes[:4])),
+                RegimeSwitch("T2", -5, 8, 2.5),
+            )
+            model = RttModel(
+                base_rtt=base, noise_std=float(seed % 3), loss_prob=losses if seed % 2 else 0.2,
+                regime_switches=switches,
+            )
+            schedule = ProbeScheduleSpec(duration=20_000.0, jitter=0.3 * (seed % 2), seed=seed)
+            rows, times = oracle_generate(schedule, model)
+            log = generate_probe_log(schedule, model)
+            assert list(log.samples()) == [ProbeSample(*row) for row in rows]
+            assert log.tick_times == tuple(times)
+
+
+PROBE_LABELS = st.text(string.ascii_letters + string.digits + '_-,"', min_size=1, max_size=5)
+
+
+@st.composite
+def probe_logs(draw):
+    ticks = draw(st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=4, unique=True))
+    prefixes = draw(st.lists(st.integers(1, 5000), min_size=1, max_size=4, unique=True))
+    transits = draw(st.lists(PROBE_LABELS, min_size=1, max_size=4, unique=True))
+    cell = st.one_of(
+        st.just("unprobed"), st.none(),
+        st.floats(min_value=0.0, exclude_min=True, allow_infinity=False, allow_nan=False),
+    )
+    rows = [
+        (t, synthetic_prefix(p), tr, value)
+        for t in ticks for p in prefixes for tr in transits
+        if (value := draw(cell)) != "unprobed"
+    ]
+    assume(rows)
+    return log_from(rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(log=probe_logs())
+def test_probe_csv_roundtrip_is_exact(tmp_path_factory, log):
+    path = tmp_path_factory.mktemp("probes") / "probes.csv"
+    save_probe_log(log, path)
+    back = load_probe_log(path, tick_times=range(len(log.ticks)))
+    assert (back.ticks, back.prefixes, back.transits) == (log.ticks, log.prefixes, log.transits)
+    assert np.array_equal(back.cube, log.cube, equal_nan=True)
+    assert np.array_equal(back.probed, log.probed)  # lost and never-probed stay apart
+    assert list(back.samples()) == list(log.samples())
+    assert back.tick_times == tuple(range(len(log.ticks)))
