@@ -451,11 +451,34 @@ def _cmd_probe_synth(args) -> int:
 # -------------------------------------------------------------- simulate
 
 
+def _load_probes(path: Path) -> rttsim.ProbeLog:
+    """The probe log at ``path``.  A ``probe_meta.json`` beside it (as
+    probe-synth writes) restores the round start times, and must agree
+    with the log on ticks, transits and prefix count."""
+    meta_path = path.with_name("probe_meta.json")
+    if not meta_path.exists():
+        return rttsim.load_probe_log(path)
+    meta = json.loads(meta_path.read_text())
+    tick_times = meta.get("tick_times")
+    if not isinstance(tick_times, list) or len(tick_times) != meta.get("ticks"):
+        raise ValueError(f"{meta_path}: tick_times must list one start time per tick")
+    # the loader rejects tick_times whose length differs from the log's ticks
+    log = rttsim.load_probe_log(path, tick_times=tick_times)
+    found = {"transits": list(log.transits), "prefix_count": len(log.prefixes)}
+    for key, value in found.items():
+        claimed = meta.get(key)
+        if isinstance(claimed, list):
+            claimed = sorted(claimed, key=str)
+        if claimed != value:
+            raise ValueError(f"{meta_path}: {key} is {meta.get(key)!r}, but {path} has {value!r}")
+    return log
+
+
 def _cmd_simulate(args) -> int:
     path = Path(args.probes)
     if not path.exists():
         raise ValueError(f"missing probe artifact {path}; run the probe-synth stage first")
-    log = rttsim.load_probe_log(path)
+    log = _load_probes(path)
     out = _out_dir(args)
 
     rows = []

@@ -98,7 +98,7 @@ class ProbeLog:
         self.ticks, self.prefixes, self.transits = axes
         shape = tuple(map(len, axes))
         if tick_times is not None and len(tick_times) != shape[0]:
-            raise ValueError(f"tick_times has {len(tick_times)} entries for {shape[0]} rounds")
+            raise ValueError(f"{len(tick_times)} tick_times for {shape[0]} probing rounds")
         flat = np.ravel_multi_index(index, shape).ravel()
         probed = np.zeros(math.prod(shape), dtype=bool)
         probed[flat] = True

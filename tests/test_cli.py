@@ -270,6 +270,57 @@ class TestProbeSimulate:
         assert main(["simulate", "--probes", str(probes), "--out", str(tmp_path)]) == 2
         assert "usable RTT" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", ["inf", "-inf", "nan", "1e999", "0", "-3.5"])
+    def test_non_finite_or_non_positive_rtt_is_data_error(self, tmp_path, capsys, bad):
+        probes = tmp_path / "probes.csv"
+        probes.write_text(
+            "tick,prefix,transit,rtt_ms\n"
+            "0,10.0.0.0/24,T1,10.5\n"
+            f"0,10.0.0.0/24,T2,{bad}\n"
+            "1,10.0.0.0/24,T1,11.0\n"
+            "1,10.0.0.0/24,T2,12.0\n"
+        )
+        out = tmp_path / "out"
+        assert main(["simulate", "--probes", str(probes), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "line 3" in err and "rtt_ms" in err and repr(bad) in err
+        assert not (out / "np.csv").exists()
+
+    def probe_synth(self, out):
+        assert main(["probe-synth", "--prefix-count", "4", "--transits", "3",
+                     "--duration", "3000", "--seed", "6", "--out", str(out)]) == 0
+        return read_json(out / "probe_meta.json")
+
+    def test_meta_restores_tick_times(self, tmp_path, monkeypatch):
+        from prefixcast import rttsim
+
+        meta = self.probe_synth(tmp_path)
+        seen = []
+        rank = rttsim.rank_transits
+        monkeypatch.setattr(
+            rttsim, "rank_transits", lambda log, **kw: seen.append(log) or rank(log, **kw)
+        )
+        assert main(["simulate", "--probes", f"{tmp_path}/probes.csv",
+                     "--out", str(tmp_path)]) == 0
+        assert seen[0].tick_times == tuple(meta["tick_times"])
+
+    @pytest.mark.parametrize("edit, named", [
+        (lambda meta: meta.update(transits=["T1", "T2", "T9"]), "transits"),
+        (lambda meta: meta.update(prefix_count=5), "prefix_count"),
+        # one round fewer, with one start time fewer
+        (lambda meta: meta.update(ticks=meta["ticks"] - 1, tick_times=meta["tick_times"][1:]),
+         "tick_times"),
+        (lambda meta: meta["tick_times"].pop(), "tick_times"),
+    ])
+    def test_meta_disagreeing_with_log_is_data_error(self, tmp_path, capsys, edit, named):
+        meta = self.probe_synth(tmp_path)
+        edit(meta)
+        (tmp_path / "probe_meta.json").write_text(json.dumps(meta))
+        out = tmp_path / "out"
+        assert main(["simulate", "--probes", f"{tmp_path}/probes.csv", "--out", str(out)]) == 2
+        assert named in capsys.readouterr().err
+        assert not (out / "np.csv").exists()
+
 
 class TestUsageErrors:
     def test_unknown_command(self, capsys):

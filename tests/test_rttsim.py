@@ -52,6 +52,19 @@ class TestProbeLog:
         with pytest.raises(ValueError):
             ProbeSample(0, P1, "T1", 0.0)
 
+    @pytest.mark.parametrize("rtt", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_rtt_rejected(self, rtt):
+        with pytest.raises(ValueError, match="finite"):
+            ProbeSample(0, P1, "T1", rtt)
+
+    def test_cube_marks_lost_and_never_probed_apart(self):
+        log = log_from([(0, P1, "T1", 10.0), (0, P1, "T2", None), (1, P2, "T1", 12.0)])
+        assert log.cube.shape == log.probed.shape == (2, 2, 2)
+        assert log.probed[0, 0, 1] and np.isnan(log.cube[0, 0, 1])  # lost
+        assert not log.probed[0, 1, 0] and np.isnan(log.cube[0, 1, 0])  # never probed
+        assert log.cube[1, 1, 0] == 12.0
+        assert not log.cube.flags.writeable
+
     def test_previous_tick(self):
         log = log_from([(3, P1, "T1", 10.0), (7, P1, "T1", 11.0)])
         assert log.previous_tick(7) == 3
@@ -300,6 +313,27 @@ class TestProbeCsv:
         save_probe_log(log, path)
         back = load_probe_log(path)
         assert list(back.samples()) == list(log.samples())
+
+    @pytest.mark.parametrize("body, message", [
+        ("0,192.0.2.0/24,T1\n", "line 3: bad probe row"),
+        ("zero,192.0.2.0/24,T1,10\n", "line 3: invalid literal"),
+        ("0,192.0.2.1/24,T1,10\n", "line 3: .*host bits"),
+        ("0,192.0.2.0/24,T1,fast\n", "line 3: could not convert"),
+        ("0,192.0.2.0/24,T1,inf\n", "line 3: rtt_ms must be finite"),
+        ("\n\n1,192.0.2.0/24,T1,0\n", "line 5: rtt_ms must be finite"),
+        ("0,192.0.2.0/24, T1 ,9\n", "duplicate sample"),
+    ])
+    def test_bad_rows_rejected_naming_the_line(self, tmp_path, body, message):
+        path = tmp_path / "probes.csv"
+        path.write_text("tick,prefix,transit,rtt_ms\n0,192.0.2.0/24,T1,10\n" + body)
+        with pytest.raises(ValueError, match=message):
+            load_probe_log(path)
+
+    def test_header_only_is_empty(self, tmp_path):
+        path = tmp_path / "probes.csv"
+        path.write_text("tick,prefix,transit,rtt_ms\n\n")
+        with pytest.raises(ValueError, match="empty probe log"):
+            load_probe_log(path)
 
     def test_header_enforced(self, tmp_path):
         path = tmp_path / "probes.csv"
