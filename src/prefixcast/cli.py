@@ -496,14 +496,15 @@ def _cmd_simulate(args) -> int:
     ranking = rttsim.rank_transits(log, include_dynamic=args.dynamic, seed=args.seed)
     if not ranking:
         raise ValueError(f"{path}: no round has a usable RTT sample")
-    _write_json(
-        out / "np_summary.json",
-        {
-            "order": [label for label, _ in ranking],
-            "transits": {label: summary.as_dict() for label, summary in ranking},
-            "seed": args.seed,
-        },
-    )
+    payload = {
+        "order": [label for label, _ in ranking],
+        "transits": {label: summary.as_dict() for label, summary in ranking},
+        "seed": args.seed,
+    }
+    if dynamic is not None:
+        # prefixes the dynamic transit left out because its pick had no sample
+        payload["dynamic_excluded_missing"] = sum(dynamic.excluded_missing)
+    _write_json(out / "np_summary.json", payload)
     best = ranking[0]
     print(
         f"simulate: {len(log.transits)} transits, {len(log.ticks)} rounds; "

@@ -8,6 +8,7 @@ import pytest
 
 from prefixcast.cli import main
 from prefixcast.dynamism import compute_core_profile
+from prefixcast.rttsim import load_probe_log, simulate_dynamic_selection
 from prefixcast.selectors import SelectorConfig, run_selection
 from prefixcast.trace import load_matrix
 
@@ -256,6 +257,19 @@ class TestProbeSimulate:
         assert "dynamic" in summary["order"]
         means = [summary["transits"][label]["mean"] for label in summary["order"]]
         assert means == sorted(means)
+
+    def test_summary_counts_dynamic_exclusions(self, tmp_path):
+        out = str(tmp_path)
+        assert main(["probe-synth", "--prefix-count", "8", "--transits", "3", "--loss", "0.3",
+                     "--duration", "6000", "--seed", "3", "--out", out]) == 0
+        assert main(["simulate", "--probes", f"{out}/probes.csv", "--seed", "3",
+                     "--out", out]) == 0
+        result = simulate_dynamic_selection(load_probe_log(tmp_path / "probes.csv"), seed=3)
+        summary = read_json(tmp_path / "np_summary.json")
+        assert summary["dynamic_excluded_missing"] == sum(result.excluded_missing) > 0
+        assert main(["simulate", "--probes", f"{out}/probes.csv", "--no-dynamic",
+                     "--out", out]) == 0
+        assert "dynamic_excluded_missing" not in read_json(tmp_path / "np_summary.json")
 
     def test_missing_probes_names_stage(self, tmp_path, capsys):
         assert main(["simulate", "--probes", f"{tmp_path}/probes.csv",

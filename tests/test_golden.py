@@ -33,7 +33,7 @@ PINS = {
     "matrix.csv": "9696d94ca7ff74a43230d82f4291d63934f2b242a6fca6f756af6d1d2ff01e44",
     "matrix.json": "b8e09fcb1619748005cbf2b6fb98096ca1b68842e9249c5f98e08aba27c75c81",
     "np.csv": "724b28007b194045e5353309ab4cbc3c6fbbd9ac4084b2309a0b78ba41655189",
-    "np_summary.json": "c12525c51329601d5c2637d42c0980e764e735ba2fca281dc9ec9b3823ac9929",
+    "np_summary.json": "735fbb363bbf76f4d5f89ef040658c80a3c850f614b0c585dde84860d3c0213c",
     "prefixes.csv": "23ad88a6c6f40cd5a973d6beb43935e99250db8f4fae3373520b5325fa78c36d",
     "probe_meta.json": "4ba8084a8fb464a9131f74c2e0bfa39407d729baf0e52112545c59b453906dae",
     "probes.csv": "e5640e3dbbc7a5001d1b62b2d21867a918e1d02c58d773c4f4bb03f0cd04ee35",
