@@ -460,8 +460,11 @@ def _load_probes(path: Path) -> rttsim.ProbeLog:
         return rttsim.load_probe_log(path)
     meta = json.loads(meta_path.read_text())
     tick_times = meta.get("tick_times")
-    if not isinstance(tick_times, list) or len(tick_times) != meta.get("ticks"):
-        raise ValueError(f"{meta_path}: tick_times must list one start time per tick")
+    if not (
+        isinstance(tick_times, list) and len(tick_times) == meta.get("ticks")
+        and all(isinstance(t, (int, float)) and np.isfinite(t) for t in tick_times)
+    ):
+        raise ValueError(f"{meta_path}: tick_times must list one finite start time per tick")
     # the loader rejects tick_times whose length differs from the log's ticks
     log = rttsim.load_probe_log(path, tick_times=tick_times)
     found = {"transits": list(log.transits), "prefix_count": len(log.prefixes)}

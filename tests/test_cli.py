@@ -325,6 +325,8 @@ class TestProbeSimulate:
         (lambda meta: meta.update(ticks=meta["ticks"] - 1, tick_times=meta["tick_times"][1:]),
          "tick_times"),
         (lambda meta: meta["tick_times"].pop(), "tick_times"),
+        (lambda meta: meta["tick_times"].__setitem__(1, "later"), "tick_times"),
+        (lambda meta: meta["tick_times"].__setitem__(1, float("nan")), "tick_times"),
     ])
     def test_meta_disagreeing_with_log_is_data_error(self, tmp_path, capsys, edit, named):
         meta = self.probe_synth(tmp_path)
