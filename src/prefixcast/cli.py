@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from csv import reader as csv_reader
 from csv import writer as csv_writer
@@ -462,7 +463,7 @@ def _load_probes(path: Path) -> rttsim.ProbeLog:
     tick_times = meta.get("tick_times")
     if not (
         isinstance(tick_times, list) and len(tick_times) == meta.get("ticks")
-        and all(isinstance(t, (int, float)) and np.isfinite(t) for t in tick_times)
+        and all(isinstance(t, (int, float)) and math.isfinite(t) for t in tick_times)
     ):
         raise ValueError(f"{meta_path}: tick_times must list one finite start time per tick")
     # the loader rejects tick_times whose length differs from the log's ticks
