@@ -57,7 +57,6 @@ from .selectors import (
     WINDOW_GRID,
     SelectionRun,
     SelectorConfig,
-    core_presence_score,
     core_volume_score,
     gm11_fit,
     gm11_forecast,

@@ -173,10 +173,7 @@ def _cmd_analyze(args) -> int:
     profile = dynamism.compute_core_profile(m, threshold=args.threshold)
     out = _out_dir(args)
 
-    week_total = float(m.totals.sum())
-    values = m.values.astype(np.float64)
-    cv = values.std(axis=1) / values.mean(axis=1)
-    shares_pct = 100.0 * values.sum(axis=1) / week_total
+    shares_pct, cv = dynamism.prefix_shares_and_cv(m)
     _write_csv(
         out / "prefixes.csv",
         ["prefix", "weekly_share_pct", "cv", "icp"],
@@ -219,7 +216,7 @@ def _cmd_analyze(args) -> int:
         "threshold": args.threshold,
         "bins": m.bin_count,
         "active_prefixes": len(m),
-        "total_volume": week_total,
+        "total_volume": float(m.totals.sum()),
     }
     _write_json(out / "summary.json", summary)
     print(
@@ -249,10 +246,15 @@ def _write_selection(out: Path, run: selectors.SelectionRun) -> Path:
     return path
 
 
-def _selector_configs(args, profile) -> list[selectors.SelectorConfig]:
-    size = args.size if args.size is not None else selectors.max_core_size(profile)
-    if args.config:
-        with open(args.config) as fh:
+def _selector_configs(
+    profile, size, *, grid=False, config=None, method=None, window=1
+) -> list[selectors.SelectorConfig]:
+    """The configurations to run: each entry of the JSON file ``config``,
+    every method x canonical window with ``grid``, or ``method`` alone.
+    K defaults to the largest hourly core."""
+    size = size if size is not None else selectors.max_core_size(profile)
+    if config:
+        with open(config) as fh:
             entries = json.load(fh)
         return [
             selectors.SelectorConfig(
@@ -262,22 +264,26 @@ def _selector_configs(args, profile) -> list[selectors.SelectorConfig]:
             )
             for e in entries
         ]
-    if args.grid:
+    if grid:
         return [
             selectors.SelectorConfig(method=method, window=window, size=size)
             for method in selectors.METHODS
             for window in selectors.WINDOW_GRID
         ]
-    if args.method is None:
+    if method is None:
         raise _UsageError("one of --method, --grid or --config is required")
-    return [selectors.SelectorConfig(method=args.method, window=args.window, size=size)]
+    return [selectors.SelectorConfig(method=method, window=window, size=size)]
 
 
 def _cmd_select(args) -> int:
     m = _load_matrix(args.matrix)
     profile = dynamism.compute_core_profile(m, threshold=args.threshold)
+    configs = _selector_configs(
+        profile, args.size, grid=args.grid, config=args.config,
+        method=args.method, window=args.window,
+    )
     out = _out_dir(args)
-    for config in _selector_configs(args, profile):
+    for config in configs:
         run = selectors.run_selection(m, profile, config)
         path = _write_selection(out, run)
         note = f", {run.gm11_fallbacks} gm11 fallbacks" if config.method == "gm11" else ""
@@ -329,8 +335,6 @@ def _read_selection_csv(path: Path, m: trace.HourlyTraceMatrix, threshold: float
             raise ValueError(f"{path}: duplicate prefix {m.prefixes[dup]} in hour {h}")
         picks.append(np.array(indices, dtype=np.int64))
         scores.append(np.array([s for _, s, _ in entries], dtype=np.float64))
-    warmup = (hours - 1) < config.window
-    shortfall = np.array([p.size < config.size for p in picks])
     return selectors.SelectionRun(
         config=config,
         threshold=threshold,
@@ -338,8 +342,6 @@ def _read_selection_csv(path: Path, m: trace.HourlyTraceMatrix, threshold: float
         hours=hours,
         picks=picks,
         scores=scores,
-        warmup=warmup,
-        shortfall=shortfall,
     )
 
 
@@ -523,7 +525,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_report(args) -> int:
     m = _load_matrix(args.matrix)
     profile = dynamism.compute_core_profile(m, threshold=args.threshold)
-    size = args.size if args.size is not None else selectors.max_core_size(profile)
+    configs = _selector_configs(profile, args.size, grid=True)
     out = _out_dir(args)
 
     header = [
@@ -535,29 +537,30 @@ def _cmd_report(args) -> int:
     ]
     rows = []
     summary = {}
-    for method in selectors.METHODS:
-        for window in selectors.WINDOW_GRID:
-            config = selectors.SelectorConfig(method=method, window=window, size=size)
-            run = selectors.run_selection(m, profile, config)
-            report = evaluation.evaluate_run(run, m)
-            cov, chn = report.coverage_summary, report.churn_summary
-            churn_cells = (
-                [chn.minimum, chn.p25, chn.median, chn.mean, chn.p75, chn.maximum]
-                if chn is not None
-                else [None] * 6
-            )
-            rows.append([
-                method, window, size,
-                cov.minimum, cov.p25, cov.median, cov.mean, cov.p75, cov.maximum,
-            ] + churn_cells)
-            summary[_report_key(report)] = {
-                **_report_payload(report),
-                "gm11_fallbacks": run.gm11_fallbacks,
-                "shortfall_hours": int(run.shortfall.sum()),
-            }
+    for config in configs:
+        run = selectors.run_selection(m, profile, config)
+        report = evaluation.evaluate_run(run, m)
+        cov, chn = report.coverage_summary, report.churn_summary
+        churn_cells = (
+            [chn.minimum, chn.p25, chn.median, chn.mean, chn.p75, chn.maximum]
+            if chn is not None
+            else [None] * 6
+        )
+        rows.append([
+            config.method, config.window, config.size,
+            cov.minimum, cov.p25, cov.median, cov.mean, cov.p75, cov.maximum,
+        ] + churn_cells)
+        summary[_report_key(report)] = {
+            **_report_payload(report),
+            "gm11_fallbacks": run.gm11_fallbacks,
+            "shortfall_hours": int(run.shortfall.sum()),
+        }
     _write_csv(out / "grid_summary.csv", header, rows)
     _write_json(out / "grid_summary.json", summary)
-    print(f"report: {len(rows)} configurations (K={size}) -> {out / 'grid_summary.csv'}")
+    print(
+        f"report: {len(rows)} configurations (K={configs[0].size}) "
+        f"-> {out / 'grid_summary.csv'}"
+    )
     return 0
 
 

@@ -35,6 +35,7 @@ __all__ = [
     "burstiness_score",
     "burstiness_index",
     "concentration_curve",
+    "prefix_shares_and_cv",
     "cv_vs_volume_bins",
     "icp_vs_volume_bins",
     "core_summary",
@@ -115,7 +116,6 @@ class CoreProfile:
     """
 
     threshold: float
-    log_base: float
     prefixes: tuple[Prefix, ...]
     cp: np.ndarray          # (n, H) uint8 core membership
     icp: np.ndarray         # (n,) presence intensity over the window
@@ -157,9 +157,7 @@ class CoreProfile:
 
 
 def compute_core_profile(
-    m: HourlyTraceMatrix,
-    threshold: float = DEFAULT_CORE_THRESHOLD,
-    log_base: float = math.e,
+    m: HourlyTraceMatrix, threshold: float = DEFAULT_CORE_THRESHOLD
 ) -> CoreProfile:
     """Compute hourly cores, presence intensity, and burstiness series.
 
@@ -168,10 +166,6 @@ def compute_core_profile(
     m : HourlyTraceMatrix
     threshold : float
         Core volume share target in (0, 1], 0.95 by default.
-    log_base : float
-        Base of the logarithm in the burstiness score.  Natural log by
-        default; changing the base only rescales scores and index
-        jointly.
 
     Returns
     -------
@@ -179,8 +173,6 @@ def compute_core_profile(
     """
     if not 0 < threshold <= 1:
         raise ValueError("threshold must be in (0, 1]")
-    if log_base <= 1:
-        raise ValueError("log_base must be > 1")
 
     values = m.values
     n, hours = values.shape
@@ -201,13 +193,12 @@ def compute_core_profile(
 
     amplify = np.zeros(n, dtype=np.float64)
     inside = icp > 0
-    amplify[inside] = -np.log(icp[inside]) / math.log(log_base)
+    amplify[inside] = -np.log(icp[inside])
     beta = amplify[:, None] * vp
     bi = (beta * cp).sum(axis=0)
 
     return CoreProfile(
         threshold=threshold,
-        log_base=log_base,
         prefixes=m.prefixes,
         cp=cp,
         icp=icp,
@@ -227,9 +218,7 @@ def core_presence_intensity(cp_series: Sequence[int] | np.ndarray) -> float:
     return float(arr.mean())
 
 
-def burstiness_score(
-    presence_intensity: float, volume_pct: float, log_base: float = math.e
-) -> float:
+def burstiness_score(presence_intensity: float, volume_pct: float) -> float:
     """Burstiness score of one prefix at one hour.
 
     ``-log(intensity) * volume_pct`` for intensity in (0, 1), and 0 when
@@ -243,8 +232,6 @@ def burstiness_score(
         Core presence intensity over the window, in [0, 1].
     volume_pct : float
         The prefix's share of the hour's volume, in percent (0-100).
-    log_base : float
-        Logarithm base, natural by default.
     """
     if not 0 <= presence_intensity <= 1:
         raise ValueError("presence_intensity must be in [0, 1]")
@@ -252,7 +239,7 @@ def burstiness_score(
         raise ValueError("volume_pct must be in [0, 100]")
     if presence_intensity == 0 or volume_pct == 0:
         return 0.0
-    return -math.log(presence_intensity, log_base) * volume_pct
+    return -math.log(presence_intensity) * volume_pct
 
 
 def burstiness_index(profile: CoreProfile, m: HourlyTraceMatrix, hour: int) -> float:
@@ -272,9 +259,7 @@ def burstiness_index(profile: CoreProfile, m: HourlyTraceMatrix, hour: int) -> f
     members = np.flatnonzero(profile.cp[:, hour - 1])
     out = 0.0
     for i in members:
-        out += burstiness_score(
-            float(profile.icp[i]), 100.0 * col[i] / total, profile.log_base
-        )
+        out += burstiness_score(float(profile.icp[i]), 100.0 * col[i] / total)
     return out
 
 
@@ -360,10 +345,15 @@ class VolumeBinStat:
 _BIN_EDGES_PCT = [1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0]
 
 
-def _share_bins(m: HourlyTraceMatrix, stat: np.ndarray) -> list[VolumeBinStat]:
-    week_total = float(m.totals.sum())
-    shares_pct = 100.0 * m.values.sum(axis=1).astype(np.float64) / week_total
+def prefix_shares_and_cv(m: HourlyTraceMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Per-prefix weekly volume share in percent of the window's total, and
+    the coefficient of variation of each hourly series (divide-by-N)."""
+    shares_pct = 100.0 * m.values.sum(axis=1).astype(np.float64) / float(m.totals.sum())
+    values = m.values.astype(np.float64)
+    return shares_pct, values.std(axis=1) / values.mean(axis=1)
 
+
+def _share_bins(shares_pct: np.ndarray, stat: np.ndarray) -> list[VolumeBinStat]:
     out = []
     edges = [(0.0, _BIN_EDGES_PCT[0], f"<{_BIN_EDGES_PCT[0]:g}")]
     for lo, hi in zip(_BIN_EDGES_PCT[:-1], _BIN_EDGES_PCT[1:]):
@@ -401,9 +391,7 @@ def cv_vs_volume_bins(m: HourlyTraceMatrix) -> list[VolumeBinStat]:
     """Coefficient-of-variation stats grouped by weekly share decade."""
     if m.bin_count < 2:
         raise ValueError("need at least 2 bins for coefficient of variation")
-    values = m.values.astype(np.float64)
-    cv = values.std(axis=1) / values.mean(axis=1)
-    return _share_bins(m, cv)
+    return _share_bins(*prefix_shares_and_cv(m))
 
 
 def icp_vs_volume_bins(
@@ -412,7 +400,8 @@ def icp_vs_volume_bins(
     """Core-presence-intensity stats grouped by weekly share decade."""
     if profile.prefixes != m.prefixes:
         raise ValueError("profile and matrix cover different prefix sets")
-    return _share_bins(m, profile.icp)
+    shares_pct, _ = prefix_shares_and_cv(m)
+    return _share_bins(shares_pct, profile.icp)
 
 
 def core_summary(profile: CoreProfile, m: HourlyTraceMatrix) -> dict:

@@ -23,6 +23,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .evaluation import BoxplotSummary, boxplot_summary
 from .trace import Prefix
 
 __all__ = [
@@ -372,45 +373,23 @@ def generate_probe_log(schedule: ProbeScheduleSpec, model: RttModel) -> ProbeLog
 
 
 @dataclass(frozen=True)
-class NpSummary:
-    """Boxplot summary with 5th/95th percentile whiskers and mean marker."""
+class NpSummary(BoxplotSummary):
+    """Boxplot summary with 5th/95th percentile whiskers."""
 
-    minimum: float
     p5: float
-    p25: float
-    median: float
-    mean: float
-    p75: float
     p95: float
-    maximum: float
 
     def as_dict(self) -> dict:
-        return {
-            "min": self.minimum,
-            "p5": self.p5,
-            "p25": self.p25,
-            "median": self.median,
-            "mean": self.mean,
-            "p75": self.p75,
-            "p95": self.p95,
-            "max": self.maximum,
-        }
+        return {**super().as_dict(), "p5": self.p5, "p95": self.p95}
 
 
 def np_summary(values: Sequence[float]) -> NpSummary:
     """Summarize a normalized-RTT series (gaps must be filtered out)."""
-    arr = np.asarray([v for v in values], dtype=np.float64)
-    if arr.size == 0:
-        raise ValueError("cannot summarize an empty series")
+    arr = np.asarray(values, dtype=np.float64)
     return NpSummary(
-        minimum=float(arr.min()),
+        **vars(boxplot_summary(arr)),
         p5=float(np.percentile(arr, 5)),
-        p25=float(np.percentile(arr, 25)),
-        median=float(np.median(arr)),
-        mean=float(arr.mean()),
-        p75=float(np.percentile(arr, 75)),
         p95=float(np.percentile(arr, 95)),
-        maximum=float(arr.max()),
     )
 
 

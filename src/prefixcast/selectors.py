@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynamism import CoreProfile, core_presence_intensity
+from .dynamism import CoreProfile
 from .trace import HourlyTraceMatrix, Prefix
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
     "SelectorConfig",
     "SelectionRun",
     "mean_volume_score",
-    "core_presence_score",
     "core_volume_score",
     "gm11_fit",
     "gm11_forecast",
@@ -72,11 +71,6 @@ def mean_volume_score(volumes: Sequence[float] | np.ndarray) -> float:
     if arr.ndim != 1 or arr.size < 1:
         raise ValueError("window must be 1-D and non-empty")
     return float(arr.mean())
-
-
-def core_presence_score(cp_window: Sequence[int] | np.ndarray) -> float:
-    """Core presence intensity over the history window."""
-    return core_presence_intensity(cp_window)
 
 
 def core_volume_score(
@@ -214,6 +208,7 @@ class SelectionRun:
     ``hours[i]`` is the 1-based hour whose set was predicted from data in
     hours ``< hours[i]`` only.  ``picks[i]`` holds row indices into
     ``prefixes`` ordered by rank; ``scores[i]`` the matching scores.
+    Warm-up and shortfall follow from these and the configuration.
     """
 
     config: SelectorConfig
@@ -222,23 +217,27 @@ class SelectionRun:
     hours: np.ndarray            # (T,) predicted 1-based hours
     picks: list[np.ndarray]      # per hour: ranked row indices
     scores: list[np.ndarray]     # per hour: scores aligned with picks
-    warmup: np.ndarray           # (T,) True where the window was shorter than L
-    shortfall: np.ndarray        # (T,) True where fewer than K candidates scored > 0
     gm11_fallbacks: int = 0
 
     def __post_init__(self) -> None:
         self.hours.setflags(write=False)
-        self.warmup.setflags(write=False)
-        self.shortfall.setflags(write=False)
+
+    @property
+    def warmup(self) -> np.ndarray:
+        """(T,) True where the window was shorter than L: fewer than L hours
+        precede the predicted hour."""
+        return self.hours - 1 < self.config.window
+
+    @property
+    def shortfall(self) -> np.ndarray:
+        """(T,) True where fewer than K candidates scored > 0."""
+        return np.array([p.size < self.config.size for p in self.picks], dtype=bool)
 
     def _pos(self, hour: int) -> int:
         pos = int(hour) - int(self.hours[0])
         if not 0 <= pos < len(self.hours):
             raise ValueError(f"hour {hour} not in selection range")
         return pos
-
-    def selected_indices(self, hour: int) -> np.ndarray:
-        return self.picks[self._pos(hour)]
 
     def selected(self, hour: int) -> list[tuple[Prefix, float]]:
         """Ranked (prefix, score) pairs predicted for one hour."""
@@ -286,15 +285,12 @@ def run_selection(
     target_hours = np.arange(2, hours_total + 1, dtype=np.int64)
     picks: list[np.ndarray] = []
     scores: list[np.ndarray] = []
-    warmup = np.zeros(target_hours.size, dtype=bool)
-    shortfall = np.zeros(target_hours.size, dtype=bool)
     fallbacks = 0
 
-    for pos, t in enumerate(target_hours):
+    for t in target_hours:
         hi = int(t) - 1
         lo = max(0, hi - L)
         span = hi - lo
-        warmup[pos] = span < L
 
         win_v = cum_v[:, hi] - cum_v[:, lo]
         if config.method in ("mean_volume", "gm11"):
@@ -320,7 +316,6 @@ def run_selection(
         order = np.argsort(-cand_scores, kind="stable")[:K]
         picks.append(candidates[order])
         scores.append(cand_scores[order])
-        shortfall[pos] = order.size < K
 
     return SelectionRun(
         config=config,
@@ -329,8 +324,6 @@ def run_selection(
         hours=target_hours,
         picks=picks,
         scores=scores,
-        warmup=warmup,
-        shortfall=shortfall,
         gm11_fallbacks=fallbacks,
     )
 

@@ -450,12 +450,10 @@ def _meta_path_for(csv_path: Path) -> Path:
     return csv_path.with_suffix(".json")
 
 
-def save_matrix(
-    m: HourlyTraceMatrix, csv_path: str | Path, meta_path: str | Path | None = None
-) -> None:
-    """Persist a matrix as columnar CSV `prefix,h1,...,hN` plus a JSON sidecar."""
+def save_matrix(m: HourlyTraceMatrix, csv_path: str | Path) -> None:
+    """Persist a matrix as columnar CSV `prefix,h1,...,hN` plus a JSON
+    sidecar beside it (`<name>.json`)."""
     csv_path = Path(csv_path)
-    meta_path = Path(meta_path) if meta_path is not None else _meta_path_for(csv_path)
     integral = np.issubdtype(m.values.dtype, np.integer)
 
     with open(csv_path, "w", newline="") as fh:
@@ -474,18 +472,15 @@ def save_matrix(
         "bin_count": m.grid.bin_count,
         "dtype": "int" if integral else "float",
     }
-    with open(meta_path, "w") as fh:
+    with open(_meta_path_for(csv_path), "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def load_matrix(
-    csv_path: str | Path, meta_path: str | Path | None = None
-) -> HourlyTraceMatrix:
+def load_matrix(csv_path: str | Path) -> HourlyTraceMatrix:
     """Load a matrix written by ``save_matrix``."""
     csv_path = Path(csv_path)
-    meta_path = Path(meta_path) if meta_path is not None else _meta_path_for(csv_path)
-    with open(meta_path) as fh:
+    with open(_meta_path_for(csv_path)) as fh:
         meta = json.load(fh)
     grid = TimeGrid(
         start=int(meta["start"]),

@@ -174,11 +174,6 @@ class TestBurstinessScore:
     def test_zero_volume_scores_zero(self):
         assert burstiness_score(0.3, 0.0) == 0.0
 
-    def test_log_base_knob(self):
-        natural = burstiness_score(0.1, 10.0)
-        base10 = burstiness_score(0.1, 10.0, log_base=10.0)
-        assert base10 == pytest.approx(natural / math.log(10))
-
     def test_range_validation(self):
         with pytest.raises(ValueError):
             burstiness_score(1.5, 10.0)
@@ -359,7 +354,6 @@ class TestVolumeBins:
         m = matrix({A: [10, 10], B: [10, 10]}, bins=2)
         profile = CoreProfile(
             threshold=0.95,
-            log_base=math.e,
             prefixes=m.prefixes,
             cp=np.zeros((2, 2), dtype=np.uint8),
             icp=np.array([0.2, 0.4]),

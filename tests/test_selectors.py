@@ -7,14 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prefixcast.dynamism import compute_core_profile
+from prefixcast.dynamism import compute_core_profile, core_presence_intensity
 from prefixcast.evaluation import oracle_topk
 from prefixcast.selectors import (
     GM11_MIN_POINTS,
     METHODS,
     WINDOW_GRID,
     SelectorConfig,
-    core_presence_score,
     core_volume_score,
     gm11_fit,
     gm11_forecast,
@@ -66,9 +65,9 @@ class TestWindowScores:
         assert mean_volume_score([42]) == 42.0
 
     def test_core_presence(self):
-        assert core_presence_score([1, 1, 1, 1]) == 1.0
-        assert core_presence_score([0, 0]) == 0.0
-        assert core_presence_score([1, 0, 1]) == pytest.approx(2 / 3)
+        assert core_presence_intensity([1, 1, 1, 1]) == 1.0
+        assert core_presence_intensity([0, 0]) == 0.0
+        assert core_presence_intensity([1, 0, 1]) == pytest.approx(2 / 3)
 
     def test_core_volume_masked_mean(self):
         assert core_volume_score([1, 0, 1], [10, 20, 30]) == pytest.approx(40 / 3)
