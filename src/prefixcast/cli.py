@@ -251,12 +251,13 @@ def _selector_configs(
 ) -> list[selectors.SelectorConfig]:
     """The configurations to run: each entry of the JSON file ``config``,
     every method x canonical window with ``grid``, or ``method`` alone.
-    K defaults to the largest hourly core."""
+    K defaults to the largest hourly core.  Two entries that would write
+    the same selection file are a data error."""
     size = size if size is not None else selectors.max_core_size(profile)
     if config:
         with open(config) as fh:
             entries = json.load(fh)
-        return [
+        configs = [
             selectors.SelectorConfig(
                 method=e["method"],
                 window=int(e["window"]),
@@ -264,6 +265,16 @@ def _selector_configs(
             )
             for e in entries
         ]
+        first: dict[str, int] = {}
+        for pos, cfg in enumerate(configs):
+            name = _selection_name(cfg)
+            if name in first:
+                raise ValueError(
+                    f"{config}: entries {entries[first[name]]} and {entries[pos]} "
+                    f"both write {name}"
+                )
+            first[name] = pos
+        return configs
     if grid:
         return [
             selectors.SelectorConfig(method=method, window=window, size=size)
@@ -468,8 +479,18 @@ def _load_probes(path: Path) -> rttsim.ProbeLog:
         and all(isinstance(t, (int, float)) and math.isfinite(t) for t in tick_times)
     ):
         raise ValueError(f"{meta_path}: tick_times must list one finite start time per tick")
-    # the loader rejects tick_times whose length differs from the log's ticks
-    log = rttsim.load_probe_log(path, tick_times=tick_times)
+    try:
+        log = rttsim.load_probe_log(path, tick_times=tick_times)
+    except ValueError:
+        # the loader also refuses tick_times whose length differs from the
+        # log's rounds; on that failure path only, read the log alone to
+        # tell whether the meta file's round count is at fault
+        ticks = len(rttsim.load_probe_log(path).ticks)
+        if ticks == len(tick_times):
+            raise
+        raise ValueError(
+            f"{meta_path}: {len(tick_times)} tick_times, but {path} has {ticks} probing rounds"
+        ) from None
     found = {"transits": list(log.transits), "prefix_count": len(log.prefixes)}
     for key, value in found.items():
         claimed = meta.get(key)

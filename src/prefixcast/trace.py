@@ -39,6 +39,9 @@ __all__ = [
 
 TRACE_CSV_HEADER = ("timestamp", "prefix", "bytes")
 
+# Binned volumes are int64; a record or a running total above this would wrap.
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
 
 @dataclass(frozen=True, order=True)
 class Prefix:
@@ -252,8 +255,10 @@ def bin_records(
     Raises
     ------
     ValueError
-        On the first bad record with ``errors="raise"``, or when no
-        active prefix remains after binning.
+        On the first bad record with ``errors="raise"``, when the binned
+        volume would exceed the int64 range, or when no active prefix
+        remains after binning.  A single record volume above that range
+        is a malformed record.
     """
     if errors not in ("count", "raise"):
         raise ValueError(f"unknown errors policy {errors!r}")
@@ -286,6 +291,8 @@ def bin_records(
                 volume = int(rec[2])
                 if volume < 0:
                     raise ValueError(f"negative volume {volume}")
+                if volume > _INT64_MAX:
+                    raise ValueError(f"volume {volume} exceeds the int64 range")
                 ts = int(rec[0])
                 text = rec[1]
                 prefix = prefix_cache.get(text)
@@ -300,13 +307,19 @@ def bin_records(
             _bad("out-of-range", f"timestamp {ts}", volume)
             continue
 
+        bytes_binned += volume
+        # every cell and total is at most bytes_binned, so none can wrap
+        if bytes_binned > _INT64_MAX:
+            raise ValueError(
+                f"binned volume reaches {bytes_binned} bytes at record {read}, "
+                "beyond the int64 range"
+            )
         row = bins.get(prefix)
         if row is None:
             row = np.zeros(grid.bin_count, dtype=np.int64)
             bins[prefix] = row
         row[(ts - grid.start) // grid.bin_seconds] += volume
         binned += 1
-        bytes_binned += volume
 
     matrix = HourlyTraceMatrix(grid, bins)
     summary = IngestSummary(

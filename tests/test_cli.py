@@ -4,13 +4,14 @@ import csv
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from prefixcast.cli import main
+from prefixcast.cli import _read_selection_csv, _write_selection, main
 from prefixcast.dynamism import compute_core_profile
 from prefixcast.rttsim import load_probe_log, simulate_dynamic_selection
-from prefixcast.selectors import SelectorConfig, run_selection
-from prefixcast.trace import load_matrix
+from prefixcast.selectors import METHODS, WINDOW_GRID, SelectorConfig, run_selection
+from prefixcast.trace import HourlyTraceMatrix, TimeGrid, load_matrix, synthetic_prefix
 
 
 def read_csv(path: Path) -> list[list[str]]:
@@ -68,6 +69,26 @@ class TestIngest:
         bad.write_text("timestamp,prefix,bytes\n0,bogus,5\n")
         args = ["ingest", str(bad), "--start", "0", "--bins", "1", "--out", str(tmp_path)]
         assert main(args + ["--on-error", "abort"]) == 2
+
+    def test_volume_beyond_int64_is_a_malformed_record(self, tmp_path, capsys):
+        flows = tmp_path / "flows.csv"
+        flows.write_text(f"timestamp,prefix,bytes\n0,10.0.0.0/8,5\n0,10.0.0.0/8,{2**63}\n")
+        out = tmp_path / "stage"
+        args = ["ingest", str(flows), "--start", "0", "--bins", "1", "--out", str(out)]
+        assert main(args) == 0
+        summary = read_json(out / "ingest.json")
+        assert summary["rejected_malformed"] == 1 and summary["bytes_binned"] == 5
+        assert main(args + ["--on-error", "abort"]) == 2
+        assert "int64" in capsys.readouterr().err
+
+    def test_binned_total_beyond_int64_is_data_error(self, tmp_path, capsys):
+        flows = tmp_path / "flows.csv"
+        big = 9_220_000_000_000_000_000
+        flows.write_text(f"timestamp,prefix,bytes\n0,10.0.0.0/8,{big}\n1,10.0.0.0/8,{big}\n")
+        out = tmp_path / "stage"
+        assert main(["ingest", str(flows), "--start", "0", "--bins", "1", "--out", str(out)]) == 2
+        assert "int64" in capsys.readouterr().err
+        assert not (out / "matrix.csv").exists()
 
 
 class TestSynthAnalyze:
@@ -200,6 +221,41 @@ class TestSelectEvaluate:
                      "--config", str(cfg), "--out", out]) == 0
         assert (trace_dir / "selection_core_volume_L4.csv").exists()
         assert (trace_dir / "selection_gm11_L6.csv").exists()
+
+    def test_config_entries_writing_one_file_rejected(self, tmp_path, trace_dir, capsys):
+        cfg = tmp_path / "selectors.json"
+        cfg.write_text(json.dumps([
+            {"method": "core_volume", "window": 2},
+            {"method": "mean_volume", "window": 4, "size": 3},
+            {"method": "mean_volume", "window": 4, "size": 8},
+        ]))
+        out = tmp_path / "select"
+        assert main(["select", "--matrix", f"{trace_dir}/matrix.csv",
+                     "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "'size': 3" in err and "'size': 8" in err
+        assert "selection_mean_volume_L4.csv" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_selection_csv_round_trip(self, tmp_path, method):
+        rng = np.random.default_rng(8)
+        values = rng.integers(1, 1000, size=(12, 30)) * (rng.random((12, 30)) < 0.5)
+        m = HourlyTraceMatrix(
+            TimeGrid(start=0, bin_count=30),
+            {synthetic_prefix(k + 1): row for k, row in enumerate(values)},
+        )
+        profile = compute_core_profile(m)
+        for window in WINDOW_GRID:
+            run = run_selection(m, profile, SelectorConfig(method, window, 6))
+            back = _read_selection_csv(_write_selection(tmp_path, run), m, profile.threshold)
+            assert back.config == run.config
+            assert back.hours.tolist() == run.hours.tolist()
+            assert [p.tolist() for p in back.picks] == [p.tolist() for p in run.picks]
+            assert [s.tolist() for s in back.scores] == [s.tolist() for s in run.scores]
+            assert back.warmup.tolist() == run.warmup.tolist()
+            assert back.shortfall.tolist() == run.shortfall.tolist()
+            assert run.shortfall.any() and not run.shortfall.all()
 
     def test_missing_selection_names_stage(self, trace_dir, capsys):
         out = str(trace_dir)
@@ -334,7 +390,8 @@ class TestProbeSimulate:
         (tmp_path / "probe_meta.json").write_text(json.dumps(meta))
         out = tmp_path / "out"
         assert main(["simulate", "--probes", f"{tmp_path}/probes.csv", "--out", str(out)]) == 2
-        assert named in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert named in err and "probe_meta.json" in err
         assert not (out / "np.csv").exists()
 
 

@@ -120,6 +120,27 @@ class TestBinRecords:
         with pytest.raises(ValueError):
             bin_records([("0", "bogus", "5")], grid, errors="raise")
 
+    def test_volume_beyond_int64_is_malformed(self):
+        grid = TimeGrid(start=0, bin_seconds=3600, bin_count=2)
+        rows = [("0", "10.0.0.0/8", "5"), ("0", "10.0.0.0/8", str(2**63))]
+        m, summary = bin_records(rows, grid)
+        assert m.series(P8).tolist() == [5, 0]
+        assert summary.rejected_malformed == 1
+        assert summary.bytes_rejected == 2**63
+        with pytest.raises(ValueError, match="malformed.*int64"):
+            bin_records(rows, grid, errors="raise")
+
+    @pytest.mark.parametrize("errors", ["count", "raise"])
+    def test_binned_total_beyond_int64_raises(self, errors):
+        grid = TimeGrid(start=0, bin_seconds=3600, bin_count=2)
+        big = str(9_220_000_000_000_000_000)
+        rows = [("0", "10.0.0.0/8", big), ("1", "10.0.0.0/8", big)]
+        with pytest.raises(ValueError, match="record 2, beyond the int64 range"):
+            bin_records(rows, grid, errors=errors)
+        records = [TraceRecord(0, P8, 2**62), TraceRecord(3600, P16, 2**62)]
+        with pytest.raises(ValueError, match="int64"):
+            bin_records(records, grid, errors=errors)
+
     def test_volume_conservation_exact(self):
         # binned + rejected bytes account for every parseable input byte
         rng = np.random.default_rng(42)
