@@ -360,12 +360,15 @@ def _report_key(report: evaluation.EvaluationReport) -> str:
     return f"{report.method}:L{report.window}:K{report.size}"
 
 
-def _report_payload(report: evaluation.EvaluationReport) -> dict:
+def _report_payload(
+    run: selectors.SelectionRun, report: evaluation.EvaluationReport
+) -> dict:
     chn = report.churn_summary
     return {
         "coverage": report.coverage_summary.as_dict(),
         "churn": chn.as_dict() if chn is not None else None,
         "warmup_hours": int(report.warmup.sum()),
+        "shortfall_hours": int(run.shortfall.sum()),
         "threshold": report.threshold,
         "percentile_convention": "linear interpolation",
     }
@@ -396,7 +399,7 @@ def _cmd_evaluate(args) -> int:
         run = _read_selection_csv(path, m, args.threshold)
         report = evaluation.evaluate_run(run, m)
         csv_path = _write_report_csv(out, report)
-        summary[_report_key(report)] = _report_payload(report)
+        summary[_report_key(report)] = _report_payload(run, report)
         mean_churn = report.churn_summary.mean if report.churn_summary else float("nan")
         print(
             f"evaluate: {report.method} L={report.window} "
@@ -571,10 +574,9 @@ def _cmd_report(args) -> int:
             config.method, config.window, config.size,
             cov.minimum, cov.p25, cov.median, cov.mean, cov.p75, cov.maximum,
         ] + churn_cells)
+        # a selection CSV cannot carry the fallback count, so only report has it
         summary[_report_key(report)] = {
-            **_report_payload(report),
-            "gm11_fallbacks": run.gm11_fallbacks,
-            "shortfall_hours": int(run.shortfall.sum()),
+            **_report_payload(run, report), "gm11_fallbacks": run.gm11_fallbacks,
         }
     _write_csv(out / "grid_summary.csv", header, rows)
     _write_json(out / "grid_summary.json", summary)

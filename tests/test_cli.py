@@ -209,6 +209,16 @@ class TestSelectEvaluate:
             entry = summary[f"gm11:L{window}:K6"]
             assert entry["gm11_fallbacks"] == run.gm11_fallbacks
             assert entry["shortfall_hours"] == int(run.shortfall.sum())
+        # evaluate writes the same per-config payload, less the fallbacks
+        assert main(["select", "--matrix", f"{out}/matrix.csv", "--grid", "--size", "6",
+                     "--out", f"{out}/grid"]) == 0
+        assert main(["evaluate", "--matrix", f"{out}/matrix.csv", "--select-dir",
+                     f"{out}/grid", "--out", f"{out}/grid"]) == 0
+        evaluated = read_json(trace_dir / "grid" / "evaluation_summary.json")
+        assert evaluated == {
+            key: {k: v for k, v in entry.items() if k != "gm11_fallbacks"}
+            for key, entry in summary.items()
+        }
 
     def test_config_json(self, trace_dir):
         out = str(trace_dir)

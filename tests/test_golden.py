@@ -22,7 +22,7 @@ FLOWS = (
 PINS = {
     "concentration_week.csv": "08a4f9ebfe9248089f0affbb1c9cc4e067d5da8c96b1e73361906fda8a33c830",
     "cv_bins.csv": "56c494f0ac15f82806033b55f972962e0d8bae619d5235b63297d3976f8a6f3e",
-    "evaluation_summary.json": "b08761a001cdfdb732de2cc82abf9981fcf9b09c39b3a9700a2cbf93192b1b43",
+    "evaluation_summary.json": "a2c3fd7a52454cb5bfcf2b941f9b5c0b97368c7d2b4eb42b2d0ca93628826a87",
     "grid_summary.csv": "af32b962684fff8db8c09c082eb36e0fac2e3c218449c7a3b084f93d8c967732",
     "grid_summary.json": "f4e1640864037d2ba8895bc373ba2b316d31a7bf56f36ccf54ea04dcf7b9c7f5",
     "hours.csv": "f9718e9e935a56e59c27c65c4047abb16dff5a848b8832333ac94faa9a3e847e",
