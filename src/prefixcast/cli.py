@@ -265,15 +265,11 @@ def _selector_configs(
             )
             for e in entries
         ]
-        first: dict[str, int] = {}
-        for pos, cfg in enumerate(configs):
-            name = _selection_name(cfg)
-            if name in first:
-                raise ValueError(
-                    f"{config}: entries {entries[first[name]]} and {entries[pos]} "
-                    f"both write {name}"
-                )
-            first[name] = pos
+        names = [_selection_name(c) for c in configs]
+        for pos, name in enumerate(names):
+            if name in names[:pos]:
+                first = entries[names.index(name)]
+                raise ValueError(f"{config}: entries {first} and {entries[pos]} both write {name}")
         return configs
     if grid:
         return [
@@ -360,9 +356,7 @@ def _report_key(report: evaluation.EvaluationReport) -> str:
     return f"{report.method}:L{report.window}:K{report.size}"
 
 
-def _report_payload(
-    run: selectors.SelectionRun, report: evaluation.EvaluationReport
-) -> dict:
+def _report_payload(run: selectors.SelectionRun, report: evaluation.EvaluationReport) -> dict:
     chn = report.churn_summary
     return {
         "coverage": report.coverage_summary.as_dict(),
@@ -484,16 +478,12 @@ def _load_probes(path: Path) -> rttsim.ProbeLog:
         raise ValueError(f"{meta_path}: tick_times must list one finite start time per tick")
     try:
         log = rttsim.load_probe_log(path, tick_times=tick_times)
-    except ValueError:
-        # the loader also refuses tick_times whose length differs from the
-        # log's rounds; on that failure path only, read the log alone to
-        # tell whether the meta file's round count is at fault
-        ticks = len(rttsim.load_probe_log(path).ticks)
-        if ticks == len(tick_times):
+    except ValueError as exc:
+        # the loader also refuses tick_times of the wrong length; only on
+        # failure, read the log alone to tell whether that was the cause
+        if len(rttsim.load_probe_log(path).ticks) == len(tick_times):
             raise
-        raise ValueError(
-            f"{meta_path}: {len(tick_times)} tick_times, but {path} has {ticks} probing rounds"
-        ) from None
+        raise ValueError(f"{meta_path}: {exc}") from None
     found = {"transits": list(log.transits), "prefix_count": len(log.prefixes)}
     for key, value in found.items():
         claimed = meta.get(key)
@@ -580,10 +570,7 @@ def _cmd_report(args) -> int:
         }
     _write_csv(out / "grid_summary.csv", header, rows)
     _write_json(out / "grid_summary.json", summary)
-    print(
-        f"report: {len(rows)} configurations (K={configs[0].size}) "
-        f"-> {out / 'grid_summary.csv'}"
-    )
+    print(f"report: {len(rows)} configurations (K={configs[0].size}) -> {out / 'grid_summary.csv'}")
     return 0
 
 
