@@ -273,9 +273,9 @@ def _selector_configs(
         return configs
     if grid:
         return [
-            selectors.SelectorConfig(method=method, window=window, size=size)
-            for method in selectors.METHODS
-            for window in selectors.WINDOW_GRID
+            selectors.SelectorConfig(method=grid_method, window=grid_window, size=size)
+            for grid_method in selectors.METHODS
+            for grid_window in selectors.WINDOW_GRID
         ]
     if method is None:
         raise _UsageError("one of --method, --grid or --config is required")
