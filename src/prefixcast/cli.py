@@ -361,7 +361,7 @@ def _report_payload(run: selectors.SelectionRun, report: evaluation.EvaluationRe
     return {
         "coverage": report.coverage_summary.as_dict(),
         "churn": chn.as_dict() if chn is not None else None,
-        "warmup_hours": int(report.warmup.sum()),
+        "warmup_hours": int(run.warmup.sum()),
         "shortfall_hours": int(run.shortfall.sum()),
         "threshold": report.threshold,
         "percentile_convention": "linear interpolation",

@@ -120,12 +120,11 @@ class EvaluationReport:
     hours: np.ndarray          # (T,) evaluated 1-based hours
     coverage: np.ndarray       # (T,)
     churn: np.ndarray          # (T-1,) between consecutive predicted sets
-    warmup: np.ndarray         # (T,) True where the window was shrunk
     coverage_summary: BoxplotSummary
     churn_summary: BoxplotSummary | None  # None with a single predicted hour
 
     def __post_init__(self) -> None:
-        for arr in (self.hours, self.coverage, self.churn, self.warmup):
+        for arr in (self.hours, self.coverage, self.churn):
             arr.setflags(write=False)
 
 
@@ -157,7 +156,6 @@ def evaluate_run(run: SelectionRun, m: HourlyTraceMatrix) -> EvaluationReport:
         hours=run.hours.copy(),
         coverage=coverage,
         churn=churn_series,
-        warmup=run.warmup.copy(),
         coverage_summary=boxplot_summary(coverage),
         churn_summary=boxplot_summary(churn_series) if churn_series.size else None,
     )
