@@ -231,6 +231,9 @@ def _cmd_analyze(args) -> int:
 # ---------------------------------------------------------------- select
 
 
+SELECTION_HEADER = ["hour", "rank", "prefix", "score", "method", "L", "K"]
+
+
 def _selection_name(config: selectors.SelectorConfig) -> str:
     return f"selection_{config.method}_L{config.window}.csv"
 
@@ -238,11 +241,15 @@ def _selection_name(config: selectors.SelectorConfig) -> str:
 def _write_selection(out: Path, run: selectors.SelectionRun) -> Path:
     cfg = run.config
     path = out / _selection_name(cfg)
-    rows = []
-    for hour in run.hours:
-        for rank, (prefix, score) in enumerate(run.selected(int(hour)), start=1):
-            rows.append([int(hour), rank, prefix.text, score, cfg.method, cfg.window, cfg.size])
-    _write_csv(path, ["hour", "rank", "prefix", "score", "method", "L", "K"], rows)
+    tail = (cfg.method, str(cfg.window), str(cfg.size))
+    with open(path, "w", newline="") as fh:
+        w = csv_writer(fh, lineterminator="\n")
+        w.writerow(SELECTION_HEADER)
+        for hour, picks, scores in zip(map(str, run.hours.tolist()), run.picks, run.scores):
+            w.writerows(
+                (hour, str(rank), run.prefixes[i].text, repr(score), *tail)
+                for rank, (i, score) in enumerate(zip(picks.tolist(), scores.tolist()), start=1)
+            )
     return path
 
 
@@ -304,51 +311,63 @@ def _cmd_select(args) -> int:
 def _read_selection_csv(path: Path, m: trace.HourlyTraceMatrix, threshold: float):
     if not path.exists():
         raise ValueError(f"missing selection artifact {path}; run the select stage first")
-    per_hour: dict[int, list[tuple[int, float]]] = {}
-    config = None
     with open(path, newline="") as fh:
-        rows = csv_reader(fh)
-        header = next(rows, None)
-        if header != ["hour", "rank", "prefix", "score", "method", "L", "K"]:
+        reader = csv_reader(fh)
+        header = next(reader, None)
+        if header != SELECTION_HEADER:
             raise ValueError(f"{path}: unexpected selection header {header!r}")
-        for row in rows:
-            if not row:
-                continue
-            hour, rank = int(row[0]), int(row[1])
-            if not 2 <= hour <= m.bin_count:
-                raise ValueError(
-                    f"{path}: hour {hour} outside the matrix grid; "
-                    "selection was made against a different matrix"
-                )
-            prefix = trace.Prefix.parse(row[2])
-            cfg = selectors.SelectorConfig(method=row[4], window=int(row[5]), size=int(row[6]))
-            if config is None:
-                config = cfg
-            elif config != cfg:
-                raise ValueError(f"{path}: mixed selector configurations")
-            if prefix not in m:
-                raise ValueError(f"{path}: prefix {prefix} not in matrix")
-            per_hour.setdefault(hour, []).append((rank, float(row[3]), m.index_of(prefix)))
-    if config is None:
+        rows = [(reader.line_num, *row) for row in reader if row]
+    if not rows:
         raise ValueError(f"{path}: empty selection file")
+    if set(map(len, rows)) - {len(SELECTION_HEADER) + 1}:
+        line, *row = next(row for row in rows if len(row) != len(SELECTION_HEADER) + 1)
+        raise ValueError(f"{path}: line {line}: bad selection row {row!r}")
+    lines, hour_col, rank_col, prefix_col, score_col, *config_cols = zip(*rows)
 
-    hours = np.arange(2, m.bin_count + 1, dtype=np.int64)
-    picks, scores = [], []
+    # each column's distinct texts are parsed once; checks keep this order
+    hours, hour_codes = trace.parse_column(hour_col, int, path, lines)
+    ranks, rank_codes = trace.parse_column(rank_col, int, path, lines)
     for h in hours:
-        entries = sorted(per_hour.get(int(h), []))
-        indices = [i for _, _, i in entries]
-        if len(set(indices)) < len(indices):
-            dup = max(set(indices), key=indices.count)
-            raise ValueError(f"{path}: duplicate prefix {m.prefixes[dup]} in hour {h}")
-        picks.append(np.array(indices, dtype=np.int64))
-        scores.append(np.array([s for _, s, _ in entries], dtype=np.float64))
+        if not 2 <= h <= m.bin_count:
+            raise ValueError(
+                f"{path}: hour {h} outside the matrix grid; "
+                "selection was made against a different matrix"
+            )
+    hour = np.array(hours, dtype=np.int64)[hour_codes]
+    prefixes, prefix_codes = trace.parse_column(prefix_col, trace.Prefix.parse, path, lines)
+    configs, _ = trace.parse_column(
+        list(zip(*config_cols)),
+        lambda t: selectors.SelectorConfig(method=t[0], window=int(t[1]), size=int(t[2])),
+        path, lines,
+    )
+    if len(set(configs)) > 1:
+        raise ValueError(f"{path}: mixed selector configurations")
+    for prefix in prefixes:
+        if prefix not in m:
+            raise ValueError(f"{path}: prefix {prefix} not in matrix")
+    index = np.array([m.index_of(p) for p in prefixes], dtype=np.int64)[prefix_codes]
+    scores, score_codes = trace.parse_column(score_col, float, path, lines)
+    score = np.array(scores, dtype=np.float64)[score_codes]
+
+    # a prefix written two ways has one matrix index, so it is caught too
+    cells = np.sort(hour * len(m) + index)
+    twice = cells[1:][cells[1:] == cells[:-1]]
+    if twice.size:
+        h, i = divmod(int(twice[0]), len(m))
+        raise ValueError(f"{path}: duplicate prefix {m.prefixes[i]} in hour {h}")
+
+    # ranks may exceed int64, so they sort by their place among the distinct values
+    place = {r: pos for pos, r in enumerate(sorted(set(ranks)))}
+    rank = np.array([place[r] for r in ranks], dtype=np.int64)[rank_codes]
+    order = np.lexsort((index, score, rank, hour))
+    cuts = np.searchsorted(hour[order], np.arange(3, m.bin_count + 1))
     return selectors.SelectionRun(
-        config=config,
+        config=configs[0],
         threshold=threshold,
         prefixes=m.prefixes,
-        hours=hours,
-        picks=picks,
-        scores=scores,
+        hours=np.arange(2, m.bin_count + 1, dtype=np.int64),
+        picks=np.split(index[order], cuts),
+        scores=np.split(score[order], cuts),
     )
 
 

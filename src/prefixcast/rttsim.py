@@ -24,7 +24,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .evaluation import BoxplotSummary, boxplot_summary
-from .trace import Prefix
+from .trace import Prefix, parse_column
 
 __all__ = [
     "ProbeSample",
@@ -67,6 +67,15 @@ class ProbeSample:
             raise ValueError(f"rtt must be finite and > 0 ms, got {self.rtt}")
 
 
+class _DuplicateSample(ValueError):
+    """A second sample for one (tick, prefix, transit); ``sample`` is its
+    position among the samples given."""
+
+    def __init__(self, message: str, sample: int):
+        super().__init__(message)
+        self.sample = sample
+
+
 class ProbeLog:
     """Immutable RTT store: a float64 cube indexed by (tick, prefix, transit).
 
@@ -104,8 +113,13 @@ class ProbeLog:
         probed = np.zeros(math.prod(shape), dtype=bool)
         probed[flat] = True
         if np.count_nonzero(probed) != flat.size:
-            cell = np.unravel_index(np.argmax(np.bincount(flat) > 1), shape)
-            raise ValueError(f"duplicate sample for {tuple(a[i] for a, i in zip(axes, cell))}")
+            first = np.zeros(flat.size, dtype=bool)
+            first[np.unique(flat, return_index=True)[1]] = True
+            repeat = int(np.argmax(~first))
+            cell = np.unravel_index(flat[repeat], shape)
+            raise _DuplicateSample(
+                f"duplicate sample for {tuple(a[i] for a, i in zip(axes, cell))}", repeat
+            )
         cube = np.full(probed.size, np.nan)
         cube[flat] = rtt.ravel()
         self.tick_times = tuple(tick_times) if tick_times is not None else None
@@ -421,20 +435,6 @@ def save_probe_log(log: ProbeLog, path: str | Path) -> None:
         ))
 
 
-def _parse_column(column: Sequence[str], parse, path, lines) -> tuple[list, np.ndarray]:
-    """Parse each distinct text of a CSV column once: the parsed values,
-    and each row's index into them; errors name the row's line."""
-    codes = dict.fromkeys(column)
-    parsed = []
-    for code, text in enumerate(codes):
-        codes[text] = code
-        try:
-            parsed.append(parse(text))
-        except ValueError as exc:
-            raise ValueError(f"{path}: line {lines[column.index(text)]}: {exc}") from None
-    return parsed, np.fromiter(map(codes.__getitem__, column), np.intp, len(column))
-
-
 def load_probe_log(path: str | Path, tick_times: Sequence[float] | None = None) -> ProbeLog:
     """Read a probe log written by ``save_probe_log`` (or any external
     prober emitting the same format); ``tick_times`` restores the round
@@ -453,7 +453,7 @@ def load_probe_log(path: str | Path, tick_times: Sequence[float] | None = None) 
         line, *row = next(row for row in rows if len(row) != 5)
         raise ValueError(f"{path}: line {line}: bad probe row {row!r}")
     lines, ticks, prefixes, transits, texts = list(zip(*rows)) or [()] * 5
-    parsed, codes = _parse_column(
+    parsed, codes = parse_column(
         texts, lambda text: float(text) if text.strip() else None, path, lines
     )
     rtt = np.array(parsed, np.float64)[codes]  # None (a loss) becomes NaN
@@ -463,5 +463,8 @@ def load_probe_log(path: str | Path, tick_times: Sequence[float] | None = None) 
         i = int(np.argmax(bad))
         raise ValueError(f"{path}: line {lines[i]}: rtt_ms must be finite and > 0, not {texts[i]!r}")
     axes = zip((ticks, prefixes, transits), (int, Prefix.parse, str.strip))
-    columns = [_parse_column(column, parse, path, lines) for column, parse in axes]
-    return ProbeLog.__new__(ProbeLog)._fill(*columns, rtt, tick_times)
+    columns = [parse_column(column, parse, path, lines) for column, parse in axes]
+    try:
+        return ProbeLog.__new__(ProbeLog)._fill(*columns, rtt, tick_times)
+    except _DuplicateSample as exc:
+        raise ValueError(f"{path}: line {lines[exc.sample]}: {exc}") from None

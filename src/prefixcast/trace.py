@@ -15,7 +15,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -35,6 +35,7 @@ __all__ = [
     "iter_trace_csv",
     "save_matrix",
     "load_matrix",
+    "parse_column",
 ]
 
 TRACE_CSV_HEADER = ("timestamp", "prefix", "bytes")
@@ -161,7 +162,22 @@ class HourlyTraceMatrix:
             kind = "negative" if (values[bad] < 0).any() else "non-finite"
             raise ValueError(f"{kind} volume in series for {rows[bad][0]}")
         values.setflags(write=False)
-        totals = values.sum(axis=0)
+        # cells are finite and >= 0, so a total can only leave the dtype's
+        # range: float64 overflows to inf, int64 wraps without a warning
+        with np.errstate(over="ignore"):
+            totals = values.sum(axis=0, dtype=np.float64)
+        if dtype is np.int64:
+            # a float sum is within a factor 2 of the exact one, so only
+            # hours near the limit need the exact Python-int sum
+            near = np.flatnonzero(totals >= 2.0**62)
+            over = [h for h in near if sum(values[:, h].tolist()) > _INT64_MAX]
+            totals = values.sum(axis=0)
+        else:
+            over = np.flatnonzero(~np.isfinite(totals))
+        if len(over):
+            raise ValueError(
+                f"total of hour {over[0] + 1} exceeds the {values.dtype} range"
+            )
         totals.setflags(write=False)
 
         self.grid = grid
@@ -459,25 +475,43 @@ def iter_trace_csv(path: str | Path) -> Iterator[tuple]:
             yield tuple(row)
 
 
+def parse_column(
+    column: Sequence, parse: Callable, path, lines: Sequence[int]
+) -> tuple[list, np.ndarray]:
+    """Parse each distinct text of a CSV column once: the parsed values,
+    and each row's index into them.  ``lines[i]`` is row ``i``'s line in
+    the file at ``path``; a ValueError from ``parse`` is raised again
+    naming the line of the first row with that text."""
+    codes = dict.fromkeys(column)
+    parsed = []
+    for code, text in enumerate(codes):
+        codes[text] = code
+        try:
+            parsed.append(parse(text))
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {lines[column.index(text)]}: {exc}") from None
+    return parsed, np.fromiter(map(codes.__getitem__, column), np.intp, len(column))
+
+
 def _meta_path_for(csv_path: Path) -> Path:
     return csv_path.with_suffix(".json")
 
 
 def save_matrix(m: HourlyTraceMatrix, csv_path: str | Path) -> None:
     """Persist a matrix as columnar CSV `prefix,h1,...,hN` plus a JSON
-    sidecar beside it (`<name>.json`)."""
+    sidecar beside it (`<name>.json`).  Cells are plain decimal: ``str``
+    of an int, ``repr`` of a float, which reads back exactly."""
     csv_path = Path(csv_path)
     integral = np.issubdtype(m.values.dtype, np.integer)
+    cell = str if integral else repr
 
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["prefix"] + [f"h{h}" for h in m.grid.hours()])
-        for prefix, row in m.items():
-            if integral:
-                cells = [str(int(v)) for v in row]
-            else:
-                cells = [repr(float(v)) for v in row]
-            writer.writerow([prefix.text] + cells)
+        writer.writerows(
+            [prefix.text, *map(cell, row)]
+            for prefix, row in zip(m.prefixes, m.values.tolist())
+        )
 
     meta = {
         "start": m.grid.start,
@@ -490,8 +524,17 @@ def save_matrix(m: HourlyTraceMatrix, csv_path: str | Path) -> None:
         fh.write("\n")
 
 
+def _parse_cells(rows: list[str], dtype) -> np.ndarray:
+    return np.loadtxt(rows, delimiter=",", dtype=dtype, comments=None, ndmin=2)
+
+
 def load_matrix(csv_path: str | Path) -> HourlyTraceMatrix:
-    """Load a matrix written by ``save_matrix``."""
+    """Load a matrix written by ``save_matrix``.
+
+    Cells must be plain decimal int64 (or float, per the sidecar's
+    ``dtype``).  A cell that does not parse, a row of the wrong width and
+    a second row for one prefix raise ValueError naming the prefix.
+    """
     csv_path = Path(csv_path)
     with open(_meta_path_for(csv_path)) as fh:
         meta = json.load(fh)
@@ -500,22 +543,39 @@ def load_matrix(csv_path: str | Path) -> HourlyTraceMatrix:
         bin_seconds=int(meta["bin_seconds"]),
         bin_count=int(meta["bin_count"]),
     )
-    cast = int if meta.get("dtype", "int") == "int" else float
+    dtype = np.int64 if meta.get("dtype", "int") == "int" else np.float64
 
-    series: dict[Prefix, np.ndarray] = {}
     with open(csv_path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        expected = ["prefix"] + [f"h{h}" for h in grid.hours()]
-        if header != expected:
+        if header != ["prefix"] + [f"h{h}" for h in grid.hours()]:
             raise ValueError(f"{csv_path}: unexpected matrix header")
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != grid.bin_count + 1:
-                raise ValueError(f"{csv_path}: row for {row[0]!r} has wrong width")
+        rows = [row for row in reader if row]
+    prefixes: dict[Prefix, None] = {}
+    cells = []
+    for row in rows:
+        cells.append(",".join(row[1:]))
+        # a quoted cell holding a comma would split in two when parsed
+        if len(row) != grid.bin_count + 1 or cells[-1].count(",") != grid.bin_count - 1:
+            raise ValueError(f"{csv_path}: row for {row[0]!r} has wrong width")
+        try:
+            prefix = Prefix.parse(row[0])
+        except ValueError as exc:
+            raise ValueError(f"{csv_path}: bad row for {row[0]!r}: {exc}") from None
+        if prefix in prefixes:
+            raise ValueError(f"{csv_path}: duplicate row for {prefix}")
+        prefixes[prefix] = None
+    if not rows:
+        return HourlyTraceMatrix(grid, {})
+
+    try:
+        values = _parse_cells(cells, dtype)
+    except ValueError as exc:
+        # name the row; only this error path parses row by row
+        for row, text in zip(rows, cells):
             try:
-                series[Prefix.parse(row[0])] = np.array([cast(v) for v in row[1:]])
-            except ValueError as exc:
-                raise ValueError(f"{csv_path}: bad row for {row[0]!r}: {exc}") from None
-    return HourlyTraceMatrix(grid, series)
+                _parse_cells([text], dtype)
+            except ValueError as row_exc:
+                raise ValueError(f"{csv_path}: bad row for {row[0]!r}: {row_exc}") from None
+        raise ValueError(f"{csv_path}: {exc}") from None
+    return HourlyTraceMatrix(grid, dict(zip(prefixes, values)))

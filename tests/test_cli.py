@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prefixcast.cli import _read_selection_csv, _write_selection, main
 from prefixcast.dynamism import compute_core_profile
@@ -33,6 +35,16 @@ def flows_csv(tmp_path):
         "100,10.1.0.0/16,30\n"
         "3700,10.0.0.0/8,7\n"
     )
+    return path
+
+
+def write_int_matrix(directory: Path, rows: list[str]) -> Path:
+    """A hand-written two-hour int ``matrix.csv`` with its JSON sidecar."""
+    (directory / "matrix.json").write_text(
+        json.dumps({"start": 0, "bin_seconds": 3600, "bin_count": 2, "dtype": "int"})
+    )
+    path = directory / "matrix.csv"
+    path.write_text("prefix,h1,h2\n" + "".join(f"{row}\n" for row in rows))
     return path
 
 
@@ -140,6 +152,18 @@ class TestSynthAnalyze:
         assert main(["analyze", "--matrix", f"{out}/matrix.csv", "--out", out]) == 2
         err = capsys.readouterr().err
         assert rows[3][0] in err
+        assert not (tmp_path / "summary.json").exists()
+
+    @pytest.mark.parametrize("rows, named", [
+        (["10.0.0.0/24,5,5", "10.0.0.0/24,1,1"], "duplicate row for 10.0.0.0/24"),
+        (["10.0.0.0/24,9223372036854775807,0", "10.0.1.0/24,1,1"], "total of hour 1"),
+        (["10.0.0.0/24,1,1", "10.0.1.0/24,9223372036854775808,0"], "'10.0.1.0/24'"),
+        (["10.0.0.0/24,1_000,0"], "'10.0.0.0/24'"),
+    ])
+    def test_bad_int_matrix_is_data_error(self, tmp_path, capsys, rows, named):
+        path = write_int_matrix(tmp_path, rows)
+        assert main(["analyze", "--matrix", str(path), "--out", str(tmp_path)]) == 2
+        assert named in capsys.readouterr().err
         assert not (tmp_path / "summary.json").exists()
 
 
@@ -266,6 +290,66 @@ class TestSelectEvaluate:
             assert back.warmup.tolist() == run.warmup.tolist()
             assert back.shortfall.tolist() == run.shortfall.tolist()
             assert run.shortfall.any() and not run.shortfall.all()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.tuples(st.integers(1, 8), st.integers(2, 12)),
+        integral=st.booleans(),
+        method=st.sampled_from(METHODS),
+        window=st.integers(1, 12),
+        size=st.integers(1, 8),
+    )
+    def test_selection_csv_round_trip_property(
+        self, tmp_path_factory, seed, shape, integral, method, window, size
+    ):
+        rng = np.random.default_rng(seed)
+        values = rng.lognormal(10.0, 3.0, size=shape) * (rng.random(shape) < 0.6)
+        if integral:
+            values = np.round(values).astype(np.int64)
+        values[0, 0] += 1
+        m = HourlyTraceMatrix(
+            TimeGrid(start=0, bin_count=shape[1]),
+            {synthetic_prefix(k + 1): row for k, row in enumerate(values)},
+        )
+        profile = compute_core_profile(m)
+        run = run_selection(m, profile, SelectorConfig(method, window, size))
+        path = _write_selection(tmp_path_factory.mktemp("select"), run)
+        back = _read_selection_csv(path, m, profile.threshold)
+        assert back.config == run.config
+        assert back.hours.tolist() == run.hours.tolist()
+        assert [p.tolist() for p in back.picks] == [p.tolist() for p in run.picks]
+        assert [s.tobytes() for s in back.scores] == [s.tobytes() for s in run.scores]
+
+    @pytest.mark.parametrize("case", ["prefix written two ways", "mixed configurations",
+                                      "unknown prefix", "hour outside the grid"])
+    def test_bad_selection_rows_rejected(self, trace_dir, capsys, case):
+        out = str(trace_dir)
+        assert main(["select", "--matrix", f"{out}/matrix.csv", "--method", "mean_volume",
+                     "--window", "2", "--size", "3", "--out", out]) == 0
+        path = trace_dir / "selection_mean_volume_L2.csv"
+        rows = read_csv(path)
+        if case == "prefix written two ways":
+            # the hour-2 rank-1 prefix again as rank 4 of hour 2, its mask as a netmask
+            twin = rows[1][2].replace("/24", "/255.255.255.0")
+            rows.insert(4, [rows[1][0], "4", twin] + rows[1][3:])
+            named = ["duplicate prefix", rows[1][2], "hour 2"]
+        elif case == "mixed configurations":
+            rows[5][6] = "4"
+            named = ["mixed selector configurations"]
+        elif case == "unknown prefix":
+            rows[5][2] = "192.0.2.0/24"
+            named = ["prefix 192.0.2.0/24 not in matrix"]
+        else:
+            rows[5][0] = "25"
+            named = ["hour 25 outside the matrix grid"]
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+        assert main(["evaluate", "--matrix", f"{out}/matrix.csv",
+                     "--selection", str(path), "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and all(text in err for text in named)
+        assert not (trace_dir / "evaluation_summary.json").exists()
 
     def test_missing_selection_names_stage(self, trace_dir, capsys):
         out = str(trace_dir)

@@ -322,6 +322,7 @@ class TestProbeCsv:
         ("0,192.0.2.0/24,T1,inf\n", "line 3: rtt_ms must be finite"),
         ("\n\n1,192.0.2.0/24,T1,0\n", "line 5: rtt_ms must be finite"),
         ("0,192.0.2.0/24, T1 ,9\n", "duplicate sample"),
+        ("1,192.0.2.0/24,T1,9\n0,192.0.2.0/24,T1,9\n", "probes.csv: line 4: duplicate sample"),
     ])
     def test_bad_rows_rejected_naming_the_line(self, tmp_path, body, message):
         path = tmp_path / "probes.csv"

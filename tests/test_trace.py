@@ -1,7 +1,11 @@
 """Trace model: binning, fractions, synthesis, persistence."""
 
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from prefixcast.trace import (
     BurstSpec,
@@ -286,6 +290,15 @@ class TestMatrixModel:
         with pytest.raises(ValueError, match="negative volume in series for 10.2.3.0/24"):
             HourlyTraceMatrix(grid, {P8: [1, 2], P24: [3, -1]})
 
+    @pytest.mark.parametrize("series, hour", [
+        ({P8: [0, 2**63 - 1], P16: [1, 1]}, 2),
+        ({P8: [1.0, 1e308, 1.0], P16: [0.0, 1e308, 0.0]}, 2),
+    ])
+    def test_hour_total_beyond_dtype_range_rejected_naming_hour(self, series, hour):
+        grid = TimeGrid(start=0, bin_seconds=3600, bin_count=len(series[P8]))
+        with pytest.raises(ValueError, match=f"total of hour {hour} exceeds"):
+            HourlyTraceMatrix(grid, series)
+
     def test_hour_mapping(self):
         grid = TimeGrid(start=0, bin_seconds=3600, bin_count=2)
         m = HourlyTraceMatrix(grid, {P8: [5, 0], P16: [1, 2]})
@@ -330,12 +343,85 @@ class TestCsvInterfaces:
         with pytest.raises(ValueError, match="10.1.0.0/16"):
             load_matrix(tmp_path / "m.csv")
 
+    @pytest.mark.parametrize("cell", ["1_000", "9223372036854775808", "1.0", "0x10"])
+    def test_int_cell_not_plain_int64_names_prefix(self, tmp_path, cell):
+        grid = TimeGrid(start=0, bin_seconds=3600, bin_count=2)
+        save_matrix(HourlyTraceMatrix(grid, {P8: [1, 0], P16: [0, 2]}), tmp_path / "m.csv")
+        text = (tmp_path / "m.csv").read_text().replace("10.1.0.0/16,0,2", f"10.1.0.0/16,{cell},2")
+        (tmp_path / "m.csv").write_text(text)
+        with pytest.raises(ValueError, match=r"bad row for '10\.1\.0\.0/16'"):
+            load_matrix(tmp_path / "m.csv")
+
+    def test_duplicate_prefix_row_names_prefix(self, tmp_path):
+        grid = TimeGrid(start=0, bin_seconds=3600, bin_count=2)
+        save_matrix(HourlyTraceMatrix(grid, {P8: [5, 5], P16: [0, 2]}), tmp_path / "m.csv")
+        with open(tmp_path / "m.csv", "a") as fh:
+            fh.write("10.0.0.0/255.0.0.0,1,1\n")  # 10.0.0.0/8 again, written another way
+        with pytest.raises(ValueError, match=r"duplicate row for 10\.0\.0\.0/8"):
+            load_matrix(tmp_path / "m.csv")
+
     def test_matrix_roundtrip_float(self, tmp_path):
         grid = TimeGrid(start=0, bin_seconds=3600, bin_count=12)
         m = synthesize_trace(SyntheticTraceSpec(prefix_count=17, noise=0.7, seed=3), grid)
         save_matrix(m, tmp_path / "m.csv")
         back = load_matrix(tmp_path / "m.csv")
         np.testing.assert_array_equal(back.values, m.values)  # repr round-trips exactly
+
+
+INT64_MAX = 2**63 - 1
+
+
+@st.composite
+def int_matrices(draw):
+    """Int matrices with cells up to 2^63 - 1 and every hourly total in range."""
+    rows, bins = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    values = np.zeros((rows, bins), dtype=np.int64)
+    for h in range(bins):
+        room = INT64_MAX
+        for i in draw(st.permutations(range(rows))):
+            values[i, h] = draw(st.integers(0, room))
+            room -= int(values[i, h])
+    assume(values.any())
+    return values
+
+
+# huge finite cells, but no hourly total beyond the float64 range
+FLOAT_CELLS = st.floats(min_value=0.0, max_value=sys.float_info.max / 5, allow_subnormal=True)
+
+
+@st.composite
+def float_matrices(draw):
+    rows, bins = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    cells = draw(st.lists(FLOAT_CELLS, min_size=rows * bins, max_size=rows * bins))
+    values = np.array(cells, dtype=np.float64).reshape(rows, bins)
+    assume(values.any())
+    return values
+
+
+def assert_exact_matrix_roundtrip(tmp_path_factory, values):
+    grid = TimeGrid(start=3600 * 5, bin_seconds=3600, bin_count=values.shape[1])
+    m = HourlyTraceMatrix(grid, {synthetic_prefix(k + 1): row for k, row in enumerate(values)})
+    path = tmp_path_factory.mktemp("matrix") / "m.csv"
+    save_matrix(m, path)
+    back = load_matrix(path)
+    assert (back.grid, back.prefixes) == (m.grid, m.prefixes)
+    assert back.values.dtype == m.values.dtype
+    assert back.values.tobytes() == m.values.tobytes()  # bit for bit
+    text = path.read_bytes()
+    save_matrix(back, path)
+    assert path.read_bytes() == text
+
+
+@settings(max_examples=150, deadline=None)
+@given(values=int_matrices())
+def test_int_matrix_csv_roundtrip_is_exact(tmp_path_factory, values):
+    assert_exact_matrix_roundtrip(tmp_path_factory, values)
+
+
+@settings(max_examples=150, deadline=None)
+@given(values=float_matrices())
+def test_float_matrix_csv_roundtrip_is_exact(tmp_path_factory, values):
+    assert_exact_matrix_roundtrip(tmp_path_factory, values)
 
 
 class TestZipfShares:
