@@ -15,7 +15,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -127,32 +127,32 @@ class TimeGrid:
 class HourlyTraceMatrix:
     """Immutable per-prefix binned volume matrix with per-bin totals.
 
-    Rows are ordered by canonical prefix text.  All-zero series are
-    dropped at construction so that every stored prefix was active at
-    least once; constructing an empty matrix raises.  Binned real traces
-    carry int64 volumes (exact totals); synthetic traces carry float64.
+    Built from prefixes and a (prefixes, bins) array; rows are stored in
+    canonical prefix text order.  All-zero rows are dropped, so every
+    stored prefix was active at least once.  An empty matrix or a prefix
+    listed twice raises.  An integer array is stored as int64 (binned
+    real traces, exact totals), any other as float64 (synthetic traces).
     """
 
     __slots__ = ("grid", "prefixes", "values", "totals", "_index")
 
-    def __init__(self, grid: TimeGrid, series: Mapping[Prefix, Iterable[float]]):
-        rows = []
-        for prefix in sorted(series, key=lambda p: p.text):
-            arr = np.asarray(series[prefix])
-            if arr.shape != (grid.bin_count,):
-                raise ValueError(
-                    f"series for {prefix} has shape {arr.shape}, "
-                    f"expected ({grid.bin_count},)"
-                )
-            if np.any(arr != 0):
-                rows.append((prefix, arr))
-        if not rows:
+    def __init__(self, grid: TimeGrid, prefixes: Sequence[Prefix], values):
+        values = np.asarray(values)
+        if values.shape != (len(prefixes), grid.bin_count):
+            raise ValueError(f"values have shape {values.shape}, "
+                             f"expected ({len(prefixes)}, {grid.bin_count})")
+        texts = np.array([p.text for p in prefixes], dtype=str)
+        order = np.argsort(texts, kind="stable")
+        repeated = np.flatnonzero(texts[order[1:]] == texts[order[:-1]])
+        if repeated.size:
+            raise ValueError(f"duplicate row for {texts[order[repeated[0]]]}")
+        order = order[values.any(axis=1)[order]]
+        if not order.size:
             raise ValueError("no active prefixes")
 
-        dtype = np.int64
-        if any(not np.issubdtype(arr.dtype, np.integer) for _, arr in rows):
-            dtype = np.float64
-        values = np.array([arr for _, arr in rows], dtype=dtype)
+        dtype = np.int64 if np.issubdtype(values.dtype, np.integer) else np.float64
+        values = values[order].astype(dtype, copy=False)
+        prefixes = tuple(prefixes[i] for i in order.tolist())
         # NaN fails every comparison, so test for the valid range, not
         # against it; all-zero rows are already dropped, so a bad cell
         # always sits in a kept row
@@ -160,7 +160,7 @@ class HourlyTraceMatrix:
         if not valid.all():
             bad = int(np.flatnonzero(~valid.all(axis=1))[0])
             kind = "negative" if (values[bad] < 0).any() else "non-finite"
-            raise ValueError(f"{kind} volume in series for {rows[bad][0]}")
+            raise ValueError(f"{kind} volume in series for {prefixes[bad]}")
         values.setflags(write=False)
         # cells are finite and >= 0, so a total can only leave the dtype's
         # range: float64 overflows to inf, int64 wraps without a warning
@@ -181,10 +181,10 @@ class HourlyTraceMatrix:
         totals.setflags(write=False)
 
         self.grid = grid
-        self.prefixes: tuple[Prefix, ...] = tuple(p for p, _ in rows)
+        self.prefixes: tuple[Prefix, ...] = prefixes
         self.values = values
         self.totals = totals
-        self._index = {p: i for i, p in enumerate(self.prefixes)}
+        self._index = {p: i for i, p in enumerate(prefixes)}
 
     def __len__(self) -> int:
         return len(self.prefixes)
@@ -202,10 +202,6 @@ class HourlyTraceMatrix:
     def series(self, prefix: Prefix) -> np.ndarray:
         """Hourly volume series v(P) for one prefix (read-only view)."""
         return self.values[self._index[prefix]]
-
-    def items(self) -> Iterator[tuple[Prefix, np.ndarray]]:
-        for i, prefix in enumerate(self.prefixes):
-            yield prefix, self.values[i]
 
     def hour(self, h: int) -> dict[Prefix, float]:
         """Per-prefix volumes of bin h as a mapping (copies)."""
@@ -279,8 +275,9 @@ def bin_records(
     if errors not in ("count", "raise"):
         raise ValueError(f"unknown errors policy {errors!r}")
 
-    bins: dict[Prefix, np.ndarray] = {}
+    codes: dict[Prefix, int] = {}
     prefix_cache: dict[str, Prefix] = {}
+    cells, volumes = [], []  # flat cell index and volume per binned record
     read = binned = malformed = out_of_range = 0
     bytes_binned = bytes_rejected = 0
 
@@ -330,14 +327,15 @@ def bin_records(
                 f"binned volume reaches {bytes_binned} bytes at record {read}, "
                 "beyond the int64 range"
             )
-        row = bins.get(prefix)
-        if row is None:
-            row = np.zeros(grid.bin_count, dtype=np.int64)
-            bins[prefix] = row
-        row[(ts - grid.start) // grid.bin_seconds] += volume
+        code = codes.setdefault(prefix, len(codes))
+        cells.append(code * grid.bin_count + (ts - grid.start) // grid.bin_seconds)
+        volumes.append(volume)
         binned += 1
 
-    matrix = HourlyTraceMatrix(grid, bins)
+    # np.bincount would sum float64 weights, rounding cells above 2^53
+    values = np.zeros((len(codes), grid.bin_count), dtype=np.int64)
+    np.add.at(values.reshape(-1), np.array(cells, dtype=np.intp), np.array(volumes, dtype=np.int64))
+    matrix = HourlyTraceMatrix(grid, list(codes), values)
     summary = IngestSummary(
         records_read=read,
         records_binned=binned,
@@ -452,8 +450,8 @@ def synthesize_trace(spec: SyntheticTraceSpec, grid: TimeGrid) -> HourlyTraceMat
     for b in spec.bursts:
         values[b.rank - 1, b.hour - 1] *= b.multiplier
 
-    series = {synthetic_prefix(k): values[k - 1] for k in range(1, spec.prefix_count + 1)}
-    return HourlyTraceMatrix(grid, series)
+    prefixes = [synthetic_prefix(k) for k in range(1, spec.prefix_count + 1)]
+    return HourlyTraceMatrix(grid, prefixes, values)
 
 
 def iter_trace_csv(path: str | Path) -> Iterator[tuple]:
@@ -524,16 +522,18 @@ def save_matrix(m: HourlyTraceMatrix, csv_path: str | Path) -> None:
         fh.write("\n")
 
 
-def _parse_cells(rows: list[str], dtype) -> np.ndarray:
-    return np.loadtxt(rows, delimiter=",", dtype=dtype, comments=None, ndmin=2)
+def _parse_cells(texts: Sequence[str], dtype) -> np.ndarray:
+    return np.loadtxt(texts, delimiter=",", dtype=dtype, comments=None, ndmin=2)
 
 
 def load_matrix(csv_path: str | Path) -> HourlyTraceMatrix:
     """Load a matrix written by ``save_matrix``.
 
-    Cells must be plain decimal int64 (or float, per the sidecar's
-    ``dtype``).  A cell that does not parse, a row of the wrong width and
-    a second row for one prefix raise ValueError naming the prefix.
+    Each line is one unquoted ``prefix,h1,...,hN`` row.  Cells must be
+    plain decimal int64 (or float, per the sidecar's ``dtype``).  A cell
+    that does not parse or a row of the wrong width raises ValueError
+    naming the prefix; a ``HourlyTraceMatrix`` error is raised again
+    naming the CSV.
     """
     csv_path = Path(csv_path)
     with open(_meta_path_for(csv_path)) as fh:
@@ -545,37 +545,33 @@ def load_matrix(csv_path: str | Path) -> HourlyTraceMatrix:
     )
     dtype = np.int64 if meta.get("dtype", "int") == "int" else np.float64
 
-    with open(csv_path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["prefix"] + [f"h{h}" for h in grid.hours()]:
+    with open(csv_path) as fh:
+        if fh.readline().rstrip("\n") != ",".join(["prefix", *(f"h{h}" for h in grid.hours())]):
             raise ValueError(f"{csv_path}: unexpected matrix header")
-        rows = [row for row in reader if row]
-    prefixes: dict[Prefix, None] = {}
-    cells = []
-    for row in rows:
-        cells.append(",".join(row[1:]))
-        # a quoted cell holding a comma would split in two when parsed
-        if len(row) != grid.bin_count + 1 or cells[-1].count(",") != grid.bin_count - 1:
-            raise ValueError(f"{csv_path}: row for {row[0]!r} has wrong width")
+        rows = [line.rstrip("\n").partition(",")[::2] for line in fh if line != "\n"]
+    prefixes = []
+    for name, text in rows:
+        # loadtxt would skip a row with no cells rather than fail
+        if not text or text.count(",") != grid.bin_count - 1:
+            raise ValueError(f"{csv_path}: row for {name!r} has wrong width")
         try:
-            prefix = Prefix.parse(row[0])
+            prefixes.append(Prefix.parse(name))
         except ValueError as exc:
-            raise ValueError(f"{csv_path}: bad row for {row[0]!r}: {exc}") from None
-        if prefix in prefixes:
-            raise ValueError(f"{csv_path}: duplicate row for {prefix}")
-        prefixes[prefix] = None
-    if not rows:
-        return HourlyTraceMatrix(grid, {})
+            raise ValueError(f"{csv_path}: bad row for {name!r}: {exc}") from None
 
+    values = np.empty((0, grid.bin_count))
     try:
-        values = _parse_cells(cells, dtype)
+        if rows:
+            values = _parse_cells([text for _, text in rows], dtype)
     except ValueError as exc:
         # name the row; only this error path parses row by row
-        for row, text in zip(rows, cells):
+        for name, text in rows:
             try:
                 _parse_cells([text], dtype)
             except ValueError as row_exc:
-                raise ValueError(f"{csv_path}: bad row for {row[0]!r}: {row_exc}") from None
+                raise ValueError(f"{csv_path}: bad row for {name!r}: {row_exc}") from None
         raise ValueError(f"{csv_path}: {exc}") from None
-    return HourlyTraceMatrix(grid, dict(zip(prefixes, values)))
+    try:
+        return HourlyTraceMatrix(grid, prefixes, values)
+    except ValueError as exc:
+        raise ValueError(f"{csv_path}: {exc}") from None

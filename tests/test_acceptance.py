@@ -320,12 +320,10 @@ def test_c07_burst_sensitivity():
         SyntheticTraceSpec(prefix_count=500, zipf_s=1.0, noise=0.3, seed=707), grid
     )
     # previously idle prefix suddenly carries 50% of the burst hour
-    series = {p: row.copy() for p, row in base.items()}
     newcomer = Prefix.parse("10.200.0.0/24")
     spike = np.zeros(grid.bin_count)
     spike[burst_hour - 1] = base.total(burst_hour)
-    series[newcomer] = spike
-    bursty = HourlyTraceMatrix(grid, series)
+    bursty = HourlyTraceMatrix(grid, [*base.prefixes, newcomer], np.vstack([base.values, spike]))
 
     results = {}
     for label, matrix in (("base", base), ("bursty", bursty)):
@@ -419,20 +417,13 @@ def test_c09_dominance_and_no_lookahead():
         values[rng.uniform(size=values.shape) < 0.4] = 0
         values[0, 0] = max(int(values[0, 0]), 1)
         grid = TimeGrid(start=0, bin_seconds=3600, bin_count=bins)
-        m = HourlyTraceMatrix(
-            grid,
-            {synthetic_prefix(k + 1): values[k] for k in range(n) if values[k].any()},
-        )
+        m = HourlyTraceMatrix(grid, [synthetic_prefix(k + 1) for k in range(n)], values)
         h = int(rng.integers(1, bins))
-        truncated = {}
-        for p, row in m.items():
-            cut = row.copy()
-            cut[h:] = 0
-            if cut.any():
-                truncated[p] = cut
-        if not truncated:
+        truncated = m.values.copy()
+        truncated[:, h:] = 0
+        if not truncated.any():
             continue
-        m_cut = HourlyTraceMatrix(grid, truncated)
+        m_cut = HourlyTraceMatrix(grid, m.prefixes, truncated)
         config = SelectorConfig(methods[checked % 4], int(rng.integers(1, 8)), 3)
         full_run = run_selection(m, compute_core_profile(m), config)
         cut_run = run_selection(m_cut, compute_core_profile(m_cut), config)

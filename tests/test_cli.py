@@ -276,8 +276,7 @@ class TestSelectEvaluate:
         rng = np.random.default_rng(8)
         values = rng.integers(1, 1000, size=(12, 30)) * (rng.random((12, 30)) < 0.5)
         m = HourlyTraceMatrix(
-            TimeGrid(start=0, bin_count=30),
-            {synthetic_prefix(k + 1): row for k, row in enumerate(values)},
+            TimeGrid(start=0, bin_count=30), [synthetic_prefix(k + 1) for k in range(12)], values
         )
         profile = compute_core_profile(m)
         for window in WINDOW_GRID:
@@ -310,7 +309,8 @@ class TestSelectEvaluate:
         values[0, 0] += 1
         m = HourlyTraceMatrix(
             TimeGrid(start=0, bin_count=shape[1]),
-            {synthetic_prefix(k + 1): row for k, row in enumerate(values)},
+            [synthetic_prefix(k + 1) for k in range(shape[0])],
+            values,
         )
         profile = compute_core_profile(m)
         run = run_selection(m, profile, SelectorConfig(method, window, size))

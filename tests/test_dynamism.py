@@ -36,7 +36,7 @@ D = Prefix.parse("10.0.3.0/24")
 
 def matrix(series: dict, bins: int) -> HourlyTraceMatrix:
     grid = TimeGrid(start=0, bin_seconds=3600, bin_count=bins)
-    return HourlyTraceMatrix(grid, series)
+    return HourlyTraceMatrix(grid, list(series), list(series.values()))
 
 
 def brute_force_core(volumes: dict, threshold: float) -> set:
@@ -221,12 +221,7 @@ class TestCoreProfile:
             values = rng.integers(0, 200, size=(n, 12))
             if not values.any():
                 continue
-            series = {
-                synthetic_prefix(k + 1): values[k]
-                for k in range(n)
-                if values[k].any()
-            }
-            m = HourlyTraceMatrix(grid, series)
+            m = HourlyTraceMatrix(grid, [synthetic_prefix(k + 1) for k in range(n)], values)
             profile = compute_core_profile(m)
             for h in (1, 5, 12):
                 expected = 0.0

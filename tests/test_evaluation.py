@@ -28,7 +28,7 @@ C = Prefix.parse("10.0.2.0/24")
 
 def matrix(series: dict, bins: int) -> HourlyTraceMatrix:
     grid = TimeGrid(start=0, bin_seconds=3600, bin_count=bins)
-    return HourlyTraceMatrix(grid, series)
+    return HourlyTraceMatrix(grid, list(series), list(series.values()))
 
 
 class TestHourlyCoverage:
@@ -219,11 +219,11 @@ class TestBurstinessVsCoverage:
             SyntheticTraceSpec(prefix_count=50, noise=0.2, seed=4), grid
         )
         # same trace plus one violent burst from a previously idle prefix
-        bursty_series = {p: row.copy() for p, row in calm.items()}
         burst = np.zeros(48)
         burst[30] = calm.total(31)  # doubles that hour
-        bursty_series[Prefix.parse("10.99.0.0/24")] = burst
-        bursty = HourlyTraceMatrix(grid, bursty_series)
+        bursty = HourlyTraceMatrix(
+            grid, [*calm.prefixes, Prefix.parse("10.99.0.0/24")], np.vstack([calm.values, burst])
+        )
 
         points = bi_vs_coverage([self.run_cv(calm), self.run_cv(bursty)])
         (calm_bi, calm_cov), (bursty_bi, bursty_cov) = points.worst_points

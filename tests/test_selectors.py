@@ -37,7 +37,7 @@ B = Prefix.parse("10.0.1.0/24")
 
 def matrix(series: dict, bins: int) -> HourlyTraceMatrix:
     grid = TimeGrid(start=0, bin_seconds=3600, bin_count=bins)
-    return HourlyTraceMatrix(grid, series)
+    return HourlyTraceMatrix(grid, list(series), list(series.values()))
 
 
 def random_matrix(rng, n_max=15, bins_max=12):
@@ -48,10 +48,7 @@ def random_matrix(rng, n_max=15, bins_max=12):
     values[rng.uniform(size=values.shape) < 0.4] = 0
     values[0, 0] = max(int(values[0, 0]), 1)
     grid = TimeGrid(start=0, bin_seconds=3600, bin_count=bins)
-    series = {
-        synthetic_prefix(k + 1): values[k] for k in range(n) if values[k].any()
-    }
-    return HourlyTraceMatrix(grid, series)
+    return HourlyTraceMatrix(grid, [synthetic_prefix(k + 1) for k in range(n)], values)
 
 
 class TestWindowScores:
@@ -377,9 +374,7 @@ class TestGm11RunMatchesScalarLoop:
             values[rng.uniform(size=values.shape) < 0.4] = 0
             values[0, 0] = max(int(values[0, 0]), 1)
             grid = TimeGrid(start=0, bin_seconds=3600, bin_count=bins)
-            m = HourlyTraceMatrix(
-                grid, {synthetic_prefix(k + 1): values[k] for k in range(n) if values[k].any()}
-            )
+            m = HourlyTraceMatrix(grid, [synthetic_prefix(k + 1) for k in range(n)], values)
             # K covers every prefix, so no top-K cut can hide a difference
             config = SelectorConfig("gm11", int(rng.integers(1, 9)), len(m))
             run = run_selection(m, compute_core_profile(m), config)
@@ -457,15 +452,11 @@ class TestRunSelection:
         while checked < 60:
             m = random_matrix(rng)
             h = int(rng.integers(1, m.bin_count))
-            truncated = {}
-            for p, row in m.items():
-                cut = row.copy()
-                cut[h:] = 0
-                if cut.any():
-                    truncated[p] = cut
-            if not truncated:
+            truncated = m.values.copy()
+            truncated[:, h:] = 0
+            if not truncated.any():
                 continue
-            m2 = HourlyTraceMatrix(m.grid, truncated)
+            m2 = HourlyTraceMatrix(m.grid, m.prefixes, truncated)
             method = METHODS[checked % 4]
             config = SelectorConfig(method, int(rng.integers(1, 10)), 3)
             run1 = run_selection(m, compute_core_profile(m), config)
@@ -485,9 +476,7 @@ class TestRunSelection:
         rng = np.random.default_rng(31)
         for _ in range(20):
             m = random_matrix(rng)
-            scaled = HourlyTraceMatrix(
-                m.grid, {p: row * 3 for p, row in m.items()}
-            )
+            scaled = HourlyTraceMatrix(m.grid, m.prefixes, m.values * 3)
             for method in ("mean_volume", "core_presence", "core_volume"):
                 config = SelectorConfig(method, 4, 3)
                 run1 = run_selection(m, compute_core_profile(m), config)

@@ -265,43 +265,63 @@ class TestSynthesize:
 class TestMatrixModel:
     def test_rows_sorted_by_text(self):
         grid = TimeGrid(start=0, bin_seconds=3600, bin_count=1)
-        m = HourlyTraceMatrix(grid, {P24: [1], P8: [2], P16: [3]})
+        m = HourlyTraceMatrix(grid, [P24, P8, P16], [[1], [2], [3]])
         assert [p.text for p in m.prefixes] == ["10.0.0.0/8", "10.1.0.0/16", "10.2.3.0/24"]
+        assert m.values[:, 0].tolist() == [2, 3, 1]
 
     def test_values_read_only(self):
         grid = TimeGrid(start=0, bin_seconds=3600, bin_count=1)
-        m = HourlyTraceMatrix(grid, {P8: [2]})
+        values = np.array([[2]])
+        m = HourlyTraceMatrix(grid, [P8], values)
         with pytest.raises(ValueError):
             m.values[0, 0] = 5
+        values[0, 0] = 5  # the matrix holds its own copy
+        assert m.values[0, 0] == 2
 
     def test_wrong_length_rejected(self):
         grid = TimeGrid(start=0, bin_seconds=3600, bin_count=3)
-        with pytest.raises(ValueError):
-            HourlyTraceMatrix(grid, {P8: [1, 2]})
+        with pytest.raises(ValueError, match=r"shape \(1, 2\), expected \(1, 3\)"):
+            HourlyTraceMatrix(grid, [P8], [[1, 2]])
+        with pytest.raises(ValueError, match=r"shape \(1, 3\), expected \(2, 3\)"):
+            HourlyTraceMatrix(grid, [P8, P16], [[1, 2, 3]])
+
+    def test_repeated_prefix_rejected(self):
+        grid = TimeGrid(start=0, bin_seconds=3600, bin_count=2)
+        with pytest.raises(ValueError, match=r"duplicate row for 10\.1\.0\.0/16"):
+            HourlyTraceMatrix(grid, [P16, P8, Prefix.parse("10.1.0.0/255.255.0.0")],
+                              [[1, 0], [2, 2], [0, 0]])
+
+    def test_all_zero_rows_dropped(self):
+        grid = TimeGrid(start=0, bin_seconds=3600, bin_count=2)
+        m = HourlyTraceMatrix(grid, [P24, P8, P16], [[0, 0], [1, 0], [0.0, 0.5]])
+        assert m.prefixes == (P8, P16)
+        assert m.values.dtype == np.float64
+        with pytest.raises(ValueError, match="no active prefixes"):
+            HourlyTraceMatrix(grid, [P8], [[0, 0]])
 
     @pytest.mark.parametrize("cell", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_cell_rejected_naming_prefix(self, cell):
         grid = TimeGrid(start=0, bin_seconds=3600, bin_count=3)
         with pytest.raises(ValueError, match=r"volume in series for 10\.1\.0\.0/16"):
-            HourlyTraceMatrix(grid, {P8: [1.0, 2.0, 3.0], P16: [1.0, cell, 0.0]})
+            HourlyTraceMatrix(grid, [P8, P16], [[1.0, 2.0, 3.0], [1.0, cell, 0.0]])
 
     def test_negative_cell_rejected_naming_prefix(self):
         grid = TimeGrid(start=0, bin_seconds=3600, bin_count=2)
         with pytest.raises(ValueError, match="negative volume in series for 10.2.3.0/24"):
-            HourlyTraceMatrix(grid, {P8: [1, 2], P24: [3, -1]})
+            HourlyTraceMatrix(grid, [P8, P24], [[1, 2], [3, -1]])
 
-    @pytest.mark.parametrize("series, hour", [
-        ({P8: [0, 2**63 - 1], P16: [1, 1]}, 2),
-        ({P8: [1.0, 1e308, 1.0], P16: [0.0, 1e308, 0.0]}, 2),
+    @pytest.mark.parametrize("values, hour", [
+        ([[0, 2**63 - 1], [1, 1]], 2),
+        ([[1.0, 1e308, 1.0], [0.0, 1e308, 0.0]], 2),
     ])
-    def test_hour_total_beyond_dtype_range_rejected_naming_hour(self, series, hour):
-        grid = TimeGrid(start=0, bin_seconds=3600, bin_count=len(series[P8]))
+    def test_hour_total_beyond_dtype_range_rejected_naming_hour(self, values, hour):
+        grid = TimeGrid(start=0, bin_seconds=3600, bin_count=len(values[0]))
         with pytest.raises(ValueError, match=f"total of hour {hour} exceeds"):
-            HourlyTraceMatrix(grid, series)
+            HourlyTraceMatrix(grid, [P8, P16], values)
 
     def test_hour_mapping(self):
         grid = TimeGrid(start=0, bin_seconds=3600, bin_count=2)
-        m = HourlyTraceMatrix(grid, {P8: [5, 0], P16: [1, 2]})
+        m = HourlyTraceMatrix(grid, [P8, P16], [[5, 0], [1, 2]])
         assert m.hour(1) == {P8: 5, P16: 1}
 
 
@@ -327,7 +347,7 @@ class TestCsvInterfaces:
 
     def test_matrix_roundtrip_int(self, tmp_path):
         grid = TimeGrid(start=7200, bin_seconds=3600, bin_count=3)
-        m = HourlyTraceMatrix(grid, {P8: [1, 0, 3], P16: [0, 2, 0]})
+        m = HourlyTraceMatrix(grid, [P8, P16], [[1, 0, 3], [0, 2, 0]])
         save_matrix(m, tmp_path / "m.csv")
         back = load_matrix(tmp_path / "m.csv")
         assert back.grid == m.grid
@@ -337,7 +357,7 @@ class TestCsvInterfaces:
 
     def test_unparsable_int_cell_names_prefix(self, tmp_path):
         grid = TimeGrid(start=0, bin_seconds=3600, bin_count=2)
-        save_matrix(HourlyTraceMatrix(grid, {P8: [1, 0], P16: [0, 2]}), tmp_path / "m.csv")
+        save_matrix(HourlyTraceMatrix(grid, [P8, P16], [[1, 0], [0, 2]]), tmp_path / "m.csv")
         text = (tmp_path / "m.csv").read_text().replace("10.1.0.0/16,0,2", "10.1.0.0/16,nan,2")
         (tmp_path / "m.csv").write_text(text)
         with pytest.raises(ValueError, match="10.1.0.0/16"):
@@ -346,7 +366,7 @@ class TestCsvInterfaces:
     @pytest.mark.parametrize("cell", ["1_000", "9223372036854775808", "1.0", "0x10"])
     def test_int_cell_not_plain_int64_names_prefix(self, tmp_path, cell):
         grid = TimeGrid(start=0, bin_seconds=3600, bin_count=2)
-        save_matrix(HourlyTraceMatrix(grid, {P8: [1, 0], P16: [0, 2]}), tmp_path / "m.csv")
+        save_matrix(HourlyTraceMatrix(grid, [P8, P16], [[1, 0], [0, 2]]), tmp_path / "m.csv")
         text = (tmp_path / "m.csv").read_text().replace("10.1.0.0/16,0,2", f"10.1.0.0/16,{cell},2")
         (tmp_path / "m.csv").write_text(text)
         with pytest.raises(ValueError, match=r"bad row for '10\.1\.0\.0/16'"):
@@ -354,7 +374,7 @@ class TestCsvInterfaces:
 
     def test_duplicate_prefix_row_names_prefix(self, tmp_path):
         grid = TimeGrid(start=0, bin_seconds=3600, bin_count=2)
-        save_matrix(HourlyTraceMatrix(grid, {P8: [5, 5], P16: [0, 2]}), tmp_path / "m.csv")
+        save_matrix(HourlyTraceMatrix(grid, [P8, P16], [[5, 5], [0, 2]]), tmp_path / "m.csv")
         with open(tmp_path / "m.csv", "a") as fh:
             fh.write("10.0.0.0/255.0.0.0,1,1\n")  # 10.0.0.0/8 again, written another way
         with pytest.raises(ValueError, match=r"duplicate row for 10\.0\.0\.0/8"):
@@ -400,7 +420,7 @@ def float_matrices(draw):
 
 def assert_exact_matrix_roundtrip(tmp_path_factory, values):
     grid = TimeGrid(start=3600 * 5, bin_seconds=3600, bin_count=values.shape[1])
-    m = HourlyTraceMatrix(grid, {synthetic_prefix(k + 1): row for k, row in enumerate(values)})
+    m = HourlyTraceMatrix(grid, [synthetic_prefix(k + 1) for k in range(len(values))], values)
     path = tmp_path_factory.mktemp("matrix") / "m.csv"
     save_matrix(m, path)
     back = load_matrix(path)
