@@ -444,6 +444,58 @@ def test_float_matrix_csv_roundtrip_is_exact(tmp_path_factory, values):
     assert_exact_matrix_roundtrip(tmp_path_factory, values)
 
 
+CONSERVATION_GRID = TimeGrid(start=3600, bin_seconds=3600, bin_count=3)
+
+# one prefix written two ways, an IPv6 one, and two that do not parse
+RAW_PREFIXES = ["10.0.0.0/8", "10.0.0.0/255.0.0.0", "10.1.0.0/16", "2001:db8::/32",
+                "bogus", "10.0.0.1/8"]
+
+RAW_ROWS = st.tuples(
+    st.one_of(st.integers(0, 5 * 3600).map(str), st.just("soon")),
+    st.sampled_from(RAW_PREFIXES),
+    st.one_of(
+        st.integers(0, 2**40),
+        st.integers(-(2**40), -1),
+        st.integers(2**63, 2**70),
+    ).map(str) | st.sampled_from(["", "1.5", "lots"]),
+) | st.sampled_from([("0", "10.0.0.0/8"), ("3600", "10.0.0.0/8", "5", "x")])
+
+
+def parsed_volume(row):
+    """The row's volume if ``bin_records`` can read one, else None."""
+    try:
+        return int(row[2]) if len(row) == 3 else None
+    except ValueError:
+        return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(RAW_ROWS, max_size=40))
+def test_bin_records_conserves_bytes(rows):
+    grid = CONSERVATION_GRID
+    expected: dict[str, list[int]] = {}
+    for row in rows:
+        volume = parsed_volume(row)
+        try:
+            ts, prefix = int(row[0]), Prefix.parse(row[1])
+        except (ValueError, IndexError):
+            continue
+        if volume is not None and 0 <= volume < 2**63 and grid.start <= ts < grid.end:
+            cells = expected.setdefault(prefix.text, [0] * grid.bin_count)
+            cells[(ts - grid.start) // grid.bin_seconds] += volume
+    expected = {text: cells for text, cells in expected.items() if any(cells)}
+    if not expected:
+        with pytest.raises(ValueError, match="no active prefixes"):
+            bin_records(rows, grid)
+        return
+
+    m, summary = bin_records(rows, grid)
+    parseable = [v for v in map(parsed_volume, rows) if v is not None]
+    assert summary.bytes_binned + summary.bytes_rejected == sum(parseable)
+    assert int(m.values.sum()) == summary.bytes_binned
+    assert {p.text: row.tolist() for p, row in zip(m.prefixes, m.values)} == expected
+
+
 class TestZipfShares:
     def test_normalized(self):
         shares = zipf_shares(1000, 0.8)
