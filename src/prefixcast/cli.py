@@ -24,6 +24,9 @@ from . import dynamism, evaluation, rttsim, selectors, trace
 USAGE_ERROR = 1
 DATA_ERROR = 2
 
+# ingest derives at most a leap year of hourly bins; a longer grid needs --bins
+MAX_DERIVED_BINS = 8784
+
 
 class _UsageError(Exception):
     pass
@@ -89,6 +92,11 @@ def _cmd_ingest(args) -> int:
             start = (min(stamps) // args.bin_seconds) * args.bin_seconds
         if bins is None:
             bins = (max(stamps) - start) // args.bin_seconds + 1
+            if bins > MAX_DERIVED_BINS:
+                raise ValueError(
+                    f"the records span {bins} bins, more than the {MAX_DERIVED_BINS} "
+                    "(a leap year of hours) derived without --bins; pass --bins"
+                )
     grid = trace.TimeGrid(start=start, bin_seconds=args.bin_seconds, bin_count=bins)
 
     policy = "raise" if args.on_error == "abort" else "count"
@@ -356,18 +364,25 @@ def _read_selection_csv(path: Path, m: trace.HourlyTraceMatrix, threshold: float
         h, i = divmod(int(twice[0]), len(m))
         raise ValueError(f"{path}: duplicate prefix {m.prefixes[i]} in hour {h}")
 
-    # ranks may exceed int64, so they sort by their place among the distinct values
-    place = {r: pos for pos, r in enumerate(sorted(set(ranks)))}
-    rank = np.array([place[r] for r in ranks], dtype=np.int64)[rank_codes]
-    order = np.lexsort((index, score, rank, hour))
-    cuts = np.searchsorted(hour[order], np.arange(3, m.bin_count + 1))
+    # each hour's ranks, sorted, must read 1..n with n <= K; a rank outside
+    # 1..K reads as 0, which never fits, so a huge one never meets int64
+    size = configs[0].size
+    rank = np.array([r if 1 <= r <= size else 0 for r in ranks], dtype=np.int64)[rank_codes]
+    order = np.lexsort((rank, hour))
+    hour, rank = hour[order], rank[order]
+    starts = np.searchsorted(hour, np.arange(2, m.bin_count + 2))
+    misplaced = np.flatnonzero(rank != np.arange(1, len(rank) + 1) - starts[hour - 2])
+    if misplaced.size:
+        raise ValueError(
+            f"{path}: hour {hour[misplaced[0]]}: ranks must run 1..n with n <= K={size}"
+        )
     return selectors.SelectionRun(
         config=configs[0],
         threshold=threshold,
         prefixes=m.prefixes,
         hours=np.arange(2, m.bin_count + 1, dtype=np.int64),
-        picks=np.split(index[order], cuts),
-        scores=np.split(score[order], cuts),
+        picks=np.split(index[order], starts[1:-1]),
+        scores=np.split(score[order], starts[1:-1]),
     )
 
 

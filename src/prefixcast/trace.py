@@ -530,20 +530,25 @@ def load_matrix(csv_path: str | Path) -> HourlyTraceMatrix:
     """Load a matrix written by ``save_matrix``.
 
     Each line is one unquoted ``prefix,h1,...,hN`` row.  Cells must be
-    plain decimal int64 (or float, per the sidecar's ``dtype``).  A cell
+    plain decimal int64 or float, per the sidecar's ``dtype`` (``"int"``
+    when absent, ``"float"``; any other value raises).  A cell
     that does not parse or a row of the wrong width raises ValueError
     naming the prefix; a ``HourlyTraceMatrix`` error is raised again
     naming the CSV.
     """
     csv_path = Path(csv_path)
-    with open(_meta_path_for(csv_path)) as fh:
+    meta_path = _meta_path_for(csv_path)
+    with open(meta_path) as fh:
         meta = json.load(fh)
     grid = TimeGrid(
         start=int(meta["start"]),
         bin_seconds=int(meta["bin_seconds"]),
         bin_count=int(meta["bin_count"]),
     )
-    dtype = np.int64 if meta.get("dtype", "int") == "int" else np.float64
+    kind = meta.get("dtype", "int")
+    if kind not in ("int", "float"):
+        raise ValueError(f"{meta_path}: unknown dtype {kind!r}, expected 'int' or 'float'")
+    dtype = np.int64 if kind == "int" else np.float64
 
     with open(csv_path) as fh:
         if fh.readline().rstrip("\n") != ",".join(["prefix", *(f"h{h}" for h in grid.hours())]):

@@ -38,13 +38,16 @@ def flows_csv(tmp_path):
     return path
 
 
-def write_int_matrix(directory: Path, rows: list[str]) -> Path:
-    """A hand-written two-hour int ``matrix.csv`` with its JSON sidecar."""
+def write_int_matrix(directory: Path, rows: list[str], dtype="int") -> Path:
+    """A hand-written ``matrix.csv``, as wide as its first row, with its
+    JSON sidecar."""
+    bins = rows[0].count(",")
     (directory / "matrix.json").write_text(
-        json.dumps({"start": 0, "bin_seconds": 3600, "bin_count": 2, "dtype": "int"})
+        json.dumps({"start": 0, "bin_seconds": 3600, "bin_count": bins, "dtype": dtype})
     )
     path = directory / "matrix.csv"
-    path.write_text("prefix,h1,h2\n" + "".join(f"{row}\n" for row in rows))
+    header = ",".join(["prefix", *(f"h{h}" for h in range(1, bins + 1))])
+    path.write_text(header + "\n" + "".join(f"{row}\n" for row in rows))
     return path
 
 
@@ -64,6 +67,23 @@ class TestIngest:
         assert main(["ingest", str(flows_csv), "--out", str(out)]) == 0
         m = load_matrix(out / "matrix.csv")
         assert m.grid.start == 0 and m.grid.bin_count == 2
+
+    def test_derived_grid_beyond_a_leap_year_is_data_error(self, tmp_path, capsys, monkeypatch):
+        from prefixcast import trace
+
+        flows = tmp_path / "flows.csv"
+        flows.write_text(f"timestamp,prefix,bytes\n0,10.0.0.0/8,5\n{10**15},10.0.0.0/8,5\n")
+        # the bound applies to the derived count, before any grid is allocated
+        monkeypatch.setattr(trace, "bin_records", lambda *args, **kw: pytest.fail("binned"))
+        assert main(["ingest", str(flows), "--out", str(tmp_path / "stage")]) == 2
+        err = capsys.readouterr().err
+        assert "more than the 8784" in err and "pass --bins" in err
+
+    def test_derived_grid_up_to_a_leap_year(self, tmp_path):
+        flows = tmp_path / "flows.csv"
+        flows.write_text(f"timestamp,prefix,bytes\n0,10.0.0.0/8,5\n{8783 * 3600},10.0.0.0/8,5\n")
+        assert main(["ingest", str(flows), "--out", str(tmp_path)]) == 0
+        assert load_matrix(tmp_path / "matrix.csv").grid.bin_count == 8784
 
     def test_missing_header_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -159,12 +179,32 @@ class TestSynthAnalyze:
         (["10.0.0.0/24,9223372036854775807,0", "10.0.1.0/24,1,1"], "total of hour 1"),
         (["10.0.0.0/24,1,1", "10.0.1.0/24,9223372036854775808,0"], "'10.0.1.0/24'"),
         (["10.0.0.0/24,1_000,0"], "'10.0.0.0/24'"),
+        # rows are unquoted: a quoted prefix or cell is not unquoted
+        (["10.0.0.0/24,1,1", '"10.0.1.0/24",5,5'], """'"10.0.1.0/24"'"""),
+        (["10.0.0.0/24,1,1", '10.0.1.0/24,"5",5'], "'10.0.1.0/24'"),
     ])
     def test_bad_int_matrix_is_data_error(self, tmp_path, capsys, rows, named):
         path = write_int_matrix(tmp_path, rows)
         assert main(["analyze", "--matrix", str(path), "--out", str(tmp_path)]) == 2
         assert named in capsys.readouterr().err
         assert not (tmp_path / "summary.json").exists()
+
+    @pytest.mark.parametrize("dtype", ["bogus", "Int", None])
+    def test_unknown_sidecar_dtype_is_data_error(self, tmp_path, capsys, dtype):
+        rows = ["10.0.0.0/24,1,2,3", "10.0.1.0/24,5,4,3"]
+        path = write_int_matrix(tmp_path, rows, dtype=dtype)
+        assert main(["analyze", "--matrix", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "matrix.json" in err and f"unknown dtype {dtype!r}" in err
+        assert not (tmp_path / "summary.json").exists()
+
+    def test_sidecar_without_dtype_reads_int(self, tmp_path):
+        path = write_int_matrix(tmp_path, ["10.0.0.0/24,1,2,3", "10.0.1.0/24,5,4,3"])
+        meta = read_json(tmp_path / "matrix.json")
+        del meta["dtype"]
+        (tmp_path / "matrix.json").write_text(json.dumps(meta))
+        assert main(["analyze", "--matrix", str(path), "--out", str(tmp_path)]) == 0
+        assert [row[1] for row in read_csv(tmp_path / "hours.csv")[1:]] == ["6", "6", "6"]
 
 
 class TestSelectEvaluate:
@@ -349,6 +389,26 @@ class TestSelectEvaluate:
                      "--selection", str(path), "--out", out]) == 2
         err = capsys.readouterr().err
         assert str(path) in err and all(text in err for text in named)
+        assert not (trace_dir / "evaluation_summary.json").exists()
+
+    @pytest.mark.parametrize("size, picks, hour", [
+        (1, [(2, "0"), (2, "0"), (3, "-7")], 2),
+        (3, [(2, "1"), (2, "3"), (3, "1")], 2),
+        (3, [(2, "1"), (3, "1"), (3, "1")], 3),
+        (1, [(2, "1"), (3, "1"), (3, "2")], 3),
+        (3, [(2, "1"), (2, str(2**70))], 2),
+    ], ids=["ranked 0 0 and -7 for K=1", "gap", "repeat", "more than K", "beyond int64"])
+    def test_bad_ranks_rejected(self, trace_dir, capsys, size, picks, hour):
+        out = str(trace_dir)
+        path = trace_dir / "selection_mean_volume_L1.csv"
+        path.write_text("hour,rank,prefix,score,method,L,K\n" + "".join(
+            f"{h},{rank},10.0.{k}.0/24,5.0,mean_volume,1,{size}\n"
+            for k, (h, rank) in enumerate(picks)
+        ))
+        assert main(["evaluate", "--matrix", f"{out}/matrix.csv",
+                     "--selection", str(path), "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and f"hour {hour}: ranks must run 1..n with n <= K={size}" in err
         assert not (trace_dir / "evaluation_summary.json").exists()
 
     def test_missing_selection_names_stage(self, trace_dir, capsys):
