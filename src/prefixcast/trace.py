@@ -522,19 +522,19 @@ def save_matrix(m: HourlyTraceMatrix, csv_path: str | Path) -> None:
         fh.write("\n")
 
 
-def _parse_cells(texts: Sequence[str], dtype) -> np.ndarray:
-    return np.loadtxt(texts, delimiter=",", dtype=dtype, comments=None, ndmin=2)
+def _parse_cells(rows: list[str], dtype) -> np.ndarray:
+    return np.loadtxt(rows, delimiter=",", dtype=dtype, comments=None, ndmin=2)
 
 
 def load_matrix(csv_path: str | Path) -> HourlyTraceMatrix:
     """Load a matrix written by ``save_matrix``.
 
     Each line is one unquoted ``prefix,h1,...,hN`` row.  Cells must be
-    plain decimal int64 or float, per the sidecar's ``dtype`` (``"int"``
-    when absent, ``"float"``; any other value raises).  A cell
-    that does not parse or a row of the wrong width raises ValueError
-    naming the prefix; a ``HourlyTraceMatrix`` error is raised again
-    naming the CSV.
+    plain decimal int64 or float, as the sidecar's ``dtype`` says:
+    ``"int"`` (also when absent) or ``"float"``; any other value raises.
+    A cell that does not parse or a row of the wrong width raises
+    ValueError naming the prefix; a ``HourlyTraceMatrix`` error is
+    raised again naming the CSV.
     """
     csv_path = Path(csv_path)
     meta_path = _meta_path_for(csv_path)

@@ -310,14 +310,14 @@ class TestMatrixModel:
         with pytest.raises(ValueError, match="negative volume in series for 10.2.3.0/24"):
             HourlyTraceMatrix(grid, [P8, P24], [[1, 2], [3, -1]])
 
-    @pytest.mark.parametrize("values, hour", [
+    @pytest.mark.parametrize("series, hour", [
         ([[0, 2**63 - 1], [1, 1]], 2),
         ([[1.0, 1e308, 1.0], [0.0, 1e308, 0.0]], 2),
     ])
-    def test_hour_total_beyond_dtype_range_rejected_naming_hour(self, values, hour):
-        grid = TimeGrid(start=0, bin_seconds=3600, bin_count=len(values[0]))
+    def test_hour_total_beyond_dtype_range_rejected_naming_hour(self, series, hour):
+        grid = TimeGrid(start=0, bin_seconds=3600, bin_count=len(series[0]))
         with pytest.raises(ValueError, match=f"total of hour {hour} exceeds"):
-            HourlyTraceMatrix(grid, [P8, P16], values)
+            HourlyTraceMatrix(grid, [P8, P16], series)
 
     def test_hour_mapping(self):
         grid = TimeGrid(start=0, bin_seconds=3600, bin_count=2)
