@@ -224,7 +224,7 @@ def _cmd_analyze(args) -> int:
         "threshold": args.threshold,
         "bins": m.bin_count,
         "active_prefixes": len(m),
-        "total_volume": float(m.totals.sum()),
+        "total_volume": float(m.totals.sum(dtype=np.float64)),
     }
     _write_json(out / "summary.json", summary)
     print(
@@ -261,10 +261,25 @@ def _write_selection(out: Path, run: selectors.SelectionRun) -> Path:
     return path
 
 
+def _config_entry(path, entry, size: int) -> selectors.SelectorConfig:
+    """One ``--config`` entry: an object whose ``window`` and optional
+    ``size`` are JSON integers, else a data error naming the entry."""
+    if not isinstance(entry, dict):
+        raise ValueError(f"{path}: entry {entry!r} is not an object")
+    fields = {"window": entry.get("window"), "size": entry.get("size", size)}
+    try:
+        for key, value in fields.items():
+            if type(value) is not int:  # not bool, and no float for int() to truncate
+                raise ValueError(f"{key} must be a JSON integer, got {json.dumps(value)}")
+        return selectors.SelectorConfig(method=entry.get("method"), **fields)
+    except ValueError as exc:
+        raise ValueError(f"{path}: entry {entry}: {exc}") from None
+
+
 def _selector_configs(
     profile, size, *, grid=False, config=None, method=None, window=1
 ) -> list[selectors.SelectorConfig]:
-    """The configurations to run: each entry of the JSON file ``config``,
+    """The configurations to run: each entry of the JSON list ``config``,
     every method x canonical window with ``grid``, or ``method`` alone.
     K defaults to the largest hourly core.  Two entries that would write
     the same selection file are a data error."""
@@ -272,14 +287,9 @@ def _selector_configs(
     if config:
         with open(config) as fh:
             entries = json.load(fh)
-        configs = [
-            selectors.SelectorConfig(
-                method=e["method"],
-                window=int(e["window"]),
-                size=int(e.get("size", size)),
-            )
-            for e in entries
-        ]
+        if not isinstance(entries, list):
+            raise ValueError(f"{config}: expected a JSON list of selector objects")
+        configs = [_config_entry(config, e, size) for e in entries]
         names = [_selection_name(c) for c in configs]
         for pos, name in enumerate(names):
             if name in names[:pos]:

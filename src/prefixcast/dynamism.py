@@ -308,7 +308,7 @@ def concentration_curve(m: HourlyTraceMatrix, span="week") -> ConcentrationCurve
     """
     label, hours = _span_hours(m, span)
     cols = [h - 1 for h in hours]
-    weights = m.values[:, cols].sum(axis=1).astype(np.float64)
+    weights = m.values[:, cols].sum(axis=1, dtype=np.float64)
     total = float(weights.sum())
     if total <= 0:
         raise ValueError(f"zero-volume span {label}")
@@ -348,7 +348,7 @@ _BIN_EDGES_PCT = [1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0]
 def prefix_shares_and_cv(m: HourlyTraceMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Per-prefix weekly volume share in percent of the window's total, and
     the coefficient of variation of each hourly series (divide-by-N)."""
-    shares_pct = 100.0 * m.values.sum(axis=1).astype(np.float64) / float(m.totals.sum())
+    shares_pct = 100.0 * m.values.sum(axis=1, dtype=np.float64) / m.totals.sum(dtype=np.float64)
     values = m.values.astype(np.float64)
     return shares_pct, values.std(axis=1) / values.mean(axis=1)
 

@@ -125,19 +125,20 @@ class TimeGrid:
 
 
 class HourlyTraceMatrix:
-    """Immutable per-prefix binned volume matrix with per-bin totals.
+    """Immutable per-prefix byte-count matrix with per-bin totals.
 
-    Built from prefixes and a (prefixes, bins) array; rows are stored in
-    canonical prefix text order.  All-zero rows are dropped, so every
-    stored prefix was active at least once.  An empty matrix or a prefix
-    listed twice raises.  An integer array is stored as int64 (binned
-    real traces, exact totals), any other as float64 (synthetic traces).
+    Built from prefixes and a (prefixes, bins) integer array, stored as
+    int64 in canonical prefix text order.  All-zero rows are dropped, so
+    every stored prefix was active at least once.  Only hourly totals are
+    bounded to int64, so sum across hours in float64.
     """
 
     __slots__ = ("grid", "prefixes", "values", "totals", "_index")
 
     def __init__(self, grid: TimeGrid, prefixes: Sequence[Prefix], values):
         values = np.asarray(values)
+        if values.dtype.kind not in "iu" or not np.can_cast(values.dtype, np.int64):
+            raise ValueError(f"volumes must be int64 byte counts, got a {values.dtype} array")
         if values.shape != (len(prefixes), grid.bin_count):
             raise ValueError(f"values have shape {values.shape}, "
                              f"expected ({len(prefixes)}, {grid.bin_count})")
@@ -150,34 +151,19 @@ class HourlyTraceMatrix:
         if not order.size:
             raise ValueError("no active prefixes")
 
-        dtype = np.int64 if np.issubdtype(values.dtype, np.integer) else np.float64
-        values = values[order].astype(dtype, copy=False)
+        values = values[order].astype(np.int64, copy=False)
         prefixes = tuple(prefixes[i] for i in order.tolist())
-        # NaN fails every comparison, so test for the valid range, not
-        # against it; all-zero rows are already dropped, so a bad cell
-        # always sits in a kept row
-        valid = np.isfinite(values) & (values >= 0)
-        if not valid.all():
-            bad = int(np.flatnonzero(~valid.all(axis=1))[0])
-            kind = "negative" if (values[bad] < 0).any() else "non-finite"
-            raise ValueError(f"{kind} volume in series for {prefixes[bad]}")
+        negative = (values < 0).any(axis=1)
+        if negative.any():
+            raise ValueError(f"negative volume in series for {prefixes[negative.argmax()]}")
         values.setflags(write=False)
-        # cells are finite and >= 0, so a total can only leave the dtype's
-        # range: float64 overflows to inf, int64 wraps without a warning
-        with np.errstate(over="ignore"):
-            totals = values.sum(axis=0, dtype=np.float64)
-        if dtype is np.int64:
-            # a float sum is within a factor 2 of the exact one, so only
-            # hours near the limit need the exact Python-int sum
-            near = np.flatnonzero(totals >= 2.0**62)
-            over = [h for h in near if sum(values[:, h].tolist()) > _INT64_MAX]
-            totals = values.sum(axis=0)
-        else:
-            over = np.flatnonzero(~np.isfinite(totals))
-        if len(over):
-            raise ValueError(
-                f"total of hour {over[0] + 1} exceeds the {values.dtype} range"
-            )
+        # an int64 sum wraps silently; a float sum is within a factor 2 of
+        # the exact one, so only hours near 2^63 need an exact Python sum
+        near = np.flatnonzero(values.sum(axis=0, dtype=np.float64) >= 2.0**62)
+        over = [h for h in near if sum(values[:, h].tolist()) > _INT64_MAX]
+        if over:
+            raise ValueError(f"total of hour {over[0] + 1} exceeds the int64 range")
+        totals = values.sum(axis=0)
         totals.setflags(write=False)
 
         self.grid = grid
@@ -203,12 +189,12 @@ class HourlyTraceMatrix:
         """Hourly volume series v(P) for one prefix (read-only view)."""
         return self.values[self._index[prefix]]
 
-    def hour(self, h: int) -> dict[Prefix, float]:
+    def hour(self, h: int) -> dict[Prefix, int]:
         """Per-prefix volumes of bin h as a mapping (copies)."""
         col = self.values[:, self._col(h)]
         return {p: col[i].item() for i, p in enumerate(self.prefixes)}
 
-    def total(self, h: int) -> float:
+    def total(self, h: int) -> int:
         """Total volume of bin h."""
         return self.totals[self._col(h)].item()
 
@@ -225,8 +211,8 @@ class HourlyTraceMatrix:
 @dataclass(frozen=True)
 class IngestSummary:
     """Tally of an ingestion run; volume is conserved exactly:
-    bytes_binned + bytes_rejected equals the sum of all parseable record
-    volumes (unparseable volumes cannot be counted)."""
+    bytes_binned + bytes_rejected equals the sum of all non-negative
+    parseable record volumes."""
 
     records_read: int
     records_binned: int
@@ -301,9 +287,9 @@ def bin_records(
             else:
                 if len(rec) != 3:
                     raise ValueError(f"expected 3 fields, got {len(rec)}")
-                volume = int(rec[2])
-                if volume < 0:
-                    raise ValueError(f"negative volume {volume}")
+                if (parsed := int(rec[2])) < 0:
+                    raise ValueError(f"negative volume {parsed}")
+                volume = parsed  # only now, so a negative volume's bytes are not counted
                 if volume > _INT64_MAX:
                     raise ValueError(f"volume {volume} exceeds the int64 range")
                 ts = int(rec[0])
@@ -350,10 +336,10 @@ def bin_records(
 
 def weekly_volume_fraction(m: HourlyTraceMatrix, prefix: Prefix) -> float:
     """Fraction of the window's total volume carried by one prefix."""
-    total = float(m.totals.sum())
+    total = float(m.totals.sum(dtype=np.float64))
     if total <= 0:
         raise ValueError("degenerate trace: zero total volume")
-    return float(m.series(prefix).sum()) / total
+    return float(m.series(prefix).sum(dtype=np.float64)) / total
 
 
 def zipf_shares(n: int, s: float) -> np.ndarray:
@@ -430,7 +416,8 @@ class SyntheticTraceSpec:
 
 
 def synthesize_trace(spec: SyntheticTraceSpec, grid: TimeGrid) -> HourlyTraceMatrix:
-    """Generate a deterministic synthetic trace on the given grid."""
+    """Generate a deterministic synthetic trace on the given grid, in whole
+    bytes; a cell of 2^63 or more, or NaN, raises ValueError."""
     for b in spec.bursts:
         if b.rank > spec.prefix_count:
             raise ValueError(f"burst rank {b.rank} exceeds prefix_count")
@@ -449,9 +436,16 @@ def synthesize_trace(spec: SyntheticTraceSpec, grid: TimeGrid) -> HourlyTraceMat
         )
     for b in spec.bursts:
         values[b.rank - 1, b.hour - 1] *= b.multiplier
+    values = np.rint(values)
+    # an out-of-range cast to int64 only warns; the negated test catches NaN
+    beyond = np.argwhere(~(values < 2.0**63))
+    if beyond.size:
+        row, col = beyond[0].tolist()
+        raise ValueError(f"synthetic volume of {synthetic_prefix(row + 1)} at hour {col + 1} "
+                         f"is {values[row, col]:.6g} bytes, beyond the int64 range")
 
     prefixes = [synthetic_prefix(k) for k in range(1, spec.prefix_count + 1)]
-    return HourlyTraceMatrix(grid, prefixes, values)
+    return HourlyTraceMatrix(grid, prefixes, values.astype(np.int64))
 
 
 def iter_trace_csv(path: str | Path) -> Iterator[tuple]:
@@ -497,17 +491,14 @@ def _meta_path_for(csv_path: Path) -> Path:
 
 def save_matrix(m: HourlyTraceMatrix, csv_path: str | Path) -> None:
     """Persist a matrix as columnar CSV `prefix,h1,...,hN` plus a JSON
-    sidecar beside it (`<name>.json`).  Cells are plain decimal: ``str``
-    of an int, ``repr`` of a float, which reads back exactly."""
+    sidecar beside it (`<name>.json`) holding the grid.  Cells are plain
+    decimal int64."""
     csv_path = Path(csv_path)
-    integral = np.issubdtype(m.values.dtype, np.integer)
-    cell = str if integral else repr
-
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["prefix"] + [f"h{h}" for h in m.grid.hours()])
         writer.writerows(
-            [prefix.text, *map(cell, row)]
+            [prefix.text, *map(str, row)]
             for prefix, row in zip(m.prefixes, m.values.tolist())
         )
 
@@ -515,26 +506,24 @@ def save_matrix(m: HourlyTraceMatrix, csv_path: str | Path) -> None:
         "start": m.grid.start,
         "bin_seconds": m.grid.bin_seconds,
         "bin_count": m.grid.bin_count,
-        "dtype": "int" if integral else "float",
     }
     with open(_meta_path_for(csv_path), "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def _parse_cells(rows: list[str], dtype) -> np.ndarray:
-    return np.loadtxt(rows, delimiter=",", dtype=dtype, comments=None, ndmin=2)
+def _parse_cells(rows: list[str]) -> np.ndarray:
+    return np.loadtxt(rows, delimiter=",", dtype=np.int64, comments=None, ndmin=2)
 
 
 def load_matrix(csv_path: str | Path) -> HourlyTraceMatrix:
     """Load a matrix written by ``save_matrix``.
 
-    Each line is one unquoted ``prefix,h1,...,hN`` row.  Cells must be
-    plain decimal int64 or float, as the sidecar's ``dtype`` says:
-    ``"int"`` (also when absent) or ``"float"``; any other value raises.
-    A cell that does not parse or a row of the wrong width raises
-    ValueError naming the prefix; a ``HourlyTraceMatrix`` error is
-    raised again naming the CSV.
+    Each line is one unquoted ``prefix,h1,...,hN`` row of plain decimal
+    int64 cells.  A sidecar ``dtype`` other than ``"int"`` raises.  A cell
+    that does not parse or a row of the wrong width raises ValueError
+    naming the prefix; a ``HourlyTraceMatrix`` error is raised again
+    naming the CSV.
     """
     csv_path = Path(csv_path)
     meta_path = _meta_path_for(csv_path)
@@ -546,9 +535,9 @@ def load_matrix(csv_path: str | Path) -> HourlyTraceMatrix:
         bin_count=int(meta["bin_count"]),
     )
     kind = meta.get("dtype", "int")
-    if kind not in ("int", "float"):
-        raise ValueError(f"{meta_path}: unknown dtype {kind!r}, expected 'int' or 'float'")
-    dtype = np.int64 if kind == "int" else np.float64
+    if kind != "int":
+        raise ValueError(f"{meta_path}: unknown dtype {kind!r}; cells are int64 bytes, "
+                         "so re-run synth to rewrite a float matrix")
 
     with open(csv_path) as fh:
         if fh.readline().rstrip("\n") != ",".join(["prefix", *(f"h{h}" for h in grid.hours())]):
@@ -564,15 +553,15 @@ def load_matrix(csv_path: str | Path) -> HourlyTraceMatrix:
         except ValueError as exc:
             raise ValueError(f"{csv_path}: bad row for {name!r}: {exc}") from None
 
-    values = np.empty((0, grid.bin_count))
+    values = np.empty((0, grid.bin_count), dtype=np.int64)
     try:
         if rows:
-            values = _parse_cells([text for _, text in rows], dtype)
+            values = _parse_cells([text for _, text in rows])
     except ValueError as exc:
         # name the row; only this error path parses row by row
         for name, text in rows:
             try:
-                _parse_cells([text], dtype)
+                _parse_cells([text])
             except ValueError as row_exc:
                 raise ValueError(f"{csv_path}: bad row for {name!r}: {row_exc}") from None
         raise ValueError(f"{csv_path}: {exc}") from None

@@ -321,7 +321,7 @@ def test_c07_burst_sensitivity():
     )
     # previously idle prefix suddenly carries 50% of the burst hour
     newcomer = Prefix.parse("10.200.0.0/24")
-    spike = np.zeros(grid.bin_count)
+    spike = np.zeros(grid.bin_count, dtype=np.int64)
     spike[burst_hour - 1] = base.total(burst_hour)
     bursty = HourlyTraceMatrix(grid, [*base.prefixes, newcomer], np.vstack([base.values, spike]))
 

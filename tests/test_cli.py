@@ -156,6 +156,31 @@ class TestSynthAnalyze:
                      "--out", out]) == 0
         assert (tmp_path / "concentration_day_3.csv").exists()
 
+    def test_synth_rounds_to_whole_bytes(self, tmp_path):
+        assert main(["synth", "--prefixes", "3", "--bins", "2", "--noise", "0.5",
+                     "--out", str(tmp_path)]) == 0
+        cells = [cell for row in read_csv(tmp_path / "matrix.csv")[1:] for cell in row[1:]]
+        assert all(cell.isdigit() for cell in cells)
+
+    def test_week_total_beyond_int64_does_not_wrap(self, tmp_path):
+        # each hour fits int64, the week's 1.68e19 bytes do not
+        out = str(tmp_path)
+        assert main(["synth", "--prefixes", "3", "--hourly-volume", "1e17", "--out", out]) == 0
+        assert main(["analyze", "--matrix", f"{out}/matrix.csv", "--out", out]) == 0
+        assert read_json(tmp_path / "summary.json")["total_volume"] == pytest.approx(1.68e19)
+        shares = [float(row[1]) for row in read_csv(tmp_path / "prefixes.csv")[1:]]
+        assert sum(shares) == pytest.approx(100.0)
+        assert all(0 < share < 100 for share in shares)
+
+    def test_synth_cell_beyond_int64_is_data_error(self, tmp_path, capsys):
+        out = tmp_path / "stage"
+        assert main(["synth", "--prefixes", "1", "--hourly-volume", "1e19",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "10.0.0.0/24 at hour 1 is 1e+19 bytes, beyond the int64 range" in err
+        assert "Traceback" not in err
+        assert not (out / "matrix.csv").exists()
+
     def test_missing_matrix_names_stage(self, tmp_path, capsys):
         assert main(["analyze", "--matrix", f"{tmp_path}/nope.csv", "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
@@ -189,13 +214,15 @@ class TestSynthAnalyze:
         assert named in capsys.readouterr().err
         assert not (tmp_path / "summary.json").exists()
 
-    @pytest.mark.parametrize("dtype", ["bogus", "Int", None])
+    # "float" is what a matrix written by an older synth names
+    @pytest.mark.parametrize("dtype", ["bogus", "Int", None, "float"])
     def test_unknown_sidecar_dtype_is_data_error(self, tmp_path, capsys, dtype):
         rows = ["10.0.0.0/24,1,2,3", "10.0.1.0/24,5,4,3"]
         path = write_int_matrix(tmp_path, rows, dtype=dtype)
         assert main(["analyze", "--matrix", str(path), "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert "matrix.json" in err and f"unknown dtype {dtype!r}" in err
+        assert "re-run synth" in err
         assert not (tmp_path / "summary.json").exists()
 
     def test_sidecar_without_dtype_reads_int(self, tmp_path):
@@ -311,6 +338,30 @@ class TestSelectEvaluate:
         assert "selection_mean_volume_L4.csv" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("entries, named", [
+        ({"method": "gm11", "window": 6}, "expected a JSON list of selector objects"),
+        ([{"method": "gm11", "window": 6}, "gm11"], "entry 'gm11' is not an object"),
+        ([{"method": "gm11", "window": None}], "window must be a JSON integer, got null"),
+        ([{"method": "gm11", "window": 1.7}], "window must be a JSON integer, got 1.7"),
+        ([{"method": "gm11", "window": 2, "size": True}],
+         "size must be a JSON integer, got true"),
+        ([{"method": "gm11"}], "window must be a JSON integer, got null"),
+        ([{"method": "gm12", "window": 2}], "unknown method 'gm12'"),
+        ([{"method": "gm11", "window": 0}], "window must be >= 1"),
+    ], ids=["object", "entry not an object", "null window", "float window", "bool size",
+            "no window", "unknown method", "window 0"])
+    def test_bad_config_rejected(self, tmp_path, trace_dir, capsys, entries, named):
+        cfg = tmp_path / "selectors.json"
+        cfg.write_text(json.dumps(entries))
+        out = tmp_path / "select"
+        assert main(["select", "--matrix", f"{trace_dir}/matrix.csv",
+                     "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert str(cfg) in err and named in err
+        if isinstance(entries, list):
+            assert repr(entries[-1]) in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("method", METHODS)
     def test_selection_csv_round_trip(self, tmp_path, method):
         rng = np.random.default_rng(8)
@@ -334,18 +385,16 @@ class TestSelectEvaluate:
     @given(
         seed=st.integers(0, 2**32 - 1),
         shape=st.tuples(st.integers(1, 8), st.integers(2, 12)),
-        integral=st.booleans(),
         method=st.sampled_from(METHODS),
         window=st.integers(1, 12),
         size=st.integers(1, 8),
     )
     def test_selection_csv_round_trip_property(
-        self, tmp_path_factory, seed, shape, integral, method, window, size
+        self, tmp_path_factory, seed, shape, method, window, size
     ):
         rng = np.random.default_rng(seed)
         values = rng.lognormal(10.0, 3.0, size=shape) * (rng.random(shape) < 0.6)
-        if integral:
-            values = np.round(values).astype(np.int64)
+        values = np.round(values).astype(np.int64)
         values[0, 0] += 1
         m = HourlyTraceMatrix(
             TimeGrid(start=0, bin_count=shape[1]),

@@ -219,7 +219,7 @@ class TestBurstinessVsCoverage:
             SyntheticTraceSpec(prefix_count=50, noise=0.2, seed=4), grid
         )
         # same trace plus one violent burst from a previously idle prefix
-        burst = np.zeros(48)
+        burst = np.zeros(48, dtype=np.int64)
         burst[30] = calm.total(31)  # doubles that hour
         bursty = HourlyTraceMatrix(
             grid, [*calm.prefixes, Prefix.parse("10.99.0.0/24")], np.vstack([calm.values, burst])

@@ -4,7 +4,8 @@ C10 only checks that two runs agree with each other; this test pins what
 they produce, so a refactor cannot change a result silently.  It runs the
 same pipeline as C10 (``run_pipeline``) and compares the sha256 of every
 output file against the pins below.  A change that is meant to alter an
-output updates its pin here and says why in CHANGES.md.
+output updates its pin here and says why in CHANGES.md; on a mismatch the
+failure lists each changed file with its new digest, as a line of PINS.
 """
 
 import hashlib
@@ -20,56 +21,56 @@ FLOWS = (
 )
 
 PINS = {
-    "concentration_week.csv": "08a4f9ebfe9248089f0affbb1c9cc4e067d5da8c96b1e73361906fda8a33c830",
-    "cv_bins.csv": "56c494f0ac15f82806033b55f972962e0d8bae619d5235b63297d3976f8a6f3e",
-    "evaluation_summary.json": "a2c3fd7a52454cb5bfcf2b941f9b5c0b97368c7d2b4eb42b2d0ca93628826a87",
-    "grid_summary.csv": "af32b962684fff8db8c09c082eb36e0fac2e3c218449c7a3b084f93d8c967732",
-    "grid_summary.json": "f4e1640864037d2ba8895bc373ba2b316d31a7bf56f36ccf54ea04dcf7b9c7f5",
-    "hours.csv": "f9718e9e935a56e59c27c65c4047abb16dff5a848b8832333ac94faa9a3e847e",
+    "concentration_week.csv": "03c573de240e75664b8ec678f037165876feede0f438d6a7b07ccf14065a76a5",
+    "cv_bins.csv": "e634134b5aaa0d2c6f3ce83bb0cfa0dc61b347de7d22ca649eea83643e1ef788",
+    "evaluation_summary.json": "6ab232275cceeca10fa2192aaacbbd1133a221f43168eaff1eb1e3e908ba3a10",
+    "grid_summary.csv": "da040c343270924865d1a35446137e0012f9d650dd4b7cea78fb85b13313cb7a",
+    "grid_summary.json": "a838a0134d1d868251657fcc833696067d502676f977f696ea93d79d41c2e146",
+    "hours.csv": "c840156ddd01f4f2bb3ae5743e8e018b6435a7b83f6b464d791b7d81c64e99c3",
     "icp_bins.csv": "747b66c08416976acdda498b2531ce538163d0db164459339f7fb8ab8be2a862",
     "ingested/ingest.json": "3a90b905260ce225683cda8702accb773ee37af0033638e14340bfb0d2c12dc3",
     "ingested/matrix.csv": "ba5831a211034cc8c883f68b0daec94dd746cdab02957b5d82415c4b8db2de9d",
-    "ingested/matrix.json": "fa46a94378e7ca6a703f79b575acf0409f73c24b1a435105ef6e420bd265b55e",
-    "matrix.csv": "9696d94ca7ff74a43230d82f4291d63934f2b242a6fca6f756af6d1d2ff01e44",
-    "matrix.json": "b8e09fcb1619748005cbf2b6fb98096ca1b68842e9249c5f98e08aba27c75c81",
+    "ingested/matrix.json": "3b601eae642229172a2a7827e7afafe531d1825db0679c3203d642bc1f57473d",
+    "matrix.csv": "ebdb83de8e8448236b7a9951ec01d387706f25d37759c7ce633199919f35d510",
+    "matrix.json": "25cf0a96a9f2d45299c043ada639043bba075e175d4f19e1191825caadf1c7ce",
     "np.csv": "724b28007b194045e5353309ab4cbc3c6fbbd9ac4084b2309a0b78ba41655189",
     "np_summary.json": "735fbb363bbf76f4d5f89ef040658c80a3c850f614b0c585dde84860d3c0213c",
-    "prefixes.csv": "23ad88a6c6f40cd5a973d6beb43935e99250db8f4fae3373520b5325fa78c36d",
+    "prefixes.csv": "209b0daba5e67f656b80b2f00bd3a84994d37d5557f5dbc15fb27026fb09e465",
     "probe_meta.json": "4ba8084a8fb464a9131f74c2e0bfa39407d729baf0e52112545c59b453906dae",
     "probes.csv": "e5640e3dbbc7a5001d1b62b2d21867a918e1d02c58d773c4f4bb03f0cd04ee35",
-    "report_core_presence_L1.csv": "3c6fe67d3a5058a2bfa594dfe3d1a8149997d918f98afb50d744992b52b5e9e6",
-    "report_core_presence_L12.csv": "45c546cd22934b699312aa1270184ae0561c682a0e5dcdf14bea3ae76355dbc0",
-    "report_core_presence_L168.csv": "230a089db626bcbfbadead22458a8751f6f54b4a53853373e6bb4361908dc2b3",
-    "report_core_presence_L24.csv": "59a7d93ff9212e17b767ab563ee6164f6bcc257bacad300ca30bbe4831ea0687",
-    "report_core_volume_L1.csv": "426512b9bf9804f3cfd37de226b4353b443397244a211dbd819244c707291d14",
-    "report_core_volume_L12.csv": "c44386d3c2cbd63005db27b9b1bc5070ee9a908f22d36a6b587253171aa76b00",
-    "report_core_volume_L168.csv": "068ce3ec8230df22bbd305c069432316e7eec0e19f02e8590f71e6167215567e",
-    "report_core_volume_L24.csv": "a082b2b18a808fbc602102a18fe278cbc88e4a12689ccdbc0f52a93bba5d3350",
-    "report_gm11_L1.csv": "baa047bcb7162104fd511ca32f9c67e6b38d1920fcd2ce24035f190fc507b5ce",
-    "report_gm11_L12.csv": "4506ce9a6a2f60c9378a1c3f2616e9f70fc57129aa386f51f781c715e8e377ea",
-    "report_gm11_L168.csv": "5facf9270cf95d5e05b3bc7deaa5deeaa057ea282f512723fc219892515c4466",
-    "report_gm11_L24.csv": "f2e4993b306e7a55a9374283d9bdde8f11e0ce1892dd2ea756d65934455d671f",
-    "report_mean_volume_L1.csv": "baa047bcb7162104fd511ca32f9c67e6b38d1920fcd2ce24035f190fc507b5ce",
-    "report_mean_volume_L12.csv": "8eb1fc3de8063ec50a3a2d1640681866e5731227f28a6a8bc5e8cd81fe2d0731",
-    "report_mean_volume_L168.csv": "d71dbb1a9f0397b8022bcb2a36be080b2f5da0ca113f74cba14ff3f79a7717b0",
-    "report_mean_volume_L24.csv": "7dae3b193fbeba168a32fcbbe8d426fdb5ad95fe6d136fcc9e91ae01f4719449",
+    "report_core_presence_L1.csv": "5359439922fb64d949e243b6ec0c4c49b87e4b34ccc86466a52dfbfe094016aa",
+    "report_core_presence_L12.csv": "82cfe951d957963efb0868e855c95b6db8236bc120f01238f2e78794b9047e60",
+    "report_core_presence_L168.csv": "6b579335fcbd70b38a06d1a6f6dc6c8c9d4fda51e4fc56cfd4a474c21e7aed7a",
+    "report_core_presence_L24.csv": "0e702edc8ed225b4f2c502dfaab19f328e6fce810de68b20ffdd3fdcbcd19e28",
+    "report_core_volume_L1.csv": "5359439922fb64d949e243b6ec0c4c49b87e4b34ccc86466a52dfbfe094016aa",
+    "report_core_volume_L12.csv": "7f6c60e0d908a7f5a2a1c799b31b910004697c873f084a311f3515b3b67a4891",
+    "report_core_volume_L168.csv": "ad76dd7cf2a86208961747a9ea5a58ed4bc8e735470a7084ff53b2cd8157a246",
+    "report_core_volume_L24.csv": "559a3b27a1c60b99165d965b2cb0923a23ae29ac60c890a904cc425ca50bfba3",
+    "report_gm11_L1.csv": "feba4467cdb6768413eda4b3736bce0f65ab29c3af017b2accd321c839328349",
+    "report_gm11_L12.csv": "1bf843ee59fe9c739d987ed9a8ebcb038ee22f82bb4b55064e0fde7bce73e2fa",
+    "report_gm11_L168.csv": "ded72ee8911ed17ea5a1b2677ee5f261ff24539ca2dc1b3c231512b47ebbefd4",
+    "report_gm11_L24.csv": "3c9471bbb2448f029838ed2554a7827ffe2d141deb9b05969d5d28663a221497",
+    "report_mean_volume_L1.csv": "feba4467cdb6768413eda4b3736bce0f65ab29c3af017b2accd321c839328349",
+    "report_mean_volume_L12.csv": "a4e021805753c9ac2b6f8ba31a748ef5d8e6f8d8c549502f35c1d6a75579b2a2",
+    "report_mean_volume_L168.csv": "17824e43213ba77fe1da895971af8ce8fbb692ac82e43cdc4f7a8526f20abbef",
+    "report_mean_volume_L24.csv": "b38eab4c55008ae1ce118d6b3fadb6074849c5762c915cccd76b6fd5c9908461",
     "selection_core_presence_L1.csv": "3ec464f599a46379b86acec4ad1573a87aafaad14f7ac128a0b65c4ee1e001ae",
     "selection_core_presence_L12.csv": "76772818ef4b345fe2fab740133143513cae9551cbf918ef40bccf44d5f5271d",
     "selection_core_presence_L168.csv": "6e955aad0ced5cc88fedc701731406bbf65ecd5f855b07cc7ae210db5dd8e38b",
     "selection_core_presence_L24.csv": "7d5a7b0b8dfc4d4e0bfdae3e02c8806b87d16c444a9f7bf1bf31e614ec9e9fce",
-    "selection_core_volume_L1.csv": "154d4840287cd06cbae16510a9ae34ea6879cbd2d7958a3a4b86fdf4156c7f25",
-    "selection_core_volume_L12.csv": "7d5e5bfb6f5171de98769ee2bf68af355b9ab110accd5ce2ac24fa30f529f415",
-    "selection_core_volume_L168.csv": "76bcc0f4cd7711d5878a80ff064c9b022eaea634450dd174a849ef3565f8436c",
-    "selection_core_volume_L24.csv": "20ded031a586f139940606a8e4b71eddffe93731b30466911666efad5c47b411",
-    "selection_gm11_L1.csv": "f7afcedefa2e1478d1b7d1b4cac7194b60c7c118f38844de10c937dd61a095f1",
-    "selection_gm11_L12.csv": "82ea4aca1d6ef1a13dc33b69342f39ff20f2f3d0f41831c66aff888408301ba2",
-    "selection_gm11_L168.csv": "1c0570d884c6e1da6e2e011b7ac29991d5ec5b8603f95951bbc3fb6d3744a83f",
-    "selection_gm11_L24.csv": "5388a875631aedd84f5af872f208c9005fd2cea508de30cf060a600883a9adb6",
-    "selection_mean_volume_L1.csv": "c92f71cd61c8f1edb302845a691762c6ded1755a974de3f41511e7a67de3359c",
-    "selection_mean_volume_L12.csv": "0e4d956133d9f8fc4d4e607452e054dec208cd3b0af697280706bd5648d4e8d6",
-    "selection_mean_volume_L168.csv": "d23cb8d05e03d8408377e8fbae6ee7fcf4cfa725fff1a39a1d26f39b1bdf4826",
-    "selection_mean_volume_L24.csv": "310942c068700f7e32552efba07cc8e8fdde5f748d86ef5694a4e7689b4485c1",
-    "summary.json": "209edbddf19aee449791b6af6e8feb2145a7d60b35224b37385680e4de99613b",
+    "selection_core_volume_L1.csv": "e84b4e621c687febda070d68c6cedc8d4deffa1b12cae99e0f5d733d7e3c41cc",
+    "selection_core_volume_L12.csv": "fbc8b73f503def18dc02a03dae9783a308a52e70dc18549509b7089efe31fc3b",
+    "selection_core_volume_L168.csv": "0e764cdc42142998ffd30959a7d76b941e52a90f5670dedf79e7fc15aa3583c2",
+    "selection_core_volume_L24.csv": "d772461aaf9fb0d815528f4cbbe61bdfd11a090563dc80336fe69e2721e5d690",
+    "selection_gm11_L1.csv": "de597f10f29dbef17e92657c20afa0b1d938689b331e640e55aca10ebc57e651",
+    "selection_gm11_L12.csv": "66734776a880b0c387a624824dc67aba9791d480be4c9693d91d8e48b2673212",
+    "selection_gm11_L168.csv": "a4db174d614e0766fcb002987c9cdde940281923b7c6c74f213436d71a457ad4",
+    "selection_gm11_L24.csv": "6c5ee0ec7a473315ebffd2ca9a34cd8bbf55245253ef1e2afc8706ead688d0b8",
+    "selection_mean_volume_L1.csv": "1d4fa755e558fda84df10d3fc334538af9bb7a8ac3149a333e182b422fb84791",
+    "selection_mean_volume_L12.csv": "37283bcb71aed40474fee7d59f5d941e14ca611aef71c90a2b5ab0cae3e6f24d",
+    "selection_mean_volume_L168.csv": "81e19810c72eab8b758d773061d62dcaa5c1d89c3503a8d68f209ddd9e7ba0da",
+    "selection_mean_volume_L24.csv": "adc386cc1eff5da675d14a08f70434bd5ae4d9c1ddd2873251a8e6de274389b5",
+    "summary.json": "5a581f0cc45df772d70174e321a921cf3a0993d6799f1319366f65c188f0b017",
     "synth.json": "d0fb9612fb9cc57b336f64f3e5dbbaf3f478f1f58a7dece15249b27aa4079489",
 }
 
@@ -86,5 +87,7 @@ def test_pipeline_outputs_match_pins(tmp_path):
         if p.is_file()
     }
     assert sorted(digests) == sorted(PINS)
-    changed = sorted(name for name in PINS if digests[name] != PINS[name])
-    assert not changed, f"outputs differ from their pins: {changed}"
+    changed = [name for name in sorted(PINS) if digests[name] != PINS[name]]
+    # each changed pin as a PINS line, so a deliberate re-pin can be pasted
+    repin = "".join(f'    "{name}": "{digests[name]}",\n' for name in changed)
+    assert not changed, f"outputs differ from their pins: {changed}; new digests:\n{repin}"
