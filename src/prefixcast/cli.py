@@ -13,7 +13,6 @@ import argparse
 import json
 import math
 import sys
-from csv import reader as csv_reader
 from csv import writer as csv_writer
 from pathlib import Path
 
@@ -247,17 +246,20 @@ def _selection_name(config: selectors.SelectorConfig) -> str:
 
 
 def _write_selection(out: Path, run: selectors.SelectionRun) -> Path:
+    """One unquoted ``hour,rank,prefix,score,method,L,K`` line per pick:
+    canonical prefixes and method names never need quoting."""
     cfg = run.config
     path = out / _selection_name(cfg)
-    tail = (cfg.method, str(cfg.window), str(cfg.size))
+    tail = f",{cfg.method},{cfg.window},{cfg.size}\n"
+    texts = [p.text for p in run.prefixes]
+    parts = [",".join(SELECTION_HEADER) + "\n"]
+    for hour, picks, scores in zip(run.hours.tolist(), run.picks, run.scores):
+        parts.extend(
+            f"{hour},{rank},{texts[i]},{score!r}{tail}"
+            for rank, (i, score) in enumerate(zip(picks.tolist(), scores.tolist()), start=1)
+        )
     with open(path, "w", newline="") as fh:
-        w = csv_writer(fh, lineterminator="\n")
-        w.writerow(SELECTION_HEADER)
-        for hour, picks, scores in zip(map(str, run.hours.tolist()), run.picks, run.scores):
-            w.writerows(
-                (hour, str(rank), run.prefixes[i].text, repr(score), *tail)
-                for rank, (i, score) in enumerate(zip(picks.tolist(), scores.tolist()), start=1)
-            )
+        fh.write("".join(parts))
     return path
 
 
@@ -327,20 +329,30 @@ def _cmd_select(args) -> int:
 
 
 def _read_selection_csv(path: Path, m: trace.HourlyTraceMatrix, threshold: float):
+    """The run in a selection file as ``_write_selection`` writes it.  Each
+    non-blank line is one unquoted seven-field row; a row of another width,
+    or a field that does not parse (a quoted one too), is a ValueError
+    naming its line."""
     if not path.exists():
         raise ValueError(f"missing selection artifact {path}; run the select stage first")
-    with open(path, newline="") as fh:
-        reader = csv_reader(fh)
-        header = next(reader, None)
+    with open(path) as fh:
+        first = fh.readline()
+        header = first.rstrip("\n").split(",") if first else None
         if header != SELECTION_HEADER:
             raise ValueError(f"{path}: unexpected selection header {header!r}")
-        rows = [(reader.line_num, *row) for row in reader if row]
-    if not rows:
+        body = fh.read().split("\n")
+    lines = [n for n, text in enumerate(body, start=2) if text]
+    if not lines:
         raise ValueError(f"{path}: empty selection file")
-    if set(map(len, rows)) - {len(SELECTION_HEADER) + 1}:
-        line, *row = next(row for row in rows if len(row) != len(SELECTION_HEADER) + 1)
-        raise ValueError(f"{path}: line {line}: bad selection row {row!r}")
-    lines, hour_col, rank_col, prefix_col, score_col, *config_cols = zip(*rows)
+    texts = [body[n - 2] for n in lines]
+    width = len(SELECTION_HEADER)
+    if {text.count(",") for text in texts} != {width - 1}:
+        line, text = next((n, t) for n, t in zip(lines, texts) if t.count(",") != width - 1)
+        raise ValueError(f"{path}: line {line}: bad selection row {text.split(',')!r}")
+    fields = ",".join(texts).split(",")
+    hour_col, rank_col, prefix_col, score_col, *config_cols = (
+        fields[k::width] for k in range(width)
+    )
 
     # each column's distinct texts are parsed once; checks keep this order
     hours, hour_codes = trace.parse_column(hour_col, int, path, lines)
@@ -352,7 +364,11 @@ def _read_selection_csv(path: Path, m: trace.HourlyTraceMatrix, threshold: float
                 "selection was made against a different matrix"
             )
     hour = np.array(hours, dtype=np.int64)[hour_codes]
-    prefixes, prefix_codes = trace.parse_column(prefix_col, trace.Prefix.parse, path, lines)
+    # a text the matrix holds is canonical; only another one is parsed
+    rows_of = m._index
+    canonical, prefix_codes = trace.parse_column(
+        prefix_col, lambda t: t if t in rows_of else trace.Prefix.parse(t).text, path, lines
+    )
     configs, _ = trace.parse_column(
         list(zip(*config_cols)),
         lambda t: selectors.SelectorConfig(method=t[0], window=int(t[1]), size=int(t[2])),
@@ -360,12 +376,17 @@ def _read_selection_csv(path: Path, m: trace.HourlyTraceMatrix, threshold: float
     )
     if len(set(configs)) > 1:
         raise ValueError(f"{path}: mixed selector configurations")
-    for prefix in prefixes:
-        if prefix not in m:
-            raise ValueError(f"{path}: prefix {prefix} not in matrix")
-    index = np.array([m.index_of(p) for p in prefixes], dtype=np.int64)[prefix_codes]
-    scores, score_codes = trace.parse_column(score_col, float, path, lines)
-    score = np.array(scores, dtype=np.float64)[score_codes]
+    for text in canonical:
+        if text not in rows_of:
+            raise ValueError(f"{path}: prefix {text} not in matrix")
+    index = np.array([rows_of[t] for t in canonical], dtype=np.int64)[prefix_codes]
+    try:
+        score = np.fromiter(map(float, score_col), np.float64, len(lines))
+    except ValueError:
+        # scores are mostly distinct, so only this error path parses each
+        # distinct text once, to name the line
+        trace.parse_column(score_col, float, path, lines)
+        raise
 
     # a prefix written two ways has one matrix index, so it is caught too
     cells = np.sort(hour * len(m) + index)

@@ -170,24 +170,25 @@ class HourlyTraceMatrix:
         self.prefixes: tuple[Prefix, ...] = prefixes
         self.values = values
         self.totals = totals
-        self._index = {p: i for i, p in enumerate(prefixes)}
+        # keyed by canonical text, which is what Prefix equality compares
+        self._index = {p.text: i for i, p in enumerate(prefixes)}
 
     def __len__(self) -> int:
         return len(self.prefixes)
 
     def __contains__(self, prefix: Prefix) -> bool:
-        return prefix in self._index
+        return prefix.text in self._index
 
     @property
     def bin_count(self) -> int:
         return self.grid.bin_count
 
     def index_of(self, prefix: Prefix) -> int:
-        return self._index[prefix]
+        return self._index[prefix.text]
 
     def series(self, prefix: Prefix) -> np.ndarray:
         """Hourly volume series v(P) for one prefix (read-only view)."""
-        return self.values[self._index[prefix]]
+        return self.values[self._index[prefix.text]]
 
     def hour(self, h: int) -> dict[Prefix, int]:
         """Per-prefix volumes of bin h as a mapping (copies)."""
@@ -347,7 +348,7 @@ def zipf_shares(n: int, s: float) -> np.ndarray:
     ``(1/k^s) / sum_{i=1..n} 1/i^s``."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if s <= 0:
+    if not s > 0:
         raise ValueError("s must be > 0")
     weights = np.arange(1, n + 1, dtype=np.float64) ** -s
     return weights / weights.sum()
@@ -379,8 +380,8 @@ class BurstSpec:
             raise ValueError("burst rank must be >= 1")
         if self.hour < 1:
             raise ValueError("burst hour must be >= 1")
-        if self.multiplier < 1:
-            raise ValueError("burst multiplier must be >= 1")
+        if not (math.isfinite(self.multiplier) and self.multiplier >= 1):
+            raise ValueError(f"burst multiplier must be finite and >= 1, got {self.multiplier}")
 
 
 @dataclass(frozen=True)
@@ -404,14 +405,15 @@ class SyntheticTraceSpec:
     def __post_init__(self) -> None:
         if not 1 <= self.prefix_count <= _MAX_SYNTH_PREFIXES:
             raise ValueError(f"prefix_count must be in [1, {_MAX_SYNTH_PREFIXES}]")
-        if self.zipf_s <= 0:
-            raise ValueError("zipf_s must be > 0")
-        if self.hourly_volume <= 0:
-            raise ValueError("hourly_volume must be > 0")
+        # each test is written so that NaN fails it
+        for name in ("zipf_s", "hourly_volume"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
         if not 0 <= self.diurnal_amplitude < 1:
-            raise ValueError("diurnal_amplitude must be in [0, 1)")
-        if self.noise < 0:
-            raise ValueError("noise must be >= 0")
+            raise ValueError(f"diurnal_amplitude must be in [0, 1), got {self.diurnal_amplitude}")
+        if not (math.isfinite(self.noise) and self.noise >= 0):
+            raise ValueError(f"noise must be finite and >= 0, got {self.noise}")
         object.__setattr__(self, "bursts", tuple(self.bursts))
 
 
@@ -427,15 +429,18 @@ def synthesize_trace(spec: SyntheticTraceSpec, grid: TimeGrid) -> HourlyTraceMat
     shares = zipf_shares(spec.prefix_count, spec.zipf_s)
     hours = np.arange(grid.bin_count, dtype=np.float64)
     diurnal = 1.0 + spec.diurnal_amplitude * np.sin(2.0 * math.pi * hours / 24.0)
-    values = spec.hourly_volume * shares[:, None] * diurnal[None, :]
-    if spec.noise > 0:
-        rng = np.random.default_rng(spec.seed)
-        # lognormal with mean 1 so expected shares stay Zipf
-        values = values * rng.lognormal(
-            mean=-0.5 * spec.noise**2, sigma=spec.noise, size=values.shape
-        )
-    for b in spec.bursts:
-        values[b.rank - 1, b.hour - 1] *= b.multiplier
+    # finite parameters can still overflow a cell to inf, which noise that
+    # underflows to 0 turns into nan; the cell test below reports either
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = spec.hourly_volume * shares[:, None] * diurnal[None, :]
+        if spec.noise > 0:
+            rng = np.random.default_rng(spec.seed)
+            # lognormal with mean 1 so expected shares stay Zipf
+            values = values * rng.lognormal(
+                mean=-0.5 * spec.noise**2, sigma=spec.noise, size=values.shape
+            )
+        for b in spec.bursts:
+            values[b.rank - 1, b.hour - 1] *= b.multiplier
     values = np.rint(values)
     # an out-of-range cast to int64 only warns; the negated test catches NaN
     beyond = np.argwhere(~(values < 2.0**63))

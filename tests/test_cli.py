@@ -9,11 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prefixcast.cli import _read_selection_csv, _write_selection, main
+from prefixcast.cli import SELECTION_HEADER, _read_selection_csv, _write_selection, main
 from prefixcast.dynamism import compute_core_profile
 from prefixcast.rttsim import load_probe_log, simulate_dynamic_selection
-from prefixcast.selectors import METHODS, WINDOW_GRID, SelectorConfig, run_selection
-from prefixcast.trace import HourlyTraceMatrix, TimeGrid, load_matrix, synthetic_prefix
+from prefixcast.selectors import (
+    METHODS, WINDOW_GRID, SelectionRun, SelectorConfig, run_selection,
+)
+from prefixcast.trace import (
+    HourlyTraceMatrix, Prefix, TimeGrid, load_matrix, synthetic_prefix,
+)
 
 
 def read_csv(path: Path) -> list[list[str]]:
@@ -36,6 +40,21 @@ def flows_csv(tmp_path):
         "3700,10.0.0.0/8,7\n"
     )
     return path
+
+
+def csv_writer_selection(path: Path, run: SelectionRun) -> None:
+    """The selection file as ``csv.writer`` lays it out: an oracle for the
+    bytes of ``_write_selection``."""
+    cfg = run.config
+    tail = (cfg.method, str(cfg.window), str(cfg.size))
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(SELECTION_HEADER)
+        for hour, picks, scores in zip(map(str, run.hours.tolist()), run.picks, run.scores):
+            w.writerows(
+                (hour, str(rank), run.prefixes[i].text, repr(score), *tail)
+                for rank, (i, score) in enumerate(zip(picks.tolist(), scores.tolist()), start=1)
+            )
 
 
 def write_int_matrix(directory: Path, rows: list[str], dtype="int") -> Path:
@@ -180,6 +199,23 @@ class TestSynthAnalyze:
         assert "10.0.0.0/24 at hour 1 is 1e+19 bytes, beyond the int64 range" in err
         assert "Traceback" not in err
         assert not (out / "matrix.csv").exists()
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--noise", "nan"], "noise"),
+        (["--noise", "inf"], "noise"),
+        (["--zipf-s", "nan"], "zipf_s"),
+        (["--hourly-volume", "nan"], "hourly_volume"),
+        (["--hourly-volume", "inf"], "hourly_volume"),
+        (["--diurnal", "nan"], "diurnal_amplitude"),
+        (["--burst", "1:2:nan"], "burst multiplier"),
+    ], ids=["noise nan", "noise inf", "zipf_s nan", "hourly_volume nan", "hourly_volume inf",
+            "diurnal nan", "burst nan"])
+    def test_non_finite_synth_parameter_is_data_error(self, tmp_path, capsys, flags, named):
+        out = tmp_path / "stage"
+        assert main(["synth", "--prefixes", "3", "--bins", "4", *flags, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{named} must be" in err and "Traceback" not in err
+        assert not (out / "matrix.csv").exists() and not (out / "synth.json").exists()
 
     def test_missing_matrix_names_stage(self, tmp_path, capsys):
         assert main(["analyze", "--matrix", f"{tmp_path}/nope.csv", "--out", str(tmp_path)]) == 2
@@ -492,6 +528,128 @@ class TestSelectEvaluate:
         err = capsys.readouterr().err
         assert "duplicate" in err and rows[1][2] in err
         assert not (trace_dir / "evaluation_summary.json").exists()
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        method=st.sampled_from(METHODS),
+        window=st.integers(1, 168),
+        size=st.integers(1, 6),
+        hours=st.lists(
+            st.lists(
+                st.tuples(
+                    st.integers(0, 4),
+                    st.one_of(
+                        st.sampled_from([5.0, 0.1, 1e-300, 1e22, -0.0]),
+                        st.integers(2**53 + 1, 2**80).map(float),
+                        st.floats(),
+                    ),
+                ),
+                max_size=5, unique_by=lambda pick: pick[0],
+            ),
+            min_size=1, max_size=6,
+        ),
+    )
+    def test_selection_bytes_match_csv_writer(
+        self, tmp_path_factory, method, window, size, hours
+    ):
+        prefixes = (*(synthetic_prefix(k) for k in (1, 2, 300)),
+                    Prefix.parse("2001:db8::/32"), Prefix.parse("::/0"))
+        run = SelectionRun(
+            config=SelectorConfig(method, window, size),
+            threshold=0.95,
+            prefixes=prefixes,
+            hours=np.arange(2, len(hours) + 2, dtype=np.int64),
+            picks=[np.array([i for i, _ in picks], dtype=np.int64) for picks in hours],
+            scores=[np.array([score for _, score in picks], dtype=np.float64)
+                    for picks in hours],
+        )
+        out = tmp_path_factory.mktemp("select")
+        csv_writer_selection(out / "oracle.csv", run)
+        assert _write_selection(out, run).read_bytes() == (out / "oracle.csv").read_bytes()
+
+    @pytest.mark.parametrize("edit", ["drop the score", "add a field"])
+    def test_selection_row_of_wrong_width_rejected(self, trace_dir, capsys, edit):
+        out = str(trace_dir)
+        assert main(["select", "--matrix", f"{out}/matrix.csv", "--method", "mean_volume",
+                     "--window", "2", "--size", "3", "--out", out]) == 0
+        path = trace_dir / "selection_mean_volume_L2.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        fields = lines[3].rstrip("\n").split(",")
+        fields = fields[:3] + fields[4:] if edit == "drop the score" else fields + ["x"]
+        lines[3] = ",".join(fields) + "\n"
+        path.write_text("".join(lines))
+        assert main(["evaluate", "--matrix", f"{out}/matrix.csv",
+                     "--selection", str(path), "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: line 4: bad selection row {fields!r}" in err
+        assert not (trace_dir / "evaluation_summary.json").exists()
+
+    @pytest.mark.parametrize("column", SELECTION_HEADER)
+    def test_quoted_selection_field_rejected(self, trace_dir, capsys, column):
+        # rows are unquoted, as matrix rows are: a quoted field is not unquoted
+        out = str(trace_dir)
+        assert main(["select", "--matrix", f"{out}/matrix.csv", "--method", "mean_volume",
+                     "--window", "2", "--size", "3", "--out", out]) == 0
+        path = trace_dir / "selection_mean_volume_L2.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        fields = lines[4].rstrip("\n").split(",")
+        pos = SELECTION_HEADER.index(column)
+        fields[pos] = f'"{fields[pos]}"'
+        lines[4] = ",".join(fields) + "\n"
+        path.write_text("".join(lines))
+        assert main(["evaluate", "--matrix", f"{out}/matrix.csv",
+                     "--selection", str(path), "--out", out]) == 2
+        assert f"{path}: line 5: " in capsys.readouterr().err
+        assert not (trace_dir / "evaluation_summary.json").exists()
+
+    @pytest.mark.parametrize("rewrite", [
+        lambda text: text.replace("\n", "\r\n"),
+        lambda text: text.replace("\n", "\n\n") + "\n",
+        lambda text: text.rstrip("\n"),
+    ], ids=["CRLF", "blank lines", "no final newline"])
+    def test_selection_line_endings_read_as_plain(self, trace_dir, rewrite):
+        m = load_matrix(trace_dir / "matrix.csv")
+        run = run_selection(m, compute_core_profile(m), SelectorConfig("core_volume", 2, 4))
+        path = _write_selection(trace_dir, run)
+        plain = _read_selection_csv(path, m, 0.95)
+        path.write_bytes(rewrite(path.read_text()).encode())
+        back = _read_selection_csv(path, m, 0.95)
+        assert back.config == plain.config
+        assert [p.tolist() for p in back.picks] == [p.tolist() for p in plain.picks]
+        assert [s.tobytes() for s in back.scores] == [s.tobytes() for s in plain.scores]
+
+    def test_non_canonical_prefix_text_resolves_to_its_row(self, trace_dir):
+        m = load_matrix(trace_dir / "matrix.csv")
+        path = trace_dir / "selection_mean_volume_L1.csv"
+        path.write_text(
+            "hour,rank,prefix,score,method,L,K\n"
+            "2,1,10.0.0.0/24,5.0,mean_volume,1,2\n"
+            "2,2,10.0.1.0/255.255.255.0,4.0,mean_volume,1,2\n"
+        )
+        run = _read_selection_csv(path, m, 0.95)
+        rows = [m.index_of(Prefix.parse(t)) for t in ("10.0.0.0/24", "10.0.1.0/24")]
+        assert [p.tolist() for p in run.picks] == [rows] + [[]] * (m.bin_count - 2)
+
+    def test_selection_columns_read_as_the_benchmark_reads_them(self, trace_dir):
+        # csv.DictReader is how perfbench/checks.py reads a selection file
+        out = str(trace_dir)
+        assert main(["select", "--matrix", f"{out}/matrix.csv", "--grid", "--size", "5",
+                     "--out", out]) == 0
+        m = load_matrix(trace_dir / "matrix.csv")
+        for path in sorted(trace_dir.glob("selection_*.csv")):
+            with open(path, newline="") as fh:
+                rows = [
+                    (int(r["hour"]), int(r["rank"]), r["prefix"], float(r["score"]),
+                     r["method"], int(r["L"]), int(r["K"]))
+                    for r in csv.DictReader(fh)
+                ]
+            run = _read_selection_csv(path, m, 0.95)
+            cfg = run.config
+            assert rows == [
+                (hour, rank, m.prefixes[i].text, score, cfg.method, cfg.window, cfg.size)
+                for hour, picks, scores in zip(run.hours.tolist(), run.picks, run.scores)
+                for rank, (i, score) in enumerate(zip(picks.tolist(), scores.tolist()), 1)
+            ]
 
 
 class TestProbeSimulate:

@@ -1,6 +1,7 @@
 """Trace model: binning, fractions, synthesis, persistence."""
 
 import json
+import math
 import re
 
 import numpy as np
@@ -240,13 +241,16 @@ class TestSynthesize:
             assert m.series(synthetic_prefix(k)).tolist() == [expected[k - 1]] * m.bin_count
         assert m.values.dtype == np.int64
 
-    @pytest.mark.parametrize("volume, named", [
-        (1e19, "10.0.0.0/24 at hour 1 is 1e+19 bytes"),
-        (float("inf"), "10.0.0.0/24 at hour 1 is inf bytes"),
-        (float("nan"), "10.0.0.0/24 at hour 1 is nan bytes"),
+    # the spec refuses a non-finite parameter, but finite ones can still
+    # overflow a cell to inf, and noise that underflows to 0 makes it nan
+    @pytest.mark.parametrize("params, named", [
+        ({"hourly_volume": 1e19}, "10.0.0.0/24 at hour 1 is 1e+19 bytes"),
+        ({"bursts": (BurstSpec(1, 1, 1e300),)}, "10.0.0.0/24 at hour 1 is inf bytes"),
+        ({"hourly_volume": 1.7e308, "diurnal_amplitude": 0.5, "noise": 50.0},
+         "10.0.0.0/24 at hour 2 is nan bytes"),
     ], ids=["1e19", "inf", "nan"])
-    def test_cell_beyond_int64_rejected(self, volume, named):
-        spec = SyntheticTraceSpec(prefix_count=1, hourly_volume=volume)
+    def test_cell_beyond_int64_rejected(self, params, named):
+        spec = SyntheticTraceSpec(prefix_count=1, **params)
         with pytest.raises(ValueError, match=re.escape(f"{named}, beyond the int64 range")):
             synthesize_trace(spec, self.grid())
 
@@ -280,6 +284,24 @@ class TestSynthesize:
             SyntheticTraceSpec(prefix_count=5, diurnal_amplitude=1.0)
         with pytest.raises(ValueError):
             BurstSpec(rank=1, hour=1, multiplier=0.5)
+
+    @pytest.mark.parametrize("params, named", [
+        ({"zipf_s": math.nan}, "zipf_s"),
+        ({"zipf_s": math.inf}, "zipf_s"),
+        ({"hourly_volume": math.nan}, "hourly_volume"),
+        ({"hourly_volume": math.inf}, "hourly_volume"),
+        ({"diurnal_amplitude": math.nan}, "diurnal_amplitude"),
+        ({"noise": math.nan}, "noise"),
+        ({"noise": math.inf}, "noise"),
+    ])
+    def test_non_finite_spec_rejected(self, params, named):
+        with pytest.raises(ValueError, match=f"^{named} must be"):
+            SyntheticTraceSpec(prefix_count=5, **params)
+
+    @pytest.mark.parametrize("multiplier", [math.nan, math.inf])
+    def test_non_finite_burst_multiplier_rejected(self, multiplier):
+        with pytest.raises(ValueError, match="burst multiplier must be finite"):
+            BurstSpec(rank=1, hour=1, multiplier=multiplier)
 
 
 class TestMatrixModel:
