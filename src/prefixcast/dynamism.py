@@ -11,7 +11,8 @@ Four views of how concentrated and how volatile per-prefix traffic is:
   reference overlay.
 
 All functions are pure with respect to an immutable matrix and safe to
-run concurrently.
+run concurrently.  ``compute_core_profile`` cuts every hour's core from
+one float64 running sum per hour of its stably sorted volumes.
 """
 
 from __future__ import annotations
@@ -75,16 +76,6 @@ def coefficient_of_variation(series: Sequence[float] | np.ndarray) -> float:
     return float(arr.std() / mean)
 
 
-def _core_cutoff(sorted_volumes: np.ndarray, threshold: float) -> int:
-    """Number of leading entries of a descending volume vector needed to
-    reach ``threshold`` of its total; 0 when the total is zero."""
-    cum = np.cumsum(sorted_volumes)
-    total = cum[-1] if cum.size else 0
-    if total <= 0:
-        return 0
-    return int(np.searchsorted(cum, threshold * float(total), side="left")) + 1
-
-
 def core_set(
     hour_volumes: Mapping[Prefix, float],
     threshold: float = DEFAULT_CORE_THRESHOLD,
@@ -101,8 +92,8 @@ def core_set(
     if not hour_volumes:
         return set()
     items = sorted(hour_volumes.items(), key=lambda kv: (-kv[1], kv[0].text))
-    volumes = np.array([v for _, v in items], dtype=np.float64)
-    k = _core_cutoff(volumes, threshold)
+    cum = np.cumsum(np.array([v for _, v in items], dtype=np.float64))
+    k = int(np.searchsorted(cum, threshold * cum[-1])) + 1 if cum[-1] > 0 else 0
     return {p for p, _ in items[:k]}
 
 
@@ -176,14 +167,17 @@ def compute_core_profile(
 
     values = m.values
     n, hours = values.shape
-    # Rows are in text order, so a stable sort on -volume reproduces the
-    # (volume desc, text asc) ranking rule per column.
-    order = np.argsort(-values, axis=0, kind="stable")
+    # Hour-major rows, in prefix text order: a stable sort on -volume is the
+    # (volume desc, text asc) ranking rule.  A core is the run below
+    # threshold x total plus the entry reaching it; none at total 0.
+    order = np.argsort(-values.T, axis=1, kind="stable")
+    cum = np.take_along_axis(values.T, order, axis=1).astype(np.float64)
+    np.cumsum(cum, axis=1, out=cum)
+    total = cum[:, -1] if n else np.zeros(hours)
+    cutoff = np.where(total > 0, (cum < threshold * total[:, None]).sum(axis=1) + 1, 0)
     cp = np.zeros((n, hours), dtype=np.uint8)
-    for j in range(hours):
-        col_order = order[:, j]
-        k = _core_cutoff(values[col_order, j].astype(np.float64), threshold)
-        cp[col_order[:k], j] = 1
+    np.put_along_axis(cp.T, order, np.arange(n) < cutoff[:, None], axis=1)
+    del order, cum  # the float stages below need the memory
 
     icp = cp.mean(axis=1)
 
@@ -365,6 +359,7 @@ def _share_bins(shares_pct: np.ndarray, stat: np.ndarray) -> list[VolumeBinStat]
             mask = (shares_pct >= lo) & (shares_pct < hi) if i else (shares_pct < hi)
         vals = stat[mask]
         if vals.size:
+            p25, p75 = np.percentile(vals, (25, 75)).tolist()
             out.append(
                 VolumeBinStat(
                     label=label,
@@ -373,8 +368,8 @@ def _share_bins(shares_pct: np.ndarray, stat: np.ndarray) -> list[VolumeBinStat]
                     count=int(vals.size),
                     mean=float(vals.mean()),
                     median=float(np.median(vals)),
-                    p25=float(np.percentile(vals, 25)),
-                    p75=float(np.percentile(vals, 75)),
+                    p25=p25,
+                    p75=p75,
                 )
             )
         else:

@@ -4,6 +4,10 @@ Coverage is the fraction of an hour's total volume carried by the set
 predicted for that hour; churn counts how much the set changed between
 consecutive hours.  Summaries use the six-number boxplot convention with
 percentiles computed by linear interpolation.
+
+``evaluate_run`` scores every hour at once from one (hours, prefixes)
+bool mask of the picks, exactly: coverage divides an int64 sum of picked
+volumes by the hour's total, and churn is ``|A| + |B| - 2|A & B|``.
 """
 
 from __future__ import annotations
@@ -82,12 +86,13 @@ def boxplot_summary(series: Sequence[float] | np.ndarray) -> BoxplotSummary:
     arr = np.asarray(series, dtype=np.float64)
     if arr.size == 0:
         raise ValueError("cannot summarize an empty series")
+    p25, p75 = np.percentile(arr, (25, 75)).tolist()
     return BoxplotSummary(
         minimum=float(arr.min()),
-        p25=float(np.percentile(arr, 25)),
-        median=float(np.median(arr)),
+        p25=p25,
+        median=float(np.median(arr)),  # percentile 50 can round differently
         mean=float(arr.mean()),
-        p75=float(np.percentile(arr, 75)),
+        p75=p75,
         maximum=float(arr.max()),
     )
 
@@ -133,20 +138,19 @@ def evaluate_run(run: SelectionRun, m: HourlyTraceMatrix) -> EvaluationReport:
     if run.prefixes != m.prefixes:
         raise ValueError("run and matrix cover different prefix sets")
 
-    coverage = np.empty(run.hours.size, dtype=np.float64)
-    for pos, hour in enumerate(run.hours):
-        total = float(m.totals[hour - 1])
-        if total <= 0:
-            coverage[pos] = 1.0
-        else:
-            # picks are rank-ordered, so this sum order is deterministic
-            coverage[pos] = float(m.values[run.picks[pos], hour - 1].sum()) / total
+    sizes = np.fromiter(map(len, run.picks), dtype=np.int64, count=run.hours.size)
+    picked = np.zeros((run.hours.size, len(m.prefixes)), dtype=bool)
+    picked[np.repeat(np.arange(run.hours.size), sizes), np.concatenate(run.picks)] = True
 
-    churn_series = np.empty(max(run.hours.size - 1, 0), dtype=np.int64)
-    for pos in range(1, run.hours.size):
-        prev = set(run.picks[pos - 1].tolist())
-        new = set(run.picks[pos].tolist())
-        churn_series[pos - 1] = len(prev ^ new)
+    # an int64 sum of picked volumes is exact: it never exceeds the total
+    cols = run.hours - 1
+    covered = m.values[:, cols].sum(axis=0, where=picked.T)
+    totals = m.totals[cols]
+    coverage = np.divide(covered, totals, out=np.ones(run.hours.size), where=totals > 0)
+
+    # |A ^ B| = |A| + |B| - 2|A & B|, in integers
+    counts = picked.sum(axis=1)
+    churn_series = counts[1:] + counts[:-1] - 2 * (picked[1:] & picked[:-1]).sum(axis=1)
 
     return EvaluationReport(
         method=run.config.method,

@@ -6,10 +6,16 @@ by canonical prefix text).  Three window metrics are provided -- mean
 volume, core presence intensity, and core-masked mean volume -- plus a
 classic GM(1,1) grey-model forecast as a comparison baseline.
 
-``run_selection`` forecasts GM(1,1) for all candidates of an hour at once
-(``gm11_forecast_rows``): the 2x2 least-squares fit is solved in closed
-form from centred sums, and the rank test that ``lstsq`` would apply is
-an explicit rule on the singular-value ratio of the 2x2 Gram matrix.
+``run_selection`` is one whole-week array pass per configuration: a
+(prefixes, hours) score array, then one stable argsort of every hour's
+negated positive scores, cut at K and at the hour's positive count.  It
+equals the hour-by-hour loop exactly (the same sequential running sums,
+elementwise float operations and stable tie order); picks within an hour
+are distinct.  Only GM(1,1) runs hour by hour, for all candidates of an
+hour at once (``gm11_forecast_rows``): the 2x2 least-squares fit is
+solved in closed form from centred sums, and the rank test that ``lstsq``
+would apply is an explicit rule on the singular-value ratio of the 2x2
+Gram matrix.
 ``gm11_fit`` and ``gm11_forecast`` fit one series with ``lstsq``; they
 are the scalar reference the batched path is tested against.
 """
@@ -273,49 +279,43 @@ def run_selection(
     if hours_total < 2:
         raise ValueError("need at least 2 bins to select predictively")
 
-    n = len(m.prefixes)
-    values = m.values.astype(np.float64)
-    cp = profile.cp.astype(np.float64)
-    zeros = np.zeros((n, 1))
-    cum_v = np.hstack([zeros, np.cumsum(values, axis=1)])
-    cum_cp = np.hstack([zeros, np.cumsum(cp, axis=1)])
-    cum_cpv = np.hstack([zeros, np.cumsum(cp * values, axis=1)])
-
     L, K = config.window, config.size
     target_hours = np.arange(2, hours_total + 1, dtype=np.int64)
-    picks: list[np.ndarray] = []
-    scores: list[np.ndarray] = []
+    # column j predicts hour j+2 from bins lo .. hi-1 (0-based)
+    hi = np.arange(1, hours_total)
+    lo = np.maximum(0, hi - L)
+
+    # every window sum is a difference of one float64 running sum per row
+    if config.method in ("mean_volume", "gm11"):
+        series = m.values
+    elif config.method == "core_presence":
+        series = profile.cp
+    else:
+        series = np.where(profile.cp, m.values, 0)
+    cum = np.zeros((len(m), hours_total), dtype=np.float64)
+    np.cumsum(series[:, :-1], axis=1, dtype=np.float64, out=cum[:, 1:])
+    window_sums = cum[:, 1:] - cum[:, lo]
+
     fallbacks = 0
-
-    for t in target_hours:
-        hi = int(t) - 1
-        lo = max(0, hi - L)
-        span = hi - lo
-
-        win_v = cum_v[:, hi] - cum_v[:, lo]
-        if config.method in ("mean_volume", "gm11"):
-            candidates = np.flatnonzero(win_v > 0)
-        else:
-            candidates = np.flatnonzero((cum_cp[:, hi] - cum_cp[:, lo]) > 0)
-
-        if config.method == "mean_volume":
-            cand_scores = win_v[candidates] / span
-        elif config.method == "core_presence":
-            cand_scores = (cum_cp[candidates, hi] - cum_cp[candidates, lo]) / span
-        elif config.method == "core_volume":
-            cand_scores = (cum_cpv[candidates, hi] - cum_cpv[candidates, lo]) / span
-        else:
-            cand_scores, fell_back = gm11_forecast_rows(values[candidates, lo:hi])
+    if config.method == "gm11":
+        score = np.zeros(window_sums.shape)
+        # the one per-hour step: forecast the hour's active rows
+        for j, active in enumerate(window_sums.T > 0):
+            rows = np.flatnonzero(active)
+            score[rows, j], fell_back = gm11_forecast_rows(m.values[rows, lo[j]:hi[j]])
             fallbacks += int(fell_back.sum())
+    else:
+        score = window_sums / (hi - lo)
 
-        positive = cand_scores > 0
-        candidates = candidates[positive]
-        cand_scores = cand_scores[positive]
-        # candidates are in text order, so a stable sort on -score applies
-        # the (score desc, text asc) tie-break
-        order = np.argsort(-cand_scores, kind="stable")[:K]
-        picks.append(candidates[order])
-        scores.append(cand_scores[order])
+    # score > 0 alone marks the candidates (a positive masked sum needs a core
+    # hour); rows are in text order, so a stable sort on -score breaks ties by text
+    selectable = score.T > 0
+    key = np.where(selectable, -score.T, np.inf)
+    order = np.argsort(key, axis=1, kind="stable")[:, :K]
+    kept = np.arange(order.shape[1]) < selectable.sum(axis=1)[:, None]
+    bounds = np.cumsum(kept.sum(axis=1))[:-1]
+    picks = np.split(order[kept], bounds)
+    scores = np.split(np.take_along_axis(score.T, order, axis=1)[kept], bounds)
 
     return SelectionRun(
         config=config,

@@ -412,8 +412,9 @@ class SyntheticTraceSpec:
                 raise ValueError(f"{name} must be finite and > 0, got {value}")
         if not 0 <= self.diurnal_amplitude < 1:
             raise ValueError(f"diurnal_amplitude must be in [0, 1), got {self.diurnal_amplitude}")
-        if not (math.isfinite(self.noise) and self.noise >= 0):
-            raise ValueError(f"noise must be finite and >= 0, got {self.noise}")
+        # the lognormal's mean parameter is -noise**2 / 2, so its square must be finite too
+        if not (math.isfinite(self.noise * self.noise) and self.noise >= 0):
+            raise ValueError(f"noise must be >= 0 with a finite square, got {self.noise}")
         object.__setattr__(self, "bursts", tuple(self.bursts))
 
 

@@ -208,8 +208,9 @@ class TestSynthAnalyze:
         (["--hourly-volume", "inf"], "hourly_volume"),
         (["--diurnal", "nan"], "diurnal_amplitude"),
         (["--burst", "1:2:nan"], "burst multiplier"),
+        (["--noise", "1e200"], "noise"),
     ], ids=["noise nan", "noise inf", "zipf_s nan", "hourly_volume nan", "hourly_volume inf",
-            "diurnal nan", "burst nan"])
+            "diurnal nan", "burst nan", "noise square overflows"])
     def test_non_finite_synth_parameter_is_data_error(self, tmp_path, capsys, flags, named):
         out = tmp_path / "stage"
         assert main(["synth", "--prefixes", "3", "--bins", "4", *flags, "--out", str(out)]) == 2

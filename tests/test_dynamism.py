@@ -1,9 +1,12 @@
 """Dynamism metrics: variation, cores, presence, burstiness, concentration."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prefixcast.dynamism import (
     CoreProfile,
@@ -263,6 +266,72 @@ class TestCoreProfile:
             burstiness_index(profile, m, 0)
         with pytest.raises(ValueError):
             burstiness_index(profile, m, 3)
+
+
+def per_hour_core_cp(m, threshold):
+    """Independent oracle for ``compute_core_profile(...).cp``, one hour at a
+    time: rank the hour stably on -volume and cut it where the float64
+    running sum first reaches ``threshold`` of its last entry."""
+    n, hours = m.values.shape
+    cp = np.zeros((n, hours), dtype=np.uint8)
+    for j in range(hours):
+        order = np.argsort(-m.values[:, j], kind="stable")
+        cum = np.cumsum(m.values[order, j].astype(np.float64))
+        total = cum[-1] if cum.size else 0.0
+        if total > 0:
+            k = int(np.searchsorted(cum, threshold * float(total), side="left")) + 1
+            cp[order[:k], j] = 1
+    return cp
+
+
+# small cells tie; 3**36 is odd and above 2**53, so running sums round
+CORE_CELLS = st.sampled_from((0, 0, 1, 2, 3, 3**36))
+CORE_THRESHOLDS = st.one_of(
+    st.sampled_from((0.5, 0.95, 0.999, 1.0)), st.floats(min_value=1e-6, max_value=1.0)
+)
+
+
+@st.composite
+def core_matrices(draw):
+    """A small matrix with ties and possibly all-zero hours."""
+    n = draw(st.integers(1, 8))
+    bins = draw(st.integers(1, 10))
+    values = np.array(
+        draw(st.lists(CORE_CELLS, min_size=n * bins, max_size=n * bins)), dtype=np.int64
+    ).reshape(n, bins)
+    values[0, 0] = max(int(values[0, 0]), 1)
+    grid = TimeGrid(start=0, bin_seconds=3600, bin_count=bins)
+    return HourlyTraceMatrix(grid, [synthetic_prefix(k + 1) for k in range(n)], values)
+
+
+class TestCoreProfileMatchesPerHourLoop:
+    @settings(max_examples=300, deadline=None)
+    @given(core_matrices(), CORE_THRESHOLDS)
+    def test_membership_identical(self, m, threshold):
+        profile = compute_core_profile(m, threshold)
+        want = per_hour_core_cp(m, threshold)
+        assert profile.cp.dtype == want.dtype
+        assert np.array_equal(profile.cp, want)
+        assert profile.core_sizes.tolist() == want.sum(axis=0).tolist()
+
+    @pytest.mark.parametrize("threshold", [0.5, 0.95, 0.999, 1.0])
+    def test_synthetic_week_identical(self, threshold):
+        grid = TimeGrid(start=0, bin_seconds=3600, bin_count=168)
+        m = synthesize_trace(SyntheticTraceSpec(prefix_count=80, noise=0.7, seed=6), grid)
+        assert np.array_equal(
+            compute_core_profile(m, threshold).cp, per_hour_core_cp(m, threshold)
+        )
+
+    def test_empty_matrix(self):
+        empty = SimpleNamespace(
+            prefixes=(), values=np.zeros((0, 5), dtype=np.int64),
+            totals=np.zeros(5, dtype=np.int64),
+        )
+        profile = compute_core_profile(empty)
+        assert profile.cp.shape == (0, 5) and profile.cp.dtype == np.uint8
+        assert np.array_equal(profile.cp, per_hour_core_cp(empty, 0.95))
+        assert profile.icp.shape == (0,)
+        assert profile.core_sizes.tolist() == profile.bi.tolist() == [0] * 5
 
 
 class TestConcentrationCurve:

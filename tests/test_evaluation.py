@@ -1,7 +1,11 @@
 """Coverage, churn, boxplot summaries, and the burstiness/coverage relation."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prefixcast.dynamism import compute_core_profile
 from prefixcast.evaluation import (
@@ -12,13 +16,14 @@ from prefixcast.evaluation import (
     hourly_coverage,
     oracle_topk,
 )
-from prefixcast.selectors import SelectorConfig, max_core_size, run_selection
+from prefixcast.selectors import SelectionRun, SelectorConfig, max_core_size, run_selection
 from prefixcast.trace import (
     HourlyTraceMatrix,
     Prefix,
     SyntheticTraceSpec,
     TimeGrid,
     synthesize_trace,
+    synthetic_prefix,
 )
 
 A = Prefix.parse("10.0.0.0/24")
@@ -190,6 +195,100 @@ class TestEvaluateRun:
         report = evaluate_run(run, m)
         assert report.churn.size == 0
         assert report.churn_summary is None
+
+
+def exact_evaluation(run, m):
+    """Independent oracle for ``evaluate_run``, one hour at a time.
+
+    Sums each hour's picked volumes and its total as Python ints, then
+    divides their float64 values; churn is the size of the symmetric
+    difference of consecutive pick sets.
+    """
+    coverage = []
+    for hour, picks in zip(run.hours.tolist(), run.picks):
+        column = m.values[:, hour - 1].tolist()
+        total = sum(column)
+        covered = sum(column[i] for i in picks.tolist())
+        coverage.append(float(covered) / float(total) if total > 0 else 1.0)
+    sets = [set(p.tolist()) for p in run.picks]
+    return coverage, [len(a ^ b) for a, b in zip(sets, sets[1:])]
+
+
+def picks_run(prefixes, bins, picks):
+    """A selection run over ``bins`` hours holding the given pick lists."""
+    return SelectionRun(
+        config=SelectorConfig("mean_volume", 1, max(len(prefixes), 1)),
+        threshold=0.95,
+        prefixes=tuple(prefixes),
+        hours=np.arange(2, bins + 1, dtype=np.int64),
+        picks=[np.array(p, dtype=np.int64) for p in picks],
+        scores=[np.ones(len(p)) for p in picks],
+    )
+
+
+# 3**36 is odd and above 2**53, so picked sums round when made float64
+EVALUATION_CELLS = st.sampled_from((0, 0, 1, 7, 3**36))
+
+
+@st.composite
+def evaluation_cases(draw):
+    """A small matrix, one of whose hours may be all zero, and a run of
+    distinct picks in any order, of any size, for each predicted hour."""
+    n = draw(st.integers(1, 8))
+    bins = draw(st.integers(2, 10))
+    values = np.array(
+        draw(st.lists(EVALUATION_CELLS, min_size=n * bins, max_size=n * bins)), dtype=np.int64
+    ).reshape(n, bins)
+    values[:, draw(st.integers(0, bins - 1))] = 0
+    values[0, 0] = 1
+    grid = TimeGrid(start=0, bin_seconds=3600, bin_count=bins)
+    m = HourlyTraceMatrix(grid, [synthetic_prefix(k + 1) for k in range(n)], values)
+    picks = []
+    for _ in range(bins - 1):
+        order = draw(st.permutations(range(len(m))))
+        picks.append(order[: draw(st.integers(0, len(m)))])
+    return m, picks_run(m.prefixes, bins, picks)
+
+
+class TestEvaluateRunMatchesExactOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(evaluation_cases())
+    def test_coverage_and_churn_identical(self, case):
+        m, run = case
+        report = evaluate_run(run, m)
+        coverage, churns = exact_evaluation(run, m)
+        assert report.coverage.dtype == np.float64 and report.churn.dtype == np.int64
+        assert report.coverage.tolist() == coverage
+        assert report.churn.tolist() == churns
+
+    def test_zero_total_hour_is_covered(self):
+        m = matrix({A: [5, 0, 3], B: [1, 0, 0]}, bins=3)
+        run = picks_run(m.prefixes, 3, [[], [1]])
+        report = evaluate_run(run, m)
+        assert report.coverage.tolist() == exact_evaluation(run, m)[0] == [1.0, 0.0]
+        assert report.churn.tolist() == [1]
+
+    def test_selection_runs_identical(self):
+        grid = TimeGrid(start=0, bin_seconds=3600, bin_count=48)
+        m = synthesize_trace(SyntheticTraceSpec(prefix_count=40, noise=0.6, seed=8), grid)
+        profile = compute_core_profile(m)
+        for method in ("mean_volume", "core_presence", "core_volume", "gm11"):
+            run = run_selection(m, profile, SelectorConfig(method, 6, max_core_size(profile)))
+            report = evaluate_run(run, m)
+            coverage, churns = exact_evaluation(run, m)
+            assert report.coverage.tolist() == coverage
+            assert report.churn.tolist() == churns
+
+    def test_empty_matrix(self):
+        empty = SimpleNamespace(
+            prefixes=(), values=np.zeros((0, 4), dtype=np.int64),
+            totals=np.zeros(4, dtype=np.int64),
+        )
+        run = picks_run((), 4, [[], [], []])
+        report = evaluate_run(run, empty)
+        coverage, churns = exact_evaluation(run, empty)
+        assert report.coverage.tolist() == coverage == [1.0, 1.0, 1.0]
+        assert report.churn.tolist() == churns == [0, 0]
 
 
 class TestBurstinessVsCoverage:

@@ -522,6 +522,110 @@ class TestRunSelection:
             run_selection(m, compute_core_profile(other), SelectorConfig("mean_volume", 1, 1))
 
 
+def per_hour_selection(m, profile, config):
+    """Independent oracle for ``run_selection``: one hour at a time.
+
+    Scores the window's candidates from float64 running sums, keeps the
+    positive ones and stable-sorts them on -score.  Returns the per-hour
+    picks and scores and the GM(1,1) fallback count.
+    """
+    values = m.values.astype(np.float64)
+    cp = profile.cp.astype(np.float64)
+    zeros = np.zeros((len(m), 1))
+    cum_v = np.hstack([zeros, np.cumsum(values, axis=1)])
+    cum_cp = np.hstack([zeros, np.cumsum(cp, axis=1)])
+    cum_cpv = np.hstack([zeros, np.cumsum(cp * values, axis=1)])
+    picks, scores, fallbacks = [], [], 0
+    for t in range(2, m.bin_count + 1):
+        hi = t - 1
+        lo = max(0, hi - config.window)
+        win_v = cum_v[:, hi] - cum_v[:, lo]
+        win_cp = cum_cp[:, hi] - cum_cp[:, lo]
+        if config.method in ("mean_volume", "gm11"):
+            candidates = np.flatnonzero(win_v > 0)
+        else:
+            candidates = np.flatnonzero(win_cp > 0)
+        if config.method == "mean_volume":
+            cand_scores = win_v[candidates] / (hi - lo)
+        elif config.method == "core_presence":
+            cand_scores = win_cp[candidates] / (hi - lo)
+        elif config.method == "core_volume":
+            cand_scores = (cum_cpv[candidates, hi] - cum_cpv[candidates, lo]) / (hi - lo)
+        else:
+            cand_scores, fell_back = gm11_forecast_rows(values[candidates, lo:hi])
+            fallbacks += int(fell_back.sum())
+        positive = cand_scores > 0
+        candidates, cand_scores = candidates[positive], cand_scores[positive]
+        order = np.argsort(-cand_scores, kind="stable")[: config.size]
+        picks.append(candidates[order])
+        scores.append(cand_scores[order])
+    return picks, scores, fallbacks
+
+
+# 3**33 is odd and near 2**52, so window sums of a few such cells round in
+# float64 and can absorb the small cells beside them; the small cells tie.
+SELECTION_CELLS = st.sampled_from((0, 0, 1, 2, 3, 3**33))
+
+
+@st.composite
+def selection_cases(draw):
+    """A small matrix with all-zero hours, its core profile, and a config
+    whose K may be below or above the candidate count and L >= bins."""
+    n = draw(st.integers(1, 8))
+    bins = draw(st.integers(2, 12))
+    values = np.array(
+        draw(st.lists(SELECTION_CELLS, min_size=n * bins, max_size=n * bins)), dtype=np.int64
+    ).reshape(n, bins)
+    values[:, sorted(draw(st.sets(st.integers(0, bins - 1), max_size=bins - 1)))] = 0
+    if not values.any():
+        values[0, draw(st.integers(0, bins - 1))] = 1
+    grid = TimeGrid(start=0, bin_seconds=3600, bin_count=bins)
+    m = HourlyTraceMatrix(grid, [synthetic_prefix(k + 1) for k in range(n)], values)
+    profile = compute_core_profile(m, draw(st.sampled_from((0.5, 0.95, 1.0))))
+    config = SelectorConfig(
+        draw(st.sampled_from(METHODS)), draw(st.integers(1, bins + 2)), draw(st.integers(1, n + 2))
+    )
+    return m, profile, config
+
+
+class TestRunSelectionMatchesPerHourLoop:
+    @settings(max_examples=300, deadline=None)
+    @given(selection_cases())
+    def test_picks_scores_and_fallbacks_identical(self, case):
+        m, profile, config = case
+        run = run_selection(m, profile, config)
+        picks, scores, fallbacks = per_hour_selection(m, profile, config)
+        assert run.gm11_fallbacks == fallbacks
+        assert len(run.picks) == len(run.scores) == len(picks) == m.bin_count - 1
+        for got, want in zip(run.picks, picks):
+            assert got.dtype == want.dtype and got.tolist() == want.tolist()
+        for got, want in zip(run.scores, scores):
+            assert got.dtype == want.dtype and got.tolist() == want.tolist()
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_synthetic_week_identical(self, method):
+        grid = TimeGrid(start=0, bin_seconds=3600, bin_count=168)
+        m = synthesize_trace(
+            SyntheticTraceSpec(prefix_count=60, noise=0.5, diurnal_amplitude=0.3, seed=4), grid
+        )
+        profile = compute_core_profile(m)
+        for window in WINDOW_GRID:
+            config = SelectorConfig(method, window, max_core_size(profile))
+            run = run_selection(m, profile, config)
+            picks, scores, fallbacks = per_hour_selection(m, profile, config)
+            assert run.gm11_fallbacks == fallbacks
+            assert [p.tolist() for p in run.picks] == [p.tolist() for p in picks]
+            assert [s.tolist() for s in run.scores] == [s.tolist() for s in scores]
+
+    def test_picks_within_an_hour_are_distinct(self):
+        rng = np.random.default_rng(5)
+        for trial in range(20):
+            m = random_matrix(rng)
+            config = SelectorConfig(METHODS[trial % 4], int(rng.integers(1, 6)), len(m) + 1)
+            for picks in run_selection(m, compute_core_profile(m), config).picks:
+                assert np.unique(picks).size == picks.size
+
+
 class TestMaxCoreSize:
     def test_constant_cores(self):
         m = matrix({A: [5, 5], B: [5, 5]}, bins=2)

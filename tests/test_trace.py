@@ -293,6 +293,8 @@ class TestSynthesize:
         ({"diurnal_amplitude": math.nan}, "diurnal_amplitude"),
         ({"noise": math.nan}, "noise"),
         ({"noise": math.inf}, "noise"),
+        # finite, but -noise**2 / 2 overflows
+        ({"noise": 1e200}, "noise"),
     ])
     def test_non_finite_spec_rejected(self, params, named):
         with pytest.raises(ValueError, match=f"^{named} must be"):
