@@ -13,12 +13,14 @@ from prefixcast import (
     BurstSpec,
     SyntheticTraceSpec,
     TimeGrid,
+    burstiness_score,
     burstiness_summary,
     coefficient_of_variation,
     compute_core_profile,
     core_summary,
     cv_vs_volume_bins,
     icp_vs_volume_bins,
+    prefix_shares_and_cv,
     synthesize_trace,
     synthetic_prefix,
 )
@@ -46,15 +48,17 @@ print(f"  avg % active : {core['avg_core_pct_of_active']:8.2f}%")
 print(f"  maximum size : {core['max_core_size']:8d} prefixes")
 
 # --- variation vs importance ------------------------------------------
+# weekly shares and cv are computed once and binned twice
+shares_pct, cv = prefix_shares_and_cv(m)
 print("\ncv by weekly-share bin (stable heavy hitters sit low):")
 print(f"{'bin':>12} {'count':>6} {'mean cv':>9} {'median':>8}")
-for s in cv_vs_volume_bins(m):
+for s in cv_vs_volume_bins(shares_pct, cv):
     if s.count:
         print(f"{s.label:>12} {s.count:6d} {s.mean:9.3f} {s.median:8.3f}")
 
 print("\ncore presence intensity by weekly-share bin:")
 print(f"{'bin':>12} {'count':>6} {'mean icp':>9} {'median':>8}")
-for s in icp_vs_volume_bins(m, profile):
+for s in icp_vs_volume_bins(shares_pct, profile.icp):
     if s.count:
         print(f"{s.label:>12} {s.count:6d} {s.mean:9.3f} {s.median:8.3f}")
 
@@ -63,9 +67,12 @@ bursty = synthetic_prefix(400)
 steady = synthetic_prefix(1)
 print("\nper-prefix view:")
 for p in (steady, bursty):
-    cv = coefficient_of_variation(m.series(p))
-    print(f"  {p}: cv={cv:7.2f}  icp={profile.intensity(p):5.3f}  "
-          f"max beta={profile.beta[profile.index_of(p)].max():7.2f}")
+    # a prefix's score grows with its hourly share, so its largest share
+    # gives its max beta
+    hourly_pct = 100.0 * m.series(p) / m.totals
+    max_beta = burstiness_score(profile.intensity(p), float(hourly_pct.max()))
+    print(f"  {p}: cv={coefficient_of_variation(m.series(p)):7.2f}  "
+          f"icp={profile.intensity(p):5.3f}  max beta={max_beta:7.2f}")
 
 burst = burstiness_summary(profile)
 print("\nburstiness over the week:")

@@ -26,7 +26,6 @@ from .trace import (
     Prefix,
     SyntheticTraceSpec,
     TimeGrid,
-    TraceRecord,
     bin_records,
     iter_trace_csv,
     load_matrix,
@@ -51,6 +50,7 @@ from .dynamism import (
     core_summary,
     cv_vs_volume_bins,
     icp_vs_volume_bins,
+    prefix_shares_and_cv,
 )
 from .selectors import (
     METHODS,

@@ -37,9 +37,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _write_json(path: Path, payload) -> None:
+    """Write ``payload`` as strict JSON: a NaN or infinity in it is a
+    ValueError raised before the file is opened."""
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _fmt(value) -> str:
@@ -178,9 +183,10 @@ def _bin_rows(stats):
 def _cmd_analyze(args) -> int:
     m = _load_matrix(args.matrix)
     profile = dynamism.compute_core_profile(m, threshold=args.threshold)
+    shares_pct, cv = dynamism.prefix_shares_and_cv(m)
+    curve = dynamism.concentration_curve(m, args.span)
     out = _out_dir(args)
 
-    shares_pct, cv = dynamism.prefix_shares_and_cv(m)
     _write_csv(
         out / "prefixes.csv",
         ["prefix", "weekly_share_pct", "cv", "icp"],
@@ -201,14 +207,13 @@ def _cmd_analyze(args) -> int:
     _write_csv(
         out / "cv_bins.csv",
         ["bin", "lo_pct", "hi_pct", "count", "mean", "median", "p25", "p75"],
-        _bin_rows(dynamism.cv_vs_volume_bins(m)),
+        _bin_rows(dynamism.cv_vs_volume_bins(shares_pct, cv)),
     )
     _write_csv(
         out / "icp_bins.csv",
         ["bin", "lo_pct", "hi_pct", "count", "mean", "median", "p25", "p75"],
-        _bin_rows(dynamism.icp_vs_volume_bins(m, profile)),
+        _bin_rows(dynamism.icp_vs_volume_bins(shares_pct, profile.icp)),
     )
-    curve = dynamism.concentration_curve(m, args.span)
     _write_csv(
         out / f"concentration_{curve.span.replace(':', '_')}.csv",
         ["rank", "share", "cdf", "zipf_ref"],
@@ -483,6 +488,9 @@ def _parse_regime(text: str) -> rttsim.RegimeSwitch:
 
 
 def _cmd_probe_synth(args) -> int:
+    for flag, value in (("--rtt-low", args.rtt_low), ("--rtt-high", args.rtt_high)):
+        if not math.isfinite(value):
+            raise ValueError(f"{flag} must be finite, got {value}")
     rng = np.random.default_rng(args.seed)
     transits = [f"T{i + 1}" for i in range(args.transits)]
     prefixes = [trace.synthetic_prefix(k) for k in range(1, args.prefix_count + 1)]

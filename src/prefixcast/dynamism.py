@@ -103,19 +103,20 @@ class CoreProfile:
 
     Arrays are aligned with ``prefixes`` (rows) and 1-based hours
     (columns).  ``icp`` is the presence intensity over the full window;
-    it is also the intensity used inside the burstiness scores.
+    it is also the intensity used inside the burstiness scores, whose
+    largest value over every (prefix, hour) is ``max_beta``.
     """
 
     threshold: float
     prefixes: tuple[Prefix, ...]
     cp: np.ndarray          # (n, H) uint8 core membership
     icp: np.ndarray         # (n,) presence intensity over the window
-    beta: np.ndarray        # (n, H) burstiness scores
+    max_beta: float         # largest burstiness score, 0.0 with no prefix
     bi: np.ndarray          # (H,) per-hour burstiness index
     core_sizes: np.ndarray  # (H,) int
 
     def __post_init__(self) -> None:
-        for arr in (self.cp, self.icp, self.beta, self.bi, self.core_sizes):
+        for arr in (self.cp, self.icp, self.bi, self.core_sizes):
             arr.setflags(write=False)
         object.__setattr__(
             self, "_index", {p: i for i, p in enumerate(self.prefixes)}
@@ -181,22 +182,27 @@ def compute_core_profile(
 
     icp = cp.mean(axis=1)
 
-    totals = m.totals.astype(np.float64)
-    vp = np.zeros_like(values, dtype=np.float64)
-    np.divide(100.0 * values, totals[None, :], out=vp, where=totals[None, :] > 0)
-
     amplify = np.zeros(n, dtype=np.float64)
     inside = icp > 0
     amplify[inside] = -np.log(icp[inside])
-    beta = amplify[:, None] * vp
-    bi = (beta * cp).sum(axis=0)
+
+    # one buffer, in place: volume percent (a zero-total hour holds only
+    # zeros), then the burstiness scores, then their core-masked terms
+    totals = m.totals.astype(np.float64)
+    buf = np.multiply(values, 100.0, dtype=np.float64)
+    np.divide(buf, totals, out=buf, where=totals > 0)
+    buf *= amplify[:, None]
+    # not max(initial=0.0): that can flip the sign of a zero maximum
+    max_beta = float(buf.max()) if buf.size else 0.0
+    buf *= cp
+    bi = buf.sum(axis=0)
 
     return CoreProfile(
         threshold=threshold,
         prefixes=m.prefixes,
         cp=cp,
         icp=icp,
-        beta=beta,
+        max_beta=max_beta,
         bi=bi,
         core_sizes=cp.sum(axis=0, dtype=np.int64),
     )
@@ -271,11 +277,11 @@ class ConcentrationCurve:
             arr.setflags(write=False)
 
 
-def _span_hours(m: HourlyTraceMatrix, span) -> tuple[str, list[int]]:
+def _span_columns(m: HourlyTraceMatrix, span) -> tuple[str, slice]:
     bins = m.grid.bin_count
     if isinstance(span, str):
         if span == "week":
-            return "week", list(range(1, bins + 1))
+            return "week", slice(0, bins)
         kind, _, arg = span.partition(":")
         if kind in ("hour", "day") and arg:
             span = (kind, int(arg))
@@ -285,11 +291,11 @@ def _span_hours(m: HourlyTraceMatrix, span) -> tuple[str, list[int]]:
     if kind == "hour":
         if not 1 <= h <= bins:
             raise ValueError(f"hour {h} outside grid")
-        return f"hour:{h}", [h]
+        return f"hour:{h}", slice(h - 1, h)
     if kind == "day":
         if not 1 <= h <= bins - 23:
             raise ValueError(f"day starting at hour {h} does not fit in the grid")
-        return f"day:{h}", list(range(h, h + 24))
+        return f"day:{h}", slice(h - 1, h + 23)
     raise ValueError(f"bad span kind {kind!r}")
 
 
@@ -300,8 +306,7 @@ def concentration_curve(m: HourlyTraceMatrix, span="week") -> ConcentrationCurve
     ``"hour:h"`` for one bin, or ``("day", h0)`` / ``"day:h0"`` for the
     24 bins starting at h0.  Only prefixes active inside the span appear.
     """
-    label, hours = _span_hours(m, span)
-    cols = [h - 1 for h in hours]
+    label, cols = _span_columns(m, span)
     weights = m.values[:, cols].sum(axis=1, dtype=np.float64)
     total = float(weights.sum())
     if total <= 0:
@@ -341,7 +346,10 @@ _BIN_EDGES_PCT = [1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0]
 
 def prefix_shares_and_cv(m: HourlyTraceMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Per-prefix weekly volume share in percent of the window's total, and
-    the coefficient of variation of each hourly series (divide-by-N)."""
+    the coefficient of variation of each hourly series (divide-by-N).
+    Needs at least 2 bins."""
+    if m.bin_count < 2:
+        raise ValueError("need at least 2 bins for coefficient of variation")
     shares_pct = 100.0 * m.values.sum(axis=1, dtype=np.float64) / m.totals.sum(dtype=np.float64)
     values = m.values.astype(np.float64)
     return shares_pct, values.std(axis=1) / values.mean(axis=1)
@@ -382,21 +390,16 @@ def _share_bins(shares_pct: np.ndarray, stat: np.ndarray) -> list[VolumeBinStat]
     return out
 
 
-def cv_vs_volume_bins(m: HourlyTraceMatrix) -> list[VolumeBinStat]:
-    """Coefficient-of-variation stats grouped by weekly share decade."""
-    if m.bin_count < 2:
-        raise ValueError("need at least 2 bins for coefficient of variation")
-    return _share_bins(*prefix_shares_and_cv(m))
+def cv_vs_volume_bins(shares_pct: np.ndarray, cv: np.ndarray) -> list[VolumeBinStat]:
+    """Coefficient-of-variation stats grouped by weekly share decade, from
+    the two arrays ``prefix_shares_and_cv`` returns."""
+    return _share_bins(shares_pct, cv)
 
 
-def icp_vs_volume_bins(
-    m: HourlyTraceMatrix, profile: CoreProfile
-) -> list[VolumeBinStat]:
-    """Core-presence-intensity stats grouped by weekly share decade."""
-    if profile.prefixes != m.prefixes:
-        raise ValueError("profile and matrix cover different prefix sets")
-    shares_pct, _ = prefix_shares_and_cv(m)
-    return _share_bins(shares_pct, profile.icp)
+def icp_vs_volume_bins(shares_pct: np.ndarray, icp: np.ndarray) -> list[VolumeBinStat]:
+    """Core-presence-intensity stats grouped by weekly share decade, from
+    ``prefix_shares_and_cv``'s shares and a profile's ``icp``."""
+    return _share_bins(shares_pct, icp)
 
 
 def core_summary(profile: CoreProfile, m: HourlyTraceMatrix) -> dict:
@@ -418,5 +421,5 @@ def burstiness_summary(profile: CoreProfile) -> dict:
     return {
         "mean_bi": float(profile.bi.mean()),
         "max_bi": float(profile.bi.max()),
-        "max_beta": float(profile.beta.max()),
+        "max_beta": profile.max_beta,
     }

@@ -143,7 +143,7 @@ def evaluate_run(run: SelectionRun, m: HourlyTraceMatrix) -> EvaluationReport:
     picked[np.repeat(np.arange(run.hours.size), sizes), np.concatenate(run.picks)] = True
 
     # an int64 sum of picked volumes is exact: it never exceeds the total
-    cols = run.hours - 1
+    cols = slice(run.hours[0] - 1, run.hours[-1])
     covered = m.values[:, cols].sum(axis=0, where=picked.T)
     totals = m.totals[cols]
     coverage = np.divide(covered, totals, out=np.ones(run.hours.size), where=totals > 0)

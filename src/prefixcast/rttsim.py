@@ -286,12 +286,13 @@ class ProbeScheduleSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.mean_interval <= 0:
-            raise ValueError("mean_interval must be > 0")
+        # each test is written so that NaN fails it
+        for name in ("mean_interval", "duration"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
         if not 0 <= self.jitter < 1:
             raise ValueError("jitter must be in [0, 1)")
-        if self.duration <= 0:
-            raise ValueError("duration must be > 0")
 
 
 @dataclass(frozen=True)
@@ -306,8 +307,8 @@ class RegimeSwitch:
     prefixes: tuple[Prefix, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.multiplier <= 0:
-            raise ValueError("multiplier must be > 0")
+        if not (math.isfinite(self.multiplier) and self.multiplier > 0):
+            raise ValueError(f"multiplier must be finite and > 0, got {self.multiplier}")
         if self.end_tick <= self.start_tick:
             raise ValueError("end_tick must be > start_tick")
 
@@ -332,13 +333,14 @@ class RttModel:
     def __post_init__(self) -> None:
         if not self.base_rtt:
             raise ValueError("base_rtt must not be empty")
+        # each test is written so that NaN fails it
         for pair, value in self.base_rtt.items():
-            if value <= 0:
-                raise ValueError(f"base RTT for {pair} must be > 0")
-        if self.noise_std < 0:
-            raise ValueError("noise_std must be >= 0")
-        if self.min_rtt <= 0:
-            raise ValueError("min_rtt must be > 0")
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"base RTT for {pair} must be finite and > 0, got {value}")
+        if not (math.isfinite(self.noise_std) and self.noise_std >= 0):
+            raise ValueError(f"noise_std must be finite and >= 0, got {self.noise_std}")
+        if not (math.isfinite(self.min_rtt) and self.min_rtt > 0):
+            raise ValueError(f"min_rtt must be finite and > 0, got {self.min_rtt}")
         per_pair = not isinstance(self.loss_prob, (int, float))
         for p in self.loss_prob.values() if per_pair else [self.loss_prob]:
             if not 0 <= p <= 1:

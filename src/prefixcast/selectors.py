@@ -211,10 +211,12 @@ def gm11_forecast_rows(windows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class SelectionRun:
     """Selections of one configuration, one entry per predicted hour.
 
-    ``hours[i]`` is the 1-based hour whose set was predicted from data in
-    hours ``< hours[i]`` only.  ``picks[i]`` holds row indices into
-    ``prefixes`` ordered by rank; ``scores[i]`` the matching scores.
-    Warm-up and shortfall follow from these and the configuration.
+    ``hours`` is a run of consecutive 1-based hours; ``hours[i]`` is the
+    hour whose set was predicted from data in hours ``< hours[i]`` only.
+    ``picks[i]`` holds row indices into ``prefixes`` ordered by rank;
+    ``scores[i]`` the matching scores.  Warm-up and shortfall follow from
+    these and the configuration.  ``threshold`` is the core volume share
+    the run was made with, in (0, 1].
     """
 
     config: SelectorConfig
@@ -226,6 +228,8 @@ class SelectionRun:
     gm11_fallbacks: int = 0
 
     def __post_init__(self) -> None:
+        if not 0 < self.threshold <= 1:
+            raise ValueError("threshold must be in (0, 1]")
         self.hours.setflags(write=False)
 
     @property

@@ -21,7 +21,6 @@ import numpy as np
 
 __all__ = [
     "Prefix",
-    "TraceRecord",
     "TimeGrid",
     "HourlyTraceMatrix",
     "IngestSummary",
@@ -69,19 +68,6 @@ class Prefix:
 
     def __str__(self) -> str:
         return self.text
-
-
-@dataclass(frozen=True)
-class TraceRecord:
-    """One raw flow record: epoch seconds, prefix, non-negative byte count."""
-
-    timestamp: int
-    prefix: Prefix
-    volume: int
-
-    def __post_init__(self) -> None:
-        if self.volume < 0:
-            raise ValueError(f"record volume must be >= 0, got {self.volume}")
 
 
 @dataclass(frozen=True)
@@ -229,7 +215,7 @@ class IngestSummary:
 
 
 def bin_records(
-    records: Iterable[TraceRecord | tuple],
+    records: Iterable[tuple],
     grid: TimeGrid,
     errors: str = "count",
 ) -> tuple[HourlyTraceMatrix, IngestSummary]:
@@ -238,9 +224,8 @@ def bin_records(
     Parameters
     ----------
     records : iterable
-        ``TraceRecord`` instances or raw ``(timestamp, prefix, bytes)``
-        triples (e.g. CSV rows).  Raw fields are parsed here so that the
-        reject policy applies uniformly.
+        Raw ``(timestamp, prefix, bytes)`` triples (e.g. CSV rows).  The
+        fields are parsed here so that the reject policy applies uniformly.
     grid : TimeGrid
         Target binning grid; records outside it are out-of-range.
     errors : str
@@ -283,22 +268,19 @@ def bin_records(
         read += 1
         volume: int | None = None
         try:
-            if isinstance(rec, TraceRecord):
-                ts, prefix, volume = rec.timestamp, rec.prefix, rec.volume
-            else:
-                if len(rec) != 3:
-                    raise ValueError(f"expected 3 fields, got {len(rec)}")
-                if (parsed := int(rec[2])) < 0:
-                    raise ValueError(f"negative volume {parsed}")
-                volume = parsed  # only now, so a negative volume's bytes are not counted
-                if volume > _INT64_MAX:
-                    raise ValueError(f"volume {volume} exceeds the int64 range")
-                ts = int(rec[0])
-                text = rec[1]
-                prefix = prefix_cache.get(text)
-                if prefix is None:
-                    prefix = Prefix.parse(text)
-                    prefix_cache[text] = prefix
+            if len(rec) != 3:
+                raise ValueError(f"expected 3 fields, got {len(rec)}")
+            if (parsed := int(rec[2])) < 0:
+                raise ValueError(f"negative volume {parsed}")
+            volume = parsed  # only now, so a negative volume's bytes are not counted
+            if volume > _INT64_MAX:
+                raise ValueError(f"volume {volume} exceeds the int64 range")
+            ts = int(rec[0])
+            text = rec[1]
+            prefix = prefix_cache.get(text)
+            if prefix is None:
+                prefix = Prefix.parse(text)
+                prefix_cache[text] = prefix
         except (ValueError, TypeError) as exc:
             _bad("malformed", f"{rec!r} ({exc})", volume)
             continue

@@ -9,7 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prefixcast.cli import SELECTION_HEADER, _read_selection_csv, _write_selection, main
+from prefixcast import dynamism
+from prefixcast.cli import (
+    SELECTION_HEADER, _read_selection_csv, _write_json, _write_selection, main,
+)
 from prefixcast.dynamism import compute_core_profile
 from prefixcast.rttsim import load_probe_log, simulate_dynamic_selection
 from prefixcast.selectors import (
@@ -158,6 +161,37 @@ class TestSynthAnalyze:
         assert len(hours) == 49
         conc = read_csv(tmp_path / "concentration_week.csv")
         assert conc[0] == ["rank", "share", "cdf", "zipf_ref"]
+
+    def test_analyze_computes_shares_and_cv_once(self, tmp_path, monkeypatch):
+        out = str(tmp_path)
+        assert main(["synth", "--prefixes", "20", "--noise", "0.4", "--bins", "24",
+                     "--out", out]) == 0
+        calls = []
+        original = dynamism.prefix_shares_and_cv
+
+        def counted(m):
+            calls.append(m)
+            return original(m)
+
+        monkeypatch.setattr(dynamism, "prefix_shares_and_cv", counted)
+        assert main(["analyze", "--matrix", f"{out}/matrix.csv", "--out", out]) == 0
+        assert len(calls) == 1
+
+    def test_single_bin_analyze_is_data_error(self, tmp_path, capsys):
+        out = tmp_path / "stage"
+        assert main(["synth", "--prefixes", "3", "--bins", "1", "--out", str(tmp_path)]) == 0
+        assert main(["analyze", "--matrix", f"{tmp_path}/matrix.csv", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "at least 2 bins" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_zero_volume_span_is_data_error_before_writing(self, tmp_path, capsys):
+        matrix = write_int_matrix(tmp_path, ["10.0.0.0/8,5,0,3"])
+        out = tmp_path / "stage"
+        assert main(["analyze", "--matrix", str(matrix), "--span", "hour:2",
+                     "--out", str(out)]) == 2
+        assert "zero-volume span hour:2" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_single_prefix_core_stats(self, tmp_path):
         out = str(tmp_path)
@@ -497,6 +531,17 @@ class TestSelectEvaluate:
         assert str(path) in err and f"hour {hour}: ranks must run 1..n with n <= K={size}" in err
         assert not (trace_dir / "evaluation_summary.json").exists()
 
+    @pytest.mark.parametrize("threshold", ["nan", "7", "0", "inf"])
+    def test_evaluate_threshold_outside_unit_interval_rejected(self, trace_dir, capsys, threshold):
+        out = str(trace_dir)
+        assert main(["select", "--matrix", f"{out}/matrix.csv", "--method", "mean_volume",
+                     "--out", out]) == 0
+        assert main(["evaluate", "--matrix", f"{out}/matrix.csv", "--select-dir", out,
+                     "--threshold", threshold, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "threshold must be in (0, 1]" in err and "Traceback" not in err
+        assert not (trace_dir / "evaluation_summary.json").exists()
+
     def test_missing_selection_names_stage(self, trace_dir, capsys):
         out = str(trace_dir)
         assert main(["evaluate", "--matrix", f"{out}/matrix.csv",
@@ -689,6 +734,24 @@ class TestProbeSimulate:
                      "--out", out]) == 0
         assert "dynamic_excluded_missing" not in read_json(tmp_path / "np_summary.json")
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--interval", "nan"], "mean_interval"),
+        (["--interval", "inf"], "mean_interval"),
+        (["--rtt-low", "nan"], "--rtt-low"),
+        (["--rtt-high", "nan"], "--rtt-high"),
+        (["--rtt-high", "inf"], "--rtt-high"),
+        (["--noise-std", "nan"], "noise_std"),
+        (["--noise-std", "inf"], "noise_std"),
+        (["--regime", "T1:0:3:nan"], "multiplier"),
+    ])
+    def test_non_finite_probe_synth_parameter_is_data_error(self, tmp_path, capsys, flags, named):
+        out = tmp_path / "stage"
+        assert main(["probe-synth", "--prefix-count", "3", "--duration", "2000", *flags,
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{named} must be" in err and "Traceback" not in err
+        assert not (out / "probes.csv").exists()
+
     def test_missing_probes_names_stage(self, tmp_path, capsys):
         assert main(["simulate", "--probes", f"{tmp_path}/probes.csv",
                      "--out", str(tmp_path)]) == 2
@@ -755,6 +818,13 @@ class TestProbeSimulate:
         err = capsys.readouterr().err
         assert named in err and "probe_meta.json" in err
         assert not (out / "np.csv").exists()
+
+
+def test_write_json_refuses_nan_and_leaves_no_file(tmp_path):
+    path = tmp_path / "summary.json"
+    with pytest.raises(ValueError, match="summary.json: Out of range float"):
+        _write_json(path, {"ok": 1.0, "bad": float("nan")})
+    assert not path.exists()
 
 
 class TestUsageErrors:

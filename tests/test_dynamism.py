@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prefixcast.dynamism import (
-    CoreProfile,
     burstiness_index,
     burstiness_score,
     burstiness_summary,
@@ -21,6 +20,7 @@ from prefixcast.dynamism import (
     core_summary,
     cv_vs_volume_bins,
     icp_vs_volume_bins,
+    prefix_shares_and_cv,
 )
 from prefixcast.trace import (
     HourlyTraceMatrix,
@@ -256,8 +256,29 @@ class TestCoreProfile:
         grid = TimeGrid(start=0, bin_seconds=3600, bin_count=24)
         m = synthesize_trace(SyntheticTraceSpec(prefix_count=40, noise=1.0, seed=8), grid)
         profile = compute_core_profile(m)
-        assert (profile.beta >= 0).all()
+        assert profile.max_beta >= 0
         assert (profile.bi >= 0).all()
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_max_beta_is_largest_scalar_score(self, seed):
+        # every (prefix, hour) through the scalar burstiness_score
+        rng = np.random.default_rng(seed)
+        n, bins = int(rng.integers(1, 12)), int(rng.integers(2, 30))
+        values = rng.integers(0, 50, size=(n, bins)) * (rng.random((n, bins)) < 0.6)
+        values[0, 0] += 1
+        m = HourlyTraceMatrix(
+            TimeGrid(start=0, bin_seconds=3600, bin_count=bins),
+            [synthetic_prefix(k + 1) for k in range(n)], values,
+        )
+        profile = compute_core_profile(m, threshold=float(rng.choice([0.5, 0.8, 0.95])))
+        want = max(
+            burstiness_score(profile.intensity(p), 100.0 * float(m.values[i, h]) / float(m.totals[h]))
+            for i, p in enumerate(m.prefixes)
+            for h in range(bins)
+            if m.totals[h] > 0
+        )
+        assert profile.max_beta == want
+        assert burstiness_summary(profile)["max_beta"] == want
 
     def test_index_rejects_out_of_range_hour(self):
         m = matrix({A: [1, 2], B: [2, 1]}, bins=2)
@@ -332,6 +353,7 @@ class TestCoreProfileMatchesPerHourLoop:
         assert np.array_equal(profile.cp, per_hour_core_cp(empty, 0.95))
         assert profile.icp.shape == (0,)
         assert profile.core_sizes.tolist() == profile.bi.tolist() == [0] * 5
+        assert profile.max_beta == 0.0
 
 
 class TestConcentrationCurve:
@@ -378,11 +400,20 @@ class TestConcentrationCurve:
             concentration_curve(m, ("hour", 2))
 
 
+def cv_bins(m):
+    return cv_vs_volume_bins(*prefix_shares_and_cv(m))
+
+
+def icp_bins(m, icp):
+    shares_pct, _ = prefix_shares_and_cv(m)
+    return icp_vs_volume_bins(shares_pct, icp)
+
+
 class TestVolumeBins:
     def test_decade_placement(self):
         # A at 5% of the week lands in [1,10); B at 95% in [10,100]
         m = matrix({A: [5, 5], B: [95, 95]}, bins=2)
-        stats = cv_vs_volume_bins(m)
+        stats = cv_bins(m)
         by_label = {s.label: s for s in stats}
         assert by_label["[1,10)"].count == 1
         assert by_label["[10,100)"].count == 1
@@ -390,13 +421,13 @@ class TestVolumeBins:
 
     def test_constant_series_have_zero_cv(self):
         m = matrix({A: [5, 5], B: [95, 95]}, bins=2)
-        for s in cv_vs_volume_bins(m):
+        for s in cv_bins(m):
             if s.count:
                 assert s.mean == 0.0 and s.median == 0.0
 
     def test_single_prefix_bin_stats_collapse(self):
         m = matrix({A: [1, 3], B: [96, 96]}, bins=2)
-        stats = {s.label: s for s in cv_vs_volume_bins(m)}
+        stats = {s.label: s for s in cv_bins(m)}
         cell = stats["[1,10)"]
         assert cell.count == 1
         assert cell.mean == cell.median == pytest.approx(0.5)
@@ -404,28 +435,23 @@ class TestVolumeBins:
     def test_underflow_bin_exists(self):
         series = {A: [1, 0], B: [2_000_000, 2_000_000]}
         m = matrix(series, bins=2)
-        stats = cv_vs_volume_bins(m)
+        stats = cv_bins(m)
         under = stats[0]
         assert under.label.startswith("<") and under.count == 1
 
+    def test_single_bin_has_no_cv(self):
+        with pytest.raises(ValueError, match="at least 2 bins"):
+            prefix_shares_and_cv(matrix({A: [7]}, bins=1))
+
     def test_full_share_lands_in_top_bin(self):
         m = matrix({A: [7, 7]}, bins=2)
-        stats = cv_vs_volume_bins(m)
+        stats = cv_bins(m)
         assert stats[-1].count == 1
 
     def test_icp_bins_known_intensities(self):
-        # hand-built profile: equal weekly shares, intensities 0.2 and 0.4
+        # equal weekly shares, hand-set intensities 0.2 and 0.4
         m = matrix({A: [10, 10], B: [10, 10]}, bins=2)
-        profile = CoreProfile(
-            threshold=0.95,
-            prefixes=m.prefixes,
-            cp=np.zeros((2, 2), dtype=np.uint8),
-            icp=np.array([0.2, 0.4]),
-            beta=np.zeros((2, 2)),
-            bi=np.zeros(2),
-            core_sizes=np.zeros(2, dtype=np.int64),
-        )
-        stats = {s.label: s for s in icp_vs_volume_bins(m, profile)}
+        stats = {s.label: s for s in icp_bins(m, np.array([0.2, 0.4]))}
         cell = stats["[10,100)"]
         assert cell.count == 2
         assert cell.mean == pytest.approx(0.3)
@@ -433,7 +459,7 @@ class TestVolumeBins:
     def test_icp_bins_extremes(self):
         m = matrix({A: [9, 9], B: [1, 100]}, bins=2)
         profile = compute_core_profile(m, threshold=0.9)
-        stats = icp_vs_volume_bins(m, profile)
+        stats = icp_bins(m, profile.icp)
         values = [s.mean for s in stats if s.count]
         assert max(values) <= 1.0 and min(values) >= 0.0
 
@@ -441,7 +467,7 @@ class TestVolumeBins:
         # A owns every core; B never makes it
         m = matrix({A: [99, 99], B: [1, 1]}, bins=2)
         profile = compute_core_profile(m, threshold=0.95)
-        stats = {s.label: s for s in icp_vs_volume_bins(m, profile)}
+        stats = {s.label: s for s in icp_bins(m, profile.icp)}
         assert stats["[10,100)"].mean == 1.0
         assert stats["[1,10)"].mean == 0.0
 

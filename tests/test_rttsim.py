@@ -274,6 +274,35 @@ class TestGenerateProbeLog:
         assert list(a.samples()) == list(b.samples())
         assert a.tick_times == b.tick_times
 
+    # a NaN or infinite duration would never end the round loop, so the
+    # constructors are tested rather than the generator
+    @pytest.mark.parametrize("kwargs, named", [
+        ({"duration": float("nan")}, "duration"),
+        ({"duration": float("inf")}, "duration"),
+        ({"mean_interval": float("nan")}, "mean_interval"),
+        ({"mean_interval": float("inf")}, "mean_interval"),
+        ({"jitter": float("nan")}, "jitter"),
+    ])
+    def test_schedule_rejects_non_finite(self, kwargs, named):
+        with pytest.raises(ValueError, match=f"^{named} must be"):
+            ProbeScheduleSpec(**kwargs)
+
+    @pytest.mark.parametrize("kwargs, named", [
+        ({"noise_std": float("nan")}, "noise_std"),
+        ({"noise_std": float("inf")}, "noise_std"),
+        ({"min_rtt": float("nan")}, "min_rtt"),
+        ({"base_rtt": {(P1, "T1"): float("nan")}}, "base RTT"),
+        ({"base_rtt": {(P1, "T1"): float("inf")}}, "base RTT"),
+    ])
+    def test_model_rejects_non_finite(self, kwargs, named):
+        with pytest.raises(ValueError, match=f"^{named}"):
+            RttModel(**{"base_rtt": {(P1, "T1"): 20.0}, **kwargs})
+
+    @pytest.mark.parametrize("multiplier", [float("nan"), float("inf"), 0.0])
+    def test_regime_switch_rejects_bad_multiplier(self, multiplier):
+        with pytest.raises(ValueError, match="^multiplier must be finite and > 0"):
+            RegimeSwitch(transit="T1", start_tick=0, end_tick=2, multiplier=multiplier)
+
 
 class TestSummaries:
     def test_constant_series(self):
