@@ -52,6 +52,9 @@ PROBE_CSV_HEADER = ("tick", "prefix", "transit", "rtt_ms")
 # Label of the simulated last-round-best virtual transit in outputs.
 DYNAMIC_LABEL = "dynamic"
 
+# Most probing rounds a schedule may allow; the round loop is Python.
+MAX_PROBE_ROUNDS = 1_000_000
+
 
 @dataclass(frozen=True)
 class ProbeSample:
@@ -277,7 +280,8 @@ class ProbeScheduleSpec:
 
     Rounds start at time 0 and stop before ``duration`` seconds; with
     jitter j each inter-round gap is uniform on
-    ``[mean*(1-j), mean*(1+j)]``.
+    ``[mean*(1-j), mean*(1+j)]``.  A schedule whose round count may
+    exceed ``MAX_PROBE_ROUNDS`` (``duration / (mean*(1-j))``) is refused.
     """
 
     mean_interval: float = 240.0
@@ -293,6 +297,9 @@ class ProbeScheduleSpec:
                 raise ValueError(f"{name} must be finite and > 0, got {value}")
         if not 0 <= self.jitter < 1:
             raise ValueError("jitter must be in [0, 1)")
+        if self.duration / (self.mean_interval * (1.0 - self.jitter)) > MAX_PROBE_ROUNDS:
+            raise ValueError(f"duration / (mean_interval * (1 - jitter)) allows more than "
+                             f"{MAX_PROBE_ROUNDS} probing rounds")
 
 
 @dataclass(frozen=True)

@@ -8,16 +8,16 @@ classic GM(1,1) grey-model forecast as a comparison baseline.
 
 ``run_selection`` is one whole-week array pass per configuration: a
 (prefixes, hours) score array, then one stable argsort of every hour's
-negated positive scores, cut at K and at the hour's positive count.  It
-equals the hour-by-hour loop exactly (the same sequential running sums,
-elementwise float operations and stable tie order); picks within an hour
-are distinct.  Only GM(1,1) runs hour by hour, for all candidates of an
-hour at once (``gm11_forecast_rows``): the 2x2 least-squares fit is
-solved in closed form from centred sums, and the rank test that ``lstsq``
-would apply is an explicit rule on the singular-value ratio of the 2x2
-Gram matrix.
-``gm11_fit`` and ``gm11_forecast`` fit one series with ``lstsq``; they
-are the scalar reference the batched path is tested against.
+negated positive scores, cut at K and at the hour's positive count;
+picks within an hour are distinct.  The window metrics equal the
+hour-by-hour loop exactly (the same sequential running sums, elementwise
+float operations and stable tie order).  GM(1,1) fits every window at
+once: the 2x2 least-squares fit (J. Deng, 1982) is solved in closed form
+from centred sums, merged from block-anchored running moments by the
+pairwise update of Chan, Golub & LeVeque (1983), so it agrees with a
+per-window fit up to rounding, not bit for bit.  ``gm11_fit`` and
+``gm11_forecast`` fit one series with ``lstsq``; they are the scalar
+reference the whole-week pass is tested against.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ __all__ = [
     "core_volume_score",
     "gm11_fit",
     "gm11_forecast",
-    "gm11_forecast_rows",
     "run_selection",
     "max_core_size",
 ]
@@ -52,6 +51,9 @@ WINDOW_GRID = (1, 12, 24, 168)
 # GM(1,1) needs a handful of points for a meaningful exponential fit;
 # shorter windows fall back to the window mean.
 GM11_MIN_POINTS = 4
+
+# Cells per row chunk of the GM(1,1) pass; bounds its temporaries.
+GM11_CHUNK_CELLS = 1 << 11
 
 
 @dataclass(frozen=True)
@@ -131,8 +133,8 @@ def gm11_forecast(series: Sequence[float] | np.ndarray) -> float:
     result at zero.  Series shorter than ``GM11_MIN_POINTS``, degenerate
     fits and non-finite forecasts fall back to the window mean.
 
-    This is the scalar reference (one ``lstsq`` fit per call);
-    ``run_selection`` uses the batched ``gm11_forecast_rows``.
+    This is the scalar reference (one ``lstsq`` fit per call) for
+    ``run_selection``'s whole-week pass.
     """
     x0 = np.asarray(series, dtype=np.float64)
     if x0.ndim != 1:
@@ -153,58 +155,93 @@ def gm11_forecast(series: Sequence[float] | np.ndarray) -> float:
     return max(float(value), 0.0)
 
 
-def gm11_forecast_rows(windows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One-step GM(1,1) forecasts for every row of a (rows, span) block.
+def _gm11_scores(
+    values: np.ndarray, window_sums: np.ndarray, lo: np.ndarray
+) -> tuple[np.ndarray, int]:
+    """GM(1,1) forecasts of every (prefix, window) and the active fallback count.
 
-    The batched form of ``gm11_forecast``: the 2x2 least-squares problem
-    ``x0(k) + a*z1(k) = b`` is solved in closed form from centred sums,
-    ``a = -S_zy / S_zz`` and ``b = mean(y) + a*mean(z)``, for all rows at
-    once.  ``lstsq``'s rank test becomes an explicit rule: the design
-    ``[-z1, 1]`` over m points is rank-deficient when
-    ``s_min <= eps * max(m, 2) * s_max``, where the singular-value ratio
-    ``s_min / s_max = sqrt(det) / lambda_max`` follows from the 2x2 Gram
-    matrix (``det = m * S_zz``).  Rank-deficient rows, non-finite
-    forecasts and windows shorter than ``GM11_MIN_POINTS`` fall back to
-    the row mean; ``|a| < 1e-12`` uses ``b``.  Every reduction runs along
-    a row, so a row's forecast does not depend on the other rows of the
-    block: selections stay free of look-ahead through the candidate set.
-
-    Returns
-    -------
-    (forecasts, used_fallback)
-        Two arrays with one entry per row.
+    Window ``j`` (bins ``lo[j] .. j``) fits ``y(p) = values[p]`` against
+    the background ``z(p)`` at points ``p = lo+1 .. j``.  The points are
+    cut into blocks of the longest window's length, with running moments
+    taken forward from each block's first point and backward from its
+    last; a window merges the suffix of one block with the prefix of the
+    next.  Both anchors lie inside the window, so no sum outgrows it.
+    ``lstsq``'s rank test is explicit: the design ``[-z, 1]`` is rank
+    deficient when ``sqrt(det) <= eps * max(m, 2) * lambda_max`` of its
+    Gram matrix.  Rank-deficient fits, non-finite forecasts and windows
+    shorter than ``GM11_MIN_POINTS`` fall back to the window mean;
+    ``|a| < 1e-12`` uses ``b``.  Inactive windows score 0.
     """
-    x0 = np.asarray(windows, dtype=np.float64)
-    if x0.ndim != 2 or x0.shape[1] < 1:
-        raise ValueError("windows must be a 2-D block with at least one column")
-    span = x0.shape[1]
-    mean = x0.mean(axis=1)
-    if span < GM11_MIN_POINTS:
-        return mean, np.ones(len(x0), dtype=bool)
+    n, hours = values.shape
+    span = np.arange(1, hours) - lo
+    first = int(np.count_nonzero(span < GM11_MIN_POINTS))   # short windows lead
+    ends = np.arange(first, hours - 1)                     # fitted windows' last points
+    lo_f = lo[first:]
+    m = (ends - lo_f).astype(np.float64)                   # points per fitted window
+    width = int(m.max(initial=1))                          # block length
+    blocks = -(-(hours - 2) // width)
+    k_b = (ends - 1) % width + 1.0           # points in the last block's prefix
+    k_a = m - k_b                            # points in the previous block's suffix
+    at_a = (lo_f // width, lo_f % width)
+    at_b = ((ends - 1) // width, (ends - 1) % width)
+    score, fallbacks = np.empty(window_sums.shape), 0
+    step = max(1, GM11_CHUNK_CELLS // hours)
+    for r0 in range(0, n, step):
+        rows = slice(r0, r0 + step)
+        v, active = values[rows], window_sums[rows] > 0
+        fallbacks += int(np.count_nonzero(active[:, :first]))
+        score[rows, :first] = sum(   # short windows' sums, in window order
+            np.where(k < span[:first], v[:, np.minimum(lo[:first] + k, hours - 1)], 0.0)
+            for k in range(GM11_MIN_POINTS - 1)
+        ) / span[:first]
+        if not ends.size:
+            continue
 
-    x1 = np.cumsum(x0, axis=1)
-    z = 0.5 * (x1[:, 1:] + x1[:, :-1])
-    y = x0[:, 1:]
-    m = span - 1
-    z_bar = z.mean(axis=1)
-    y_bar = y.mean(axis=1)
-    dz = z - z_bar[:, None]
-    s_zz = (dz * dz).sum(axis=1)
-    s_zy = (dz * (y - y_bar[:, None])).sum(axis=1)
+        # y and the step h(p) = z(p) - z(p-1) = (y(p-1) + y(p)) / 2, in blocks
+        pts = np.zeros((2, len(v), blocks * width))
+        pts[0, :, :hours - 2] = v[:, 1:-1]
+        pts[1, :, :hours - 2] = 0.5 * (v[:, :-2] + v[:, 1:-1])
+        y, h = pts.reshape(2, len(v), blocks, width)
+        # running dz, dy, dz*dz, dz*dy, forward and backward; backward sums at a
+        # block's first point read 0, as a window starting there is all prefix
+        rise = np.zeros_like(h)
+        rise[..., 1:] = np.cumsum(h[..., 1:], axis=-1)
+        d = np.stack([rise, y - y[..., :1]])
+        fwd = np.cumsum(np.concatenate([d, d[:1] * d]), axis=-1)
+        rise[..., :-1] = -np.cumsum(h[..., :0:-1], axis=-1)[..., ::-1]
+        rise[..., -1] = 0.0
+        d = np.stack([rise, y - y[..., -1:]])[..., ::-1]
+        bwd = np.cumsum(np.concatenate([d, d[:1] * d]), axis=-1)[..., ::-1]
+        bwd[..., 0] = 0.0
+        # merge suffix a and prefix b (Chan, Golub & LeVeque's pairwise update)
+        s_a, s_b = bwd[:, :, at_a[0], at_a[1]], fwd[:, :, at_b[0], at_b[1]]
+        y_a, y_b, h_b = y[:, at_a[0], -1], y[:, at_b[0], 0], h[:, at_b[0], 0]
+        mean_a, mean_b = s_a[:2] / np.maximum(k_a, 1.0), s_b[:2] / k_b
+        delta = np.stack([h_b, y_b - y_a]) + mean_b - mean_a
+        s_zz, s_zy = (
+            s_a[2:] - s_a[0] * mean_a + s_b[2:] - s_b[0] * mean_b
+            + (k_a * k_b / m) * delta[0] * delta
+        )
+        x_lo, y_sum_a = v[:, lo_f], k_a * y_a + s_a[1]
+        y_sum = y_sum_a + k_b * y_b + s_b[1]
+        z_bar = x_lo + y_sum_a + 0.5 * y_b + (s_a[0] + s_b[0] - k_a * h_b) / m
 
-    # Gram matrix [[sum z^2, -sum z], [-sum z, m]]: trace and determinant
-    det = m * s_zz
-    trace = s_zz + m * z_bar * z_bar + m
-    lam_max = 0.5 * (trace + np.sqrt(np.maximum(trace * trace - 4.0 * det, 0.0)))
-    full_rank = np.sqrt(det) > np.finfo(np.float64).eps * max(m, 2) * lam_max
-
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        a = -s_zy / s_zz
-        b = y_bar + a * z_bar
-        forecast = (x0[:, 0] - b / a) * -np.expm1(a) * np.exp(-a * span)
-    forecast = np.where(np.abs(a) < 1e-12, b, forecast)
-    fallback = ~full_rank | ~np.isfinite(forecast)
-    return np.where(fallback, mean, np.maximum(forecast, 0.0)), fallback
+        # Gram matrix [[sum z^2, -sum z], [-sum z, m]]: trace and determinant
+        det = m * s_zz
+        trace = s_zz + m * z_bar * z_bar + m
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            lam_max = 0.5 * (trace + np.sqrt(np.maximum(trace * trace - 4.0 * det, 0.0)))
+            full_rank = np.sqrt(det) > np.finfo(np.float64).eps * np.maximum(m, 2.0) * lam_max
+            a = -s_zy / s_zz
+            b = y_sum / m + a * z_bar
+            forecast = (x_lo - b / a) * -np.expm1(a) * np.exp(-a * (m + 1))
+        forecast = np.where(np.abs(a) < 1e-12, b, forecast)
+        fallback = ~full_rank | ~np.isfinite(forecast)
+        fallbacks += int(np.count_nonzero(fallback & active[:, first:]))
+        mean = (x_lo + y_sum) / (m + 1)     # the fallback: the window mean
+        score[rows, first:] = np.where(fallback, mean, np.maximum(forecast, 0.0))
+    score[window_sums <= 0] = 0.0
+    return score, fallbacks
 
 
 @dataclass(frozen=True, eq=False)
@@ -302,12 +339,7 @@ def run_selection(
 
     fallbacks = 0
     if config.method == "gm11":
-        score = np.zeros(window_sums.shape)
-        # the one per-hour step: forecast the hour's active rows
-        for j, active in enumerate(window_sums.T > 0):
-            rows = np.flatnonzero(active)
-            score[rows, j], fell_back = gm11_forecast_rows(m.values[rows, lo[j]:hi[j]])
-            fallbacks += int(fell_back.sum())
+        score, fallbacks = _gm11_scores(m.values, window_sums, lo)
     else:
         score = window_sums / (hi - lo)
 

@@ -752,6 +752,14 @@ class TestProbeSimulate:
         assert f"{named} must be" in err and "Traceback" not in err
         assert not (out / "probes.csv").exists()
 
+    def test_unbounded_round_count_is_data_error(self, tmp_path, capsys):
+        out = tmp_path / "stage"
+        assert main(["probe-synth", "--prefix-count", "1", "--transits", "1",
+                     "--duration", "1e12", "--interval", "1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "probing rounds" in err and "Traceback" not in err
+        assert not (out / "probes.csv").exists()
+
     def test_missing_probes_names_stage(self, tmp_path, capsys):
         assert main(["simulate", "--probes", f"{tmp_path}/probes.csv",
                      "--out", str(tmp_path)]) == 2

@@ -63,9 +63,9 @@ PINS = {
     "selection_core_volume_L168.csv": "0e764cdc42142998ffd30959a7d76b941e52a90f5670dedf79e7fc15aa3583c2",
     "selection_core_volume_L24.csv": "d772461aaf9fb0d815528f4cbbe61bdfd11a090563dc80336fe69e2721e5d690",
     "selection_gm11_L1.csv": "de597f10f29dbef17e92657c20afa0b1d938689b331e640e55aca10ebc57e651",
-    "selection_gm11_L12.csv": "66734776a880b0c387a624824dc67aba9791d480be4c9693d91d8e48b2673212",
-    "selection_gm11_L168.csv": "a4db174d614e0766fcb002987c9cdde940281923b7c6c74f213436d71a457ad4",
-    "selection_gm11_L24.csv": "6c5ee0ec7a473315ebffd2ca9a34cd8bbf55245253ef1e2afc8706ead688d0b8",
+    "selection_gm11_L12.csv": "148665b212939dba7d47e0999fe6a2ba253c396ff6bec5d5b5948ea304b6d700",
+    "selection_gm11_L168.csv": "9ec3091a8494e291bff24ef258476c2aade68d820453d208a762567b164bc240",
+    "selection_gm11_L24.csv": "5da8da9bfc8308d50ea395a0266aa0a524a9db65ea4c57209c68dba95fcf217d",
     "selection_mean_volume_L1.csv": "1d4fa755e558fda84df10d3fc334538af9bb7a8ac3149a333e182b422fb84791",
     "selection_mean_volume_L12.csv": "37283bcb71aed40474fee7d59f5d941e14ca611aef71c90a2b5ab0cae3e6f24d",
     "selection_mean_volume_L168.csv": "81e19810c72eab8b758d773061d62dcaa5c1d89c3503a8d68f209ddd9e7ba0da",

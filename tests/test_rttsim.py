@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from prefixcast.rttsim import (
     DYNAMIC_LABEL,
+    MAX_PROBE_ROUNDS,
     ProbeLog,
     ProbeSample,
     ProbeScheduleSpec,
@@ -286,6 +287,12 @@ class TestGenerateProbeLog:
     def test_schedule_rejects_non_finite(self, kwargs, named):
         with pytest.raises(ValueError, match=f"^{named} must be"):
             ProbeScheduleSpec(**kwargs)
+
+    def test_schedule_round_count_is_capped(self):
+        # the cap holds for the slowest schedule the jitter allows
+        ProbeScheduleSpec(mean_interval=1.0, jitter=0.0, duration=float(MAX_PROBE_ROUNDS))
+        with pytest.raises(ValueError, match="probing rounds"):
+            ProbeScheduleSpec(mean_interval=1.0, jitter=0.5, duration=float(MAX_PROBE_ROUNDS))
 
     @pytest.mark.parametrize("kwargs, named", [
         ({"noise_std": float("nan")}, "noise_std"),

@@ -1,6 +1,7 @@
 """Selection metrics, the GM(1,1) baseline, and the run driver."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from prefixcast.selectors import (
     core_volume_score,
     gm11_fit,
     gm11_forecast,
-    gm11_forecast_rows,
     max_core_size,
     mean_volume_score,
     run_selection,
@@ -156,6 +156,61 @@ class TestGm11:
             oa, ob = normal_equations_fit(series)
             assert a == pytest.approx(oa, rel=1e-9)
             assert b == pytest.approx(ob, rel=1e-9)
+
+
+def gm11_forecast_rows(windows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One-step GM(1,1) forecasts for every row of a (rows, span) block.
+
+    The second oracle for ``run_selection(method="gm11")``, one window per
+    row; the per-hour loop ``per_hour_selection`` calls it once per hour.
+    The 2x2 least-squares problem ``x0(k) + a*z1(k) = b`` is solved in closed form from centred sums,
+    ``a = -S_zy / S_zz`` and ``b = mean(y) + a*mean(z)``, for all rows at
+    once.  ``lstsq``'s rank test becomes an explicit rule: the design
+    ``[-z1, 1]`` over m points is rank-deficient when
+    ``s_min <= eps * max(m, 2) * s_max``, where the singular-value ratio
+    ``s_min / s_max = sqrt(det) / lambda_max`` follows from the 2x2 Gram
+    matrix (``det = m * S_zz``).  Rank-deficient rows, non-finite
+    forecasts and windows shorter than ``GM11_MIN_POINTS`` fall back to
+    the row mean; ``|a| < 1e-12`` uses ``b``.  Every reduction runs along
+    a row, so a row's forecast does not depend on the other rows of the
+    block: selections stay free of look-ahead through the candidate set.
+
+    Returns
+    -------
+    (forecasts, used_fallback)
+        Two arrays with one entry per row.
+    """
+    x0 = np.asarray(windows, dtype=np.float64)
+    if x0.ndim != 2 or x0.shape[1] < 1:
+        raise ValueError("windows must be a 2-D block with at least one column")
+    span = x0.shape[1]
+    mean = x0.mean(axis=1)
+    if span < GM11_MIN_POINTS:
+        return mean, np.ones(len(x0), dtype=bool)
+
+    x1 = np.cumsum(x0, axis=1)
+    z = 0.5 * (x1[:, 1:] + x1[:, :-1])
+    y = x0[:, 1:]
+    m = span - 1
+    z_bar = z.mean(axis=1)
+    y_bar = y.mean(axis=1)
+    dz = z - z_bar[:, None]
+    s_zz = (dz * dz).sum(axis=1)
+    s_zy = (dz * (y - y_bar[:, None])).sum(axis=1)
+
+    # Gram matrix [[sum z^2, -sum z], [-sum z, m]]: trace and determinant
+    det = m * s_zz
+    trace = s_zz + m * z_bar * z_bar + m
+    lam_max = 0.5 * (trace + np.sqrt(np.maximum(trace * trace - 4.0 * det, 0.0)))
+    full_rank = np.sqrt(det) > np.finfo(np.float64).eps * max(m, 2) * lam_max
+
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a = -s_zy / s_zz
+        b = y_bar + a * z_bar
+        forecast = (x0[:, 0] - b / a) * -np.expm1(a) * np.exp(-a * span)
+    forecast = np.where(np.abs(a) < 1e-12, b, forecast)
+    fallback = ~full_rank | ~np.isfinite(forecast)
+    return np.where(fallback, mean, np.maximum(forecast, 0.0)), fallback
 
 
 def scalar_gm11(window):
@@ -515,6 +570,18 @@ class TestRunSelection:
         for h in run1.hours:
             assert run1.selected(int(h)) == run2.selected(int(h))
 
+    def test_gm11_candidates_are_mean_volume_candidates(self):
+        # past 2**53 the float64 running sum absorbs A's later ones, so no
+        # window after hour 1 has a positive sum for A, for either method
+        m = matrix({A: [2**53] + [1] * 7, B: [1] * 8}, bins=8)
+        profile = compute_core_profile(m)
+        for window in (1, 4):
+            runs = [run_selection(m, profile, SelectorConfig(method, window, 2))
+                    for method in ("mean_volume", "gm11")]
+            for h in range(2, 9):
+                want = {A, B} if h <= window + 1 else {B}
+                assert [run.selected_set(h) for run in runs] == [want, want], (window, h)
+
     def test_mismatched_profile_rejected(self):
         m = matrix({A: [1, 2], B: [2, 1]}, bins=2)
         other = matrix({A: [1, 2]}, bins=2)
@@ -588,11 +655,63 @@ def selection_cases(draw):
     return m, profile, config
 
 
+def assert_gm11_close_to_loop(m, profile, config):
+    """``run_selection(method="gm11")`` against the per-hour loop.
+
+    The whole-week pass sums the same centred moments in another order, so
+    it agrees with the loop up to rounding, not bit for bit: the fallback
+    counts are equal, and with no top-K cut every prefix's score of every
+    hour is within 1e-9 relative of the loop's, or within the rounding
+    scale of its forecast (``forecast_tolerance``) where the exact forecast
+    is 0.  A prefix missing from one side's picks scores 0 there.  The
+    cut run keeps each hour's top K of those scores.
+    """
+    run = run_selection(m, profile, config)
+    assert run.gm11_fallbacks == per_hour_selection(m, profile, config)[2]
+    every = SelectorConfig("gm11", config.window, len(m))
+    full = run_selection(m, profile, every)
+    picks, scores, _ = per_hour_selection(m, profile, every)
+    values = m.values.astype(np.float64)
+    for pos, hour in enumerate(full.hours.tolist()):
+        lo, hi = max(0, hour - 1 - config.window), hour - 1
+        got = dict(zip(full.picks[pos].tolist(), full.scores[pos].tolist()))
+        want = dict(zip(picks[pos].tolist(), scores[pos].tolist()))
+        for i in got.keys() | want.keys():
+            g, w = got.get(i, 0.0), want.get(i, 0.0)
+            bound = max(1e-9 * abs(w), forecast_tolerance(values[i, lo:hi]))
+            assert abs(g - w) <= bound, (hour, i, g, w)
+        assert run.picks[pos].tolist() == full.picks[pos][: config.size].tolist()
+
+
+def adversarial_week(kind):
+    """A seeded 600x168 integer week that strains GM(1,1)'s running sums.
+
+    ``spikes``: 0-2 bytes with 5% spikes up to 1e12; ``pareto``:
+    Pareto-distributed bytes; ``sparse``: 0-3 bytes, so many windows tie or
+    fit exactly through zero.
+    """
+    rng = np.random.default_rng({"spikes": 1, "pareto": 2, "sparse": 3}[kind])
+    shape = (600, 168)
+    if kind == "spikes":
+        values = rng.integers(0, 3, size=shape)
+        spiked = rng.uniform(size=shape) < 0.05
+        values[spiked] = rng.integers(1, 10**12, size=int(spiked.sum()))
+    elif kind == "pareto":
+        values = np.floor(rng.pareto(1.2, size=shape) * 1e6).astype(np.int64)
+    else:
+        values = rng.integers(0, 4, size=shape)
+    grid = TimeGrid(start=0, bin_seconds=3600, bin_count=shape[1])
+    return HourlyTraceMatrix(grid, [synthetic_prefix(k + 1) for k in range(shape[0])], values)
+
+
 class TestRunSelectionMatchesPerHourLoop:
     @settings(max_examples=300, deadline=None)
     @given(selection_cases())
     def test_picks_scores_and_fallbacks_identical(self, case):
         m, profile, config = case
+        if config.method == "gm11":
+            assert_gm11_close_to_loop(m, profile, config)
+            return
         run = run_selection(m, profile, config)
         picks, scores, fallbacks = per_hour_selection(m, profile, config)
         assert run.gm11_fallbacks == fallbacks
@@ -615,7 +734,38 @@ class TestRunSelectionMatchesPerHourLoop:
             picks, scores, fallbacks = per_hour_selection(m, profile, config)
             assert run.gm11_fallbacks == fallbacks
             assert [p.tolist() for p in run.picks] == [p.tolist() for p in picks]
-            assert [s.tolist() for s in run.scores] == [s.tolist() for s in scores]
+            if method == "gm11":
+                for got, want in zip(run.scores, scores):
+                    np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
+            else:
+                assert [s.tolist() for s in run.scores] == [s.tolist() for s in scores]
+
+    @pytest.mark.parametrize("kind", ["spikes", "pareto", "sparse"])
+    def test_gm11_fallbacks_on_adversarial_weeks(self, kind):
+        # integer weeks where running sums over the whole week cancel badly
+        m = adversarial_week(kind)
+        profile = compute_core_profile(m)
+        for window in (4, 12, 24, 168):
+            config = SelectorConfig("gm11", window, max_core_size(profile))
+            _, _, fallbacks = per_hour_selection(m, profile, config)
+            assert run_selection(m, profile, config).gm11_fallbacks == fallbacks, window
+
+    def test_gm11_peak_memory_within_one_matrix_of_mean_volume(self):
+        grid = TimeGrid(start=0, bin_seconds=3600, bin_count=168)
+        m = synthesize_trace(SyntheticTraceSpec(prefix_count=2000, noise=0.5, seed=3), grid)
+        profile = compute_core_profile(m)
+        size = max_core_size(profile)
+
+        def peak(method):
+            tracemalloc.start()
+            try:
+                run_selection(m, profile, SelectorConfig(method, 168, size))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one_matrix = len(m) * m.bin_count * np.dtype(np.float64).itemsize
+        assert peak("gm11") <= peak("mean_volume") + one_matrix
 
     def test_picks_within_an_hour_are_distinct(self):
         rng = np.random.default_rng(5)
