@@ -12,8 +12,8 @@ from prefixcast import (
     SyntheticTraceSpec,
     TimeGrid,
     concentration_curve,
+    prefix_shares_and_cv,
     synthesize_trace,
-    weekly_volume_fraction,
 )
 
 # A full week of hourly bins, ~2000 prefixes following a Zipf profile
@@ -33,11 +33,9 @@ print(f"week volume: {m.totals.sum() / 1e12:.2f} TB")
 
 # Top prefixes by weekly share
 print("\ntop 5 prefixes by weekly volume fraction:")
-shares = sorted(
-    ((weekly_volume_fraction(m, p), p) for p in m.prefixes), reverse=True
-)
-for frac, prefix in shares[:5]:
-    print(f"  {prefix}  {100 * frac:6.2f}%")
+shares_pct, _ = prefix_shares_and_cv(m)
+for i in np.argsort(-shares_pct, kind="stable")[:5]:
+    print(f"  {m.prefixes[i]}  {shares_pct[i]:6.2f}%")
 
 # How many prefixes do you need for 50/90/95/99% of the week?
 curve = concentration_curve(m, "week")

@@ -9,13 +9,13 @@ Walks through the dynamism toolbox on one synthetic week:
   carrying a large hourly share.
 """
 
+import numpy as np
+
 from prefixcast import (
     BurstSpec,
     SyntheticTraceSpec,
     TimeGrid,
-    burstiness_score,
     burstiness_summary,
-    coefficient_of_variation,
     compute_core_profile,
     core_summary,
     cv_vs_volume_bins,
@@ -67,12 +67,11 @@ bursty = synthetic_prefix(400)
 steady = synthetic_prefix(1)
 print("\nper-prefix view:")
 for p in (steady, bursty):
-    # a prefix's score grows with its hourly share, so its largest share
-    # gives its max beta
-    hourly_pct = 100.0 * m.series(p) / m.totals
-    max_beta = burstiness_score(profile.intensity(p), float(hourly_pct.max()))
-    print(f"  {p}: cv={coefficient_of_variation(m.series(p)):7.2f}  "
-          f"icp={profile.intensity(p):5.3f}  max beta={max_beta:7.2f}")
+    i = m.index_of(p)
+    # a prefix's burstiness score is -log(icp) times its hourly share in
+    # percent, so its largest share gives its max beta
+    max_beta = -np.log(profile.icp[i]) * float((100.0 * m.values[i] / m.totals).max())
+    print(f"  {p}: cv={cv[i]:7.2f}  icp={profile.icp[i]:5.3f}  max beta={max_beta:7.2f}")
 
 burst = burstiness_summary(profile)
 print("\nburstiness over the week:")

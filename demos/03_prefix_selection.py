@@ -48,6 +48,7 @@ config = SelectorConfig("core_volume", 24, k)
 run = run_selection(m, profile, config)
 hour = 100
 print(f"top 5 picks for hour {hour} (core_volume, L=24):")
-for prefix, score in run.selected(hour)[:5]:
-    print(f"  {prefix}  score={score / 1e6:10.1f} MB/h")
+pos = hour - int(run.hours[0])  # picks and scores are ranked
+for i, score in zip(run.picks[pos][:5], run.scores[pos][:5]):
+    print(f"  {m.prefixes[i]}  score={score / 1e6:10.1f} MB/h")
 print(f"warm-up hours flagged: {int(run.warmup.sum())} of {run.hours.size}")

@@ -11,7 +11,6 @@ from prefixcast import (
     SelectorConfig,
     SyntheticTraceSpec,
     TimeGrid,
-    bi_vs_coverage,
     compute_core_profile,
     evaluate_run,
     max_core_size,
@@ -32,7 +31,8 @@ def bursts(count: int, seed: int) -> tuple:
     return tuple(out)
 
 
-pairs = []
+mean_points = []   # (mean burstiness index, mean coverage) per trace
+worst_points = []  # (max burstiness index, minimum coverage) per trace
 labels = []
 for level, n_bursts in enumerate((0, 2, 5, 10, 20)):
     spec = SyntheticTraceSpec(
@@ -46,18 +46,17 @@ for level, n_bursts in enumerate((0, 2, 5, 10, 20)):
     profile = compute_core_profile(m)
     config = SelectorConfig("core_volume", 168, max_core_size(profile))
     report = evaluate_run(run_selection(m, profile, config), m)
-    pairs.append((report, profile))
+    mean_points.append((float(profile.bi.mean()), float(report.coverage.mean())))
+    worst_points.append((float(profile.bi.max()), float(report.coverage.min())))
     labels.append(f"{n_bursts:2d} bursts")
 
-points = bi_vs_coverage(pairs)
-
 print("average level: (mean burstiness index, mean coverage)")
-for label, (bi, cov) in zip(labels, points.mean_points):
+for label, (bi, cov) in zip(labels, mean_points):
     bar = "#" * int(60 * cov)
     print(f"  {label}: BI={bi:7.2f}  cov={cov:.4f}  {bar}")
 
 print("\nworst case: (max burstiness index, minimum coverage)")
-for label, (bi, cov) in zip(labels, points.worst_points):
+for label, (bi, cov) in zip(labels, worst_points):
     bar = "#" * int(60 * cov)
     print(f"  {label}: BI={bi:7.2f}  cov={cov:.4f}  {bar}")
 

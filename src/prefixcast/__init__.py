@@ -21,32 +21,15 @@ explicit seeds; every computation is deterministic and replayable.
 
 from .trace import (
     BurstSpec,
-    HourlyTraceMatrix,
-    IngestSummary,
-    Prefix,
     SyntheticTraceSpec,
     TimeGrid,
-    bin_records,
-    iter_trace_csv,
-    load_matrix,
-    save_matrix,
     synthesize_trace,
     synthetic_prefix,
-    weekly_volume_fraction,
-    zipf_shares,
 )
 from .dynamism import (
-    ConcentrationCurve,
-    CoreProfile,
-    VolumeBinStat,
-    burstiness_index,
-    burstiness_score,
     burstiness_summary,
-    coefficient_of_variation,
     compute_core_profile,
     concentration_curve,
-    core_presence_intensity,
-    core_set,
     core_summary,
     cv_vs_volume_bins,
     icp_vs_volume_bins,
@@ -55,45 +38,47 @@ from .dynamism import (
 from .selectors import (
     METHODS,
     WINDOW_GRID,
-    SelectionRun,
     SelectorConfig,
-    core_volume_score,
-    gm11_fit,
-    gm11_forecast,
     max_core_size,
-    mean_volume_score,
     run_selection,
 )
-from .evaluation import (
-    BoxplotSummary,
-    BurstinessCoveragePoints,
-    EvaluationReport,
-    bi_vs_coverage,
-    boxplot_summary,
-    churn,
-    evaluate_run,
-    hourly_coverage,
-    oracle_topk,
-)
+from .evaluation import evaluate_run
 from .rttsim import (
-    DYNAMIC_LABEL,
-    DynamicRouteResult,
-    NpSeries,
-    NpSummary,
-    ProbeLog,
-    ProbeSample,
     ProbeScheduleSpec,
     RegimeSwitch,
     RttModel,
     generate_probe_log,
-    load_probe_log,
-    normalized_performance,
     np_series,
-    np_summary,
-    pick_last_round_best,
     rank_transits,
-    save_probe_log,
-    simulate_dynamic_selection,
 )
+
+# the names the demos and the README quickstart use; the rest of the API
+# lives in the submodules
+__all__ = [
+    "BurstSpec",
+    "SyntheticTraceSpec",
+    "TimeGrid",
+    "synthesize_trace",
+    "synthetic_prefix",
+    "burstiness_summary",
+    "compute_core_profile",
+    "concentration_curve",
+    "core_summary",
+    "cv_vs_volume_bins",
+    "icp_vs_volume_bins",
+    "prefix_shares_and_cv",
+    "METHODS",
+    "WINDOW_GRID",
+    "SelectorConfig",
+    "max_core_size",
+    "run_selection",
+    "evaluate_run",
+    "ProbeScheduleSpec",
+    "RegimeSwitch",
+    "RttModel",
+    "generate_probe_log",
+    "np_series",
+    "rank_transits",
+]
 
 __version__ = "0.1.0"

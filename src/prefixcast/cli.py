@@ -273,12 +273,12 @@ def _config_entry(path, entry, size: int) -> selectors.SelectorConfig:
     ``size`` are JSON integers, else a data error naming the entry."""
     if not isinstance(entry, dict):
         raise ValueError(f"{path}: entry {entry!r} is not an object")
-    fields = {"window": entry.get("window"), "size": entry.get("size", size)}
     try:
-        for key, value in fields.items():
-            if type(value) is not int:  # not bool, and no float for int() to truncate
-                raise ValueError(f"{key} must be a JSON integer, got {json.dumps(value)}")
-        return selectors.SelectorConfig(method=entry.get("method"), **fields)
+        return selectors.SelectorConfig(
+            method=entry.get("method"),
+            window=trace.json_int("window", entry.get("window")),
+            size=trace.json_int("size", entry.get("size", size)),
+        )
     except ValueError as exc:
         raise ValueError(f"{path}: entry {entry}: {exc}") from None
 
@@ -538,11 +538,19 @@ def _cmd_probe_synth(args) -> int:
 def _load_probes(path: Path) -> rttsim.ProbeLog:
     """The probe log at ``path``.  A ``probe_meta.json`` beside it (as
     probe-synth writes) restores the round start times, and must agree
-    with the log on ticks, transits and prefix count."""
+    with the log on ticks, transits and prefix count: a JSON object whose
+    ``ticks`` and ``prefix_count`` are JSON integers."""
     meta_path = path.with_name("probe_meta.json")
     if not meta_path.exists():
         return rttsim.load_probe_log(path)
     meta = json.loads(meta_path.read_text())
+    if not isinstance(meta, dict):
+        raise ValueError(f"{meta_path}: expected a JSON object, got {json.dumps(meta)}")
+    try:
+        for key in ("ticks", "prefix_count"):
+            trace.json_int(key, meta.get(key))
+    except ValueError as exc:
+        raise ValueError(f"{meta_path}: {exc}") from None
     tick_times = meta.get("tick_times")
     if not (
         isinstance(tick_times, list) and len(tick_times) == meta.get("ticks")

@@ -17,9 +17,7 @@ one float64 running sum per hour of its stably sorted volumes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -29,12 +27,7 @@ __all__ = [
     "CoreProfile",
     "ConcentrationCurve",
     "VolumeBinStat",
-    "coefficient_of_variation",
-    "core_set",
     "compute_core_profile",
-    "core_presence_intensity",
-    "burstiness_score",
-    "burstiness_index",
     "concentration_curve",
     "prefix_shares_and_cv",
     "cv_vs_volume_bins",
@@ -50,61 +43,16 @@ ZIPF_REF_N = 100_000
 ZIPF_REF_S = 1.0
 
 
-def coefficient_of_variation(series: Sequence[float] | np.ndarray) -> float:
-    """Population standard deviation over mean of a volume series.
-
-    A large value means the hourly volume swings widely around its mean
-    and is hard to anticipate.  For a series of length n the maximum is
-    ``sqrt(n-1)``, attained when all traffic falls in a single bin.
-
-    Parameters
-    ----------
-    series : array-like
-        Hourly volumes; at least two entries, not all zero.
-
-    Returns
-    -------
-    float
-        Non-negative variation coefficient (divide-by-N convention).
-    """
-    arr = np.asarray(series, dtype=np.float64)
-    if arr.ndim != 1 or arr.size < 2:
-        raise ValueError("series must be 1-D with at least 2 entries")
-    mean = arr.mean()
-    if mean == 0:
-        raise ValueError("coefficient of variation undefined for all-zero series")
-    return float(arr.std() / mean)
-
-
-def core_set(
-    hour_volumes: Mapping[Prefix, float],
-    threshold: float = DEFAULT_CORE_THRESHOLD,
-) -> set[Prefix]:
-    """Smallest top-ranked prefix set covering ``threshold`` of an hour.
-
-    Prefixes are ranked by volume descending with ties broken by
-    canonical text ascending; the result is the shortest prefix of that
-    ordering whose cumulative volume reaches ``threshold`` times the
-    hour's total.  An hour with zero total yields the empty set.
-    """
-    if not 0 < threshold <= 1:
-        raise ValueError("threshold must be in (0, 1]")
-    if not hour_volumes:
-        return set()
-    items = sorted(hour_volumes.items(), key=lambda kv: (-kv[1], kv[0].text))
-    cum = np.cumsum(np.array([v for _, v in items], dtype=np.float64))
-    k = int(np.searchsorted(cum, threshold * cum[-1])) + 1 if cum[-1] > 0 else 0
-    return {p for p, _ in items[:k]}
-
-
 @dataclass(frozen=True, eq=False)
 class CoreProfile:
     """Per-hour cores and the presence/burstiness series derived from them.
 
     Arrays are aligned with ``prefixes`` (rows) and 1-based hours
-    (columns).  ``icp`` is the presence intensity over the full window;
-    it is also the intensity used inside the burstiness scores, whose
-    largest value over every (prefix, hour) is ``max_beta``.
+    (columns).  ``icp`` is the presence intensity over the full window.
+    A prefix's burstiness score at an hour is ``-log(icp)`` times its
+    share of the hour's volume in percent, and 0 where ``icp`` is 0 or
+    the hour carries no volume; ``max_beta`` is the largest score over
+    every (prefix, hour), and ``bi`` sums each hour's core members' scores.
     """
 
     threshold: float
@@ -118,34 +66,6 @@ class CoreProfile:
     def __post_init__(self) -> None:
         for arr in (self.cp, self.icp, self.bi, self.core_sizes):
             arr.setflags(write=False)
-        object.__setattr__(
-            self, "_index", {p: i for i, p in enumerate(self.prefixes)}
-        )
-
-    @property
-    def hours(self) -> int:
-        return self.cp.shape[1]
-
-    def index_of(self, prefix: Prefix) -> int:
-        return self._index[prefix]
-
-    def core(self, h: int) -> set[Prefix]:
-        """The core set of hour h."""
-        col = self.cp[:, self._col(h)]
-        return {self.prefixes[i] for i in np.flatnonzero(col)}
-
-    def presence(self, prefix: Prefix) -> np.ndarray:
-        """0/1 core-presence series of one prefix."""
-        return self.cp[self._index[prefix]]
-
-    def intensity(self, prefix: Prefix) -> float:
-        """Full-window core presence intensity of one prefix."""
-        return float(self.icp[self._index[prefix]])
-
-    def _col(self, h: int) -> int:
-        if not 1 <= h <= self.hours:
-            raise ValueError(f"hour {h} outside [1, {self.hours}]")
-        return h - 1
 
 
 def compute_core_profile(
@@ -206,61 +126,6 @@ def compute_core_profile(
         bi=bi,
         core_sizes=cp.sum(axis=0, dtype=np.int64),
     )
-
-
-def core_presence_intensity(cp_series: Sequence[int] | np.ndarray) -> float:
-    """Mean of a 0/1 core-presence series over its window."""
-    arr = np.asarray(cp_series)
-    if arr.ndim != 1 or arr.size < 1:
-        raise ValueError("cp series must be 1-D and non-empty")
-    if not np.isin(arr, (0, 1)).all():
-        raise ValueError("cp series entries must be 0 or 1")
-    return float(arr.mean())
-
-
-def burstiness_score(presence_intensity: float, volume_pct: float) -> float:
-    """Burstiness score of one prefix at one hour.
-
-    ``-log(intensity) * volume_pct`` for intensity in (0, 1), and 0 when
-    the intensity is 0 or 1 or the hourly volume percentage is 0.  The
-    log term amplifies the contribution of prefixes that rarely sit in
-    the core while carrying a large share of the hour.
-
-    Parameters
-    ----------
-    presence_intensity : float
-        Core presence intensity over the window, in [0, 1].
-    volume_pct : float
-        The prefix's share of the hour's volume, in percent (0-100).
-    """
-    if not 0 <= presence_intensity <= 1:
-        raise ValueError("presence_intensity must be in [0, 1]")
-    if not 0 <= volume_pct <= 100:
-        raise ValueError("volume_pct must be in [0, 100]")
-    if presence_intensity == 0 or volume_pct == 0:
-        return 0.0
-    return -math.log(presence_intensity) * volume_pct
-
-
-def burstiness_index(profile: CoreProfile, m: HourlyTraceMatrix, hour: int) -> float:
-    """Sum of burstiness scores over the core members of one hour.
-
-    Uses the profile's full-window presence intensities and the hour's
-    volume percentages from the matrix; an empty core yields 0.
-    """
-    if profile.prefixes != m.prefixes:
-        raise ValueError("profile and matrix cover different prefix sets")
-    if not 1 <= hour <= m.bin_count:
-        raise ValueError(f"hour {hour} outside [1, {m.bin_count}]")
-    col = m.values[:, hour - 1].astype(np.float64)
-    total = float(m.totals[hour - 1])
-    if total <= 0:
-        return 0.0
-    members = np.flatnonzero(profile.cp[:, hour - 1])
-    out = 0.0
-    for i in members:
-        out += burstiness_score(float(profile.icp[i]), 100.0 * col[i] / total)
-    return out
 
 
 @dataclass(frozen=True, eq=False)

@@ -17,20 +17,16 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .dynamism import CoreProfile
 from .selectors import SelectionRun
 from .trace import HourlyTraceMatrix, Prefix
 
 __all__ = [
     "BoxplotSummary",
     "EvaluationReport",
-    "BurstinessCoveragePoints",
     "hourly_coverage",
-    "churn",
     "boxplot_summary",
     "oracle_topk",
     "evaluate_run",
-    "bi_vs_coverage",
 ]
 
 
@@ -52,11 +48,6 @@ def hourly_coverage(
         if prefix in m:
             covered += float(col[m.index_of(prefix)])
     return covered / float(total)
-
-
-def churn(prev: Iterable[Prefix], new: Iterable[Prefix]) -> int:
-    """Size of the symmetric difference between two selected sets."""
-    return len(set(prev) ^ set(new))
 
 
 @dataclass(frozen=True)
@@ -164,37 +155,3 @@ def evaluate_run(run: SelectionRun, m: HourlyTraceMatrix) -> EvaluationReport:
         churn_summary=boxplot_summary(churn_series) if churn_series.size else None,
     )
 
-
-@dataclass(frozen=True)
-class BurstinessCoveragePoints:
-    """Paired points relating burstiness to coverage across traces.
-
-    ``mean_points`` pairs each trace's mean hourly burstiness index with
-    its mean coverage; ``worst_points`` pairs the max index with the
-    minimum coverage.
-    """
-
-    mean_points: tuple[tuple[float, float], ...]
-    worst_points: tuple[tuple[float, float], ...]
-
-
-def bi_vs_coverage(
-    pairs: Sequence[tuple[EvaluationReport, CoreProfile]],
-) -> BurstinessCoveragePoints:
-    """Relate burstiness to achieved coverage across several traces.
-
-    Each pair is the core-volume selector's report for a trace plus that
-    trace's core profile.  Emits plot-ready point series, no fitting.
-    """
-    mean_points = []
-    worst_points = []
-    for report, profile in pairs:
-        if report.method != "core_volume":
-            raise ValueError(
-                f"expected core_volume reports, got {report.method!r}"
-            )
-        mean_points.append((float(profile.bi.mean()), float(report.coverage.mean())))
-        worst_points.append((float(profile.bi.max()), float(report.coverage.min())))
-    return BurstinessCoveragePoints(
-        mean_points=tuple(mean_points), worst_points=tuple(worst_points)
-    )

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from .evaluation import BoxplotSummary, boxplot_summary
 from .trace import Prefix, parse_column
 
 __all__ = [
-    "ProbeSample",
     "ProbeLog",
     "ProbeScheduleSpec",
     "RegimeSwitch",
@@ -36,9 +35,7 @@ __all__ = [
     "NpSeries",
     "DynamicRouteResult",
     "DYNAMIC_LABEL",
-    "normalized_performance",
     "np_series",
-    "pick_last_round_best",
     "simulate_dynamic_selection",
     "generate_probe_log",
     "np_summary",
@@ -56,23 +53,9 @@ DYNAMIC_LABEL = "dynamic"
 MAX_PROBE_ROUNDS = 1_000_000
 
 
-@dataclass(frozen=True)
-class ProbeSample:
-    """One probe result; ``rtt`` is None when the probe got no answer."""
-
-    tick: int
-    prefix: Prefix
-    transit: str
-    rtt: float | None
-
-    def __post_init__(self) -> None:
-        if self.rtt is not None and not (math.isfinite(self.rtt) and self.rtt > 0):
-            raise ValueError(f"rtt must be finite and > 0 ms, got {self.rtt}")
-
-
 class _DuplicateSample(ValueError):
     """A second sample for one (tick, prefix, transit); ``sample`` is its
-    position among the samples given."""
+    position in ``rtt``."""
 
     def __init__(self, message: str, sample: int):
         super().__init__(message)
@@ -89,25 +72,20 @@ class ProbeLog:
     At most one sample may exist per (tick, prefix, transit).
     """
 
-    __slots__ = ("ticks", "prefixes", "transits", "tick_times", "cube", "probed", "_pos")
+    __slots__ = ("ticks", "prefixes", "transits", "tick_times", "cube", "probed")
 
-    def __init__(self, samples: Iterable[ProbeSample], tick_times: Sequence[float] | None = None):
-        samples = list(samples)
-        rtt = np.array([np.nan if s.rtt is None else s.rtt for s in samples], np.float64)
-        keys = [[getattr(s, field) for s in samples] for field in ("tick", "prefix", "transit")]
-        self._fill(*((column, slice(None)) for column in keys), rtt, tick_times)
-
-    def _fill(self, ticks, prefixes, transits, rtt, tick_times) -> "ProbeLog":
+    def __init__(self, ticks, prefixes, transits, rtt: np.ndarray,
+                 tick_times: Sequence[float] | None = None):
         """Scatter sample ``i`` (RTT ``rtt[i]``, NaN = lost) into the cube.  Each
         axis comes as ``(keys, codes)``: sample ``i`` has key ``keys[codes[i]]``."""
         if rtt.size == 0:
             raise ValueError("empty probe log")
-        axes, index, self._pos = [], [], []
+        axes, index = [], []
         orders = (None, attrgetter("text"), None)
         for (keys, codes), order in zip((ticks, prefixes, transits), orders):
             axes.append(tuple(sorted(set(keys), key=order)))
-            self._pos.append({label: i for i, label in enumerate(axes[-1])})
-            index.append(np.array([self._pos[-1][k] for k in keys], np.intp)[codes])
+            pos = {label: i for i, label in enumerate(axes[-1])}
+            index.append(np.array([pos[k] for k in keys], np.intp)[codes])
         self.ticks, self.prefixes, self.transits = axes
         shape = tuple(map(len, axes))
         if tick_times is not None and len(tick_times) != shape[0]:
@@ -128,34 +106,6 @@ class ProbeLog:
         self.tick_times = tuple(tick_times) if tick_times is not None else None
         self.cube, self.probed = cube.reshape(shape), probed.reshape(shape)
         self.cube.flags.writeable = self.probed.flags.writeable = False
-        return self
-
-    def rtt(self, tick: int, prefix: Prefix, transit: str) -> float | None:
-        """RTT of one probe; None when it was lost or is not in the log."""
-        cell = tuple(pos.get(k) for pos, k in zip(self._pos, (tick, prefix, transit)))
-        value = np.nan if None in cell else self.cube[cell]
-        return None if np.isnan(value) else float(value)
-
-    def previous_tick(self, tick: int) -> int | None:
-        """The probing round before ``tick``, or None at the first round."""
-        pos = self._pos[0].get(tick)
-        if pos is None:
-            raise ValueError(f"tick {tick} not in log")
-        return self.ticks[pos - 1] if pos > 0 else None
-
-    def _columns(self) -> tuple[list, list, list, list]:
-        """Tick, prefix, transit and RTT (None = lost) of each probe, in cube order."""
-        t, p, r = np.nonzero(self.probed)
-        return (
-            list(map(self.ticks.__getitem__, t.tolist())),
-            list(map(self.prefixes.__getitem__, p.tolist())),
-            list(map(self.transits.__getitem__, r.tolist())),
-            _gaps(self.cube[self.probed]),
-        )
-
-    def samples(self) -> Iterable[ProbeSample]:
-        """All samples (including losses) in deterministic order."""
-        return map(ProbeSample, *self._columns())
 
 
 def _np_table(rtt: np.ndarray, physical: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -176,19 +126,6 @@ def _gaps(values: np.ndarray) -> tuple[float | None, ...]:
     return tuple(None if math.isnan(v) else v for v in values.tolist())
 
 
-def normalized_performance(log: ProbeLog, transit: str, tick: int) -> float | None:
-    """Normalized RTT of one transit at one probing round.
-
-    Mean over probed prefixes of the transit's RTT divided by the best
-    RTT among all transits for the same prefix at the same round; >= 1,
-    with 1 meaning the transit was best for every included prefix.
-    Prefixes with no sample for this transit at this round are excluded.
-    Returns None when no prefix could be included (a gap).
-    """
-    series = np_series(log, transit)
-    return series.values[series.ticks.index(tick)]
-
-
 @dataclass(frozen=True)
 class NpSeries:
     """Per-round normalized RTT of one transit; None entries are gaps."""
@@ -204,9 +141,9 @@ class NpSeries:
 
 def np_series(log: ProbeLog, transit: str) -> NpSeries:
     """Normalized RTT series of one transit over all probing rounds."""
-    column = log._pos[2].get(transit)
-    if column is None:
+    if transit not in log.transits:
         raise ValueError(f"unknown transit {transit!r}")
+    column = log.transits.index(transit)
     values, included = _np_table(log.cube, log.cube)
     return NpSeries(
         transit=transit, ticks=log.ticks, values=_gaps(values[:, column]),
@@ -219,23 +156,6 @@ def _last_round_best(rtt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     and where no RTT is present along it at all."""
     lost = np.isnan(rtt)
     return np.where(lost, np.inf, rtt).argmin(axis=-1), lost.all(axis=-1)
-
-
-def pick_last_round_best(
-    log: ProbeLog, prefix: Prefix, tick: int, rng: np.random.Generator
-) -> str:
-    """Transit with the smallest RTT for ``prefix`` in the previous round.
-
-    Ties break by transit label ascending.  When the previous round has
-    no sample for the prefix (or ``tick`` is the first round), a
-    uniformly random transit is drawn from ``rng``.
-    """
-    prev, row = log.previous_tick(tick), log._pos[1].get(prefix)
-    if prev is not None and row is not None:
-        choice, blind = _last_round_best(log.cube[log._pos[0][prev], row])
-        if not blind:
-            return log.transits[int(choice)]
-    return log.transits[int(rng.integers(len(log.transits)))]
 
 
 @dataclass(frozen=True)
@@ -389,7 +309,7 @@ def generate_probe_log(schedule: ProbeScheduleSpec, model: RttModel) -> ProbeLog
         rtt[max(sw.start_tick, 0) : max(sw.end_tick, 0), hit] *= sw.multiplier
     rtt = np.maximum(rtt + np.reshape(noise, rtt.shape), model.min_rtt)
     codes = np.arange(len(pairs))
-    return ProbeLog.__new__(ProbeLog)._fill(
+    return ProbeLog(
         (range(len(times)), np.arange(len(times))[:, None]), ([p for p, _ in pairs], codes),
         ([t for _, t in pairs], codes), rtt, times,
     )
@@ -437,10 +357,12 @@ def save_probe_log(log: ProbeLog, path: str | Path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(PROBE_CSV_HEADER)
-        ticks, prefixes, transits, rtts = log._columns()
+        t, p, r = np.nonzero(log.probed)  # in cube order
         writer.writerows(zip(
-            ticks, [prefix.text for prefix in prefixes], transits,
-            ["" if rtt is None else repr(rtt) for rtt in rtts],
+            map(log.ticks.__getitem__, t.tolist()),
+            [log.prefixes[i].text for i in p.tolist()],
+            map(log.transits.__getitem__, r.tolist()),
+            ["" if math.isnan(rtt) else repr(rtt) for rtt in log.cube[log.probed].tolist()],
         ))
 
 
@@ -474,6 +396,6 @@ def load_probe_log(path: str | Path, tick_times: Sequence[float] | None = None) 
     axes = zip((ticks, prefixes, transits), (int, Prefix.parse, str.strip))
     columns = [parse_column(column, parse, path, lines) for column, parse in axes]
     try:
-        return ProbeLog.__new__(ProbeLog)._fill(*columns, rtt, tick_times)
+        return ProbeLog(*columns, rtt, tick_times)
     except _DuplicateSample as exc:
         raise ValueError(f"{path}: line {lines[exc.sample]}: {exc}") from None

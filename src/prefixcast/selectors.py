@@ -35,8 +35,6 @@ __all__ = [
     "WINDOW_GRID",
     "SelectorConfig",
     "SelectionRun",
-    "mean_volume_score",
-    "core_volume_score",
     "gm11_fit",
     "gm11_forecast",
     "run_selection",
@@ -71,33 +69,6 @@ class SelectorConfig:
             raise ValueError("window must be >= 1")
         if self.size < 1:
             raise ValueError("size must be >= 1")
-
-
-def mean_volume_score(volumes: Sequence[float] | np.ndarray) -> float:
-    """Mean hourly volume over the history window."""
-    arr = np.asarray(volumes, dtype=np.float64)
-    if arr.ndim != 1 or arr.size < 1:
-        raise ValueError("window must be 1-D and non-empty")
-    return float(arr.mean())
-
-
-def core_volume_score(
-    cp_window: Sequence[int] | np.ndarray, volumes: Sequence[float] | np.ndarray
-) -> float:
-    """Mean core-masked hourly volume over the history window.
-
-    Combines volume and presence: hours where the prefix sat outside the
-    core contribute zero.  Callers restrict candidates to prefixes with
-    at least one core appearance in the window; everything else scores 0
-    here and is never selected.
-    """
-    cp = np.asarray(cp_window)
-    arr = np.asarray(volumes, dtype=np.float64)
-    if cp.shape != arr.shape or cp.ndim != 1 or cp.size < 1:
-        raise ValueError("cp and volume windows must be 1-D, non-empty, aligned")
-    if not np.isin(cp, (0, 1)).all():
-        raise ValueError("cp window entries must be 0 or 1")
-    return float((cp * arr).mean())
 
 
 def gm11_fit(series: Sequence[float] | np.ndarray) -> tuple[float, float]:
@@ -279,23 +250,6 @@ class SelectionRun:
     def shortfall(self) -> np.ndarray:
         """(T,) True where fewer than K candidates scored > 0."""
         return np.array([p.size < self.config.size for p in self.picks], dtype=bool)
-
-    def _pos(self, hour: int) -> int:
-        pos = int(hour) - int(self.hours[0])
-        if not 0 <= pos < len(self.hours):
-            raise ValueError(f"hour {hour} not in selection range")
-        return pos
-
-    def selected(self, hour: int) -> list[tuple[Prefix, float]]:
-        """Ranked (prefix, score) pairs predicted for one hour."""
-        pos = self._pos(hour)
-        return [
-            (self.prefixes[i], float(s))
-            for i, s in zip(self.picks[pos], self.scores[pos])
-        ]
-
-    def selected_set(self, hour: int) -> set[Prefix]:
-        return {self.prefixes[i] for i in self.picks[self._pos(hour)]}
 
 
 def run_selection(

@@ -27,7 +27,6 @@ __all__ = [
     "BurstSpec",
     "SyntheticTraceSpec",
     "bin_records",
-    "weekly_volume_fraction",
     "zipf_shares",
     "synthetic_prefix",
     "synthesize_trace",
@@ -35,6 +34,7 @@ __all__ = [
     "save_matrix",
     "load_matrix",
     "parse_column",
+    "json_int",
 ]
 
 TRACE_CSV_HEADER = ("timestamp", "prefix", "bytes")
@@ -98,12 +98,6 @@ class TimeGrid:
     def end(self) -> int:
         """Exclusive end timestamp of the grid."""
         return self.start + self.bin_seconds * self.bin_count
-
-    def bin_of(self, timestamp: int) -> int:
-        """1-based bin index for a timestamp inside the grid."""
-        if not self.start <= timestamp < self.end:
-            raise ValueError(f"timestamp {timestamp} outside grid [{self.start}, {self.end})")
-        return (timestamp - self.start) // self.bin_seconds + 1
 
     def hours(self) -> range:
         """All 1-based bin indices."""
@@ -176,23 +170,15 @@ class HourlyTraceMatrix:
         """Hourly volume series v(P) for one prefix (read-only view)."""
         return self.values[self._index[prefix.text]]
 
-    def hour(self, h: int) -> dict[Prefix, int]:
-        """Per-prefix volumes of bin h as a mapping (copies)."""
-        col = self.values[:, self._col(h)]
-        return {p: col[i].item() for i, p in enumerate(self.prefixes)}
-
     def total(self, h: int) -> int:
         """Total volume of bin h."""
-        return self.totals[self._col(h)].item()
+        if not 1 <= h <= self.grid.bin_count:
+            raise ValueError(f"hour {h} outside [1, {self.grid.bin_count}]")
+        return self.totals[h - 1].item()
 
     def active_counts(self) -> np.ndarray:
         """Number of prefixes with nonzero volume, per bin."""
         return (self.values > 0).sum(axis=0)
-
-    def _col(self, h: int) -> int:
-        if not 1 <= h <= self.grid.bin_count:
-            raise ValueError(f"hour {h} outside [1, {self.grid.bin_count}]")
-        return h - 1
 
 
 @dataclass(frozen=True)
@@ -315,14 +301,6 @@ def bin_records(
         active_prefixes=len(matrix),
     )
     return matrix, summary
-
-
-def weekly_volume_fraction(m: HourlyTraceMatrix, prefix: Prefix) -> float:
-    """Fraction of the window's total volume carried by one prefix."""
-    total = float(m.totals.sum(dtype=np.float64))
-    if total <= 0:
-        raise ValueError("degenerate trace: zero total volume")
-    return float(m.series(prefix).sum(dtype=np.float64)) / total
 
 
 def zipf_shares(n: int, s: float) -> np.ndarray:
@@ -473,6 +451,14 @@ def parse_column(
     return parsed, np.fromiter(map(codes.__getitem__, column), np.intp, len(column))
 
 
+def json_int(key: str, value) -> int:
+    """``value`` when it is a JSON integer, else a ValueError naming ``key``:
+    a bool, a float or null is refused, not truncated or cast."""
+    if type(value) is not int:
+        raise ValueError(f"{key} must be a JSON integer, got {json.dumps(value)}")
+    return value
+
+
 def _meta_path_for(csv_path: Path) -> Path:
     return csv_path.with_suffix(".json")
 
@@ -508,7 +494,9 @@ def load_matrix(csv_path: str | Path) -> HourlyTraceMatrix:
     """Load a matrix written by ``save_matrix``.
 
     Each line is one unquoted ``prefix,h1,...,hN`` row of plain decimal
-    int64 cells.  A sidecar ``dtype`` other than ``"int"`` raises.  A cell
+    int64 cells.  A sidecar that is not a JSON object, a grid field that
+    is not a JSON integer, and a ``dtype`` other than ``"int"`` raise
+    ValueError naming the sidecar.  A cell
     that does not parse or a row of the wrong width raises ValueError
     naming the prefix; a ``HourlyTraceMatrix`` error is raised again
     naming the CSV.
@@ -517,11 +505,14 @@ def load_matrix(csv_path: str | Path) -> HourlyTraceMatrix:
     meta_path = _meta_path_for(csv_path)
     with open(meta_path) as fh:
         meta = json.load(fh)
-    grid = TimeGrid(
-        start=int(meta["start"]),
-        bin_seconds=int(meta["bin_seconds"]),
-        bin_count=int(meta["bin_count"]),
-    )
+    if not isinstance(meta, dict):
+        raise ValueError(f"{meta_path}: expected a JSON object, got {json.dumps(meta)}")
+    try:
+        grid = TimeGrid(**{
+            key: json_int(key, meta.get(key)) for key in ("start", "bin_seconds", "bin_count")
+        })
+    except ValueError as exc:
+        raise ValueError(f"{meta_path}: {exc}") from None
     kind = meta.get("dtype", "int")
     if kind != "int":
         raise ValueError(f"{meta_path}: unknown dtype {kind!r}; cells are int64 bytes, "

@@ -16,9 +16,8 @@ import pytest
 from prefixcast.cli import main as cli_main
 from prefixcast.dynamism import (
     burstiness_summary,
-    coefficient_of_variation,
     compute_core_profile,
-    core_set,
+    prefix_shares_and_cv,
 )
 from prefixcast.evaluation import (
     evaluate_run,
@@ -27,21 +26,17 @@ from prefixcast.evaluation import (
 )
 from prefixcast.rttsim import (
     ProbeLog,
-    ProbeSample,
     ProbeScheduleSpec,
     RttModel,
     generate_probe_log,
-    normalized_performance,
     np_series,
     simulate_dynamic_selection,
 )
 from prefixcast.selectors import (
     SelectorConfig,
-    core_volume_score,
     gm11_fit,
     gm11_forecast,
     max_core_size,
-    mean_volume_score,
     run_selection,
 )
 from prefixcast.trace import (
@@ -52,6 +47,7 @@ from prefixcast.trace import (
     synthesize_trace,
     synthetic_prefix,
 )
+from scalar_oracles import picked_set, probe_log, probe_rtt
 
 
 def verdict(name: str, ok: bool, detail: str = "") -> None:
@@ -65,6 +61,18 @@ def week_grid(bins: int = 168) -> TimeGrid:
     return TimeGrid(start=0, bin_seconds=3600, bin_count=bins)
 
 
+# Matrix cells are whole bytes, so float draws are scaled by this and
+# rounded; shares and the coefficient of variation do not change with scale.
+SCALE = 1e6
+
+
+def rows_matrix(rows) -> HourlyTraceMatrix:
+    """A matrix whose k-th row is ``rows[k]``, for synthetic prefix k + 1."""
+    values = np.asarray(rows, dtype=np.int64)
+    grid = week_grid(values.shape[1])
+    return HourlyTraceMatrix(grid, [synthetic_prefix(k + 1) for k in range(len(values))], values)
+
+
 # --------------------------------------------------------------------------
 # 1. coefficient-of-variation bound
 # --------------------------------------------------------------------------
@@ -74,18 +82,20 @@ def test_c01_cv_bound():
     started = time.perf_counter()
     rng = np.random.default_rng(101)
     bound = math.sqrt(167)
-    worst = 0.0
+    rows = []
     for _ in range(10_000):
         series = rng.uniform(0.0, 1000.0, size=168)
         series[rng.uniform(size=168) < rng.uniform(0.0, 0.95)] = 0.0
         if not series.any():
             series[int(rng.integers(168))] = 1.0
-        worst = max(worst, coefficient_of_variation(series))
-    ok_bound = worst <= bound + 1e-9
+        rows.append(np.rint(series * SCALE))
+    _, cv = prefix_shares_and_cv(rows_matrix(rows))
+    worst = float(cv.max())
+    ok_bound = cv.size == 10_000 and worst <= bound + 1e-9
 
     one_hot = np.zeros(168)
     one_hot[37] = 420.0
-    attained = coefficient_of_variation(one_hot)
+    attained = float(prefix_shares_and_cv(rows_matrix([one_hot]))[1][0])
     ok_attained = abs(attained - bound) <= 1e-9
 
     elapsed = time.perf_counter() - started
@@ -125,7 +135,10 @@ def test_c02_core_correctness():
             for k in range(1, n + 1)
         }
         total = sum(volumes.values())
-        core = core_set(volumes, threshold)
+        # hour 1 is the drawn hour; hour 2 keeps every prefix a row
+        m = rows_matrix([[v, 1] for v in volumes.values()])
+        cp = compute_core_profile(m, threshold).cp
+        core = {m.prefixes[i] for i in np.flatnonzero(cp[:, 0])}
         if total == 0:
             assert core == set()
             continue
@@ -148,7 +161,7 @@ def random_probe_log(rng) -> ProbeLog:
     n_ticks = int(rng.integers(2, 101))
     transits = [f"T{i + 1}" for i in range(n_transits)]
     prefixes = [synthetic_prefix(k) for k in range(1, n_prefixes + 1)]
-    samples = []
+    rows = []
     for tick in range(n_ticks):
         for prefix in prefixes:
             for transit in transits:
@@ -156,25 +169,23 @@ def random_probe_log(rng) -> ProbeLog:
                 if u < 0.15:
                     continue  # probe never attempted
                 if u < 0.3:
-                    samples.append(ProbeSample(tick, prefix, transit, None))
+                    rows.append((tick, prefix, transit, None))
                 else:
-                    samples.append(
-                        ProbeSample(tick, prefix, transit, float(rng.uniform(1.0, 200.0)))
-                    )
-    if not samples:
-        samples.append(ProbeSample(0, prefixes[0], transits[0], 10.0))
-    return ProbeLog(samples)
+                    rows.append((tick, prefix, transit, float(rng.uniform(1.0, 200.0))))
+    if not rows:
+        rows.append((0, prefixes[0], transits[0], 10.0))
+    return probe_log(rows)
 
 
 def brute_force_np(log: ProbeLog, transit: str, tick: int):
     ratios = []
     for prefix in log.prefixes:
-        own = log.rtt(tick, prefix, transit)
+        own = probe_rtt(log, tick, prefix, transit)
         if own is None:
             continue
         best = None
         for other in log.transits:
-            value = log.rtt(tick, prefix, other)
+            value = probe_rtt(log, tick, prefix, other)
             if value is not None and (best is None or value < best):
                 best = value
         ratios.append(own / best)
@@ -189,8 +200,8 @@ def test_c03_np_oracle_equivalence():
     for _ in range(15):
         log = random_probe_log(rng)
         for transit in log.transits:
-            for tick in log.ticks:
-                got = normalized_performance(log, transit, tick)
+            series = np_series(log, transit)
+            for tick, got in zip(series.ticks, series.values):
                 expected = brute_force_np(log, transit, tick)
                 if expected is None:
                     assert got is None
@@ -330,7 +341,7 @@ def test_c07_burst_sensitivity():
         profile = compute_core_profile(matrix)
         config = SelectorConfig("core_volume", 168, max_core_size(profile))
         run = run_selection(matrix, profile, config)
-        cov = hourly_coverage(run.selected_set(burst_hour), matrix, burst_hour)
+        cov = hourly_coverage(picked_set(run, burst_hour), matrix, burst_hour)
         results[label] = (cov, burstiness_summary(profile))
 
     base_cov, base_burst = results["base"]
@@ -400,13 +411,35 @@ def test_c08_dynamic_routing_gain():
 # --------------------------------------------------------------------------
 
 
+def score_table(run, rows: int) -> np.ndarray:
+    """(rows, hours) scores of a run, 0 where a row was not picked."""
+    table = np.zeros((rows, run.hours.size))
+    for pos, (picks, scores) in enumerate(zip(run.picks, run.scores)):
+        table[picks, pos] = scores
+    return table
+
+
 def test_c09_dominance_and_no_lookahead():
     rng = np.random.default_rng(909)
     for _ in range(1_000):
         length = int(rng.integers(1, 30))
         volumes = rng.uniform(0.0, 1000.0, size=length)
         cp = (rng.uniform(size=length) < 0.5).astype(int)
-        assert core_volume_score(cp, volumes) <= mean_volume_score(volumes) + 1e-12
+        # row 1 carries the drawn volumes; row 2 owns the hours where cp is
+        # 0, so row 1 is in the core exactly where cp is 1 (or its hour is
+        # empty); the last hour, the predicted one, keeps both rows
+        m = rows_matrix([
+            [*np.rint(volumes * SCALE), 1],
+            [*np.where(cp == 1, 0, 10**15), 1],
+        ])
+        profile = compute_core_profile(m)
+        assert profile.cp[0, :length].tolist() == (cp * (m.values[0, :length] > 0)).tolist()
+        # K >= n, so every positive score is picked
+        mv, cv = (
+            score_table(run_selection(m, profile, SelectorConfig(method, length, 2)), len(m))
+            for method in ("mean_volume", "core_volume")
+        )
+        assert (cv <= mv + 1e-12).all()
 
     methods = ("mean_volume", "core_presence", "core_volume", "gm11")
     checked = 0
@@ -427,7 +460,7 @@ def test_c09_dominance_and_no_lookahead():
         config = SelectorConfig(methods[checked % 4], int(rng.integers(1, 8)), 3)
         full_run = run_selection(m, compute_core_profile(m), config)
         cut_run = run_selection(m_cut, compute_core_profile(m_cut), config)
-        assert full_run.selected_set(h + 1) == cut_run.selected_set(h + 1)
+        assert picked_set(full_run, h + 1) == picked_set(cut_run, h + 1)
         checked += 1
     verdict("C9 CV<=MV dominance and no-lookahead on 1000 instances each", True)
 

@@ -1,0 +1,49 @@
+"""The package exports what its demos and README quickstart import, and
+each submodule exports only names it defines."""
+
+import ast
+import importlib
+import re
+from pathlib import Path
+
+import pytest
+
+import prefixcast
+
+ROOT = Path(__file__).resolve().parent.parent
+SUBMODULES = ("trace", "dynamism", "selectors", "evaluation", "rttsim")
+
+
+def imported_from_package(source: str) -> set[str]:
+    return {
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.module == "prefixcast"
+        for alias in node.names
+    }
+
+
+def readme_quickstart() -> str:
+    section = (ROOT / "README.md").read_text().split("## Library quickstart", 1)[1]
+    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
+def test_package_exports_what_demos_and_quickstart_import():
+    used = imported_from_package(readme_quickstart())
+    for demo in sorted((ROOT / "demos").glob("*.py")):
+        used |= imported_from_package(demo.read_text())
+    assert len(prefixcast.__all__) == len(set(prefixcast.__all__))
+    assert set(prefixcast.__all__) == used
+
+
+@pytest.mark.parametrize("name", SUBMODULES)
+def test_submodule_exports_only_names_it_defines(name):
+    module = importlib.import_module(f"prefixcast.{name}")
+    defined = set()
+    for node in ast.parse(Path(module.__file__).read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.Assign):
+            defined |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+    assert len(module.__all__) == len(set(module.__all__))
+    assert set(module.__all__) <= defined - {"__all__"}

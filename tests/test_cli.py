@@ -828,6 +828,39 @@ class TestProbeSimulate:
         assert not (out / "np.csv").exists()
 
 
+@pytest.mark.parametrize("sidecar, edit, named", [
+    ("matrix.json", lambda meta: [1, 2], "expected a JSON object, got [1, 2]"),
+    ("matrix.json", lambda meta: {**meta, "start": None}, "start must be a JSON integer, got null"),
+    ("matrix.json", lambda meta: {**meta, "bin_count": 3.7},
+     "bin_count must be a JSON integer, got 3.7"),
+    ("matrix.json", lambda meta: {**meta, "bin_seconds": True},
+     "bin_seconds must be a JSON integer, got true"),
+    ("matrix.json", lambda meta: {k: v for k, v in meta.items() if k != "bin_count"},
+     "bin_count must be a JSON integer, got null"),
+    ("probe_meta.json", lambda meta: [1], "expected a JSON object, got [1]"),
+    ("probe_meta.json", lambda meta: {**meta, "ticks": float(meta["ticks"])},
+     "ticks must be a JSON integer"),
+    ("probe_meta.json", lambda meta: {**meta, "prefix_count": True},
+     "prefix_count must be a JSON integer, got true"),
+])
+def test_sidecar_not_an_object_or_not_integer_is_data_error(tmp_path, capsys, sidecar, edit, named):
+    if sidecar == "matrix.json":
+        path = write_int_matrix(tmp_path, ["10.0.0.0/24,1,2,3", "10.0.1.0/24,5,4,3"])
+        argv = ["analyze", "--matrix", str(path)]
+    else:
+        assert main(["probe-synth", "--prefix-count", "4", "--duration", "3000",
+                     "--out", str(tmp_path)]) == 0
+        argv = ["simulate", "--probes", str(tmp_path / "probes.csv")]
+    meta = read_json(tmp_path / sidecar)
+    (tmp_path / sidecar).write_text(json.dumps(edit(meta)))
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert sidecar in err and named in err
+    assert not out.exists()
+
+
 def test_write_json_refuses_nan_and_leaves_no_file(tmp_path):
     path = tmp_path / "summary.json"
     with pytest.raises(ValueError, match="summary.json: Out of range float"):

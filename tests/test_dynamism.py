@@ -9,14 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prefixcast.dynamism import (
-    burstiness_index,
-    burstiness_score,
     burstiness_summary,
-    coefficient_of_variation,
     compute_core_profile,
     concentration_curve,
-    core_presence_intensity,
-    core_set,
     core_summary,
     cv_vs_volume_bins,
     icp_vs_volume_bins,
@@ -30,6 +25,7 @@ from prefixcast.trace import (
     synthesize_trace,
     synthetic_prefix,
 )
+from scalar_oracles import burstiness_score
 
 A = Prefix.parse("10.0.0.0/24")
 B = Prefix.parse("10.0.1.0/24")
@@ -57,65 +53,86 @@ def brute_force_core(volumes: dict, threshold: float) -> set:
     return core
 
 
+def cv_of(*series) -> np.ndarray:
+    """``prefix_shares_and_cv``'s cv of each series, as rows of one matrix."""
+    rows = {synthetic_prefix(k + 1): list(v) for k, v in enumerate(series)}
+    return prefix_shares_and_cv(matrix(rows, bins=len(series[0])))[1]
+
+
+def core_of(volumes: dict, threshold: float) -> set:
+    """``compute_core_profile``'s core of an hour with these volumes; a
+    second hour keeps every prefix a row."""
+    m = matrix({p: [v, 1] for p, v in volumes.items()}, bins=2)
+    cp = compute_core_profile(m, threshold).cp
+    return {m.prefixes[i] for i in np.flatnonzero(cp[:, 0])}
+
+
+def core_members(profile, h: int) -> set:
+    return {profile.prefixes[i] for i in np.flatnonzero(profile.cp[:, h - 1])}
+
+
 class TestCoefficientOfVariation:
     def test_constant_series_is_zero(self):
-        assert coefficient_of_variation([5] * 168) == 0.0
+        assert cv_of([5] * 168).tolist() == [0.0]
 
     def test_single_active_hour_attains_maximum(self):
-        series = np.zeros(168)
+        series = np.zeros(168, dtype=np.int64)
         series[0] = 168
-        assert coefficient_of_variation(series) == pytest.approx(
-            math.sqrt(167), abs=1e-9
-        )
+        assert cv_of(series)[0] == pytest.approx(math.sqrt(167), abs=1e-9)
 
     def test_hand_example(self):
         # mean 2, population std 1
-        assert coefficient_of_variation([1, 3]) == pytest.approx(0.5)
+        assert cv_of([1, 3])[0] == pytest.approx(0.5)
 
     def test_all_zero_errors(self):
-        with pytest.raises(ValueError):
-            coefficient_of_variation([0, 0, 0])
+        # an all-zero series has no cv: its row is dropped, and a matrix
+        # with no other row is refused
+        assert cv_of([0, 0, 0], [1, 2, 3]).size == 1
+        with pytest.raises(ValueError, match="no active prefixes"):
+            cv_of([0, 0, 0])
 
     def test_single_entry_errors(self):
         with pytest.raises(ValueError):
-            coefficient_of_variation([7])
+            cv_of([7])
 
     def test_bounded_by_length_maximum(self):
         rng = np.random.default_rng(5)
         bound = math.sqrt(167)
+        rows = []
         for _ in range(300):
             series = rng.uniform(0, 1000, size=168)
             series[rng.uniform(size=168) < 0.7] = 0.0
             if series.sum() == 0:
                 series[0] = 1.0
-            assert coefficient_of_variation(series) <= bound + 1e-9
+            rows.append(np.rint(series * 1e6).astype(np.int64))
+        cv = cv_of(*rows)
+        assert cv.size == 300 and (cv <= bound + 1e-9).all()
 
 
 class TestCoreSet:
     def test_cumulative_reaches_threshold(self):
         vols = {A: 50, B: 30, C: 15, D: 5}
-        assert core_set(vols, 0.95) == {A, B, C}
+        assert core_of(vols, 0.95) == {A, B, C}
 
     def test_single_prefix(self):
-        assert core_set({A: 7}, 0.95) == {A}
+        assert core_of({A: 7}, 0.95) == {A}
 
     def test_forced_inclusion(self):
         # 94 < 95 forces the small prefix in too
-        assert core_set({A: 94, B: 6}, 0.95) == {A, B}
+        assert core_of({A: 94, B: 6}, 0.95) == {A, B}
 
     def test_empty_hour(self):
-        assert core_set({}, 0.95) == set()
-        assert core_set({A: 0, B: 0}, 0.95) == set()
+        assert core_of({A: 0, B: 0}, 0.95) == set()
 
     def test_threshold_validation(self):
         with pytest.raises(ValueError):
-            core_set({A: 1}, 0.0)
+            core_of({A: 1}, 0.0)
         with pytest.raises(ValueError):
-            core_set({A: 1}, 1.5)
+            core_of({A: 1}, 1.5)
 
     def test_tie_break_by_text(self):
         # equal volumes: lexicographically smaller text ranks first
-        assert core_set({B: 10, A: 10}, 0.5) == {A}
+        assert core_of({B: 10, A: 10}, 0.5) == {A}
 
     def test_matches_brute_force_on_random_hours(self):
         rng = np.random.default_rng(11)
@@ -126,7 +143,7 @@ class TestCoreSet:
                 for k in range(1, n + 1)
             }
             threshold = float(rng.uniform(0.3, 1.0))
-            assert core_set(vols, threshold) == brute_force_core(vols, threshold)
+            assert core_of(vols, threshold) == brute_force_core(vols, threshold)
 
     def test_minimality_and_monotonicity(self):
         rng = np.random.default_rng(12)
@@ -139,49 +156,62 @@ class TestCoreSet:
             total = sum(vols.values())
             if total == 0:
                 continue
-            core = core_set(vols, 0.95)
+            core = core_of(vols, 0.95)
             covered = sum(vols[p] for p in core)
             assert covered >= 0.95 * total
             # dropping the weakest member must fall below the threshold
             weakest = sorted(core, key=lambda p: (vols[p], p.text))[0]
             assert covered - vols[weakest] < 0.95 * total
             # raising the threshold never shrinks the core
-            assert core <= core_set(vols, 0.99)
+            assert core <= core_of(vols, 0.99)
 
 
 class TestCorePresenceIntensity:
     def test_all_ones(self):
-        assert core_presence_intensity([1] * 24) == 1.0
+        assert compute_core_profile(matrix({A: [1] * 24}, bins=24)).icp.tolist() == [1.0]
 
     def test_all_zeros(self):
-        assert core_presence_intensity([0] * 24) == 0.0
+        # A carries 99% of every hour, so B never joins the core
+        profile = compute_core_profile(matrix({A: [99] * 24, B: [1] * 24}, bins=24))
+        assert profile.icp.tolist() == [1.0, 0.0]
 
     def test_half(self):
-        assert core_presence_intensity([1] * 84 + [0] * 84) == 0.5
+        m = matrix({A: [1] * 84 + [0] * 84, B: [0] * 84 + [1] * 84}, bins=168)
+        assert compute_core_profile(m).icp.tolist() == [0.5, 0.5]
 
     def test_rejects_non_binary(self):
-        with pytest.raises(ValueError):
-            core_presence_intensity([0, 2, 1])
+        # the presence series an intensity averages hold only 0 and 1, and
+        # cannot be changed afterwards
+        grid = TimeGrid(start=0, bin_seconds=3600, bin_count=24)
+        m = synthesize_trace(SyntheticTraceSpec(prefix_count=30, noise=0.8, seed=3), grid)
+        cp = compute_core_profile(m).cp
+        assert cp.dtype == np.uint8 and set(np.unique(cp).tolist()) == {0, 1}
+        with pytest.raises(ValueError, match="read-only"):
+            cp[0, 0] = 2
 
 
 class TestBurstinessScore:
     def test_always_present_scores_zero(self):
-        assert burstiness_score(1.0, 50.0) == 0.0
+        profile = compute_core_profile(matrix({A: [50, 50]}, bins=2))
+        assert profile.max_beta == 0.0 and profile.bi.tolist() == [0.0, 0.0]
 
     def test_never_present_scores_zero(self):
-        assert burstiness_score(0.0, 50.0) == 0.0
+        # B is never core (icp 0) and A always is (icp 1): neither scores
+        profile = compute_core_profile(matrix({A: [99, 99], B: [1, 1]}, bins=2))
+        assert profile.icp.tolist() == [1.0, 0.0]
+        assert profile.max_beta == 0.0
 
     def test_log_amplification(self):
-        assert burstiness_score(math.exp(-1), 10.0) == pytest.approx(10.0)
+        # B sits in one core of four and then carries its whole hour
+        profile = compute_core_profile(matrix({A: [99, 99, 99, 0], B: [1, 1, 1, 50]}, bins=4))
+        assert profile.max_beta == pytest.approx(-math.log(0.25) * 100.0)
+        assert profile.bi[3] == pytest.approx(-math.log(0.25) * 100.0)
 
     def test_zero_volume_scores_zero(self):
-        assert burstiness_score(0.3, 0.0) == 0.0
-
-    def test_range_validation(self):
-        with pytest.raises(ValueError):
-            burstiness_score(1.5, 10.0)
-        with pytest.raises(ValueError):
-            burstiness_score(0.5, 150.0)
+        # an hour without volume has an empty core and adds nothing
+        profile = compute_core_profile(matrix({A: [5, 0, 5, 1], B: [0, 0, 5, 9]}, bins=4))
+        assert profile.core_sizes[1] == 0 and profile.bi[1] == 0.0
+        assert profile.bi[3] > 0
 
 
 class TestCoreProfile:
@@ -190,24 +220,21 @@ class TestCoreProfile:
         m = synthesize_trace(SyntheticTraceSpec(prefix_count=60, noise=0.6, seed=2), grid)
         profile = compute_core_profile(m, threshold=0.9)
         for h in (1, 7, 24):
-            assert profile.core(h) == core_set(m.hour(h), 0.9)
+            hour = dict(zip(m.prefixes, m.values[:, h - 1].tolist()))
+            assert core_members(profile, h) == brute_force_core(hour, 0.9)
 
     def test_membership_flags_match_cores(self):
+        # hour 1: A's 9 of 10 falls short; hour 2: B alone; hour 3: a tie
         m = matrix({A: [9, 0, 1], B: [1, 10, 1]}, bins=3)
         profile = compute_core_profile(m, threshold=0.95)
-        for h in (1, 2, 3):
-            members = profile.core(h)
-            for p in m.prefixes:
-                assert bool(profile.cp[profile.index_of(p), h - 1]) == (p in members)
+        assert profile.cp.tolist() == [[1, 0, 1], [1, 1, 1]]
+        assert profile.core_sizes.tolist() == [2, 1, 2]
 
     def test_intensity_is_presence_mean(self):
         m = matrix({A: [9, 9, 9, 9], B: [1, 100, 1, 1]}, bins=4)
         profile = compute_core_profile(m, threshold=0.95)
-        for p in m.prefixes:
-            assert profile.intensity(p) == pytest.approx(
-                core_presence_intensity(profile.presence(p))
-            )
-            assert 0.0 <= profile.intensity(p) <= 1.0
+        assert profile.icp.tolist() == profile.cp.mean(axis=1).tolist()
+        assert ((0.0 <= profile.icp) & (profile.icp <= 1.0)).all()
 
     def test_bi_zero_when_everyone_always_core(self):
         m = matrix({A: [5, 5], B: [5, 5]}, bins=2)
@@ -229,28 +256,21 @@ class TestCoreProfile:
             for h in (1, 5, 12):
                 expected = 0.0
                 total = m.total(h)
-                for p in profile.core(h):
-                    icp = profile.intensity(p)
-                    vp = 100.0 * m.series(p)[h - 1] / total
+                for i in np.flatnonzero(profile.cp[:, h - 1]):
+                    icp = profile.icp[i]
+                    vp = 100.0 * m.values[i, h - 1] / total
                     if 0 < icp:
                         expected += -math.log(icp) * vp
-                assert burstiness_index(profile, m, h) == pytest.approx(
-                    expected, abs=1e-9
-                )
                 assert profile.bi[h - 1] == pytest.approx(expected, abs=1e-9)
 
     def test_single_term_index(self):
         # one dominant prefix owns hour 4's core; its score is the whole index
         m = matrix({A: [99, 99, 99, 0], B: [1, 1, 1, 50]}, bins=4)
         profile = compute_core_profile(m, threshold=0.95)
-        assert profile.core(4) == {B}
-        assert profile.intensity(B) == pytest.approx(0.25)
-        icp_b = profile.intensity(B)
-        vp_b = 100.0 * 50 / 50
-        assert burstiness_index(profile, m, 4) == pytest.approx(
-            burstiness_score(icp_b, vp_b)
-        )
-        assert burstiness_index(profile, m, 4) > 0
+        assert core_members(profile, 4) == {B}
+        assert profile.icp[1] == pytest.approx(0.25)
+        assert profile.bi[3] == pytest.approx(burstiness_score(profile.icp[1], 100.0))
+        assert profile.bi[3] > 0
 
     def test_scores_non_negative(self):
         grid = TimeGrid(start=0, bin_seconds=3600, bin_count=24)
@@ -261,7 +281,7 @@ class TestCoreProfile:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_max_beta_is_largest_scalar_score(self, seed):
-        # every (prefix, hour) through the scalar burstiness_score
+        # every (prefix, hour) through the scalar burstiness score
         rng = np.random.default_rng(seed)
         n, bins = int(rng.integers(1, 12)), int(rng.integers(2, 30))
         values = rng.integers(0, 50, size=(n, bins)) * (rng.random((n, bins)) < 0.6)
@@ -272,21 +292,13 @@ class TestCoreProfile:
         )
         profile = compute_core_profile(m, threshold=float(rng.choice([0.5, 0.8, 0.95])))
         want = max(
-            burstiness_score(profile.intensity(p), 100.0 * float(m.values[i, h]) / float(m.totals[h]))
-            for i, p in enumerate(m.prefixes)
+            burstiness_score(profile.icp[i], 100.0 * float(m.values[i, h]) / float(m.totals[h]))
+            for i in range(len(m))
             for h in range(bins)
             if m.totals[h] > 0
         )
         assert profile.max_beta == want
         assert burstiness_summary(profile)["max_beta"] == want
-
-    def test_index_rejects_out_of_range_hour(self):
-        m = matrix({A: [1, 2], B: [2, 1]}, bins=2)
-        profile = compute_core_profile(m)
-        with pytest.raises(ValueError):
-            burstiness_index(profile, m, 0)
-        with pytest.raises(ValueError):
-            burstiness_index(profile, m, 3)
 
 
 def per_hour_core_cp(m, threshold):

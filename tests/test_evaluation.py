@@ -1,4 +1,4 @@
-"""Coverage, churn, boxplot summaries, and the burstiness/coverage relation."""
+"""Coverage, churn, boxplot summaries, and burstiness against coverage."""
 
 from types import SimpleNamespace
 
@@ -9,9 +9,7 @@ from hypothesis import strategies as st
 
 from prefixcast.dynamism import compute_core_profile
 from prefixcast.evaluation import (
-    bi_vs_coverage,
     boxplot_summary,
-    churn,
     evaluate_run,
     hourly_coverage,
     oracle_topk,
@@ -25,6 +23,7 @@ from prefixcast.trace import (
     synthesize_trace,
     synthetic_prefix,
 )
+from scalar_oracles import picked_set
 
 A = Prefix.parse("10.0.0.0/24")
 B = Prefix.parse("10.0.1.0/24")
@@ -59,12 +58,20 @@ class TestHourlyCoverage:
         assert hourly_coverage({A, stranger}, m, 1) == 1.0
 
 
+def churn(prev, new) -> int:
+    """``evaluate_run``'s churn between two consecutive hours that pick
+    the given row indices."""
+    rows = max([*prev, *new, 0]) + 1
+    m = matrix({synthetic_prefix(k + 1): [1, 1, 1] for k in range(rows)}, bins=3)
+    return int(evaluate_run(picks_run(m.prefixes, 3, [list(prev), list(new)]), m).churn[0])
+
+
 class TestChurn:
     def test_one_in_one_out(self):
-        assert churn({"a", "b", "c"}, {"b", "c", "d"}) == 2
+        assert churn({0, 1, 2}, {1, 2, 3}) == 2
 
     def test_identical_sets(self):
-        assert churn({"a", "b"}, {"a", "b"}) == 0
+        assert churn({0, 1}, {0, 1}) == 0
 
     def test_disjoint_upper_bound(self):
         k = 7
@@ -77,7 +84,7 @@ class TestChurn:
         for _ in range(300):
             a = set(rng.integers(0, 30, size=rng.integers(0, 15)).tolist())
             b = set(rng.integers(0, 30, size=rng.integers(0, 15)).tolist())
-            assert churn(a, b) == churn(b, a)
+            assert churn(a, b) == churn(b, a) == len(a ^ b)
 
 
 class TestBoxplotSummary:
@@ -163,15 +170,12 @@ class TestEvaluateRun:
         assert (report.churn <= 2 * 10).all()
         # coverage agrees with the scalar operation
         for pos, h in enumerate(report.hours):
-            direct = hourly_coverage(run.selected_set(int(h)), m, int(h))
+            direct = hourly_coverage(picked_set(run, int(h)), m, int(h))
             assert report.coverage[pos] == pytest.approx(direct, abs=1e-12)
         # churn agrees with the scalar operation
         for pos in range(1, len(report.hours)):
-            expected = churn(
-                run.selected_set(int(report.hours[pos - 1])),
-                run.selected_set(int(report.hours[pos])),
-            )
-            assert report.churn[pos - 1] == expected
+            prev, new = (picked_set(run, int(h)) for h in report.hours[pos - 1 : pos + 1])
+            assert report.churn[pos - 1] == len(prev ^ new)
 
     def test_stationary_trace_churn_drops_with_window(self):
         # no bursts, no diurnal swing: churn is pure noise and longer
@@ -292,25 +296,29 @@ class TestEvaluateRunMatchesExactOracle:
 
 
 class TestBurstinessVsCoverage:
-    def run_cv(self, m):
+    def points(self, m):
+        """(mean BI, mean coverage) and (max BI, min coverage) of the
+        core-volume selector on one trace."""
         profile = compute_core_profile(m)
         config = SelectorConfig("core_volume", m.bin_count, max_core_size(profile))
         report = evaluate_run(run_selection(m, profile, config), m)
-        return report, profile
+        return (
+            (float(profile.bi.mean()), float(report.coverage.mean())),
+            (float(profile.bi.max()), float(report.coverage.min())),
+        )
 
     def test_single_trace_single_point(self):
+        # the worst point lies right of and below the mean point
         grid = TimeGrid(start=0, bin_seconds=3600, bin_count=24)
         m = synthesize_trace(SyntheticTraceSpec(prefix_count=30, noise=0.3, seed=1), grid)
-        points = bi_vs_coverage([self.run_cv(m)])
-        assert len(points.mean_points) == 1
-        assert len(points.worst_points) == 1
+        (mean_bi, mean_cov), (max_bi, min_cov) = self.points(m)
+        assert max_bi >= mean_bi >= 0.0
+        assert min_cov <= mean_cov <= 1.0
 
     def test_calm_trace_sits_at_origin_full_coverage(self):
         # a single prefix is always the whole core: index 0, coverage 1
         m = matrix({A: [5, 5, 5, 5]}, bins=4)
-        points = bi_vs_coverage([self.run_cv(m)])
-        assert points.mean_points[0] == (0.0, 1.0)
-        assert points.worst_points[0] == (0.0, 1.0)
+        assert self.points(m) == ((0.0, 1.0), (0.0, 1.0))
 
     def test_bursty_trace_has_worse_minimum_coverage(self):
         grid = TimeGrid(start=0, bin_seconds=3600, bin_count=48)
@@ -324,17 +332,6 @@ class TestBurstinessVsCoverage:
             grid, [*calm.prefixes, Prefix.parse("10.99.0.0/24")], np.vstack([calm.values, burst])
         )
 
-        points = bi_vs_coverage([self.run_cv(calm), self.run_cv(bursty)])
-        (calm_bi, calm_cov), (bursty_bi, bursty_cov) = points.worst_points
+        (calm_bi, calm_cov), (bursty_bi, bursty_cov) = (self.points(m)[1] for m in (calm, bursty))
         assert bursty_bi > calm_bi
         assert bursty_cov <= calm_cov
-
-    def test_method_guard(self):
-        grid = TimeGrid(start=0, bin_seconds=3600, bin_count=8)
-        m = synthesize_trace(SyntheticTraceSpec(prefix_count=10, seed=2), grid)
-        profile = compute_core_profile(m)
-        report = evaluate_run(
-            run_selection(m, profile, SelectorConfig("mean_volume", 1, 3)), m
-        )
-        with pytest.raises(ValueError, match="core_volume"):
-            bi_vs_coverage([(report, profile)])

@@ -10,32 +10,37 @@ from hypothesis import strategies as st
 from prefixcast.rttsim import (
     DYNAMIC_LABEL,
     MAX_PROBE_ROUNDS,
-    ProbeLog,
-    ProbeSample,
+    _last_round_best,
     ProbeScheduleSpec,
     RegimeSwitch,
     RttModel,
     generate_probe_log,
     load_probe_log,
-    normalized_performance,
     np_series,
     np_summary,
-    pick_last_round_best,
     rank_transits,
     save_probe_log,
     simulate_dynamic_selection,
 )
 from prefixcast.trace import Prefix, synthetic_prefix
+from scalar_oracles import probe_log as log_from
+from scalar_oracles import probe_rows, probe_rtt
 
 P1 = Prefix.parse("192.0.2.0/24")
 P2 = Prefix.parse("198.51.100.0/24")
 
 
-def log_from(rows, tick_times=None) -> ProbeLog:
-    """rows: (tick, prefix, transit, rtt) tuples."""
-    return ProbeLog(
-        [ProbeSample(t, p, tr, rtt) for t, p, tr, rtt in rows], tick_times
-    )
+def normalized_performance(log, transit: str, tick: int) -> float | None:
+    """Normalized RTT of one transit at one probing round; None is a gap."""
+    return np_series(log, transit).values[log.ticks.index(tick)]
+
+
+def load_rows(tmp_path, rows):
+    """The probe log in a CSV of ``tick,prefix,transit,rtt_ms`` rows."""
+    path = tmp_path / "probes.csv"
+    lines = [",".join(map(str, row)) + "\n" for row in rows]
+    path.write_text("tick,prefix,transit,rtt_ms\n" + "".join(lines))
+    return load_probe_log(path)
 
 
 class TestProbeLog:
@@ -43,20 +48,20 @@ class TestProbeLog:
         log = log_from([(0, P1, "T1", 10.0), (0, P2, "T2", None)])
         assert log.transits == ("T1", "T2")
         assert log.prefixes == (P1, P2)
-        assert log.rtt(0, P2, "T2") is None
+        assert probe_rtt(log, 0, P2, "T2") is None
 
     def test_duplicate_sample_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             log_from([(0, P1, "T1", 10.0), (0, P1, "T1", 12.0)])
 
-    def test_non_positive_rtt_rejected(self):
+    def test_non_positive_rtt_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            ProbeSample(0, P1, "T1", 0.0)
+            load_rows(tmp_path, [(0, P1, "T1", 0.0)])
 
     @pytest.mark.parametrize("rtt", [float("inf"), float("-inf"), float("nan")])
-    def test_non_finite_rtt_rejected(self, rtt):
+    def test_non_finite_rtt_rejected(self, tmp_path, rtt):
         with pytest.raises(ValueError, match="finite"):
-            ProbeSample(0, P1, "T1", rtt)
+            load_rows(tmp_path, [(0, P1, "T1", rtt)])
 
     def test_cube_marks_lost_and_never_probed_apart(self):
         log = log_from([(0, P1, "T1", 10.0), (0, P1, "T2", None), (1, P2, "T1", 12.0)])
@@ -67,11 +72,14 @@ class TestProbeLog:
         assert not log.cube.flags.writeable
 
     def test_previous_tick(self):
-        log = log_from([(3, P1, "T1", 10.0), (7, P1, "T1", 11.0)])
-        assert log.previous_tick(7) == 3
-        assert log.previous_tick(3) is None
-        with pytest.raises(ValueError):
-            log.previous_tick(5)
+        # the round before tick 7 is tick 3, whatever numbers lie between
+        log = log_from([
+            (3, P1, "T1", 10.0), (3, P1, "T2", 20.0),
+            (7, P1, "T1", 40.0), (7, P1, "T2", 20.0),
+        ])
+        result = simulate_dynamic_selection(log, seed=0)
+        assert result.ticks == (7,)
+        assert result.values == (2.0,)  # T1, best at tick 3
 
 
 class TestNormalizedPerformance:
@@ -145,37 +153,32 @@ class TestNormalizedPerformance:
 
 
 class TestLastRoundChoice:
+    """The dynamic transit's choice, read off its normalized RTT: at tick 1
+    T1 measures 2.0 and T2 1.0."""
+
     def test_picks_minimum(self):
         log = log_from([
             (0, P1, "T1", 10.0), (0, P1, "T2", 30.0),
-            (1, P1, "T1", 99.0), (1, P1, "T2", 99.0),
+            (1, P1, "T1", 50.0), (1, P1, "T2", 25.0),
         ])
-        rng = np.random.default_rng(0)
-        assert pick_last_round_best(log, P1, 1, rng) == "T1"
+        assert simulate_dynamic_selection(log, seed=0).values == (2.0,)
 
     def test_tie_breaks_by_label(self):
         log = log_from([
             (0, P1, "T1", 15.0), (0, P1, "T2", 15.0),
-            (1, P1, "T1", 1.0), (1, P1, "T2", 1.0),
+            (1, P1, "T1", 50.0), (1, P1, "T2", 25.0),
         ])
-        rng = np.random.default_rng(0)
-        assert pick_last_round_best(log, P1, 1, rng) == "T1"
+        assert simulate_dynamic_selection(log, seed=0).values == (2.0,)
 
     def test_no_history_draws_seeded_random(self):
+        # P2 has no tick-0 sample, so its transit is drawn from the seed
         log = log_from([
             (0, P1, "T1", 10.0), (0, P1, "T2", 20.0),
-            (1, P1, "T1", 10.0), (1, P1, "T2", 20.0),
+            (1, P2, "T1", 50.0), (1, P2, "T2", 25.0),
         ])
-        picks_a = [
-            pick_last_round_best(log, P2, 1, np.random.default_rng(7))
-            for _ in range(5)
-        ]
-        picks_b = [
-            pick_last_round_best(log, P2, 1, np.random.default_rng(7))
-            for _ in range(5)
-        ]
-        assert picks_a == picks_b
-        assert set(picks_a) <= {"T1", "T2"}
+        draws = [simulate_dynamic_selection(log, seed=seed).values for seed in range(20)]
+        assert draws == [simulate_dynamic_selection(log, seed=seed).values for seed in range(20)]
+        assert set(draws) == {(1.0,), (2.0,)}
 
 
 class TestDynamicSelection:
@@ -256,23 +259,23 @@ class TestGenerateProbeLog:
         schedule = ProbeScheduleSpec(jitter=0.0, duration=1500.0, seed=3)
         log = generate_probe_log(schedule, self.model(loss_prob=loss))
         for tick in log.ticks:
-            assert log.rtt(tick, P1, "T2") is None
-            assert log.rtt(tick, P1, "T1") is not None
+            assert probe_rtt(log, tick, P1, "T2") is None
+            assert probe_rtt(log, tick, P1, "T1") is not None
         assert "T2" in log.transits  # lost pair still part of the universe
 
     def test_regime_switch_multiplies(self):
         switch = RegimeSwitch(transit="T1", start_tick=2, end_tick=4, multiplier=10.0)
         schedule = ProbeScheduleSpec(jitter=0.0, duration=1500.0, seed=4)
         log = generate_probe_log(schedule, self.model(regime_switches=(switch,)))
-        assert log.rtt(2, P1, "T1") == pytest.approx(200.0)
-        assert log.rtt(4, P1, "T1") == pytest.approx(20.0)
+        assert probe_rtt(log, 2, P1, "T1") == pytest.approx(200.0)
+        assert probe_rtt(log, 4, P1, "T1") == pytest.approx(20.0)
 
     def test_seed_determinism(self):
         schedule = ProbeScheduleSpec(duration=5000.0, seed=9)
         model = self.model(noise_std=2.0, loss_prob=0.1)
         a = generate_probe_log(schedule, model)
         b = generate_probe_log(schedule, model)
-        assert list(a.samples()) == list(b.samples())
+        assert probe_rows(a) == probe_rows(b)
         assert a.tick_times == b.tick_times
 
     # a NaN or infinite duration would never end the round loop, so the
@@ -348,7 +351,7 @@ class TestProbeCsv:
         path = tmp_path / "probes.csv"
         save_probe_log(log, path)
         back = load_probe_log(path)
-        assert list(back.samples()) == list(log.samples())
+        assert probe_rows(back) == probe_rows(log) == rows
 
     @pytest.mark.parametrize("body, message", [
         ("0,192.0.2.0/24,T1\n", "line 3: bad probe row"),
@@ -516,8 +519,6 @@ class TestCubeMatchesScalarOracle:
                 assert series.ticks == tuple(d.ticks)
                 assert series.values == tuple(v for v, _ in expected)
                 assert series.included == tuple(n for _, n in expected)
-                for tick, value in zip(series.ticks, series.values):
-                    assert normalized_performance(log, transit, tick) == value
 
     def test_dynamic_selection_exact(self):
         draws = 0
@@ -534,12 +535,16 @@ class TestCubeMatchesScalarOracle:
         assert draws > 100  # the batched random draws were exercised
 
     def test_pick_last_round_best_exact(self):
+        # the choice each (round, prefix) takes from the round before; a blind
+        # one is drawn at random, which test_dynamic_selection_exact checks
         for log, d in self.logs():
-            for prev, tick in zip(d.ticks, d.ticks[1:]):
-                for prefix in d.prefixes:
-                    got = pick_last_round_best(log, prefix, tick, np.random.default_rng(5))
-                    want = oracle_pick(d, prefix, prev, np.random.default_rng(5))
-                    assert got == want
+            choice, blind = _last_round_best(log.cube[:-1])
+            for t, (prev, tick) in enumerate(zip(d.ticks, d.ticks[1:])):
+                for p, prefix in enumerate(d.prefixes):
+                    assert blind[t, p] == (not d.samples_at(prev, prefix))
+                    if not blind[t, p]:
+                        want = oracle_pick(d, prefix, prev, np.random.default_rng(5))
+                        assert log.transits[choice[t, p]] == want
 
     def test_rank_transits_matches_oracle_series(self):
         for seed, (log, d) in enumerate(self.logs()):
@@ -575,7 +580,7 @@ class TestCubeMatchesScalarOracle:
             schedule = ProbeScheduleSpec(duration=20_000.0, jitter=0.3 * (seed % 2), seed=seed)
             rows, times = oracle_generate(schedule, model)
             log = generate_probe_log(schedule, model)
-            assert list(log.samples()) == [ProbeSample(*row) for row in rows]
+            assert probe_rows(log) == rows
             assert log.tick_times == tuple(times)
 
 
@@ -609,5 +614,5 @@ def test_probe_csv_roundtrip_is_exact(tmp_path_factory, log):
     assert (back.ticks, back.prefixes, back.transits) == (log.ticks, log.prefixes, log.transits)
     assert np.array_equal(back.cube, log.cube, equal_nan=True)
     assert np.array_equal(back.probed, log.probed)  # lost and never-probed stay apart
-    assert list(back.samples()) == list(log.samples())
+    assert probe_rows(back) == probe_rows(log)
     assert back.tick_times == tuple(range(len(log.ticks)))

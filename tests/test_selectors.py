@@ -8,18 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prefixcast.dynamism import compute_core_profile, core_presence_intensity
+from prefixcast.dynamism import compute_core_profile
 from prefixcast.evaluation import oracle_topk
 from prefixcast.selectors import (
     GM11_MIN_POINTS,
     METHODS,
     WINDOW_GRID,
     SelectorConfig,
-    core_volume_score,
     gm11_fit,
     gm11_forecast,
     max_core_size,
-    mean_volume_score,
     run_selection,
 )
 from prefixcast.trace import (
@@ -30,9 +28,11 @@ from prefixcast.trace import (
     synthesize_trace,
     synthetic_prefix,
 )
+from scalar_oracles import picked, picked_set
 
 A = Prefix.parse("10.0.0.0/24")
 B = Prefix.parse("10.0.1.0/24")
+C = Prefix.parse("10.0.2.0/24")
 
 
 def matrix(series: dict, bins: int) -> HourlyTraceMatrix:
@@ -51,41 +51,57 @@ def random_matrix(rng, n_max=15, bins_max=12):
     return HourlyTraceMatrix(grid, [synthetic_prefix(k + 1) for k in range(n)], values)
 
 
+def last_hour_scores(series: dict, method: str) -> dict:
+    """``run_selection``'s scores for the last hour of ``series``, from a
+    window of every earlier hour, with K large enough to pick every
+    positive score; a prefix scoring 0 is absent."""
+    bins = len(next(iter(series.values())))
+    m = matrix(series, bins=bins)
+    config = SelectorConfig(method, bins - 1, len(m))
+    return dict(picked(run_selection(m, compute_core_profile(m), config), bins))
+
+
 class TestWindowScores:
     def test_mean_volume(self):
-        assert mean_volume_score([3, 6, 9]) == 6.0
+        assert last_hour_scores({A: [3, 6, 9, 1]}, "mean_volume") == {A: 6.0}
 
     def test_mean_volume_zero_window(self):
-        assert mean_volume_score([0, 0, 0]) == 0.0
+        # a window without volume scores 0, which is never selected
+        assert last_hour_scores({A: [0, 0, 0, 1], B: [1, 1, 1, 1]}, "mean_volume") == {B: 1.0}
 
     def test_mean_volume_last_hour_identity(self):
-        assert mean_volume_score([42]) == 42.0
+        assert last_hour_scores({A: [42, 1]}, "mean_volume") == {A: 42.0}
 
     def test_core_presence(self):
-        assert core_presence_intensity([1, 1, 1, 1]) == 1.0
-        assert core_presence_intensity([0, 0]) == 0.0
-        assert core_presence_intensity([1, 0, 1]) == pytest.approx(2 / 3)
+        # A: core in every hour; B: never (A holds 99%); C: in two of three
+        scores = last_hour_scores(
+            {A: [990, 990, 990, 1], B: [10, 10, 0, 1], C: [0, 1000, 1000, 1]}, "core_presence"
+        )
+        assert scores[A] == 1.0 and B not in scores
+        assert scores[C] == pytest.approx(2 / 3)
 
     def test_core_volume_masked_mean(self):
-        assert core_volume_score([1, 0, 1], [10, 20, 30]) == pytest.approx(40 / 3)
+        # B owns hour 2's core, so A counts hours 1 and 3 only
+        scores = last_hour_scores({A: [10, 20, 30, 1], B: [0, 1000, 0, 1]}, "core_volume")
+        assert scores[A] == pytest.approx(40 / 3)
 
     def test_core_volume_equals_mean_volume_when_always_core(self):
-        v = [7, 1, 9, 4]
-        assert core_volume_score([1, 1, 1, 1], v) == mean_volume_score(v)
-
-    def test_core_volume_validation(self):
-        with pytest.raises(ValueError):
-            core_volume_score([1, 0], [1, 2, 3])
-        with pytest.raises(ValueError):
-            core_volume_score([1, 2], [1, 2])
+        series = {A: [7, 1, 9, 4, 1]}
+        assert last_hour_scores(series, "core_volume") == last_hour_scores(series, "mean_volume")
 
     def test_dominance_core_volume_below_mean_volume(self):
         rng = np.random.default_rng(3)
-        for _ in range(1000):
-            length = int(rng.integers(1, 40))
-            v = rng.uniform(0, 1000, size=length)
-            cp = (rng.uniform(size=length) < 0.5).astype(int)
-            assert core_volume_score(cp, v) <= mean_volume_score(v) + 1e-12
+        for _ in range(100):
+            m = random_matrix(rng)
+            profile = compute_core_profile(m)
+            window = int(rng.integers(1, 12))
+            mv_run, cv_run = (
+                run_selection(m, profile, SelectorConfig(method, window, len(m)))
+                for method in ("mean_volume", "core_volume")
+            )
+            for h in mv_run.hours.tolist():
+                mv = dict(picked(mv_run, h))
+                assert all(score <= mv[p] + 1e-12 for p, score in picked(cv_run, h))
 
 
 def normal_equations_fit(series):
@@ -484,13 +500,13 @@ class TestRunSelection:
         m = matrix({A: [10, 10], B: [5, 5]}, bins=2)
         profile = compute_core_profile(m)
         run = run_selection(m, profile, SelectorConfig("mean_volume", 1, 1))
-        assert run.selected_set(2) == {A}
+        assert picked_set(run, 2) == {A}
 
     def test_tie_break_lexicographic(self):
         m = matrix({B: [7, 7], A: [7, 7]}, bins=2)
         profile = compute_core_profile(m)
         run = run_selection(m, profile, SelectorConfig("mean_volume", 1, 1))
-        assert run.selected_set(2) == {A}
+        assert picked_set(run, 2) == {A}
 
     def test_l1_mean_volume_equals_previous_hour_topk(self):
         grid = TimeGrid(start=0, bin_seconds=3600, bin_count=24)
@@ -499,7 +515,7 @@ class TestRunSelection:
         run = run_selection(m, profile, SelectorConfig("mean_volume", 1, 5))
         for h in (2, 10, 24):
             expected = {m.prefixes[i] for i in oracle_topk(m, h - 1, 5)}
-            assert run.selected_set(h) == expected
+            assert picked_set(run, h) == expected
 
     def test_no_lookahead_under_truncation(self):
         rng = np.random.default_rng(23)
@@ -516,7 +532,7 @@ class TestRunSelection:
             config = SelectorConfig(method, int(rng.integers(1, 10)), 3)
             run1 = run_selection(m, compute_core_profile(m), config)
             run2 = run_selection(m2, compute_core_profile(m2), config)
-            assert run1.selected_set(h + 1) == run2.selected_set(h + 1)
+            assert picked_set(run1, h + 1) == picked_set(run2, h + 1)
             checked += 1
 
     def test_l1_core_volume_selects_exactly_previous_core(self):
@@ -525,7 +541,8 @@ class TestRunSelection:
         profile = compute_core_profile(m)
         run = run_selection(m, profile, SelectorConfig("core_volume", 1, len(m)))
         for h in (2, 12, 24):
-            assert run.selected_set(h) == profile.core(h - 1)
+            previous_core = {m.prefixes[i] for i in np.flatnonzero(profile.cp[:, h - 2])}
+            assert picked_set(run, h) == previous_core
 
     def test_scaling_invariance(self):
         rng = np.random.default_rng(31)
@@ -537,7 +554,7 @@ class TestRunSelection:
                 run1 = run_selection(m, compute_core_profile(m), config)
                 run2 = run_selection(scaled, compute_core_profile(scaled), config)
                 for h in run1.hours:
-                    assert run1.selected_set(int(h)) == run2.selected_set(int(h))
+                    assert picked_set(run1, int(h)) == picked_set(run2, int(h))
 
     def test_warmup_flags_and_shrunk_window(self):
         m = matrix({A: [1, 2, 3, 4, 5], B: [5, 4, 3, 2, 1]}, bins=5)
@@ -545,7 +562,7 @@ class TestRunSelection:
         run = run_selection(m, profile, SelectorConfig("mean_volume", 3, 2))
         assert run.warmup.tolist() == [True, True, False, False]
         # hour 3 window shrinks to hours 1..2
-        scores = dict(run.selected(3))
+        scores = dict(picked(run, 3))
         assert scores[A] == pytest.approx(1.5)
         assert scores[B] == pytest.approx(4.5)
 
@@ -553,10 +570,10 @@ class TestRunSelection:
         m = matrix({A: [3, 0, 0], B: [0, 0, 5]}, bins=3)
         profile = compute_core_profile(m)
         run = run_selection(m, profile, SelectorConfig("mean_volume", 1, 2))
-        assert run.selected_set(2) == {A}
+        assert picked_set(run, 2) == {A}
         assert run.shortfall.tolist() == [True, True]
         # hour 3 window is hour 2 (all zero): nothing selectable
-        assert run.selected_set(3) == set()
+        assert picked_set(run, 3) == set()
 
     def test_gm11_run_deterministic_and_counts_fallbacks(self):
         grid = TimeGrid(start=0, bin_seconds=3600, bin_count=12)
@@ -568,7 +585,7 @@ class TestRunSelection:
         assert run1.gm11_fallbacks == run2.gm11_fallbacks
         assert run1.gm11_fallbacks > 0  # warm-up windows shorter than 4 points
         for h in run1.hours:
-            assert run1.selected(int(h)) == run2.selected(int(h))
+            assert picked(run1, int(h)) == picked(run2, int(h))
 
     def test_gm11_candidates_are_mean_volume_candidates(self):
         # past 2**53 the float64 running sum absorbs A's later ones, so no
@@ -580,7 +597,7 @@ class TestRunSelection:
                     for method in ("mean_volume", "gm11")]
             for h in range(2, 9):
                 want = {A, B} if h <= window + 1 else {B}
-                assert [run.selected_set(h) for run in runs] == [want, want], (window, h)
+                assert [picked_set(run, h) for run in runs] == [want, want], (window, h)
 
     def test_mismatched_profile_rejected(self):
         m = matrix({A: [1, 2], B: [2, 1]}, bins=2)

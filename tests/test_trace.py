@@ -21,9 +21,9 @@ from prefixcast.trace import (
     save_matrix,
     synthesize_trace,
     synthetic_prefix,
-    weekly_volume_fraction,
     zipf_shares,
 )
+from prefixcast.dynamism import prefix_shares_and_cv
 
 P8 = Prefix.parse("10.0.0.0/8")
 P16 = Prefix.parse("10.1.0.0/16")
@@ -59,13 +59,13 @@ class TestTimeGrid:
             TimeGrid(start=10, bin_seconds=3600, bin_count=168)
 
     def test_bin_of(self):
+        # a grid's first and last second bin into its first and last hour;
+        # the seconds just outside it are out of range
         grid = TimeGrid(start=3600, bin_seconds=3600, bin_count=4)
-        assert grid.bin_of(3600) == 1
-        assert grid.bin_of(3600 + 3 * 3600 + 3599) == 4
-        with pytest.raises(ValueError):
-            grid.bin_of(3599)
-        with pytest.raises(ValueError):
-            grid.bin_of(grid.end)
+        records = [(t, P8.text, 1) for t in (3600, 3600 + 3 * 3600 + 3599, 3599, grid.end)]
+        m, summary = bin_records(records, grid)
+        assert m.values.tolist() == [[1, 0, 0, 1]]
+        assert summary.rejected_out_of_range == 2
 
     def test_week_default(self):
         grid = TimeGrid(start=0)
@@ -176,33 +176,35 @@ class TestBinRecords:
             bin_records([], grid)
 
 
+def weekly_shares_pct(m) -> list[float]:
+    return prefix_shares_and_cv(m)[0].tolist()
+
+
 class TestWeeklyVolumeFraction:
     def test_sole_prefix_carries_all(self):
         grid = TimeGrid(start=0, bin_seconds=3600, bin_count=2)
         m, _ = bin_records([(0, P8.text, 7)], grid)
-        assert weekly_volume_fraction(m, P8) == 1.0
+        assert weekly_shares_pct(m) == [100.0]
 
     def test_hand_division(self):
         grid = TimeGrid(start=0, bin_seconds=3600, bin_count=2)
         m, _ = bin_records(
             [(0, P8.text, 10), (0, P16.text, 990)], grid
         )
-        assert weekly_volume_fraction(m, P8) == pytest.approx(0.01, abs=1e-15)
+        assert weekly_shares_pct(m) == pytest.approx([1.0, 99.0], abs=1e-13)
 
     def test_symmetry(self):
         grid = TimeGrid(start=0, bin_seconds=3600, bin_count=2)
         m, _ = bin_records(
             [(0, P8.text, 40), (3600, P16.text, 40)], grid
         )
-        assert weekly_volume_fraction(m, P8) == 0.5
-        assert weekly_volume_fraction(m, P16) == 0.5
+        assert weekly_shares_pct(m) == [50.0, 50.0]
 
     def test_fractions_sum_to_one(self):
         grid = TimeGrid(start=0, bin_seconds=3600, bin_count=24)
         spec = SyntheticTraceSpec(prefix_count=300, noise=0.5, seed=1)
         m = synthesize_trace(spec, grid)
-        total = sum(weekly_volume_fraction(m, p) for p in m.prefixes)
-        assert total == pytest.approx(1.0, abs=1e-12)
+        assert sum(weekly_shares_pct(m)) == pytest.approx(100.0, abs=1e-10)
 
 
 class TestSynthesize:
@@ -363,7 +365,7 @@ class TestMatrixModel:
     def test_hour_mapping(self):
         grid = TimeGrid(start=0, bin_seconds=3600, bin_count=2)
         m = HourlyTraceMatrix(grid, [P8, P16], [[5, 0], [1, 2]])
-        assert m.hour(1) == {P8: 5, P16: 1}
+        assert dict(zip(m.prefixes, m.values[:, 0].tolist())) == {P8: 5, P16: 1}
 
 
 class TestCsvInterfaces:
