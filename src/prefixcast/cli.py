@@ -80,16 +80,14 @@ def _load_matrix(path: str) -> trace.HourlyTraceMatrix:
 
 
 def _cmd_ingest(args) -> int:
-    rows = list(trace.iter_trace_csv(args.input))
+    records = trace.iter_trace_csv(args.input)
 
     start, bins = args.start, args.bins
     if start is None or bins is None:
-        stamps = []
-        for row in rows:
-            try:
-                stamps.append(int(row[0]))
-            except (ValueError, IndexError, TypeError):
-                continue
+        # parsed here, bin_records takes them as they are; only the records
+        # it would not reject as malformed span the grid
+        records = trace.parse_records(records)
+        stamps = [ts for ts, *_, reason in records if reason is None]
         if not stamps:
             raise ValueError("no usable records: cannot derive a grid")
         if start is None:
@@ -104,7 +102,7 @@ def _cmd_ingest(args) -> int:
     grid = trace.TimeGrid(start=start, bin_seconds=args.bin_seconds, bin_count=bins)
 
     policy = "raise" if args.on_error == "abort" else "count"
-    matrix, summary = trace.bin_records(rows, grid, errors=policy)
+    matrix, summary = trace.bin_records(records, grid, errors=policy)
 
     out = _out_dir(args)
     trace.save_matrix(matrix, out / "matrix.csv")
@@ -292,8 +290,7 @@ def _selector_configs(
     the same selection file are a data error."""
     size = size if size is not None else selectors.max_core_size(profile)
     if config:
-        with open(config) as fh:
-            entries = json.load(fh)
+        entries = trace.read_json(config)
         if not isinstance(entries, list):
             raise ValueError(f"{config}: expected a JSON list of selector objects")
         configs = [_config_entry(config, e, size) for e in entries]
@@ -491,15 +488,13 @@ def _cmd_probe_synth(args) -> int:
     for flag, value in (("--rtt-low", args.rtt_low), ("--rtt-high", args.rtt_high)):
         if not math.isfinite(value):
             raise ValueError(f"{flag} must be finite, got {value}")
-    rng = np.random.default_rng(args.seed)
     transits = [f"T{i + 1}" for i in range(args.transits)]
     prefixes = [trace.synthetic_prefix(k) for k in range(1, args.prefix_count + 1)]
-    base = {}
-    for prefix in sorted(prefixes, key=lambda p: p.text):
-        for transit in transits:
-            base[(prefix, transit)] = float(rng.uniform(args.rtt_low, args.rtt_high))
+    pairs = [(p, t) for p in sorted(prefixes, key=lambda p: p.text) for t in transits]
+    # one base RTT per pair, drawn in this order
+    base = np.random.default_rng(args.seed).uniform(args.rtt_low, args.rtt_high, len(pairs))
     model = rttsim.RttModel(
-        base_rtt=base,
+        base_rtt=dict(zip(pairs, base.tolist())),
         noise_std=args.noise_std,
         loss_prob=args.loss,
         regime_switches=tuple(_parse_regime(r) for r in args.regime),
@@ -536,14 +531,15 @@ def _cmd_probe_synth(args) -> int:
 
 
 def _load_probes(path: Path) -> rttsim.ProbeLog:
-    """The probe log at ``path``.  A ``probe_meta.json`` beside it (as
-    probe-synth writes) restores the round start times, and must agree
-    with the log on ticks, transits and prefix count: a JSON object whose
-    ``ticks`` and ``prefix_count`` are JSON integers."""
+    """The probe log at ``path``, read once.  A ``probe_meta.json`` beside
+    it (as probe-synth writes) must be a JSON object whose ``ticks`` and
+    ``prefix_count`` are JSON integers, and it must agree with the log on
+    ticks (``tick_times`` listing one finite start time per tick), transits
+    and prefix count."""
     meta_path = path.with_name("probe_meta.json")
     if not meta_path.exists():
         return rttsim.load_probe_log(path)
-    meta = json.loads(meta_path.read_text())
+    meta = trace.read_json(meta_path)
     if not isinstance(meta, dict):
         raise ValueError(f"{meta_path}: expected a JSON object, got {json.dumps(meta)}")
     try:
@@ -551,20 +547,14 @@ def _load_probes(path: Path) -> rttsim.ProbeLog:
             trace.json_int(key, meta.get(key))
     except ValueError as exc:
         raise ValueError(f"{meta_path}: {exc}") from None
+    log = rttsim.load_probe_log(path)
     tick_times = meta.get("tick_times")
     if not (
-        isinstance(tick_times, list) and len(tick_times) == meta.get("ticks")
-        and all(isinstance(t, (int, float)) and math.isfinite(t) for t in tick_times)
+        isinstance(tick_times, list) and len(tick_times) == meta["ticks"] == len(log.ticks)
+        and all(type(t) in (int, float) and math.isfinite(t) for t in tick_times)
     ):
-        raise ValueError(f"{meta_path}: tick_times must list one finite start time per tick")
-    try:
-        log = rttsim.load_probe_log(path, tick_times=tick_times)
-    except ValueError as exc:
-        # the loader also refuses tick_times of the wrong length; only on
-        # failure, read the log alone to tell whether that was the cause
-        if len(rttsim.load_probe_log(path).ticks) == len(tick_times):
-            raise
-        raise ValueError(f"{meta_path}: {exc}") from None
+        raise ValueError(f"{meta_path}: ticks and tick_times must give one finite start "
+                         f"time to each of the {len(log.ticks)} probing rounds in {path}")
     found = {"transits": list(log.transits), "prefix_count": len(log.prefixes)}
     for key, value in found.items():
         claimed = meta.get(key)
@@ -758,7 +748,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_ERROR
 

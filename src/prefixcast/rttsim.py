@@ -49,8 +49,11 @@ PROBE_CSV_HEADER = ("tick", "prefix", "transit", "rtt_ms")
 # Label of the simulated last-round-best virtual transit in outputs.
 DYNAMIC_LABEL = "dynamic"
 
-# Most probing rounds a schedule may allow; the round loop is Python.
+# Most probing rounds a schedule may allow; it bounds the array of round gaps.
 MAX_PROBE_ROUNDS = 1_000_000
+
+# Floor of every synthetic RTT in ms, so noise never makes one 0 or negative.
+MIN_RTT = 0.1
 
 
 class _DuplicateSample(ValueError):
@@ -69,7 +72,8 @@ class ProbeLog:
     sent; the bool ``probed`` mask tells the two apart (False = never
     probed).  The axes ``ticks``, ``prefixes`` (by text) and ``transits``
     are the sorted unions seen across all samples, lost ones included.
-    At most one sample may exist per (tick, prefix, transit).
+    At most one sample may exist per (tick, prefix, transit).  A generated
+    log has its round start times in ``tick_times``; a loaded one has None.
     """
 
     __slots__ = ("ticks", "prefixes", "transits", "tick_times", "cube", "probed")
@@ -88,8 +92,6 @@ class ProbeLog:
             index.append(np.array([pos[k] for k in keys], np.intp)[codes])
         self.ticks, self.prefixes, self.transits = axes
         shape = tuple(map(len, axes))
-        if tick_times is not None and len(tick_times) != shape[0]:
-            raise ValueError(f"{len(tick_times)} tick_times for {shape[0]} probing rounds")
         flat = np.ravel_multi_index(index, shape).ravel()
         probed = np.zeros(math.prod(shape), dtype=bool)
         probed[flat] = True
@@ -144,10 +146,10 @@ def np_series(log: ProbeLog, transit: str) -> NpSeries:
     if transit not in log.transits:
         raise ValueError(f"unknown transit {transit!r}")
     column = log.transits.index(transit)
-    values, included = _np_table(log.cube, log.cube)
+    values, included = _np_table(log.cube[:, :, [column]], log.cube)
     return NpSeries(
-        transit=transit, ticks=log.ticks, values=_gaps(values[:, column]),
-        included=tuple(included[:, column].tolist()),
+        transit=transit, ticks=log.ticks, values=_gaps(values[:, 0]),
+        included=tuple(included[:, 0].tolist()),
     )
 
 
@@ -224,14 +226,13 @@ class ProbeScheduleSpec:
 
 @dataclass(frozen=True)
 class RegimeSwitch:
-    """RTT degradation episode: multiply one transit's RTT on rounds
-    ``start_tick <= t < end_tick`` (optionally only for some prefixes)."""
+    """RTT degradation episode: multiply one transit's RTT, for every
+    prefix, on rounds ``start_tick <= t < end_tick``."""
 
     transit: str
     start_tick: int
     end_tick: int
     multiplier: float
-    prefixes: tuple[Prefix, ...] | None = None
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.multiplier) and self.multiplier > 0):
@@ -246,16 +247,15 @@ class RttModel:
 
     ``base_rtt`` maps every probed (prefix, transit) pair to its baseline
     RTT in ms.  Gaussian noise (std ``noise_std``) is added per probe and
-    the result clamped at ``min_rtt``.  ``loss_prob`` is either a global
-    float or a per-pair mapping; lost probes appear in the log without an
+    the result clamped at ``MIN_RTT``.  Each probe is lost with the one
+    probability ``loss_prob``; lost probes appear in the log without an
     RTT value.
     """
 
     base_rtt: Mapping[tuple[Prefix, str], float]
     noise_std: float = 0.0
-    loss_prob: float | Mapping[tuple[Prefix, str], float] = 0.0
+    loss_prob: float = 0.0
     regime_switches: tuple[RegimeSwitch, ...] = ()
-    min_rtt: float = 0.1
 
     def __post_init__(self) -> None:
         if not self.base_rtt:
@@ -266,12 +266,8 @@ class RttModel:
                 raise ValueError(f"base RTT for {pair} must be finite and > 0, got {value}")
         if not (math.isfinite(self.noise_std) and self.noise_std >= 0):
             raise ValueError(f"noise_std must be finite and >= 0, got {self.noise_std}")
-        if not (math.isfinite(self.min_rtt) and self.min_rtt > 0):
-            raise ValueError(f"min_rtt must be finite and > 0, got {self.min_rtt}")
-        per_pair = not isinstance(self.loss_prob, (int, float))
-        for p in self.loss_prob.values() if per_pair else [self.loss_prob]:
-            if not 0 <= p <= 1:
-                raise ValueError(f"loss probability {p} outside [0, 1]")
+        if not 0 <= self.loss_prob <= 1:
+            raise ValueError(f"loss probability {self.loss_prob} outside [0, 1]")
 
 
 def generate_probe_log(schedule: ProbeScheduleSpec, model: RttModel) -> ProbeLog:
@@ -279,39 +275,34 @@ def generate_probe_log(schedule: ProbeScheduleSpec, model: RttModel) -> ProbeLog
 
     The schedule fixes the probing rounds; every known (prefix, transit)
     pair is probed each round, subject to the model's loss probability.
+    One generator makes three array draws, in this order: every round
+    gap, every probe's loss uniform, every probe's noise, the last two
+    in (round, pair) order with pairs sorted by (prefix text, transit).
     """
     rng = np.random.default_rng(schedule.seed)
     lo = schedule.mean_interval * (1.0 - schedule.jitter)
     hi = schedule.mean_interval * (1.0 + schedule.jitter)
-
-    times = [0.0]
-    while True:
-        gap = rng.uniform(lo, hi) if schedule.jitter > 0 else schedule.mean_interval
-        nxt = times[-1] + gap
-        if nxt >= schedule.duration:
-            break
-        times.append(nxt)
+    # that many gaps sum past duration (a rounded last sum may fall just
+    # short, and then no later round would start before duration), and
+    # cumsum adds them in order, so the times equal a loop's running sum
+    gaps = rng.uniform(lo, hi, int(schedule.duration // lo) + 1)
+    times = np.concatenate(([0.0], np.cumsum(gaps)))
+    times = times[: np.searchsorted(times, schedule.duration)]
 
     pairs = sorted(model.base_rtt, key=lambda pt: (pt[0].text, pt[1]))
-    prob = model.loss_prob
-    losses = [prob if isinstance(prob, (int, float)) else prob.get(pair, 0.0) for pair in pairs]
-    # per probe in (tick, pair) order: a uniform for loss (random() draws what
-    # uniform() would, faster), then a normal if answered; NaN marks a loss
-    noise = [
-        np.nan if loss > rng.random()
-        else rng.normal(0.0, model.noise_std) if model.noise_std > 0 else 0.0
-        for _ in times for loss in losses
-    ]
+    shape = (len(times), len(pairs))
+    lost = model.loss_prob > rng.random(shape)
+    noise = rng.normal(0.0, model.noise_std, shape)
     rtt = np.tile(np.array([model.base_rtt[pair] for pair in pairs], np.float64), (len(times), 1))
     # one multiplication per switch, in order: a product rounds differently
     for sw in model.regime_switches:
-        hit = [t == sw.transit and (sw.prefixes is None or p in sw.prefixes) for p, t in pairs]
+        hit = [t == sw.transit for _, t in pairs]
         rtt[max(sw.start_tick, 0) : max(sw.end_tick, 0), hit] *= sw.multiplier
-    rtt = np.maximum(rtt + np.reshape(noise, rtt.shape), model.min_rtt)
+    rtt = np.where(lost, np.nan, np.maximum(rtt + noise, MIN_RTT))
     codes = np.arange(len(pairs))
     return ProbeLog(
         (range(len(times)), np.arange(len(times))[:, None]), ([p for p, _ in pairs], codes),
-        ([t for _, t in pairs], codes), rtt, times,
+        ([t for _, t in pairs], codes), rtt, times.tolist(),
     )
 
 
@@ -366,12 +357,11 @@ def save_probe_log(log: ProbeLog, path: str | Path) -> None:
         ))
 
 
-def load_probe_log(path: str | Path, tick_times: Sequence[float] | None = None) -> ProbeLog:
+def load_probe_log(path: str | Path) -> ProbeLog:
     """Read a probe log written by ``save_probe_log`` (or any external
-    prober emitting the same format); ``tick_times`` restores the round
-    start times that the CSV does not carry.  A malformed row, or an RTT
-    that is not finite and > 0, raises ValueError naming the CSV line.
-    """
+    prober emitting the same format), without round start times.  A
+    malformed row, or an RTT that is not finite and > 0, raises ValueError
+    naming the CSV line."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -396,6 +386,6 @@ def load_probe_log(path: str | Path, tick_times: Sequence[float] | None = None) 
     axes = zip((ticks, prefixes, transits), (int, Prefix.parse, str.strip))
     columns = [parse_column(column, parse, path, lines) for column, parse in axes]
     try:
-        return ProbeLog(*columns, rtt, tick_times)
+        return ProbeLog(*columns, rtt)
     except _DuplicateSample as exc:
         raise ValueError(f"{path}: line {lines[exc.sample]}: {exc}") from None

@@ -24,8 +24,10 @@ __all__ = [
     "TimeGrid",
     "HourlyTraceMatrix",
     "IngestSummary",
+    "ParsedRecords",
     "BurstSpec",
     "SyntheticTraceSpec",
+    "parse_records",
     "bin_records",
     "zipf_shares",
     "synthetic_prefix",
@@ -35,6 +37,7 @@ __all__ = [
     "load_matrix",
     "parse_column",
     "json_int",
+    "read_json",
 ]
 
 TRACE_CSV_HEADER = ("timestamp", "prefix", "bytes")
@@ -200,8 +203,44 @@ class IngestSummary:
         return self.rejected_malformed + self.rejected_out_of_range
 
 
+class ParsedRecords(tuple):
+    """Raw flow records, each parsed once, in input order.  A well-formed
+    record is ``(timestamp, Prefix, volume, None)``; a malformed one is
+    ``(None, None, volume, reason)``, whose volume is None unless its bytes
+    field parsed to a count >= 0."""
+
+
+def parse_records(records: Iterable[tuple]) -> ParsedRecords:
+    """Parse raw ``(timestamp, prefix, bytes)`` triples (e.g. CSV rows):
+    integer fields, a canonical prefix, and a volume that is >= 0 and
+    within the int64 range, else the record is malformed."""
+    prefix_cache: dict[str, Prefix] = {}
+    rows = []
+    for rec in records:
+        volume: int | None = None
+        try:
+            if len(rec) != 3:
+                raise ValueError(f"expected 3 fields, got {len(rec)}")
+            if (parsed := int(rec[2])) < 0:
+                raise ValueError(f"negative volume {parsed}")
+            volume = parsed  # only now, so a negative volume's bytes are not counted
+            if volume > _INT64_MAX:
+                raise ValueError(f"volume {volume} exceeds the int64 range")
+            ts = int(rec[0])
+            text = rec[1]
+            prefix = prefix_cache.get(text)
+            if prefix is None:
+                prefix = Prefix.parse(text)
+                prefix_cache[text] = prefix
+        except (ValueError, TypeError) as exc:
+            rows.append((None, None, volume, f"{rec!r} ({exc})"))
+            continue
+        rows.append((ts, prefix, volume, None))
+    return ParsedRecords(rows)
+
+
 def bin_records(
-    records: Iterable[tuple],
+    records: Iterable[tuple] | ParsedRecords,
     grid: TimeGrid,
     errors: str = "count",
 ) -> tuple[HourlyTraceMatrix, IngestSummary]:
@@ -209,9 +248,10 @@ def bin_records(
 
     Parameters
     ----------
-    records : iterable
-        Raw ``(timestamp, prefix, bytes)`` triples (e.g. CSV rows).  The
-        fields are parsed here so that the reject policy applies uniformly.
+    records : iterable or ParsedRecords
+        Raw ``(timestamp, prefix, bytes)`` triples (e.g. CSV rows), parsed
+        here with ``parse_records`` so that the reject policy applies
+        uniformly, or what ``parse_records`` returned for them.
     grid : TimeGrid
         Target binning grid; records outside it are out-of-range.
     errors : str
@@ -232,49 +272,20 @@ def bin_records(
     """
     if errors not in ("count", "raise"):
         raise ValueError(f"unknown errors policy {errors!r}")
+    if not isinstance(records, ParsedRecords):
+        records = parse_records(records)
 
     codes: dict[Prefix, int] = {}
-    prefix_cache: dict[str, Prefix] = {}
     cells, volumes = [], []  # flat cell index and volume per binned record
-    read = binned = malformed = out_of_range = 0
     bytes_binned = bytes_rejected = 0
 
-    def _bad(kind: str, detail: str, volume: int | None) -> None:
-        nonlocal malformed, out_of_range, bytes_rejected
-        if errors == "raise":
-            raise ValueError(f"{kind} record: {detail}")
-        if kind == "malformed":
-            malformed += 1
-        else:
-            out_of_range += 1
-        if volume is not None:
-            bytes_rejected += volume
-
-    for rec in records:
-        read += 1
-        volume: int | None = None
-        try:
-            if len(rec) != 3:
-                raise ValueError(f"expected 3 fields, got {len(rec)}")
-            if (parsed := int(rec[2])) < 0:
-                raise ValueError(f"negative volume {parsed}")
-            volume = parsed  # only now, so a negative volume's bytes are not counted
-            if volume > _INT64_MAX:
-                raise ValueError(f"volume {volume} exceeds the int64 range")
-            ts = int(rec[0])
-            text = rec[1]
-            prefix = prefix_cache.get(text)
-            if prefix is None:
-                prefix = Prefix.parse(text)
-                prefix_cache[text] = prefix
-        except (ValueError, TypeError) as exc:
-            _bad("malformed", f"{rec!r} ({exc})", volume)
+    for read, (ts, prefix, volume, reason) in enumerate(records, start=1):
+        if reason is not None or not grid.start <= ts < grid.end:
+            if errors == "raise":
+                raise ValueError(f"malformed record: {reason}" if reason is not None
+                                 else f"out-of-range record: timestamp {ts}")
+            bytes_rejected += volume or 0
             continue
-
-        if not grid.start <= ts < grid.end:
-            _bad("out-of-range", f"timestamp {ts}", volume)
-            continue
-
         bytes_binned += volume
         # every cell and total is at most bytes_binned, so none can wrap
         if bytes_binned > _INT64_MAX:
@@ -285,17 +296,17 @@ def bin_records(
         code = codes.setdefault(prefix, len(codes))
         cells.append(code * grid.bin_count + (ts - grid.start) // grid.bin_seconds)
         volumes.append(volume)
-        binned += 1
 
     # np.bincount would sum float64 weights, rounding cells above 2^53
     values = np.zeros((len(codes), grid.bin_count), dtype=np.int64)
     np.add.at(values.reshape(-1), np.array(cells, dtype=np.intp), np.array(volumes, dtype=np.int64))
     matrix = HourlyTraceMatrix(grid, list(codes), values)
+    malformed = sum(reason is not None for *_, reason in records)
     summary = IngestSummary(
-        records_read=read,
-        records_binned=binned,
+        records_read=len(records),
+        records_binned=len(cells),
         rejected_malformed=malformed,
-        rejected_out_of_range=out_of_range,
+        rejected_out_of_range=len(records) - len(cells) - malformed,
         bytes_binned=bytes_binned,
         bytes_rejected=bytes_rejected,
         active_prefixes=len(matrix),
@@ -459,6 +470,16 @@ def json_int(key: str, value) -> int:
     return value
 
 
+def read_json(path: str | Path):
+    """The JSON value in the file at ``path``; text that does not decode
+    is a ValueError naming the file."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not valid JSON: {exc}") from None
+
+
 def _meta_path_for(csv_path: Path) -> Path:
     return csv_path.with_suffix(".json")
 
@@ -494,17 +515,15 @@ def load_matrix(csv_path: str | Path) -> HourlyTraceMatrix:
     """Load a matrix written by ``save_matrix``.
 
     Each line is one unquoted ``prefix,h1,...,hN`` row of plain decimal
-    int64 cells.  A sidecar that is not a JSON object, a grid field that
-    is not a JSON integer, and a ``dtype`` other than ``"int"`` raise
-    ValueError naming the sidecar.  A cell
-    that does not parse or a row of the wrong width raises ValueError
-    naming the prefix; a ``HourlyTraceMatrix`` error is raised again
-    naming the CSV.
+    int64 cells.  A sidecar that is not JSON or not a JSON object, a grid
+    field that is not a JSON integer, and a ``dtype`` other than ``"int"``
+    raise ValueError naming the sidecar.  A cell that does not parse or a
+    row of the wrong width raises ValueError naming the prefix; a
+    ``HourlyTraceMatrix`` error is raised again naming the CSV.
     """
     csv_path = Path(csv_path)
     meta_path = _meta_path_for(csv_path)
-    with open(meta_path) as fh:
-        meta = json.load(fh)
+    meta = read_json(meta_path)
     if not isinstance(meta, dict):
         raise ValueError(f"{meta_path}: expected a JSON object, got {json.dumps(meta)}")
     try:

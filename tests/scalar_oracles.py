@@ -12,13 +12,13 @@ import numpy as np
 from prefixcast.rttsim import ProbeLog
 
 
-def probe_log(rows, tick_times=None) -> ProbeLog:
+def probe_log(rows) -> ProbeLog:
     """A probe log from ``(tick, prefix, transit, rtt)`` rows; an ``rtt``
     of None is a lost probe."""
     ticks, prefixes, transits, rtts = list(zip(*rows)) or [()] * 4
     rtt = np.array([np.nan if v is None else v for v in rtts], np.float64)
     every = slice(None)
-    return ProbeLog((ticks, every), (prefixes, every), (transits, every), rtt, tick_times)
+    return ProbeLog((ticks, every), (prefixes, every), (transits, every), rtt)
 
 
 def probe_rtt(log: ProbeLog, tick, prefix, transit) -> float | None:

@@ -90,6 +90,16 @@ class TestIngest:
         m = load_matrix(out / "matrix.csv")
         assert m.grid.start == 0 and m.grid.bin_count == 2
 
+    # a malformed record's timestamp would stretch the grid: 250001 bins
+    # (refused) for the first, 11 bins with 9 empty hours for the second
+    @pytest.mark.parametrize("malformed", ["900000000,not-a-prefix,3", "36000,10.2.0.0/16,-3"])
+    def test_derived_grid_ignores_malformed_records(self, tmp_path, flows_csv, malformed):
+        flows_csv.write_text(flows_csv.read_text() + malformed + "\n")
+        out = tmp_path / "stage"
+        assert main(["ingest", str(flows_csv), "--out", str(out)]) == 0
+        assert load_matrix(out / "matrix.csv").grid.bin_count == 2
+        assert read_json(out / "ingest.json")["rejected_malformed"] == 1
+
     def test_derived_grid_beyond_a_leap_year_is_data_error(self, tmp_path, capsys, monkeypatch):
         from prefixcast import trace
 
@@ -419,11 +429,12 @@ class TestSelectEvaluate:
         ([{"method": "gm11"}], "window must be a JSON integer, got null"),
         ([{"method": "gm12", "window": 2}], "unknown method 'gm12'"),
         ([{"method": "gm11", "window": 0}], "window must be >= 1"),
+        ('[{"method": "gm11", "window": 6}', "not valid JSON: Expecting ',' delimiter"),
     ], ids=["object", "entry not an object", "null window", "float window", "bool size",
-            "no window", "unknown method", "window 0"])
+            "no window", "unknown method", "window 0", "not JSON"])
     def test_bad_config_rejected(self, tmp_path, trace_dir, capsys, entries, named):
         cfg = tmp_path / "selectors.json"
-        cfg.write_text(json.dumps(entries))
+        cfg.write_text(entries if isinstance(entries, str) else json.dumps(entries))
         out = tmp_path / "select"
         assert main(["select", "--matrix", f"{trace_dir}/matrix.csv",
                      "--config", str(cfg), "--out", str(out)]) == 2
@@ -794,18 +805,19 @@ class TestProbeSimulate:
                      "--duration", "3000", "--seed", "6", "--out", str(out)]) == 0
         return read_json(out / "probe_meta.json")
 
-    def test_meta_restores_tick_times(self, tmp_path, monkeypatch):
+    def test_log_is_read_once_even_on_mismatched_meta(self, tmp_path, monkeypatch):
         from prefixcast import rttsim
 
         meta = self.probe_synth(tmp_path)
-        seen = []
-        rank = rttsim.rank_transits
-        monkeypatch.setattr(
-            rttsim, "rank_transits", lambda log, **kw: seen.append(log) or rank(log, **kw)
-        )
-        assert main(["simulate", "--probes", f"{tmp_path}/probes.csv",
-                     "--out", str(tmp_path)]) == 0
-        assert seen[0].tick_times == tuple(meta["tick_times"])
+        reads = []
+        load = rttsim.load_probe_log
+        monkeypatch.setattr(rttsim, "load_probe_log", lambda path: reads.append(path) or load(path))
+        argv = ["simulate", "--probes", f"{tmp_path}/probes.csv", "--out", str(tmp_path / "out")]
+        assert main(argv) == 0
+        meta.update(ticks=meta["ticks"] - 1, tick_times=meta["tick_times"][1:])
+        (tmp_path / "probe_meta.json").write_text(json.dumps(meta))
+        assert main(argv) == 2
+        assert len(reads) == 2
 
     @pytest.mark.parametrize("edit, named", [
         (lambda meta: meta.update(transits=["T1", "T2", "T9"]), "transits"),
@@ -842,6 +854,10 @@ class TestProbeSimulate:
      "ticks must be a JSON integer"),
     ("probe_meta.json", lambda meta: {**meta, "prefix_count": True},
      "prefix_count must be a JSON integer, got true"),
+    ("matrix.json", lambda meta: '{"start": 0,', "not valid JSON: Expecting property name"),
+    ("probe_meta.json", lambda meta: '{"ticks": 13', "not valid JSON: Expecting ',' delimiter"),
+    ("probe_meta.json", lambda meta: {**meta, "tick_times": [True, *meta["tick_times"][1:]]},
+     "tick_times must give one finite start time to each of the 13 probing rounds"),
 ])
 def test_sidecar_not_an_object_or_not_integer_is_data_error(tmp_path, capsys, sidecar, edit, named):
     if sidecar == "matrix.json":
@@ -851,8 +867,8 @@ def test_sidecar_not_an_object_or_not_integer_is_data_error(tmp_path, capsys, si
         assert main(["probe-synth", "--prefix-count", "4", "--duration", "3000",
                      "--out", str(tmp_path)]) == 0
         argv = ["simulate", "--probes", str(tmp_path / "probes.csv")]
-    meta = read_json(tmp_path / sidecar)
-    (tmp_path / sidecar).write_text(json.dumps(edit(meta)))
+    meta = edit(read_json(tmp_path / sidecar))
+    (tmp_path / sidecar).write_text(meta if isinstance(meta, str) else json.dumps(meta))
     capsys.readouterr()
     out = tmp_path / "out"
     assert main([*argv, "--out", str(out)]) == 2

@@ -33,11 +33,11 @@ PINS = {
     "ingested/matrix.json": "3b601eae642229172a2a7827e7afafe531d1825db0679c3203d642bc1f57473d",
     "matrix.csv": "ebdb83de8e8448236b7a9951ec01d387706f25d37759c7ce633199919f35d510",
     "matrix.json": "25cf0a96a9f2d45299c043ada639043bba075e175d4f19e1191825caadf1c7ce",
-    "np.csv": "724b28007b194045e5353309ab4cbc3c6fbbd9ac4084b2309a0b78ba41655189",
-    "np_summary.json": "735fbb363bbf76f4d5f89ef040658c80a3c850f614b0c585dde84860d3c0213c",
+    "np.csv": "39d251a4bb92c0022272ce6988209785f791347c66081a009ab548c6e9b60e5d",
+    "np_summary.json": "115a0e5084a3e5da6d747c4c3249ee24bd811db6d57f24c591cb1f5f49f29bfd",
     "prefixes.csv": "209b0daba5e67f656b80b2f00bd3a84994d37d5557f5dbc15fb27026fb09e465",
     "probe_meta.json": "4ba8084a8fb464a9131f74c2e0bfa39407d729baf0e52112545c59b453906dae",
-    "probes.csv": "e5640e3dbbc7a5001d1b62b2d21867a918e1d02c58d773c4f4bb03f0cd04ee35",
+    "probes.csv": "56dfcbfc597dcffb0d8e089eef119f879be41138dad99dba7f417f10f89c2476",
     "report_core_presence_L1.csv": "5359439922fb64d949e243b6ec0c4c49b87e4b34ccc86466a52dfbfe094016aa",
     "report_core_presence_L12.csv": "82cfe951d957963efb0868e855c95b6db8236bc120f01238f2e78794b9047e60",
     "report_core_presence_L168.csv": "6b579335fcbd70b38a06d1a6f6dc6c8c9d4fda51e4fc56cfd4a474c21e7aed7a",

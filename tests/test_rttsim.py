@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from prefixcast.rttsim import (
     DYNAMIC_LABEL,
     MAX_PROBE_ROUNDS,
+    MIN_RTT,
     _last_round_best,
     ProbeScheduleSpec,
     RegimeSwitch,
@@ -254,14 +255,21 @@ class TestGenerateProbeLog:
         gaps = np.diff(log.tick_times)
         assert (gaps >= 240.0 * 0.7).all() and (gaps <= 240.0 * 1.3).all()
 
-    def test_total_loss_for_one_pair(self):
-        loss = {(P1, "T2"): 1.0}
-        schedule = ProbeScheduleSpec(jitter=0.0, duration=1500.0, seed=3)
-        log = generate_probe_log(schedule, self.model(loss_prob=loss))
-        for tick in log.ticks:
-            assert probe_rtt(log, tick, P1, "T2") is None
-            assert probe_rtt(log, tick, P1, "T1") is not None
-        assert "T2" in log.transits  # lost pair still part of the universe
+    # a round at exactly 1920.0 does not start; 1.0 // 0.1 is 9, and ten
+    # gaps of 0.1 sum to just below 1.0
+    @pytest.mark.parametrize("interval, jitter, duration", [
+        (240.0, 0.3, 86400.0), (240.0, 0.0, 2000.0), (240.0, 0.0, 1920.0), (0.1, 0.0, 1.0),
+        (0.1, 0.0, 0.3), (7.0, 0.9, 5000.0),
+    ])
+    def test_round_times_are_the_running_sum_loop(self, interval, jitter, duration):
+        lo, hi = interval * (1.0 - jitter), interval * (1.0 + jitter)
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            times = [0.0]
+            while (nxt := times[-1] + rng.uniform(lo, hi)) < duration:
+                times.append(nxt)
+            schedule = ProbeScheduleSpec(interval, jitter, duration, seed)
+            assert generate_probe_log(schedule, self.model()).tick_times == tuple(times)
 
     def test_regime_switch_multiplies(self):
         switch = RegimeSwitch(transit="T1", start_tick=2, end_tick=4, multiplier=10.0)
@@ -300,7 +308,7 @@ class TestGenerateProbeLog:
     @pytest.mark.parametrize("kwargs, named", [
         ({"noise_std": float("nan")}, "noise_std"),
         ({"noise_std": float("inf")}, "noise_std"),
-        ({"min_rtt": float("nan")}, "min_rtt"),
+        ({"loss_prob": float("nan")}, "loss probability"),
         ({"base_rtt": {(P1, "T1"): float("nan")}}, "base RTT"),
         ({"base_rtt": {(P1, "T1"): float("inf")}}, "base RTT"),
     ])
@@ -443,33 +451,32 @@ def oracle_dynamic(d, seed):
 
 
 def oracle_generate(schedule, model):
-    """The former per-sample generator loop: rows and round start times."""
+    """The generator as scalar loops in its draw order, one draw at a time:
+    every round gap, then a loss uniform per probe, then a normal per
+    probe, probes in (tick, pair) order.  Rows and round start times."""
     rng = np.random.default_rng(schedule.seed)
     lo = schedule.mean_interval * (1.0 - schedule.jitter)
     hi = schedule.mean_interval * (1.0 + schedule.jitter)
+    gaps = [rng.uniform(lo, hi) for _ in range(int(schedule.duration // lo) + 1)]
     times = [0.0]
-    while True:
-        gap = rng.uniform(lo, hi) if schedule.jitter > 0 else schedule.mean_interval
+    for gap in gaps:
         if times[-1] + gap >= schedule.duration:
             break
         times.append(times[-1] + gap)
+    pairs = sorted(model.base_rtt, key=lambda pt: (pt[0].text, pt[1]))
+    probes = [(tick, prefix, transit) for tick in range(len(times)) for prefix, transit in pairs]
+    lost = [model.loss_prob > rng.uniform() for _ in probes]
+    noise = [rng.normal(0.0, model.noise_std) for _ in probes]
     rows = []
-    for tick in range(len(times)):
-        for prefix, transit in sorted(model.base_rtt, key=lambda pt: (pt[0].text, pt[1])):
-            loss = model.loss_prob
-            if not isinstance(loss, float):
-                loss = loss.get((prefix, transit), 0.0)
-            if loss > rng.uniform():
-                rows.append((tick, prefix, transit, None))
-                continue
-            value = model.base_rtt[(prefix, transit)]
-            for sw in model.regime_switches:
-                hit = sw.prefixes is None or prefix in sw.prefixes
-                if sw.transit == transit and sw.start_tick <= tick < sw.end_tick and hit:
-                    value *= sw.multiplier
-            if model.noise_std > 0:
-                value += rng.normal(0.0, model.noise_std)
-            rows.append((tick, prefix, transit, max(value, model.min_rtt)))
+    for (tick, prefix, transit), gone, extra in zip(probes, lost, noise):
+        if gone:
+            rows.append((tick, prefix, transit, None))
+            continue
+        value = model.base_rtt[(prefix, transit)]
+        for sw in model.regime_switches:
+            if sw.transit == transit and sw.start_tick <= tick < sw.end_tick:
+                value *= sw.multiplier
+        rows.append((tick, prefix, transit, max(value + extra, MIN_RTT)))
     return rows, times
 
 
@@ -566,15 +573,13 @@ class TestCubeMatchesScalarOracle:
                 (p, t): float(rng.uniform(5.0, 90.0))
                 for p in prefixes for t in ("T1", "T2", "T3") if rng.uniform() > 0.1
             }
-            losses = {pair: float(rng.uniform(0.0, 0.6)) for pair in base}
             switches = (
                 RegimeSwitch("T1", 3, 40, 1.7),
                 RegimeSwitch("T1", 20, 60, 1.3),  # overlaps the first
-                RegimeSwitch("T1", 25, 30, 0.9, prefixes=tuple(prefixes[:4])),
                 RegimeSwitch("T2", -5, 8, 2.5),
             )
             model = RttModel(
-                base_rtt=base, noise_std=float(seed % 3), loss_prob=losses if seed % 2 else 0.2,
+                base_rtt=base, noise_std=float(seed % 3), loss_prob=(0.0, 0.2, 0.6, 1.0)[seed % 4],
                 regime_switches=switches,
             )
             schedule = ProbeScheduleSpec(duration=20_000.0, jitter=0.3 * (seed % 2), seed=seed)
@@ -610,9 +615,8 @@ def probe_logs(draw):
 def test_probe_csv_roundtrip_is_exact(tmp_path_factory, log):
     path = tmp_path_factory.mktemp("probes") / "probes.csv"
     save_probe_log(log, path)
-    back = load_probe_log(path, tick_times=range(len(log.ticks)))
+    back = load_probe_log(path)
     assert (back.ticks, back.prefixes, back.transits) == (log.ticks, log.prefixes, log.transits)
     assert np.array_equal(back.cube, log.cube, equal_nan=True)
     assert np.array_equal(back.probed, log.probed)  # lost and never-probed stay apart
     assert probe_rows(back) == probe_rows(log)
-    assert back.tick_times == tuple(range(len(log.ticks)))
