@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .evaluation import boxplot_summary
 from .trace import HourlyTraceMatrix, Prefix, zipf_shares
 
 __all__ = [
@@ -232,17 +233,11 @@ def _share_bins(shares_pct: np.ndarray, stat: np.ndarray) -> list[VolumeBinStat]
             mask = (shares_pct >= lo) & (shares_pct < hi) if i else (shares_pct < hi)
         vals = stat[mask]
         if vals.size:
-            p25, p75 = np.percentile(vals, (25, 75)).tolist()
+            box = boxplot_summary(vals)
             out.append(
                 VolumeBinStat(
-                    label=label,
-                    lo_pct=lo,
-                    hi_pct=hi,
-                    count=int(vals.size),
-                    mean=float(vals.mean()),
-                    median=float(np.median(vals)),
-                    p25=p25,
-                    p75=p75,
+                    label=label, lo_pct=lo, hi_pct=hi, count=int(vals.size),
+                    mean=box.mean, median=box.median, p25=box.p25, p75=box.p75,
                 )
             )
         else:

@@ -3,7 +3,7 @@
 Coverage is the fraction of an hour's total volume carried by the set
 predicted for that hour; churn counts how much the set changed between
 consecutive hours.  Summaries use the six-number boxplot convention with
-percentiles computed by linear interpolation.
+percentiles computed by linear interpolation, read off one sorted copy.
 
 ``evaluate_run`` scores every hour at once from one (hours, prefixes)
 bool mask of the picks, exactly: coverage divides an int64 sum of picked
@@ -13,18 +13,22 @@ volumes by the hour's total, and churn is ``|A| + |B| - 2|A & B|``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from .selectors import SelectionRun
 from .trace import HourlyTraceMatrix, Prefix
+
+if TYPE_CHECKING:  # selectors imports dynamism, which imports this module
+    from .selectors import SelectionRun
 
 __all__ = [
     "BoxplotSummary",
     "EvaluationReport",
     "hourly_coverage",
     "boxplot_summary",
+    "sorted_percentile",
+    "sorted_median",
     "oracle_topk",
     "evaluate_run",
 ]
@@ -72,18 +76,41 @@ class BoxplotSummary:
         }
 
 
+def sorted_percentile(s: np.ndarray, q: float) -> float:
+    """``np.percentile(s, q)`` (method "linear") of a sorted, non-empty,
+    NaN-free float64 array, bit for bit: the value at index ``(n-1)(q/100)``,
+    interpolated by numpy's two-sided lerp."""
+    index = (s.size - 1) * (q / 100)
+    i = int(index)
+    if i >= s.size - 1:
+        return float(s[-1])
+    a, b = s[i : i + 2].tolist()
+    g = index - i
+    return a + (b - a) * g if g < 0.5 else b - (b - a) * (1 - g)
+
+
+def sorted_median(s: np.ndarray) -> float:
+    """``np.median(s)`` of a sorted, non-empty, NaN-free float64 array, bit
+    for bit (percentile 50 can round differently)."""
+    half = s.size // 2
+    if s.size % 2:
+        return float(s[half])
+    a, b = s[half - 1 : half + 1].tolist()
+    return (a + b) / 2
+
+
 def boxplot_summary(series: Sequence[float] | np.ndarray) -> BoxplotSummary:
     """Summarize a non-empty series; percentiles by linear interpolation."""
     arr = np.asarray(series, dtype=np.float64)
     if arr.size == 0:
         raise ValueError("cannot summarize an empty series")
-    p25, p75 = np.percentile(arr, (25, 75)).tolist()
+    s = np.sort(arr)
     return BoxplotSummary(
         minimum=float(arr.min()),
-        p25=p25,
-        median=float(np.median(arr)),  # percentile 50 can round differently
+        p25=sorted_percentile(s, 25),
+        median=sorted_median(s),
         mean=float(arr.mean()),
-        p75=p75,
+        p75=sorted_percentile(s, 75),
         maximum=float(arr.max()),
     )
 

@@ -14,7 +14,6 @@ synthetically with a seeded model.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from operator import attrgetter
@@ -23,7 +22,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .evaluation import BoxplotSummary, boxplot_summary
+from .evaluation import BoxplotSummary, boxplot_summary, sorted_percentile
 from .trace import Prefix, parse_column
 
 __all__ = [
@@ -52,8 +51,15 @@ DYNAMIC_LABEL = "dynamic"
 # Most probing rounds a schedule may allow; it bounds the array of round gaps.
 MAX_PROBE_ROUNDS = 1_000_000
 
+# Most probes (rounds x pairs) a generated log may hold; each of the
+# generator's (round, pair) float64 arrays then stays under 80 MB.
+MAX_PROBES = 10_000_000
+
 # Floor of every synthetic RTT in ms, so noise never makes one 0 or negative.
 MIN_RTT = 0.1
+
+# Probes per write of ``save_probe_log``.
+_WRITE_BLOCK = 1 << 16
 
 
 class _DuplicateSample(ValueError):
@@ -74,6 +80,9 @@ class ProbeLog:
     are the sorted unions seen across all samples, lost ones included.
     At most one sample may exist per (tick, prefix, transit).  A generated
     log has its round start times in ``tick_times``; a loaded one has None.
+    A transit label must read back from a probe CSV as itself: an empty
+    one, one holding ``,``, ``"``, CR or LF, or one with surrounding
+    whitespace is refused.
     """
 
     __slots__ = ("ticks", "prefixes", "transits", "tick_times", "cube", "probed")
@@ -91,6 +100,9 @@ class ProbeLog:
             pos = {label: i for i, label in enumerate(axes[-1])}
             index.append(np.array([pos[k] for k in keys], np.intp)[codes])
         self.ticks, self.prefixes, self.transits = axes
+        for label in self.transits:
+            if not label or label != label.strip() or any(c in label for c in ',"\r\n'):
+                raise ValueError(f"transit label {label!r} would not read back from a probe CSV")
         shape = tuple(map(len, axes))
         flat = np.ravel_multi_index(index, shape).ravel()
         probed = np.zeros(math.prod(shape), dtype=bool)
@@ -278,14 +290,20 @@ def generate_probe_log(schedule: ProbeScheduleSpec, model: RttModel) -> ProbeLog
     One generator makes three array draws, in this order: every round
     gap, every probe's loss uniform, every probe's noise, the last two
     in (round, pair) order with pairs sorted by (prefix text, transit).
+    A schedule and model that may give more than ``MAX_PROBES`` probes
+    are refused before any draw.
     """
-    rng = np.random.default_rng(schedule.seed)
     lo = schedule.mean_interval * (1.0 - schedule.jitter)
     hi = schedule.mean_interval * (1.0 + schedule.jitter)
     # that many gaps sum past duration (a rounded last sum may fall just
     # short, and then no later round would start before duration), and
     # cumsum adds them in order, so the times equal a loop's running sum
-    gaps = rng.uniform(lo, hi, int(schedule.duration // lo) + 1)
+    gap_count = int(schedule.duration // lo) + 1
+    if gap_count * len(model.base_rtt) > MAX_PROBES:
+        raise ValueError(f"{gap_count} probing rounds x {len(model.base_rtt)} (prefix, transit) "
+                         f"pairs allow more than {MAX_PROBES} probes")
+    rng = np.random.default_rng(schedule.seed)
+    gaps = rng.uniform(lo, hi, gap_count)
     times = np.concatenate(([0.0], np.cumsum(gaps)))
     times = times[: np.searchsorted(times, schedule.duration)]
 
@@ -320,11 +338,9 @@ class NpSummary(BoxplotSummary):
 def np_summary(values: Sequence[float]) -> NpSummary:
     """Summarize a normalized-RTT series (gaps must be filtered out)."""
     arr = np.asarray(values, dtype=np.float64)
-    return NpSummary(
-        **vars(boxplot_summary(arr)),
-        p5=float(np.percentile(arr, 5)),
-        p95=float(np.percentile(arr, 95)),
-    )
+    box = boxplot_summary(arr)
+    s = np.sort(arr)
+    return NpSummary(**vars(box), p5=sorted_percentile(s, 5), p95=sorted_percentile(s, 95))
 
 
 def rank_transits(
@@ -344,48 +360,81 @@ def rank_transits(
 
 
 def save_probe_log(log: ProbeLog, path: str | Path) -> None:
-    """Write a probe log as `tick,prefix,transit,rtt_ms` CSV (empty = loss)."""
+    """Write a probe log as unquoted `tick,prefix,transit,rtt_ms` CSV lines
+    in cube order, an empty RTT field for a lost probe.  Canonical prefixes
+    never need quoting, and ``ProbeLog`` refuses a label that would."""
+    heads = [f"{tick}," for tick in log.ticks]
+    pairs = [f"{prefix.text},{transit}," for prefix in log.prefixes for transit in log.transits]
+    cells = np.flatnonzero(log.probed)  # in cube order
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(PROBE_CSV_HEADER)
-        t, p, r = np.nonzero(log.probed)  # in cube order
-        writer.writerows(zip(
-            map(log.ticks.__getitem__, t.tolist()),
-            [log.prefixes[i].text for i in p.tolist()],
-            map(log.transits.__getitem__, r.tolist()),
-            ["" if math.isnan(rtt) else repr(rtt) for rtt in log.cube[log.probed].tolist()],
-        ))
+        fh.write(",".join(PROBE_CSV_HEADER) + "\n")
+        # one write per block, so the text of the whole log is never held
+        for start in range(0, cells.size, _WRITE_BLOCK):
+            block = cells[start : start + _WRITE_BLOCK]
+            tick, pair = np.divmod(block, len(pairs))
+            rtt = log.cube.ravel()[block]
+            texts = list(map(repr, rtt.tolist()))
+            for i in np.flatnonzero(np.isnan(rtt)).tolist():
+                texts[i] = ""
+            fh.write("".join([
+                f"{heads[t]}{pairs[p]}{text}\n"
+                for t, p, text in zip(tick.tolist(), pair.tolist(), texts)
+            ]))
 
 
-def load_probe_log(path: str | Path) -> ProbeLog:
-    """Read a probe log written by ``save_probe_log`` (or any external
-    prober emitting the same format), without round start times.  A
-    malformed row, or an RTT that is not finite and > 0, raises ValueError
-    naming the CSV line."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+def _read_probe_rows(path: str | Path) -> tuple[np.ndarray, list[list[str]]]:
+    """The line of each non-blank row below the header, and the rows'
+    tick, prefix, transit and RTT texts as four columns.  A header other
+    than ``PROBE_CSV_HEADER``, no rows, or a row that is not four unquoted
+    fields raises ValueError naming the file or the line."""
+    with open(path) as fh:
+        first = fh.readline()
+        header = first.rstrip("\n").split(",") if first else None
         if header is None or tuple(c.strip().lower() for c in header) != PROBE_CSV_HEADER:
             raise ValueError(
                 f"{path}: expected header {','.join(PROBE_CSV_HEADER)!r}, got {header!r}"
             )
-        rows = [(reader.line_num, *row) for row in reader if row]
-    if set(map(len, rows)) - {5}:
-        line, *row = next(row for row in rows if len(row) != 5)
-        raise ValueError(f"{path}: line {line}: bad probe row {row!r}")
-    lines, ticks, prefixes, transits, texts = list(zip(*rows)) or [()] * 5
-    parsed, codes = parse_column(
-        texts, lambda text: float(text) if text.strip() else None, path, lines
-    )
-    rtt = np.array(parsed, np.float64)[codes]  # None (a loss) becomes NaN
-    answered = np.array([v is not None for v in parsed], bool)[codes]
-    bad = answered & ~(np.isfinite(rtt) & (rtt > 0))
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise ValueError(f"{path}: line {lines[i]}: rtt_ms must be finite and > 0, not {texts[i]!r}")
+        body = fh.read().split("\n")
+    # only error messages read the line numbers: an array is a fifth of a list's size
+    lines = np.flatnonzero(np.fromiter(map(bool, body), bool, len(body))) + 2
+    texts = list(filter(None, body))
+    if not texts:
+        raise ValueError(f"{path}: empty probe log")
+    joined = ",".join(texts)
+    if '"' in joined or {text.count(",") for text in texts} != {3}:
+        line, text = next((n, t) for n, t in zip(lines, texts) if t.count(",") != 3 or '"' in t)
+        raise ValueError(f"{path}: line {line}: bad probe row {text.split(',')!r}")
+    fields = joined.split(",")
+    return lines, [fields[k::4] for k in range(4)]
+
+
+def load_probe_log(path: str | Path) -> ProbeLog:
+    """Read a probe log written by ``save_probe_log`` (or any external
+    prober emitting the same format), without round start times.  Each
+    non-blank line is one unquoted four-field row.  A row of another width
+    or holding a quote, a field that does not parse, an RTT that is not
+    finite and > 0, or a second row for one (tick, prefix, transit)
+    raises ValueError naming the CSV line."""
+    lines, (ticks, prefixes, transits, rtts) = _read_probe_rows(path)
+    try:
+        rtt = np.fromiter(map(float, [text or "nan" for text in rtts]), np.float64, len(rtts))
+    except ValueError:
+        # name the line; a blank field of spaces is a loss too
+        parsed, codes = parse_column(
+            rtts, lambda text: float(text) if text.strip() else math.nan, path, lines
+        )
+        rtt = np.array(parsed, np.float64)[codes]
+    # a NaN is a loss only where the field is blank
+    for i in np.flatnonzero(~(np.isfinite(rtt) & (rtt > 0))).tolist():
+        if rtts[i].strip():
+            raise ValueError(
+                f"{path}: line {lines[i]}: rtt_ms must be finite and > 0, not {rtts[i]!r}"
+            )
     axes = zip((ticks, prefixes, transits), (int, Prefix.parse, str.strip))
     columns = [parse_column(column, parse, path, lines) for column, parse in axes]
     try:
         return ProbeLog(*columns, rtt)
     except _DuplicateSample as exc:
         raise ValueError(f"{path}: line {lines[exc.sample]}: {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -487,15 +487,15 @@ def _meta_path_for(csv_path: Path) -> Path:
 def save_matrix(m: HourlyTraceMatrix, csv_path: str | Path) -> None:
     """Persist a matrix as columnar CSV `prefix,h1,...,hN` plus a JSON
     sidecar beside it (`<name>.json`) holding the grid.  Cells are plain
-    decimal int64."""
+    decimal int64; canonical prefixes and int cells never need quoting."""
     csv_path = Path(csv_path)
+    lines = [",".join(["prefix", *(f"h{h}" for h in m.grid.hours())])]
+    lines += [
+        prefix.text + "," + ",".join(map(str, row))
+        for prefix, row in zip(m.prefixes, m.values.tolist())
+    ]
     with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["prefix"] + [f"h{h}" for h in m.grid.hours()])
-        writer.writerows(
-            [prefix.text, *map(str, row)]
-            for prefix, row in zip(m.prefixes, m.values.tolist())
-        )
+        fh.write("\n".join(lines) + "\n")
 
     meta = {
         "start": m.grid.start,

@@ -5,6 +5,8 @@ the per-element views the tests read results through, and the scalar
 definitions they check the arrays against.
 """
 
+import csv
+import io
 import math
 
 import numpy as np
@@ -39,6 +41,14 @@ def probe_rows(log: ProbeLog) -> list[tuple]:
         (log.ticks[t], log.prefixes[p], log.transits[r], None if math.isnan(v) else v)
         for (t, p, r), v in zip(cells, rtts)
     ]
+
+
+def csv_text(rows) -> str:
+    """The text ``csv.writer`` writes for ``rows``, one newline-ended line
+    each: the writers that join fields themselves must give these bytes."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
 
 
 def burstiness_score(icp: float, volume_pct: float) -> float:

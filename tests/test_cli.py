@@ -2,6 +2,10 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +18,7 @@ from prefixcast.cli import (
     SELECTION_HEADER, _read_selection_csv, _write_json, _write_selection, main,
 )
 from prefixcast.dynamism import compute_core_profile
-from prefixcast.rttsim import load_probe_log, simulate_dynamic_selection
+from prefixcast.rttsim import MAX_PROBES, load_probe_log, simulate_dynamic_selection
 from prefixcast.selectors import (
     METHODS, WINDOW_GRID, SelectionRun, SelectorConfig, run_selection,
 )
@@ -771,6 +775,32 @@ class TestProbeSimulate:
         assert "probing rounds" in err and "Traceback" not in err
         assert not (out / "probes.csv").exists()
 
+    def test_probe_count_is_capped_before_any_draw(self, tmp_path, capsys):
+        # 952k rounds pass MAX_PROBE_ROUNDS, but x 1200 pairs are 1.1e9 probes
+        out = tmp_path / "stage"
+        tracemalloc.start()
+        try:
+            code = main(["probe-synth", "--prefix-count", "300", "--transits", "4",
+                         "--duration", "1e6", "--interval", "1.5", "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"more than {MAX_PROBES} probes" in err and "Traceback" not in err
+        assert peak < 2**22  # the round gaps alone would take 7.6 MB
+        assert not (out / "probes.csv").exists()
+
+    @pytest.mark.parametrize("row, named", [
+        ('0,"10.0.0.0/24",T1,10.5', "line 3: bad probe row"),
+        ("0,10.0.0.0/24,,10.5", "transit label ''"),
+    ], ids=["quoted field", "empty label"])
+    def test_quoted_row_or_unreadable_label_is_data_error(self, tmp_path, capsys, row, named):
+        probes = tmp_path / "probes.csv"
+        probes.write_text(f"tick,prefix,transit,rtt_ms\n0,10.0.0.0/24,T2,10.5\n{row}\n")
+        assert main(["simulate", "--probes", str(probes), "--out", str(tmp_path / "out")]) == 2
+        assert f"{probes}: {named}" in capsys.readouterr().err
+
     def test_missing_probes_names_stage(self, tmp_path, capsys):
         assert main(["simulate", "--probes", f"{tmp_path}/probes.csv",
                      "--out", str(tmp_path)]) == 2
@@ -882,6 +912,40 @@ def test_write_json_refuses_nan_and_leaves_no_file(tmp_path):
     with pytest.raises(ValueError, match="summary.json: Out of range float"):
         _write_json(path, {"ok": 1.0, "bad": float("nan")})
     assert not path.exists()
+
+
+def test_stages_leave_numpy_ma_unimported(tmp_path):
+    # numpy imports numpy.ma on its first percentile, median or unique call
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        path for path in (str(Path(__file__).resolve().parent.parent / "src"),
+                          env.get("PYTHONPATH")) if path
+    )
+
+    def ma_imported(code: str, *argv: str) -> bool:
+        result = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        return result.stdout.splitlines()[-1] == "True"
+
+    if ma_imported("import sys, prefixcast; print('numpy.ma' in sys.modules)"):
+        pytest.skip("import prefixcast alone imports numpy.ma")
+    out = str(tmp_path)
+    assert main(["synth", "--prefixes", "30", "--noise", "0.4", "--bins", "24",
+                 "--seed", "3", "--out", out]) == 0
+    assert main(["select", "--matrix", f"{out}/matrix.csv", "--method", "mean_volume",
+                 "--window", "2", "--out", out]) == 0
+    assert main(["probe-synth", "--prefix-count", "5", "--transits", "3",
+                 "--duration", "3000", "--loss", "0.1", "--out", out]) == 0
+    stage = "import sys; from prefixcast.cli import main; " \
+            "assert main(sys.argv[1:]) == 0; print('numpy.ma' in sys.modules)"
+    for argv in (
+        ["analyze", "--matrix", f"{out}/matrix.csv", "--out", out],
+        ["evaluate", "--matrix", f"{out}/matrix.csv", "--select-dir", out, "--out", out],
+        ["report", "--matrix", f"{out}/matrix.csv", "--out", out],
+        ["simulate", "--probes", f"{out}/probes.csv", "--out", out],
+    ):
+        assert not ma_imported(stage, *argv), argv[0]
 
 
 class TestUsageErrors:

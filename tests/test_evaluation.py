@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from prefixcast.dynamism import compute_core_profile
@@ -13,6 +13,8 @@ from prefixcast.evaluation import (
     evaluate_run,
     hourly_coverage,
     oracle_topk,
+    sorted_median,
+    sorted_percentile,
 )
 from prefixcast.selectors import SelectionRun, SelectorConfig, max_core_size, run_selection
 from prefixcast.trace import (
@@ -104,6 +106,29 @@ class TestBoxplotSummary:
     def test_empty_errors(self):
         with pytest.raises(ValueError):
             boxplot_summary([])
+
+
+# ties from a small pool, and any finite float (subnormals included) small
+# enough that a difference of two never overflows
+QUANTILE_SERIES = st.lists(
+    st.sampled_from([-3.0, -0.5, 0.0, 1.0, 5e-324, 2.5])
+    | st.floats(min_value=-1e300, max_value=1e300, allow_nan=False),
+    min_size=1, max_size=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=QUANTILE_SERIES)
+@example(values=[7.25])
+@example(values=[0.1, 0.7])
+@example(values=[5e-324, 1e-310, -2.2250738585072014e-308])
+@example(values=[2.0, 2.0, -1.0, 2.0])
+def test_sorted_quantiles_equal_numpy(values):
+    arr = np.array(values)
+    s = np.sort(arr)
+    for q in (5, 25, 75, 95):
+        assert sorted_percentile(s, q) == np.percentile(arr, q)
+    assert sorted_median(s) == np.median(arr)
 
 
 class TestOracle:

@@ -1,5 +1,6 @@
 """Normalized RTT, last-round-best routing, and the probe log machinery."""
 
+import re
 import string
 
 import numpy as np
@@ -24,8 +25,8 @@ from prefixcast.rttsim import (
     simulate_dynamic_selection,
 )
 from prefixcast.trace import Prefix, synthetic_prefix
+from scalar_oracles import csv_text, probe_rows, probe_rtt
 from scalar_oracles import probe_log as log_from
-from scalar_oracles import probe_rows, probe_rtt
 
 P1 = Prefix.parse("192.0.2.0/24")
 P2 = Prefix.parse("198.51.100.0/24")
@@ -370,12 +371,39 @@ class TestProbeCsv:
         ("\n\n1,192.0.2.0/24,T1,0\n", "line 5: rtt_ms must be finite"),
         ("0,192.0.2.0/24, T1 ,9\n", "duplicate sample"),
         ("1,192.0.2.0/24,T1,9\n0,192.0.2.0/24,T1,9\n", "probes.csv: line 4: duplicate sample"),
+        # rows are unquoted, as matrix and selection rows are
+        ('0,"192.0.2.0/24",T2,9\n', "line 3: bad probe row"),
+        ('1,192.0.2.0/24,"T1",9\n', "line 3: bad probe row"),
+        ('1,192.0.2.0/24,"T,1",9\n', "line 3: bad probe row"),
+        ("1,192.0.2.0/24,,9\n", "probes.csv: transit label ''"),
     ])
     def test_bad_rows_rejected_naming_the_line(self, tmp_path, body, message):
         path = tmp_path / "probes.csv"
         path.write_text("tick,prefix,transit,rtt_ms\n0,192.0.2.0/24,T1,10\n" + body)
         with pytest.raises(ValueError, match=message):
             load_probe_log(path)
+
+    def test_blank_rtt_field_is_a_loss(self, tmp_path):
+        path = tmp_path / "probes.csv"
+        path.write_text("tick,prefix,transit,rtt_ms\n0,192.0.2.0/24,T1,10\n0,192.0.2.0/24,T2, \n")
+        assert probe_rows(load_probe_log(path)) == [(0, P1, "T1", 10.0), (0, P1, "T2", None)]
+
+    @pytest.mark.parametrize("rewrite", [
+        lambda text: text.replace("\n", "\r\n"),
+        lambda text: text.replace("\n", "\n\n") + "\n",
+        lambda text: text.rstrip("\n"),
+    ], ids=["CRLF", "blank lines", "no final newline"])
+    def test_line_endings_read_as_plain(self, tmp_path, rewrite):
+        log = log_from([(0, P1, "T1", 12.5), (0, P2, "T1", None), (1, P1, "T1", 13.0)])
+        path = tmp_path / "probes.csv"
+        save_probe_log(log, path)
+        path.write_bytes(rewrite(path.read_text()).encode())
+        assert probe_rows(load_probe_log(path)) == probe_rows(log)
+
+    @pytest.mark.parametrize("label", ["", "T,1", 'T"1', "T\r1", "T\n1", " T1", "T1\t"])
+    def test_label_that_would_not_read_back_is_refused(self, label):
+        with pytest.raises(ValueError, match=re.escape(f"transit label {label!r}")):
+            log_from([(0, P1, label, 10.0)])
 
     def test_header_only_is_empty(self, tmp_path):
         path = tmp_path / "probes.csv"
@@ -589,7 +617,10 @@ class TestCubeMatchesScalarOracle:
             assert log.tick_times == tuple(times)
 
 
-PROBE_LABELS = st.text(string.ascii_letters + string.digits + '_-,"', min_size=1, max_size=5)
+# labels that read back as themselves: no ",", '"', line break or outer space
+PROBE_LABELS = st.text(string.ascii_letters + string.digits + "_- ", min_size=1, max_size=5).filter(
+    lambda label: label == label.strip()
+)
 
 
 @st.composite
@@ -615,8 +646,15 @@ def probe_logs(draw):
 def test_probe_csv_roundtrip_is_exact(tmp_path_factory, log):
     path = tmp_path_factory.mktemp("probes") / "probes.csv"
     save_probe_log(log, path)
+    rows = [
+        (tick, prefix.text, transit, "" if rtt is None else repr(rtt))
+        for tick, prefix, transit, rtt in probe_rows(log)
+    ]
+    # the bytes csv.writer gave, for labels that need no quoting
+    assert path.read_bytes() == csv_text([("tick", "prefix", "transit", "rtt_ms"), *rows]).encode()
     back = load_probe_log(path)
     assert (back.ticks, back.prefixes, back.transits) == (log.ticks, log.prefixes, log.transits)
     assert np.array_equal(back.cube, log.cube, equal_nan=True)
     assert np.array_equal(back.probed, log.probed)  # lost and never-probed stay apart
     assert probe_rows(back) == probe_rows(log)
+

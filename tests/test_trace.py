@@ -24,6 +24,7 @@ from prefixcast.trace import (
     zipf_shares,
 )
 from prefixcast.dynamism import prefix_shares_and_cv
+from scalar_oracles import csv_text
 
 P8 = Prefix.parse("10.0.0.0/8")
 P16 = Prefix.parse("10.1.0.0/16")
@@ -461,6 +462,9 @@ def test_int_matrix_csv_roundtrip_is_exact(tmp_path_factory, values):
     assert back.values.dtype == m.values.dtype
     assert back.values.tobytes() == m.values.tobytes()  # bit for bit
     text = path.read_bytes()
+    header = ["prefix", *(f"h{h}" for h in grid.hours())]
+    rows = [[prefix.text, *map(str, row)] for prefix, row in zip(m.prefixes, m.values.tolist())]
+    assert text == csv_text([header, *rows]).encode()  # the bytes csv.writer gave
     save_matrix(back, path)
     assert path.read_bytes() == text
 
