@@ -289,7 +289,7 @@ def _selector_configs(
     K defaults to the largest hourly core.  Two entries that would write
     the same selection file are a data error."""
     size = size if size is not None else selectors.max_core_size(profile)
-    if config:
+    if config is not None:
         entries = trace.read_json(config)
         if not isinstance(entries, list):
             raise ValueError(f"{config}: expected a JSON list of selector objects")
@@ -306,8 +306,6 @@ def _selector_configs(
             for grid_method in selectors.METHODS
             for grid_window in selectors.WINDOW_GRID
         ]
-    if method is None:
-        raise _UsageError("one of --method, --grid or --config is required")
     return [selectors.SelectorConfig(method=method, window=window, size=size)]
 
 
@@ -331,26 +329,13 @@ def _cmd_select(args) -> int:
 
 
 def _read_selection_csv(path: Path, m: trace.HourlyTraceMatrix, threshold: float):
-    """The run in a selection file as ``_write_selection`` writes it.  Each
-    non-blank line is one unquoted seven-field row; a row of another width,
-    or a field that does not parse (a quoted one too), is a ValueError
-    naming its line."""
+    """The run in a selection file as ``_write_selection`` writes it, in
+    the row format ``trace.read_rows`` reads; a field that does not parse
+    is a ValueError naming its line."""
     if not path.exists():
         raise ValueError(f"missing selection artifact {path}; run the select stage first")
-    with open(path) as fh:
-        first = fh.readline()
-        header = first.rstrip("\n").split(",") if first else None
-        if header != SELECTION_HEADER:
-            raise ValueError(f"{path}: unexpected selection header {header!r}")
-        body = fh.read().split("\n")
-    lines = [n for n, text in enumerate(body, start=2) if text]
-    if not lines:
-        raise ValueError(f"{path}: empty selection file")
-    texts = [body[n - 2] for n in lines]
     width = len(SELECTION_HEADER)
-    if {text.count(",") for text in texts} != {width - 1}:
-        line, text = next((n, t) for n, t in zip(lines, texts) if t.count(",") != width - 1)
-        raise ValueError(f"{path}: line {line}: bad selection row {text.split(',')!r}")
+    lines, texts = trace.read_rows(path, ",".join(SELECTION_HEADER), width)
     fields = ",".join(texts).split(",")
     hour_col, rank_col, prefix_col, score_col, *config_cols = (
         fields[k::width] for k in range(width)
@@ -685,14 +670,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("select", help="predictive selection from window history")
     p.add_argument("--matrix", required=True)
     p.add_argument("--threshold", type=float, default=0.95)
-    p.add_argument("--method", choices=selectors.METHODS, default=None)
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--method", choices=selectors.METHODS, default=None)
+    mode.add_argument("--grid", action="store_true",
+                      help="run all methods x all canonical windows")
+    mode.add_argument("--config", default=None,
+                      help="JSON list of {method, window, size} entries")
     p.add_argument("--window", type=int, default=1, help="history window L in hours")
     p.add_argument("--size", type=int, default=None,
                    help="selection size K (default: max weekly core size)")
-    p.add_argument("--grid", action="store_true",
-                   help="run all methods x all canonical windows")
-    p.add_argument("--config", default=None,
-                   help="JSON list of {method, window, size} entries")
     p.add_argument("--out", default=".")
     p.set_defaults(func=_cmd_select)
 

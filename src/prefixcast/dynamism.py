@@ -143,34 +143,29 @@ class ConcentrationCurve:
             arr.setflags(write=False)
 
 
-def _span_columns(m: HourlyTraceMatrix, span) -> tuple[str, slice]:
+def _span_columns(m: HourlyTraceMatrix, span: str) -> tuple[str, slice]:
     bins = m.grid.bin_count
-    if isinstance(span, str):
-        if span == "week":
-            return "week", slice(0, bins)
-        kind, _, arg = span.partition(":")
-        if kind in ("hour", "day") and arg:
-            span = (kind, int(arg))
-        else:
-            raise ValueError(f"bad span {span!r}; use 'week', 'hour:H' or 'day:H0'")
-    kind, h = span
+    if span == "week":
+        return "week", slice(0, bins)
+    kind, _, arg = span.partition(":")
+    if kind not in ("hour", "day") or not arg:
+        raise ValueError(f"bad span {span!r}; use 'week', 'hour:H' or 'day:H0'")
+    h = int(arg)
     if kind == "hour":
         if not 1 <= h <= bins:
             raise ValueError(f"hour {h} outside grid")
         return f"hour:{h}", slice(h - 1, h)
-    if kind == "day":
-        if not 1 <= h <= bins - 23:
-            raise ValueError(f"day starting at hour {h} does not fit in the grid")
-        return f"day:{h}", slice(h - 1, h + 23)
-    raise ValueError(f"bad span kind {kind!r}")
+    if not 1 <= h <= bins - 23:
+        raise ValueError(f"day starting at hour {h} does not fit in the grid")
+    return f"day:{h}", slice(h - 1, h + 23)
 
 
-def concentration_curve(m: HourlyTraceMatrix, span="week") -> ConcentrationCurve:
+def concentration_curve(m: HourlyTraceMatrix, span: str = "week") -> ConcentrationCurve:
     """Ranked per-prefix volume shares over a span, plus CDF and overlay.
 
-    ``span`` is ``"week"`` (the whole grid), ``("hour", h)`` /
-    ``"hour:h"`` for one bin, or ``("day", h0)`` / ``"day:h0"`` for the
-    24 bins starting at h0.  Only prefixes active inside the span appear.
+    ``span`` is ``"week"`` (the whole grid), ``"hour:h"`` for one bin, or
+    ``"day:h0"`` for the 24 bins starting at h0.  Only prefixes active
+    inside the span appear.
     """
     label, cols = _span_columns(m, span)
     weights = m.values[:, cols].sum(axis=1, dtype=np.float64)

@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .evaluation import BoxplotSummary, boxplot_summary, sorted_percentile
-from .trace import Prefix, parse_column
+from .trace import Prefix, parse_column, read_rows
 
 __all__ = [
     "ProbeLog",
@@ -261,7 +261,7 @@ class RttModel:
     RTT in ms.  Gaussian noise (std ``noise_std``) is added per probe and
     the result clamped at ``MIN_RTT``.  Each probe is lost with the one
     probability ``loss_prob``; lost probes appear in the log without an
-    RTT value.
+    RTT value.  Each regime switch must name one of ``base_rtt``'s transits.
     """
 
     base_rtt: Mapping[tuple[Prefix, str], float]
@@ -280,6 +280,11 @@ class RttModel:
             raise ValueError(f"noise_std must be finite and >= 0, got {self.noise_std}")
         if not 0 <= self.loss_prob <= 1:
             raise ValueError(f"loss probability {self.loss_prob} outside [0, 1]")
+        known = sorted({transit for _, transit in self.base_rtt})
+        for sw in self.regime_switches:
+            if sw.transit not in known:
+                raise ValueError(f"regime switch transit {sw.transit!r} is not one of "
+                                 f"the transits {known}")
 
 
 def generate_probe_log(schedule: ProbeScheduleSpec, model: RttModel) -> ProbeLog:
@@ -382,40 +387,18 @@ def save_probe_log(log: ProbeLog, path: str | Path) -> None:
             ]))
 
 
-def _read_probe_rows(path: str | Path) -> tuple[np.ndarray, list[list[str]]]:
-    """The line of each non-blank row below the header, and the rows'
-    tick, prefix, transit and RTT texts as four columns.  A header other
-    than ``PROBE_CSV_HEADER``, no rows, or a row that is not four unquoted
-    fields raises ValueError naming the file or the line."""
-    with open(path) as fh:
-        first = fh.readline()
-        header = first.rstrip("\n").split(",") if first else None
-        if header is None or tuple(c.strip().lower() for c in header) != PROBE_CSV_HEADER:
-            raise ValueError(
-                f"{path}: expected header {','.join(PROBE_CSV_HEADER)!r}, got {header!r}"
-            )
-        body = fh.read().split("\n")
-    # only error messages read the line numbers: an array is a fifth of a list's size
-    lines = np.flatnonzero(np.fromiter(map(bool, body), bool, len(body))) + 2
-    texts = list(filter(None, body))
-    if not texts:
-        raise ValueError(f"{path}: empty probe log")
-    joined = ",".join(texts)
-    if '"' in joined or {text.count(",") for text in texts} != {3}:
-        line, text = next((n, t) for n, t in zip(lines, texts) if t.count(",") != 3 or '"' in t)
-        raise ValueError(f"{path}: line {line}: bad probe row {text.split(',')!r}")
-    fields = joined.split(",")
-    return lines, [fields[k::4] for k in range(4)]
-
-
 def load_probe_log(path: str | Path) -> ProbeLog:
     """Read a probe log written by ``save_probe_log`` (or any external
-    prober emitting the same format), without round start times.  Each
-    non-blank line is one unquoted four-field row.  A row of another width
-    or holding a quote, a field that does not parse, an RTT that is not
-    finite and > 0, or a second row for one (tick, prefix, transit)
-    raises ValueError naming the CSV line."""
-    lines, (ticks, prefixes, transits, rtts) = _read_probe_rows(path)
+    prober emitting the same format), without round start times.  Rows
+    are read by ``trace.read_rows`` below the exact ``PROBE_CSV_HEADER``,
+    each one unquoted four-field line.  A field that does not parse, an
+    RTT that is not finite and > 0, or a second row for one (tick, prefix,
+    transit) raises ValueError naming the CSV line."""
+    lines, texts = read_rows(path, ",".join(PROBE_CSV_HEADER), len(PROBE_CSV_HEADER))
+    fields = ",".join(texts).split(",")
+    del texts  # the field strings and the four columns are the peak; hold nothing else
+    ticks, prefixes, transits, rtts = (fields[k::4] for k in range(4))
+    del fields
     try:
         rtt = np.fromiter(map(float, [text or "nan" for text in rtts]), np.float64, len(rtts))
     except ValueError:

@@ -36,6 +36,7 @@ __all__ = [
     "save_matrix",
     "load_matrix",
     "parse_column",
+    "read_rows",
     "json_int",
     "read_json",
 ]
@@ -462,6 +463,31 @@ def parse_column(
     return parsed, np.fromiter(map(codes.__getitem__, column), np.intp, len(column))
 
 
+def read_rows(path: str | Path, header: str, width: int) -> tuple[np.ndarray, list[str]]:
+    """The line number and text of each row of the hand-off CSV at ``path``
+    (a matrix, selection or probe file): a first line equal to ``header``,
+    then one unquoted ``width``-field line per row.  Blank lines are
+    skipped, so CRLF line ends read as plain ones.  Another first line, no
+    rows, or a row that is not ``width`` unquoted fields raises ValueError
+    naming the file or the line."""
+    with open(path) as fh:
+        first = fh.readline().rstrip("\n")
+        if first != header:
+            raise ValueError(f"{path}: expected header {header!r}, got {first!r}")
+        text = fh.read()
+    body = text.split("\n")
+    # only error messages read the line numbers: an array is a fifth of a list's size
+    lines = np.flatnonzero(np.fromiter(map(bool, body), bool, len(body))) + 2
+    texts = list(filter(None, body))
+    if not texts:
+        raise ValueError(f"{path}: no rows")
+    if '"' in text or {row.count(",") for row in texts} != {width - 1}:
+        line, row = next((n, t) for n, t in zip(lines, texts)
+                         if t.count(",") != width - 1 or '"' in t)
+        raise ValueError(f"{path}: line {line}: bad row {row.split(',')!r}")
+    return lines, texts
+
+
 def json_int(key: str, value) -> int:
     """``value`` when it is a JSON integer, else a ValueError naming ``key``:
     a bool, a float or null is refused, not truncated or cast."""
@@ -484,12 +510,16 @@ def _meta_path_for(csv_path: Path) -> Path:
     return csv_path.with_suffix(".json")
 
 
+def _matrix_header(grid: TimeGrid) -> str:
+    return ",".join(["prefix", *(f"h{h}" for h in grid.hours())])
+
+
 def save_matrix(m: HourlyTraceMatrix, csv_path: str | Path) -> None:
     """Persist a matrix as columnar CSV `prefix,h1,...,hN` plus a JSON
     sidecar beside it (`<name>.json`) holding the grid.  Cells are plain
     decimal int64; canonical prefixes and int cells never need quoting."""
     csv_path = Path(csv_path)
-    lines = [",".join(["prefix", *(f"h{h}" for h in m.grid.hours())])]
+    lines = [_matrix_header(m.grid)]
     lines += [
         prefix.text + "," + ",".join(map(str, row))
         for prefix, row in zip(m.prefixes, m.values.tolist())
@@ -507,19 +537,22 @@ def save_matrix(m: HourlyTraceMatrix, csv_path: str | Path) -> None:
         fh.write("\n")
 
 
-def _parse_cells(rows: list[str]) -> np.ndarray:
-    return np.loadtxt(rows, delimiter=",", dtype=np.int64, comments=None, ndmin=2)
+def _parse_cells(rows: list[str], bins: int) -> np.ndarray:
+    # usecols skips the prefix column, so no copy of the cell text is made
+    return np.loadtxt(rows, delimiter=",", dtype=np.int64, comments=None,
+                      usecols=range(1, bins + 1), ndmin=2)
 
 
 def load_matrix(csv_path: str | Path) -> HourlyTraceMatrix:
     """Load a matrix written by ``save_matrix``.
 
-    Each line is one unquoted ``prefix,h1,...,hN`` row of plain decimal
-    int64 cells.  A sidecar that is not JSON or not a JSON object, a grid
-    field that is not a JSON integer, and a ``dtype`` other than ``"int"``
-    raise ValueError naming the sidecar.  A cell that does not parse or a
-    row of the wrong width raises ValueError naming the prefix; a
-    ``HourlyTraceMatrix`` error is raised again naming the CSV.
+    Rows are read by ``read_rows``: below the exact ``prefix,h1,...,hN``
+    header, each is one prefix and N plain decimal int64 cells.  A sidecar
+    that is not JSON or not a JSON object, a grid field that is not a JSON
+    integer, and a ``dtype`` other than ``"int"`` raise ValueError naming
+    the sidecar.  A prefix or cell that does not parse raises ValueError
+    naming the line (and, for a cell, the prefix); a ``HourlyTraceMatrix``
+    error is raised again naming the CSV.
     """
     csv_path = Path(csv_path)
     meta_path = _meta_path_for(csv_path)
@@ -537,31 +570,21 @@ def load_matrix(csv_path: str | Path) -> HourlyTraceMatrix:
         raise ValueError(f"{meta_path}: unknown dtype {kind!r}; cells are int64 bytes, "
                          "so re-run synth to rewrite a float matrix")
 
-    with open(csv_path) as fh:
-        if fh.readline().rstrip("\n") != ",".join(["prefix", *(f"h{h}" for h in grid.hours())]):
-            raise ValueError(f"{csv_path}: unexpected matrix header")
-        rows = [line.rstrip("\n").partition(",")[::2] for line in fh if line != "\n"]
-    prefixes = []
-    for name, text in rows:
-        # loadtxt would skip a row with no cells rather than fail
-        if not text or text.count(",") != grid.bin_count - 1:
-            raise ValueError(f"{csv_path}: row for {name!r} has wrong width")
-        try:
-            prefixes.append(Prefix.parse(name))
-        except ValueError as exc:
-            raise ValueError(f"{csv_path}: bad row for {name!r}: {exc}") from None
-
-    values = np.empty((0, grid.bin_count), dtype=np.int64)
+    lines, texts = read_rows(csv_path, _matrix_header(grid), grid.bin_count + 1)
+    parsed, codes = parse_column(
+        [text[: text.index(",")] for text in texts], Prefix.parse, csv_path, lines
+    )
+    prefixes = [parsed[code] for code in codes.tolist()]
     try:
-        if rows:
-            values = _parse_cells([text for _, text in rows])
+        values = _parse_cells(texts, grid.bin_count)
     except ValueError as exc:
-        # name the row; only this error path parses row by row
-        for name, text in rows:
+        # name the prefix; only this error path parses row by row
+        for line, prefix, text in zip(lines, prefixes, texts):
             try:
-                _parse_cells([text])
+                _parse_cells([text], grid.bin_count)
             except ValueError as row_exc:
-                raise ValueError(f"{csv_path}: bad row for {name!r}: {row_exc}") from None
+                raise ValueError(f"{csv_path}: line {line}: bad row for "
+                                 f"{prefix.text!r}: {row_exc}") from None
         raise ValueError(f"{csv_path}: {exc}") from None
     try:
         return HourlyTraceMatrix(grid, prefixes, values)

@@ -642,7 +642,7 @@ class TestSelectEvaluate:
         assert main(["evaluate", "--matrix", f"{out}/matrix.csv",
                      "--selection", str(path), "--out", out]) == 2
         err = capsys.readouterr().err
-        assert f"{path}: line 4: bad selection row {fields!r}" in err
+        assert f"{path}: line 4: bad row {fields!r}" in err
         assert not (trace_dir / "evaluation_summary.json").exists()
 
     @pytest.mark.parametrize("column", SELECTION_HEADER)
@@ -775,6 +775,14 @@ class TestProbeSimulate:
         assert "probing rounds" in err and "Traceback" not in err
         assert not (out / "probes.csv").exists()
 
+    def test_regime_on_unknown_transit_is_data_error(self, tmp_path, capsys):
+        out = tmp_path / "stage"
+        assert main(["probe-synth", "--prefix-count", "2", "--transits", "2",
+                     "--duration", "1000", "--regime", "T9:0:3:2", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "regime switch transit 'T9' is not one of the transits ['T1', 'T2']" in err
+        assert not (out / "probes.csv").exists()
+
     def test_probe_count_is_capped_before_any_draw(self, tmp_path, capsys):
         # 952k rounds pass MAX_PROBE_ROUNDS, but x 1200 pairs are 1.1e9 probes
         out = tmp_path / "stage"
@@ -792,7 +800,7 @@ class TestProbeSimulate:
         assert not (out / "probes.csv").exists()
 
     @pytest.mark.parametrize("row, named", [
-        ('0,"10.0.0.0/24",T1,10.5', "line 3: bad probe row"),
+        ('0,"10.0.0.0/24",T1,10.5', "line 3: bad row"),
         ("0,10.0.0.0/24,,10.5", "transit label ''"),
     ], ids=["quoted field", "empty label"])
     def test_quoted_row_or_unreadable_label_is_data_error(self, tmp_path, capsys, row, named):
@@ -948,6 +956,67 @@ def test_stages_leave_numpy_ma_unimported(tmp_path):
         assert not ma_imported(stage, *argv), argv[0]
 
 
+def _hand_off_matrix(directory: Path) -> HourlyTraceMatrix:
+    directory.mkdir(exist_ok=True)
+    write_int_matrix(directory, ["10.0.0.0/8,5,0,3", "10.1.0.0/16,0,7,1"])
+    return load_matrix(directory / "matrix.csv")
+
+
+# each hand-off file: its clean text (three rows), and how to read it and view the result
+HAND_OFF_FILES = {
+    "matrix": (
+        "prefix,h1,h2,h3\n10.0.0.0/8,5,0,3\n10.1.0.0/16,0,7,1\n10.2.0.0/16,1,1,1\n",
+        load_matrix,
+        lambda m: ([p.text for p in m.prefixes], m.values.tolist()),
+    ),
+    "selection": (
+        "hour,rank,prefix,score,method,L,K\n2,1,10.0.0.0/8,5.0,mean_volume,1,2\n"
+        "3,1,10.1.0.0/16,7.0,mean_volume,1,2\n3,2,10.0.0.0/8,0.5,mean_volume,1,2\n",
+        lambda path: _read_selection_csv(path, _hand_off_matrix(path.parent / "m"), 0.95),
+        lambda run: (run.config, [p.tolist() for p in run.picks],
+                     [s.tobytes() for s in run.scores]),
+    ),
+    "probe": (
+        "tick,prefix,transit,rtt_ms\n0,10.0.0.0/8,T1,10.5\n1,10.0.0.0/8,T1,\n"
+        "1,10.0.0.0/8,T2,9.25\n",
+        load_probe_log,
+        lambda log: (log.ticks, log.prefixes, log.transits, log.cube.tobytes()),
+    ),
+}
+
+
+def _edit_row(text: str, edit) -> str:
+    """``text`` with ``edit`` applied to its line 3, the second row."""
+    lines = text.split("\n")
+    lines[2] = edit(lines[2])
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("rewrite, message", [
+    (lambda text: text.split("\n")[0] + "\n", "no rows"),
+    (lambda text: text[0].upper() + text[1:], "expected header"),
+    (lambda text: _edit_row(text, lambda row: '"' + row.replace(",", '",', 1)), "line 3: bad row"),
+    (lambda text: _edit_row(text, lambda row: row + ",9"), "line 3: bad row"),
+    (lambda text: text.replace("\n", "\r\n\r\n").rstrip("\r\n"), None),
+], ids=["header only", "wrong header", "quoted field", "wrong width",
+        "CRLF, blank lines, no final newline"])
+@pytest.mark.parametrize("kind", HAND_OFF_FILES)
+def test_hand_off_files_share_one_row_format(tmp_path, kind, rewrite, message):
+    text, load, view = HAND_OFF_FILES[kind]
+    path = tmp_path / f"{kind}.csv"
+    if kind == "matrix":
+        path.with_suffix(".json").write_text('{"start": 0, "bin_seconds": 3600, "bin_count": 3}')
+    path.write_text(text)
+    clean = view(load(path))
+    path.write_bytes(rewrite(text).encode())
+    if message is None:
+        assert view(load(path)) == clean
+        return
+    with pytest.raises(ValueError) as info:
+        load(path)
+    assert str(info.value).startswith(f"{path}: {message}")
+
+
 class TestUsageErrors:
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 1
@@ -960,6 +1029,21 @@ class TestUsageErrors:
         main(["synth", "--prefixes", "5", "--bins", "4", "--out", out])
         assert main(["select", "--matrix", f"{out}/matrix.csv", "--out", out]) == 1
         assert "usage error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("modes", [
+        ["--method", "mean_volume", "--grid"],
+        ["--grid", "--config", "select.json"],
+        ["--method", "mean_volume", "--config", "select.json"],
+    ], ids=["method and grid", "grid and config", "method and config"])
+    def test_select_takes_one_mode(self, tmp_path, capsys, modes):
+        out = tmp_path / "stage"
+        main(["synth", "--prefixes", "5", "--bins", "4", "--out", str(tmp_path)])
+        (tmp_path / "select.json").write_text('[{"method": "mean_volume", "window": 2}]\n')
+        modes = [str(tmp_path / m) if m.endswith(".json") else m for m in modes]
+        assert main(["select", "--matrix", f"{tmp_path}/matrix.csv", *modes,
+                     "--out", str(out)]) == 1
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_flag_value(self, tmp_path):
         assert main(["synth", "--prefixes", "many", "--out", str(tmp_path)]) == 1

@@ -383,7 +383,7 @@ class TestConcentrationCurve:
 
     def test_zipf_overlay_head(self):
         m = matrix({A: [3], B: [1]}, bins=1)
-        curve = concentration_curve(m, ("hour", 1))
+        curve = concentration_curve(m, "hour:1")
         harmonic = sum(1.0 / n for n in range(1, 100_001))
         assert curve.zipf_overlay[0] == pytest.approx(1.0 / harmonic, rel=1e-9)
         assert curve.zipf_overlay[0] == pytest.approx(0.0827, abs=5e-4)
@@ -391,7 +391,7 @@ class TestConcentrationCurve:
     def test_spans(self):
         grid = TimeGrid(start=0, bin_seconds=3600, bin_count=48)
         m = synthesize_trace(SyntheticTraceSpec(prefix_count=30, noise=0.3, seed=4), grid)
-        for span in ("week", "hour:5", ("day", 2), ("hour", 48)):
+        for span in ("week", "hour:5", "day:2", "hour:48"):
             curve = concentration_curve(m, span)
             assert (np.diff(curve.shares) <= 0).all()
             assert (np.diff(curve.cdf) >= -1e-15).all()
@@ -402,14 +402,14 @@ class TestConcentrationCurve:
         with pytest.raises(ValueError):
             concentration_curve(m, "hour:9")
         with pytest.raises(ValueError):
-            concentration_curve(m, ("day", 1))  # 24 bins do not fit
+            concentration_curve(m, "day:1")  # 24 bins do not fit
         with pytest.raises(ValueError):
             concentration_curve(m, "fortnight")
 
     def test_zero_volume_span_errors(self):
         m = matrix({A: [1, 0]}, bins=2)
         with pytest.raises(ValueError, match="zero-volume"):
-            concentration_curve(m, ("hour", 2))
+            concentration_curve(m, "hour:2")
 
 
 def cv_bins(m):

@@ -322,6 +322,13 @@ class TestGenerateProbeLog:
         with pytest.raises(ValueError, match="^multiplier must be finite and > 0"):
             RegimeSwitch(transit="T1", start_tick=0, end_tick=2, multiplier=multiplier)
 
+    def test_regime_switch_on_unknown_transit_is_refused(self):
+        switch = RegimeSwitch(transit="T9", start_tick=0, end_tick=3, multiplier=2.0)
+        with pytest.raises(ValueError, match=re.escape(
+            "regime switch transit 'T9' is not one of the transits ['T1', 'T2']"
+        )):
+            self.model(regime_switches=(switch,))
+
 
 class TestSummaries:
     def test_constant_series(self):
@@ -363,7 +370,7 @@ class TestProbeCsv:
         assert probe_rows(back) == probe_rows(log) == rows
 
     @pytest.mark.parametrize("body, message", [
-        ("0,192.0.2.0/24,T1\n", "line 3: bad probe row"),
+        ("0,192.0.2.0/24,T1\n", "line 3: bad row"),
         ("zero,192.0.2.0/24,T1,10\n", "line 3: invalid literal"),
         ("0,192.0.2.1/24,T1,10\n", "line 3: .*host bits"),
         ("0,192.0.2.0/24,T1,fast\n", "line 3: could not convert"),
@@ -372,9 +379,9 @@ class TestProbeCsv:
         ("0,192.0.2.0/24, T1 ,9\n", "duplicate sample"),
         ("1,192.0.2.0/24,T1,9\n0,192.0.2.0/24,T1,9\n", "probes.csv: line 4: duplicate sample"),
         # rows are unquoted, as matrix and selection rows are
-        ('0,"192.0.2.0/24",T2,9\n', "line 3: bad probe row"),
-        ('1,192.0.2.0/24,"T1",9\n', "line 3: bad probe row"),
-        ('1,192.0.2.0/24,"T,1",9\n', "line 3: bad probe row"),
+        ('0,"192.0.2.0/24",T2,9\n', "line 3: bad row"),
+        ('1,192.0.2.0/24,"T1",9\n', "line 3: bad row"),
+        ('1,192.0.2.0/24,"T,1",9\n', "line 3: bad row"),
         ("1,192.0.2.0/24,,9\n", "probes.csv: transit label ''"),
     ])
     def test_bad_rows_rejected_naming_the_line(self, tmp_path, body, message):
@@ -408,7 +415,7 @@ class TestProbeCsv:
     def test_header_only_is_empty(self, tmp_path):
         path = tmp_path / "probes.csv"
         path.write_text("tick,prefix,transit,rtt_ms\n\n")
-        with pytest.raises(ValueError, match="empty probe log"):
+        with pytest.raises(ValueError, match="no rows"):
             load_probe_log(path)
 
     def test_header_enforced(self, tmp_path):
