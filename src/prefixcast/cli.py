@@ -80,20 +80,22 @@ def _load_matrix(path: str) -> trace.HourlyTraceMatrix:
 
 
 def _cmd_ingest(args) -> int:
-    records = trace.iter_trace_csv(args.input)
+    blocks = trace.iter_trace_csv(args.input)
 
     start, bins = args.start, args.bins
     if start is None or bins is None:
-        # parsed here, bin_records takes them as they are; only the records
-        # it would not reject as malformed span the grid
-        records = trace.parse_records(records)
-        stamps = [ts for ts, *_, reason in records if reason is None]
+        # the blocks are read once and kept for bin_records; only the
+        # records it would not reject as malformed span the grid
+        blocks = list(blocks)
+        stamps = [b.timestamps[~b.malformed] for b in blocks]
+        stamps = [s for s in stamps if s.size]
         if not stamps:
             raise ValueError("no usable records: cannot derive a grid")
+        first, last = int(min(s.min() for s in stamps)), int(max(s.max() for s in stamps))
         if start is None:
-            start = (min(stamps) // args.bin_seconds) * args.bin_seconds
+            start = (first // args.bin_seconds) * args.bin_seconds
         if bins is None:
-            bins = (max(stamps) - start) // args.bin_seconds + 1
+            bins = (last - start) // args.bin_seconds + 1
             if bins > MAX_DERIVED_BINS:
                 raise ValueError(
                     f"the records span {bins} bins, more than the {MAX_DERIVED_BINS} "
@@ -102,7 +104,7 @@ def _cmd_ingest(args) -> int:
     grid = trace.TimeGrid(start=start, bin_seconds=args.bin_seconds, bin_count=bins)
 
     policy = "raise" if args.on_error == "abort" else "count"
-    matrix, summary = trace.bin_records(records, grid, errors=policy)
+    matrix, summary = trace.bin_records(blocks, grid, errors=policy)
 
     out = _out_dir(args)
     trace.save_matrix(matrix, out / "matrix.csv")
@@ -182,7 +184,10 @@ def _cmd_analyze(args) -> int:
     m = _load_matrix(args.matrix)
     profile = dynamism.compute_core_profile(m, threshold=args.threshold)
     shares_pct, cv = dynamism.prefix_shares_and_cv(m)
-    curve = dynamism.concentration_curve(m, args.span)
+    try:
+        curve = dynamism.concentration_curve(m, args.span)
+    except ValueError as exc:
+        raise ValueError(f"--span {args.span}: {exc}") from None
     out = _out_dir(args)
 
     _write_csv(
@@ -310,11 +315,14 @@ def _selector_configs(
 
 
 def _cmd_select(args) -> int:
+    if args.window is not None and args.method is None:
+        mode = "--grid" if args.grid else "--config"
+        raise _UsageError(f"--window has no effect with {mode}; pass it with --method")
     m = _load_matrix(args.matrix)
     profile = dynamism.compute_core_profile(m, threshold=args.threshold)
     configs = _selector_configs(
         profile, args.size, grid=args.grid, config=args.config,
-        method=args.method, window=args.window,
+        method=args.method, window=1 if args.window is None else args.window,
     )
     out = _out_dir(args)
     for config in configs:
@@ -374,6 +382,10 @@ def _read_selection_csv(path: Path, m: trace.HourlyTraceMatrix, threshold: float
         # distinct text once, to name the line
         trace.parse_column(score_col, float, path, lines)
         raise
+    infinite = np.flatnonzero(~np.isfinite(score))
+    if infinite.size:
+        row = infinite[0]
+        raise ValueError(f"{path}: line {lines[row]}: score {score_col[row]!r} is not finite")
 
     # a prefix written two ways has one matrix index, so it is caught too
     cells = np.sort(hour * len(m) + index)
@@ -676,7 +688,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="run all methods x all canonical windows")
     mode.add_argument("--config", default=None,
                       help="JSON list of {method, window, size} entries")
-    p.add_argument("--window", type=int, default=1, help="history window L in hours")
+    p.add_argument("--window", type=int, default=None,
+                   help="history window L in hours, with --method (default: 1)")
     p.add_argument("--size", type=int, default=None,
                    help="selection size K (default: max weekly core size)")
     p.add_argument("--out", default=".")

@@ -148,9 +148,13 @@ def _span_columns(m: HourlyTraceMatrix, span: str) -> tuple[str, slice]:
     if span == "week":
         return "week", slice(0, bins)
     kind, _, arg = span.partition(":")
-    if kind not in ("hour", "day") or not arg:
-        raise ValueError(f"bad span {span!r}; use 'week', 'hour:H' or 'day:H0'")
-    h = int(arg)
+    bad = f"bad span {span!r}; use 'week', 'hour:H' or 'day:H0'"
+    if kind not in ("hour", "day"):
+        raise ValueError(bad)
+    try:
+        h = int(arg)
+    except ValueError:
+        raise ValueError(bad) from None
     if kind == "hour":
         if not 1 <= h <= bins:
             raise ValueError(f"hour {h} outside grid")

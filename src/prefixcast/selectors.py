@@ -7,9 +7,9 @@ volume, core presence intensity, and core-masked mean volume -- plus a
 classic GM(1,1) grey-model forecast as a comparison baseline.
 
 ``run_selection`` is one whole-week array pass per configuration: a
-(prefixes, hours) score array, then one stable argsort of every hour's
-negated positive scores, cut at K and at the hour's positive count;
-picks within an hour are distinct.  The window metrics equal the
+(prefixes, hours) score array, then each hour's top K positive scores,
+ranked by score and text as a stable sort of the whole hour would rank
+them; picks within an hour are distinct.  The window metrics equal the
 hour-by-hour loop exactly (the same sequential running sums, elementwise
 float operations and stable tie order).  GM(1,1) fits every window at
 once: the 2x2 least-squares fit (J. Deng, 1982) is solved in closed form
@@ -297,16 +297,7 @@ def run_selection(
     else:
         score = window_sums / (hi - lo)
 
-    # score > 0 alone marks the candidates (a positive masked sum needs a core
-    # hour); rows are in text order, so a stable sort on -score breaks ties by text
-    selectable = score.T > 0
-    key = np.where(selectable, -score.T, np.inf)
-    order = np.argsort(key, axis=1, kind="stable")[:, :K]
-    kept = np.arange(order.shape[1]) < selectable.sum(axis=1)[:, None]
-    bounds = np.cumsum(kept.sum(axis=1))[:-1]
-    picks = np.split(order[kept], bounds)
-    scores = np.split(np.take_along_axis(score.T, order, axis=1)[kept], bounds)
-
+    picks, scores = _top_k(score, K)
     return SelectionRun(
         config=config,
         threshold=profile.threshold,
@@ -316,6 +307,39 @@ def run_selection(
         scores=scores,
         gm11_fallbacks=fallbacks,
     )
+
+
+def _top_k(score: np.ndarray, size: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Each hour's picks (rows) and their scores from a (prefixes, hours)
+    score array: the ``size`` highest positive scores of the hour, ranked
+    by score and then by row.
+
+    score > 0 alone marks the candidates (a positive masked sum needs a
+    core hour).  Rows are in text order, so this is the cut of a stable
+    sort of every hour.  Only K rows per hour are sorted: ``np.partition``
+    finds the hour's K-th key (C. A. R. Hoare, "Find", 1961), and the hour
+    keeps the keys below it and, of the keys equal to it, the lowest rows
+    up to K.
+    """
+    selectable = score.T > 0
+    key = np.where(selectable, -score.T, np.inf)
+    size = min(size, key.shape[1])
+    # a copied column, so the partitioned array is freed at once
+    kth = np.partition(key, size - 1, axis=1)[:, [size - 1]]
+    below, tied = key < kth, key == kth
+    room = size - below.sum(axis=1)
+    over = np.flatnonzero(tied.sum(axis=1) > room)
+    tied[over] &= np.cumsum(tied[over], axis=1) <= room[over, None]
+    # each hour keeps exactly K rows, ascending, so a stable sort breaks ties by row
+    rows = np.nonzero(below | tied)[1].reshape(-1, size)
+    order = np.argsort(np.take_along_axis(key, rows, axis=1), axis=1, kind="stable")
+    order = np.take_along_axis(rows, order, axis=1)
+    # the selectable keys sort first, so each hour's picks are a leading slice
+    counts = np.minimum(selectable.sum(axis=1), size).tolist()
+    ranked = np.take_along_axis(score.T, order, axis=1)
+    picks = [row[:count] for row, count in zip(order, counts)]
+    scores = [row[:count] for row, count in zip(ranked, counts)]
+    return picks, scores
 
 
 def max_core_size(profile: CoreProfile) -> int:

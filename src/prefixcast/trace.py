@@ -9,11 +9,12 @@ this package.
 
 from __future__ import annotations
 
-import csv
 import ipaddress
 import json
 import math
+import re
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -24,10 +25,9 @@ __all__ = [
     "TimeGrid",
     "HourlyTraceMatrix",
     "IngestSummary",
-    "ParsedRecords",
+    "RecordBlock",
     "BurstSpec",
     "SyntheticTraceSpec",
-    "parse_records",
     "bin_records",
     "zipf_shares",
     "synthetic_prefix",
@@ -45,6 +45,20 @@ TRACE_CSV_HEADER = ("timestamp", "prefix", "bytes")
 
 # Binned volumes are int64; a record or a running total above this would wrap.
 _INT64_MAX = int(np.iinfo(np.int64).max)
+_INT64_MIN = int(np.iinfo(np.int64).min)
+
+# Flow CSV lines read and parsed per block: ingest holds one block's text
+# at a time, beside the parsed columns.
+TRACE_BLOCK_LINES = 1 << 16
+
+# A field of at most this many ASCII digits parses in bulk; it fits int64.
+_BULK_DIGITS = 18
+
+# Dotted-quad CIDR text in ASCII digits without leading zeros, as
+# ``str(ipaddress.ip_network(...))`` writes it; ``Prefix.parse`` bounds
+# the numbers.
+_NUMBER = "(0|[1-9][0-9]{0,2})"
+_DOTTED_CIDR = re.compile(rf"{_NUMBER}\.{_NUMBER}\.{_NUMBER}\.{_NUMBER}/{_NUMBER}")
 
 
 @dataclass(frozen=True, order=True)
@@ -66,7 +80,16 @@ class Prefix:
 
         Raises ValueError when the text is not a valid network; host bits
         below the mask length must be zero ("10.0.0.1/8" is rejected).
+        Text that is already canonical IPv4 CIDR is checked without
+        ``ipaddress``; any other text goes through it.
         """
+        if type(text) is str and (match := _DOTTED_CIDR.fullmatch(text)):
+            a, b, c, d, length = map(int, match.groups())
+            # no octet above 255, and no host bit set below the mask
+            if max(a, b, c, d) <= 255 and length <= 32 and (
+                ((a << 24 | b << 16 | c << 8 | d) << length) & 0xFFFFFFFF == 0
+            ):
+                return cls(text=text, family=4)
         net = ipaddress.ip_network(str(text).strip(), strict=True)
         return cls(text=str(net), family=net.version)
 
@@ -204,55 +227,176 @@ class IngestSummary:
         return self.rejected_malformed + self.rejected_out_of_range
 
 
-class ParsedRecords(tuple):
-    """Raw flow records, each parsed once, in input order.  A well-formed
-    record is ``(timestamp, Prefix, volume, None)``; a malformed one is
-    ``(None, None, volume, reason)``, whose volume is None unless its bytes
-    field parsed to a count >= 0."""
+@dataclass(frozen=True)
+class RecordBlock:
+    """One block of flow CSV records as columns, in file order.
+
+    ``codes`` index ``prefixes``, the distinct canonical prefixes of the
+    whole file: one list shared by all its blocks, which grows as later
+    blocks are read.  ``malformed`` flags the records whose fields do not
+    parse; ``reasons`` holds their messages by position in the block, and
+    ``malformed_bytes`` the sum of their volumes that parsed to a count
+    >= 0.  Elsewhere ``timestamps`` (int64, or Python ints in a block
+    where one lies outside int64), ``volumes`` (int64) and ``codes`` hold
+    the record.
+    """
+
+    timestamps: np.ndarray
+    volumes: np.ndarray
+    codes: np.ndarray
+    malformed: np.ndarray
+    reasons: dict[int, str]
+    malformed_bytes: int
+    prefixes: list[Prefix]
 
 
-def parse_records(records: Iterable[tuple]) -> ParsedRecords:
-    """Parse raw ``(timestamp, prefix, bytes)`` triples (e.g. CSV rows):
-    integer fields, a canonical prefix, and a volume that is >= 0 and
-    within the int64 range, else the record is malformed."""
-    prefix_cache: dict[str, Prefix] = {}
-    rows = []
-    for rec in records:
-        volume: int | None = None
+class _PrefixTable:
+    """The distinct prefix texts of one flow CSV: each is parsed once, and
+    texts of one canonical prefix share its code."""
+
+    def __init__(self) -> None:
+        self.prefixes: list[Prefix] = []
+        self.codes: dict[bytes, int] = {}  # -1 for a text that does not parse
+        self.errors: dict[bytes, str] = {}
+        self._canonical: dict[str, int] = {}
+
+    def add(self, text: bytes) -> None:
         try:
-            if len(rec) != 3:
-                raise ValueError(f"expected 3 fields, got {len(rec)}")
-            if (parsed := int(rec[2])) < 0:
-                raise ValueError(f"negative volume {parsed}")
-            volume = parsed  # only now, so a negative volume's bytes are not counted
-            if volume > _INT64_MAX:
-                raise ValueError(f"volume {volume} exceeds the int64 range")
-            ts = int(rec[0])
-            text = rec[1]
-            prefix = prefix_cache.get(text)
-            if prefix is None:
-                prefix = Prefix.parse(text)
-                prefix_cache[text] = prefix
-        except (ValueError, TypeError) as exc:
-            rows.append((None, None, volume, f"{rec!r} ({exc})"))
+            prefix = Prefix.parse(text.decode())
+        except ValueError as exc:
+            self.codes[text], self.errors[text] = -1, str(exc)
+            return
+        code = self._canonical.setdefault(prefix.text, len(self.prefixes))
+        if code == len(self.prefixes):
+            self.prefixes.append(prefix)
+        self.codes[text] = code
+
+    def code(self, text: bytes) -> int:
+        if text not in self.codes:
+            self.add(text)
+        if self.codes[text] < 0:
+            raise ValueError(self.errors[text])
+        return self.codes[text]
+
+
+def _parse_fields(fields: list[str], table: _PrefixTable):
+    """``(timestamp, volume, code, reason)`` of one record's fields: integer
+    fields, a prefix, and a volume that is >= 0 and within the int64 range.
+    A malformed record has a reason, and its volume is None unless its
+    bytes field parsed to a count >= 0."""
+    volume: int | None = None
+    try:
+        if len(fields) != 3:
+            raise ValueError(f"expected 3 fields, got {len(fields)}")
+        if (parsed := int(fields[2])) < 0:
+            raise ValueError(f"negative volume {parsed}")
+        volume = parsed  # only now, so a negative volume's bytes are not counted
+        if volume > _INT64_MAX:
+            raise ValueError(f"volume {volume} exceeds the int64 range")
+        timestamp = int(fields[0])
+        code = table.code(fields[1].encode())
+    except ValueError as exc:
+        return None, volume, -1, f"{tuple(fields)!r} ({exc})"
+    return timestamp, volume, code, None
+
+
+def _plain_ints(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """Which fields ``buf[lo:hi]`` are 1 to ``_BULK_DIGITS`` ASCII digits,
+    and their values (0 elsewhere)."""
+    width = hi - lo
+    plain = (width >= 1) & (width <= _BULK_DIGITS)
+    width[~plain] = 0
+    values = np.zeros(len(lo), np.int64)
+    for k in range(int(width.max(initial=0))):
+        # the k-th byte from the right, where the field has one; a byte
+        # below "0" wraps above 9 in uint8
+        has = k < width
+        digit = buf[np.maximum(hi - 1 - k, lo)] - ord("0")
+        plain &= (digit <= 9) | ~has
+        values += np.where(has, digit, 0).astype(np.int64) * 10**k
+    return plain, values
+
+
+def _parse_block(raw: bytes, table: _PrefixTable) -> RecordBlock:
+    """The records in ``raw``, whole UTF-8 lines of a flow CSV, as columns.
+
+    Fields of plain ASCII digits parse in bulk, and each distinct prefix
+    text once; the records where either fails, and only those, go through
+    ``_parse_fields``, which applies ``int()`` and formats the reason.
+    """
+    if not raw.endswith(b"\n"):
+        raw += b"\n"
+    buf = np.frombuffer(raw, np.uint8)
+    ends = np.flatnonzero(buf == ord("\n"))
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    starts, ends = starts[ends > starts], ends[ends > starts]  # a blank line is no record
+    commas = np.flatnonzero(buf == ord(","))
+    first = np.searchsorted(commas, starts)
+    three = np.flatnonzero(np.searchsorted(commas, ends) - first == 2)
+    c1, c2 = commas[first[three]], commas[first[three] + 1]
+
+    n = len(starts)
+    timestamps, volumes = np.zeros(n, np.int64), np.zeros(n, np.int64)
+    codes, clean = np.zeros(n, np.intp), np.zeros(n, bool)
+    plain_ts, timestamps[three] = _plain_ints(buf, starts[three], c1)
+    plain_vol, volumes[three] = _plain_ints(buf, c2 + 1, ends[three])
+    texts = [raw[a:b] for a, b in zip((c1 + 1).tolist(), c2.tolist())]
+    for new in set(texts).difference(table.codes):
+        table.add(new)
+    codes[three] = np.fromiter(map(table.codes.__getitem__, texts), np.intp, len(texts))
+    clean[three] = plain_ts & plain_vol & (codes[three] >= 0)
+
+    reasons: dict[int, str] = {}
+    malformed_bytes = 0
+    wide: dict[int, int] = {}  # timestamps outside int64
+    for i in np.flatnonzero(~clean).tolist():
+        fields = raw[starts[i]:ends[i]].decode().split(",")
+        timestamp, volume, code, reason = _parse_fields(fields, table)
+        if reason is not None:
+            reasons[i] = reason
+            malformed_bytes += volume or 0
             continue
-        rows.append((ts, prefix, volume, None))
-    return ParsedRecords(rows)
+        volumes[i], codes[i] = volume, code
+        if _INT64_MIN <= timestamp <= _INT64_MAX:
+            timestamps[i] = timestamp
+        else:
+            wide[i] = timestamp
+    if wide:
+        timestamps = timestamps.astype(object)
+        timestamps[list(wide)] = list(wide.values())
+    malformed = np.zeros(n, bool)
+    malformed[list(reasons)] = True
+    return RecordBlock(timestamps, volumes, codes, malformed, reasons, malformed_bytes,
+                       table.prefixes)
+
+
+def _grid_bins(timestamps: np.ndarray, grid: TimeGrid) -> np.ndarray:
+    """Each timestamp's 0-based bin on ``grid``, or -1 outside it."""
+    inside = (timestamps >= grid.start) & (timestamps < grid.end)
+    if not (_INT64_MIN <= grid.start <= _INT64_MAX and grid.end - grid.start <= _INT64_MAX):
+        timestamps = timestamps.astype(object)  # exact Python ints, as int64 could wrap
+    bins = np.full(len(timestamps), -1, np.intp)
+    bins[inside] = (timestamps[inside] - grid.start) // grid.bin_seconds
+    return bins
+
+
+def _exact_sum(volumes: np.ndarray) -> int:
+    """Sum of fewer than 2^31 int64 volumes >= 0, exact: the high and low
+    32-bit halves are summed apart, so no int64 sum can wrap."""
+    return (int((volumes >> 32).sum()) << 32) + int((volumes & 0xFFFFFFFF).sum())
 
 
 def bin_records(
-    records: Iterable[tuple] | ParsedRecords,
+    blocks: Iterable[RecordBlock],
     grid: TimeGrid,
     errors: str = "count",
 ) -> tuple[HourlyTraceMatrix, IngestSummary]:
-    """Fold a stream of raw records into an hourly matrix.
+    """Fold the record blocks of a flow CSV into an hourly matrix.
 
     Parameters
     ----------
-    records : iterable or ParsedRecords
-        Raw ``(timestamp, prefix, bytes)`` triples (e.g. CSV rows), parsed
-        here with ``parse_records`` so that the reject policy applies
-        uniformly, or what ``parse_records`` returned for them.
+    blocks : iterable of RecordBlock
+        What ``iter_trace_csv`` yields for one file.
     grid : TimeGrid
         Target binning grid; records outside it are out-of-range.
     errors : str
@@ -267,47 +411,56 @@ def bin_records(
     ------
     ValueError
         On the first bad record with ``errors="raise"``, when the binned
-        volume would exceed the int64 range, or when no active prefix
-        remains after binning.  A single record volume above that range
-        is a malformed record.
+        volume would exceed the int64 range (naming the record where it
+        does), or when no active prefix remains after binning.  A single
+        record volume above that range is a malformed record.
     """
     if errors not in ("count", "raise"):
         raise ValueError(f"unknown errors policy {errors!r}")
-    if not isinstance(records, ParsedRecords):
-        records = parse_records(records)
 
-    codes: dict[Prefix, int] = {}
-    cells, volumes = [], []  # flat cell index and volume per binned record
-    bytes_binned = bytes_rejected = 0
-
-    for read, (ts, prefix, volume, reason) in enumerate(records, start=1):
-        if reason is not None or not grid.start <= ts < grid.end:
-            if errors == "raise":
-                raise ValueError(f"malformed record: {reason}" if reason is not None
-                                 else f"out-of-range record: timestamp {ts}")
-            bytes_rejected += volume or 0
-            continue
-        bytes_binned += volume
-        # every cell and total is at most bytes_binned, so none can wrap
-        if bytes_binned > _INT64_MAX:
-            raise ValueError(
-                f"binned volume reaches {bytes_binned} bytes at record {read}, "
-                "beyond the int64 range"
-            )
-        code = codes.setdefault(prefix, len(codes))
-        cells.append(code * grid.bin_count + (ts - grid.start) // grid.bin_seconds)
-        volumes.append(volume)
+    prefixes: list[Prefix] = []
+    cells, volumes = [np.zeros(0, np.intp)], [np.zeros(0, np.int64)]
+    read = malformed = bytes_binned = bytes_rejected = 0
+    for block in blocks:
+        prefixes = block.prefixes
+        bins = _grid_bins(block.timestamps, grid)
+        bins[block.malformed] = -1
+        rejected = np.flatnonzero(bins < 0)
+        # under "raise", only the records before the first bad one are binned
+        stop = int(rejected[0]) if errors == "raise" and rejected.size else len(bins)
+        take = np.flatnonzero(bins[:stop] >= 0)
+        kept = block.volumes[take]
+        total = _exact_sum(kept)
+        if bytes_binned + total > _INT64_MAX:
+            # every cell and total is at most bytes_binned, so none can wrap
+            for i, volume in zip(take.tolist(), kept.tolist()):
+                bytes_binned += volume
+                if bytes_binned > _INT64_MAX:
+                    raise ValueError(
+                        f"binned volume reaches {bytes_binned} bytes at record "
+                        f"{read + i + 1}, beyond the int64 range"
+                    )
+        if stop < len(bins):
+            raise ValueError(f"malformed record: {block.reasons[stop]}" if block.malformed[stop]
+                             else f"out-of-range record: timestamp {block.timestamps[stop]}")
+        bytes_binned += total
+        out_of_range = rejected[~block.malformed[rejected]]
+        bytes_rejected += block.malformed_bytes + _exact_sum(block.volumes[out_of_range])
+        cells.append(block.codes[take] * grid.bin_count + bins[take])
+        volumes.append(kept)
+        read += len(bins)
+        malformed += len(block.reasons)
 
     # np.bincount would sum float64 weights, rounding cells above 2^53
-    values = np.zeros((len(codes), grid.bin_count), dtype=np.int64)
-    np.add.at(values.reshape(-1), np.array(cells, dtype=np.intp), np.array(volumes, dtype=np.int64))
-    matrix = HourlyTraceMatrix(grid, list(codes), values)
-    malformed = sum(reason is not None for *_, reason in records)
+    values = np.zeros((len(prefixes), grid.bin_count), dtype=np.int64)
+    cells, volumes = np.concatenate(cells), np.concatenate(volumes)
+    np.add.at(values.reshape(-1), cells, volumes)
+    matrix = HourlyTraceMatrix(grid, prefixes, values)
     summary = IngestSummary(
-        records_read=len(records),
+        records_read=read,
         records_binned=len(cells),
         rejected_malformed=malformed,
-        rejected_out_of_range=len(records) - len(cells) - malformed,
+        rejected_out_of_range=read - len(cells) - malformed,
         bytes_binned=bytes_binned,
         bytes_rejected=bytes_rejected,
         active_prefixes=len(matrix),
@@ -426,23 +579,24 @@ def synthesize_trace(spec: SyntheticTraceSpec, grid: TimeGrid) -> HourlyTraceMat
     return HourlyTraceMatrix(grid, prefixes, values.astype(np.int64))
 
 
-def iter_trace_csv(path: str | Path) -> Iterator[tuple]:
-    """Yield raw field tuples from a `timestamp,prefix,bytes` CSV.
+def iter_trace_csv(path: str | Path) -> Iterator[RecordBlock]:
+    """Yield the records of a `timestamp,prefix,bytes` CSV as column
+    blocks of up to ``TRACE_BLOCK_LINES`` lines, for ``bin_records``.
 
-    The header row is required; field parsing and validation happen in
-    ``bin_records`` so its reject policy sees every row.
+    The header row is required (matched after trimming and lower-casing
+    its fields); blank lines are skipped.  Fields are split at every
+    comma, so a quoted field is a malformed record, not a CSV quote.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+    with open(path) as fh:
+        first = fh.readline()
+        header = first.rstrip("\n").split(",") if first else None
         if header is None or tuple(c.strip().lower() for c in header) != TRACE_CSV_HEADER:
             raise ValueError(
                 f"{path}: expected header {','.join(TRACE_CSV_HEADER)!r}, got {header!r}"
             )
-        for row in reader:
-            if not row:
-                continue
-            yield tuple(row)
+        table = _PrefixTable()
+        while raw := "".join(islice(fh, TRACE_BLOCK_LINES)).encode():
+            yield _parse_block(raw, table)
 
 
 def parse_column(

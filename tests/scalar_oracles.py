@@ -12,6 +12,9 @@ import math
 import numpy as np
 
 from prefixcast.rttsim import ProbeLog
+from prefixcast.trace import HourlyTraceMatrix, IngestSummary, Prefix
+
+INT64_MAX = 2**63 - 1
 
 
 def probe_log(rows) -> ProbeLog:
@@ -68,3 +71,78 @@ def picked(run, hour: int) -> list[tuple]:
 def picked_set(run, hour: int) -> set:
     """The prefixes a selection run predicted for one hour."""
     return {prefix for prefix, _ in picked(run, hour)}
+
+
+def parse_records(records) -> list[tuple]:
+    """Flow records parsed one by one, in input order: ``(timestamp,
+    Prefix, volume, None)`` for a well-formed ``(timestamp, prefix, bytes)``
+    field tuple, ``(None, None, volume, reason)`` for a malformed one,
+    whose volume is None unless its bytes field parsed to a count >= 0."""
+    rows = []
+    for rec in records:
+        volume = None
+        try:
+            if len(rec) != 3:
+                raise ValueError(f"expected 3 fields, got {len(rec)}")
+            if (parsed := int(rec[2])) < 0:
+                raise ValueError(f"negative volume {parsed}")
+            volume = parsed
+            if volume > INT64_MAX:
+                raise ValueError(f"volume {volume} exceeds the int64 range")
+            ts, prefix = int(rec[0]), Prefix.parse(rec[1])
+        except ValueError as exc:
+            rows.append((None, None, volume, f"{tuple(rec)!r} ({exc})"))
+            continue
+        rows.append((ts, prefix, volume, None))
+    return rows
+
+
+def bin_records(records, grid, errors="count"):
+    """``trace.bin_records`` one record at a time: the per-record rule its
+    column pass must agree with, on the field tuples of a flow CSV."""
+    records = parse_records(records)
+    codes: dict[Prefix, int] = {}
+    cells, volumes = [], []
+    bytes_binned = bytes_rejected = 0
+    for read, (ts, prefix, volume, reason) in enumerate(records, start=1):
+        if reason is not None or not grid.start <= ts < grid.end:
+            if errors == "raise":
+                raise ValueError(f"malformed record: {reason}" if reason is not None
+                                 else f"out-of-range record: timestamp {ts}")
+            bytes_rejected += volume or 0
+            continue
+        bytes_binned += volume
+        if bytes_binned > INT64_MAX:
+            raise ValueError(f"binned volume reaches {bytes_binned} bytes at record {read}, "
+                             "beyond the int64 range")
+        code = codes.setdefault(prefix, len(codes))
+        cells.append(code * grid.bin_count + (ts - grid.start) // grid.bin_seconds)
+        volumes.append(volume)
+    values = np.zeros((len(codes), grid.bin_count), dtype=np.int64)
+    np.add.at(values.reshape(-1), np.array(cells, dtype=np.intp), np.array(volumes, np.int64))
+    matrix = HourlyTraceMatrix(grid, list(codes), values)
+    malformed = sum(reason is not None for *_, reason in records)
+    return matrix, IngestSummary(
+        records_read=len(records),
+        records_binned=len(cells),
+        rejected_malformed=malformed,
+        rejected_out_of_range=len(records) - len(cells) - malformed,
+        bytes_binned=bytes_binned,
+        bytes_rejected=bytes_rejected,
+        active_prefixes=len(matrix),
+    )
+
+
+def argsort_top_k(score, size):
+    """Each hour's picks and scores from a (prefixes, hours) score array,
+    by one stable argsort of every hour's negated positive scores, cut at
+    ``size`` and at the hour's positive count: the order
+    ``selectors._top_k`` must reproduce."""
+    selectable = score.T > 0
+    key = np.where(selectable, -score.T, np.inf)
+    order = np.argsort(key, axis=1, kind="stable")[:, :size]
+    kept = np.arange(order.shape[1]) < selectable.sum(axis=1)[:, None]
+    bounds = np.cumsum(kept.sum(axis=1))[:-1]
+    picks = np.split(order[kept], bounds)
+    scores = np.split(np.take_along_axis(score.T, order, axis=1)[kept], bounds)
+    return picks, scores

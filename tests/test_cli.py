@@ -149,6 +149,47 @@ class TestIngest:
         assert main(args + ["--on-error", "abort"]) == 2
         assert "int64" in capsys.readouterr().err
 
+    def test_quoted_header_is_data_error(self, tmp_path, capsys):
+        flows = tmp_path / "flows.csv"
+        flows.write_text('"timestamp","prefix","bytes"\n0,10.0.0.0/8,5\n')
+        assert main(["ingest", str(flows), "--out", str(tmp_path / "stage")]) == 2
+        assert "expected header 'timestamp,prefix,bytes'" in capsys.readouterr().err
+
+    def test_quoted_field_is_a_malformed_record(self, tmp_path):
+        flows = tmp_path / "flows.csv"
+        flows.write_text('timestamp,prefix,bytes\n0,10.0.0.0/8,5\n0,"10.1.0.0/16",7\n'
+                         '"0",10.1.0.0/16,9\n0,"10.1.0.0/16,x",4\n')
+        out = tmp_path / "stage"
+        assert main(["ingest", str(flows), "--start", "0", "--bins", "1", "--out", str(out)]) == 0
+        summary = read_json(out / "ingest.json")
+        # the quoted prefix and timestamp keep their parsed bytes, as any malformed field does
+        assert (summary["rejected_malformed"], summary["bytes_binned"]) == (3, 5)
+        assert summary["bytes_rejected"] == 16
+
+    def test_abort_names_the_first_bad_record_in_file_order(self, tmp_path, capsys, monkeypatch):
+        from prefixcast import trace
+
+        flows = tmp_path / "flows.csv"
+        flows.write_text("timestamp,prefix,bytes\n0,10.0.0.0/8,5\n1,10.0.0.0/8,6\n"
+                         "99999,10.0.0.0/8,7\n2,bogus,8\n")
+        monkeypatch.setattr(trace, "TRACE_BLOCK_LINES", 2)
+        args = ["ingest", str(flows), "--start", "0", "--bins", "1", "--on-error", "abort",
+                "--out", str(tmp_path / "stage")]
+        assert main(args) == 2
+        assert "out-of-range record: timestamp 99999" in capsys.readouterr().err
+
+    def test_timestamps_beyond_int64_bin_on_a_derived_grid(self, tmp_path):
+        flows = tmp_path / "flows.csv"
+        start = 2**70 - 2**70 % 3600
+        flows.write_text(f"timestamp,prefix,bytes\n{start + 5},10.0.0.0/8,5\n"
+                         f"{start + 3600},10.0.0.0/8,7\n0,10.1.0.0/16,oops\n")
+        out = tmp_path / "stage"
+        assert main(["ingest", str(flows), "--out", str(out)]) == 0
+        m = load_matrix(out / "matrix.csv")
+        assert (m.grid.start, m.grid.bin_count, m.values.tolist()) == (start, 2, [[5, 7]])
+        summary = read_json(out / "ingest.json")
+        assert (summary["records_binned"], summary["rejected_malformed"]) == (2, 1)
+
     def test_binned_total_beyond_int64_is_data_error(self, tmp_path, capsys):
         flows = tmp_path / "flows.csv"
         big = 9_220_000_000_000_000_000
@@ -215,6 +256,15 @@ class TestSynthAnalyze:
         assert core["avg_core_size"] == 1.0
         assert core["avg_core_pct_of_active"] == 100.0
         assert core["max_core_size"] == 1
+
+    @pytest.mark.parametrize("span", ["hour:x", "day:x", "hour:", "fortnight:3"])
+    def test_unparsable_span_is_data_error_naming_the_flag(self, tmp_path, capsys, span):
+        matrix = write_int_matrix(tmp_path, ["10.0.0.0/8,5,0,3"])
+        out = tmp_path / "stage"
+        assert main(["analyze", "--matrix", str(matrix), "--span", span, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"--span {span}: bad span {span!r}" in err and "invalid literal" not in err
+        assert not out.exists()
 
     def test_span_flag_selects_concentration_window(self, tmp_path):
         out = str(tmp_path)
@@ -395,6 +445,22 @@ class TestSelectEvaluate:
             key: {k: v for k, v in entry.items() if k != "gm11_fallbacks"}
             for key, entry in summary.items()
         }
+
+    @pytest.mark.parametrize("mode", [["--grid"], ["--config", "selectors.json"]])
+    def test_window_without_method_is_usage_error(self, trace_dir, capsys, mode):
+        out = trace_dir / "select"
+        (trace_dir / "selectors.json").write_text('[{"method": "gm11", "window": 6}]')
+        mode = [str(trace_dir / arg) if arg.endswith(".json") else arg for arg in mode]
+        assert main(["select", "--matrix", f"{trace_dir}/matrix.csv", *mode, "--window", "5",
+                     "--out", str(out)]) == 1
+        assert f"--window has no effect with {mode[0]}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_method_alone_defaults_to_one_hour_window(self, trace_dir):
+        out = str(trace_dir)
+        assert main(["select", "--matrix", f"{out}/matrix.csv", "--method", "core_presence",
+                     "--size", "4", "--out", out]) == 0
+        assert (trace_dir / "selection_core_presence_L1.csv").exists()
 
     def test_config_json(self, trace_dir):
         out = str(trace_dir)
@@ -661,6 +727,22 @@ class TestSelectEvaluate:
         assert main(["evaluate", "--matrix", f"{out}/matrix.csv",
                      "--selection", str(path), "--out", out]) == 2
         assert f"{path}: line 5: " in capsys.readouterr().err
+        assert not (trace_dir / "evaluation_summary.json").exists()
+
+    @pytest.mark.parametrize("score", ["nan", "inf", "-inf", "1e999", "NaN"])
+    def test_non_finite_selection_score_rejected(self, trace_dir, capsys, score):
+        out = str(trace_dir)
+        assert main(["select", "--matrix", f"{out}/matrix.csv", "--method", "mean_volume",
+                     "--window", "2", "--size", "3", "--out", out]) == 0
+        path = trace_dir / "selection_mean_volume_L2.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        fields = lines[5].split(",")
+        fields[3] = score
+        lines[5] = ",".join(fields)
+        path.write_text("".join(lines))
+        assert main(["evaluate", "--matrix", f"{out}/matrix.csv",
+                     "--selection", str(path), "--out", out]) == 2
+        assert f"{path}: line 6: score {score!r} is not finite" in capsys.readouterr().err
         assert not (trace_dir / "evaluation_summary.json").exists()
 
     @pytest.mark.parametrize("rewrite", [

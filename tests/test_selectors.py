@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from prefixcast import selectors
 from prefixcast.dynamism import compute_core_profile
 from prefixcast.evaluation import oracle_topk
 from prefixcast.selectors import (
@@ -28,7 +29,7 @@ from prefixcast.trace import (
     synthesize_trace,
     synthetic_prefix,
 )
-from scalar_oracles import picked, picked_set
+from scalar_oracles import argsort_top_k, picked, picked_set
 
 A = Prefix.parse("10.0.0.0/24")
 B = Prefix.parse("10.0.1.0/24")
@@ -791,6 +792,47 @@ class TestRunSelectionMatchesPerHourLoop:
             config = SelectorConfig(METHODS[trial % 4], int(rng.integers(1, 6)), len(m) + 1)
             for picks in run_selection(m, compute_core_profile(m), config).picks:
                 assert np.unique(picks).size == picks.size
+
+
+def assert_top_k_is_the_stable_cut(score, size, top_k=selectors._top_k):
+    """``_top_k`` gives the stable argsort's picks and scores, with ``==``."""
+    got, want = top_k(score, size), argsort_top_k(score, size)
+    for got_part, want_part in zip(got, want):
+        assert len(got_part) == len(want_part) == score.shape[1]
+        for g, w in zip(got_part, want_part):
+            assert g.dtype == w.dtype and g.tolist() == w.tolist()
+    return got
+
+
+class TestTopK:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 12), st.integers(1, 6)),
+        cells=st.lists(st.sampled_from((0.0, 0.0, 0.5, 1.0, 1.0, 2.0, 3.25, 1e300)), min_size=72,
+                       max_size=72),
+        size=st.integers(1, 14),
+    )
+    def test_equals_stable_argsort_cut(self, shape, cells, size):
+        # few distinct values, so the K-th key is often tied across the cut
+        n, hours = shape
+        score = np.array(cells[: n * hours]).reshape(n, hours)
+        assert_top_k_is_the_stable_cut(score, size)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_run_selection_cuts_as_the_stable_argsort(self, method, monkeypatch):
+        # a sparse 0-3 week: core presence and volumes tie at the cut in most hours
+        m = adversarial_week("sparse")
+        profile = compute_core_profile(m)
+        checked = []
+
+        def top_k(score, size):
+            checked.append(size)
+            return assert_top_k_is_the_stable_cut(score, size)
+
+        monkeypatch.setattr(selectors, "_top_k", top_k)
+        for size in (1, 37, max_core_size(profile), len(m)):
+            run_selection(m, profile, SelectorConfig(method, 24, size))
+        assert len(checked) == 4
 
 
 class TestMaxCoreSize:

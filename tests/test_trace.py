@@ -1,14 +1,17 @@
 """Trace model: binning, fractions, synthesis, persistence."""
 
+import ipaddress
 import json
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from prefixcast import trace
 from prefixcast.trace import (
     BurstSpec,
     HourlyTraceMatrix,
@@ -24,11 +27,25 @@ from prefixcast.trace import (
     zipf_shares,
 )
 from prefixcast.dynamism import prefix_shares_and_cv
+import scalar_oracles
 from scalar_oracles import csv_text
 
 P8 = Prefix.parse("10.0.0.0/8")
 P16 = Prefix.parse("10.1.0.0/16")
 P24 = Prefix.parse("10.2.3.0/24")
+
+
+def flow_csv(path, rows):
+    """A flow CSV at ``path``: the header, then each row's fields joined
+    by commas, one line each."""
+    lines = "".join(",".join(map(str, row)) + "\n" for row in rows)
+    path.write_text("timestamp,prefix,bytes\n" + lines)
+    return path
+
+
+def bin_rows(directory, rows, grid, errors="count"):
+    """``bin_records`` over the flow CSV of ``rows``, written in ``directory``."""
+    return bin_records(iter_trace_csv(flow_csv(directory / "flows.csv", rows)), grid, errors)
 
 
 class TestPrefix:
@@ -54,17 +71,52 @@ class TestPrefix:
         assert [p.text for p in ps] == ["10.0.0.0/8", "10.1.0.0/16", "10.2.3.0/24"]
 
 
+# dotted quads with octets past 255, leading zeros and non-ASCII digits,
+# lengths past 32, surrounding space, IPv6 and garbage
+OCTET_TEXTS = (st.integers(0, 300).map(str) | st.integers(0, 300).map("0{}".format)
+               | st.sampled_from(["١", "٢٥٥", "１０", "", " 1", "+1"]))
+DOTTED_CIDRS = st.builds(
+    lambda octets, length, pad: f"{pad[0]}{'.'.join(octets)}/{length}{pad[1]}",
+    st.lists(OCTET_TEXTS, min_size=4, max_size=4),
+    st.integers(0, 40).map(str) | st.integers(0, 40).map("0{}".format) | st.just("٨"),
+    st.tuples(st.sampled_from(["", " ", "\t"]), st.sampled_from(["", " ", "\n"])),
+)
+CIDR_TEXTS = DOTTED_CIDRS | st.sampled_from(
+    ["2001:db8::/32", "2001:DB8::/32", "::/0", "10.0.0.0/255.0.0.0", "10.0.0.0", "10.0.0/8",
+     "10.0.0.0.0/8", "10.0.0.0//8", "10.0.0.0/8/8", "not-a-prefix"]) | st.text(max_size=20)
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=CIDR_TEXTS)
+@example("10.0.0.0/8")
+@example("255.255.255.255/32")
+@example("0.0.0.0/0")
+@example("10.0.0.1/8")
+@example("10.0.0.0/08")
+@example("010.0.0.0/8")
+@example("10.0.0.0/33")
+def test_canonical_ipv4_fast_path_equals_ipaddress(text):
+    """``Prefix.parse`` gives what ``ipaddress`` gives, or both refuse."""
+    try:
+        net = ipaddress.ip_network(text.strip(), strict=True)
+    except ValueError:
+        with pytest.raises(ValueError):
+            Prefix.parse(text)
+        return
+    assert Prefix.parse(text) == Prefix(text=str(net), family=net.version)
+
+
 class TestTimeGrid:
     def test_alignment_enforced(self):
         with pytest.raises(ValueError):
             TimeGrid(start=10, bin_seconds=3600, bin_count=168)
 
-    def test_bin_of(self):
+    def test_bin_of(self, tmp_path):
         # a grid's first and last second bin into its first and last hour;
         # the seconds just outside it are out of range
         grid = TimeGrid(start=3600, bin_seconds=3600, bin_count=4)
         records = [(t, P8.text, 1) for t in (3600, 3600 + 3 * 3600 + 3599, 3599, grid.end)]
-        m, summary = bin_records(records, grid)
+        m, summary = bin_rows(tmp_path, records, grid)
         assert m.values.tolist() == [[1, 0, 0, 1]]
         assert summary.rejected_out_of_range == 2
 
@@ -74,34 +126,34 @@ class TestTimeGrid:
 
 
 class TestBinRecords:
-    def test_additivity_same_bin(self):
+    def test_additivity_same_bin(self, tmp_path):
         grid = TimeGrid(start=0, bin_seconds=3600, bin_count=4)
         records = [
             (2 * 3600 + 10, P8.text, 5),
             (2 * 3600 + 3000, P8.text, 7),
         ]
-        m, _ = bin_records(records, grid)
+        m, _ = bin_rows(tmp_path, records, grid)
         assert m.series(P8)[2] == 12  # bin 3
 
-    def test_padding_to_full_week(self):
+    def test_padding_to_full_week(self, tmp_path):
         grid = TimeGrid(start=0, bin_seconds=3600, bin_count=168)
-        m, _ = bin_records([(30, P8.text, 9)], grid)
+        m, _ = bin_rows(tmp_path, [(30, P8.text, 9)], grid)
         s = m.series(P8)
         assert s.shape == (168,)
         assert s[0] == 9 and np.count_nonzero(s) == 1
 
-    def test_totals_are_exact_sums(self):
+    def test_totals_are_exact_sums(self, tmp_path):
         grid = TimeGrid(start=0, bin_seconds=3600, bin_count=2)
         records = [
             (0, P8.text, 50),
             (1, P16.text, 30),
             (2, P24.text, 20),
         ]
-        m, _ = bin_records(records, grid)
+        m, _ = bin_rows(tmp_path, records, grid)
         assert m.total(1) == 100
         np.testing.assert_array_equal(m.totals, m.values.sum(axis=0))
 
-    def test_raw_rows_parsed_with_policy(self):
+    def test_raw_rows_parsed_with_policy(self, tmp_path):
         grid = TimeGrid(start=0, bin_seconds=3600, bin_count=2)
         rows = [
             ("0", "10.0.0.0/8", "5"),
@@ -110,48 +162,48 @@ class TestBinRecords:
             ("20", "10.0.0.0/8", "-1"),    # negative volume
             ("oops", "10.0.0.0/8", "2"),   # malformed timestamp
         ]
-        m, summary = bin_records(rows, grid)
+        m, summary = bin_rows(tmp_path, rows, grid)
         assert m.series(P8).sum() == 5
         assert summary.records_read == 5
         assert summary.records_binned == 1
         assert summary.rejected_malformed == 3
         assert summary.rejected_out_of_range == 1
 
-    def test_negative_volume_is_malformed_and_not_counted(self):
+    def test_negative_volume_is_malformed_and_not_counted(self, tmp_path):
         grid = TimeGrid(start=0, bin_seconds=3600, bin_count=1)
         rows = [("0", "10.0.0.0/8", "5"), ("0", "10.0.0.0/8", "-7")]
-        m, summary = bin_records(rows, grid)
+        m, summary = bin_rows(tmp_path, rows, grid)
         assert m.series(P8).tolist() == [5]
         assert summary.rejected_malformed == 1
         assert (summary.bytes_binned, summary.bytes_rejected) == (5, 0)
 
-    def test_abort_policy_raises(self):
+    def test_abort_policy_raises(self, tmp_path):
         grid = TimeGrid(start=0, bin_seconds=3600, bin_count=2)
         with pytest.raises(ValueError):
-            bin_records([("0", "bogus", "5")], grid, errors="raise")
+            bin_rows(tmp_path, [("0", "bogus", "5")], grid, errors="raise")
 
-    def test_volume_beyond_int64_is_malformed(self):
+    def test_volume_beyond_int64_is_malformed(self, tmp_path):
         grid = TimeGrid(start=0, bin_seconds=3600, bin_count=2)
         rows = [("0", "10.0.0.0/8", "5"), ("0", "10.0.0.0/8", str(2**63))]
-        m, summary = bin_records(rows, grid)
+        m, summary = bin_rows(tmp_path, rows, grid)
         assert m.series(P8).tolist() == [5, 0]
         assert summary.rejected_malformed == 1
         assert summary.bytes_rejected == 2**63
         with pytest.raises(ValueError, match="malformed.*int64"):
-            bin_records(rows, grid, errors="raise")
+            bin_rows(tmp_path, rows, grid, errors="raise")
 
     @pytest.mark.parametrize("errors", ["count", "raise"])
-    def test_binned_total_beyond_int64_raises(self, errors):
+    def test_binned_total_beyond_int64_raises(self, tmp_path, errors):
         grid = TimeGrid(start=0, bin_seconds=3600, bin_count=2)
         big = str(9_220_000_000_000_000_000)
         rows = [("0", "10.0.0.0/8", big), ("1", "10.0.0.0/8", big)]
         with pytest.raises(ValueError, match="record 2, beyond the int64 range"):
-            bin_records(rows, grid, errors=errors)
+            bin_rows(tmp_path, rows, grid, errors=errors)
         records = [(0, P8.text, 2**62), (3600, P16.text, 2**62)]
         with pytest.raises(ValueError, match="int64"):
-            bin_records(records, grid, errors=errors)
+            bin_rows(tmp_path, records, grid, errors=errors)
 
-    def test_volume_conservation_exact(self):
+    def test_volume_conservation_exact(self, tmp_path):
         # binned + rejected bytes account for every parseable input byte
         rng = np.random.default_rng(42)
         grid = TimeGrid(start=0, bin_seconds=3600, bin_count=24)
@@ -161,20 +213,20 @@ class TestBinRecords:
             pfx = synthetic_prefix(int(rng.integers(1, 20)))
             records.append((ts, pfx.text, int(rng.integers(0, 10_000))))
         total_in = sum(volume for _, _, volume in records)
-        _, summary = bin_records(records, grid)
+        _, summary = bin_rows(tmp_path, records, grid)
         assert summary.bytes_binned + summary.bytes_rejected == total_in
         assert summary.rejected_out_of_range > 0
 
-    def test_all_zero_prefixes_dropped(self):
+    def test_all_zero_prefixes_dropped(self, tmp_path):
         grid = TimeGrid(start=0, bin_seconds=3600, bin_count=2)
         records = [(0, P8.text, 5), (0, P16.text, 0)]
-        m, _ = bin_records(records, grid)
+        m, _ = bin_rows(tmp_path, records, grid)
         assert P8 in m and P16 not in m
 
-    def test_empty_input_errors(self):
+    def test_empty_input_errors(self, tmp_path):
         grid = TimeGrid(start=0, bin_seconds=3600, bin_count=2)
         with pytest.raises(ValueError, match="no active prefixes"):
-            bin_records([], grid)
+            bin_rows(tmp_path, [], grid)
 
 
 def weekly_shares_pct(m) -> list[float]:
@@ -182,23 +234,19 @@ def weekly_shares_pct(m) -> list[float]:
 
 
 class TestWeeklyVolumeFraction:
-    def test_sole_prefix_carries_all(self):
+    def test_sole_prefix_carries_all(self, tmp_path):
         grid = TimeGrid(start=0, bin_seconds=3600, bin_count=2)
-        m, _ = bin_records([(0, P8.text, 7)], grid)
+        m, _ = bin_rows(tmp_path, [(0, P8.text, 7)], grid)
         assert weekly_shares_pct(m) == [100.0]
 
-    def test_hand_division(self):
+    def test_hand_division(self, tmp_path):
         grid = TimeGrid(start=0, bin_seconds=3600, bin_count=2)
-        m, _ = bin_records(
-            [(0, P8.text, 10), (0, P16.text, 990)], grid
-        )
+        m, _ = bin_rows(tmp_path, [(0, P8.text, 10), (0, P16.text, 990)], grid)
         assert weekly_shares_pct(m) == pytest.approx([1.0, 99.0], abs=1e-13)
 
-    def test_symmetry(self):
+    def test_symmetry(self, tmp_path):
         grid = TimeGrid(start=0, bin_seconds=3600, bin_count=2)
-        m, _ = bin_records(
-            [(0, P8.text, 40), (3600, P16.text, 40)], grid
-        )
+        m, _ = bin_rows(tmp_path, [(0, P8.text, 40), (3600, P16.text, 40)], grid)
         assert weekly_shares_pct(m) == [50.0, 50.0]
 
     def test_fractions_sum_to_one(self):
@@ -496,8 +544,9 @@ def parsed_volume(row):
 
 @settings(max_examples=200, deadline=None)
 @given(rows=st.lists(RAW_ROWS, max_size=40))
-def test_bin_records_conserves_bytes(rows):
+def test_bin_records_conserves_bytes(tmp_path_factory, rows):
     grid = CONSERVATION_GRID
+    tmp_path = tmp_path_factory.mktemp("flows")
     expected: dict[str, list[int]] = {}
     for row in rows:
         volume = parsed_volume(row)
@@ -511,14 +560,69 @@ def test_bin_records_conserves_bytes(rows):
     expected = {text: cells for text, cells in expected.items() if any(cells)}
     if not expected:
         with pytest.raises(ValueError, match="no active prefixes"):
-            bin_records(rows, grid)
+            bin_rows(tmp_path, rows, grid)
         return
 
-    m, summary = bin_records(rows, grid)
+    m, summary = bin_rows(tmp_path, rows, grid)
     parseable = [v for v in map(parsed_volume, rows) if v is not None and v >= 0]
     assert summary.bytes_binned + summary.bytes_rejected == sum(parseable)
     assert int(m.values.sum()) == summary.bytes_binned
     assert {p.text: row.tolist() for p, row in zip(m.prefixes, m.values)} == expected
+
+
+# Field texts for the column pass against the per-record rule: plain and
+# padded digits, signs, Unicode digits (which int() reads), underscores,
+# values beyond int64 either way, and text that is no number or prefix.
+TIMESTAMP_TEXTS = st.one_of(
+    st.integers(0, 5 * 3600).map(str),
+    st.sampled_from(["", "x", " 3600", "+7200", "-5", "0003600", "٣٦٠٠", "3_600", "1.0",
+                     str(2**63), str(-(2**63) - 1), str(2**70), "9" * 19]),
+)
+PREFIX_TEXTS = st.sampled_from(RAW_PREFIXES + [" 10.1.0.0/16", "10.1.0.0/16 ", "", "10.01.0.0/16",
+                                               "2001:DB8::/32", "١٠.0.0.0/8", "10.1.0.0/0016"])
+VOLUME_TEXTS = st.one_of(
+    st.integers(0, 2**40).map(str),
+    st.integers(2**61, 2**63 - 1).map(str),
+    st.sampled_from(["", "-3", "1.5", " 7", "7 ", "007", "٧", "+4", "1_0", "9" * 18,
+                     "9" * 19, str(2**63), str(2**64)]),
+)
+FIELD_ROWS = (st.tuples(TIMESTAMP_TEXTS, PREFIX_TEXTS, VOLUME_TEXTS)
+              | st.tuples(TIMESTAMP_TEXTS, PREFIX_TEXTS)
+              | st.tuples(TIMESTAMP_TEXTS, PREFIX_TEXTS, VOLUME_TEXTS, st.just("x")))
+
+
+def outcome(run):
+    """What a binning call gave: its matrix and summary, or its error."""
+    try:
+        m, summary = run()
+    except ValueError as exc:
+        return str(exc)
+    return [p.text for p in m.prefixes], m.values.tolist(), summary
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rows=st.lists(FIELD_ROWS, max_size=30),
+    blank=st.sets(st.integers(0, 30)),
+    newline=st.sampled_from(["\n", "\r\n"]),
+    block=st.integers(1, 8),
+    errors=st.sampled_from(["count", "raise"]),
+)
+def test_column_pass_equals_the_per_record_rule(tmp_path_factory, rows, blank, newline, block,
+                                                 errors):
+    """Over blocks of any size, with CRLF and blank lines, the column pass
+    bins, tallies and refuses as the record-by-record oracle does; under
+    ``raise`` both name the same first bad record."""
+    grid = CONSERVATION_GRID
+    lines = [",".join(row) for row in rows]
+    for pos in sorted(blank, reverse=True):
+        lines.insert(min(pos, len(lines)), "")
+    path = tmp_path_factory.mktemp("flows") / "flows.csv"
+    with open(path, "w", newline=newline) as fh:
+        fh.write("timestamp,prefix,bytes\n" + "".join(line + "\n" for line in lines))
+    with mock.patch.object(trace, "TRACE_BLOCK_LINES", block):
+        got = outcome(lambda: bin_records(iter_trace_csv(path), grid, errors))
+    assert got == outcome(lambda: scalar_oracles.bin_records(rows, grid, errors))
 
 
 class TestZipfShares:
