@@ -175,11 +175,6 @@ def _cmd_synth(args) -> int:
 # --------------------------------------------------------------- analyze
 
 
-def _bin_rows(stats):
-    for s in stats:
-        yield [s.label, s.lo_pct, s.hi_pct, s.count, s.mean, s.median, s.p25, s.p75]
-
-
 def _cmd_analyze(args) -> int:
     m = _load_matrix(args.matrix)
     profile = dynamism.compute_core_profile(m, threshold=args.threshold)
@@ -207,16 +202,13 @@ def _cmd_analyze(args) -> int:
             for h in m.grid.hours()
         ),
     )
-    _write_csv(
-        out / "cv_bins.csv",
-        ["bin", "lo_pct", "hi_pct", "count", "mean", "median", "p25", "p75"],
-        _bin_rows(dynamism.cv_vs_volume_bins(shares_pct, cv)),
-    )
-    _write_csv(
-        out / "icp_bins.csv",
-        ["bin", "lo_pct", "hi_pct", "count", "mean", "median", "p25", "p75"],
-        _bin_rows(dynamism.icp_vs_volume_bins(shares_pct, profile.icp)),
-    )
+    for name, bins in (("cv_bins.csv", dynamism.cv_vs_volume_bins(shares_pct, cv)),
+                       ("icp_bins.csv", dynamism.icp_vs_volume_bins(shares_pct, profile.icp))):
+        _write_csv(
+            out / name,
+            ["bin", "lo_pct", "hi_pct", "count", "mean", "median", "p25", "p75"],
+            ([b.label, b.lo_pct, b.hi_pct, b.count, b.mean, b.median, b.p25, b.p75] for b in bins),
+        )
     _write_csv(
         out / f"concentration_{curve.span.replace(':', '_')}.csv",
         ["rank", "share", "cdf", "zipf_ref"],
@@ -382,17 +374,16 @@ def _read_selection_csv(path: Path, m: trace.HourlyTraceMatrix, threshold: float
         # distinct text once, to name the line
         trace.parse_column(score_col, float, path, lines)
         raise
-    infinite = np.flatnonzero(~np.isfinite(score))
-    if infinite.size:
+    if (infinite := np.flatnonzero(~np.isfinite(score))).size:
         row = infinite[0]
         raise ValueError(f"{path}: line {lines[row]}: score {score_col[row]!r} is not finite")
 
     # a prefix written two ways has one matrix index, so it is caught too
-    cells = np.sort(hour * len(m) + index)
-    twice = cells[1:][cells[1:] == cells[:-1]]
-    if twice.size:
-        h, i = divmod(int(twice[0]), len(m))
-        raise ValueError(f"{path}: duplicate prefix {m.prefixes[i]} in hour {h}")
+    cells = (hour - 2) * len(m) + index
+    by_cell = np.argsort(cells)
+    if (twice := np.flatnonzero(np.diff(cells[by_cell]) == 0)).size:
+        h, i = divmod(int(cells[by_cell[twice[0]]]), len(m))
+        raise ValueError(f"{path}: duplicate prefix {m.prefixes[i]} in hour {h + 2}")
 
     # each hour's ranks, sorted, must read 1..n with n <= K; a rank outside
     # 1..K reads as 0, which never fits, so a huge one never meets int64
@@ -406,18 +397,27 @@ def _read_selection_csv(path: Path, m: trace.HourlyTraceMatrix, threshold: float
         raise ValueError(
             f"{path}: hour {hour[misplaced[0]]}: ranks must run 1..n with n <= K={size}"
         )
+    # and rank as a run ranks: score desc, then row, as rows are in text order
+    s, r = score[order], index[order]
+    later = (s[:-1] < s[1:]) | (s[:-1] == s[1:]) & (r[:-1] > r[1:])
+    if (unranked := np.flatnonzero(later & (hour[1:] == hour[:-1]))).size:
+        raise ValueError(
+            f"{path}: hour {hour[unranked[0]]}: ranks must follow (score desc, prefix text asc)"
+        )
+    mask = np.zeros((m.bin_count - 1, len(m)), dtype=bool)
+    mask.reshape(-1)[cells] = True
     return selectors.SelectionRun(
         config=configs[0],
         threshold=threshold,
         prefixes=m.prefixes,
         hours=np.arange(2, m.bin_count + 1, dtype=np.int64),
-        picks=np.split(index[order], starts[1:-1]),
-        scores=np.split(score[order], starts[1:-1]),
+        mask=mask,
+        picked_scores=score[by_cell],
     )
 
 
-def _report_key(report: evaluation.EvaluationReport) -> str:
-    return f"{report.method}:L{report.window}:K{report.size}"
+def _report_key(config: selectors.SelectorConfig) -> str:
+    return f"{config.method}:L{config.window}:K{config.size}"
 
 
 def _report_payload(run: selectors.SelectionRun, report: evaluation.EvaluationReport) -> dict:
@@ -432,16 +432,6 @@ def _report_payload(run: selectors.SelectionRun, report: evaluation.EvaluationRe
     }
 
 
-def _write_report_csv(out: Path, report: evaluation.EvaluationReport) -> Path:
-    path = out / f"report_{report.method}_L{report.window}.csv"
-    rows = []
-    for pos, hour in enumerate(report.hours):
-        churn = report.churn[pos - 1] if pos > 0 else None
-        rows.append([int(hour), report.coverage[pos], churn])
-    _write_csv(path, ["hour", "coverage", "churn"], rows)
-    return path
-
-
 def _cmd_evaluate(args) -> int:
     m = _load_matrix(args.matrix)
     out = _out_dir(args)
@@ -453,16 +443,23 @@ def _cmd_evaluate(args) -> int:
         raise _UsageError("no selection inputs: pass --selection or --select-dir")
 
     summary = {}
+    written: dict[str, Path] = {}  # report file name -> the input that wrote it
     for path in paths:
         run = _read_selection_csv(path, m, args.threshold)
+        name = f"report_{run.config.method}_L{run.config.window}.csv"
+        if name in written:
+            raise ValueError(f"{written[name]} and {path} both write {name}")
+        written[name] = path
         report = evaluation.evaluate_run(run, m)
-        csv_path = _write_report_csv(out, report)
-        summary[_report_key(report)] = _report_payload(run, report)
+        churn = [None, *report.churn.tolist()]  # the first hour has no churn
+        _write_csv(out / name, ["hour", "coverage", "churn"],
+                   zip(report.hours.tolist(), report.coverage.tolist(), churn))
+        summary[_report_key(run.config)] = _report_payload(run, report)
         mean_churn = report.churn_summary.mean if report.churn_summary else float("nan")
         print(
             f"evaluate: {report.method} L={report.window} "
             f"mean coverage {report.coverage_summary.mean:.4f} "
-            f"mean churn {mean_churn:.2f} -> {csv_path}"
+            f"mean churn {mean_churn:.2f} -> {out / name}"
         )
     _write_json(out / "evaluation_summary.json", summary)
     return 0
@@ -610,31 +607,19 @@ def _cmd_report(args) -> int:
     configs = _selector_configs(profile, args.size, grid=True)
     out = _out_dir(args)
 
-    header = [
-        "method", "L", "K",
-        "coverage_min", "coverage_p25", "coverage_median", "coverage_mean",
-        "coverage_p75", "coverage_max",
-        "churn_min", "churn_p25", "churn_median", "churn_mean",
-        "churn_p75", "churn_max",
-    ]
+    stats = ("min", "p25", "median", "mean", "p75", "max")  # as BoxplotSummary.as_dict
+    header = ["method", "L", "K", *(f"{k}_{s}" for k in ("coverage", "churn") for s in stats)]
     rows = []
     summary = {}
     for config in configs:
         run = selectors.run_selection(m, profile, config)
-        report = evaluation.evaluate_run(run, m)
-        cov, chn = report.coverage_summary, report.churn_summary
-        churn_cells = (
-            [chn.minimum, chn.p25, chn.median, chn.mean, chn.p75, chn.maximum]
-            if chn is not None
-            else [None] * 6
-        )
-        rows.append([
-            config.method, config.window, config.size,
-            cov.minimum, cov.p25, cov.median, cov.mean, cov.p75, cov.maximum,
-        ] + churn_cells)
+        payload = _report_payload(run, evaluation.evaluate_run(run, m))
+        churn = payload["churn"] or dict.fromkeys(stats)
+        rows.append([config.method, config.window, config.size,
+                     *payload["coverage"].values(), *churn.values()])
         # a selection CSV cannot carry the fallback count, so only report has it
-        summary[_report_key(report)] = {
-            **_report_payload(run, report), "gm11_fallbacks": run.gm11_fallbacks,
+        summary[_report_key(config)] = {
+            **payload, "gm11_fallbacks": run.gm11_fallbacks,
         }
     _write_csv(out / "grid_summary.csv", header, rows)
     _write_json(out / "grid_summary.json", summary)

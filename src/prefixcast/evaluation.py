@@ -5,8 +5,8 @@ predicted for that hour; churn counts how much the set changed between
 consecutive hours.  Summaries use the six-number boxplot convention with
 percentiles computed by linear interpolation, read off one sorted copy.
 
-``evaluate_run`` scores every hour at once from one (hours, prefixes)
-bool mask of the picks, exactly: coverage divides an int64 sum of picked
+``evaluate_run`` scores every hour at once from the run's (hours,
+prefixes) bool pick mask, exactly: coverage divides an int64 sum of picked
 volumes by the hour's total, and churn is ``|A| + |B| - 2|A & B|``.
 """
 
@@ -152,23 +152,20 @@ class EvaluationReport:
 
 
 def evaluate_run(run: SelectionRun, m: HourlyTraceMatrix) -> EvaluationReport:
-    """Score one selection run against the matrix it predicted."""
+    """Score one selection run against the matrix it predicted, from the
+    run's pick mask alone: no rank is read."""
     if run.prefixes != m.prefixes:
         raise ValueError("run and matrix cover different prefix sets")
 
-    sizes = np.fromiter(map(len, run.picks), dtype=np.int64, count=run.hours.size)
-    picked = np.zeros((run.hours.size, len(m.prefixes)), dtype=bool)
-    picked[np.repeat(np.arange(run.hours.size), sizes), np.concatenate(run.picks)] = True
-
     # an int64 sum of picked volumes is exact: it never exceeds the total
     cols = slice(run.hours[0] - 1, run.hours[-1])
-    covered = m.values[:, cols].sum(axis=0, where=picked.T)
+    covered = m.values[:, cols].sum(axis=0, where=run.mask.T)
     totals = m.totals[cols]
     coverage = np.divide(covered, totals, out=np.ones(run.hours.size), where=totals > 0)
 
     # |A ^ B| = |A| + |B| - 2|A & B|, in integers
-    counts = picked.sum(axis=1)
-    churn_series = counts[1:] + counts[:-1] - 2 * (picked[1:] & picked[:-1]).sum(axis=1)
+    counts = run.mask.sum(axis=1)
+    churn_series = counts[1:] + counts[:-1] - 2 * (run.mask[1:] & run.mask[:-1]).sum(axis=1)
 
     return EvaluationReport(
         method=run.config.method,

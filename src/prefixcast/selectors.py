@@ -7,22 +7,24 @@ volume, core presence intensity, and core-masked mean volume -- plus a
 classic GM(1,1) grey-model forecast as a comparison baseline.
 
 ``run_selection`` is one whole-week array pass per configuration: a
-(prefixes, hours) score array, then each hour's top K positive scores,
-ranked by score and text as a stable sort of the whole hour would rank
-them; picks within an hour are distinct.  The window metrics equal the
-hour-by-hour loop exactly (the same sequential running sums, elementwise
-float operations and stable tie order).  GM(1,1) fits every window at
-once: the 2x2 least-squares fit (J. Deng, 1982) is solved in closed form
-from centred sums, merged from block-anchored running moments by the
-pairwise update of Chan, Golub & LeVeque (1983), so it agrees with a
-per-window fit up to rounding, not bit for bit.  ``gm11_fit`` and
-``gm11_forecast`` fit one series with ``lstsq``; they are the scalar
-reference the whole-week pass is tested against.
+(prefixes, hours) score array, then one (hours, prefixes) mask of each
+hour's top K positive scores: the set a stable sort of the hour by score
+and text would cut.  Ranks are computed only where they are read.  The
+window metrics equal the hour-by-hour loop exactly (the same sequential
+running sums, elementwise float operations and stable tie order).
+GM(1,1) fits every window at once: the 2x2 least-squares fit (J. Deng,
+1982) is solved in closed form from centred sums, merged from
+block-anchored running moments by the pairwise update of Chan, Golub &
+LeVeque (1983), so it agrees with a per-window fit up to rounding, not
+bit for bit.  ``gm11_fit`` and ``gm11_forecast`` fit one series with
+``lstsq``; they are the scalar reference the whole-week pass is tested
+against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -217,28 +219,34 @@ def _gm11_scores(
 
 @dataclass(frozen=True, eq=False)
 class SelectionRun:
-    """Selections of one configuration, one entry per predicted hour.
+    """Selections of one configuration, one mask row per predicted hour.
 
     ``hours`` is a run of consecutive 1-based hours; ``hours[i]`` is the
     hour whose set was predicted from data in hours ``< hours[i]`` only.
-    ``picks[i]`` holds row indices into ``prefixes`` ordered by rank;
-    ``scores[i]`` the matching scores.  Warm-up and shortfall follow from
-    these and the configuration.  ``threshold`` is the core volume share
-    the run was made with, in (0, 1].
+    ``mask[i, r]`` is True where row ``r`` of ``prefixes`` was picked for
+    ``hours[i]``.  Ranks are computed only when read: ``picks[i]`` and
+    ``scores[i]`` rank hour ``i``'s picks by (score desc, text asc).
+    Warm-up and shortfall follow from the mask and the configuration.
+    ``threshold`` is the core volume share the run was made with, in (0, 1].
     """
 
     config: SelectorConfig
     threshold: float
     prefixes: tuple[Prefix, ...]
     hours: np.ndarray            # (T,) predicted 1-based hours
-    picks: list[np.ndarray]      # per hour: ranked row indices
-    scores: list[np.ndarray]     # per hour: scores aligned with picks
+    mask: np.ndarray             # (T, prefixes) bool, read-only: the picked cells
+    picked_scores: np.ndarray    # their scores in the mask's row-major order, read-only
     gm11_fallbacks: int = 0
 
     def __post_init__(self) -> None:
         if not 0 < self.threshold <= 1:
             raise ValueError("threshold must be in (0, 1]")
-        self.hours.setflags(write=False)
+        if self.mask.shape != (self.hours.size, len(self.prefixes)) or (
+            self.picked_scores.shape != (np.count_nonzero(self.mask),)
+        ):
+            raise ValueError("mask must be (hours, prefixes), with one picked score per pick")
+        for arr in (self.hours, self.mask, self.picked_scores):
+            arr.setflags(write=False)
 
     @property
     def warmup(self) -> np.ndarray:
@@ -249,7 +257,26 @@ class SelectionRun:
     @property
     def shortfall(self) -> np.ndarray:
         """(T,) True where fewer than K candidates scored > 0."""
-        return np.array([p.size < self.config.size for p in self.picks], dtype=bool)
+        return self.mask.sum(axis=1) < self.config.size
+
+    @cached_property
+    def _ranked(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        pos, rows = np.divmod(np.flatnonzero(self.mask), len(self.prefixes))
+        # picks come hour by hour, rows ascending, and lexsort is stable
+        order = np.lexsort((-self.picked_scores, pos))
+        ends = np.cumsum(self.mask.sum(axis=1)).tolist()
+        flat = rows[order], self.picked_scores[order]
+        return tuple([arr[i:j] for i, j in zip([0, *ends], ends)] for arr in flat)
+
+    @property
+    def picks(self) -> list[np.ndarray]:
+        """Per hour: the picked rows, ranked by score desc, then row (text) asc."""
+        return self._ranked[0]
+
+    @property
+    def scores(self) -> list[np.ndarray]:
+        """Per hour: the scores aligned with ``picks``."""
+        return self._ranked[1]
 
 
 def run_selection(
@@ -275,7 +302,6 @@ def run_selection(
         raise ValueError("need at least 2 bins to select predictively")
 
     L, K = config.window, config.size
-    target_hours = np.arange(2, hours_total + 1, dtype=np.int64)
     # column j predicts hour j+2 from bins lo .. hi-1 (0-based)
     hi = np.arange(1, hours_total)
     lo = np.maximum(0, hi - L)
@@ -297,29 +323,28 @@ def run_selection(
     else:
         score = window_sums / (hi - lo)
 
-    picks, scores = _top_k(score, K)
+    mask = _top_k(score, K)
     return SelectionRun(
         config=config,
         threshold=profile.threshold,
         prefixes=m.prefixes,
-        hours=target_hours,
-        picks=picks,
-        scores=scores,
+        hours=hi + 1,
+        mask=mask,
+        picked_scores=score.T[mask],
         gm11_fallbacks=fallbacks,
     )
 
 
-def _top_k(score: np.ndarray, size: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Each hour's picks (rows) and their scores from a (prefixes, hours)
-    score array: the ``size`` highest positive scores of the hour, ranked
-    by score and then by row.
+def _top_k(score: np.ndarray, size: int) -> np.ndarray:
+    """The (hours, prefixes) bool mask of each hour's ``size`` highest
+    positive scores in a (prefixes, hours) score array.
 
     score > 0 alone marks the candidates (a positive masked sum needs a
-    core hour).  Rows are in text order, so this is the cut of a stable
-    sort of every hour.  Only K rows per hour are sorted: ``np.partition``
-    finds the hour's K-th key (C. A. R. Hoare, "Find", 1961), and the hour
+    core hour).  Rows are in text order, so this is the set a stable sort
+    of every hour by (score desc, text asc) would cut.  ``np.partition``
+    finds the hour's K-th key (C. A. R. Hoare, "Find", 1961); the hour
     keeps the keys below it and, of the keys equal to it, the lowest rows
-    up to K.
+    up to K.  Nothing is sorted: ranks are computed only where read.
     """
     selectable = score.T > 0
     key = np.where(selectable, -score.T, np.inf)
@@ -329,17 +354,9 @@ def _top_k(score: np.ndarray, size: int) -> tuple[list[np.ndarray], list[np.ndar
     below, tied = key < kth, key == kth
     room = size - below.sum(axis=1)
     over = np.flatnonzero(tied.sum(axis=1) > room)
-    tied[over] &= np.cumsum(tied[over], axis=1) <= room[over, None]
-    # each hour keeps exactly K rows, ascending, so a stable sort breaks ties by row
-    rows = np.nonzero(below | tied)[1].reshape(-1, size)
-    order = np.argsort(np.take_along_axis(key, rows, axis=1), axis=1, kind="stable")
-    order = np.take_along_axis(rows, order, axis=1)
-    # the selectable keys sort first, so each hour's picks are a leading slice
-    counts = np.minimum(selectable.sum(axis=1), size).tolist()
-    ranked = np.take_along_axis(score.T, order, axis=1)
-    picks = [row[:count] for row, count in zip(order, counts)]
-    scores = [row[:count] for row, count in zip(ranked, counts)]
-    return picks, scores
+    tied[over] &= np.cumsum(tied[over], axis=1, dtype=np.int32) <= room[over, None]
+    # a K-th key of inf ties the unselectable rows too; the mask reuses selectable
+    return np.logical_and(selectable, below | tied, out=selectable)
 
 
 def max_core_size(profile: CoreProfile) -> int:

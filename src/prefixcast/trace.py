@@ -350,7 +350,8 @@ def _parse_block(raw: bytes, table: _PrefixTable) -> RecordBlock:
     malformed_bytes = 0
     wide: dict[int, int] = {}  # timestamps outside int64
     for i in np.flatnonzero(~clean).tolist():
-        fields = raw[starts[i]:ends[i]].decode().split(",")
+        # bytes that are not UTF-8 read as escapes, which no field parses
+        fields = raw[starts[i]:ends[i]].decode(errors="backslashreplace").split(",")
         timestamp, volume, code, reason = _parse_fields(fields, table)
         if reason is not None:
             reasons[i] = reason
@@ -587,7 +588,7 @@ def iter_trace_csv(path: str | Path) -> Iterator[RecordBlock]:
     its fields); blank lines are skipped.  Fields are split at every
     comma, so a quoted field is a malformed record, not a CSV quote.
     """
-    with open(path) as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         first = fh.readline()
         header = first.rstrip("\n").split(",") if first else None
         if header is None or tuple(c.strip().lower() for c in header) != TRACE_CSV_HEADER:
@@ -595,7 +596,7 @@ def iter_trace_csv(path: str | Path) -> Iterator[RecordBlock]:
                 f"{path}: expected header {','.join(TRACE_CSV_HEADER)!r}, got {header!r}"
             )
         table = _PrefixTable()
-        while raw := "".join(islice(fh, TRACE_BLOCK_LINES)).encode():
+        while raw := "".join(islice(fh, TRACE_BLOCK_LINES)).encode(errors="surrogateescape"):
             yield _parse_block(raw, table)
 
 

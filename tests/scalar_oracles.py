@@ -12,6 +12,7 @@ import math
 import numpy as np
 
 from prefixcast.rttsim import ProbeLog
+from prefixcast.selectors import SelectionRun
 from prefixcast.trace import HourlyTraceMatrix, IngestSummary, Prefix
 
 INT64_MAX = 2**63 - 1
@@ -66,6 +67,24 @@ def picked(run, hour: int) -> list[tuple]:
     """Ranked ``(prefix, score)`` pairs a selection run predicted for one hour."""
     pos = hour - int(run.hours[0])
     return [(run.prefixes[i], s) for i, s in zip(run.picks[pos].tolist(), run.scores[pos].tolist())]
+
+
+def selection_run(config, prefixes, hours, threshold=0.95) -> SelectionRun:
+    """A selection run predicting hours 2, 3, ... from one list of distinct
+    ``(row, score)`` picks per hour, in any order."""
+    mask = np.zeros((len(hours), len(prefixes)), dtype=bool)
+    scores = np.zeros(mask.shape)
+    for pos, picks in enumerate(hours):
+        for row, score in picks:
+            mask[pos, row], scores[pos, row] = True, score
+    return SelectionRun(
+        config=config,
+        threshold=threshold,
+        prefixes=tuple(prefixes),
+        hours=np.arange(2, len(hours) + 2, dtype=np.int64),
+        mask=mask,
+        picked_scores=scores[mask],
+    )
 
 
 def picked_set(run, hour: int) -> set:

@@ -25,6 +25,7 @@ from prefixcast.selectors import (
 from prefixcast.trace import (
     HourlyTraceMatrix, Prefix, TimeGrid, load_matrix, synthetic_prefix,
 )
+from scalar_oracles import selection_run
 
 
 def read_csv(path: Path) -> list[list[str]]:
@@ -165,6 +166,31 @@ class TestIngest:
         # the quoted prefix and timestamp keep their parsed bytes, as any malformed field does
         assert (summary["rejected_malformed"], summary["bytes_binned"]) == (3, 5)
         assert summary["bytes_rejected"] == 16
+
+    def test_non_utf8_field_is_a_malformed_record(self, tmp_path):
+        from prefixcast import trace
+
+        flows = tmp_path / "flows.csv"
+        # CRLF, a lone CR and two records with bytes that are not UTF-8
+        flows.write_bytes(b"timestamp,prefix,bytes\r\n0,10.0.0.0/8,7\r\n0,10.\xff.0.0/8,5\r"
+                          b"1\xfe,10.0.0.0/8,3\n5,10.0.0.0/8,4\n")
+        out = tmp_path / "stage"
+        assert main(["ingest", str(flows), "--out", str(out)]) == 0
+        summary = read_json(out / "ingest.json")
+        assert (summary["records_read"], summary["rejected_malformed"]) == (4, 2)
+        assert (summary["bytes_binned"], summary["bytes_rejected"]) == (11, 8)
+        reasons = [r for block in trace.iter_trace_csv(flows) for r in block.reasons.values()]
+        assert [r[: r.index(")") + 1] for r in reasons] == [
+            r"('0', '10.\\xff.0.0/8', '5')", r"('1\\xfe', '10.0.0.0/8', '3')",
+        ]
+
+    def test_non_utf8_field_aborts_naming_the_record(self, tmp_path, capsys):
+        flows = tmp_path / "flows.csv"
+        flows.write_bytes(b"timestamp,prefix,bytes\n0,10.0.0.0/8,7\n0,10.\xff.0.0/8,5\n")
+        out = tmp_path / "stage"
+        assert main(["ingest", str(flows), "--on-error", "abort", "--out", str(out)]) == 2
+        assert r"error: malformed record: ('0', '10.\\xff.0.0/8', '5')" in capsys.readouterr().err
+        assert not (out / "matrix.csv").exists()
 
     def test_abort_names_the_first_bad_record_in_file_order(self, tmp_path, capsys, monkeypatch):
         from prefixcast import trace
@@ -559,8 +585,41 @@ class TestSelectEvaluate:
         back = _read_selection_csv(path, m, profile.threshold)
         assert back.config == run.config
         assert back.hours.tolist() == run.hours.tolist()
+        assert (back.mask == run.mask).all()
+        assert back.picked_scores.tobytes() == run.picked_scores.tobytes()
         assert [p.tolist() for p in back.picks] == [p.tolist() for p in run.picks]
         assert [s.tobytes() for s in back.scores] == [s.tobytes() for s in run.scores]
+
+    @pytest.mark.parametrize("rows", [
+        ("2,1,10.0.0.0/24,4.0", "2,2,10.0.1.0/24,5.0"),
+        ("2,1,10.0.1.0/24,5.0", "2,2,10.0.0.0/24,5.0"),
+    ], ids=["score ascending", "tie out of text order"])
+    def test_selection_ranks_out_of_order_rejected(self, trace_dir, capsys, rows):
+        path = trace_dir / "selection_mean_volume_L1.csv"
+        path.write_text("hour,rank,prefix,score,method,L,K\n"
+                        + "".join(f"{row},mean_volume,1,2\n" for row in rows))
+        out = trace_dir / "evaluate"
+        assert main(["evaluate", "--matrix", f"{trace_dir}/matrix.csv",
+                     "--selection", str(path), "--out", str(out)]) == 2
+        assert (f"{path}: hour 2: ranks must follow (score desc, prefix text asc)"
+                in capsys.readouterr().err)
+        assert not (out / "evaluation_summary.json").exists()
+
+    def test_two_inputs_writing_one_report_rejected(self, trace_dir, capsys):
+        # the report file name carries method and L, not K
+        paths = []
+        for size in (3, 4):
+            sub = trace_dir / f"K{size}"
+            assert main(["select", "--matrix", f"{trace_dir}/matrix.csv", "--method",
+                         "mean_volume", "--window", "2", "--size", str(size),
+                         "--out", str(sub)]) == 0
+            paths.append(sub / "selection_mean_volume_L2.csv")
+        out = trace_dir / "evaluate"
+        assert main(["evaluate", "--matrix", f"{trace_dir}/matrix.csv", "--selection",
+                     str(paths[0]), "--selection", str(paths[1]), "--out", str(out)]) == 2
+        assert (f"{paths[0]} and {paths[1]} both write report_mean_volume_L2.csv"
+                in capsys.readouterr().err)
+        assert not (out / "evaluation_summary.json").exists()
 
     @pytest.mark.parametrize("case", ["prefix written two ways", "mixed configurations",
                                       "unknown prefix", "hour outside the grid"])
@@ -681,15 +740,7 @@ class TestSelectEvaluate:
     ):
         prefixes = (*(synthetic_prefix(k) for k in (1, 2, 300)),
                     Prefix.parse("2001:db8::/32"), Prefix.parse("::/0"))
-        run = SelectionRun(
-            config=SelectorConfig(method, window, size),
-            threshold=0.95,
-            prefixes=prefixes,
-            hours=np.arange(2, len(hours) + 2, dtype=np.int64),
-            picks=[np.array([i for i, _ in picks], dtype=np.int64) for picks in hours],
-            scores=[np.array([score for _, score in picks], dtype=np.float64)
-                    for picks in hours],
-        )
+        run = selection_run(SelectorConfig(method, window, size), prefixes, hours)
         out = tmp_path_factory.mktemp("select")
         csv_writer_selection(out / "oracle.csv", run)
         assert _write_selection(out, run).read_bytes() == (out / "oracle.csv").read_bytes()

@@ -16,7 +16,7 @@ from prefixcast.evaluation import (
     sorted_median,
     sorted_percentile,
 )
-from prefixcast.selectors import SelectionRun, SelectorConfig, max_core_size, run_selection
+from prefixcast.selectors import SelectorConfig, max_core_size, run_selection
 from prefixcast.trace import (
     HourlyTraceMatrix,
     Prefix,
@@ -25,7 +25,7 @@ from prefixcast.trace import (
     synthesize_trace,
     synthetic_prefix,
 )
-from scalar_oracles import picked_set
+from scalar_oracles import picked_set, selection_run
 
 A = Prefix.parse("10.0.0.0/24")
 B = Prefix.parse("10.0.1.0/24")
@@ -65,7 +65,7 @@ def churn(prev, new) -> int:
     the given row indices."""
     rows = max([*prev, *new, 0]) + 1
     m = matrix({synthetic_prefix(k + 1): [1, 1, 1] for k in range(rows)}, bins=3)
-    return int(evaluate_run(picks_run(m.prefixes, 3, [list(prev), list(new)]), m).churn[0])
+    return int(evaluate_run(picks_run(m.prefixes, [list(prev), list(new)]), m).churn[0])
 
 
 class TestChurn:
@@ -243,16 +243,10 @@ def exact_evaluation(run, m):
     return coverage, [len(a ^ b) for a, b in zip(sets, sets[1:])]
 
 
-def picks_run(prefixes, bins, picks):
-    """A selection run over ``bins`` hours holding the given pick lists."""
-    return SelectionRun(
-        config=SelectorConfig("mean_volume", 1, max(len(prefixes), 1)),
-        threshold=0.95,
-        prefixes=tuple(prefixes),
-        hours=np.arange(2, bins + 1, dtype=np.int64),
-        picks=[np.array(p, dtype=np.int64) for p in picks],
-        scores=[np.ones(len(p)) for p in picks],
-    )
+def picks_run(prefixes, picks):
+    """A selection run predicting hours 2, 3, ... from the given pick lists."""
+    config = SelectorConfig("mean_volume", 1, max(len(prefixes), 1))
+    return selection_run(config, prefixes, [[(row, 1.0) for row in p] for p in picks])
 
 
 # 3**36 is odd and above 2**53, so picked sums round when made float64
@@ -276,7 +270,7 @@ def evaluation_cases(draw):
     for _ in range(bins - 1):
         order = draw(st.permutations(range(len(m))))
         picks.append(order[: draw(st.integers(0, len(m)))])
-    return m, picks_run(m.prefixes, bins, picks)
+    return m, picks_run(m.prefixes, picks)
 
 
 class TestEvaluateRunMatchesExactOracle:
@@ -292,7 +286,7 @@ class TestEvaluateRunMatchesExactOracle:
 
     def test_zero_total_hour_is_covered(self):
         m = matrix({A: [5, 0, 3], B: [1, 0, 0]}, bins=3)
-        run = picks_run(m.prefixes, 3, [[], [1]])
+        run = picks_run(m.prefixes, [[], [1]])
         report = evaluate_run(run, m)
         assert report.coverage.tolist() == exact_evaluation(run, m)[0] == [1.0, 0.0]
         assert report.churn.tolist() == [1]
@@ -308,12 +302,24 @@ class TestEvaluateRunMatchesExactOracle:
             assert report.coverage.tolist() == coverage
             assert report.churn.tolist() == churns
 
+    def test_mask_coverage_equals_hourly_coverage_loop(self):
+        grid = TimeGrid(start=0, bin_seconds=3600, bin_count=48)
+        m = synthesize_trace(SyntheticTraceSpec(prefix_count=40, noise=0.6, seed=8), grid)
+        profile = compute_core_profile(m)
+        for method in ("mean_volume", "core_presence", "core_volume", "gm11"):
+            run = run_selection(m, profile, SelectorConfig(method, 6, max_core_size(profile)))
+            coverage = [
+                hourly_coverage([m.prefixes[i] for i in np.flatnonzero(row)], m, hour)
+                for hour, row in zip(run.hours.tolist(), run.mask)
+            ]
+            assert evaluate_run(run, m).coverage.tolist() == coverage
+
     def test_empty_matrix(self):
         empty = SimpleNamespace(
             prefixes=(), values=np.zeros((0, 4), dtype=np.int64),
             totals=np.zeros(4, dtype=np.int64),
         )
-        run = picks_run((), 4, [[], [], []])
+        run = picks_run((), [[], [], []])
         report = evaluate_run(run, empty)
         coverage, churns = exact_evaluation(run, empty)
         assert report.coverage.tolist() == coverage == [1.0, 1.0, 1.0]

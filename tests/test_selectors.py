@@ -15,6 +15,7 @@ from prefixcast.selectors import (
     GM11_MIN_POINTS,
     METHODS,
     WINDOW_GRID,
+    SelectionRun,
     SelectorConfig,
     gm11_fit,
     gm11_forecast,
@@ -795,16 +796,46 @@ class TestRunSelectionMatchesPerHourLoop:
 
 
 def assert_top_k_is_the_stable_cut(score, size, top_k=selectors._top_k):
-    """``_top_k`` gives the stable argsort's picks and scores, with ``==``."""
-    got, want = top_k(score, size), argsort_top_k(score, size)
-    for got_part, want_part in zip(got, want):
+    """``_top_k``'s mask is the stable argsort's picked set, and a run
+    holding it ranks its ``picks`` / ``scores`` as the argsort does, with
+    ``==``."""
+    mask = top_k(score, size)
+    picks, scores = argsort_top_k(score, size)
+    want = np.zeros((score.shape[1], score.shape[0]), dtype=bool)
+    for pos, rows in enumerate(picks):
+        want[pos, rows] = True
+    assert mask.dtype == bool and mask.shape == want.shape
+    assert (mask == want).all()
+    run = SelectionRun(
+        config=SelectorConfig("mean_volume", 1, size),
+        threshold=0.95,
+        prefixes=tuple(synthetic_prefix(k + 1) for k in range(score.shape[0])),
+        hours=np.arange(2, score.shape[1] + 2, dtype=np.int64),
+        mask=mask,
+        picked_scores=score.T[mask],
+    )
+    for got_part, want_part in ((run.picks, picks), (run.scores, scores)):
         assert len(got_part) == len(want_part) == score.shape[1]
         for g, w in zip(got_part, want_part):
             assert g.dtype == w.dtype and g.tolist() == w.tolist()
-    return got
+    return mask
 
 
 class TestTopK:
+    @pytest.mark.parametrize("columns, size, picks", [
+        ([[2.0, 2.0, 2.0, 2.0]], 2, [[0, 1]]),
+        ([[1.0, 3.0, 1.0, 0.5, 1.0]], 3, [[1, 0, 2]]),
+        ([[1.0, 2.0, 0.0], [0.0, 5.0, 5.0]], 7, [[1, 0], [1, 2]]),
+        ([[0.0, 0.0, 0.0], [1.0, 2.0, 0.0]], 2, [[], [1, 0]]),
+    ], ids=["all tied", "ties straddle the cut", "K above the prefix count",
+            "no positive score"])
+    def test_hand_cases(self, columns, size, picks):
+        # each inner list is one hour's scores, one per prefix row
+        score = np.array(columns).T
+        mask = assert_top_k_is_the_stable_cut(score, size)
+        assert [np.flatnonzero(row).tolist() for row in mask] == [sorted(p) for p in picks]
+        assert [p.tolist() for p in argsort_top_k(score, size)[0]] == picks
+
     @settings(max_examples=300, deadline=None)
     @given(
         shape=st.tuples(st.integers(1, 12), st.integers(1, 6)),
