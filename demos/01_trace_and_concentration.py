@@ -18,7 +18,7 @@ from prefixcast import (
 
 # A full week of hourly bins, ~2000 prefixes following a Zipf profile
 # with mild day/night swing and per-cell noise.
-grid = TimeGrid(start=0, bin_seconds=3600, bin_count=168)
+grid = TimeGrid(start=0, bin_count=168)
 spec = SyntheticTraceSpec(
     prefix_count=2000,
     zipf_s=1.0,

@@ -25,7 +25,7 @@ from prefixcast import (
     synthetic_prefix,
 )
 
-grid = TimeGrid(start=0, bin_seconds=3600, bin_count=168)
+grid = TimeGrid(start=0, bin_count=168)
 
 # rank-400 hardly ever matters... except for two violent bursts
 spec = SyntheticTraceSpec(

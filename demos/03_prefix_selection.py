@@ -20,7 +20,7 @@ from prefixcast import (
     synthesize_trace,
 )
 
-grid = TimeGrid(start=0, bin_seconds=3600, bin_count=168)
+grid = TimeGrid(start=0, bin_count=168)
 spec = SyntheticTraceSpec(
     prefix_count=800, zipf_s=1.0, noise=0.5, diurnal_amplitude=0.4, seed=21
 )

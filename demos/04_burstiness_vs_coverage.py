@@ -18,7 +18,7 @@ from prefixcast import (
     synthesize_trace,
 )
 
-grid = TimeGrid(start=0, bin_seconds=3600, bin_count=168)
+grid = TimeGrid(start=0, bin_count=168)
 
 
 def bursts(count: int, seed: int) -> tuple:

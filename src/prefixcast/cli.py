@@ -93,15 +93,15 @@ def _cmd_ingest(args) -> int:
             raise ValueError("no usable records: cannot derive a grid")
         first, last = int(min(s.min() for s in stamps)), int(max(s.max() for s in stamps))
         if start is None:
-            start = (first // args.bin_seconds) * args.bin_seconds
+            start = first // trace.BIN_SECONDS * trace.BIN_SECONDS
         if bins is None:
-            bins = (last - start) // args.bin_seconds + 1
+            bins = (last - start) // trace.BIN_SECONDS + 1
             if bins > MAX_DERIVED_BINS:
                 raise ValueError(
                     f"the records span {bins} bins, more than the {MAX_DERIVED_BINS} "
                     "(a leap year of hours) derived without --bins; pass --bins"
                 )
-    grid = trace.TimeGrid(start=start, bin_seconds=args.bin_seconds, bin_count=bins)
+    grid = trace.TimeGrid(start=start, bin_count=bins)
 
     policy = "raise" if args.on_error == "abort" else "count"
     matrix, summary = trace.bin_records(blocks, grid, errors=policy)
@@ -148,7 +148,7 @@ def _cmd_synth(args) -> int:
         bursts=tuple(_parse_burst(b) for b in args.burst),
         seed=args.seed,
     )
-    grid = trace.TimeGrid(start=args.start, bin_seconds=args.bin_seconds, bin_count=args.bins)
+    grid = trace.TimeGrid(start=args.start, bin_count=args.bins)
     matrix = trace.synthesize_trace(spec, grid)
 
     out = _out_dir(args)
@@ -164,7 +164,7 @@ def _cmd_synth(args) -> int:
             "bursts": [[b.rank, b.hour, b.multiplier] for b in spec.bursts],
             "seed": spec.seed,
             "bins": grid.bin_count,
-            "bin_seconds": grid.bin_seconds,
+            "bin_seconds": trace.BIN_SECONDS,
             "start": grid.start,
         },
     )
@@ -636,9 +636,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ingest", help="bin a timestamp,prefix,bytes CSV into an hourly matrix")
     p.add_argument("input", help="flow records CSV")
-    p.add_argument("--start", type=int, default=None, help="grid start (epoch s, bin-aligned)")
+    p.add_argument("--start", type=int, default=None, help="grid start (epoch s, hour-aligned)")
     p.add_argument("--bins", type=int, default=None, help="bin count (default: derived)")
-    p.add_argument("--bin-seconds", type=int, default=3600)
     p.add_argument("--on-error", choices=("skip", "abort"), default="skip")
     p.add_argument("--out", default=".")
     p.set_defaults(func=_cmd_ingest)
@@ -652,7 +651,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--burst", action="append", default=[], metavar="RANK:HOUR:MULT")
     p.add_argument("--start", type=int, default=0)
     p.add_argument("--bins", type=int, default=168)
-    p.add_argument("--bin-seconds", type=int, default=3600)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=".")
     p.set_defaults(func=_cmd_synth)

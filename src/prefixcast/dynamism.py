@@ -221,31 +221,16 @@ def prefix_shares_and_cv(m: HourlyTraceMatrix) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _share_bins(shares_pct: np.ndarray, stat: np.ndarray) -> list[VolumeBinStat]:
+    # bin i holds the shares in [edges[i-1], edges[i]), and the top bin 100% too
+    which = np.searchsorted(_BIN_EDGES_PCT, shares_pct, side="right")
+    which[shares_pct == _BIN_EDGES_PCT[-1]] -= 1
     out = []
-    edges = [(0.0, _BIN_EDGES_PCT[0], f"<{_BIN_EDGES_PCT[0]:g}")]
-    for lo, hi in zip(_BIN_EDGES_PCT[:-1], _BIN_EDGES_PCT[1:]):
-        edges.append((lo, hi, f"[{lo:g},{hi:g})"))
-    for i, (lo, hi, label) in enumerate(edges):
-        if i == len(edges) - 1:
-            mask = (shares_pct >= lo) & (shares_pct <= hi)
-        else:
-            mask = (shares_pct >= lo) & (shares_pct < hi) if i else (shares_pct < hi)
-        vals = stat[mask]
-        if vals.size:
-            box = boxplot_summary(vals)
-            out.append(
-                VolumeBinStat(
-                    label=label, lo_pct=lo, hi_pct=hi, count=int(vals.size),
-                    mean=box.mean, median=box.median, p25=box.p25, p75=box.p75,
-                )
-            )
-        else:
-            out.append(
-                VolumeBinStat(
-                    label=label, lo_pct=lo, hi_pct=hi, count=0,
-                    mean=None, median=None, p25=None, p75=None,
-                )
-            )
+    for i, (lo, hi) in enumerate(zip([0.0, *_BIN_EDGES_PCT], _BIN_EDGES_PCT)):
+        vals = stat[which == i]
+        box = boxplot_summary(vals) if vals.size else None
+        quartiles = (box.mean, box.median, box.p25, box.p75) if box else (None,) * 4
+        out.append(VolumeBinStat(f"[{lo:g},{hi:g})" if i else f"<{hi:g}", lo, hi,
+                                 int(vals.size), *quartiles))
     return out
 
 

@@ -177,7 +177,6 @@ class DynamicRouteResult(NpSeries):
     """Normalized RTT series of the simulated last-round-best transit."""
 
     excluded_missing: tuple[int, ...]  # chosen transit had no current sample
-    seed: int
 
 
 def simulate_dynamic_selection(log: ProbeLog, seed: int = 0) -> DynamicRouteResult:
@@ -204,7 +203,6 @@ def simulate_dynamic_selection(log: ProbeLog, seed: int = 0) -> DynamicRouteResu
         values=_gaps(values[:, 0]),
         included=tuple(included[:, 0].tolist()),
         excluded_missing=tuple(np.isnan(own[:, :, 0]).sum(axis=1).tolist()),
-        seed=seed,
     )
 
 

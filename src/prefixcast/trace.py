@@ -1,7 +1,7 @@
 """Per-prefix hourly traffic traces: data model, ingestion, synthesis.
 
-Traffic volumes are byte counts accumulated into fixed-length time bins
-(one hour by default).  A trace is held as an immutable matrix with one
+Traffic volumes are byte counts accumulated into one-hour time bins
+(``BIN_SECONDS``).  A trace is held as an immutable matrix with one
 row per prefix that was ever active inside the window, rows ordered by
 canonical prefix text.  Bins (hours) are addressed 1-based everywhere in
 this package.
@@ -22,6 +22,7 @@ import numpy as np
 
 __all__ = [
     "Prefix",
+    "BIN_SECONDS",
     "TimeGrid",
     "HourlyTraceMatrix",
     "IngestSummary",
@@ -43,7 +44,11 @@ __all__ = [
 
 TRACE_CSV_HEADER = ("timestamp", "prefix", "bytes")
 
-# Binned volumes are int64; a record or a running total above this would wrap.
+# Every grid bins by the hour; matrix sidecars record it as "bin_seconds".
+BIN_SECONDS = 3600
+
+# Timestamps and binned volumes are int64; a record or a running total
+# outside this range would wrap.
 _INT64_MAX = int(np.iinfo(np.int64).max)
 _INT64_MIN = int(np.iinfo(np.int64).min)
 
@@ -63,7 +68,7 @@ _DOTTED_CIDR = re.compile(rf"{_NUMBER}\.{_NUMBER}\.{_NUMBER}\.{_NUMBER}/{_NUMBER
 
 @dataclass(frozen=True, order=True)
 class Prefix:
-    """A BGP prefix key: canonical CIDR text plus address family (4 or 6).
+    """A BGP prefix key: canonical IPv4 or IPv6 CIDR text.
 
     Two prefixes are equal iff their canonical texts are equal; there is
     no aggregation or longest-prefix-match logic anywhere in the package.
@@ -72,7 +77,6 @@ class Prefix:
     """
 
     text: str
-    family: int
 
     @classmethod
     def parse(cls, text: str) -> "Prefix":
@@ -89,9 +93,9 @@ class Prefix:
             if max(a, b, c, d) <= 255 and length <= 32 and (
                 ((a << 24 | b << 16 | c << 8 | d) << length) & 0xFFFFFFFF == 0
             ):
-                return cls(text=text, family=4)
+                return cls(text)
         net = ipaddress.ip_network(str(text).strip(), strict=True)
-        return cls(text=str(net), family=net.version)
+        return cls(str(net))
 
     def __str__(self) -> str:
         return self.text
@@ -99,32 +103,30 @@ class Prefix:
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Binning grid: aligned start, bin length in seconds, bin count.
+    """Hourly binning grid: an hour-aligned start and a bin count.
 
     Bin indices are 1-based: bin h covers
-    ``[start + (h-1)*bin_seconds, start + h*bin_seconds)``.
-    A full week at the default hourly resolution is 168 bins.
+    ``[start + (h-1)*BIN_SECONDS, start + h*BIN_SECONDS)``; a week is the
+    default 168 bins.  The start, the end and the span ``end - start``
+    all lie in the int64 range, so int64 timestamps bin without wrapping.
     """
 
     start: int
-    bin_seconds: int = 3600
     bin_count: int = 168
 
     def __post_init__(self) -> None:
-        if self.bin_seconds <= 0:
-            raise ValueError("bin_seconds must be positive")
         if self.bin_count <= 0:
             raise ValueError("bin_count must be positive")
-        if self.start % self.bin_seconds != 0:
-            raise ValueError(
-                f"grid start {self.start} is not aligned to a "
-                f"{self.bin_seconds}s bin boundary"
-            )
+        if self.start % BIN_SECONDS != 0:
+            raise ValueError(f"grid start {self.start} is not aligned to an hour")
+        if not (_INT64_MIN <= self.start and self.end <= _INT64_MAX
+                and self.end - self.start <= _INT64_MAX):
+            raise ValueError(f"grid [{self.start}, {self.end}) leaves the int64 range")
 
     @property
     def end(self) -> int:
         """Exclusive end timestamp of the grid."""
-        return self.start + self.bin_seconds * self.bin_count
+        return self.start + BIN_SECONDS * self.bin_count
 
     def hours(self) -> range:
         """All 1-based bin indices."""
@@ -236,9 +238,8 @@ class RecordBlock:
     blocks are read.  ``malformed`` flags the records whose fields do not
     parse; ``reasons`` holds their messages by position in the block, and
     ``malformed_bytes`` the sum of their volumes that parsed to a count
-    >= 0.  Elsewhere ``timestamps`` (int64, or Python ints in a block
-    where one lies outside int64), ``volumes`` (int64) and ``codes`` hold
-    the record.
+    >= 0.  Elsewhere ``timestamps`` and ``volumes`` (both int64) and
+    ``codes`` hold the record.
     """
 
     timestamps: np.ndarray
@@ -281,7 +282,8 @@ class _PrefixTable:
 
 def _parse_fields(fields: list[str], table: _PrefixTable):
     """``(timestamp, volume, code, reason)`` of one record's fields: integer
-    fields, a prefix, and a volume that is >= 0 and within the int64 range.
+    fields, a prefix, a timestamp within the int64 range, and a volume that
+    is >= 0 and within it.
     A malformed record has a reason, and its volume is None unless its
     bytes field parsed to a count >= 0."""
     volume: int | None = None
@@ -293,7 +295,8 @@ def _parse_fields(fields: list[str], table: _PrefixTable):
         volume = parsed  # only now, so a negative volume's bytes are not counted
         if volume > _INT64_MAX:
             raise ValueError(f"volume {volume} exceeds the int64 range")
-        timestamp = int(fields[0])
+        if not _INT64_MIN <= (timestamp := int(fields[0])) <= _INT64_MAX:
+            raise ValueError(f"timestamp {timestamp} is outside the int64 range")
         code = table.code(fields[1].encode())
     except ValueError as exc:
         return None, volume, -1, f"{tuple(fields)!r} ({exc})"
@@ -322,7 +325,8 @@ def _parse_block(raw: bytes, table: _PrefixTable) -> RecordBlock:
 
     Fields of plain ASCII digits parse in bulk, and each distinct prefix
     text once; the records where either fails, and only those, go through
-    ``_parse_fields``, which applies ``int()`` and formats the reason.
+    ``_parse_fields``, which applies ``int()`` and formats the reason.  A
+    record that passes either way fits int64 in every column.
     """
     if not raw.endswith(b"\n"):
         raw += b"\n"
@@ -348,7 +352,6 @@ def _parse_block(raw: bytes, table: _PrefixTable) -> RecordBlock:
 
     reasons: dict[int, str] = {}
     malformed_bytes = 0
-    wide: dict[int, int] = {}  # timestamps outside int64
     for i in np.flatnonzero(~clean).tolist():
         # bytes that are not UTF-8 read as escapes, which no field parses
         fields = raw[starts[i]:ends[i]].decode(errors="backslashreplace").split(",")
@@ -357,14 +360,7 @@ def _parse_block(raw: bytes, table: _PrefixTable) -> RecordBlock:
             reasons[i] = reason
             malformed_bytes += volume or 0
             continue
-        volumes[i], codes[i] = volume, code
-        if _INT64_MIN <= timestamp <= _INT64_MAX:
-            timestamps[i] = timestamp
-        else:
-            wide[i] = timestamp
-    if wide:
-        timestamps = timestamps.astype(object)
-        timestamps[list(wide)] = list(wide.values())
+        timestamps[i], volumes[i], codes[i] = timestamp, volume, code
     malformed = np.zeros(n, bool)
     malformed[list(reasons)] = True
     return RecordBlock(timestamps, volumes, codes, malformed, reasons, malformed_bytes,
@@ -372,12 +368,11 @@ def _parse_block(raw: bytes, table: _PrefixTable) -> RecordBlock:
 
 
 def _grid_bins(timestamps: np.ndarray, grid: TimeGrid) -> np.ndarray:
-    """Each timestamp's 0-based bin on ``grid``, or -1 outside it."""
+    """Each int64 timestamp's 0-based bin on ``grid``, or -1 outside it;
+    the grid's span fits int64, so no offset from its start wraps."""
     inside = (timestamps >= grid.start) & (timestamps < grid.end)
-    if not (_INT64_MIN <= grid.start <= _INT64_MAX and grid.end - grid.start <= _INT64_MAX):
-        timestamps = timestamps.astype(object)  # exact Python ints, as int64 could wrap
     bins = np.full(len(timestamps), -1, np.intp)
-    bins[inside] = (timestamps[inside] - grid.start) // grid.bin_seconds
+    bins[inside] = (timestamps[inside] - grid.start) // BIN_SECONDS
     return bins
 
 
@@ -490,7 +485,7 @@ def synthetic_prefix(rank: int) -> Prefix:
     if not 1 <= rank <= _MAX_SYNTH_PREFIXES:
         raise ValueError(f"rank {rank} outside [1, {_MAX_SYNTH_PREFIXES}]")
     k = rank - 1
-    return Prefix(text=f"10.{k // 256}.{k % 256}.0/24", family=4)
+    return Prefix(f"10.{k // 256}.{k % 256}.0/24")
 
 
 @dataclass(frozen=True)
@@ -684,7 +679,7 @@ def save_matrix(m: HourlyTraceMatrix, csv_path: str | Path) -> None:
 
     meta = {
         "start": m.grid.start,
-        "bin_seconds": m.grid.bin_seconds,
+        "bin_seconds": BIN_SECONDS,
         "bin_count": m.grid.bin_count,
     }
     with open(_meta_path_for(csv_path), "w") as fh:
@@ -704,10 +699,11 @@ def load_matrix(csv_path: str | Path) -> HourlyTraceMatrix:
     Rows are read by ``read_rows``: below the exact ``prefix,h1,...,hN``
     header, each is one prefix and N plain decimal int64 cells.  A sidecar
     that is not JSON or not a JSON object, a grid field that is not a JSON
-    integer, and a ``dtype`` other than ``"int"`` raise ValueError naming
-    the sidecar.  A prefix or cell that does not parse raises ValueError
-    naming the line (and, for a cell, the prefix); a ``HourlyTraceMatrix``
-    error is raised again naming the CSV.
+    integer, a ``bin_seconds`` other than ``BIN_SECONDS``, and a ``dtype``
+    other than ``"int"`` raise ValueError naming the sidecar.  A prefix or
+    cell that does not parse raises ValueError naming the line (and, for a
+    cell, the prefix); a ``HourlyTraceMatrix`` error is raised again naming
+    the CSV.
     """
     csv_path = Path(csv_path)
     meta_path = _meta_path_for(csv_path)
@@ -715,9 +711,12 @@ def load_matrix(csv_path: str | Path) -> HourlyTraceMatrix:
     if not isinstance(meta, dict):
         raise ValueError(f"{meta_path}: expected a JSON object, got {json.dumps(meta)}")
     try:
-        grid = TimeGrid(**{
-            key: json_int(key, meta.get(key)) for key in ("start", "bin_seconds", "bin_count")
-        })
+        start, width, bins = (json_int(key, meta.get(key))
+                              for key in ("start", "bin_seconds", "bin_count"))
+        if width != BIN_SECONDS:
+            raise ValueError(f"bin_seconds is {width}, but every grid bins by the hour "
+                             f"({BIN_SECONDS})")
+        grid = TimeGrid(start, bins)
     except ValueError as exc:
         raise ValueError(f"{meta_path}: {exc}") from None
     kind = meta.get("dtype", "int")

@@ -16,6 +16,7 @@ from prefixcast.selectors import SelectionRun
 from prefixcast.trace import HourlyTraceMatrix, IngestSummary, Prefix
 
 INT64_MAX = 2**63 - 1
+INT64_MIN = -(2**63)
 
 
 def probe_log(rows) -> ProbeLog:
@@ -96,7 +97,8 @@ def parse_records(records) -> list[tuple]:
     """Flow records parsed one by one, in input order: ``(timestamp,
     Prefix, volume, None)`` for a well-formed ``(timestamp, prefix, bytes)``
     field tuple, ``(None, None, volume, reason)`` for a malformed one,
-    whose volume is None unless its bytes field parsed to a count >= 0."""
+    whose volume is None unless its bytes field parsed to a count >= 0.
+    A timestamp or volume outside the int64 range is malformed."""
     rows = []
     for rec in records:
         volume = None
@@ -108,7 +110,10 @@ def parse_records(records) -> list[tuple]:
             volume = parsed
             if volume > INT64_MAX:
                 raise ValueError(f"volume {volume} exceeds the int64 range")
-            ts, prefix = int(rec[0]), Prefix.parse(rec[1])
+            ts = int(rec[0])
+            if not INT64_MIN <= ts <= INT64_MAX:
+                raise ValueError(f"timestamp {ts} is outside the int64 range")
+            prefix = Prefix.parse(rec[1])
         except ValueError as exc:
             rows.append((None, None, volume, f"{tuple(rec)!r} ({exc})"))
             continue
@@ -135,7 +140,7 @@ def bin_records(records, grid, errors="count"):
             raise ValueError(f"binned volume reaches {bytes_binned} bytes at record {read}, "
                              "beyond the int64 range")
         code = codes.setdefault(prefix, len(codes))
-        cells.append(code * grid.bin_count + (ts - grid.start) // grid.bin_seconds)
+        cells.append(code * grid.bin_count + (ts - grid.start) // 3600)
         volumes.append(volume)
     values = np.zeros((len(codes), grid.bin_count), dtype=np.int64)
     np.add.at(values.reshape(-1), np.array(cells, dtype=np.intp), np.array(volumes, np.int64))

@@ -58,7 +58,7 @@ def verdict(name: str, ok: bool, detail: str = "") -> None:
 
 
 def week_grid(bins: int = 168) -> TimeGrid:
-    return TimeGrid(start=0, bin_seconds=3600, bin_count=bins)
+    return TimeGrid(start=0, bin_count=bins)
 
 
 # Matrix cells are whole bytes, so float draws are scaled by this and
@@ -449,7 +449,7 @@ def test_c09_dominance_and_no_lookahead():
         values = rng.integers(0, 40, size=(n, bins))
         values[rng.uniform(size=values.shape) < 0.4] = 0
         values[0, 0] = max(int(values[0, 0]), 1)
-        grid = TimeGrid(start=0, bin_seconds=3600, bin_count=bins)
+        grid = TimeGrid(start=0, bin_count=bins)
         m = HourlyTraceMatrix(grid, [synthetic_prefix(k + 1) for k in range(n)], values)
         h = int(rng.integers(1, bins))
         truncated = m.values.copy()

@@ -1,6 +1,8 @@
-"""The package exports what its demos and README quickstart import, and
-each submodule exports only names it defines."""
+"""The package exports what its demos and README quickstart import, each
+submodule exports only names it defines, and the README names only flags
+the CLI has."""
 
+import argparse
 import ast
 import importlib
 import re
@@ -9,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import prefixcast
+from prefixcast import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 SUBMODULES = ("trace", "dynamism", "selectors", "evaluation", "rttsim")
@@ -47,3 +50,17 @@ def test_submodule_exports_only_names_it_defines(name):
             defined |= {t.id for t in node.targets if isinstance(t, ast.Name)}
     assert len(module.__all__) == len(set(module.__all__))
     assert set(module.__all__) <= defined - {"__all__"}
+
+
+def test_readme_names_only_cli_flags():
+    """Outside "## Testing" (whose flags are the benchmark's), every
+    ``--flag`` the README names is an option of some subcommand."""
+    before, testing = (ROOT / "README.md").read_text().split("\n## Testing\n", 1)
+    after = testing.split("\n## ", 1)[1]
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", before + after))
+    commands = next(action.choices for action in cli.build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    options = {flag for command in commands.values() for action in command._actions
+               for flag in action.option_strings}
+    assert "--bins" in named
+    assert sorted(named - options) == []

@@ -204,17 +204,26 @@ class TestIngest:
         assert main(args) == 2
         assert "out-of-range record: timestamp 99999" in capsys.readouterr().err
 
-    def test_timestamps_beyond_int64_bin_on_a_derived_grid(self, tmp_path):
+    def test_timestamp_beyond_int64_is_a_malformed_record(self, tmp_path, capsys):
         flows = tmp_path / "flows.csv"
-        start = 2**70 - 2**70 % 3600
-        flows.write_text(f"timestamp,prefix,bytes\n{start + 5},10.0.0.0/8,5\n"
-                         f"{start + 3600},10.0.0.0/8,7\n0,10.1.0.0/16,oops\n")
+        flows.write_text(f"timestamp,prefix,bytes\n5,10.0.0.0/8,5\n3600,10.0.0.0/8,7\n"
+                         f"{2**63},10.1.0.0/16,9\n{-(2**63) - 1},10.1.0.0/16,4\n")
         out = tmp_path / "stage"
-        assert main(["ingest", str(flows), "--out", str(out)]) == 0
+        assert main(["ingest", str(flows), "--on-error", "skip", "--out", str(out)]) == 0
         m = load_matrix(out / "matrix.csv")
-        assert (m.grid.start, m.grid.bin_count, m.values.tolist()) == (start, 2, [[5, 7]])
+        # the derived grid spans only the records that fit int64
+        assert (m.grid.start, m.grid.bin_count, m.values.tolist()) == (0, 2, [[5, 7]])
         summary = read_json(out / "ingest.json")
-        assert (summary["records_binned"], summary["rejected_malformed"]) == (2, 1)
+        assert (summary["records_binned"], summary["rejected_malformed"]) == (2, 2)
+        assert summary["bytes_rejected"] == 13
+        assert main(["ingest", str(flows), "--on-error", "abort",
+                     "--out", str(tmp_path / "abort")]) == 2
+        assert (f"error: malformed record: ('{2**63}', '10.1.0.0/16', '9') "
+                f"(timestamp {2**63} is outside the int64 range)") in capsys.readouterr().err
+        # a grid that ends beyond int64 is refused before any record is binned
+        assert main(["ingest", str(flows), "--start", str(2**63 // 3600 * 3600), "--bins", "1",
+                     "--out", str(tmp_path / "wide")]) == 2
+        assert "leaves the int64 range" in capsys.readouterr().err
 
     def test_binned_total_beyond_int64_is_data_error(self, tmp_path, capsys):
         flows = tmp_path / "flows.csv"
@@ -1018,6 +1027,8 @@ class TestProbeSimulate:
      "bin_count must be a JSON integer, got 3.7"),
     ("matrix.json", lambda meta: {**meta, "bin_seconds": True},
      "bin_seconds must be a JSON integer, got true"),
+    ("matrix.json", lambda meta: {**meta, "bin_seconds": 300},
+     "bin_seconds is 300, but every grid bins by the hour (3600)"),
     ("matrix.json", lambda meta: {k: v for k, v in meta.items() if k != "bin_count"},
      "bin_count must be a JSON integer, got null"),
     ("probe_meta.json", lambda meta: [1], "expected a JSON object, got [1]"),
@@ -1180,6 +1191,13 @@ class TestUsageErrors:
 
     def test_bad_flag_value(self, tmp_path):
         assert main(["synth", "--prefixes", "many", "--out", str(tmp_path)]) == 1
+
+    @pytest.mark.parametrize("command", [["ingest", "flows.csv"], ["synth"]])
+    def test_bin_seconds_is_no_flag(self, tmp_path, capsys, command):
+        out = tmp_path / "stage"
+        assert main([*command, "--bin-seconds", "60", "--out", str(out)]) == 1
+        assert "unrecognized arguments: --bin-seconds 60" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestDeterminism:

@@ -34,7 +34,7 @@ D = Prefix.parse("10.0.3.0/24")
 
 
 def matrix(series: dict, bins: int) -> HourlyTraceMatrix:
-    grid = TimeGrid(start=0, bin_seconds=3600, bin_count=bins)
+    grid = TimeGrid(start=0, bin_count=bins)
     return HourlyTraceMatrix(grid, list(series), list(series.values()))
 
 
@@ -182,7 +182,7 @@ class TestCorePresenceIntensity:
     def test_rejects_non_binary(self):
         # the presence series an intensity averages hold only 0 and 1, and
         # cannot be changed afterwards
-        grid = TimeGrid(start=0, bin_seconds=3600, bin_count=24)
+        grid = TimeGrid(start=0, bin_count=24)
         m = synthesize_trace(SyntheticTraceSpec(prefix_count=30, noise=0.8, seed=3), grid)
         cp = compute_core_profile(m).cp
         assert cp.dtype == np.uint8 and set(np.unique(cp).tolist()) == {0, 1}
@@ -216,7 +216,7 @@ class TestBurstinessScore:
 
 class TestCoreProfile:
     def test_profile_cores_match_scalar_core_set(self):
-        grid = TimeGrid(start=0, bin_seconds=3600, bin_count=24)
+        grid = TimeGrid(start=0, bin_count=24)
         m = synthesize_trace(SyntheticTraceSpec(prefix_count=60, noise=0.6, seed=2), grid)
         profile = compute_core_profile(m, threshold=0.9)
         for h in (1, 7, 24):
@@ -245,7 +245,7 @@ class TestCoreProfile:
 
     def test_index_matches_brute_force(self):
         rng = np.random.default_rng(21)
-        grid = TimeGrid(start=0, bin_seconds=3600, bin_count=12)
+        grid = TimeGrid(start=0, bin_count=12)
         for _ in range(25):
             n = int(rng.integers(2, 25))
             values = rng.integers(0, 200, size=(n, 12))
@@ -273,7 +273,7 @@ class TestCoreProfile:
         assert profile.bi[3] > 0
 
     def test_scores_non_negative(self):
-        grid = TimeGrid(start=0, bin_seconds=3600, bin_count=24)
+        grid = TimeGrid(start=0, bin_count=24)
         m = synthesize_trace(SyntheticTraceSpec(prefix_count=40, noise=1.0, seed=8), grid)
         profile = compute_core_profile(m)
         assert profile.max_beta >= 0
@@ -287,7 +287,7 @@ class TestCoreProfile:
         values = rng.integers(0, 50, size=(n, bins)) * (rng.random((n, bins)) < 0.6)
         values[0, 0] += 1
         m = HourlyTraceMatrix(
-            TimeGrid(start=0, bin_seconds=3600, bin_count=bins),
+            TimeGrid(start=0, bin_count=bins),
             [synthetic_prefix(k + 1) for k in range(n)], values,
         )
         profile = compute_core_profile(m, threshold=float(rng.choice([0.5, 0.8, 0.95])))
@@ -333,7 +333,7 @@ def core_matrices(draw):
         draw(st.lists(CORE_CELLS, min_size=n * bins, max_size=n * bins)), dtype=np.int64
     ).reshape(n, bins)
     values[0, 0] = max(int(values[0, 0]), 1)
-    grid = TimeGrid(start=0, bin_seconds=3600, bin_count=bins)
+    grid = TimeGrid(start=0, bin_count=bins)
     return HourlyTraceMatrix(grid, [synthetic_prefix(k + 1) for k in range(n)], values)
 
 
@@ -349,7 +349,7 @@ class TestCoreProfileMatchesPerHourLoop:
 
     @pytest.mark.parametrize("threshold", [0.5, 0.95, 0.999, 1.0])
     def test_synthetic_week_identical(self, threshold):
-        grid = TimeGrid(start=0, bin_seconds=3600, bin_count=168)
+        grid = TimeGrid(start=0, bin_count=168)
         m = synthesize_trace(SyntheticTraceSpec(prefix_count=80, noise=0.7, seed=6), grid)
         assert np.array_equal(
             compute_core_profile(m, threshold).cp, per_hour_core_cp(m, threshold)
@@ -389,7 +389,7 @@ class TestConcentrationCurve:
         assert curve.zipf_overlay[0] == pytest.approx(0.0827, abs=5e-4)
 
     def test_spans(self):
-        grid = TimeGrid(start=0, bin_seconds=3600, bin_count=48)
+        grid = TimeGrid(start=0, bin_count=48)
         m = synthesize_trace(SyntheticTraceSpec(prefix_count=30, noise=0.3, seed=4), grid)
         for span in ("week", "hour:5", "day:2", "hour:48"):
             curve = concentration_curve(m, span)
@@ -496,7 +496,7 @@ class TestSummaries:
         }
 
     def test_burstiness_summary_keys(self):
-        grid = TimeGrid(start=0, bin_seconds=3600, bin_count=24)
+        grid = TimeGrid(start=0, bin_count=24)
         m = synthesize_trace(SyntheticTraceSpec(prefix_count=30, noise=0.5, seed=6), grid)
         summary = burstiness_summary(compute_core_profile(m))
         assert set(summary) == {"mean_bi", "max_bi", "max_beta"}

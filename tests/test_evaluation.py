@@ -33,7 +33,7 @@ C = Prefix.parse("10.0.2.0/24")
 
 
 def matrix(series: dict, bins: int) -> HourlyTraceMatrix:
-    grid = TimeGrid(start=0, bin_seconds=3600, bin_count=bins)
+    grid = TimeGrid(start=0, bin_count=bins)
     return HourlyTraceMatrix(grid, list(series), list(series.values()))
 
 
@@ -150,7 +150,7 @@ class TestOracle:
 
     def test_oracle_is_coverage_upper_bound(self):
         rng = np.random.default_rng(9)
-        grid = TimeGrid(start=0, bin_seconds=3600, bin_count=16)
+        grid = TimeGrid(start=0, bin_count=16)
         m = synthesize_trace(
             SyntheticTraceSpec(prefix_count=30, noise=0.8, seed=3), grid
         )
@@ -165,7 +165,7 @@ class TestOracle:
                 assert report.coverage[pos] <= bound + 1e-12
 
     def test_oracle_coverage_monotone_in_k(self):
-        grid = TimeGrid(start=0, bin_seconds=3600, bin_count=8)
+        grid = TimeGrid(start=0, bin_count=8)
         m = synthesize_trace(
             SyntheticTraceSpec(prefix_count=25, noise=0.5, seed=7), grid
         )
@@ -181,7 +181,7 @@ class TestOracle:
 
 class TestEvaluateRun:
     def test_series_shapes_and_consistency(self):
-        grid = TimeGrid(start=0, bin_seconds=3600, bin_count=24)
+        grid = TimeGrid(start=0, bin_count=24)
         m = synthesize_trace(
             SyntheticTraceSpec(prefix_count=40, noise=0.4, seed=11), grid
         )
@@ -205,7 +205,7 @@ class TestEvaluateRun:
     def test_stationary_trace_churn_drops_with_window(self):
         # no bursts, no diurnal swing: churn is pure noise and longer
         # windows average it away
-        grid = TimeGrid(start=0, bin_seconds=3600, bin_count=168)
+        grid = TimeGrid(start=0, bin_count=168)
         m = synthesize_trace(
             SyntheticTraceSpec(prefix_count=60, noise=0.6, seed=19), grid
         )
@@ -264,7 +264,7 @@ def evaluation_cases(draw):
     ).reshape(n, bins)
     values[:, draw(st.integers(0, bins - 1))] = 0
     values[0, 0] = 1
-    grid = TimeGrid(start=0, bin_seconds=3600, bin_count=bins)
+    grid = TimeGrid(start=0, bin_count=bins)
     m = HourlyTraceMatrix(grid, [synthetic_prefix(k + 1) for k in range(n)], values)
     picks = []
     for _ in range(bins - 1):
@@ -292,7 +292,7 @@ class TestEvaluateRunMatchesExactOracle:
         assert report.churn.tolist() == [1]
 
     def test_selection_runs_identical(self):
-        grid = TimeGrid(start=0, bin_seconds=3600, bin_count=48)
+        grid = TimeGrid(start=0, bin_count=48)
         m = synthesize_trace(SyntheticTraceSpec(prefix_count=40, noise=0.6, seed=8), grid)
         profile = compute_core_profile(m)
         for method in ("mean_volume", "core_presence", "core_volume", "gm11"):
@@ -303,7 +303,7 @@ class TestEvaluateRunMatchesExactOracle:
             assert report.churn.tolist() == churns
 
     def test_mask_coverage_equals_hourly_coverage_loop(self):
-        grid = TimeGrid(start=0, bin_seconds=3600, bin_count=48)
+        grid = TimeGrid(start=0, bin_count=48)
         m = synthesize_trace(SyntheticTraceSpec(prefix_count=40, noise=0.6, seed=8), grid)
         profile = compute_core_profile(m)
         for method in ("mean_volume", "core_presence", "core_volume", "gm11"):
@@ -340,7 +340,7 @@ class TestBurstinessVsCoverage:
 
     def test_single_trace_single_point(self):
         # the worst point lies right of and below the mean point
-        grid = TimeGrid(start=0, bin_seconds=3600, bin_count=24)
+        grid = TimeGrid(start=0, bin_count=24)
         m = synthesize_trace(SyntheticTraceSpec(prefix_count=30, noise=0.3, seed=1), grid)
         (mean_bi, mean_cov), (max_bi, min_cov) = self.points(m)
         assert max_bi >= mean_bi >= 0.0
@@ -352,7 +352,7 @@ class TestBurstinessVsCoverage:
         assert self.points(m) == ((0.0, 1.0), (0.0, 1.0))
 
     def test_bursty_trace_has_worse_minimum_coverage(self):
-        grid = TimeGrid(start=0, bin_seconds=3600, bin_count=48)
+        grid = TimeGrid(start=0, bin_count=48)
         calm = synthesize_trace(
             SyntheticTraceSpec(prefix_count=50, noise=0.2, seed=4), grid
         )

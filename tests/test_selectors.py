@@ -38,7 +38,7 @@ C = Prefix.parse("10.0.2.0/24")
 
 
 def matrix(series: dict, bins: int) -> HourlyTraceMatrix:
-    grid = TimeGrid(start=0, bin_seconds=3600, bin_count=bins)
+    grid = TimeGrid(start=0, bin_count=bins)
     return HourlyTraceMatrix(grid, list(series), list(series.values()))
 
 
@@ -49,7 +49,7 @@ def random_matrix(rng, n_max=15, bins_max=12):
     values = rng.integers(0, 50, size=(n, bins))
     values[rng.uniform(size=values.shape) < 0.4] = 0
     values[0, 0] = max(int(values[0, 0]), 1)
-    grid = TimeGrid(start=0, bin_seconds=3600, bin_count=bins)
+    grid = TimeGrid(start=0, bin_count=bins)
     return HourlyTraceMatrix(grid, [synthetic_prefix(k + 1) for k in range(n)], values)
 
 
@@ -446,7 +446,7 @@ class TestGm11RunMatchesScalarLoop:
             values = rng.integers(0, 40, size=(n, bins))
             values[rng.uniform(size=values.shape) < 0.4] = 0
             values[0, 0] = max(int(values[0, 0]), 1)
-            grid = TimeGrid(start=0, bin_seconds=3600, bin_count=bins)
+            grid = TimeGrid(start=0, bin_count=bins)
             m = HourlyTraceMatrix(grid, [synthetic_prefix(k + 1) for k in range(n)], values)
             # K covers every prefix, so no top-K cut can hide a difference
             config = SelectorConfig("gm11", int(rng.integers(1, 9)), len(m))
@@ -468,7 +468,7 @@ class TestGm11RunMatchesScalarLoop:
 
     @pytest.mark.parametrize("window", WINDOW_GRID)
     def test_synthetic_week_picks_identical(self, window):
-        grid = TimeGrid(start=0, bin_seconds=3600, bin_count=72)
+        grid = TimeGrid(start=0, bin_count=72)
         m = synthesize_trace(
             SyntheticTraceSpec(prefix_count=30, noise=0.5, diurnal_amplitude=0.3, seed=7), grid
         )
@@ -511,7 +511,7 @@ class TestRunSelection:
         assert picked_set(run, 2) == {A}
 
     def test_l1_mean_volume_equals_previous_hour_topk(self):
-        grid = TimeGrid(start=0, bin_seconds=3600, bin_count=24)
+        grid = TimeGrid(start=0, bin_count=24)
         m = synthesize_trace(SyntheticTraceSpec(prefix_count=40, noise=0.5, seed=13), grid)
         profile = compute_core_profile(m)
         run = run_selection(m, profile, SelectorConfig("mean_volume", 1, 5))
@@ -538,7 +538,7 @@ class TestRunSelection:
             checked += 1
 
     def test_l1_core_volume_selects_exactly_previous_core(self):
-        grid = TimeGrid(start=0, bin_seconds=3600, bin_count=24)
+        grid = TimeGrid(start=0, bin_count=24)
         m = synthesize_trace(SyntheticTraceSpec(prefix_count=30, noise=0.8, seed=5), grid)
         profile = compute_core_profile(m)
         run = run_selection(m, profile, SelectorConfig("core_volume", 1, len(m)))
@@ -578,7 +578,7 @@ class TestRunSelection:
         assert picked_set(run, 3) == set()
 
     def test_gm11_run_deterministic_and_counts_fallbacks(self):
-        grid = TimeGrid(start=0, bin_seconds=3600, bin_count=12)
+        grid = TimeGrid(start=0, bin_count=12)
         m = synthesize_trace(SyntheticTraceSpec(prefix_count=15, noise=0.4, seed=2), grid)
         profile = compute_core_profile(m)
         config = SelectorConfig("gm11", 8, 4)
@@ -665,7 +665,7 @@ def selection_cases(draw):
     values[:, sorted(draw(st.sets(st.integers(0, bins - 1), max_size=bins - 1)))] = 0
     if not values.any():
         values[0, draw(st.integers(0, bins - 1))] = 1
-    grid = TimeGrid(start=0, bin_seconds=3600, bin_count=bins)
+    grid = TimeGrid(start=0, bin_count=bins)
     m = HourlyTraceMatrix(grid, [synthetic_prefix(k + 1) for k in range(n)], values)
     profile = compute_core_profile(m, draw(st.sampled_from((0.5, 0.95, 1.0))))
     config = SelectorConfig(
@@ -719,7 +719,7 @@ def adversarial_week(kind):
         values = np.floor(rng.pareto(1.2, size=shape) * 1e6).astype(np.int64)
     else:
         values = rng.integers(0, 4, size=shape)
-    grid = TimeGrid(start=0, bin_seconds=3600, bin_count=shape[1])
+    grid = TimeGrid(start=0, bin_count=shape[1])
     return HourlyTraceMatrix(grid, [synthetic_prefix(k + 1) for k in range(shape[0])], values)
 
 
@@ -742,7 +742,7 @@ class TestRunSelectionMatchesPerHourLoop:
 
     @pytest.mark.parametrize("method", METHODS)
     def test_synthetic_week_identical(self, method):
-        grid = TimeGrid(start=0, bin_seconds=3600, bin_count=168)
+        grid = TimeGrid(start=0, bin_count=168)
         m = synthesize_trace(
             SyntheticTraceSpec(prefix_count=60, noise=0.5, diurnal_amplitude=0.3, seed=4), grid
         )
@@ -770,7 +770,7 @@ class TestRunSelectionMatchesPerHourLoop:
             assert run_selection(m, profile, config).gm11_fallbacks == fallbacks, window
 
     def test_gm11_peak_memory_within_one_matrix_of_mean_volume(self):
-        grid = TimeGrid(start=0, bin_seconds=3600, bin_count=168)
+        grid = TimeGrid(start=0, bin_count=168)
         m = synthesize_trace(SyntheticTraceSpec(prefix_count=2000, noise=0.5, seed=3), grid)
         profile = compute_core_profile(m)
         size = max_core_size(profile)

@@ -51,8 +51,7 @@ def bin_rows(directory, rows, grid, errors="count"):
 class TestPrefix:
     def test_parse_canonicalizes(self):
         assert Prefix.parse(" 10.0.0.0/8 ") == P8
-        assert Prefix.parse("2001:db8::/32").family == 6
-        assert P8.family == 4
+        assert Prefix.parse("2001:DB8::/32") == Prefix("2001:db8::/32")
 
     def test_host_bits_rejected(self):
         with pytest.raises(ValueError):
@@ -103,18 +102,18 @@ def test_canonical_ipv4_fast_path_equals_ipaddress(text):
         with pytest.raises(ValueError):
             Prefix.parse(text)
         return
-    assert Prefix.parse(text) == Prefix(text=str(net), family=net.version)
+    assert Prefix.parse(text) == Prefix(str(net))
 
 
 class TestTimeGrid:
     def test_alignment_enforced(self):
         with pytest.raises(ValueError):
-            TimeGrid(start=10, bin_seconds=3600, bin_count=168)
+            TimeGrid(start=10, bin_count=168)
 
     def test_bin_of(self, tmp_path):
         # a grid's first and last second bin into its first and last hour;
         # the seconds just outside it are out of range
-        grid = TimeGrid(start=3600, bin_seconds=3600, bin_count=4)
+        grid = TimeGrid(start=3600, bin_count=4)
         records = [(t, P8.text, 1) for t in (3600, 3600 + 3 * 3600 + 3599, 3599, grid.end)]
         m, summary = bin_rows(tmp_path, records, grid)
         assert m.values.tolist() == [[1, 0, 0, 1]]
@@ -122,12 +121,24 @@ class TestTimeGrid:
 
     def test_week_default(self):
         grid = TimeGrid(start=0)
-        assert grid.bin_count == 168 and grid.bin_seconds == 3600
+        assert (grid.bin_count, grid.end) == (168, 168 * 3600)
+
+    @pytest.mark.parametrize("start, bins", [
+        ((-(2**63) - 1) // 3600 * 3600, 1),  # starts below the int64 range
+        (2**63 // 3600 * 3600, 1),  # ends above it
+        (-(2**62) // 3600 * 3600, 2**63 // 3600 + 1),  # both ends fit, the span does not
+    ], ids=["start", "end", "span"])
+    def test_grid_beyond_int64_is_refused(self, start, bins):
+        with pytest.raises(ValueError, match="leaves the int64 range"):
+            TimeGrid(start=start, bin_count=bins)
+
+    def test_last_hour_inside_int64_is_a_grid(self):
+        assert TimeGrid(start=2**63 // 3600 * 3600 - 3600, bin_count=1).end < 2**63
 
 
 class TestBinRecords:
     def test_additivity_same_bin(self, tmp_path):
-        grid = TimeGrid(start=0, bin_seconds=3600, bin_count=4)
+        grid = TimeGrid(start=0, bin_count=4)
         records = [
             (2 * 3600 + 10, P8.text, 5),
             (2 * 3600 + 3000, P8.text, 7),
@@ -136,14 +147,14 @@ class TestBinRecords:
         assert m.series(P8)[2] == 12  # bin 3
 
     def test_padding_to_full_week(self, tmp_path):
-        grid = TimeGrid(start=0, bin_seconds=3600, bin_count=168)
+        grid = TimeGrid(start=0, bin_count=168)
         m, _ = bin_rows(tmp_path, [(30, P8.text, 9)], grid)
         s = m.series(P8)
         assert s.shape == (168,)
         assert s[0] == 9 and np.count_nonzero(s) == 1
 
     def test_totals_are_exact_sums(self, tmp_path):
-        grid = TimeGrid(start=0, bin_seconds=3600, bin_count=2)
+        grid = TimeGrid(start=0, bin_count=2)
         records = [
             (0, P8.text, 50),
             (1, P16.text, 30),
@@ -154,7 +165,7 @@ class TestBinRecords:
         np.testing.assert_array_equal(m.totals, m.values.sum(axis=0))
 
     def test_raw_rows_parsed_with_policy(self, tmp_path):
-        grid = TimeGrid(start=0, bin_seconds=3600, bin_count=2)
+        grid = TimeGrid(start=0, bin_count=2)
         rows = [
             ("0", "10.0.0.0/8", "5"),
             ("10", "bogus", "7"),          # malformed prefix
@@ -170,7 +181,7 @@ class TestBinRecords:
         assert summary.rejected_out_of_range == 1
 
     def test_negative_volume_is_malformed_and_not_counted(self, tmp_path):
-        grid = TimeGrid(start=0, bin_seconds=3600, bin_count=1)
+        grid = TimeGrid(start=0, bin_count=1)
         rows = [("0", "10.0.0.0/8", "5"), ("0", "10.0.0.0/8", "-7")]
         m, summary = bin_rows(tmp_path, rows, grid)
         assert m.series(P8).tolist() == [5]
@@ -178,12 +189,12 @@ class TestBinRecords:
         assert (summary.bytes_binned, summary.bytes_rejected) == (5, 0)
 
     def test_abort_policy_raises(self, tmp_path):
-        grid = TimeGrid(start=0, bin_seconds=3600, bin_count=2)
+        grid = TimeGrid(start=0, bin_count=2)
         with pytest.raises(ValueError):
             bin_rows(tmp_path, [("0", "bogus", "5")], grid, errors="raise")
 
     def test_volume_beyond_int64_is_malformed(self, tmp_path):
-        grid = TimeGrid(start=0, bin_seconds=3600, bin_count=2)
+        grid = TimeGrid(start=0, bin_count=2)
         rows = [("0", "10.0.0.0/8", "5"), ("0", "10.0.0.0/8", str(2**63))]
         m, summary = bin_rows(tmp_path, rows, grid)
         assert m.series(P8).tolist() == [5, 0]
@@ -194,7 +205,7 @@ class TestBinRecords:
 
     @pytest.mark.parametrize("errors", ["count", "raise"])
     def test_binned_total_beyond_int64_raises(self, tmp_path, errors):
-        grid = TimeGrid(start=0, bin_seconds=3600, bin_count=2)
+        grid = TimeGrid(start=0, bin_count=2)
         big = str(9_220_000_000_000_000_000)
         rows = [("0", "10.0.0.0/8", big), ("1", "10.0.0.0/8", big)]
         with pytest.raises(ValueError, match="record 2, beyond the int64 range"):
@@ -206,7 +217,7 @@ class TestBinRecords:
     def test_volume_conservation_exact(self, tmp_path):
         # binned + rejected bytes account for every parseable input byte
         rng = np.random.default_rng(42)
-        grid = TimeGrid(start=0, bin_seconds=3600, bin_count=24)
+        grid = TimeGrid(start=0, bin_count=24)
         records = []
         for _ in range(500):
             ts = int(rng.integers(-3600, grid.end + 3600))
@@ -218,13 +229,13 @@ class TestBinRecords:
         assert summary.rejected_out_of_range > 0
 
     def test_all_zero_prefixes_dropped(self, tmp_path):
-        grid = TimeGrid(start=0, bin_seconds=3600, bin_count=2)
+        grid = TimeGrid(start=0, bin_count=2)
         records = [(0, P8.text, 5), (0, P16.text, 0)]
         m, _ = bin_rows(tmp_path, records, grid)
         assert P8 in m and P16 not in m
 
     def test_empty_input_errors(self, tmp_path):
-        grid = TimeGrid(start=0, bin_seconds=3600, bin_count=2)
+        grid = TimeGrid(start=0, bin_count=2)
         with pytest.raises(ValueError, match="no active prefixes"):
             bin_rows(tmp_path, [], grid)
 
@@ -235,22 +246,22 @@ def weekly_shares_pct(m) -> list[float]:
 
 class TestWeeklyVolumeFraction:
     def test_sole_prefix_carries_all(self, tmp_path):
-        grid = TimeGrid(start=0, bin_seconds=3600, bin_count=2)
+        grid = TimeGrid(start=0, bin_count=2)
         m, _ = bin_rows(tmp_path, [(0, P8.text, 7)], grid)
         assert weekly_shares_pct(m) == [100.0]
 
     def test_hand_division(self, tmp_path):
-        grid = TimeGrid(start=0, bin_seconds=3600, bin_count=2)
+        grid = TimeGrid(start=0, bin_count=2)
         m, _ = bin_rows(tmp_path, [(0, P8.text, 10), (0, P16.text, 990)], grid)
         assert weekly_shares_pct(m) == pytest.approx([1.0, 99.0], abs=1e-13)
 
     def test_symmetry(self, tmp_path):
-        grid = TimeGrid(start=0, bin_seconds=3600, bin_count=2)
+        grid = TimeGrid(start=0, bin_count=2)
         m, _ = bin_rows(tmp_path, [(0, P8.text, 40), (3600, P16.text, 40)], grid)
         assert weekly_shares_pct(m) == [50.0, 50.0]
 
     def test_fractions_sum_to_one(self):
-        grid = TimeGrid(start=0, bin_seconds=3600, bin_count=24)
+        grid = TimeGrid(start=0, bin_count=24)
         spec = SyntheticTraceSpec(prefix_count=300, noise=0.5, seed=1)
         m = synthesize_trace(spec, grid)
         assert sum(weekly_shares_pct(m)) == pytest.approx(100.0, abs=1e-10)
@@ -258,7 +269,7 @@ class TestWeeklyVolumeFraction:
 
 class TestSynthesize:
     def grid(self, bins=24):
-        return TimeGrid(start=0, bin_seconds=3600, bin_count=bins)
+        return TimeGrid(start=0, bin_count=bins)
 
     def test_single_prefix_carries_everything(self):
         m = synthesize_trace(SyntheticTraceSpec(prefix_count=1, zipf_s=2.0), self.grid())
@@ -354,13 +365,13 @@ class TestSynthesize:
 
 class TestMatrixModel:
     def test_rows_sorted_by_text(self):
-        grid = TimeGrid(start=0, bin_seconds=3600, bin_count=1)
+        grid = TimeGrid(start=0, bin_count=1)
         m = HourlyTraceMatrix(grid, [P24, P8, P16], [[1], [2], [3]])
         assert [p.text for p in m.prefixes] == ["10.0.0.0/8", "10.1.0.0/16", "10.2.3.0/24"]
         assert m.values[:, 0].tolist() == [2, 3, 1]
 
     def test_values_read_only(self):
-        grid = TimeGrid(start=0, bin_seconds=3600, bin_count=1)
+        grid = TimeGrid(start=0, bin_count=1)
         values = np.array([[2]])
         m = HourlyTraceMatrix(grid, [P8], values)
         with pytest.raises(ValueError):
@@ -369,20 +380,20 @@ class TestMatrixModel:
         assert m.values[0, 0] == 2
 
     def test_wrong_length_rejected(self):
-        grid = TimeGrid(start=0, bin_seconds=3600, bin_count=3)
+        grid = TimeGrid(start=0, bin_count=3)
         with pytest.raises(ValueError, match=r"shape \(1, 2\), expected \(1, 3\)"):
             HourlyTraceMatrix(grid, [P8], [[1, 2]])
         with pytest.raises(ValueError, match=r"shape \(1, 3\), expected \(2, 3\)"):
             HourlyTraceMatrix(grid, [P8, P16], [[1, 2, 3]])
 
     def test_repeated_prefix_rejected(self):
-        grid = TimeGrid(start=0, bin_seconds=3600, bin_count=2)
+        grid = TimeGrid(start=0, bin_count=2)
         with pytest.raises(ValueError, match=r"duplicate row for 10\.1\.0\.0/16"):
             HourlyTraceMatrix(grid, [P16, P8, Prefix.parse("10.1.0.0/255.255.0.0")],
                               [[1, 0], [2, 2], [0, 0]])
 
     def test_all_zero_rows_dropped(self):
-        grid = TimeGrid(start=0, bin_seconds=3600, bin_count=2)
+        grid = TimeGrid(start=0, bin_count=2)
         m = HourlyTraceMatrix(grid, [P24, P8, P16], np.array([[0, 0], [1, 0], [0, 5]], np.int32))
         assert m.prefixes == (P8, P16)
         assert m.values.dtype == np.int64
@@ -394,12 +405,12 @@ class TestMatrixModel:
         (2.0, "float64"), (2**63, "uint64"), (2**64, "object"),
     ])
     def test_non_integer_array_rejected_naming_dtype(self, cell, dtype):
-        grid = TimeGrid(start=0, bin_seconds=3600, bin_count=3)
+        grid = TimeGrid(start=0, bin_count=3)
         with pytest.raises(ValueError, match=f"got a {dtype} array"):
             HourlyTraceMatrix(grid, [P8, P16], np.array([[1, 2, 3], [1, cell, 0]], dtype))
 
     def test_negative_cell_rejected_naming_prefix(self):
-        grid = TimeGrid(start=0, bin_seconds=3600, bin_count=2)
+        grid = TimeGrid(start=0, bin_count=2)
         with pytest.raises(ValueError, match="negative volume in series for 10.2.3.0/24"):
             HourlyTraceMatrix(grid, [P8, P24], [[1, 2], [3, -1]])
 
@@ -407,12 +418,12 @@ class TestMatrixModel:
         ([[0, 2**63 - 1], [1, 1]], 2),
     ])
     def test_hour_total_beyond_dtype_range_rejected_naming_hour(self, series, hour):
-        grid = TimeGrid(start=0, bin_seconds=3600, bin_count=len(series[0]))
+        grid = TimeGrid(start=0, bin_count=len(series[0]))
         with pytest.raises(ValueError, match=f"total of hour {hour} exceeds"):
             HourlyTraceMatrix(grid, [P8, P16], series)
 
     def test_hour_mapping(self):
-        grid = TimeGrid(start=0, bin_seconds=3600, bin_count=2)
+        grid = TimeGrid(start=0, bin_count=2)
         m = HourlyTraceMatrix(grid, [P8, P16], [[5, 0], [1, 2]])
         assert dict(zip(m.prefixes, m.values[:, 0].tolist())) == {P8: 5, P16: 1}
 
@@ -432,13 +443,13 @@ class TestCsvInterfaces:
             "10,10.1.0.0/16,30\n"
             "3700,10.0.0.0/8,7\n"
         )
-        grid = TimeGrid(start=0, bin_seconds=3600, bin_count=2)
+        grid = TimeGrid(start=0, bin_count=2)
         m, summary = bin_records(iter_trace_csv(path), grid)
         assert summary.records_binned == 3
         assert m.total(1) == 80 and m.total(2) == 7
 
     def test_matrix_roundtrip_int(self, tmp_path):
-        grid = TimeGrid(start=7200, bin_seconds=3600, bin_count=3)
+        grid = TimeGrid(start=7200, bin_count=3)
         m = HourlyTraceMatrix(grid, [P8, P16], [[1, 0, 3], [0, 2, 0]])
         save_matrix(m, tmp_path / "m.csv")
         back = load_matrix(tmp_path / "m.csv")
@@ -448,7 +459,7 @@ class TestCsvInterfaces:
         assert back.values.dtype == np.int64
 
     def test_unparsable_int_cell_names_prefix(self, tmp_path):
-        grid = TimeGrid(start=0, bin_seconds=3600, bin_count=2)
+        grid = TimeGrid(start=0, bin_count=2)
         save_matrix(HourlyTraceMatrix(grid, [P8, P16], [[1, 0], [0, 2]]), tmp_path / "m.csv")
         text = (tmp_path / "m.csv").read_text().replace("10.1.0.0/16,0,2", "10.1.0.0/16,nan,2")
         (tmp_path / "m.csv").write_text(text)
@@ -457,7 +468,7 @@ class TestCsvInterfaces:
 
     @pytest.mark.parametrize("cell", ["1_000", "9223372036854775808", "1.0", "0x10"])
     def test_int_cell_not_plain_int64_names_prefix(self, tmp_path, cell):
-        grid = TimeGrid(start=0, bin_seconds=3600, bin_count=2)
+        grid = TimeGrid(start=0, bin_count=2)
         save_matrix(HourlyTraceMatrix(grid, [P8, P16], [[1, 0], [0, 2]]), tmp_path / "m.csv")
         text = (tmp_path / "m.csv").read_text().replace("10.1.0.0/16,0,2", f"10.1.0.0/16,{cell},2")
         (tmp_path / "m.csv").write_text(text)
@@ -465,7 +476,7 @@ class TestCsvInterfaces:
             load_matrix(tmp_path / "m.csv")
 
     def test_duplicate_prefix_row_names_prefix(self, tmp_path):
-        grid = TimeGrid(start=0, bin_seconds=3600, bin_count=2)
+        grid = TimeGrid(start=0, bin_count=2)
         save_matrix(HourlyTraceMatrix(grid, [P8, P16], [[5, 5], [0, 2]]), tmp_path / "m.csv")
         with open(tmp_path / "m.csv", "a") as fh:
             fh.write("10.0.0.0/255.0.0.0,1,1\n")  # 10.0.0.0/8 again, written another way
@@ -473,7 +484,7 @@ class TestCsvInterfaces:
             load_matrix(tmp_path / "m.csv")
 
     def test_matrix_roundtrip_synth(self, tmp_path):
-        grid = TimeGrid(start=0, bin_seconds=3600, bin_count=12)
+        grid = TimeGrid(start=0, bin_count=12)
         m = synthesize_trace(SyntheticTraceSpec(prefix_count=17, noise=0.7, seed=3), grid)
         save_matrix(m, tmp_path / "m.csv")
         assert "dtype" not in json.loads((tmp_path / "m.json").read_text())
@@ -501,7 +512,7 @@ def int_matrices(draw):
 @settings(max_examples=150, deadline=None)
 @given(values=int_matrices())
 def test_int_matrix_csv_roundtrip_is_exact(tmp_path_factory, values):
-    grid = TimeGrid(start=3600 * 5, bin_seconds=3600, bin_count=values.shape[1])
+    grid = TimeGrid(start=3600 * 5, bin_count=values.shape[1])
     m = HourlyTraceMatrix(grid, [synthetic_prefix(k + 1) for k in range(len(values))], values)
     path = tmp_path_factory.mktemp("matrix") / "m.csv"
     save_matrix(m, path)
@@ -517,7 +528,7 @@ def test_int_matrix_csv_roundtrip_is_exact(tmp_path_factory, values):
     assert path.read_bytes() == text
 
 
-CONSERVATION_GRID = TimeGrid(start=3600, bin_seconds=3600, bin_count=3)
+CONSERVATION_GRID = TimeGrid(start=3600, bin_count=3)
 
 # one prefix written two ways, an IPv6 one, and two that do not parse
 RAW_PREFIXES = ["10.0.0.0/8", "10.0.0.0/255.0.0.0", "10.1.0.0/16", "2001:db8::/32",
@@ -556,7 +567,7 @@ def test_bin_records_conserves_bytes(tmp_path_factory, rows):
             continue
         if volume is not None and 0 <= volume < 2**63 and grid.start <= ts < grid.end:
             cells = expected.setdefault(prefix.text, [0] * grid.bin_count)
-            cells[(ts - grid.start) // grid.bin_seconds] += volume
+            cells[(ts - grid.start) // 3600] += volume
     expected = {text: cells for text, cells in expected.items() if any(cells)}
     if not expected:
         with pytest.raises(ValueError, match="no active prefixes"):
