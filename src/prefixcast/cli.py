@@ -10,10 +10,11 @@ byte.  Exit codes: 0 success, 1 usage error, 2 data error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
+import re
 import sys
-from csv import writer as csv_writer
 from pathlib import Path
 
 import numpy as np
@@ -47,20 +48,25 @@ def _write_json(path: Path, payload) -> None:
         fh.write(text + "\n")
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
+# a field csv.writer's QUOTE_MINIMAL quotes, with "\n" as the line end
+_NEEDS_QUOTES = re.compile('[,"\n]')
 
 
-def _write_csv(path: Path, header, rows) -> None:
+def _write_csv(path: Path, header, *columns) -> None:
+    """Write ``header`` and one line per row of ``columns``, each an array
+    or a sequence of int, float, None or str, formatted a column at a time:
+    an int in decimal, a float as its shortest ``repr`` (which ``str`` of a
+    float is), None as an empty field, and a field that needs it quoted as
+    ``csv.writer`` quotes it."""
+    texts = []
+    for name, column in zip(header, columns, strict=True):
+        values = column.tolist() if isinstance(column, np.ndarray) else column
+        col = [name] + ["" if v is None else str(v) for v in values]
+        if _NEEDS_QUOTES.search("".join(col)):
+            col = ['"' + t.replace('"', '""') + '"' if _NEEDS_QUOTES.search(t) else t for t in col]
+        texts.append(col)
     with open(path, "w", newline="") as fh:
-        w = csv_writer(fh, lineterminator="\n")
-        w.writerow(header)
-        for row in rows:
-            w.writerow([_fmt(v) if not isinstance(v, str) else v for v in row])
+        fh.write("\n".join(map(",".join, zip(*texts))) + "\n")
 
 
 def _out_dir(args) -> Path:
@@ -185,38 +191,18 @@ def _cmd_analyze(args) -> int:
         raise ValueError(f"--span {args.span}: {exc}") from None
     out = _out_dir(args)
 
-    _write_csv(
-        out / "prefixes.csv",
-        ["prefix", "weekly_share_pct", "cv", "icp"],
-        (
-            [p.text, shares_pct[i], cv[i], profile.icp[i]]
-            for i, p in enumerate(m.prefixes)
-        ),
-    )
-    active = m.active_counts()
-    _write_csv(
-        out / "hours.csv",
-        ["hour", "total", "active_prefixes", "core_size", "bi"],
-        (
-            [h, m.totals[h - 1], active[h - 1], profile.core_sizes[h - 1], profile.bi[h - 1]]
-            for h in m.grid.hours()
-        ),
-    )
+    _write_csv(out / "prefixes.csv", ["prefix", "weekly_share_pct", "cv", "icp"],
+               [p.text for p in m.prefixes], shares_pct, cv, profile.icp)
+    _write_csv(out / "hours.csv", ["hour", "total", "active_prefixes", "core_size", "bi"],
+               m.grid.hours(), m.totals, m.active_counts(), profile.core_sizes, profile.bi)
     for name, bins in (("cv_bins.csv", dynamism.cv_vs_volume_bins(shares_pct, cv)),
                        ("icp_bins.csv", dynamism.icp_vs_volume_bins(shares_pct, profile.icp))):
-        _write_csv(
-            out / name,
-            ["bin", "lo_pct", "hi_pct", "count", "mean", "median", "p25", "p75"],
-            ([b.label, b.lo_pct, b.hi_pct, b.count, b.mean, b.median, b.p25, b.p75] for b in bins),
-        )
-    _write_csv(
-        out / f"concentration_{curve.span.replace(':', '_')}.csv",
-        ["rank", "share", "cdf", "zipf_ref"],
-        (
-            [k + 1, curve.shares[k], curve.cdf[k], curve.zipf_overlay[k]]
-            for k in range(curve.shares.size)
-        ),
-    )
+        # a VolumeBinStat's fields are the header's columns, in order
+        _write_csv(out / name, ["bin", "lo_pct", "hi_pct", "count", "mean", "median", "p25", "p75"],
+                   *zip(*map(dataclasses.astuple, bins)))
+    _write_csv(out / f"concentration_{curve.span.replace(':', '_')}.csv",
+               ["rank", "share", "cdf", "zipf_ref"],
+               range(1, curve.shares.size + 1), curve.shares, curve.cdf, curve.zipf_overlay)
     summary = {
         "core": dynamism.core_summary(profile, m),
         "burstiness": dynamism.burstiness_summary(profile),
@@ -247,19 +233,25 @@ def _selection_name(config: selectors.SelectorConfig) -> str:
 
 def _write_selection(out: Path, run: selectors.SelectionRun) -> Path:
     """One unquoted ``hour,rank,prefix,score,method,L,K`` line per pick:
-    canonical prefixes and method names never need quoting."""
+    canonical prefixes and method names never need quoting.  Each distinct
+    hour, rank, prefix and score (by its bits: ``-0.0`` is not ``0.0``) is
+    formatted once, and the lines are joined from per-column text arrays."""
     cfg = run.config
     path = out / _selection_name(cfg)
+    counts = run.mask.sum(axis=1)
+    pos = np.repeat(np.arange(counts.size), counts)
+    rank = np.arange(pos.size) - (np.cumsum(counts) - counts)[pos] + 1
+    bits, score_codes = np.unique(np.concatenate(run.scores).view(np.int64), return_inverse=True)
     tail = f",{cfg.method},{cfg.window},{cfg.size}\n"
-    texts = [p.text for p in run.prefixes]
-    parts = [",".join(SELECTION_HEADER) + "\n"]
-    for hour, picks, scores in zip(run.hours.tolist(), run.picks, run.scores):
-        parts.extend(
-            f"{hour},{rank},{texts[i]},{score!r}{tail}"
-            for rank, (i, score) in enumerate(zip(picks.tolist(), scores.tolist()), start=1)
-        )
+    columns = (
+        ([f"{h}," for h in run.hours.tolist()], pos),
+        ([f"{r}," for r in range(counts.max() + 1)], rank),
+        ([p.text + "," for p in run.prefixes], np.concatenate(run.picks)),
+        ([repr(s) + tail for s in bits.view(np.float64).tolist()], score_codes),
+    )
+    cells = np.column_stack([np.array(texts, dtype=object)[codes] for texts, codes in columns])
     with open(path, "w", newline="") as fh:
-        fh.write("".join(parts))
+        fh.write(",".join(SELECTION_HEADER) + "\n" + "".join(cells.ravel().tolist()))
     return path
 
 
@@ -356,8 +348,10 @@ def _read_selection_csv(path: Path, m: trace.HourlyTraceMatrix, threshold: float
     canonical, prefix_codes = trace.parse_column(
         prefix_col, lambda t: t if t in rows_of else trace.Prefix.parse(t).text, path, lines
     )
+    # a file select wrote holds one configuration: parse it without zipping rows
+    one = all(col.count(col[0]) == len(col) for col in config_cols)
     configs, _ = trace.parse_column(
-        list(zip(*config_cols)),
+        [tuple(col[0] for col in config_cols)] if one else list(zip(*config_cols)),
         lambda t: selectors.SelectorConfig(method=t[0], window=int(t[1]), size=int(t[2])),
         path, lines,
     )
@@ -451,9 +445,9 @@ def _cmd_evaluate(args) -> int:
             raise ValueError(f"{written[name]} and {path} both write {name}")
         written[name] = path
         report = evaluation.evaluate_run(run, m)
-        churn = [None, *report.churn.tolist()]  # the first hour has no churn
+        # the first hour has no churn
         _write_csv(out / name, ["hour", "coverage", "churn"],
-                   zip(report.hours.tolist(), report.coverage.tolist(), churn))
+                   report.hours, report.coverage, [None, *report.churn.tolist()])
         summary[_report_key(run.config)] = _report_payload(run, report)
         mean_churn = report.churn_summary.mean if report.churn_summary else float("nan")
         print(
@@ -566,17 +560,14 @@ def _cmd_simulate(args) -> int:
     log = _load_probes(path)
     out = _out_dir(args)
 
-    rows = []
-    for transit in log.transits:
-        series = rttsim.np_series(log, transit)
-        for tick, value, included in zip(series.ticks, series.values, series.included):
-            rows.append([tick, transit, value, included])
+    series = [rttsim.np_series(log, transit) for transit in log.transits]
     dynamic = None
     if args.dynamic and len(log.ticks) >= 2:
         dynamic = rttsim.simulate_dynamic_selection(log, seed=args.seed)
-        for tick, value, included in zip(dynamic.ticks, dynamic.values, dynamic.included):
-            rows.append([tick, rttsim.DYNAMIC_LABEL, value, included])
-    _write_csv(out / "np.csv", ["tick", "transit", "np", "included_prefixes"], rows)
+        series.append(dynamic)
+    _write_csv(out / "np.csv", ["tick", "transit", "np", "included_prefixes"],
+               [t for s in series for t in s.ticks], [s.transit for s in series for _ in s.ticks],
+               [v for s in series for v in s.values], [n for s in series for n in s.included])
 
     ranking = rttsim.rank_transits(log, include_dynamic=args.dynamic, seed=args.seed)
     if not ranking:
@@ -621,7 +612,7 @@ def _cmd_report(args) -> int:
         summary[_report_key(config)] = {
             **payload, "gm11_fallbacks": run.gm11_fallbacks,
         }
-    _write_csv(out / "grid_summary.csv", header, rows)
+    _write_csv(out / "grid_summary.csv", header, *zip(*rows))
     _write_json(out / "grid_summary.json", summary)
     print(f"report: {len(rows)} configurations (K={configs[0].size}) -> {out / 'grid_summary.csv'}")
     return 0

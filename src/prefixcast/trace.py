@@ -64,6 +64,13 @@ _BULK_DIGITS = 18
 # the numbers.
 _NUMBER = "(0|[1-9][0-9]{0,2})"
 _DOTTED_CIDR = re.compile(rf"{_NUMBER}\.{_NUMBER}\.{_NUMBER}\.{_NUMBER}/{_NUMBER}")
+# IPv6 CIDR text of lower-case hex groups without leading zeros, at most
+# one "::" and no dotted tail or zone; ``Prefix.parse`` keeps it only when
+# it equals the RFC 5952 text of its eight groups, whose runs of zero
+# groups ``_ZERO_RUN`` finds.
+_HEXTETS = "(?:0|[1-9a-f][0-9a-f]{0,3})(?::(?:0|[1-9a-f][0-9a-f]{0,3}))*"
+_HEX_CIDR = re.compile(rf"((?:{_HEXTETS})?(?:::(?:{_HEXTETS})?)?)/{_NUMBER}")
+_ZERO_RUN = re.compile(r"(?:^|:)0(?::0)+(?::|$)")
 
 
 @dataclass(frozen=True, order=True)
@@ -84,8 +91,10 @@ class Prefix:
 
         Raises ValueError when the text is not a valid network; host bits
         below the mask length must be zero ("10.0.0.1/8" is rejected).
-        Text that is already canonical IPv4 CIDR is checked without
-        ``ipaddress``; any other text goes through it.
+        Text that is already canonical IPv4 CIDR, or canonical IPv6 CIDR
+        (RFC 5952: lower-case hex without leading zeros, the longest run of
+        two or more zero groups, the leftmost on a tie, written ``::``), is
+        checked without ``ipaddress``; any other text goes through it.
         """
         if type(text) is str and (match := _DOTTED_CIDR.fullmatch(text)):
             a, b, c, d, length = map(int, match.groups())
@@ -94,6 +103,21 @@ class Prefix:
                 ((a << 24 | b << 16 | c << 8 | d) << length) & 0xFFFFFFFF == 0
             ):
                 return cls(text)
+        if type(text) is str and (match := _HEX_CIDR.fullmatch(text)):
+            left, gap, right = match[1].partition("::")
+            head, tail = left.split(":") if left else [], right.split(":") if right else []
+            words = head + ["0"] * (8 - len(head) - len(tail)) * bool(gap) + tail
+            if len(words) == 8:
+                plain = ":".join(words)
+                run = max(_ZERO_RUN.finditer(plain), key=lambda r: r[0].count("0"), default=None)
+                canonical = plain if run is None else f"{plain[:run.start()]}::{plain[run.end():]}"
+                length = int(match[2])
+                # newer Pythons print an IPv4-mapped address with a dotted tail
+                if canonical == match[1] and not canonical.startswith("::ffff:") and (
+                    length <= 128
+                    and int(("{:0>4}" * 8).format(*words), 16) << length & (1 << 128) - 1 == 0
+                ):
+                    return cls(text)
         net = ipaddress.ip_network(str(text).strip(), strict=True)
         return cls(str(net))
 
@@ -669,11 +693,10 @@ def save_matrix(m: HourlyTraceMatrix, csv_path: str | Path) -> None:
     sidecar beside it (`<name>.json`) holding the grid.  Cells are plain
     decimal int64; canonical prefixes and int cells never need quoting."""
     csv_path = Path(csv_path)
+    cells = "," + ",".join(["%d"] * m.grid.bin_count)  # one template formats a row
     lines = [_matrix_header(m.grid)]
-    lines += [
-        prefix.text + "," + ",".join(map(str, row))
-        for prefix, row in zip(m.prefixes, m.values.tolist())
-    ]
+    lines += [prefix.text + cells % tuple(row)
+              for prefix, row in zip(m.prefixes, m.values.tolist())]
     with open(csv_path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -56,6 +56,26 @@ def csv_text(rows) -> str:
     return buf.getvalue()
 
 
+def csv_field(value) -> str:
+    """One value as the stage CSV writers format it: an int in decimal, a
+    float as its ``repr``, None as an empty field, a string as it is."""
+    if value is None:
+        return ""
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return repr(float(value))
+
+
+def write_csv_rows(path, header, rows) -> None:
+    """A stage CSV written a row at a time through ``csv.writer``: the
+    oracle for the bytes of ``cli._write_csv``, which writes by column."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(header)
+        for row in rows:
+            w.writerow([csv_field(v) if not isinstance(v, str) else v for v in row])
+
+
 def burstiness_score(icp: float, volume_pct: float) -> float:
     """Burstiness score of one prefix at one hour: ``-log(icp)`` times the
     prefix's share of the hour in percent, 0 when either is 0."""

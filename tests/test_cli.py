@@ -10,12 +10,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from prefixcast import dynamism
 from prefixcast.cli import (
-    SELECTION_HEADER, _read_selection_csv, _write_json, _write_selection, main,
+    SELECTION_HEADER, _read_selection_csv, _write_csv, _write_json, _write_selection, main,
 )
 from prefixcast.dynamism import compute_core_profile
 from prefixcast.rttsim import MAX_PROBES, load_probe_log, simulate_dynamic_selection
@@ -25,7 +25,7 @@ from prefixcast.selectors import (
 from prefixcast.trace import (
     HourlyTraceMatrix, Prefix, TimeGrid, load_matrix, synthetic_prefix,
 )
-from scalar_oracles import selection_run
+from scalar_oracles import INT64_MAX, INT64_MIN, selection_run, write_csv_rows
 
 
 def read_csv(path: Path) -> list[list[str]]:
@@ -631,6 +631,7 @@ class TestSelectEvaluate:
         assert not (out / "evaluation_summary.json").exists()
 
     @pytest.mark.parametrize("case", ["prefix written two ways", "mixed configurations",
+                                      "L changed on the last row", "every L unparsable",
                                       "unknown prefix", "hour outside the grid"])
     def test_bad_selection_rows_rejected(self, trace_dir, capsys, case):
         out = str(trace_dir)
@@ -646,6 +647,13 @@ class TestSelectEvaluate:
         elif case == "mixed configurations":
             rows[5][6] = "4"
             named = ["mixed selector configurations"]
+        elif case == "L changed on the last row":
+            rows[-1][5] = "3"
+            named = ["mixed selector configurations"]
+        elif case == "every L unparsable":
+            for row in rows[1:]:
+                row[5] = "x"
+            named = ["line 2: ", "'x'"]
         elif case == "unknown prefix":
             rows[5][2] = "192.0.2.0/24"
             named = ["prefix 192.0.2.0/24 not in matrix"]
@@ -744,6 +752,8 @@ class TestSelectEvaluate:
             min_size=1, max_size=6,
         ),
     )
+    @example(method="mean_volume", window=1, size=3, hours=[[(0, 0.0), (1, -0.0), (2, 5.0)]])
+    @example(method="gm11", window=4, size=2, hours=[[(3, 1.0), (0, float("nan"))], [(2, 0.5)]])
     def test_selection_bytes_match_csv_writer(
         self, tmp_path_factory, method, window, size, hours
     ):
@@ -1057,6 +1067,39 @@ def test_sidecar_not_an_object_or_not_integer_is_data_error(tmp_path, capsys, si
     err = capsys.readouterr().err
     assert sidecar in err and named in err
     assert not out.exists()
+
+
+# ints, floats with the edge texts of repr, None, and strings csv.writer quotes
+CSV_FLOATS = st.floats() | st.sampled_from(
+    [float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, 1e22])
+CSV_TEXTS = st.text(st.sampled_from(["a", "0", " ", ",", '"', "\r", "\n"]), max_size=5)
+CSV_VALUES = st.integers(INT64_MIN, INT64_MAX) | CSV_FLOATS | st.none() | CSV_TEXTS
+
+
+@st.composite
+def csv_tables(draw):
+    """A header and 2-8 equal-length columns: int64 and float64 arrays, and
+    lists of ints, floats, None and strings."""
+    width, rows = draw(st.integers(2, 8)), draw(st.integers(0, 6))
+    cells = {
+        "int64": st.integers(INT64_MIN, INT64_MAX), "float64": CSV_FLOATS, "list": CSV_VALUES,
+    }
+    columns = []
+    for kind in draw(st.lists(st.sampled_from(sorted(cells)), min_size=width, max_size=width)):
+        values = draw(st.lists(cells[kind], min_size=rows, max_size=rows))
+        columns.append(values if kind == "list" else np.array(values, dtype=kind))
+    return draw(st.lists(CSV_TEXTS, min_size=width, max_size=width)), columns
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=csv_tables())
+@example(table=(["bin", "count"], [["[10,100)", "a\r\nb"], np.array([3, -1])]))
+def test_column_writer_bytes_match_row_writer(tmp_path_factory, table):
+    header, columns = table
+    out = tmp_path_factory.mktemp("csv")
+    write_csv_rows(out / "rows.csv", header, zip(*columns))
+    _write_csv(out / "columns.csv", header, *columns)
+    assert (out / "columns.csv").read_bytes() == (out / "rows.csv").read_bytes()
 
 
 def test_write_json_refuses_nan_and_leaves_no_file(tmp_path):

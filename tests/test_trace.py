@@ -70,6 +70,17 @@ class TestPrefix:
         assert [p.text for p in ps] == ["10.0.0.0/8", "10.1.0.0/16", "10.2.3.0/24"]
 
 
+def parses_as_ipaddress(text):
+    """``Prefix.parse`` gives what ``ipaddress`` gives, or both refuse."""
+    try:
+        net = ipaddress.ip_network(text.strip(), strict=True)
+    except ValueError:
+        with pytest.raises(ValueError):
+            Prefix.parse(text)
+        return
+    assert Prefix.parse(text) == Prefix(str(net))
+
+
 # dotted quads with octets past 255, leading zeros and non-ASCII digits,
 # lengths past 32, surrounding space, IPv6 and garbage
 OCTET_TEXTS = (st.integers(0, 300).map(str) | st.integers(0, 300).map("0{}".format)
@@ -95,14 +106,60 @@ CIDR_TEXTS = DOTTED_CIDRS | st.sampled_from(
 @example("010.0.0.0/8")
 @example("10.0.0.0/33")
 def test_canonical_ipv4_fast_path_equals_ipaddress(text):
-    """``Prefix.parse`` gives what ``ipaddress`` gives, or both refuse."""
-    try:
-        net = ipaddress.ip_network(text.strip(), strict=True)
-    except ValueError:
-        with pytest.raises(ValueError):
-            Prefix.parse(text)
-        return
-    assert Prefix.parse(text) == Prefix(str(net))
+    parses_as_ipaddress(text)
+
+
+@st.composite
+def ipv6_cidrs(draw):
+    """IPv6 CIDR text: canonical, or spelt with upper case, leading zeros,
+    ``::`` over any run of zero groups (a single one, or not the longest),
+    an embedded IPv4 tail, a ``%zone`` or host bits below the mask."""
+    groups = draw(st.lists(st.sampled_from([0, 0, 0, 1, 0xDB8, 0xFFFF]) | st.integers(0, 0xFFFF),
+                           min_size=8, max_size=8))
+    length = draw(st.integers(0, 130))
+    if draw(st.booleans()):
+        address = int("".join(f"{g:04x}" for g in groups), 16)
+        return str(ipaddress.ip_network((address, min(length, 128)), strict=False))
+    words = [draw(st.sampled_from(["{:x}", "{:X}", "{:04x}", "{:02x}"])).format(g) for g in groups]
+    if draw(st.booleans()):
+        words[6:] = [f"{groups[6] >> 8}.{groups[6] & 255}.{groups[7] >> 8}.{groups[7] & 255}"]
+    runs = [(i, j) for i in range(8) for j in range(i + 1, len(words) + 1)
+            if not any(groups[i:j])]
+    run = draw(st.sampled_from([None, *runs]))
+    text = ":".join(words) if run is None else (
+        ":".join(words[: run[0]]) + "::" + ":".join(words[run[1]:]))
+    return text + draw(st.sampled_from(["", "", "%eth0"])) + f"/{length}"
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=ipv6_cidrs())
+@example("::/0")
+@example("::1/128")
+@example("1::/16")
+@example("1:0:0:1::/64")
+@example("1::1:0:0:1/128")
+@example("1:0:2:3:4:5:6:7/128")
+@example("1::2:3:4:5:6:7/128")
+@example("::ffff:102:304/128")
+@example("::ffff:1.2.3.4/128")
+@example("2001:db8::1/32")
+@example("8000::/0")
+@example("::1/127")
+@example("2001:db8::/129")
+@example("2001:db8::/032")
+@example("2001:0db8::/32")
+@example("1:2:3:4:5:6:7:8:9/128")
+@example("1::2::3/128")
+@example(":::1/128")
+def test_canonical_ipv6_fast_path_equals_ipaddress(text):
+    parses_as_ipaddress(text)
+
+
+@pytest.mark.parametrize("text", ["::/0", "::1/128", "2001:db8::/32", "1:0:0:1::/64",
+                                  "1::1:0:0:1/128", "1:0:2:3:4:5:6:7/128", "fe80::/10"])
+def test_canonical_ipv6_is_taken_without_ipaddress(text):
+    with mock.patch.object(trace.ipaddress, "ip_network", side_effect=AssertionError(text)):
+        assert Prefix.parse(text).text == text
 
 
 class TestTimeGrid:
@@ -526,6 +583,21 @@ def test_int_matrix_csv_roundtrip_is_exact(tmp_path_factory, values):
     assert text == csv_text([header, *rows]).encode()  # the bytes csv.writer gave
     save_matrix(back, path)
     assert path.read_bytes() == text
+
+
+@pytest.mark.parametrize("rows", [
+    [[scalar_oracles.INT64_MAX]],
+    [[1]],
+    # zeros, ones and int64's largest cell, with no hourly total beyond it
+    [[scalar_oracles.INT64_MAX, 0] * 4392, [0, 1] * 4392],
+], ids=["1 bin of int64 max", "1 bin of 1", "8784 bins"])
+def test_save_matrix_writes_decimal_cells(tmp_path, rows):
+    grid = TimeGrid(start=0, bin_count=len(rows[0]))
+    prefixes = [P8, P16][: len(rows)]
+    save_matrix(HourlyTraceMatrix(grid, prefixes, np.array(rows)), tmp_path / "m.csv")
+    header = ",".join(["prefix", *(f"h{h}" for h in grid.hours())])
+    lines = [prefix.text + "," + ",".join(map(str, row)) for prefix, row in zip(prefixes, rows)]
+    assert (tmp_path / "m.csv").read_text() == "\n".join([header, *lines]) + "\n"
 
 
 CONSERVATION_GRID = TimeGrid(start=3600, bin_count=3)
