@@ -229,7 +229,8 @@ def _share_bins(shares_pct: np.ndarray, stat: np.ndarray) -> list[VolumeBinStat]
         vals = stat[which == i]
         box = boxplot_summary(vals) if vals.size else None
         quartiles = (box.mean, box.median, box.p25, box.p75) if box else (None,) * 4
-        out.append(VolumeBinStat(f"[{lo:g},{hi:g})" if i else f"<{hi:g}", lo, hi,
+        close = "]" if hi == _BIN_EDGES_PCT[-1] else ")"
+        out.append(VolumeBinStat(f"[{lo:g},{hi:g}{close}" if i else f"<{hi:g}", lo, hi,
                                  int(vals.size), *quartiles))
     return out
 

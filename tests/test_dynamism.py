@@ -428,7 +428,7 @@ class TestVolumeBins:
         stats = cv_bins(m)
         by_label = {s.label: s for s in stats}
         assert by_label["[1,10)"].count == 1
-        assert by_label["[10,100)"].count == 1
+        assert by_label["[10,100]"].count == 1
         assert by_label["[0.1,1)"].count == 0
 
     def test_constant_series_have_zero_cv(self):
@@ -464,7 +464,7 @@ class TestVolumeBins:
         # equal weekly shares, hand-set intensities 0.2 and 0.4
         m = matrix({A: [10, 10], B: [10, 10]}, bins=2)
         stats = {s.label: s for s in icp_bins(m, np.array([0.2, 0.4]))}
-        cell = stats["[10,100)"]
+        cell = stats["[10,100]"]
         assert cell.count == 2
         assert cell.mean == pytest.approx(0.3)
 
@@ -480,7 +480,7 @@ class TestVolumeBins:
         m = matrix({A: [99, 99], B: [1, 1]}, bins=2)
         profile = compute_core_profile(m, threshold=0.95)
         stats = {s.label: s for s in icp_bins(m, profile.icp)}
-        assert stats["[10,100)"].mean == 1.0
+        assert stats["[10,100]"].mean == 1.0
         assert stats["[1,10)"].mean == 0.0
 
 

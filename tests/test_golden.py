@@ -22,12 +22,12 @@ FLOWS = (
 
 PINS = {
     "concentration_week.csv": "03c573de240e75664b8ec678f037165876feede0f438d6a7b07ccf14065a76a5",
-    "cv_bins.csv": "e634134b5aaa0d2c6f3ce83bb0cfa0dc61b347de7d22ca649eea83643e1ef788",
+    "cv_bins.csv": "a7682a640e1db3825ddaece2803503fee6eca126b8b091b9258773757313fe07",
     "evaluation_summary.json": "6ab232275cceeca10fa2192aaacbbd1133a221f43168eaff1eb1e3e908ba3a10",
     "grid_summary.csv": "da040c343270924865d1a35446137e0012f9d650dd4b7cea78fb85b13313cb7a",
     "grid_summary.json": "a838a0134d1d868251657fcc833696067d502676f977f696ea93d79d41c2e146",
     "hours.csv": "c840156ddd01f4f2bb3ae5743e8e018b6435a7b83f6b464d791b7d81c64e99c3",
-    "icp_bins.csv": "747b66c08416976acdda498b2531ce538163d0db164459339f7fb8ab8be2a862",
+    "icp_bins.csv": "e5b6826d274cb7307363c97cca86cdd1df89d79dbcc467c888f49388f9aaa730",
     "ingested/ingest.json": "3a90b905260ce225683cda8702accb773ee37af0033638e14340bfb0d2c12dc3",
     "ingested/matrix.csv": "ba5831a211034cc8c883f68b0daec94dd746cdab02957b5d82415c4b8db2de9d",
     "ingested/matrix.json": "3b601eae642229172a2a7827e7afafe531d1825db0679c3203d642bc1f57473d",
