@@ -445,9 +445,8 @@ def _cmd_evaluate(args) -> int:
             raise ValueError(f"{written[name]} and {path} both write {name}")
         written[name] = path
         report = evaluation.evaluate_run(run, m)
-        # the first hour has no churn
-        _write_csv(out / name, ["hour", "coverage", "churn"],
-                   report.hours, report.coverage, [None, *report.churn.tolist()])
+        churn = [None, *report.churn.tolist()]  # the first hour has no churn
+        _write_csv(out / name, ["hour", "coverage", "churn"], report.hours, report.coverage, churn)
         summary[_report_key(run.config)] = _report_payload(run, report)
         mean_churn = report.churn_summary.mean if report.churn_summary else float("nan")
         print(

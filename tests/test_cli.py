@@ -1093,7 +1093,7 @@ def csv_tables(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(table=csv_tables())
-@example(table=(["bin", "count"], [["[10,100)", "a\r\nb"], np.array([3, -1])]))
+@example(table=(["bin", "count"], [["[10,100]", "a\r\nb"], np.array([3, -1])]))
 def test_column_writer_bytes_match_row_writer(tmp_path_factory, table):
     header, columns = table
     out = tmp_path_factory.mktemp("csv")
