@@ -67,10 +67,11 @@ _DOTTED_CIDR = re.compile(rf"{_NUMBER}\.{_NUMBER}\.{_NUMBER}\.{_NUMBER}/{_NUMBER
 # IPv6 CIDR text of lower-case hex groups without leading zeros, at most
 # one "::" and no dotted tail or zone; ``Prefix.parse`` keeps it only when
 # it equals the RFC 5952 text of its eight groups, whose runs of zero
-# groups ``_ZERO_RUN`` finds.
+# groups ``_ZERO_RUN`` finds.  Both are compiled by ``re`` on first use,
+# so a process that parses no IPv6 text never pays for it.
 _HEXTETS = "(?:0|[1-9a-f][0-9a-f]{0,3})(?::(?:0|[1-9a-f][0-9a-f]{0,3}))*"
-_HEX_CIDR = re.compile(rf"((?:{_HEXTETS})?(?:::(?:{_HEXTETS})?)?)/{_NUMBER}")
-_ZERO_RUN = re.compile(r"(?:^|:)0(?::0)+(?::|$)")
+_HEX_CIDR = rf"((?:{_HEXTETS})?(?:::(?:{_HEXTETS})?)?)/{_NUMBER}"
+_ZERO_RUN = r"(?:^|:)0(?::0)+(?::|$)"
 
 
 @dataclass(frozen=True, order=True)
@@ -103,13 +104,15 @@ class Prefix:
                 ((a << 24 | b << 16 | c << 8 | d) << length) & 0xFFFFFFFF == 0
             ):
                 return cls(text)
-        if type(text) is str and (match := _HEX_CIDR.fullmatch(text)):
+        if type(text) is str and (match := re.fullmatch(_HEX_CIDR, text)):
             left, gap, right = match[1].partition("::")
             head, tail = left.split(":") if left else [], right.split(":") if right else []
             words = head + ["0"] * (8 - len(head) - len(tail)) * bool(gap) + tail
             if len(words) == 8:
                 plain = ":".join(words)
-                run = max(_ZERO_RUN.finditer(plain), key=lambda r: r[0].count("0"), default=None)
+                # the longest run of zero groups, the leftmost on a tie
+                runs = re.finditer(_ZERO_RUN, plain)
+                run = max(runs, key=lambda r: r[0].count("0"), default=None)
                 canonical = plain if run is None else f"{plain[:run.start()]}::{plain[run.end():]}"
                 length = int(match[2])
                 # newer Pythons print an IPv4-mapped address with a dotted tail
