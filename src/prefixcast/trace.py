@@ -107,7 +107,7 @@ class Prefix:
         if type(text) is str and (match := re.fullmatch(_HEX_CIDR, text)):
             left, gap, right = match[1].partition("::")
             head, tail = left.split(":") if left else [], right.split(":") if right else []
-            words = head + ["0"] * (8 - len(head) - len(tail)) * bool(gap) + tail
+            words = head + ["0"] * (8 - len(head) - len(tail)) + tail if gap else head
             if len(words) == 8:
                 plain = ":".join(words)
                 # the longest run of zero groups, the leftmost on a tie
