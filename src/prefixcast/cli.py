@@ -37,17 +37,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _write_json(path: Path, payload) -> None:
-    """Write ``payload`` as strict JSON: a NaN or infinity in it is a
-    ValueError raised before the file is opened."""
-    try:
-        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    with open(path, "w") as fh:
-        fh.write(text + "\n")
-
-
 # a field csv.writer's QUOTE_MINIMAL quotes, with "\n" as the line end
 _NEEDS_QUOTES = re.compile('[,"\n]')
 
@@ -114,18 +103,7 @@ def _cmd_ingest(args) -> int:
 
     out = _out_dir(args)
     trace.save_matrix(matrix, out / "matrix.csv")
-    _write_json(
-        out / "ingest.json",
-        {
-            "records_read": summary.records_read,
-            "records_binned": summary.records_binned,
-            "rejected_malformed": summary.rejected_malformed,
-            "rejected_out_of_range": summary.rejected_out_of_range,
-            "bytes_binned": summary.bytes_binned,
-            "bytes_rejected": summary.bytes_rejected,
-            "active_prefixes": summary.active_prefixes,
-        },
-    )
+    trace.write_json(out / "ingest.json", dataclasses.asdict(summary))
     print(
         f"ingest: {summary.records_binned}/{summary.records_read} records binned, "
         f"{summary.records_rejected} rejected, "
@@ -159,21 +137,11 @@ def _cmd_synth(args) -> int:
 
     out = _out_dir(args)
     trace.save_matrix(matrix, out / "matrix.csv")
-    _write_json(
-        out / "synth.json",
-        {
-            "prefix_count": spec.prefix_count,
-            "zipf_s": spec.zipf_s,
-            "hourly_volume": spec.hourly_volume,
-            "diurnal_amplitude": spec.diurnal_amplitude,
-            "noise": spec.noise,
-            "bursts": [[b.rank, b.hour, b.multiplier] for b in spec.bursts],
-            "seed": spec.seed,
-            "bins": grid.bin_count,
-            "bin_seconds": trace.BIN_SECONDS,
-            "start": grid.start,
-        },
-    )
+    trace.write_json(out / "synth.json", {
+        **dataclasses.asdict(spec),
+        "bursts": [dataclasses.astuple(b) for b in spec.bursts],  # [rank, hour, multiplier]
+        "bins": grid.bin_count, "bin_seconds": trace.BIN_SECONDS, "start": grid.start,
+    })
     print(f"synth: {len(matrix)} prefixes x {grid.bin_count} bins -> {out / 'matrix.csv'}")
     return 0
 
@@ -211,7 +179,7 @@ def _cmd_analyze(args) -> int:
         "active_prefixes": len(m),
         "total_volume": float(m.totals.sum(dtype=np.float64)),
     }
-    _write_json(out / "summary.json", summary)
+    trace.write_json(out / "summary.json", summary)
     print(
         f"analyze: core avg {summary['core']['avg_core_size']:.1f} "
         f"({summary['core']['avg_core_pct_of_active']:.2f}% of active), "
@@ -280,8 +248,9 @@ def _selector_configs(
     size = size if size is not None else selectors.max_core_size(profile)
     if config is not None:
         entries = trace.read_json(config)
-        if not isinstance(entries, list):
-            raise ValueError(f"{config}: expected a JSON list of selector objects")
+        if not (isinstance(entries, list) and entries):
+            raise ValueError(f"{config}: expected a JSON list of selector objects, "
+                             f"got {json.dumps(entries)}")
         configs = [_config_entry(config, e, size) for e in entries]
         names = [_selection_name(c) for c in configs]
         for pos, name in enumerate(names):
@@ -404,7 +373,6 @@ def _read_selection_csv(path: Path, m: trace.HourlyTraceMatrix, threshold: float
         config=configs[0],
         threshold=threshold,
         prefixes=m.prefixes,
-        hours=np.arange(2, m.bin_count + 1, dtype=np.int64),
         mask=mask,
         picked_scores=score[by_cell],
     )
@@ -421,7 +389,7 @@ def _report_payload(run: selectors.SelectionRun, report: evaluation.EvaluationRe
         "churn": chn.as_dict() if chn is not None else None,
         "warmup_hours": int(run.warmup.sum()),
         "shortfall_hours": int(run.shortfall.sum()),
-        "threshold": report.threshold,
+        "threshold": run.threshold,
         "percentile_convention": "linear interpolation",
     }
 
@@ -454,7 +422,7 @@ def _cmd_evaluate(args) -> int:
             f"mean coverage {report.coverage_summary.mean:.4f} "
             f"mean churn {mean_churn:.2f} -> {out / name}"
         )
-    _write_json(out / "evaluation_summary.json", summary)
+    trace.write_json(out / "evaluation_summary.json", summary)
     return 0
 
 
@@ -475,6 +443,11 @@ def _cmd_probe_synth(args) -> int:
     for flag, value in (("--rtt-low", args.rtt_low), ("--rtt-high", args.rtt_high)):
         if not math.isfinite(value):
             raise ValueError(f"{flag} must be finite, got {value}")
+    if not 1 <= args.prefix_count <= trace.MAX_SYNTH_PREFIXES:
+        raise ValueError(f"--prefix-count must be in [1, {trace.MAX_SYNTH_PREFIXES}], "
+                         f"got {args.prefix_count}")
+    if args.transits < 1:
+        raise ValueError(f"--transits must be >= 1, got {args.transits}")
     transits = [f"T{i + 1}" for i in range(args.transits)]
     prefixes = [trace.synthetic_prefix(k) for k in range(1, args.prefix_count + 1)]
     pairs = [(p, t) for p in sorted(prefixes, key=lambda p: p.text) for t in transits]
@@ -494,19 +467,10 @@ def _cmd_probe_synth(args) -> int:
 
     out = _out_dir(args)
     rttsim.save_probe_log(log, out / "probes.csv")
-    _write_json(
-        out / "probe_meta.json",
-        {
-            "transits": transits,
-            "prefix_count": args.prefix_count,
-            "mean_interval": schedule.mean_interval,
-            "jitter": schedule.jitter,
-            "duration": schedule.duration,
-            "seed": args.seed,
-            "ticks": len(log.ticks),
-            "tick_times": list(log.tick_times),
-        },
-    )
+    trace.write_json(out / "probe_meta.json", {
+        **dataclasses.asdict(schedule), "transits": transits, "prefix_count": args.prefix_count,
+        "ticks": len(log.ticks), "tick_times": list(log.tick_times),
+    })
     print(
         f"probe-synth: {len(log.ticks)} rounds x {len(prefixes)} prefixes x "
         f"{len(transits)} transits -> {out / 'probes.csv'}"
@@ -579,7 +543,7 @@ def _cmd_simulate(args) -> int:
     if dynamic is not None:
         # prefixes the dynamic transit left out because its pick had no sample
         payload["dynamic_excluded_missing"] = sum(dynamic.excluded_missing)
-    _write_json(out / "np_summary.json", payload)
+    trace.write_json(out / "np_summary.json", payload)
     best = ranking[0]
     print(
         f"simulate: {len(log.transits)} transits, {len(log.ticks)} rounds; "
@@ -597,22 +561,20 @@ def _cmd_report(args) -> int:
     configs = _selector_configs(profile, args.size, grid=True)
     out = _out_dir(args)
 
-    stats = ("min", "p25", "median", "mean", "p75", "max")  # as BoxplotSummary.as_dict
-    header = ["method", "L", "K", *(f"{k}_{s}" for k in ("coverage", "churn") for s in stats)]
     rows = []
     summary = {}
     for config in configs:
         run = selectors.run_selection(m, profile, config)
         payload = _report_payload(run, evaluation.evaluate_run(run, m))
-        churn = payload["churn"] or dict.fromkeys(stats)
+        stats = payload["coverage"]
         rows.append([config.method, config.window, config.size,
-                     *payload["coverage"].values(), *churn.values()])
+                     *stats.values(), *(payload["churn"] or dict.fromkeys(stats)).values()])
         # a selection CSV cannot carry the fallback count, so only report has it
-        summary[_report_key(config)] = {
-            **payload, "gm11_fallbacks": run.gm11_fallbacks,
-        }
+        summary[_report_key(config)] = {**payload, "gm11_fallbacks": run.gm11_fallbacks}
+    # the statistic columns are a summary's own keys, in its order
+    header = ["method", "L", "K", *(f"{k}_{s}" for k in ("coverage", "churn") for s in stats)]
     _write_csv(out / "grid_summary.csv", header, *zip(*rows))
-    _write_json(out / "grid_summary.json", summary)
+    trace.write_json(out / "grid_summary.json", summary)
     print(f"report: {len(rows)} configurations (K={configs[0].size}) -> {out / 'grid_summary.csv'}")
     return 0
 

@@ -134,12 +134,12 @@ def oracle_topk(m: HourlyTraceMatrix, hour: int, k: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class EvaluationReport:
-    """Coverage/churn series of one run plus their boxplot summaries."""
+    """Coverage/churn series of one run plus their boxplot summaries; the
+    core threshold stays on the run (``SelectionRun.threshold``)."""
 
     method: str
     window: int
     size: int
-    threshold: float
     hours: np.ndarray          # (T,) evaluated 1-based hours
     coverage: np.ndarray       # (T,)
     churn: np.ndarray          # (T-1,) between consecutive predicted sets
@@ -171,7 +171,6 @@ def evaluate_run(run: SelectionRun, m: HourlyTraceMatrix) -> EvaluationReport:
         method=run.config.method,
         window=run.config.window,
         size=run.config.size,
-        threshold=run.threshold,
         hours=run.hours.copy(),
         coverage=coverage,
         churn=churn_series,

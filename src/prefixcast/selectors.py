@@ -68,9 +68,9 @@ class SelectorConfig:
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
         if self.window < 1:
-            raise ValueError("window must be >= 1")
+            raise ValueError(f"window must be >= 1, got {self.window}")
         if self.size < 1:
-            raise ValueError("size must be >= 1")
+            raise ValueError(f"size must be >= 1, got {self.size}")
 
 
 def gm11_fit(series: Sequence[float] | np.ndarray) -> tuple[float, float]:
@@ -221,8 +221,9 @@ def _gm11_scores(
 class SelectionRun:
     """Selections of one configuration, one mask row per predicted hour.
 
-    ``hours`` is a run of consecutive 1-based hours; ``hours[i]`` is the
-    hour whose set was predicted from data in hours ``< hours[i]`` only.
+    Row ``i`` of ``mask`` is hour ``hours[i] = i + 2``, whose set was
+    predicted from data in hours ``< hours[i]`` only: the first hour has no
+    history, so ``hours`` runs ``2 .. T + 1`` and follows from the mask.
     ``mask[i, r]`` is True where row ``r`` of ``prefixes`` was picked for
     ``hours[i]``.  Ranks are computed only when read: ``picks[i]`` and
     ``scores[i]`` rank hour ``i``'s picks by (score desc, text asc).
@@ -233,7 +234,6 @@ class SelectionRun:
     config: SelectorConfig
     threshold: float
     prefixes: tuple[Prefix, ...]
-    hours: np.ndarray            # (T,) predicted 1-based hours
     mask: np.ndarray             # (T, prefixes) bool, read-only: the picked cells
     picked_scores: np.ndarray    # their scores in the mask's row-major order, read-only
     gm11_fallbacks: int = 0
@@ -241,12 +241,19 @@ class SelectionRun:
     def __post_init__(self) -> None:
         if not 0 < self.threshold <= 1:
             raise ValueError("threshold must be in (0, 1]")
-        if self.mask.shape != (self.hours.size, len(self.prefixes)) or (
+        if self.mask.shape != (len(self.mask), len(self.prefixes)) or (
             self.picked_scores.shape != (np.count_nonzero(self.mask),)
         ):
             raise ValueError("mask must be (hours, prefixes), with one picked score per pick")
-        for arr in (self.hours, self.mask, self.picked_scores):
+        for arr in (self.mask, self.picked_scores):
             arr.setflags(write=False)
+
+    @cached_property
+    def hours(self) -> np.ndarray:
+        """(T,) the predicted 1-based hours ``2 .. T + 1``, read-only."""
+        hours = np.arange(2, len(self.mask) + 2)
+        hours.setflags(write=False)
+        return hours
 
     @property
     def warmup(self) -> np.ndarray:
@@ -328,7 +335,6 @@ def run_selection(
         config=config,
         threshold=profile.threshold,
         prefixes=m.prefixes,
-        hours=hi + 1,
         mask=mask,
         picked_scores=score.T[mask],
         gm11_fallbacks=fallbacks,

@@ -13,7 +13,7 @@ import ipaddress
 import json
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
@@ -40,6 +40,7 @@ __all__ = [
     "read_rows",
     "json_int",
     "read_json",
+    "write_json",
 ]
 
 TRACE_CSV_HEADER = ("timestamp", "prefix", "bytes")
@@ -504,13 +505,13 @@ def zipf_shares(n: int, s: float) -> np.ndarray:
 
 # Synthetic prefixes are carved out of 10.0.0.0/8 as /24s, which caps the
 # generator at 65536 prefixes; plenty for desk-scale experiments.
-_MAX_SYNTH_PREFIXES = 65536
+MAX_SYNTH_PREFIXES = 65536
 
 
 def synthetic_prefix(rank: int) -> Prefix:
     """Deterministic prefix assigned to Zipf rank ``rank`` (1-based)."""
-    if not 1 <= rank <= _MAX_SYNTH_PREFIXES:
-        raise ValueError(f"rank {rank} outside [1, {_MAX_SYNTH_PREFIXES}]")
+    if not 1 <= rank <= MAX_SYNTH_PREFIXES:
+        raise ValueError(f"rank {rank} outside [1, {MAX_SYNTH_PREFIXES}]")
     k = rank - 1
     return Prefix(f"10.{k // 256}.{k % 256}.0/24")
 
@@ -551,8 +552,8 @@ class SyntheticTraceSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not 1 <= self.prefix_count <= _MAX_SYNTH_PREFIXES:
-            raise ValueError(f"prefix_count must be in [1, {_MAX_SYNTH_PREFIXES}]")
+        if not 1 <= self.prefix_count <= MAX_SYNTH_PREFIXES:
+            raise ValueError(f"prefix_count must be in [1, {MAX_SYNTH_PREFIXES}]")
         # each test is written so that NaN fails it
         for name in ("zipf_s", "hourly_volume"):
             value = getattr(self, name)
@@ -683,6 +684,18 @@ def read_json(path: str | Path):
         raise ValueError(f"{path}: not valid JSON: {exc}") from None
 
 
+def write_json(path: str | Path, payload) -> None:
+    """Write ``payload`` as strict JSON with sorted keys, a two-space indent
+    and a final newline: a NaN or infinity in it is a ValueError raised
+    before the file is opened."""
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    with open(path, "w") as fh:
+        fh.write(text + "\n")
+
+
 def _meta_path_for(csv_path: Path) -> Path:
     return csv_path.with_suffix(".json")
 
@@ -702,15 +715,7 @@ def save_matrix(m: HourlyTraceMatrix, csv_path: str | Path) -> None:
               for prefix, row in zip(m.prefixes, m.values.tolist())]
     with open(csv_path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
-
-    meta = {
-        "start": m.grid.start,
-        "bin_seconds": BIN_SECONDS,
-        "bin_count": m.grid.bin_count,
-    }
-    with open(_meta_path_for(csv_path), "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(_meta_path_for(csv_path), {**asdict(m.grid), "bin_seconds": BIN_SECONDS})
 
 
 def _parse_cells(rows: list[str], bins: int) -> np.ndarray:

@@ -102,7 +102,6 @@ def selection_run(config, prefixes, hours, threshold=0.95) -> SelectionRun:
         config=config,
         threshold=threshold,
         prefixes=tuple(prefixes),
-        hours=np.arange(2, len(hours) + 2, dtype=np.int64),
         mask=mask,
         picked_scores=scores[mask],
     )

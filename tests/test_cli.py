@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from prefixcast import dynamism
 from prefixcast.cli import (
-    SELECTION_HEADER, _read_selection_csv, _write_csv, _write_json, _write_selection, main,
+    SELECTION_HEADER, _read_selection_csv, _write_csv, _write_selection, main,
 )
 from prefixcast.dynamism import compute_core_profile
 from prefixcast.rttsim import MAX_PROBES, load_probe_log, simulate_dynamic_selection
@@ -23,7 +23,7 @@ from prefixcast.selectors import (
     METHODS, WINDOW_GRID, SelectionRun, SelectorConfig, run_selection,
 )
 from prefixcast.trace import (
-    HourlyTraceMatrix, Prefix, TimeGrid, load_matrix, synthetic_prefix,
+    HourlyTraceMatrix, Prefix, TimeGrid, load_matrix, synthetic_prefix, write_json,
 )
 from scalar_oracles import INT64_MAX, INT64_MIN, selection_run, write_csv_rows
 
@@ -535,8 +535,9 @@ class TestSelectEvaluate:
         ([{"method": "gm12", "window": 2}], "unknown method 'gm12'"),
         ([{"method": "gm11", "window": 0}], "window must be >= 1"),
         ('[{"method": "gm11", "window": 6}', "not valid JSON: Expecting ',' delimiter"),
+        ("[]", "expected a JSON list of selector objects, got []"),
     ], ids=["object", "entry not an object", "null window", "float window", "bool size",
-            "no window", "unknown method", "window 0", "not JSON"])
+            "no window", "unknown method", "window 0", "not JSON", "empty list"])
     def test_bad_config_rejected(self, tmp_path, trace_dir, capsys, entries, named):
         cfg = tmp_path / "selectors.json"
         cfg.write_text(entries if isinstance(entries, str) else json.dumps(entries))
@@ -632,6 +633,7 @@ class TestSelectEvaluate:
 
     @pytest.mark.parametrize("case", ["prefix written two ways", "mixed configurations",
                                       "L changed on the last row", "every L unparsable",
+                                      "every method unknown", "every L 0", "every K 0",
                                       "unknown prefix", "hour outside the grid"])
     def test_bad_selection_rows_rejected(self, trace_dir, capsys, case):
         out = str(trace_dir)
@@ -654,6 +656,16 @@ class TestSelectEvaluate:
             for row in rows[1:]:
                 row[5] = "x"
             named = ["line 2: ", "'x'"]
+        elif case.startswith("every "):
+            # the column and the value every row holds there, and the message naming it
+            col, value, text = {
+                "every method unknown": (4, "gm12", "unknown method 'gm12'"),
+                "every L 0": (5, "0", "window must be >= 1, got 0"),
+                "every K 0": (6, "0", "size must be >= 1, got 0"),
+            }[case]
+            for row in rows[1:]:
+                row[col] = value
+            named = ["line 2: ", text]
         elif case == "unknown prefix":
             rows[5][2] = "192.0.2.0/24"
             named = ["prefix 192.0.2.0/24 not in matrix"]
@@ -910,6 +922,9 @@ class TestProbeSimulate:
         (["--noise-std", "nan"], "noise_std"),
         (["--noise-std", "inf"], "noise_std"),
         (["--regime", "T1:0:3:nan"], "multiplier"),
+        (["--prefix-count", "0"], "--prefix-count"),
+        (["--prefix-count", "70000"], "--prefix-count"),
+        (["--transits", "0"], "--transits"),
     ])
     def test_non_finite_probe_synth_parameter_is_data_error(self, tmp_path, capsys, flags, named):
         out = tmp_path / "stage"
@@ -1105,7 +1120,7 @@ def test_column_writer_bytes_match_row_writer(tmp_path_factory, table):
 def test_write_json_refuses_nan_and_leaves_no_file(tmp_path):
     path = tmp_path / "summary.json"
     with pytest.raises(ValueError, match="summary.json: Out of range float"):
-        _write_json(path, {"ok": 1.0, "bad": float("nan")})
+        write_json(path, {"ok": 1.0, "bad": float("nan")})
     assert not path.exists()
 
 

@@ -810,7 +810,6 @@ def assert_top_k_is_the_stable_cut(score, size, top_k=selectors._top_k):
         config=SelectorConfig("mean_volume", 1, size),
         threshold=0.95,
         prefixes=tuple(synthetic_prefix(k + 1) for k in range(score.shape[0])),
-        hours=np.arange(2, score.shape[1] + 2, dtype=np.int64),
         mask=mask,
         picked_scores=score.T[mask],
     )
