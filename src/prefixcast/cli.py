@@ -1,10 +1,11 @@
 """Command-line pipeline: ingest/synth -> analyze -> select -> evaluate,
 plus probe-synth -> simulate for the transit RTT side.
 
-Stages hand off through files (CSV + JSON sidecars) so each one is
-independently scriptable.  Every output is a pure function of inputs,
-flags, and the seed; re-running a stage reproduces its files byte for
-byte.  Exit codes: 0 success, 1 usage error, 2 data error.
+Stages hand off through files (CSV + JSON sidecars), so each one is
+independently scriptable; this module names the files, and the library
+modules read and write their formats.  Every output is a pure function of
+inputs, flags, and the seed; re-running a stage reproduces its files byte
+for byte.  Exit codes: 0 success, 1 usage error, 2 data error.
 """
 
 from __future__ import annotations
@@ -192,35 +193,8 @@ def _cmd_analyze(args) -> int:
 # ---------------------------------------------------------------- select
 
 
-SELECTION_HEADER = ["hour", "rank", "prefix", "score", "method", "L", "K"]
-
-
 def _selection_name(config: selectors.SelectorConfig) -> str:
     return f"selection_{config.method}_L{config.window}.csv"
-
-
-def _write_selection(out: Path, run: selectors.SelectionRun) -> Path:
-    """One unquoted ``hour,rank,prefix,score,method,L,K`` line per pick:
-    canonical prefixes and method names never need quoting.  Each distinct
-    hour, rank, prefix and score (by its bits: ``-0.0`` is not ``0.0``) is
-    formatted once, and the lines are joined from per-column text arrays."""
-    cfg = run.config
-    path = out / _selection_name(cfg)
-    counts = run.mask.sum(axis=1)
-    pos = np.repeat(np.arange(counts.size), counts)
-    rank = np.arange(pos.size) - (np.cumsum(counts) - counts)[pos] + 1
-    bits, score_codes = np.unique(np.concatenate(run.scores).view(np.int64), return_inverse=True)
-    tail = f",{cfg.method},{cfg.window},{cfg.size}\n"
-    columns = (
-        ([f"{h}," for h in run.hours.tolist()], pos),
-        ([f"{r}," for r in range(counts.max() + 1)], rank),
-        ([p.text + "," for p in run.prefixes], np.concatenate(run.picks)),
-        ([repr(s) + tail for s in bits.view(np.float64).tolist()], score_codes),
-    )
-    cells = np.column_stack([np.array(texts, dtype=object)[codes] for texts, codes in columns])
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(SELECTION_HEADER) + "\n" + "".join(cells.ravel().tolist()))
-    return path
 
 
 def _config_entry(path, entry, size: int) -> selectors.SelectorConfig:
@@ -280,102 +254,14 @@ def _cmd_select(args) -> int:
     out = _out_dir(args)
     for config in configs:
         run = selectors.run_selection(m, profile, config)
-        path = _write_selection(out, run)
+        path = out / _selection_name(config)
+        selectors.save_selection(run, path)
         note = f", {run.gm11_fallbacks} gm11 fallbacks" if config.method == "gm11" else ""
         print(f"select: {config.method} L={config.window} K={config.size}{note} -> {path}")
     return 0
 
 
 # -------------------------------------------------------------- evaluate
-
-
-def _read_selection_csv(path: Path, m: trace.HourlyTraceMatrix, threshold: float):
-    """The run in a selection file as ``_write_selection`` writes it, in
-    the row format ``trace.read_rows`` reads; a field that does not parse
-    is a ValueError naming its line."""
-    if not path.exists():
-        raise ValueError(f"missing selection artifact {path}; run the select stage first")
-    width = len(SELECTION_HEADER)
-    lines, texts = trace.read_rows(path, ",".join(SELECTION_HEADER), width)
-    fields = ",".join(texts).split(",")
-    hour_col, rank_col, prefix_col, score_col, *config_cols = (
-        fields[k::width] for k in range(width)
-    )
-
-    # each column's distinct texts are parsed once; checks keep this order
-    hours, hour_codes = trace.parse_column(hour_col, int, path, lines)
-    ranks, rank_codes = trace.parse_column(rank_col, int, path, lines)
-    for h in hours:
-        if not 2 <= h <= m.bin_count:
-            raise ValueError(
-                f"{path}: hour {h} outside the matrix grid; "
-                "selection was made against a different matrix"
-            )
-    hour = np.array(hours, dtype=np.int64)[hour_codes]
-    # a text the matrix holds is canonical; only another one is parsed
-    rows_of = m._index
-    canonical, prefix_codes = trace.parse_column(
-        prefix_col, lambda t: t if t in rows_of else trace.Prefix.parse(t).text, path, lines
-    )
-    # a file select wrote holds one configuration: parse it without zipping rows
-    one = all(col.count(col[0]) == len(col) for col in config_cols)
-    configs, _ = trace.parse_column(
-        [tuple(col[0] for col in config_cols)] if one else list(zip(*config_cols)),
-        lambda t: selectors.SelectorConfig(method=t[0], window=int(t[1]), size=int(t[2])),
-        path, lines,
-    )
-    if len(set(configs)) > 1:
-        raise ValueError(f"{path}: mixed selector configurations")
-    for text in canonical:
-        if text not in rows_of:
-            raise ValueError(f"{path}: prefix {text} not in matrix")
-    index = np.array([rows_of[t] for t in canonical], dtype=np.int64)[prefix_codes]
-    try:
-        score = np.fromiter(map(float, score_col), np.float64, len(lines))
-    except ValueError:
-        # scores are mostly distinct, so only this error path parses each
-        # distinct text once, to name the line
-        trace.parse_column(score_col, float, path, lines)
-        raise
-    if (infinite := np.flatnonzero(~np.isfinite(score))).size:
-        row = infinite[0]
-        raise ValueError(f"{path}: line {lines[row]}: score {score_col[row]!r} is not finite")
-
-    # a prefix written two ways has one matrix index, so it is caught too
-    cells = (hour - 2) * len(m) + index
-    by_cell = np.argsort(cells)
-    if (twice := np.flatnonzero(np.diff(cells[by_cell]) == 0)).size:
-        h, i = divmod(int(cells[by_cell[twice[0]]]), len(m))
-        raise ValueError(f"{path}: duplicate prefix {m.prefixes[i]} in hour {h + 2}")
-
-    # each hour's ranks, sorted, must read 1..n with n <= K; a rank outside
-    # 1..K reads as 0, which never fits, so a huge one never meets int64
-    size = configs[0].size
-    rank = np.array([r if 1 <= r <= size else 0 for r in ranks], dtype=np.int64)[rank_codes]
-    order = np.lexsort((rank, hour))
-    hour, rank = hour[order], rank[order]
-    starts = np.searchsorted(hour, np.arange(2, m.bin_count + 2))
-    misplaced = np.flatnonzero(rank != np.arange(1, len(rank) + 1) - starts[hour - 2])
-    if misplaced.size:
-        raise ValueError(
-            f"{path}: hour {hour[misplaced[0]]}: ranks must run 1..n with n <= K={size}"
-        )
-    # and rank as a run ranks: score desc, then row, as rows are in text order
-    s, r = score[order], index[order]
-    later = (s[:-1] < s[1:]) | (s[:-1] == s[1:]) & (r[:-1] > r[1:])
-    if (unranked := np.flatnonzero(later & (hour[1:] == hour[:-1]))).size:
-        raise ValueError(
-            f"{path}: hour {hour[unranked[0]]}: ranks must follow (score desc, prefix text asc)"
-        )
-    mask = np.zeros((m.bin_count - 1, len(m)), dtype=bool)
-    mask.reshape(-1)[cells] = True
-    return selectors.SelectionRun(
-        config=configs[0],
-        threshold=threshold,
-        prefixes=m.prefixes,
-        mask=mask,
-        picked_scores=score[by_cell],
-    )
 
 
 def _report_key(config: selectors.SelectorConfig) -> str:
@@ -407,7 +293,9 @@ def _cmd_evaluate(args) -> int:
     summary = {}
     written: dict[str, Path] = {}  # report file name -> the input that wrote it
     for path in paths:
-        run = _read_selection_csv(path, m, args.threshold)
+        if not path.exists():
+            raise ValueError(f"missing selection artifact {path}; run the select stage first")
+        run = selectors.load_selection(path, m, args.threshold)
         name = f"report_{run.config.method}_L{run.config.window}.csv"
         if name in written:
             raise ValueError(f"{written[name]} and {path} both write {name}")

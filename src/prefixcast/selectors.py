@@ -18,25 +18,30 @@ block-anchored running moments by the pairwise update of Chan, Golub &
 LeVeque (1983), so it agrees with a per-window fit up to rounding, not
 bit for bit.  ``gm11_fit`` and ``gm11_forecast`` fit one series with
 ``lstsq``; they are the scalar reference the whole-week pass is tested
-against.
+against.  ``save_selection`` and ``load_selection`` write and read a run
+as a selection CSV; the CLI only names the file.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .dynamism import CoreProfile
-from .trace import HourlyTraceMatrix, Prefix
+from .trace import HourlyTraceMatrix, Prefix, parse_column, read_rows
 
 __all__ = [
     "METHODS",
+    "SELECTION_HEADER",
     "WINDOW_GRID",
     "SelectorConfig",
     "SelectionRun",
+    "load_selection",
+    "save_selection",
     "gm11_fit",
     "gm11_forecast",
     "run_selection",
@@ -284,6 +289,113 @@ class SelectionRun:
     def scores(self) -> list[np.ndarray]:
         """Per hour: the scores aligned with ``picks``."""
         return self._ranked[1]
+
+
+SELECTION_HEADER = ["hour", "rank", "prefix", "score", "method", "L", "K"]
+
+
+def save_selection(run: SelectionRun, path: str | Path) -> None:
+    """Write ``run`` as one unquoted ``hour,rank,prefix,score,method,L,K``
+    line per pick, in ``picks`` order: canonical prefixes and method names
+    never need quoting.  Each distinct hour, rank, prefix and score (by its
+    bits: ``-0.0`` is not ``0.0``) is formatted once, and the lines are
+    joined from per-column text arrays."""
+    cfg = run.config
+    counts = run.mask.sum(axis=1)
+    pos = np.repeat(np.arange(counts.size), counts)
+    rank = np.arange(pos.size) - (np.cumsum(counts) - counts)[pos] + 1
+    bits, score_codes = np.unique(np.concatenate(run.scores).view(np.int64), return_inverse=True)
+    tail = f",{cfg.method},{cfg.window},{cfg.size}\n"
+    columns = (
+        ([f"{h}," for h in run.hours.tolist()], pos),
+        ([f"{r}," for r in range(counts.max() + 1)], rank),
+        ([p.text + "," for p in run.prefixes], np.concatenate(run.picks)),
+        ([repr(s) + tail for s in bits.view(np.float64).tolist()], score_codes),
+    )
+    cells = np.column_stack([np.array(texts, dtype=object)[codes] for texts, codes in columns])
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(SELECTION_HEADER) + "\n" + "".join(cells.ravel().tolist()))
+
+
+def load_selection(path: str | Path, m: HourlyTraceMatrix, threshold: float) -> SelectionRun:
+    """The run in a selection file as ``save_selection`` writes it, made
+    against ``m``, in the row format ``trace.read_rows`` reads.  Every row
+    must repeat line 2's method, L and K text.  A field that does not parse,
+    an hour outside ``2 .. bins`` or a prefix ``m`` does not hold is a
+    ValueError naming its line."""
+    width = len(SELECTION_HEADER)
+    lines, texts = read_rows(path, ",".join(SELECTION_HEADER), width)
+    fields = ",".join(texts).split(",")
+    hour_col, rank_col, prefix_col, score_col, *config_cols = (
+        fields[k::width] for k in range(width)
+    )
+
+    def hour_of(text: str) -> int:
+        if not 2 <= (h := int(text)) <= m.bin_count:
+            raise ValueError(f"hour {h} outside the matrix grid; "
+                             "selection was made against a different matrix")
+        return h
+
+    def row_of(text: str) -> int:
+        # a text the matrix holds is canonical; only another one is parsed
+        canonical = text if text in m._index else Prefix.parse(text).text
+        if canonical not in m._index:
+            raise ValueError(f"prefix {canonical} not in matrix")
+        return m._index[canonical]
+
+    # each column's distinct texts are parsed once; checks keep this order
+    hours, hour_codes = parse_column(hour_col, hour_of, path, lines)
+    ranks, rank_codes = parse_column(rank_col, int, path, lines)
+    rows, prefix_codes = parse_column(prefix_col, row_of, path, lines)
+    first = tuple(col[0] for col in config_cols)
+    if any(col.count(text) != len(col) for col, text in zip(config_cols, first)):
+        row = next(i for i, config in enumerate(zip(*config_cols)) if config != first)
+        raise ValueError(f"{path}: line {lines[row]}: mixed selector configurations")
+    (config,), _ = parse_column(
+        [first], lambda t: SelectorConfig(t[0], window=int(t[1]), size=int(t[2])), path, lines)
+    hour = np.array(hours, dtype=np.int64)[hour_codes]
+    index = np.array(rows, dtype=np.int64)[prefix_codes]
+    try:
+        score = np.fromiter(map(float, score_col), np.float64, len(lines))
+    except ValueError:
+        # scores are mostly distinct, so only this error path parses each
+        # distinct text once, to name the line
+        parse_column(score_col, float, path, lines)
+        raise
+    if (infinite := np.flatnonzero(~np.isfinite(score))).size:
+        row = infinite[0]
+        raise ValueError(f"{path}: line {lines[row]}: score {score_col[row]!r} is not finite")
+
+    # a prefix written two ways has one matrix index, so it is caught too
+    cells = (hour - 2) * len(m) + index
+    by_cell = np.argsort(cells)
+    if (twice := np.flatnonzero(np.diff(cells[by_cell]) == 0)).size:
+        h, i = divmod(int(cells[by_cell[twice[0]]]), len(m))
+        raise ValueError(f"{path}: duplicate prefix {m.prefixes[i]} in hour {h + 2}")
+
+    # each hour's ranks, sorted, must read 1..n with n <= K; a rank outside
+    # 1..K reads as 0, which never fits, so a huge one never meets int64
+    size = config.size
+    rank = np.array([r if 1 <= r <= size else 0 for r in ranks], dtype=np.int64)[rank_codes]
+    order = np.lexsort((rank, hour))
+    hour, rank = hour[order], rank[order]
+    starts = np.searchsorted(hour, np.arange(2, m.bin_count + 2))
+    misplaced = np.flatnonzero(rank != np.arange(1, len(rank) + 1) - starts[hour - 2])
+    if misplaced.size:
+        raise ValueError(
+            f"{path}: hour {hour[misplaced[0]]}: ranks must run 1..n with n <= K={size}"
+        )
+    # and rank as a run ranks: score desc, then row, as rows are in text order
+    s, r = score[order], index[order]
+    later = (s[:-1] < s[1:]) | (s[:-1] == s[1:]) & (r[:-1] > r[1:])
+    if (unranked := np.flatnonzero(later & (hour[1:] == hour[:-1]))).size:
+        raise ValueError(
+            f"{path}: hour {hour[unranked[0]]}: ranks must follow (score desc, prefix text asc)"
+        )
+    mask = np.zeros((m.bin_count - 1, len(m)), dtype=bool)
+    mask.reshape(-1)[cells] = True
+    return SelectionRun(config=config, threshold=threshold, prefixes=m.prefixes,
+                        mask=mask, picked_scores=score[by_cell])
 
 
 def run_selection(

@@ -14,13 +14,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from prefixcast import dynamism
-from prefixcast.cli import (
-    SELECTION_HEADER, _read_selection_csv, _write_csv, _write_selection, main,
-)
+from prefixcast.cli import _write_csv, main
 from prefixcast.dynamism import compute_core_profile
 from prefixcast.rttsim import MAX_PROBES, load_probe_log, simulate_dynamic_selection
 from prefixcast.selectors import (
-    METHODS, WINDOW_GRID, SelectionRun, SelectorConfig, run_selection,
+    METHODS, SELECTION_HEADER, WINDOW_GRID, SelectionRun, SelectorConfig, load_selection,
+    run_selection, save_selection,
 )
 from prefixcast.trace import (
     HourlyTraceMatrix, Prefix, TimeGrid, load_matrix, synthetic_prefix, write_json,
@@ -52,7 +51,7 @@ def flows_csv(tmp_path):
 
 def csv_writer_selection(path: Path, run: SelectionRun) -> None:
     """The selection file as ``csv.writer`` lays it out: an oracle for the
-    bytes of ``_write_selection``."""
+    bytes of ``save_selection``."""
     cfg = run.config
     tail = (cfg.method, str(cfg.window), str(cfg.size))
     with open(path, "w", newline="") as fh:
@@ -560,7 +559,8 @@ class TestSelectEvaluate:
         profile = compute_core_profile(m)
         for window in WINDOW_GRID:
             run = run_selection(m, profile, SelectorConfig(method, window, 6))
-            back = _read_selection_csv(_write_selection(tmp_path, run), m, profile.threshold)
+            save_selection(run, tmp_path / "selection.csv")
+            back = load_selection(tmp_path / "selection.csv", m, profile.threshold)
             assert back.config == run.config
             assert back.hours.tolist() == run.hours.tolist()
             assert [p.tolist() for p in back.picks] == [p.tolist() for p in run.picks]
@@ -591,8 +591,9 @@ class TestSelectEvaluate:
         )
         profile = compute_core_profile(m)
         run = run_selection(m, profile, SelectorConfig(method, window, size))
-        path = _write_selection(tmp_path_factory.mktemp("select"), run)
-        back = _read_selection_csv(path, m, profile.threshold)
+        path = tmp_path_factory.mktemp("select") / "selection.csv"
+        save_selection(run, path)
+        back = load_selection(path, m, profile.threshold)
         assert back.config == run.config
         assert back.hours.tolist() == run.hours.tolist()
         assert (back.mask == run.mask).all()
@@ -632,7 +633,8 @@ class TestSelectEvaluate:
         assert not (out / "evaluation_summary.json").exists()
 
     @pytest.mark.parametrize("case", ["prefix written two ways", "mixed configurations",
-                                      "L changed on the last row", "every L unparsable",
+                                      "L changed on the last row", "L written 02 on one row",
+                                      "every L unparsable",
                                       "every method unknown", "every L 0", "every K 0",
                                       "unknown prefix", "hour outside the grid"])
     def test_bad_selection_rows_rejected(self, trace_dir, capsys, case):
@@ -648,10 +650,14 @@ class TestSelectEvaluate:
             named = ["duplicate prefix", rows[1][2], "hour 2"]
         elif case == "mixed configurations":
             rows[5][6] = "4"
-            named = ["mixed selector configurations"]
+            named = ["line 6: mixed selector configurations"]
         elif case == "L changed on the last row":
             rows[-1][5] = "3"
-            named = ["mixed selector configurations"]
+            named = [f"line {len(rows)}: mixed selector configurations"]
+        elif case == "L written 02 on one row":
+            # the same L as every other row, but not the text select writes
+            rows[3][5] = "02"
+            named = ["line 4: mixed selector configurations"]
         elif case == "every L unparsable":
             for row in rows[1:]:
                 row[5] = "x"
@@ -668,10 +674,10 @@ class TestSelectEvaluate:
             named = ["line 2: ", text]
         elif case == "unknown prefix":
             rows[5][2] = "192.0.2.0/24"
-            named = ["prefix 192.0.2.0/24 not in matrix"]
+            named = ["line 6: prefix 192.0.2.0/24 not in matrix"]
         else:
             rows[5][0] = "25"
-            named = ["hour 25 outside the matrix grid"]
+            named = ["line 6: hour 25 outside the matrix grid"]
         with open(path, "w", newline="") as fh:
             csv.writer(fh, lineterminator="\n").writerows(rows)
         assert main(["evaluate", "--matrix", f"{out}/matrix.csv",
@@ -774,7 +780,8 @@ class TestSelectEvaluate:
         run = selection_run(SelectorConfig(method, window, size), prefixes, hours)
         out = tmp_path_factory.mktemp("select")
         csv_writer_selection(out / "oracle.csv", run)
-        assert _write_selection(out, run).read_bytes() == (out / "oracle.csv").read_bytes()
+        save_selection(run, out / "selection.csv")
+        assert (out / "selection.csv").read_bytes() == (out / "oracle.csv").read_bytes()
 
     @pytest.mark.parametrize("edit", ["drop the score", "add a field"])
     def test_selection_row_of_wrong_width_rejected(self, trace_dir, capsys, edit):
@@ -835,10 +842,11 @@ class TestSelectEvaluate:
     def test_selection_line_endings_read_as_plain(self, trace_dir, rewrite):
         m = load_matrix(trace_dir / "matrix.csv")
         run = run_selection(m, compute_core_profile(m), SelectorConfig("core_volume", 2, 4))
-        path = _write_selection(trace_dir, run)
-        plain = _read_selection_csv(path, m, 0.95)
+        path = trace_dir / "selection.csv"
+        save_selection(run, path)
+        plain = load_selection(path, m, 0.95)
         path.write_bytes(rewrite(path.read_text()).encode())
-        back = _read_selection_csv(path, m, 0.95)
+        back = load_selection(path, m, 0.95)
         assert back.config == plain.config
         assert [p.tolist() for p in back.picks] == [p.tolist() for p in plain.picks]
         assert [s.tobytes() for s in back.scores] == [s.tobytes() for s in plain.scores]
@@ -851,7 +859,7 @@ class TestSelectEvaluate:
             "2,1,10.0.0.0/24,5.0,mean_volume,1,2\n"
             "2,2,10.0.1.0/255.255.255.0,4.0,mean_volume,1,2\n"
         )
-        run = _read_selection_csv(path, m, 0.95)
+        run = load_selection(path, m, 0.95)
         rows = [m.index_of(Prefix.parse(t)) for t in ("10.0.0.0/24", "10.0.1.0/24")]
         assert [p.tolist() for p in run.picks] == [rows] + [[]] * (m.bin_count - 2)
 
@@ -868,7 +876,7 @@ class TestSelectEvaluate:
                      r["method"], int(r["L"]), int(r["K"]))
                     for r in csv.DictReader(fh)
                 ]
-            run = _read_selection_csv(path, m, 0.95)
+            run = load_selection(path, m, 0.95)
             cfg = run.config
             assert rows == [
                 (hour, rank, m.prefixes[i].text, score, cfg.method, cfg.window, cfg.size)
@@ -1174,7 +1182,7 @@ HAND_OFF_FILES = {
     "selection": (
         "hour,rank,prefix,score,method,L,K\n2,1,10.0.0.0/8,5.0,mean_volume,1,2\n"
         "3,1,10.1.0.0/16,7.0,mean_volume,1,2\n3,2,10.0.0.0/8,0.5,mean_volume,1,2\n",
-        lambda path: _read_selection_csv(path, _hand_off_matrix(path.parent / "m"), 0.95),
+        lambda path: load_selection(path, _hand_off_matrix(path.parent / "m"), 0.95),
         lambda run: (run.config, [p.tolist() for p in run.picks],
                      [s.tobytes() for s in run.scores]),
     ),
