@@ -124,6 +124,9 @@ def _parse_burst(text: str) -> trace.BurstSpec:
 
 
 def _cmd_synth(args) -> int:
+    if not 1 <= args.prefixes <= trace.MAX_SYNTH_PREFIXES:
+        raise ValueError(f"--prefixes must be in [1, {trace.MAX_SYNTH_PREFIXES}], "
+                         f"got {args.prefixes}")
     spec = trace.SyntheticTraceSpec(
         prefix_count=args.prefixes,
         zipf_s=args.zipf_s,

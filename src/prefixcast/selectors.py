@@ -362,9 +362,9 @@ def load_selection(path: str | Path, m: HourlyTraceMatrix, threshold: float) -> 
         # distinct text once, to name the line
         parse_column(score_col, float, path, lines)
         raise
-    if (infinite := np.flatnonzero(~np.isfinite(score))).size:
-        row = infinite[0]
-        raise ValueError(f"{path}: line {lines[row]}: score {score_col[row]!r} is not finite")
+    if (unpickable := np.flatnonzero(~(np.isfinite(score) & (score > 0)))).size:
+        row = unpickable[0]
+        raise ValueError(f"{path}: line {lines[row]}: score {score_col[row]!r} is not finite and > 0")
 
     # a prefix written two ways has one matrix index, so it is caught too
     cells = (hour - 2) * len(m) + index

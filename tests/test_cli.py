@@ -341,8 +341,10 @@ class TestSynthAnalyze:
         (["--diurnal", "nan"], "diurnal_amplitude"),
         (["--burst", "1:2:nan"], "burst multiplier"),
         (["--noise", "1e200"], "noise"),
+        (["--prefixes", "0"], "--prefixes"),
+        (["--prefixes", "70000"], "--prefixes"),
     ], ids=["noise nan", "noise inf", "zipf_s nan", "hourly_volume nan", "hourly_volume inf",
-            "diurnal nan", "burst nan", "noise square overflows"])
+            "diurnal nan", "burst nan", "noise square overflows", "prefixes 0", "prefixes 70000"])
     def test_non_finite_synth_parameter_is_data_error(self, tmp_path, capsys, flags, named):
         out = tmp_path / "stage"
         assert main(["synth", "--prefixes", "3", "--bins", "4", *flags, "--out", str(out)]) == 2
@@ -818,7 +820,7 @@ class TestSelectEvaluate:
         assert f"{path}: line 5: " in capsys.readouterr().err
         assert not (trace_dir / "evaluation_summary.json").exists()
 
-    @pytest.mark.parametrize("score", ["nan", "inf", "-inf", "1e999", "NaN"])
+    @pytest.mark.parametrize("score", ["nan", "inf", "-inf", "1e999", "NaN", "0.0", "-0.0", "-5.0"])
     def test_non_finite_selection_score_rejected(self, trace_dir, capsys, score):
         out = str(trace_dir)
         assert main(["select", "--matrix", f"{out}/matrix.csv", "--method", "mean_volume",
