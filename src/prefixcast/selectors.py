@@ -352,7 +352,7 @@ def load_selection(path: str | Path, m: HourlyTraceMatrix, threshold: float) -> 
         row = next(i for i, config in enumerate(zip(*config_cols)) if config != first)
         raise ValueError(f"{path}: line {lines[row]}: mixed selector configurations")
     (config,), _ = parse_column(
-        [first], lambda t: SelectorConfig(t[0], window=int(t[1]), size=int(t[2])), path, lines)
+        [first], lambda t: SelectorConfig(t[0], int(t[1]), int(t[2])), path, lines)
     hour = np.array(hours, dtype=np.int64)[hour_codes]
     index = np.array(rows, dtype=np.int64)[prefix_codes]
     try:
