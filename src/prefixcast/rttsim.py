@@ -389,33 +389,30 @@ def load_probe_log(path: str | Path) -> ProbeLog:
     """Read a probe log written by ``save_probe_log`` (or any external
     prober emitting the same format), without round start times.  Rows
     are read by ``trace.read_rows`` below the exact ``PROBE_CSV_HEADER``,
-    each one unquoted four-field line.  A field that does not parse, an
-    RTT that is not finite and > 0, or a second row for one (tick, prefix,
-    transit) raises ValueError naming the CSV line."""
-    lines, texts = read_rows(path, ",".join(PROBE_CSV_HEADER), len(PROBE_CSV_HEADER))
-    fields = ",".join(texts).split(",")
-    del texts  # the field strings and the four columns are the peak; hold nothing else
-    ticks, prefixes, transits, rtts = (fields[k::4] for k in range(4))
-    del fields
+    each one unquoted four-field line, and parsed from their byte offsets:
+    ticks (1 to 18 ASCII digits) in bulk, each distinct ``prefix,transit``
+    text once, and each RTT by ``float()``.  A field that does not parse,
+    an RTT that is not finite and > 0, or a second row for one (tick,
+    prefix, transit) raises ValueError naming the CSV line."""
+    rows = read_rows(path, ",".join(PROBE_CSV_HEADER), len(PROBE_CSV_HEADER))
+    # a blank field, or one of spaces, is a loss
+    rtt = rows.floats(3, lambda text: float(text) if text.strip() else math.nan)
+    lo, hi = rows.field(3)
+    for i in np.flatnonzero(~(np.isfinite(rtt) & (rtt > 0)) & (hi > lo)).tolist():
+        if text := rows.text(i, 3).strip():
+            raise rows.error(i, f"rtt_ms must be finite and > 0, not {text!r}")
+    ticks, tick_codes = np.unique(rows.ints(0, "tick"), return_inverse=True)
+
+    def pair(text: str) -> tuple[Prefix, str]:
+        prefix, transit = text.split(",")
+        return Prefix.parse(prefix), transit.strip()
+
+    (lo, _), (_, hi) = rows.field(1), rows.field(2)
+    pairs, pair_codes = parse_column(rows.texts(lo, hi), pair, path, rows.lines)
     try:
-        rtt = np.fromiter(map(float, [text or "nan" for text in rtts]), np.float64, len(rtts))
-    except ValueError:
-        # name the line; a blank field of spaces is a loss too
-        parsed, codes = parse_column(
-            rtts, lambda text: float(text) if text.strip() else math.nan, path, lines
-        )
-        rtt = np.array(parsed, np.float64)[codes]
-    # a NaN is a loss only where the field is blank
-    for i in np.flatnonzero(~(np.isfinite(rtt) & (rtt > 0))).tolist():
-        if rtts[i].strip():
-            raise ValueError(
-                f"{path}: line {lines[i]}: rtt_ms must be finite and > 0, not {rtts[i]!r}"
-            )
-    axes = zip((ticks, prefixes, transits), (int, Prefix.parse, str.strip))
-    columns = [parse_column(column, parse, path, lines) for column, parse in axes]
-    try:
-        return ProbeLog(*columns, rtt)
+        return ProbeLog((ticks.tolist(), tick_codes), ([p for p, _ in pairs], pair_codes),
+                        ([t for _, t in pairs], pair_codes), rtt)
     except _DuplicateSample as exc:
-        raise ValueError(f"{path}: line {lines[exc.sample]}: {exc}") from None
+        raise rows.error(exc.sample, str(exc)) from None
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

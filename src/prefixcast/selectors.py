@@ -58,7 +58,7 @@ WINDOW_GRID = (1, 12, 24, 168)
 GM11_MIN_POINTS = 4
 
 # Cells per row chunk of the GM(1,1) pass; bounds its temporaries.
-GM11_CHUNK_CELLS = 1 << 11
+GM11_CHUNK_CELLS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -134,11 +134,12 @@ def gm11_forecast(series: Sequence[float] | np.ndarray) -> float:
 
 
 def _gm11_scores(
-    values: np.ndarray, window_sums: np.ndarray, lo: np.ndarray
+    values: np.ndarray, active: np.ndarray, lo: np.ndarray
 ) -> tuple[np.ndarray, int]:
     """GM(1,1) forecasts of every (prefix, window) and the active fallback count.
 
-    Window ``j`` (bins ``lo[j] .. j``) fits ``y(p) = values[p]`` against
+    ``active`` marks the windows with a positive sum.  Window ``j`` (bins
+    ``lo[j] .. j``) fits ``y(p) = values[p]`` against
     the background ``z(p)`` at points ``p = lo+1 .. j``.  The points are
     cut into blocks of the longest window's length, with running moments
     taken forward from each block's first point and backward from its
@@ -162,18 +163,18 @@ def _gm11_scores(
     k_a = m - k_b                            # points in the previous block's suffix
     at_a = (lo_f // width, lo_f % width)
     at_b = ((ends - 1) // width, (ends - 1) % width)
-    score, fallbacks = np.empty(window_sums.shape), 0
-    step = max(1, GM11_CHUNK_CELLS // hours)
-    for r0 in range(0, n, step):
-        rows = slice(r0, r0 + step)
-        v, active = values[rows], window_sums[rows] > 0
-        fallbacks += int(np.count_nonzero(active[:, :first]))
+    score = np.empty(active.shape)
+
+    def fit(rows: slice) -> int:
+        """Score the windows of ``rows``; return their active fallbacks."""
+        v, live = values[rows], active[rows]
+        fallbacks = int(np.count_nonzero(live[:, :first]))
         score[rows, :first] = sum(   # short windows' sums, in window order
             np.where(k < span[:first], v[:, np.minimum(lo[:first] + k, hours - 1)], 0.0)
             for k in range(GM11_MIN_POINTS - 1)
         ) / span[:first]
         if not ends.size:
-            continue
+            return fallbacks
 
         # y and the step h(p) = z(p) - z(p-1) = (y(p-1) + y(p)) / 2, in blocks
         pts = np.zeros((2, len(v), blocks * width))
@@ -182,14 +183,8 @@ def _gm11_scores(
         y, h = pts.reshape(2, len(v), blocks, width)
         # running dz, dy, dz*dz, dz*dy, forward and backward; backward sums at a
         # block's first point read 0, as a window starting there is all prefix
-        rise = np.zeros_like(h)
-        rise[..., 1:] = np.cumsum(h[..., 1:], axis=-1)
-        d = np.stack([rise, y - y[..., :1]])
-        fwd = np.cumsum(np.concatenate([d, d[:1] * d]), axis=-1)
-        rise[..., :-1] = -np.cumsum(h[..., :0:-1], axis=-1)[..., ::-1]
-        rise[..., -1] = 0.0
-        d = np.stack([rise, y - y[..., -1:]])[..., ::-1]
-        bwd = np.cumsum(np.concatenate([d, d[:1] * d]), axis=-1)[..., ::-1]
+        fwd = _running_moments(h[..., 1:], y - y[..., :1])
+        bwd = _running_moments(-h[..., :0:-1], y[..., ::-1] - y[..., -1:])[..., ::-1]
         bwd[..., 0] = 0.0
         # merge suffix a and prefix b (Chan, Golub & LeVeque's pairwise update)
         s_a, s_b = bwd[:, :, at_a[0], at_a[1]], fwd[:, :, at_b[0], at_b[1]]
@@ -215,11 +210,28 @@ def _gm11_scores(
             forecast = (x_lo - b / a) * -np.expm1(a) * np.exp(-a * (m + 1))
         forecast = np.where(np.abs(a) < 1e-12, b, forecast)
         fallback = ~full_rank | ~np.isfinite(forecast)
-        fallbacks += int(np.count_nonzero(fallback & active[:, first:]))
+        fallbacks += int(np.count_nonzero(fallback & live[:, first:]))
         mean = (x_lo + y_sum) / (m + 1)     # the fallback: the window mean
         score[rows, first:] = np.where(fallback, mean, np.maximum(forecast, 0.0))
-    score[window_sums <= 0] = 0.0
+        return fallbacks
+
+    # one call per chunk, so no chunk's temporaries outlive it
+    step = max(1, GM11_CHUNK_CELLS // hours)
+    fallbacks = sum(fit(slice(r0, r0 + step)) for r0 in range(0, n, step))
+    score[~active] = 0.0
     return score, fallbacks
+
+
+def _running_moments(steps: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """Running sums along the last axis of dz, dy, dz*dz and dz*dy, in one
+    (4, *dy.shape) array summed in place: dz starts at 0 and rises by
+    ``steps``, one fewer than ``dy``'s points."""
+    out = np.empty((4, *dy.shape))
+    out[0, ..., 0] = 0.0
+    np.cumsum(steps, axis=-1, out=out[0, ..., 1:])
+    out[1] = dy
+    np.multiply(out[:1], out[:2], out=out[2:])
+    return np.cumsum(out, axis=-1, out=out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -319,22 +331,19 @@ def save_selection(run: SelectionRun, path: str | Path) -> None:
 
 def load_selection(path: str | Path, m: HourlyTraceMatrix, threshold: float) -> SelectionRun:
     """The run in a selection file as ``save_selection`` writes it, made
-    against ``m``, in the row format ``trace.read_rows`` reads.  Every row
-    must repeat line 2's method, L and K text.  A field that does not parse,
-    an hour outside ``2 .. bins`` or a prefix ``m`` does not hold is a
-    ValueError naming its line."""
-    width = len(SELECTION_HEADER)
-    lines, texts = read_rows(path, ",".join(SELECTION_HEADER), width)
-    fields = ",".join(texts).split(",")
-    hour_col, rank_col, prefix_col, score_col, *config_cols = (
-        fields[k::width] for k in range(width)
-    )
-
-    def hour_of(text: str) -> int:
-        if not 2 <= (h := int(text)) <= m.bin_count:
-            raise ValueError(f"hour {h} outside the matrix grid; "
-                             "selection was made against a different matrix")
-        return h
+    against ``m``.  Rows are read by ``trace.read_rows`` and parsed from
+    their byte offsets: hour and rank (1 to 18 ASCII digits) in bulk, each
+    distinct prefix text once, and each score by ``float()``.  Every row
+    must repeat line 2's method, L and K bytes, which are parsed once.  A
+    field that does not parse, an hour outside ``2 .. bins`` or a prefix
+    ``m`` does not hold is a ValueError naming its line."""
+    rows = read_rows(path, ",".join(SELECTION_HEADER), len(SELECTION_HEADER))
+    hour = rows.ints(0, "hour")
+    if (outside := np.flatnonzero((hour < 2) | (hour > m.bin_count))).size:
+        i = outside[0]
+        raise rows.error(i, f"hour {hour[i]} outside the matrix grid; "
+                            "selection was made against a different matrix")
+    rank = rows.ints(1)  # other text reads 0, which the rank check below refuses
 
     def row_of(text: str) -> int:
         # a text the matrix holds is canonical; only another one is parsed
@@ -343,28 +352,28 @@ def load_selection(path: str | Path, m: HourlyTraceMatrix, threshold: float) -> 
             raise ValueError(f"prefix {canonical} not in matrix")
         return m._index[canonical]
 
-    # each column's distinct texts are parsed once; checks keep this order
-    hours, hour_codes = parse_column(hour_col, hour_of, path, lines)
-    ranks, rank_codes = parse_column(rank_col, int, path, lines)
-    rows, prefix_codes = parse_column(prefix_col, row_of, path, lines)
-    first = tuple(col[0] for col in config_cols)
-    if any(col.count(text) != len(col) for col, text in zip(config_cols, first)):
-        row = next(i for i, config in enumerate(zip(*config_cols)) if config != first)
-        raise ValueError(f"{path}: line {lines[row]}: mixed selector configurations")
-    (config,), _ = parse_column(
-        [first], lambda t: SelectorConfig(t[0], int(t[1]), int(t[2])), path, lines)
-    hour = np.array(hours, dtype=np.int64)[hour_codes]
-    index = np.array(rows, dtype=np.int64)[prefix_codes]
-    try:
-        score = np.fromiter(map(float, score_col), np.float64, len(lines))
-    except ValueError:
-        # scores are mostly distinct, so only this error path parses each
-        # distinct text once, to name the line
-        parse_column(score_col, float, path, lines)
-        raise
+    rows_of, prefix_codes = parse_column(rows.texts(*rows.field(2)), row_of, path, rows.lines)
+    index = np.array(rows_of, dtype=np.int64)[prefix_codes]
+    # each row's method,L,K bytes against line 2's, all rows at once
+    lo, hi = rows.field(4)[0], rows.ends
+    first = rows.raw[lo[0]:hi[0]]
+    buf = np.frombuffer(rows.raw, np.uint8)
+    tails = np.lib.stride_tricks.sliding_window_view(buf, len(first))
+    same = (hi - lo == len(first)) & (
+        tails[np.minimum(lo, len(tails) - 1)] == np.frombuffer(first, np.uint8)
+    ).all(axis=1)
+    if not same.all():
+        raise rows.error(int(np.argmin(same)), "mixed selector configurations")
+
+    def config_of(text: str) -> SelectorConfig:
+        method, window, size = text.split(",")
+        return SelectorConfig(method, int(window), int(size))
+
+    (config,), _ = parse_column([first], config_of, path, rows.lines)
+    score = rows.floats(3)
     if (unpickable := np.flatnonzero(~(np.isfinite(score) & (score > 0)))).size:
-        row = unpickable[0]
-        raise ValueError(f"{path}: line {lines[row]}: score {score_col[row]!r} is not finite and > 0")
+        i = unpickable[0]
+        raise rows.error(i, f"score {rows.text(i, 3)!r} is not finite and > 0")
 
     # a prefix written two ways has one matrix index, so it is caught too
     cells = (hour - 2) * len(m) + index
@@ -374,17 +383,16 @@ def load_selection(path: str | Path, m: HourlyTraceMatrix, threshold: float) -> 
         raise ValueError(f"{path}: duplicate prefix {m.prefixes[i]} in hour {h + 2}")
 
     # each hour's ranks, sorted, must read 1..n with n <= K; a rank outside
-    # 1..K reads as 0, which never fits, so a huge one never meets int64
+    # 1..K reads as 0, which never fits
     size = config.size
-    rank = np.array([r if 1 <= r <= size else 0 for r in ranks], dtype=np.int64)[rank_codes]
+    rank[(rank < 1) | (rank > size)] = 0
     order = np.lexsort((rank, hour))
     hour, rank = hour[order], rank[order]
     starts = np.searchsorted(hour, np.arange(2, m.bin_count + 2))
     misplaced = np.flatnonzero(rank != np.arange(1, len(rank) + 1) - starts[hour - 2])
     if misplaced.size:
-        raise ValueError(
-            f"{path}: hour {hour[misplaced[0]]}: ranks must run 1..n with n <= K={size}"
-        )
+        j = misplaced[0]
+        raise rows.error(order[j], f"hour {hour[j]}: ranks must run 1..n with n <= K={size}")
     # and rank as a run ranks: score desc, then row, as rows are in text order
     s, r = score[order], index[order]
     later = (s[:-1] < s[1:]) | (s[:-1] == s[1:]) & (r[:-1] > r[1:])
@@ -434,13 +442,20 @@ def run_selection(
         series = np.where(profile.cp, m.values, 0)
     cum = np.zeros((len(m), hours_total), dtype=np.float64)
     np.cumsum(series[:, :-1], axis=1, dtype=np.float64, out=cum[:, 1:])
-    window_sums = cum[:, 1:] - cum[:, lo]
+    # cum[:, lo] is column 0, which holds 0.0, until the window is L long
+    window_sums = cum[:, 1:].copy()
+    if L < hours_total - 1:
+        window_sums[:, L:] -= cum[:, 1:hours_total - L]
+    del cum
 
     fallbacks = 0
     if config.method == "gm11":
-        score, fallbacks = _gm11_scores(m.values, window_sums, lo)
+        active = window_sums > 0
+        del window_sums
+        score, fallbacks = _gm11_scores(m.values, active, lo)
     else:
-        score = window_sums / (hi - lo)
+        score = window_sums
+        score /= hi - lo
 
     mask = _top_k(score, K)
     return SelectionRun(
@@ -448,14 +463,15 @@ def run_selection(
         threshold=profile.threshold,
         prefixes=m.prefixes,
         mask=mask,
-        picked_scores=score.T[mask],
+        picked_scores=np.negative(score.T[mask]),  # -(-s) is s exactly
         gm11_fallbacks=fallbacks,
     )
 
 
 def _top_k(score: np.ndarray, size: int) -> np.ndarray:
     """The (hours, prefixes) bool mask of each hour's ``size`` highest
-    positive scores in a (prefixes, hours) score array.
+    positive scores in a (prefixes, hours) score array, which becomes the
+    ranking key in place: ``-score`` where it is positive, inf elsewhere.
 
     score > 0 alone marks the candidates (a positive masked sum needs a
     core hour).  Rows are in text order, so this is the set a stable sort
@@ -465,7 +481,9 @@ def _top_k(score: np.ndarray, size: int) -> np.ndarray:
     up to K.  Nothing is sorted: ranks are computed only where read.
     """
     selectable = score.T > 0
-    key = np.where(selectable, -score.T, np.inf)
+    key = score.T
+    np.negative(key, out=key)
+    key[~selectable] = np.inf
     size = min(size, key.shape[1])
     # a copied column, so the partitioned array is freed at once
     kth = np.partition(key, size - 1, axis=1)[:, [size - 1]]

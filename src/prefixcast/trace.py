@@ -13,8 +13,9 @@ import ipaddress
 import json
 import math
 import re
+from collections import defaultdict
 from dataclasses import asdict, dataclass
-from itertools import islice
+from itertools import chain, count, islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -36,6 +37,7 @@ __all__ = [
     "iter_trace_csv",
     "save_matrix",
     "load_matrix",
+    "Rows",
     "parse_column",
     "read_rows",
     "json_int",
@@ -342,10 +344,27 @@ def _plain_ints(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray):
         # the k-th byte from the right, where the field has one; a byte
         # below "0" wraps above 9 in uint8
         has = k < width
-        digit = buf[np.maximum(hi - 1 - k, lo)] - ord("0")
+        digit = buf[np.where(has, hi - 1 - k, 0)] - ord("0")
         plain &= (digit <= 9) | ~has
         values += np.where(has, digit, 0).astype(np.int64) * 10**k
     return plain, values
+
+
+def _line_fields(buf: np.ndarray):
+    """Where the non-blank lines of the CSV text ``buf`` (uint8) lie, from
+    one newline scan and one comma scan: each line's 0-based index in the
+    text, its start and end offsets, the offset of every comma in the text,
+    and each line's first comma (an index into those) and comma count.  The
+    last line needs no final newline."""
+    ends = np.flatnonzero(buf == ord("\n"))
+    if not buf.size or buf[-1] != ord("\n"):
+        ends = np.append(ends, buf.size)
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    lines = np.flatnonzero(ends > starts)  # a blank line is no row
+    starts, ends = starts[lines], ends[lines]
+    commas = np.flatnonzero(buf == ord(","))
+    first = np.searchsorted(commas, starts)
+    return lines, starts, ends, commas, first, np.searchsorted(commas, ends) - first
 
 
 def _parse_block(raw: bytes, table: _PrefixTable) -> RecordBlock:
@@ -356,15 +375,9 @@ def _parse_block(raw: bytes, table: _PrefixTable) -> RecordBlock:
     ``_parse_fields``, which applies ``int()`` and formats the reason.  A
     record that passes either way fits int64 in every column.
     """
-    if not raw.endswith(b"\n"):
-        raw += b"\n"
     buf = np.frombuffer(raw, np.uint8)
-    ends = np.flatnonzero(buf == ord("\n"))
-    starts = np.concatenate(([0], ends[:-1] + 1))
-    starts, ends = starts[ends > starts], ends[ends > starts]  # a blank line is no record
-    commas = np.flatnonzero(buf == ord(","))
-    first = np.searchsorted(commas, starts)
-    three = np.flatnonzero(np.searchsorted(commas, ends) - first == 2)
+    _, starts, ends, commas, first, n_commas = _line_fields(buf)
+    three = np.flatnonzero(n_commas == 2)
     c1, c2 = commas[first[three]], commas[first[three] + 1]
 
     n = len(starts)
@@ -624,46 +637,133 @@ def iter_trace_csv(path: str | Path) -> Iterator[RecordBlock]:
 
 
 def parse_column(
-    column: Sequence, parse: Callable, path, lines: Sequence[int]
+    column: Iterable[bytes], parse: Callable, path, lines: Sequence[int]
 ) -> tuple[list, np.ndarray]:
     """Parse each distinct text of a CSV column once: the parsed values,
-    and each row's index into them.  ``lines[i]`` is row ``i``'s line in
-    the file at ``path``; a ValueError from ``parse`` is raised again
-    naming the line of the first row with that text."""
-    codes = dict.fromkeys(column)
+    and each row's index into them.  ``column`` yields row ``i``'s UTF-8
+    text, whose line in the file at ``path`` is ``lines[i]``; ``parse``
+    gets it decoded, and a ValueError it raises is raised again naming the
+    line of the first row with that text."""
+    codes = defaultdict(count().__next__)  # a new text gets the next code
+    index = np.fromiter(map(codes.__getitem__, column), np.intp)
     parsed = []
     for code, text in enumerate(codes):
-        codes[text] = code
         try:
-            parsed.append(parse(text))
+            parsed.append(parse(text.decode()))
         except ValueError as exc:
-            raise ValueError(f"{path}: line {lines[column.index(text)]}: {exc}") from None
-    return parsed, np.fromiter(map(codes.__getitem__, column), np.intp, len(column))
+            line = lines[int(np.argmax(index == code))]
+            raise ValueError(f"{path}: line {line}: {exc}") from None
+    return parsed, index
 
 
-def read_rows(path: str | Path, header: str, width: int) -> tuple[np.ndarray, list[str]]:
-    """The line number and text of each row of the hand-off CSV at ``path``
-    (a matrix, selection or probe file): a first line equal to ``header``,
-    then one unquoted ``width``-field line per row.  Blank lines are
-    skipped, so CRLF line ends read as plain ones.  Another first line, no
-    rows, or a row that is not ``width`` unquoted fields raises ValueError
-    naming the file or the line."""
-    with open(path) as fh:
-        first = fh.readline().rstrip("\n")
-        if first != header:
-            raise ValueError(f"{path}: expected header {header!r}, got {first!r}")
-        text = fh.read()
-    body = text.split("\n")
-    # only error messages read the line numbers: an array is a fifth of a list's size
-    lines = np.flatnonzero(np.fromiter(map(bool, body), bool, len(body))) + 2
-    texts = list(filter(None, body))
-    if not texts:
+@dataclass(frozen=True, eq=False)
+class Rows:
+    """The rows of a hand-off CSV as byte offsets into its text ``raw``.
+
+    Row ``i`` is line ``lines[i]`` of the file at ``path``; it spans
+    ``raw[starts[i]:ends[i]]``, and ``commas[i]`` holds the offsets of its
+    commas, one fewer than its fields.  No field is copied out of ``raw``
+    until a reader asks for it.
+    """
+
+    path: str | Path
+    raw: bytes
+    lines: np.ndarray
+    starts: np.ndarray
+    ends: np.ndarray
+    commas: np.ndarray  # (rows, fields - 1)
+
+    def field(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """The start and end offsets of field ``k`` in every row."""
+        lo = self.starts if k == 0 else self.commas[:, k - 1] + 1
+        hi = self.ends if k == self.commas.shape[1] else self.commas[:, k]
+        return lo, hi
+
+    def texts(self, lo: np.ndarray, hi: np.ndarray) -> Iterator[bytes]:
+        """``raw[lo[i]:hi[i]]`` for each row ``i``, one at a time; offsets
+        become Python ints a block of rows at a time."""
+        spans = chain.from_iterable(
+            zip(lo[i:i + TRACE_BLOCK_LINES].tolist(), hi[i:i + TRACE_BLOCK_LINES].tolist())
+            for i in range(0, len(lo), TRACE_BLOCK_LINES)
+        )
+        return (self.raw[a:b] for a, b in spans)
+
+    def text(self, i: int, k: int | None = None) -> str:
+        """Field ``k`` of row ``i``, or the whole row, as text."""
+        row = self.raw[self.starts[i]:self.ends[i]].decode()
+        return row if k is None else row.split(",")[k]
+
+    def error(self, i: int, message: str) -> ValueError:
+        return ValueError(f"{self.path}: line {self.lines[i]}: {message}")
+
+    def ints(self, k: int, name: str | None = None) -> np.ndarray:
+        """Field ``k`` of every row as int64, where it is 1 to 18 ASCII
+        digits after an optional ``-``.  Any other text is a ValueError
+        naming its line when ``name`` is given, and reads 0 when it is not."""
+        buf = np.frombuffer(self.raw, np.uint8)
+        lo, hi = self.field(k)
+        # an empty last field of a file with no final newline starts at its end
+        minus = (hi > lo) & (buf[np.minimum(lo, buf.size - 1)] == ord("-"))
+        plain, values = _plain_ints(buf, lo + minus, hi)
+        if name is not None and not plain.all():
+            i = int(np.argmin(plain))
+            raise self.error(i, f"invalid literal for {name}: {self.text(i, k)!r} is not "
+                                f"1 to {_BULK_DIGITS} ASCII digits")
+        return np.negative(values, out=values, where=minus)
+
+    def floats(self, k: int, parse: Callable[[str], float] = float) -> np.ndarray:
+        """Field ``k`` of every row by ``float()``, NaN where it is empty.
+        If ``float()`` refuses a field, each distinct text is parsed once
+        by ``parse`` instead, which names the line of a ValueError."""
+        lo, hi = self.field(k)
+        values = np.full(len(lo), np.nan)
+        full = np.flatnonzero(hi > lo)
+        try:
+            values[full] = np.fromiter(map(float, self.texts(lo[full], hi[full])),
+                                       np.float64, len(full))
+        except ValueError:
+            parsed, codes = parse_column(self.texts(lo, hi), parse, self.path, self.lines)
+            values = np.array(parsed, np.float64)[codes]
+        return values
+
+
+def read_rows(path: str | Path, header: str, width: int) -> Rows:
+    """The rows of the hand-off CSV at ``path`` (a matrix, selection or
+    probe file), read once as bytes: a first line equal to ``header``, then
+    one unquoted ``width``-field line per row.  CRLF and lone CR line ends
+    read as LF, and blank lines are skipped.  One newline scan and one comma
+    scan give each row's line number and field offsets; no field is split
+    into a string.  Bytes that are not UTF-8, another first line, no rows,
+    or a row that is not ``width`` unquoted fields raise ValueError naming
+    the file or the line."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    if b"\r" in raw:
+        raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    if not raw.isascii():
+        try:
+            raw.decode()
+        except UnicodeDecodeError as exc:
+            line = raw.count(b"\n", 0, exc.start) + 1
+            raise ValueError(f"{path}: line {line}: not UTF-8 text "
+                             f"(byte 0x{raw[exc.start]:02x})") from None
+    first = raw.split(b"\n", 1)[0].decode()
+    if first != header:
+        raise ValueError(f"{path}: expected header {header!r}, got {first!r}")
+    buf = np.frombuffer(raw, np.uint8)
+    lines, starts, ends, commas, first, n_commas = _line_fields(buf)
+    # the header is line 0, and it is not blank
+    lines, starts, ends, first = lines[1:] + 1, starts[1:], ends[1:], first[1:]
+    if not lines.size:
         raise ValueError(f"{path}: no rows")
-    if '"' in text or {row.count(",") for row in texts} != {width - 1}:
-        line, row = next((n, t) for n, t in zip(lines, texts)
-                         if t.count(",") != width - 1 or '"' in t)
-        raise ValueError(f"{path}: line {line}: bad row {row.split(',')!r}")
-    return lines, texts
+    bad = n_commas[1:] != width - 1
+    if b'"' in raw or bad.any():
+        bad[np.searchsorted(ends, np.flatnonzero(buf == ord('"')))] = True
+        i = int(np.argmax(bad))
+        row = raw[starts[i]:ends[i]].decode()
+        raise ValueError(f"{path}: line {lines[i]}: bad row {row.split(',')!r}")
+    # every comma below the header lies in a row, and each row has width - 1
+    return Rows(path, raw, lines, starts, ends, commas[first[0]:].reshape(-1, width - 1))
 
 
 def json_int(key: str, value) -> int:
@@ -718,7 +818,7 @@ def save_matrix(m: HourlyTraceMatrix, csv_path: str | Path) -> None:
     write_json(_meta_path_for(csv_path), {**asdict(m.grid), "bin_seconds": BIN_SECONDS})
 
 
-def _parse_cells(rows: list[str], bins: int) -> np.ndarray:
+def _parse_cells(rows: Iterable[str], bins: int) -> np.ndarray:
     # usecols skips the prefix column, so no copy of the cell text is made
     return np.loadtxt(rows, delimiter=",", dtype=np.int64, comments=None,
                       usecols=range(1, bins + 1), ndmin=2)
@@ -755,22 +855,21 @@ def load_matrix(csv_path: str | Path) -> HourlyTraceMatrix:
         raise ValueError(f"{meta_path}: unknown dtype {kind!r}; cells are int64 bytes, "
                          "so re-run synth to rewrite a float matrix")
 
-    lines, texts = read_rows(csv_path, _matrix_header(grid), grid.bin_count + 1)
-    parsed, codes = parse_column(
-        [text[: text.index(",")] for text in texts], Prefix.parse, csv_path, lines
-    )
+    rows = read_rows(csv_path, _matrix_header(grid), grid.bin_count + 1)
+    parsed, codes = parse_column(rows.texts(*rows.field(0)), Prefix.parse, csv_path, rows.lines)
     prefixes = [parsed[code] for code in codes.tolist()]
     try:
-        values = _parse_cells(texts, grid.bin_count)
+        values = _parse_cells(map(bytes.decode, rows.texts(rows.starts, rows.ends)),
+                              grid.bin_count)
     except ValueError as exc:
         # name the prefix; only this error path parses row by row
-        for line, prefix, text in zip(lines, prefixes, texts):
+        for i, prefix in enumerate(prefixes):
             try:
-                _parse_cells([text], grid.bin_count)
+                _parse_cells([rows.text(i)], grid.bin_count)
             except ValueError as row_exc:
-                raise ValueError(f"{csv_path}: line {line}: bad row for "
-                                 f"{prefix.text!r}: {row_exc}") from None
+                raise rows.error(i, f"bad row for {prefix.text!r}: {row_exc}") from None
         raise ValueError(f"{csv_path}: {exc}") from None
+    del rows  # the text and its offsets, so the matrix's copies do not sit beside them
     try:
         return HourlyTraceMatrix(grid, prefixes, values)
     except ValueError as exc:

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 import pytest
@@ -16,13 +17,17 @@ from hypothesis import strategies as st
 from prefixcast import dynamism
 from prefixcast.cli import _write_csv, main
 from prefixcast.dynamism import compute_core_profile
-from prefixcast.rttsim import MAX_PROBES, load_probe_log, simulate_dynamic_selection
+from prefixcast.rttsim import (
+    MAX_PROBES, ProbeScheduleSpec, RttModel, generate_probe_log, load_probe_log, save_probe_log,
+    simulate_dynamic_selection,
+)
 from prefixcast.selectors import (
     METHODS, SELECTION_HEADER, WINDOW_GRID, SelectionRun, SelectorConfig, load_selection,
-    run_selection, save_selection,
+    max_core_size, run_selection, save_selection,
 )
 from prefixcast.trace import (
-    HourlyTraceMatrix, Prefix, TimeGrid, load_matrix, synthetic_prefix, write_json,
+    HourlyTraceMatrix, Prefix, SyntheticTraceSpec, TimeGrid, load_matrix, synthesize_trace,
+    synthetic_prefix, write_json,
 )
 from scalar_oracles import INT64_MAX, INT64_MIN, selection_run, write_csv_rows
 
@@ -1209,9 +1214,14 @@ def _edit_row(text: str, edit) -> str:
     (lambda text: text[0].upper() + text[1:], "expected header"),
     (lambda text: _edit_row(text, lambda row: '"' + row.replace(",", '",', 1)), "line 3: bad row"),
     (lambda text: _edit_row(text, lambda row: row + ",9"), "line 3: bad row"),
+    # a lone surrogate is written as the one byte 0xff
+    (lambda text: _edit_row(text, lambda row: row.replace("0", "\udcff", 1)),
+     "line 3: not UTF-8 text (byte 0xff)"),
     (lambda text: text.replace("\n", "\r\n\r\n").rstrip("\r\n"), None),
-], ids=["header only", "wrong header", "quoted field", "wrong width",
-        "CRLF, blank lines, no final newline"])
+    (lambda text: text.replace("\n", "\r"), None),
+    (lambda text: text.replace("\n", "\n\n", 2), None),
+], ids=["header only", "wrong header", "quoted field", "wrong width", "not UTF-8",
+        "CRLF, blank lines, no final newline", "lone CR", "blank line below the header"])
 @pytest.mark.parametrize("kind", HAND_OFF_FILES)
 def test_hand_off_files_share_one_row_format(tmp_path, kind, rewrite, message):
     text, load, view = HAND_OFF_FILES[kind]
@@ -1220,13 +1230,103 @@ def test_hand_off_files_share_one_row_format(tmp_path, kind, rewrite, message):
         path.with_suffix(".json").write_text('{"start": 0, "bin_seconds": 3600, "bin_count": 3}')
     path.write_text(text)
     clean = view(load(path))
-    path.write_bytes(rewrite(text).encode())
+    path.write_bytes(rewrite(text).encode(errors="surrogateescape"))
     if message is None:
         assert view(load(path)) == clean
         return
     with pytest.raises(ValueError) as info:
         load(path)
     assert str(info.value).startswith(f"{path}: {message}")
+
+
+@pytest.mark.parametrize("kind, argv", [
+    ("matrix", ["analyze", "--matrix", "{dir}/matrix.csv"]),
+    ("selection", ["evaluate", "--matrix", "{dir}/m/matrix.csv", "--selection",
+                   "{dir}/selection.csv"]),
+    ("probe", ["simulate", "--probes", "{dir}/probe.csv"]),
+])
+def test_stage_names_the_line_of_a_byte_that_is_not_utf8(tmp_path, capsys, kind, argv):
+    text = HAND_OFF_FILES[kind][0]
+    path = tmp_path / f"{kind}.csv"
+    path.with_suffix(".json").write_text('{"start": 0, "bin_seconds": 3600, "bin_count": 3}')
+    _hand_off_matrix(tmp_path / "m")
+    path.write_bytes(_edit_row(text, lambda row: row.replace("0", "\udcff", 1))
+                     .encode(errors="surrogateescape"))
+    out = tmp_path / "out"
+    assert main([arg.format(dir=tmp_path) for arg in argv] + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: line 3: not UTF-8 text (byte 0xff)" in err and "codec" not in err
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("kind, column, text, message", [
+    ("selection", 0, "+3", "line 3: invalid literal for hour: '+3'"),
+    ("selection", 0, " 3", "line 3: invalid literal for hour: ' 3'"),
+    ("selection", 0, "\u0663", "line 3: invalid literal for hour: '\u0663'"),
+    ("selection", 0, "0_3", "line 3: invalid literal for hour: '0_3'"),
+    ("selection", 0, "03", None),
+    ("selection", 1, "+1", "line 3: hour 3: ranks must run 1..n with n <= K=2"),
+    ("selection", 1, "1_0", "line 3: hour 3: ranks must run 1..n with n <= K=2"),
+    ("selection", 1, "01", None),
+    ("probe", 0, "+1", "line 3: invalid literal for tick: '+1'"),
+    ("probe", 0, "\u0661", "line 3: invalid literal for tick: '\u0661'"),
+    ("probe", 0, "01", None),
+])
+def test_integer_fields_are_plain_ascii_digits(tmp_path, kind, column, text, message):
+    """Hour, rank and tick are ASCII digits, leading zeros allowed: int()'s
+    signs, spaces, underscores and Unicode digits are refused, naming the
+    line."""
+    clean, load, view = HAND_OFF_FILES[kind]
+    path = tmp_path / f"{kind}.csv"
+    path.write_text(clean)
+    want = view(load(path))
+
+    def edit(row: str) -> str:
+        fields = row.split(",")
+        fields[column] = text
+        return ",".join(fields)
+
+    path.write_text(_edit_row(clean, edit))
+    if message is None:
+        assert view(load(path)) == want
+        return
+    with pytest.raises(ValueError) as info:
+        load(path)
+    assert str(info.value).startswith(f"{path}: {message}")
+
+
+def _selection_file(directory: Path) -> tuple[Path, Callable]:
+    m = synthesize_trace(SyntheticTraceSpec(prefix_count=100, noise=0.5, seed=3),
+                         TimeGrid(start=0, bin_count=168))
+    profile = compute_core_profile(m)
+    run = run_selection(m, profile, SelectorConfig("mean_volume", 24, max_core_size(profile)))
+    path = directory / "selection.csv"
+    save_selection(run, path)
+    return path, lambda: load_selection(path, m, profile.threshold)
+
+
+def _probe_file(directory: Path) -> tuple[Path, Callable]:
+    rtt = {(synthetic_prefix(k), f"T{t}"): 10.0 + k + t for k in range(1, 11) for t in (1, 2, 3)}
+    log = generate_probe_log(ProbeScheduleSpec(seed=1),
+                             RttModel(rtt, noise_std=1.0, loss_prob=0.02))
+    path = directory / "probes.csv"
+    save_probe_log(log, path)
+    return path, lambda: load_probe_log(path)
+
+
+@pytest.mark.parametrize("make", [_selection_file, _probe_file], ids=["selection", "probe"])
+def test_hand_off_reader_peak_is_a_few_times_the_file(tmp_path, make):
+    """The selection and probe readers hold no string per field: their
+    traced peak stays under 8x the file's bytes (about 13x and 11x when
+    every field was split into a string)."""
+    path, load = make(tmp_path)
+    tracemalloc.start()
+    try:
+        load()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * path.stat().st_size
 
 
 class TestUsageErrors:

@@ -395,6 +395,26 @@ class TestProbeCsv:
         path.write_text("tick,prefix,transit,rtt_ms\n0,192.0.2.0/24,T1,10\n0,192.0.2.0/24,T2, \n")
         assert probe_rows(load_probe_log(path)) == [(0, P1, "T1", 10.0), (0, P1, "T2", None)]
 
+    def test_loss_on_a_last_line_with_no_final_newline(self, tmp_path):
+        # the empty RTT field starts at the very end of the file
+        path = tmp_path / "probes.csv"
+        path.write_text("tick,prefix,transit,rtt_ms\n0,192.0.2.0/24,T1,10\n0,192.0.2.0/24,T2,")
+        assert probe_rows(load_probe_log(path)) == [(0, P1, "T1", 10.0), (0, P1, "T2", None)]
+
+    @pytest.mark.parametrize("tick", ["+1", " 1", "1 ", "\u0661", "1_0", "1.0", "-", "9" * 19])
+    def test_tick_that_is_not_plain_digits_is_refused(self, tmp_path, tick):
+        # int() reads each of these but the last three; "1_0" it reads as 10
+        path = tmp_path / "probes.csv"
+        path.write_text(f"tick,prefix,transit,rtt_ms\n0,192.0.2.0/24,T1,10\n{tick},192.0.2.0/24,T1,9\n")
+        with pytest.raises(ValueError, match=re.escape(f"line 3: invalid literal for tick: {tick!r}")):
+            load_probe_log(path)
+
+    @pytest.mark.parametrize("tick, value", [("01", 1), ("-7", -7), ("0" * 18, 0)])
+    def test_tick_of_plain_digits_with_leading_zeros_or_a_minus_is_read(self, tmp_path, tick, value):
+        path = tmp_path / "probes.csv"
+        path.write_text(f"tick,prefix,transit,rtt_ms\n{tick},192.0.2.0/24,T1,10\n")
+        assert probe_rows(load_probe_log(path)) == [(value, P1, "T1", 10.0)]
+
     @pytest.mark.parametrize("rewrite", [
         lambda text: text.replace("\n", "\r\n"),
         lambda text: text.replace("\n", "\n\n") + "\n",

@@ -769,6 +769,22 @@ class TestRunSelectionMatchesPerHourLoop:
             _, _, fallbacks = per_hour_selection(m, profile, config)
             assert run_selection(m, profile, config).gm11_fallbacks == fallbacks, window
 
+    def test_gm11_chunk_size_does_not_change_the_run(self, monkeypatch):
+        # rows are fitted independently, so any row chunk gives the same run
+        grid = TimeGrid(start=0, bin_count=168)
+        m = synthesize_trace(SyntheticTraceSpec(prefix_count=300, noise=0.5, seed=4), grid)
+        profile = compute_core_profile(m)
+        for window in (4, 24, 168):
+            config = SelectorConfig("gm11", window, max_core_size(profile))
+            runs = []
+            for cells in (1 << 11, 1 << 14, 1):
+                monkeypatch.setattr(selectors, "GM11_CHUNK_CELLS", cells)
+                runs.append(run_selection(m, profile, config))
+            for run in runs[1:]:
+                assert (run.mask == runs[0].mask).all()
+                assert np.array_equal(run.picked_scores, runs[0].picked_scores)
+                assert run.gm11_fallbacks == runs[0].gm11_fallbacks
+
     def test_gm11_peak_memory_within_one_matrix_of_mean_volume(self):
         grid = TimeGrid(start=0, bin_count=168)
         m = synthesize_trace(SyntheticTraceSpec(prefix_count=2000, noise=0.5, seed=3), grid)
@@ -796,22 +812,25 @@ class TestRunSelectionMatchesPerHourLoop:
 
 
 def assert_top_k_is_the_stable_cut(score, size, top_k=selectors._top_k):
-    """``_top_k``'s mask is the stable argsort's picked set, and a run
-    holding it ranks its ``picks`` / ``scores`` as the argsort does, with
-    ``==``."""
+    """``_top_k``'s mask is the stable argsort's picked set, it leaves
+    ``score`` holding the ranking key (``-score`` where positive, inf
+    elsewhere), and a run holding the mask and the negated key's picks
+    ranks its ``picks`` / ``scores`` as the argsort does, with ``==``."""
+    original = score.copy()
     mask = top_k(score, size)
-    picks, scores = argsort_top_k(score, size)
+    picks, scores = argsort_top_k(original, size)
     want = np.zeros((score.shape[1], score.shape[0]), dtype=bool)
     for pos, rows in enumerate(picks):
         want[pos, rows] = True
     assert mask.dtype == bool and mask.shape == want.shape
     assert (mask == want).all()
+    assert np.array_equal(score, np.where(original > 0, -original, np.inf))
     run = SelectionRun(
         config=SelectorConfig("mean_volume", 1, size),
         threshold=0.95,
         prefixes=tuple(synthetic_prefix(k + 1) for k in range(score.shape[0])),
         mask=mask,
-        picked_scores=score.T[mask],
+        picked_scores=-score.T[mask],
     )
     for got_part, want_part in ((run.picks, picks), (run.scores, scores)):
         assert len(got_part) == len(want_part) == score.shape[1]
@@ -831,9 +850,10 @@ class TestTopK:
     def test_hand_cases(self, columns, size, picks):
         # each inner list is one hour's scores, one per prefix row
         score = np.array(columns).T
+        # the oracle first: _top_k turns score into its ranking key
+        assert [p.tolist() for p in argsort_top_k(score, size)[0]] == picks
         mask = assert_top_k_is_the_stable_cut(score, size)
         assert [np.flatnonzero(row).tolist() for row in mask] == [sorted(p) for p in picks]
-        assert [p.tolist() for p in argsort_top_k(score, size)[0]] == picks
 
     @settings(max_examples=300, deadline=None)
     @given(

@@ -688,21 +688,24 @@ def outcome(run):
     rows=st.lists(FIELD_ROWS, max_size=30),
     blank=st.sets(st.integers(0, 30)),
     newline=st.sampled_from(["\n", "\r\n"]),
+    final=st.booleans(),
     block=st.integers(1, 8),
     errors=st.sampled_from(["count", "raise"]),
 )
-def test_column_pass_equals_the_per_record_rule(tmp_path_factory, rows, blank, newline, block,
-                                                 errors):
-    """Over blocks of any size, with CRLF and blank lines, the column pass
-    bins, tallies and refuses as the record-by-record oracle does; under
-    ``raise`` both name the same first bad record."""
+def test_column_pass_equals_the_per_record_rule(tmp_path_factory, rows, blank, newline, final,
+                                                 block, errors):
+    """Over blocks of any size, with CRLF, blank lines and with or without
+    a final newline, the column pass bins, tallies and refuses as the
+    record-by-record oracle does; under ``raise`` both name the same first
+    bad record."""
     grid = CONSERVATION_GRID
     lines = [",".join(row) for row in rows]
     for pos in sorted(blank, reverse=True):
         lines.insert(min(pos, len(lines)), "")
     path = tmp_path_factory.mktemp("flows") / "flows.csv"
     with open(path, "w", newline=newline) as fh:
-        fh.write("timestamp,prefix,bytes\n" + "".join(line + "\n" for line in lines))
+        text = "".join(line + "\n" for line in ["timestamp,prefix,bytes", *lines])
+        fh.write(text if final else text[:-1])
     with mock.patch.object(trace, "TRACE_BLOCK_LINES", block):
         got = outcome(lambda: bin_records(iter_trace_csv(path), grid, errors))
     assert got == outcome(lambda: scalar_oracles.bin_records(rows, grid, errors))
