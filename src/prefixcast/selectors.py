@@ -352,8 +352,8 @@ def load_selection(path: str | Path, m: HourlyTraceMatrix, threshold: float) -> 
             raise ValueError(f"prefix {canonical} not in matrix")
         return m._index[canonical]
 
-    rows_of, prefix_codes = parse_column(rows.texts(*rows.field(2)), row_of, path, rows.lines)
-    index = np.array(rows_of, dtype=np.int64)[prefix_codes]
+    matrix_rows, codes = parse_column(rows.texts(*rows.field(2)), row_of, path, rows.lines)
+    index = np.array(matrix_rows, dtype=np.int64)[codes]
     # each row's method,L,K bytes against line 2's, all rows at once
     lo, hi = rows.field(4)[0], rows.ends
     first = rows.raw[lo[0]:hi[0]]

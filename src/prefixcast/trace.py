@@ -747,9 +747,10 @@ def read_rows(path: str | Path, header: str, width: int) -> Rows:
             line = raw.count(b"\n", 0, exc.start) + 1
             raise ValueError(f"{path}: line {line}: not UTF-8 text "
                              f"(byte 0x{raw[exc.start]:02x})") from None
-    first = raw.split(b"\n", 1)[0].decode()
-    if first != header:
-        raise ValueError(f"{path}: expected header {header!r}, got {first!r}")
+    end = raw.find(b"\n")
+    got = raw[:end if end >= 0 else None].decode()
+    if got != header:
+        raise ValueError(f"{path}: expected header {header!r}, got {got!r}")
     buf = np.frombuffer(raw, np.uint8)
     lines, starts, ends, commas, first, n_commas = _line_fields(buf)
     # the header is line 0, and it is not blank
