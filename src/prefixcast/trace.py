@@ -362,7 +362,8 @@ def _line_fields(buf: np.ndarray):
     starts = np.concatenate(([0], ends[:-1] + 1))
     lines = np.flatnonzero(ends > starts)  # a blank line is no row
     starts, ends = starts[lines], ends[lines]
-    commas = np.flatnonzero(buf == ord(","))
+    # the comma offsets are the largest array; below 2 GiB they fit int32
+    commas = np.flatnonzero(buf == ord(",")).astype(np.int32 if buf.size < 2**31 else np.int64)
     first = np.searchsorted(commas, starts)
     return lines, starts, ends, commas, first, np.searchsorted(commas, ends) - first
 
