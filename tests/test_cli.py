@@ -1259,25 +1259,22 @@ def test_stage_names_the_line_of_a_byte_that_is_not_utf8(tmp_path, capsys, kind,
     assert not out.exists() or not any(out.iterdir())
 
 
-@pytest.mark.parametrize("kind, column, text, message", [
-    ("selection", 0, "+3", "line 3: invalid literal for hour: '+3'"),
-    ("selection", 0, " 3", "line 3: invalid literal for hour: ' 3'"),
-    ("selection", 0, "\u0663", "line 3: invalid literal for hour: '\u0663'"),
-    ("selection", 0, "0_3", "line 3: invalid literal for hour: '0_3'"),
-    ("selection", 0, "03", None),
-    ("selection", 1, "+1", "line 3: hour 3: ranks must run 1..n with n <= K=2"),
-    ("selection", 1, "1_0", "line 3: hour 3: ranks must run 1..n with n <= K=2"),
-    ("selection", 1, "01", None),
-    ("probe", 0, "+1", "line 3: invalid literal for tick: '+1'"),
-    ("probe", 0, "\u0661", "line 3: invalid literal for tick: '\u0661'"),
-    ("probe", 0, "01", None),
+@pytest.mark.parametrize("column, text, message", [
+    (0, "+3", "line 3: invalid literal for hour: '+3'"),
+    (0, " 3", "line 3: invalid literal for hour: ' 3'"),
+    (0, "\u0663", "line 3: invalid literal for hour: '\u0663'"),
+    (0, "0_3", "line 3: invalid literal for hour: '0_3'"),
+    (0, "03", None),
+    (1, "+1", "line 3: hour 3: ranks must run 1..n with n <= K=2"),
+    (1, "1_0", "line 3: hour 3: ranks must run 1..n with n <= K=2"),
+    (1, "01", None),
 ])
-def test_integer_fields_are_plain_ascii_digits(tmp_path, kind, column, text, message):
-    """Hour, rank and tick are ASCII digits, leading zeros allowed: int()'s
-    signs, spaces, underscores and Unicode digits are refused, naming the
-    line."""
-    clean, load, view = HAND_OFF_FILES[kind]
-    path = tmp_path / f"{kind}.csv"
+def test_selection_hour_and_rank_are_plain_ascii_digits(tmp_path, column, text, message):
+    """Hour and rank are ASCII digits, leading zeros allowed: int()'s signs,
+    spaces, underscores and Unicode digits are refused, naming the line
+    (probe ticks: ``tests/test_rttsim.py``)."""
+    clean, load, view = HAND_OFF_FILES["selection"]
+    path = tmp_path / "selection.csv"
     path.write_text(clean)
     want = view(load(path))
 

@@ -403,7 +403,7 @@ class TestProbeCsv:
 
     @pytest.mark.parametrize("tick", ["+1", " 1", "1 ", "\u0661", "1_0", "1.0", "-", "9" * 19])
     def test_tick_that_is_not_plain_digits_is_refused(self, tmp_path, tick):
-        # int() reads each of these but the last three; "1_0" it reads as 10
+        # int() reads all but "1.0" and "-" ("1_0" as 10); 19 digits can leave int64
         path = tmp_path / "probes.csv"
         path.write_text(f"tick,prefix,transit,rtt_ms\n0,192.0.2.0/24,T1,10\n{tick},192.0.2.0/24,T1,9\n")
         with pytest.raises(ValueError, match=re.escape(f"line 3: invalid literal for tick: {tick!r}")):
