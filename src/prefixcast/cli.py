@@ -6,6 +6,13 @@ independently scriptable; this module names the files, and the library
 modules read and write their formats.  Every output is a pure function of
 inputs, flags, and the seed; re-running a stage reproduces its files byte
 for byte.  Exit codes: 0 success, 1 usage error, 2 data error.
+
+Each command's flags are defined once, by its entry in ``_COMMANDS``.
+``main`` parses a named command with that command's parser alone, so a
+stage pays for no other command's flags; the full CLI, which
+``build_parser()`` composes from the same entries, is built only for no
+argument, ``-h``/``--help`` or an unknown first word.  Help, usage errors
+and exit codes read the same either way.
 """
 
 from __future__ import annotations
@@ -285,8 +292,6 @@ def _report_payload(run: selectors.SelectionRun, report: evaluation.EvaluationRe
 
 def _cmd_evaluate(args) -> int:
     m = _load_matrix(args.matrix)
-    out = _out_dir(args)
-
     paths: list[Path] = [Path(p) for p in args.selection]
     if args.select_dir:
         paths.extend(sorted(Path(args.select_dir).glob("selection_*.csv")))
@@ -295,6 +300,7 @@ def _cmd_evaluate(args) -> int:
 
     summary = {}
     written: dict[str, Path] = {}  # report file name -> the input that wrote it
+    reports = []
     for path in paths:
         if not path.exists():
             raise ValueError(f"missing selection artifact {path}; run the select stage first")
@@ -304,9 +310,15 @@ def _cmd_evaluate(args) -> int:
             raise ValueError(f"{written[name]} and {path} both write {name}")
         written[name] = path
         report = evaluation.evaluate_run(run, m)
+        summary[_report_key(run.config)] = _report_payload(run, report)
+        reports.append((name, report))
+        del run  # so the next file is read with no other run alive
+
+    # nothing is written until every input has been read and evaluated
+    out = _out_dir(args)
+    for name, report in reports:
         churn = [None, *report.churn.tolist()]  # the first hour has no churn
         _write_csv(out / name, ["hour", "coverage", "churn"], report.hours, report.coverage, churn)
-        summary[_report_key(run.config)] = _report_payload(run, report)
         mean_churn = report.churn_summary.mean if report.churn_summary else float("nan")
         print(
             f"evaluate: {report.method} L={report.window} "
@@ -473,11 +485,7 @@ def _cmd_report(args) -> int:
 # ----------------------------------------------------------------- parser
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="prefixcast", description=__doc__)
-    sub = parser.add_subparsers(dest="command", parser_class=_Parser)
-
-    p = sub.add_parser("ingest", help="bin a timestamp,prefix,bytes CSV into an hourly matrix")
+def _ingest_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("input", help="flow records CSV")
     p.add_argument("--start", type=int, default=None, help="grid start (epoch s, hour-aligned)")
     p.add_argument("--bins", type=int, default=None, help="bin count (default: derived)")
@@ -485,7 +493,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=".")
     p.set_defaults(func=_cmd_ingest)
 
-    p = sub.add_parser("synth", help="generate a synthetic Zipf trace matrix")
+
+def _synth_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--prefixes", type=int, default=1000)
     p.add_argument("--zipf-s", type=float, default=1.0)
     p.add_argument("--hourly-volume", type=float, default=1e9)
@@ -498,14 +507,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=".")
     p.set_defaults(func=_cmd_synth)
 
-    p = sub.add_parser("analyze", help="dynamism metrics: cores, variation, burstiness")
+
+def _analyze_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--matrix", required=True, help="matrix CSV from ingest/synth")
     p.add_argument("--threshold", type=float, default=0.95)
     p.add_argument("--span", default="week", help="concentration span: week, hour:H, day:H0")
     p.add_argument("--out", default=".")
     p.set_defaults(func=_cmd_analyze)
 
-    p = sub.add_parser("select", help="predictive selection from window history")
+
+def _select_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--matrix", required=True)
     p.add_argument("--threshold", type=float, default=0.95)
     mode = p.add_mutually_exclusive_group(required=True)
@@ -521,7 +532,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=".")
     p.set_defaults(func=_cmd_select)
 
-    p = sub.add_parser("evaluate", help="coverage and churn of selection runs")
+
+def _evaluate_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--matrix", required=True)
     p.add_argument("--selection", action="append", default=[], help="selection CSV (repeatable)")
     p.add_argument("--select-dir", default=None, help="directory of selection_*.csv files")
@@ -529,7 +541,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=".")
     p.set_defaults(func=_cmd_evaluate)
 
-    p = sub.add_parser("probe-synth", help="generate a synthetic RTT probe log")
+
+def _probe_synth_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--prefix-count", type=int, default=20)
     p.add_argument("--transits", type=int, default=2)
     p.add_argument("--duration", type=float, default=86400.0, help="seconds of probing")
@@ -544,7 +557,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=".")
     p.set_defaults(func=_cmd_probe_synth)
 
-    p = sub.add_parser("simulate", help="normalized RTT per transit + dynamic selection")
+
+def _simulate_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--probes", required=True, help="probe log CSV")
     p.add_argument("--no-dynamic", dest="dynamic", action="store_false",
                    help="skip the virtual last-round-best transit")
@@ -552,20 +566,53 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=".")
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("report", help="full method x window grid summary")
+
+def _report_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--matrix", required=True)
     p.add_argument("--threshold", type=float, default=0.95)
     p.add_argument("--size", type=int, default=None)
     p.add_argument("--out", default=".")
     p.set_defaults(func=_cmd_report)
 
+
+# each command, in the full CLI's order: its line in ``--help``, and the
+# function that gives a parser its flags and its ``func``
+_COMMANDS = {
+    "ingest": ("bin a timestamp,prefix,bytes CSV into an hourly matrix", _ingest_args),
+    "synth": ("generate a synthetic Zipf trace matrix", _synth_args),
+    "analyze": ("dynamism metrics: cores, variation, burstiness", _analyze_args),
+    "select": ("predictive selection from window history", _select_args),
+    "evaluate": ("coverage and churn of selection runs", _evaluate_args),
+    "probe-synth": ("generate a synthetic RTT probe log", _probe_synth_args),
+    "simulate": ("normalized RTT per transit + dynamic selection", _simulate_args),
+    "report": ("full method x window grid summary", _report_args),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The full CLI, one subparser per command; or, given ``command``, that
+    command's parser alone, which parses, helps and refuses exactly as the
+    full CLI's subparser for it does."""
+    if command is not None:
+        parser = _Parser(prog=f"prefixcast {command}")
+        _COMMANDS[command][1](parser)
+        return parser
+    # --help shows the docstring's first two paragraphs; the last is for readers of the code
+    parser = _Parser(prog="prefixcast", description=__doc__.rsplit("\n\n", 1)[0])
+    sub = parser.add_subparsers(dest="command", parser_class=_Parser)
+    for name, (summary, add_args) in _COMMANDS.items():
+        add_args(sub.add_parser(name, help=summary))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a named command needs only its own parser; without one (no argument,
+    # -h/--help, an unknown word) the full CLI helps or refuses
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    parser = build_parser(command)
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(argv[1:] if command else argv)
         if getattr(args, "func", None) is None:
             parser.print_help()
             return USAGE_ERROR

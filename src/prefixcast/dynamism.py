@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evaluation import boxplot_summary
-from .trace import HourlyTraceMatrix, Prefix, zipf_shares
+from .trace import HourlyTraceMatrix, Prefix
 
 __all__ = [
     "CoreProfile",
@@ -42,6 +42,9 @@ DEFAULT_CORE_THRESHOLD = 0.95
 # Reference Zipf overlay parameters for concentration curves.
 ZIPF_REF_N = 100_000
 ZIPF_REF_S = 1.0
+# the float64 sum of the reference's ZIPF_REF_N weights, k ** -ZIPF_REF_S, as
+# zipf_shares sums them: a curve's overlay computes only the ranks it fills
+_ZIPF_REF_TOTAL = 12.090146129863431
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,10 +185,9 @@ def concentration_curve(m: HourlyTraceMatrix, span: str = "week") -> Concentrati
     if abs(cdf[-1] - 1.0) > 1e-9:
         raise AssertionError(f"concentration CDF ends at {cdf[-1]!r}")
 
-    ref = zipf_shares(ZIPF_REF_N, ZIPF_REF_S)
     overlay = np.zeros(shares.size, dtype=np.float64)
     take = min(shares.size, ZIPF_REF_N)
-    overlay[:take] = ref[:take]
+    overlay[:take] = np.arange(1, take + 1, dtype=np.float64) ** -ZIPF_REF_S / _ZIPF_REF_TOTAL
     return ConcentrationCurve(span=label, shares=shares, cdf=cdf, zipf_overlay=overlay)
 
 

@@ -60,6 +60,9 @@ GM11_MIN_POINTS = 4
 # Cells per row chunk of the GM(1,1) pass; bounds its temporaries.
 GM11_CHUNK_CELLS = 1 << 14
 
+# Picks per write of ``save_selection``, rounded to whole hours (at least one).
+_WRITE_BLOCK = 1 << 16
+
 
 @dataclass(frozen=True)
 class SelectorConfig:
@@ -285,11 +288,8 @@ class SelectionRun:
 
     @cached_property
     def _ranked(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        pos, rows = np.divmod(np.flatnonzero(self.mask), len(self.prefixes))
-        # picks come hour by hour, rows ascending, and lexsort is stable
-        order = np.lexsort((-self.picked_scores, pos))
+        _, *flat = _rank_picks(self.mask, self.picked_scores)
         ends = np.cumsum(self.mask.sum(axis=1)).tolist()
-        flat = rows[order], self.picked_scores[order]
         return tuple([arr[i:j] for i, j in zip([0, *ends], ends)] for arr in flat)
 
     @property
@@ -303,30 +303,51 @@ class SelectionRun:
         return self._ranked[1]
 
 
+def _rank_picks(mask: np.ndarray, picked_scores: np.ndarray):
+    """The picks of ``mask`` (hours, prefixes), whose scores ``picked_scores``
+    are in its row-major order, as ``(hour, row, score)`` arrays: ``hour``
+    indexes ``mask``'s rows, and each hour's picks are ranked by (score
+    desc, row asc)."""
+    pos, rows = np.divmod(np.flatnonzero(mask), mask.shape[1])
+    # picks come hour by hour, rows ascending, and lexsort is stable
+    order = np.lexsort((-picked_scores, pos))
+    return pos, rows[order], picked_scores[order]
+
+
 SELECTION_HEADER = ["hour", "rank", "prefix", "score", "method", "L", "K"]
 
 
 def save_selection(run: SelectionRun, path: str | Path) -> None:
     """Write ``run`` as one unquoted ``hour,rank,prefix,score,method,L,K``
     line per pick, in ``picks`` order: canonical prefixes and method names
-    never need quoting.  Each distinct hour, rank, prefix and score (by its
-    bits: ``-0.0`` is not ``0.0``) is formatted once, and the lines are
-    joined from per-column text arrays."""
+    never need quoting.  The lines go out a block of whole hours (at most
+    ``_WRITE_BLOCK`` picks, or one hour) at a time, so the text of the whole
+    run is never held.  Each distinct hour, rank and prefix is formatted
+    once, each block's distinct scores (by their bits: ``-0.0`` is not
+    ``0.0``) once per block, and a block's lines are joined from per-column
+    text arrays."""
     cfg = run.config
     counts = run.mask.sum(axis=1)
-    pos = np.repeat(np.arange(counts.size), counts)
-    rank = np.arange(pos.size) - (np.cumsum(counts) - counts)[pos] + 1
-    bits, score_codes = np.unique(np.concatenate(run.scores).view(np.int64), return_inverse=True)
+    bounds = np.concatenate([[0], np.cumsum(counts)])  # hour i's picks: bounds[i]:bounds[i + 1]
+    most = int(counts.max())
+    step = max(1, _WRITE_BLOCK // max(1, most))
+    hour_texts = np.array([f"{h}," for h in run.hours.tolist()], dtype=object)
+    rank_texts = np.array([f"{r}," for r in range(most + 1)], dtype=object)
+    prefix_texts = np.array([p.text + "," for p in run.prefixes], dtype=object)
     tail = f",{cfg.method},{cfg.window},{cfg.size}\n"
-    columns = (
-        ([f"{h}," for h in run.hours.tolist()], pos),
-        ([f"{r}," for r in range(counts.max() + 1)], rank),
-        ([p.text + "," for p in run.prefixes], np.concatenate(run.picks)),
-        ([repr(s) + tail for s in bits.view(np.float64).tolist()], score_codes),
-    )
-    cells = np.column_stack([np.array(texts, dtype=object)[codes] for texts, codes in columns])
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(SELECTION_HEADER) + "\n" + "".join(cells.ravel().tolist()))
+        fh.write(",".join(SELECTION_HEADER) + "\n")
+        for h0 in range(0, counts.size, step):
+            h1 = min(h0 + step, counts.size)
+            lo, hi = bounds[h0], bounds[h1]
+            pos, rows, scores = _rank_picks(run.mask[h0:h1], run.picked_scores[lo:hi])
+            rank = np.arange(pos.size) - (bounds[h0:h1] - lo)[pos] + 1
+            bits, score_codes = np.unique(scores.view(np.int64), return_inverse=True)
+            score_texts = np.array([repr(v) + tail for v in bits.view(np.float64).tolist()],
+                                   dtype=object)
+            cells = np.column_stack([hour_texts[h0 + pos], rank_texts[rank],
+                                     prefix_texts[rows], score_texts[score_codes]])
+            fh.write("".join(cells.ravel().tolist()))
 
 
 def load_selection(path: str | Path, m: HourlyTraceMatrix, threshold: float) -> SelectionRun:

@@ -1,5 +1,6 @@
 """CLI stages: artifacts, exit codes, composition, determinism."""
 
+import argparse
 import csv
 import json
 import os
@@ -14,8 +15,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from prefixcast import dynamism
-from prefixcast.cli import _write_csv, main
+from prefixcast import cli, dynamism, selectors
+from prefixcast.cli import _write_csv, build_parser, main
 from prefixcast.dynamism import compute_core_profile
 from prefixcast.rttsim import (
     MAX_PROBES, ProbeScheduleSpec, RttModel, generate_probe_log, load_probe_log, save_probe_log,
@@ -638,6 +639,30 @@ class TestSelectEvaluate:
         assert (f"{paths[0]} and {paths[1]} both write report_mean_volume_L2.csv"
                 in capsys.readouterr().err)
         assert not (out / "evaluation_summary.json").exists()
+
+    @pytest.mark.parametrize("inputs", [["unknown"], ["good", "unknown"], []],
+                             ids=["refused selection", "second selection refused", "no input"])
+    def test_refused_evaluate_writes_nothing(self, trace_dir, capsys, inputs):
+        """evaluate reads every selection before it creates --out: a refused
+        input, or none, leaves no directory and no first file's report."""
+        assert main(["select", "--matrix", f"{trace_dir}/matrix.csv", "--method",
+                     "mean_volume", "--out", str(trace_dir)]) == 0
+        capsys.readouterr()
+        good = trace_dir / "selection_mean_volume_L1.csv"
+        # another configuration's file, whose first pick the matrix does not hold
+        unknown = trace_dir / "selection_core_volume_L1.csv"
+        unknown.write_text(good.read_text().replace("mean_volume", "core_volume")
+                           .replace(",10.0.", ",192.0.", 1))
+        paths = {"good": good, "unknown": unknown}
+        out = trace_dir / "evaluate"
+        code = main(["evaluate", "--matrix", f"{trace_dir}/matrix.csv",
+                     *(arg for name in inputs for arg in ("--selection", str(paths[name]))),
+                     "--out", str(out)])
+        assert code == (2 if inputs else 1)
+        written = capsys.readouterr()
+        assert written.out == ""
+        assert ("not in matrix" if inputs else "no selection inputs") in written.err
+        assert not out.exists()
 
     @pytest.mark.parametrize("case", ["prefix written two ways", "mixed configurations",
                                       "L changed on the last row", "L written 02 on one row",
@@ -1292,14 +1317,32 @@ def test_selection_hour_and_rank_are_plain_ascii_digits(tmp_path, column, text, 
     assert str(info.value).startswith(f"{path}: {message}")
 
 
-def _selection_file(directory: Path) -> tuple[Path, Callable]:
+def _selection_run() -> tuple[HourlyTraceMatrix, float, SelectionRun]:
     m = synthesize_trace(SyntheticTraceSpec(prefix_count=100, noise=0.5, seed=3),
                          TimeGrid(start=0, bin_count=168))
     profile = compute_core_profile(m)
     run = run_selection(m, profile, SelectorConfig("mean_volume", 24, max_core_size(profile)))
+    return m, profile.threshold, run
+
+
+def _selection_file(directory: Path) -> tuple[Path, Callable]:
+    m, threshold, run = _selection_run()
     path = directory / "selection.csv"
     save_selection(run, path)
-    return path, lambda: load_selection(path, m, profile.threshold)
+    return path, lambda: load_selection(path, m, threshold)
+
+
+def _selection_writer(directory: Path) -> tuple[Path, Callable]:
+    _, _, run = _selection_run()
+    path = directory / "selection.csv"
+
+    def write() -> None:
+        # blocks of about a thousand picks: the file holds a dozen of them
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(selectors, "_WRITE_BLOCK", 1 << 10)
+            save_selection(run, path)
+
+    return path, write
 
 
 def _probe_file(directory: Path) -> tuple[Path, Callable]:
@@ -1311,19 +1354,24 @@ def _probe_file(directory: Path) -> tuple[Path, Callable]:
     return path, lambda: load_probe_log(path)
 
 
-@pytest.mark.parametrize("make", [_selection_file, _probe_file], ids=["selection", "probe"])
-def test_hand_off_reader_peak_is_a_few_times_the_file(tmp_path, make):
+@pytest.mark.parametrize("make, bound", [(_selection_file, 8), (_probe_file, 8),
+                                         (_selection_writer, 1)],
+                         ids=["selection", "probe", "selection writer"])
+def test_hand_off_reader_peak_is_a_few_times_the_file(tmp_path, make, bound):
     """The selection and probe readers hold no string per field: their
     traced peak stays under 8x the file's bytes (about 13x and 11x when
-    every field was split into a string)."""
-    path, load = make(tmp_path)
+    every field was split into a string).  The selection writer holds one
+    block of hours' text at a time, here about a thousand of the file's
+    12.7k picks: its peak stays under the file's bytes (about 5.5x when it
+    joined the whole file's text)."""
+    path, call = make(tmp_path)
     tracemalloc.start()
     try:
-        load()
+        call()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 * path.stat().st_size
+    assert peak < bound * path.stat().st_size
 
 
 class TestUsageErrors:
@@ -1363,6 +1411,79 @@ class TestUsageErrors:
         assert main([*command, "--bin-seconds", "60", "--out", str(out)]) == 1
         assert "unrecognized arguments: --bin-seconds 60" in capsys.readouterr().err
         assert not out.exists()
+
+
+COMMANDS = ["ingest", "synth", "analyze", "select", "evaluate", "probe-synth", "simulate",
+            "report"]
+
+
+def _subparsers() -> dict:
+    return next(action.choices for action in build_parser()._actions
+                if isinstance(action, argparse._SubParsersAction))
+
+
+class TestCommandParser:
+    """``main`` parses a named command with that command's parser alone;
+    the full CLI is built only for no argument, --help or an unknown word."""
+
+    def test_the_full_cli_lists_every_command(self):
+        assert list(_subparsers()) == COMMANDS
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_help_is_the_full_cli_subparser_help(self, command):
+        assert build_parser(command).format_help() == _subparsers()[command].format_help()
+
+    @pytest.mark.parametrize("argv", [
+        ["ingest", "flows.csv", "--start", "3600", "--on-error", "abort"],
+        ["synth", "--burst", "1:2:3", "--burst", "4:5:6", "--zipf-s=1.5"],
+        ["analyze", "--matrix", "m.csv", "--span", "day:2"],
+        ["select", "--matrix", "m.csv", "--method", "gm11", "--window", "24", "--size", "5"],
+        ["select", "--matrix", "m.csv", "--grid"],
+        ["evaluate", "--matrix", "m.csv", "--selection", "a.csv", "--selection", "b.csv"],
+        ["probe-synth", "--regime", "T1:0:3:2", "--loss", "0.1"],
+        ["simulate", "--probes", "p.csv", "--no-dynamic"],
+        ["report", "--matrix", "m.csv", "--thr", "0.9"],
+    ], ids=" ".join)
+    def test_parses_as_the_full_cli(self, argv):
+        full = vars(build_parser().parse_args(argv))
+        assert full.pop("command") == argv[0]
+        assert vars(build_parser(argv[0]).parse_args(argv[1:])) == full
+
+    def test_a_named_command_builds_one_parser(self, tmp_path, monkeypatch):
+        built = []
+        init = cli._Parser.__init__
+        monkeypatch.setattr(cli._Parser, "__init__",
+                            lambda self, **kw: built.append(kw["prog"]) or init(self, **kw))
+        assert main(["synth", "--prefixes", "3", "--bins", "2", "--out", str(tmp_path)]) == 0
+        assert built == ["prefixcast synth"]
+
+    def test_no_command_prints_the_full_help(self, capsys):
+        assert main([]) == 1
+        assert capsys.readouterr() == (build_parser().format_help(), "")
+
+    @pytest.mark.parametrize("argv", [["-h"], ["--help"], ["report", "-h"]],
+                             ids=" ".join)
+    def test_help_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 0
+        parser = build_parser(*argv[:-1])
+        assert capsys.readouterr() == (parser.format_help(), "")
+
+    @pytest.mark.parametrize("argv, err", [
+        (["frobnicate"], "argument command: invalid choice: 'frobnicate' (choose from "
+                         + ", ".join(f"'{c}'" for c in COMMANDS) + ")"),
+        (["analyze", "--threshold", "0.9"], "the following arguments are required: --matrix"),
+        (["synth", "--prefixes", "many"], "argument --prefixes: invalid int value: 'many'"),
+        (["select", "--matrix", "m.csv", "--method", "best"],
+         "argument --method: invalid choice: 'best' (choose from "
+         + ", ".join(f"'{m}'" for m in METHODS) + ")"),
+        (["report", "--matrix", "m.csv", "extra"], "unrecognized arguments: extra"),
+    ], ids=["unknown command", "missing required flag", "bad flag value", "bad choice",
+            "stray argument"])
+    def test_usage_error_text(self, capsys, argv, err):
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"usage error: {err}\n")
 
 
 class TestDeterminism:

@@ -8,7 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from prefixcast import dynamism
 from prefixcast.dynamism import (
+    ZIPF_REF_N,
+    ZIPF_REF_S,
     burstiness_summary,
     compute_core_profile,
     concentration_curve,
@@ -24,6 +27,7 @@ from prefixcast.trace import (
     TimeGrid,
     synthesize_trace,
     synthetic_prefix,
+    zipf_shares,
 )
 from scalar_oracles import burstiness_score
 
@@ -387,6 +391,19 @@ class TestConcentrationCurve:
         harmonic = sum(1.0 / n for n in range(1, 100_001))
         assert curve.zipf_overlay[0] == pytest.approx(1.0 / harmonic, rel=1e-9)
         assert curve.zipf_overlay[0] == pytest.approx(0.0827, abs=5e-4)
+
+    def test_zipf_overlay_is_the_full_reference_cut(self):
+        """The overlay computes only the ranks it fills, dividing by the
+        reference's stored total: it equals the leading entries of the
+        whole ZIPF_REF_N-rank vector, bit for bit."""
+        weights = np.arange(1, ZIPF_REF_N + 1, dtype=np.float64) ** -ZIPF_REF_S
+        assert dynamism._ZIPF_REF_TOTAL == weights.sum()
+        full = zipf_shares(ZIPF_REF_N, ZIPF_REF_S)
+        for n in (1, 3, 30, 591, 65_536):
+            m = synthesize_trace(SyntheticTraceSpec(prefix_count=n, seed=n),
+                                 TimeGrid(start=0, bin_count=1))
+            overlay = concentration_curve(m).zipf_overlay
+            assert overlay.size == n and overlay.tobytes() == full[:n].tobytes()
 
     def test_spans(self):
         grid = TimeGrid(start=0, bin_count=48)
