@@ -8,8 +8,14 @@ of the physical transits, a virtual "dynamic" transit is simulated: per
 prefix it uses whichever transit had the smallest RTT in the previous
 round, which quantifies the gain available to a route decision engine.
 
+Each log's per-prefix best RTT and every physical transit's normalized
+RTT table are built once, on first use, and kept in the log; the series
+and the dynamic simulation read them from there.
+
 No live probing happens here; logs are ingested from CSV or generated
-synthetically with a seeded model.
+synthetically with a seeded model.  Probe CSV lines are written a block
+at a time, each block one ``"".join`` of a list filled by strided slice
+assignment.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .evaluation import BoxplotSummary, boxplot_summary, sorted_percentile
+from .evaluation import BoxplotSummary, _sorted_summary, sorted_percentile
 from .trace import Prefix, parse_column, read_rows
 
 __all__ = [
@@ -83,9 +89,13 @@ class ProbeLog:
     A transit label must read back from a probe CSV as itself: an empty
     one, one holding ``,``, ``"``, CR or LF, or one with surrounding
     whitespace is refused.
+
+    The private ``_np`` slot memoizes the normalized RTT tables of the
+    physical transits (see ``_physical_np``): None until first used, then
+    read-only arrays that callers never see.
     """
 
-    __slots__ = ("ticks", "prefixes", "transits", "tick_times", "cube", "probed")
+    __slots__ = ("ticks", "prefixes", "transits", "tick_times", "cube", "probed", "_np")
 
     def __init__(self, ticks, prefixes, transits, rtt: np.ndarray,
                  tick_times: Sequence[float] | None = None):
@@ -120,13 +130,16 @@ class ProbeLog:
         self.tick_times = tuple(tick_times) if tick_times is not None else None
         self.cube, self.probed = cube.reshape(shape), probed.reshape(shape)
         self.cube.flags.writeable = self.probed.flags.writeable = False
+        self._np = None
 
 
-def _np_table(rtt: np.ndarray, physical: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _np_table(rtt: np.ndarray, best: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-round normalized RTT of each column of ``rtt`` (tick, prefix, column)
-    against the per-prefix best of ``physical`` (tick, prefix, transit): the
-    (tick, column) means over prefixes with a sample (NaN if none) and their counts."""
-    ratio = rtt / np.fmin.reduce(physical, axis=2, keepdims=True)
+    against ``best`` (tick, prefix, 1), the physical transits' per-prefix best
+    RTT: the (tick, column) means over prefixes with a sample (NaN if none)
+    and their counts.  Each column's mean adds the same ratios in the same
+    order whatever other columns ``rtt`` holds."""
+    ratio = rtt / best
     present = ~np.isnan(ratio)
     # add.accumulate adds prefix by prefix like a scalar loop would; sum()
     # adds pairwise along a contiguous axis, which changes the last bits
@@ -136,8 +149,23 @@ def _np_table(rtt: np.ndarray, physical: np.ndarray) -> tuple[np.ndarray, np.nda
     return values, included
 
 
+def _physical_np(log: ProbeLog) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The log's per-prefix best RTT (tick, prefix, 1) and every physical
+    transit's NP means and counts (tick, transit), built by one
+    ``_np_table`` call on first use and kept read-only in ``log._np``."""
+    if log._np is None:
+        best = np.fmin.reduce(log.cube, axis=2, keepdims=True)
+        log._np = (best, *_np_table(log.cube, best))
+        for table in log._np:
+            table.flags.writeable = False
+    return log._np
+
+
 def _gaps(values: np.ndarray) -> tuple[float | None, ...]:
-    return tuple(None if math.isnan(v) else v for v in values.tolist())
+    gaps = values.tolist()
+    for i in np.flatnonzero(np.isnan(values)).tolist():
+        gaps[i] = None
+    return tuple(gaps)
 
 
 @dataclass(frozen=True)
@@ -158,10 +186,10 @@ def np_series(log: ProbeLog, transit: str) -> NpSeries:
     if transit not in log.transits:
         raise ValueError(f"unknown transit {transit!r}")
     column = log.transits.index(transit)
-    values, included = _np_table(log.cube[:, :, [column]], log.cube)
+    _, values, included = _physical_np(log)
     return NpSeries(
-        transit=transit, ticks=log.ticks, values=_gaps(values[:, 0]),
-        included=tuple(included[:, 0].tolist()),
+        transit=transit, ticks=log.ticks, values=_gaps(values[:, column]),
+        included=tuple(included[:, column].tolist()),
     )
 
 
@@ -196,7 +224,7 @@ def simulate_dynamic_selection(log: ProbeLog, seed: int = 0) -> DynamicRouteResu
     # one batched draw equals a scalar draw per history-less prefix in tick-major order
     choice[blind] = np.random.default_rng(seed).integers(len(log.transits), size=blind.sum())
     own = np.take_along_axis(log.cube[1:], choice[:, :, None], axis=2)
-    values, included = _np_table(own, log.cube[1:])
+    values, included = _np_table(own, _physical_np(log)[0][1:])
     return DynamicRouteResult(
         transit=DYNAMIC_LABEL,
         ticks=log.ticks[1:],
@@ -340,9 +368,7 @@ class NpSummary(BoxplotSummary):
 
 def np_summary(values: Sequence[float]) -> NpSummary:
     """Summarize a normalized-RTT series (gaps must be filtered out)."""
-    arr = np.asarray(values, dtype=np.float64)
-    box = boxplot_summary(arr)
-    s = np.sort(arr)
+    box, s = _sorted_summary(values)
     return NpSummary(**vars(box), p5=sorted_percentile(s, 5), p95=sorted_percentile(s, 95))
 
 
@@ -357,7 +383,7 @@ def rank_transits(
     series = [np_series(log, transit) for transit in log.transits]
     if include_dynamic and len(log.ticks) >= 2:
         series.append(simulate_dynamic_selection(log, seed=seed))
-    entries = [(s.transit, np_summary(s.clean())) for s in series if s.clean()]
+    entries = [(s.transit, np_summary(clean)) for s in series if (clean := s.clean())]
     entries.sort(key=lambda item: (item[1].mean, item[0]))
     return entries
 
@@ -365,9 +391,15 @@ def rank_transits(
 def save_probe_log(log: ProbeLog, path: str | Path) -> None:
     """Write a probe log as unquoted `tick,prefix,transit,rtt_ms` CSV lines
     in cube order, an empty RTT field for a lost probe.  Canonical prefixes
-    never need quoting, and ``ProbeLog`` refuses a label that would."""
-    heads = [f"{tick}," for tick in log.ticks]
-    pairs = [f"{prefix.text},{transit}," for prefix in log.prefixes for transit in log.transits]
+    never need quoting, and ``ProbeLog`` refuses a label that would.
+
+    Each block of ``_WRITE_BLOCK`` probes is one ``"".join`` of a list of
+    four texts per probe -- its ``tick,`` head, its ``prefix,transit,``
+    text, its RTT and a newline -- filled by four strided slice
+    assignments, the first two gathered from object arrays of the texts."""
+    heads = np.array([f"{tick}," for tick in log.ticks], dtype=object)
+    pairs = np.array([f"{prefix.text},{transit},"
+                      for prefix in log.prefixes for transit in log.transits], dtype=object)
     cells = np.flatnonzero(log.probed)  # in cube order
     with open(path, "w", newline="") as fh:
         fh.write(",".join(PROBE_CSV_HEADER) + "\n")
@@ -376,13 +408,14 @@ def save_probe_log(log: ProbeLog, path: str | Path) -> None:
             block = cells[start : start + _WRITE_BLOCK]
             tick, pair = np.divmod(block, len(pairs))
             rtt = log.cube.ravel()[block]
-            texts = list(map(repr, rtt.tolist()))
+            parts = [""] * (4 * block.size)
+            parts[0::4] = heads[tick].tolist()
+            parts[1::4] = pairs[pair].tolist()
+            parts[2::4] = map(repr, rtt.tolist())
+            parts[3::4] = ["\n"] * block.size
             for i in np.flatnonzero(np.isnan(rtt)).tolist():
-                texts[i] = ""
-            fh.write("".join([
-                f"{heads[t]}{pairs[p]}{text}\n"
-                for t, p, text in zip(tick.tolist(), pair.tolist(), texts)
-            ]))
+                parts[4 * i + 2] = ""  # a lost probe's RTT field is empty
+            fh.write("".join(parts))
 
 
 def load_probe_log(path: str | Path) -> ProbeLog:

@@ -59,6 +59,11 @@ _INT64_MIN = int(np.iinfo(np.int64).min)
 # at a time, beside the parsed columns.
 TRACE_BLOCK_LINES = 1 << 16
 
+# Hand-off rows whose field texts ``Rows.texts`` slices out at a time.  The
+# matrix reader's text is a whole row, about 1 KB at 168 hours, so a block
+# of those stays near 256 KB.
+_TEXT_BLOCK = 1 << 8
+
 # A field of at most this many ASCII digits parses in bulk; it fits int64.
 _BULK_DIGITS = 18
 
@@ -681,13 +686,15 @@ class Rows:
         return lo, hi
 
     def texts(self, lo: np.ndarray, hi: np.ndarray) -> Iterator[bytes]:
-        """``raw[lo[i]:hi[i]]`` for each row ``i``, one at a time; offsets
-        become Python ints a block of rows at a time."""
-        spans = chain.from_iterable(
-            zip(lo[i:i + TRACE_BLOCK_LINES].tolist(), hi[i:i + TRACE_BLOCK_LINES].tolist())
-            for i in range(0, len(lo), TRACE_BLOCK_LINES)
+        """``raw[lo[i]:hi[i]]`` for each row ``i``, in order.  A block of
+        ``_TEXT_BLOCK`` rows is sliced at a time, by one list comprehension
+        over their offsets as Python ints, so only one block's texts are
+        held at once."""
+        raw, step = self.raw, _TEXT_BLOCK
+        return chain.from_iterable(
+            [raw[a:b] for a, b in zip(lo[i:i + step].tolist(), hi[i:i + step].tolist())]
+            for i in range(0, len(lo), step)
         )
-        return (self.raw[a:b] for a, b in spans)
 
     def text(self, i: int, k: int | None = None) -> str:
         """Field ``k`` of row ``i``, or the whole row, as text."""

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from prefixcast import cli, dynamism, selectors
+from prefixcast import cli, dynamism, selectors, trace
 from prefixcast.cli import _write_csv, build_parser, main
 from prefixcast.dynamism import compute_core_profile
 from prefixcast.rttsim import (
@@ -27,8 +27,8 @@ from prefixcast.selectors import (
     max_core_size, run_selection, save_selection,
 )
 from prefixcast.trace import (
-    HourlyTraceMatrix, Prefix, SyntheticTraceSpec, TimeGrid, load_matrix, synthesize_trace,
-    synthetic_prefix, write_json,
+    HourlyTraceMatrix, Prefix, SyntheticTraceSpec, TimeGrid, load_matrix, save_matrix,
+    synthesize_trace, synthetic_prefix, write_json,
 )
 from scalar_oracles import INT64_MAX, INT64_MIN, selection_run, write_csv_rows
 
@@ -1164,13 +1164,19 @@ def test_write_json_refuses_nan_and_leaves_no_file(tmp_path):
     assert not path.exists()
 
 
-def test_stages_leave_numpy_ma_unimported(tmp_path):
-    # numpy imports numpy.ma on its first percentile, median or unique call
+def _src_env() -> dict:
+    """This environment, with the repository's ``src`` first on PYTHONPATH."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         path for path in (str(Path(__file__).resolve().parent.parent / "src"),
                           env.get("PYTHONPATH")) if path
     )
+    return env
+
+
+def test_stages_leave_numpy_ma_unimported(tmp_path):
+    # numpy imports numpy.ma on its first percentile, median or unique call
+    env = _src_env()
 
     def ma_imported(code: str, *argv: str) -> bool:
         result = subprocess.run([sys.executable, "-c", code, *argv], env=env,
@@ -1196,6 +1202,18 @@ def test_stages_leave_numpy_ma_unimported(tmp_path):
         ["simulate", "--probes", f"{out}/probes.csv", "--out", out],
     ):
         assert not ma_imported(stage, *argv), argv[0]
+
+
+def test_package_import_leaves_the_cli_and_numpy_random_unimported():
+    # every stage's set-up time includes the package import; the stages
+    # that need numpy.random or the CLI import them themselves
+    code = ("import sys, prefixcast; "
+            "print([m for m in ('numpy.random', 'argparse', 'prefixcast.cli') "
+            "if m in sys.modules])")
+    result = subprocess.run([sys.executable, "-c", code], env=_src_env(),
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[]"
 
 
 def _hand_off_matrix(directory: Path) -> HourlyTraceMatrix:
@@ -1372,6 +1390,52 @@ def test_hand_off_reader_peak_is_a_few_times_the_file(tmp_path, make, bound):
     finally:
         tracemalloc.stop()
     assert peak < bound * path.stat().st_size
+
+
+def _matrix_file(directory: Path) -> tuple[Path, Callable]:
+    path = directory / "matrix.csv"
+    save_matrix(synthesize_trace(SyntheticTraceSpec(prefix_count=12, noise=0.5, seed=3),
+                                 TimeGrid(start=0, bin_count=6)), path)
+    return path, lambda: load_matrix(path)
+
+
+# each reader's file, and the fields to break in it: (column, text, message)
+NOT_A_PREFIX = ("bogus", "does not appear to be an IPv4 or IPv6 network")
+TEXT_BLOCK_FILES = {
+    "matrix": (_matrix_file, [(0, *NOT_A_PREFIX), (2, "x", "bad row for")]),
+    "selection": (_selection_file, [(2, *NOT_A_PREFIX), (3, "fast", "could not convert")]),
+    "probe": (_probe_file, [(1, *NOT_A_PREFIX), (3, "fast", "could not convert")]),
+}
+
+
+@pytest.mark.parametrize("block", [1, 3])
+@pytest.mark.parametrize("kind", TEXT_BLOCK_FILES)
+def test_hand_off_readers_agree_over_any_text_block(tmp_path, monkeypatch, kind, block):
+    """With ``Rows.texts`` slicing one or three rows at a time, each reader
+    returns what it returns with the default block, and a bad field in the
+    first row of the second block is refused as it is then, naming the
+    same line."""
+    make, bad_fields = TEXT_BLOCK_FILES[kind]
+    view = HAND_OFF_FILES[kind][2]
+    path, load = make(tmp_path)
+    default = trace._TEXT_BLOCK
+    want = view(load())
+    monkeypatch.setattr(trace, "_TEXT_BLOCK", block)
+    assert view(load()) == want
+    lines = path.read_text().split("\n")
+    line = block + 2  # the header is line 1
+    for column, text, message in bad_fields:
+        fields = lines[line - 1].split(",")
+        fields[column] = text
+        path.write_text("\n".join([*lines[:line - 1], ",".join(fields), *lines[line:]]))
+        errors = []
+        for size in (block, default):
+            monkeypatch.setattr(trace, "_TEXT_BLOCK", size)
+            with pytest.raises(ValueError) as info:
+                load()
+            errors.append(str(info.value))
+        assert errors[0] == errors[1]
+        assert errors[0].startswith(f"{path}: line {line}: ") and message in errors[0]
 
 
 class TestUsageErrors:

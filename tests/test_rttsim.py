@@ -8,11 +8,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from prefixcast import rttsim
+from prefixcast.cli import main
 from prefixcast.rttsim import (
     DYNAMIC_LABEL,
     MAX_PROBE_ROUNDS,
     MIN_RTT,
     _last_round_best,
+    _np_table,
     ProbeScheduleSpec,
     RegimeSwitch,
     RttModel,
@@ -369,6 +372,26 @@ class TestProbeCsv:
         back = load_probe_log(path)
         assert probe_rows(back) == probe_rows(log) == rows
 
+    def test_any_write_block_gives_the_same_bytes(self, tmp_path, monkeypatch):
+        # six probes a round; lost ones on the edges of blocks of 1, 5 and 7
+        lost = {0, 4, 5, 6, 7, 9, 10, 13, 14, 20, 21, 29}
+        pairs = [(P1, "T1"), (P1, "T2"), (P1, "T3"), (P2, "T1"), (P2, "T2"), (P2, "T3")]
+        rows = [
+            (tick, prefix, transit, None if 6 * tick + i in lost else 10.0 + 6 * tick + i / 7)
+            for tick in range(5) for i, (prefix, transit) in enumerate(pairs)
+        ]
+        log = log_from(rows)
+        default = tmp_path / "default.csv"
+        save_probe_log(log, default)
+        texts = [(t, p.text, tr, "" if v is None else repr(v)) for t, p, tr, v in rows]
+        assert default.read_bytes() == csv_text([("tick", "prefix", "transit", "rtt_ms"),
+                                                 *texts]).encode()
+        for block in (1, 7, len(pairs) - 1):
+            monkeypatch.setattr(rttsim, "_WRITE_BLOCK", block)
+            path = tmp_path / f"block{block}.csv"
+            save_probe_log(log, path)
+            assert path.read_bytes() == default.read_bytes(), block
+
     @pytest.mark.parametrize("body, message", [
         ("0,192.0.2.0/24,T1\n", "line 3: bad row"),
         ("zero,192.0.2.0/24,T1,10\n", "line 3: invalid literal"),
@@ -620,6 +643,33 @@ class TestCubeMatchesScalarOracle:
             if dynamic:
                 assert ranking[DYNAMIC_LABEL] == np_summary(dynamic)
 
+    def test_np_series_is_its_column_whatever_the_call_order(self):
+        """Each transit's series equals its own column's table built alone,
+        against the per-prefix best of every transit, whether the log's
+        table was first built by ``np_series``, ``rank_transits`` or
+        ``simulate_dynamic_selection``."""
+
+        def column_series(log, column):
+            best = np.fmin.reduce(log.cube, axis=2, keepdims=True)
+            values, included = _np_table(log.cube[:, :, [column]], best)
+            return (tuple(None if np.isnan(v) else v for v in values[:, 0].tolist()),
+                    tuple(included[:, 0].tolist()))
+
+        firsts = [
+            lambda log, seed: [np_series(log, t) for t in reversed(log.transits)],
+            lambda log, seed: rank_transits(log, include_dynamic=True, seed=seed),
+            lambda log, seed: simulate_dynamic_selection(log, seed=seed + 100),
+        ]
+        for seed, (log, _) in enumerate(self.logs()):
+            first = firsts[seed % len(firsts)]
+            first(log, seed)
+            for again in firsts:
+                again(log, seed + 1)
+                for column, transit in enumerate(log.transits):
+                    series = np_series(log, transit)
+                    assert (series.values, series.included) == column_series(log, column)
+            assert not any(table.flags.writeable for table in log._np)
+
     def test_generator_matches_scalar_loop(self):
         rng = np.random.default_rng(77)
         prefixes = [synthetic_prefix(k) for k in range(1, 13)]
@@ -685,3 +735,21 @@ def test_probe_csv_roundtrip_is_exact(tmp_path_factory, log):
     assert np.array_equal(back.probed, log.probed)  # lost and never-probed stay apart
     assert probe_rows(back) == probe_rows(log)
 
+
+def test_simulate_builds_one_physical_np_table(tmp_path, monkeypatch):
+    """``probe-synth`` builds no NP table; ``simulate`` builds the physical
+    transits' table once, for all of them, and the dynamic transit's twice
+    (once for np.csv, once in ``rank_transits``)."""
+    widths, table = [], rttsim._np_table
+
+    def counted(rtt, best):
+        widths.append(rtt.shape[2])
+        return table(rtt, best)
+
+    monkeypatch.setattr(rttsim, "_np_table", counted)
+    out = str(tmp_path)
+    assert main(["probe-synth", "--prefix-count", "5", "--transits", "3", "--duration", "3000",
+                 "--loss", "0.1", "--out", out]) == 0
+    assert widths == []
+    assert main(["simulate", "--probes", f"{out}/probes.csv", "--out", out]) == 0
+    assert sorted(widths) == [1, 1, 3]
