@@ -18,7 +18,6 @@ and exit codes read the same either way.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import re
@@ -111,7 +110,7 @@ def _cmd_ingest(args) -> int:
 
     out = _out_dir(args)
     trace.save_matrix(matrix, out / "matrix.csv")
-    trace.write_json(out / "ingest.json", dataclasses.asdict(summary))
+    trace.write_json(out / "ingest.json", summary._asdict())
     print(
         f"ingest: {summary.records_binned}/{summary.records_read} records binned, "
         f"{summary.records_rejected} rejected, "
@@ -149,8 +148,8 @@ def _cmd_synth(args) -> int:
     out = _out_dir(args)
     trace.save_matrix(matrix, out / "matrix.csv")
     trace.write_json(out / "synth.json", {
-        **dataclasses.asdict(spec),
-        "bursts": [dataclasses.astuple(b) for b in spec.bursts],  # [rank, hour, multiplier]
+        **spec._asdict(),
+        "bursts": [b._astuple() for b in spec.bursts],  # [rank, hour, multiplier]
         "bins": grid.bin_count, "bin_seconds": trace.BIN_SECONDS, "start": grid.start,
     })
     print(f"synth: {len(matrix)} prefixes x {grid.bin_count} bins -> {out / 'matrix.csv'}")
@@ -178,7 +177,7 @@ def _cmd_analyze(args) -> int:
                        ("icp_bins.csv", dynamism.icp_vs_volume_bins(shares_pct, profile.icp))):
         # a VolumeBinStat's fields are the header's columns, in order
         _write_csv(out / name, ["bin", "lo_pct", "hi_pct", "count", "mean", "median", "p25", "p75"],
-                   *zip(*map(dataclasses.astuple, bins)))
+                   *zip(*(b._astuple() for b in bins)))
     _write_csv(out / f"concentration_{curve.span.replace(':', '_')}.csv",
                ["rank", "share", "cdf", "zipf_ref"],
                range(1, curve.shares.size + 1), curve.shares, curve.cdf, curve.zipf_overlay)
@@ -371,7 +370,7 @@ def _cmd_probe_synth(args) -> int:
     out = _out_dir(args)
     rttsim.save_probe_log(log, out / "probes.csv")
     trace.write_json(out / "probe_meta.json", {
-        **dataclasses.asdict(schedule), "transits": transits, "prefix_count": args.prefix_count,
+        **schedule._asdict(), "transits": transits, "prefix_count": args.prefix_count,
         "ticks": len(log.ticks), "tick_times": list(log.tick_times),
     })
     print(

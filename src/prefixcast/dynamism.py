@@ -12,15 +12,14 @@ Four views of how concentrated and how volatile per-prefix traffic is:
 
 All functions are pure with respect to an immutable matrix and safe to
 run concurrently.  ``compute_core_profile`` cuts every hour's core from
-one float64 running sum per hour of its stably sorted volumes.
+one float64 running sum per hour of its volumes sorted by value.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from ._record import Record
 from .evaluation import boxplot_summary
 from .trace import HourlyTraceMatrix, Prefix
 
@@ -47,8 +46,7 @@ ZIPF_REF_S = 1.0
 _ZIPF_REF_TOTAL = 12.090146129863431
 
 
-@dataclass(frozen=True, eq=False)
-class CoreProfile:
+class CoreProfile(Record, eq=False):
     """Per-hour cores and the presence/burstiness series derived from them.
 
     Arrays are aligned with ``prefixes`` (rows) and 1-based hours
@@ -92,17 +90,27 @@ def compute_core_profile(
 
     values = m.values
     n, hours = values.shape
-    # Hour-major rows, in prefix text order: a stable sort on -volume is the
-    # (volume desc, text asc) ranking rule.  A core is the run below
-    # threshold x total plus the entry reaching it; none at total 0.
-    order = np.argsort(-values.T, axis=1, kind="stable")
-    cum = np.take_along_axis(values.T, order, axis=1).astype(np.float64)
+    # Under the (volume desc, text asc) ranking rule, a core is the run
+    # below threshold x total plus the entry reaching it; none at total 0.
+    # The run's sums need only each hour's volumes in descending order.
+    desc = values.T.copy()
+    desc.sort(axis=1)
+    desc = desc[:, ::-1]
+    cum = desc.astype(np.float64)
     np.cumsum(cum, axis=1, out=cum)
     total = cum[:, -1] if n else np.zeros(hours)
     cutoff = np.where(total > 0, (cum < threshold * total[:, None]).sum(axis=1) + 1, 0)
-    cp = np.zeros((n, hours), dtype=np.uint8)
-    np.put_along_axis(cp.T, order, np.arange(n) < cutoff[:, None], axis=1)
-    del order, cum  # the float stages below need the memory
+    # each hour's cutoff-th largest volume (its smallest, 0, at total 0):
+    # the core holds every larger volume and, of the volumes equal to it,
+    # the lowest rows (texts) up to the cutoff
+    kth = desc[np.arange(hours), cutoff - 1] if n else np.zeros(hours, np.int64)
+    del desc, cum  # the float stages below need the memory
+    cp = values > kth
+    tied = values == kth
+    room = cutoff - cp.sum(axis=0)
+    over = np.flatnonzero(tied.sum(axis=0) > room)
+    tied[:, over] &= np.cumsum(tied[:, over], axis=0, dtype=np.int32) <= room[over]
+    cp = np.logical_or(cp, tied, out=cp).view(np.uint8)
 
     icp = cp.mean(axis=1)
 
@@ -132,8 +140,7 @@ def compute_core_profile(
     )
 
 
-@dataclass(frozen=True, eq=False)
-class ConcentrationCurve:
+class ConcentrationCurve(Record, eq=False):
     """Ranked volume shares over a span, their CDF, and a Zipf overlay."""
 
     span: str
@@ -191,8 +198,7 @@ def concentration_curve(m: HourlyTraceMatrix, span: str = "week") -> Concentrati
     return ConcentrationCurve(span=label, shares=shares, cdf=cdf, zipf_overlay=overlay)
 
 
-@dataclass(frozen=True)
-class VolumeBinStat:
+class VolumeBinStat(Record):
     """Summary of a per-prefix statistic inside one weekly-share bin."""
 
     label: str

@@ -12,11 +12,11 @@ volumes by the hour's total, and churn is ``|A| + |B| - 2|A & B|``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
+from ._record import Record
 from .trace import HourlyTraceMatrix, Prefix
 
 if TYPE_CHECKING:  # selectors imports dynamism, which imports this module
@@ -54,8 +54,7 @@ def hourly_coverage(
     return covered / float(total)
 
 
-@dataclass(frozen=True)
-class BoxplotSummary:
+class BoxplotSummary(Record):
     """Six-number summary: min, p25, median, mean, p75, max."""
 
     minimum: float
@@ -138,8 +137,7 @@ def oracle_topk(m: HourlyTraceMatrix, hour: int, k: int) -> np.ndarray:
     return order[:k]
 
 
-@dataclass(frozen=True, eq=False)
-class EvaluationReport:
+class EvaluationReport(Record, eq=False):
     """Coverage/churn series of one run plus their boxplot summaries; the
     core threshold stays on the run (``SelectionRun.threshold``)."""
 

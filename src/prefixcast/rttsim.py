@@ -21,13 +21,13 @@ assignment.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
+from ._record import Record
 from .evaluation import BoxplotSummary, _sorted_summary, sorted_percentile
 from .trace import Prefix, parse_column, read_rows
 
@@ -168,8 +168,7 @@ def _gaps(values: np.ndarray) -> tuple[float | None, ...]:
     return tuple(gaps)
 
 
-@dataclass(frozen=True)
-class NpSeries:
+class NpSeries(Record):
     """Per-round normalized RTT of one transit; None entries are gaps."""
 
     transit: str
@@ -200,7 +199,6 @@ def _last_round_best(rtt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.where(lost, np.inf, rtt).argmin(axis=-1), lost.all(axis=-1)
 
 
-@dataclass(frozen=True)
 class DynamicRouteResult(NpSeries):
     """Normalized RTT series of the simulated last-round-best transit."""
 
@@ -234,8 +232,7 @@ def simulate_dynamic_selection(log: ProbeLog, seed: int = 0) -> DynamicRouteResu
     )
 
 
-@dataclass(frozen=True)
-class ProbeScheduleSpec:
+class ProbeScheduleSpec(Record):
     """Probing round schedule: mean interval with uniform jitter.
 
     Rounds start at time 0 and stop before ``duration`` seconds; with
@@ -262,8 +259,7 @@ class ProbeScheduleSpec:
                              f"{MAX_PROBE_ROUNDS} probing rounds")
 
 
-@dataclass(frozen=True)
-class RegimeSwitch:
+class RegimeSwitch(Record):
     """RTT degradation episode: multiply one transit's RTT, for every
     prefix, on rounds ``start_tick <= t < end_tick``."""
 
@@ -279,8 +275,7 @@ class RegimeSwitch:
             raise ValueError("end_tick must be > start_tick")
 
 
-@dataclass(frozen=True)
-class RttModel:
+class RttModel(Record):
     """Synthetic RTT model per (prefix, transit) pair.
 
     ``base_rtt`` maps every probed (prefix, transit) pair to its baseline
@@ -355,7 +350,6 @@ def generate_probe_log(schedule: ProbeScheduleSpec, model: RttModel) -> ProbeLog
     )
 
 
-@dataclass(frozen=True)
 class NpSummary(BoxplotSummary):
     """Boxplot summary with 5th/95th percentile whiskers."""
 
@@ -369,7 +363,7 @@ class NpSummary(BoxplotSummary):
 def np_summary(values: Sequence[float]) -> NpSummary:
     """Summarize a normalized-RTT series (gaps must be filtered out)."""
     box, s = _sorted_summary(values)
-    return NpSummary(**vars(box), p5=sorted_percentile(s, 5), p95=sorted_percentile(s, 95))
+    return NpSummary(**box._asdict(), p5=sorted_percentile(s, 5), p95=sorted_percentile(s, 95))
 
 
 def rank_transits(

@@ -24,13 +24,13 @@ as a selection CSV; the CLI only names the file.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
+from ._record import Record
 from .dynamism import CoreProfile
 from .trace import HourlyTraceMatrix, Prefix, parse_column, read_rows
 
@@ -64,8 +64,7 @@ GM11_CHUNK_CELLS = 1 << 14
 _WRITE_BLOCK = 1 << 16
 
 
-@dataclass(frozen=True)
-class SelectorConfig:
+class SelectorConfig(Record):
     """One selector configuration: method, history window L, set size K."""
 
     method: str
@@ -237,8 +236,7 @@ def _running_moments(steps: np.ndarray, dy: np.ndarray) -> np.ndarray:
     return np.cumsum(out, axis=-1, out=out)
 
 
-@dataclass(frozen=True, eq=False)
-class SelectionRun:
+class SelectionRun(Record, eq=False):
     """Selections of one configuration, one mask row per predicted hour.
 
     Row ``i`` of ``mask`` is hour ``hours[i] = i + 2``, whose set was

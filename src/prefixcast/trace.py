@@ -14,12 +14,13 @@ import json
 import math
 import re
 from collections import defaultdict
-from dataclasses import asdict, dataclass
 from itertools import chain, count, islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
+
+from ._record import Record
 
 __all__ = [
     "Prefix",
@@ -82,8 +83,7 @@ _HEX_CIDR = rf"((?:{_HEXTETS})?(?:::(?:{_HEXTETS})?)?)/{_NUMBER}"
 _ZERO_RUN = r"(?:^|:)0(?::0)+(?::|$)"
 
 
-@dataclass(frozen=True, order=True)
-class Prefix:
+class Prefix(Record):
     """A BGP prefix key: canonical IPv4 or IPv6 CIDR text.
 
     Two prefixes are equal iff their canonical texts are equal; there is
@@ -93,6 +93,27 @@ class Prefix:
     """
 
     text: str
+
+    def __init__(self, text: str) -> None:
+        self.__dict__["text"] = text
+
+    def __eq__(self, other):
+        return self.text == other.text if other.__class__ is Prefix else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.text,))
+
+    def __lt__(self, other):
+        return self.text < other.text if other.__class__ is Prefix else NotImplemented
+
+    def __le__(self, other):
+        return self.text <= other.text if other.__class__ is Prefix else NotImplemented
+
+    def __gt__(self, other):
+        return self.text > other.text if other.__class__ is Prefix else NotImplemented
+
+    def __ge__(self, other):
+        return self.text >= other.text if other.__class__ is Prefix else NotImplemented
 
     @classmethod
     def parse(cls, text: str) -> "Prefix":
@@ -136,8 +157,7 @@ class Prefix:
         return self.text
 
 
-@dataclass(frozen=True)
-class TimeGrid:
+class TimeGrid(Record):
     """Hourly binning grid: an hour-aligned start and a bin count.
 
     Bin indices are 1-based: bin h covers
@@ -245,8 +265,7 @@ class HourlyTraceMatrix:
         return (self.values > 0).sum(axis=0)
 
 
-@dataclass(frozen=True)
-class IngestSummary:
+class IngestSummary(Record):
     """Tally of an ingestion run; volume is conserved exactly:
     bytes_binned + bytes_rejected equals the sum of all non-negative
     parseable record volumes."""
@@ -264,8 +283,7 @@ class IngestSummary:
         return self.rejected_malformed + self.rejected_out_of_range
 
 
-@dataclass(frozen=True)
-class RecordBlock:
+class RecordBlock(Record):
     """One block of flow CSV records as columns, in file order.
 
     ``codes`` index ``prefixes``, the distinct canonical prefixes of the
@@ -462,10 +480,15 @@ def bin_records(
         raise ValueError(f"unknown errors policy {errors!r}")
 
     prefixes: list[Prefix] = []
-    cells, volumes = [np.zeros(0, np.intp)], [np.zeros(0, np.int64)]
-    read = malformed = bytes_binned = bytes_rejected = 0
+    # each block is folded in as it arrives; the rows grow by doubling
+    values = np.zeros((0, grid.bin_count), dtype=np.int64)
+    read = binned = malformed = bytes_binned = bytes_rejected = 0
     for block in blocks:
         prefixes = block.prefixes
+        if len(prefixes) > len(values):
+            grown = np.zeros((max(len(prefixes), 2 * len(values)), grid.bin_count), np.int64)
+            grown[:len(values)] = values
+            values = grown
         bins = _grid_bins(block.timestamps, grid)
         bins[block.malformed] = -1
         rejected = np.flatnonzero(bins < 0)
@@ -489,21 +512,18 @@ def bin_records(
         bytes_binned += total
         out_of_range = rejected[~block.malformed[rejected]]
         bytes_rejected += block.malformed_bytes + _exact_sum(block.volumes[out_of_range])
-        cells.append(block.codes[take] * grid.bin_count + bins[take])
-        volumes.append(kept)
+        # np.bincount would sum float64 weights, rounding cells above 2^53
+        np.add.at(values.reshape(-1), block.codes[take] * grid.bin_count + bins[take], kept)
         read += len(bins)
+        binned += len(take)
         malformed += len(block.reasons)
 
-    # np.bincount would sum float64 weights, rounding cells above 2^53
-    values = np.zeros((len(prefixes), grid.bin_count), dtype=np.int64)
-    cells, volumes = np.concatenate(cells), np.concatenate(volumes)
-    np.add.at(values.reshape(-1), cells, volumes)
-    matrix = HourlyTraceMatrix(grid, prefixes, values)
+    matrix = HourlyTraceMatrix(grid, prefixes, values[:len(prefixes)])
     summary = IngestSummary(
         records_read=read,
-        records_binned=len(cells),
+        records_binned=binned,
         rejected_malformed=malformed,
-        rejected_out_of_range=read - len(cells) - malformed,
+        rejected_out_of_range=read - binned - malformed,
         bytes_binned=bytes_binned,
         bytes_rejected=bytes_rejected,
         active_prefixes=len(matrix),
@@ -535,8 +555,7 @@ def synthetic_prefix(rank: int) -> Prefix:
     return Prefix(f"10.{k // 256}.{k % 256}.0/24")
 
 
-@dataclass(frozen=True)
-class BurstSpec:
+class BurstSpec(Record):
     """One injected burst: multiply the rank-th prefix's volume at one hour."""
 
     rank: int
@@ -552,8 +571,7 @@ class BurstSpec:
             raise ValueError(f"burst multiplier must be finite and >= 1, got {self.multiplier}")
 
 
-@dataclass(frozen=True)
-class SyntheticTraceSpec:
+class SyntheticTraceSpec(Record):
     """Parameters for a synthetic Zipf-shaped trace.
 
     Rank k receives the per-bin expected share ``zipf_shares(N, s)[k-1]``,
@@ -662,8 +680,7 @@ def parse_column(
     return parsed, index
 
 
-@dataclass(frozen=True, eq=False)
-class Rows:
+class Rows(Record, eq=False):
     """The rows of a hand-off CSV as byte offsets into its text ``raw``.
 
     Row ``i`` is line ``lines[i]`` of the file at ``path``; it spans
@@ -824,7 +841,7 @@ def save_matrix(m: HourlyTraceMatrix, csv_path: str | Path) -> None:
               for prefix, row in zip(m.prefixes, m.values.tolist())]
     with open(csv_path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
-    write_json(_meta_path_for(csv_path), {**asdict(m.grid), "bin_seconds": BIN_SECONDS})
+    write_json(_meta_path_for(csv_path), {**m.grid._asdict(), "bin_seconds": BIN_SECONDS})
 
 
 def _parse_cells(rows: Iterable[str], bins: int) -> np.ndarray:

@@ -1216,6 +1216,27 @@ def test_package_import_leaves_the_cli_and_numpy_random_unimported():
     assert result.stdout.splitlines()[-1] == "[]"
 
 
+def test_package_import_compiles_no_code():
+    # code built from text at run time is compiled on every import; the
+    # package's own source files compile only where no bytecode is cached
+    code = (
+        "import os, sys, numpy\n"
+        "made = []\n"
+        "def hook(event, args):\n"
+        "    if event == 'compile' and not (isinstance(args[1], str) and os.path.isfile(args[1])):\n"
+        "        made.append(args[1])\n"
+        "    if event == 'exec' and getattr(args[0], 'co_filename', None) == '<string>':\n"
+        "        made.append('exec <string>')\n"
+        "sys.addaudithook(hook)\n"
+        "import prefixcast\n"
+        "print(len(made), [m for m in ('dataclasses', 'copy') if m in sys.modules])\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], env=_src_env(),
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "0 []"
+
+
 def _hand_off_matrix(directory: Path) -> HourlyTraceMatrix:
     directory.mkdir(exist_ok=True)
     write_int_matrix(directory, ["10.0.0.0/8,5,0,3", "10.1.0.0/16,0,7,1"])

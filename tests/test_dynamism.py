@@ -359,6 +359,24 @@ class TestCoreProfileMatchesPerHourLoop:
             compute_core_profile(m, threshold).cp, per_hour_core_cp(m, threshold)
         )
 
+    def test_random_arrays_with_all_zero_rows_identical(self):
+        # a matrix drops all-zero rows, so the arrays come in a stand-in
+        rng = np.random.default_rng(11)
+        ties_cut = 0
+        for _ in range(40):
+            n, bins = int(rng.integers(1, 60)), int(rng.integers(1, 12))
+            values = (rng.integers(0, 4, (n, bins)) * rng.integers(0, 2, (n, 1))
+                      * rng.integers(0, 2, bins))  # all-zero rows and zero-total hours
+            m = SimpleNamespace(prefixes=tuple(synthetic_prefix(k + 1) for k in range(n)),
+                                values=values, totals=values.sum(axis=0))
+            for threshold in (0.5, 0.95, 1.0):
+                cp = compute_core_profile(m, threshold).cp
+                assert np.array_equal(cp, per_hour_core_cp(m, threshold))
+                for h in np.flatnonzero(cp.any(axis=0)):
+                    core = cp[:, h].astype(bool)
+                    ties_cut += (values[~core, h] == values[core, h].min()).any()
+        assert ties_cut  # some hour's core left out rows tied at its smallest volume
+
     def test_empty_matrix(self):
         empty = SimpleNamespace(
             prefixes=(), values=np.zeros((0, 5), dtype=np.int64),

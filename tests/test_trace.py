@@ -4,6 +4,7 @@ import ipaddress
 import json
 import math
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -295,6 +296,36 @@ class TestBinRecords:
         grid = TimeGrid(start=0, bin_count=2)
         with pytest.raises(ValueError, match="no active prefixes"):
             bin_rows(tmp_path, [], grid)
+
+    def test_peak_does_not_grow_with_the_records(self):
+        # each block is made when bin_records asks for it, as iter_trace_csv does
+        grid = TimeGrid(start=0, bin_count=24)
+        prefixes = [synthetic_prefix(k) for k in range(1, 501)]
+        size = 1 << 13
+
+        def blocks(count):
+            rng = np.random.default_rng(1)
+            for _ in range(count):
+                yield trace.RecordBlock(
+                    timestamps=rng.integers(grid.start, grid.end, size),
+                    volumes=rng.integers(0, 1000, size),
+                    codes=rng.integers(0, len(prefixes), size),
+                    malformed=np.zeros(size, bool), reasons={}, malformed_bytes=0,
+                    prefixes=prefixes,
+                )
+
+        def peak(count):
+            tracemalloc.start()
+            try:
+                bin_records(blocks(count), grid)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        bin_records(blocks(1), grid)  # what a first call sets up once is not per record
+        small = peak(8)
+        one_matrix = len(prefixes) * grid.bin_count * np.dtype(np.int64).itemsize
+        assert peak(32) - small < one_matrix
 
 
 def weekly_shares_pct(m) -> list[float]:
