@@ -39,8 +39,8 @@ for method in METHODS:
         run = run_selection(m, profile, SelectorConfig(method, window, k))
         report = evaluate_run(run, m)
         cov, chn = report.coverage_summary, report.churn_summary
-        print(f"{method:>14} {window:>4} {cov.mean:9.4f} {cov.minimum:8.4f} "
-              f"{chn.mean:11.2f} {chn.maximum:10.0f}")
+        print(f"{method:>14} {window:>4} {cov.mean:9.4f} {cov.min:8.4f} "
+              f"{chn.mean:11.2f} {chn.max:10.0f}")
     print()
 
 # A closer look at one configuration's audit trail

@@ -51,7 +51,7 @@ print(f"probe log: {len(log.ticks)} rounds, {len(log.prefixes)} prefixes, "
 print(f"\n{'transit':>8} {'mean':>7} {'p5':>6} {'median':>7} {'p95':>7} {'max':>7}")
 for label, s in rank_transits(log, include_dynamic=True, seed=99):
     print(f"{label:>8} {s.mean:7.4f} {s.p5:6.3f} {s.median:7.4f} "
-          f"{s.p95:7.4f} {s.maximum:7.3f}")
+          f"{s.p95:7.4f} {s.max:7.3f}")
 
 # The episode is visible in T1's series: compare before/during
 t1 = np_series(log, "T1")

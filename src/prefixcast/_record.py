@@ -7,6 +7,8 @@ record type on every import.
 
 from __future__ import annotations
 
+import numpy as np
+
 
 class Record:
     """An immutable record of named fields.
@@ -17,10 +19,11 @@ class Record:
     keyword arguments, then defaults, and refuses a missing, repeated or
     unknown argument with TypeError; it then calls ``__post_init__``, which
     may check the fields (raising ValueError) or replace one through
-    ``object.__setattr__``.  Records of one class compare and hash by
-    their field values in order; a subclass declared with ``eq=False``
-    compares and hashes by identity instead.  Assigning or deleting an
-    attribute raises AttributeError.  ``repr`` reads
+    ``object.__setattr__``, and then makes every array field read-only.
+    Records of one class compare and hash by their field values in order;
+    a subclass declared with ``eq=False`` compares and hashes by identity
+    instead, as every subclass with an array field is.  Assigning or
+    deleting an attribute raises AttributeError.  ``repr`` reads
     ``Name(field=value, ...)``, and ``_asdict`` / ``_astuple`` give the
     fields in order, shallowly.
     """
@@ -54,6 +57,9 @@ class Record:
             how = "multiple values for" if field in fields else "an unexpected keyword"
             raise TypeError(f"{name}() got {how} argument {field!r}")
         self.__post_init__()
+        for value in state.values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
 
     def __post_init__(self) -> None:
         pass

@@ -260,9 +260,9 @@ def _cmd_select(args) -> int:
         profile, args.size, grid=args.grid, config=args.config,
         method=args.method, window=1 if args.window is None else args.window,
     )
-    out = _out_dir(args)
     for config in configs:
         run = selectors.run_selection(m, profile, config)
+        out = _out_dir(args)  # only once a run exists: run_selection may refuse the matrix
         path = out / _selection_name(config)
         selectors.save_selection(run, path)
         note = f", {run.gm11_fallbacks} gm11 fallbacks" if config.method == "gm11" else ""
@@ -280,8 +280,8 @@ def _report_key(config: selectors.SelectorConfig) -> str:
 def _report_payload(run: selectors.SelectionRun, report: evaluation.EvaluationReport) -> dict:
     chn = report.churn_summary
     return {
-        "coverage": report.coverage_summary.as_dict(),
-        "churn": chn.as_dict() if chn is not None else None,
+        "coverage": report.coverage_summary._asdict(),
+        "churn": chn._asdict() if chn is not None else None,
         "warmup_hours": int(run.warmup.sum()),
         "shortfall_hours": int(run.shortfall.sum()),
         "threshold": run.threshold,
@@ -292,8 +292,11 @@ def _report_payload(run: selectors.SelectionRun, report: evaluation.EvaluationRe
 def _cmd_evaluate(args) -> int:
     m = _load_matrix(args.matrix)
     paths: list[Path] = [Path(p) for p in args.selection]
-    if args.select_dir:
-        paths.extend(sorted(Path(args.select_dir).glob("selection_*.csv")))
+    if args.select_dir is not None:
+        found = sorted(Path(args.select_dir).glob("selection_*.csv"))
+        if not found:
+            raise ValueError(f"no selection_*.csv in {args.select_dir}; run the select stage first")
+        paths.extend(found)
     if not paths:
         raise _UsageError("no selection inputs: pass --selection or --select-dir")
 
@@ -423,23 +426,23 @@ def _cmd_simulate(args) -> int:
     if not path.exists():
         raise ValueError(f"missing probe artifact {path}; run the probe-synth stage first")
     log = _load_probes(path)
-    out = _out_dir(args)
 
     series = [rttsim.np_series(log, transit) for transit in log.transits]
     dynamic = None
     if args.dynamic and len(log.ticks) >= 2:
         dynamic = rttsim.simulate_dynamic_selection(log, seed=args.seed)
         series.append(dynamic)
-    _write_csv(out / "np.csv", ["tick", "transit", "np", "included_prefixes"],
-               [t for s in series for t in s.ticks], [s.transit for s in series for _ in s.ticks],
-               [v for s in series for v in s.values], [n for s in series for n in s.included])
-
     ranking = rttsim.rank_transits(log, include_dynamic=args.dynamic, seed=args.seed)
     if not ranking:
         raise ValueError(f"{path}: no round has a usable RTT sample")
+
+    out = _out_dir(args)
+    _write_csv(out / "np.csv", ["tick", "transit", "np", "included_prefixes"],
+               [t for s in series for t in s.ticks], [s.transit for s in series for _ in s.ticks],
+               [v for s in series for v in s.values], [n for s in series for n in s.included])
     payload = {
         "order": [label for label, _ in ranking],
-        "transits": {label: summary.as_dict() for label, summary in ranking},
+        "transits": {label: summary._asdict() for label, summary in ranking},
         "seed": args.seed,
     }
     if dynamic is not None:
@@ -461,7 +464,6 @@ def _cmd_report(args) -> int:
     m = _load_matrix(args.matrix)
     profile = dynamism.compute_core_profile(m, threshold=args.threshold)
     configs = _selector_configs(profile, args.size, grid=True)
-    out = _out_dir(args)
 
     rows = []
     summary = {}
@@ -475,6 +477,7 @@ def _cmd_report(args) -> int:
         summary[_report_key(config)] = {**payload, "gm11_fallbacks": run.gm11_fallbacks}
     # the statistic columns are a summary's own keys, in its order
     header = ["method", "L", "K", *(f"{k}_{s}" for k in ("coverage", "churn") for s in stats)]
+    out = _out_dir(args)
     _write_csv(out / "grid_summary.csv", header, *zip(*rows))
     trace.write_json(out / "grid_summary.json", summary)
     print(f"report: {len(rows)} configurations (K={configs[0].size}) -> {out / 'grid_summary.csv'}")

@@ -61,13 +61,9 @@ class CoreProfile(Record, eq=False):
     prefixes: tuple[Prefix, ...]
     cp: np.ndarray          # (n, H) uint8 core membership
     icp: np.ndarray         # (n,) presence intensity over the window
-    max_beta: float         # largest burstiness score, 0.0 with no prefix
+    max_beta: float         # largest burstiness score
     bi: np.ndarray          # (H,) per-hour burstiness index
     core_sizes: np.ndarray  # (H,) int
-
-    def __post_init__(self) -> None:
-        for arr in (self.cp, self.icp, self.bi, self.core_sizes):
-            arr.setflags(write=False)
 
 
 def compute_core_profile(
@@ -98,12 +94,12 @@ def compute_core_profile(
     desc = desc[:, ::-1]
     cum = desc.astype(np.float64)
     np.cumsum(cum, axis=1, out=cum)
-    total = cum[:, -1] if n else np.zeros(hours)
+    total = cum[:, -1]
     cutoff = np.where(total > 0, (cum < threshold * total[:, None]).sum(axis=1) + 1, 0)
     # each hour's cutoff-th largest volume (its smallest, 0, at total 0):
     # the core holds every larger volume and, of the volumes equal to it,
     # the lowest rows (texts) up to the cutoff
-    kth = desc[np.arange(hours), cutoff - 1] if n else np.zeros(hours, np.int64)
+    kth = desc[np.arange(hours), cutoff - 1]
     del desc, cum  # the float stages below need the memory
     cp = values > kth
     tied = values == kth
@@ -125,7 +121,7 @@ def compute_core_profile(
     np.divide(buf, totals, out=buf, where=totals > 0)
     buf *= amplify[:, None]
     # not max(initial=0.0): that can flip the sign of a zero maximum
-    max_beta = float(buf.max()) if buf.size else 0.0
+    max_beta = float(buf.max())
     buf *= cp
     bi = buf.sum(axis=0)
 
@@ -147,10 +143,6 @@ class ConcentrationCurve(Record, eq=False):
     shares: np.ndarray       # descending share per rank, active prefixes only
     cdf: np.ndarray          # cumulative shares
     zipf_overlay: np.ndarray  # reference f(k, s=1, N=1e5) per rank
-
-    def __post_init__(self) -> None:
-        for arr in (self.shares, self.cdf, self.zipf_overlay):
-            arr.setflags(write=False)
 
 
 def _span_columns(m: HourlyTraceMatrix, span: str) -> tuple[str, slice]:

@@ -57,22 +57,12 @@ def hourly_coverage(
 class BoxplotSummary(Record):
     """Six-number summary: min, p25, median, mean, p75, max."""
 
-    minimum: float
+    min: float
     p25: float
     median: float
     mean: float
     p75: float
-    maximum: float
-
-    def as_dict(self) -> dict:
-        return {
-            "min": self.minimum,
-            "p25": self.p25,
-            "median": self.median,
-            "mean": self.mean,
-            "p75": self.p75,
-            "max": self.maximum,
-        }
+    max: float
 
 
 def sorted_percentile(s: np.ndarray, q: float) -> float:
@@ -111,12 +101,12 @@ def _sorted_summary(series: Sequence[float] | np.ndarray) -> tuple[BoxplotSummar
         raise ValueError("cannot summarize an empty series")
     s = np.sort(arr)
     return BoxplotSummary(
-        minimum=float(arr.min()),
+        min=float(arr.min()),
         p25=sorted_percentile(s, 25),
         median=sorted_median(s),
         mean=float(arr.mean()),
         p75=sorted_percentile(s, 75),
-        maximum=float(arr.max()),
+        max=float(arr.max()),
     ), s
 
 
@@ -149,10 +139,6 @@ class EvaluationReport(Record, eq=False):
     churn: np.ndarray          # (T-1,) between consecutive predicted sets
     coverage_summary: BoxplotSummary
     churn_summary: BoxplotSummary | None  # None with a single predicted hour
-
-    def __post_init__(self) -> None:
-        for arr in (self.hours, self.coverage, self.churn):
-            arr.setflags(write=False)
 
 
 def evaluate_run(run: SelectionRun, m: HourlyTraceMatrix) -> EvaluationReport:

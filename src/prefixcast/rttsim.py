@@ -356,9 +356,6 @@ class NpSummary(BoxplotSummary):
     p5: float
     p95: float
 
-    def as_dict(self) -> dict:
-        return {**super().as_dict(), "p5": self.p5, "p95": self.p95}
-
 
 def np_summary(values: Sequence[float]) -> NpSummary:
     """Summarize a normalized-RTT series (gaps must be filtered out)."""

@@ -263,8 +263,6 @@ class SelectionRun(Record, eq=False):
             self.picked_scores.shape != (np.count_nonzero(self.mask),)
         ):
             raise ValueError("mask must be (hours, prefixes), with one picked score per pick")
-        for arr in (self.mask, self.picked_scores):
-            arr.setflags(write=False)
 
     @cached_property
     def hours(self) -> np.ndarray:

@@ -283,7 +283,7 @@ class IngestSummary(Record):
         return self.rejected_malformed + self.rejected_out_of_range
 
 
-class RecordBlock(Record):
+class RecordBlock(Record, eq=False):
     """One block of flow CSV records as columns, in file order.
 
     ``codes`` index ``prefixes``, the distinct canonical prefixes of the

@@ -640,6 +640,27 @@ class TestSelectEvaluate:
                 in capsys.readouterr().err)
         assert not (out / "evaluation_summary.json").exists()
 
+    @pytest.mark.parametrize("command", [["select", "--method", "mean_volume"], ["report"]])
+    def test_refused_run_leaves_no_out(self, tmp_path, capsys, command):
+        main(["synth", "--prefixes", "5", "--bins", "1", "--out", str(tmp_path)])
+        out = tmp_path / "stage"
+        assert main([command[0], "--matrix", f"{tmp_path}/matrix.csv", *command[1:],
+                     "--out", str(out)]) == 2
+        assert "need at least 2 bins" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("make", [None, Path.mkdir], ids=["missing", "empty"])
+    def test_select_dir_without_selections_is_data_error(self, trace_dir, capsys, make):
+        select_dir = trace_dir / "select"
+        if make:
+            make(select_dir)
+            (select_dir / "selection_notes.txt").write_text("not a selection\n")
+        out = trace_dir / "evaluate"
+        assert main(["evaluate", "--matrix", f"{trace_dir}/matrix.csv",
+                     "--select-dir", str(select_dir), "--out", str(out)]) == 2
+        assert f"error: no selection_*.csv in {select_dir}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("inputs", [["unknown"], ["good", "unknown"], []],
                              ids=["refused selection", "second selection refused", "no input"])
     def test_refused_evaluate_writes_nothing(self, trace_dir, capsys, inputs):
@@ -1026,8 +1047,10 @@ class TestProbeSimulate:
         probes.write_text(
             "tick,prefix,transit,rtt_ms\n0,10.0.0.0/24,T1,\n1,10.0.0.0/24,T1,\n"
         )
-        assert main(["simulate", "--probes", str(probes), "--out", str(tmp_path)]) == 2
+        out = tmp_path / "out"
+        assert main(["simulate", "--probes", str(probes), "--out", str(out)]) == 2
         assert "usable RTT" in capsys.readouterr().err
+        assert not out.exists()  # ranked before anything is written
 
     @pytest.mark.parametrize("bad", ["inf", "-inf", "nan", "1e999", "0", "-3.5"])
     def test_non_finite_or_non_positive_rtt_is_data_error(self, tmp_path, capsys, bad):

@@ -377,17 +377,14 @@ class TestCoreProfileMatchesPerHourLoop:
                     ties_cut += (values[~core, h] == values[core, h].min()).any()
         assert ties_cut  # some hour's core left out rows tied at its smallest volume
 
-    def test_empty_matrix(self):
-        empty = SimpleNamespace(
-            prefixes=(), values=np.zeros((0, 5), dtype=np.int64),
-            totals=np.zeros(5, dtype=np.int64),
-        )
-        profile = compute_core_profile(empty)
-        assert profile.cp.shape == (0, 5) and profile.cp.dtype == np.uint8
-        assert np.array_equal(profile.cp, per_hour_core_cp(empty, 0.95))
-        assert profile.icp.shape == (0,)
-        assert profile.core_sizes.tolist() == profile.bi.tolist() == [0] * 5
-        assert profile.max_beta == 0.0
+    def test_a_matrix_without_prefixes_is_refused_before_any_profile(self):
+        # so compute_core_profile always sees at least one row and one hour
+        grid = TimeGrid(start=0, bin_count=5)
+        for prefixes, values in (([], np.zeros((0, 5), np.int64)), ([A], np.zeros((1, 5), int))):
+            with pytest.raises(ValueError, match="no active prefixes"):
+                HourlyTraceMatrix(grid, prefixes, values)
+        with pytest.raises(ValueError, match="bin_count must be positive"):
+            TimeGrid(start=0, bin_count=0)
 
 
 class TestConcentrationCurve:

@@ -92,11 +92,11 @@ class TestChurn:
 class TestBoxplotSummary:
     def test_constant(self):
         s = boxplot_summary([1, 1, 1])
-        assert (s.minimum, s.p25, s.median, s.mean, s.p75, s.maximum) == (1, 1, 1, 1, 1, 1)
+        assert (s.min, s.p25, s.median, s.mean, s.p75, s.max) == (1, 1, 1, 1, 1, 1)
 
     def test_two_values(self):
         s = boxplot_summary([0, 1])
-        assert s.minimum == 0 and s.maximum == 1
+        assert s.min == 0 and s.max == 1
         assert s.mean == 0.5 and s.median == 0.5
 
     def test_linear_interpolation_percentiles(self):

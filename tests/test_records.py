@@ -58,8 +58,8 @@ RECORDS = {
                          "zipf_overlay": arr(0.08)},
     VolumeBinStat: {"label": "<0.0001", "lo_pct": 0.0, "hi_pct": 1e-4, "count": 2,
                     "mean": 1.5, "median": 1.5, "p25": 1.25, "p75": 1.75},
-    BoxplotSummary: {"minimum": 0.0, "p25": 1.0, "median": 2.0, "mean": 2.5, "p75": 3.0,
-                     "maximum": 4.0},
+    BoxplotSummary: {"min": 0.0, "p25": 1.0, "median": 2.0, "mean": 2.5, "p75": 3.0,
+                     "max": 4.0},
     EvaluationReport: {"method": "gm11", "window": 24, "size": 2, "hours": arr(2, 3),
                        "coverage": arr(0.5, 1.0), "churn": arr(2), "coverage_summary": BOX,
                        "churn_summary": None},
@@ -73,8 +73,8 @@ RECORDS = {
     RegimeSwitch: {"transit": "T1", "start_tick": 0, "end_tick": 3, "multiplier": 2.0},
     RttModel: {"base_rtt": {(P, "T1"): 20.0}, "noise_std": 1.0, "loss_prob": 0.1,
                "regime_switches": (RegimeSwitch("T1", 0, 3, 2.0),)},
-    NpSummary: {"minimum": 0.0, "p25": 1.0, "median": 2.0, "mean": 2.5, "p75": 3.0,
-                "maximum": 4.0, "p5": 0.5, "p95": 3.5},
+    NpSummary: {"min": 0.0, "p25": 1.0, "median": 2.0, "mean": 2.5, "p75": 3.0,
+                "max": 4.0, "p5": 0.5, "p95": 3.5},
 }
 
 # the trailing fields a type may omit, and their defaults
@@ -88,8 +88,10 @@ DEFAULTS = {
     RttModel: {"noise_std": 0.0, "loss_prob": 0.0, "regime_switches": ()},
 }
 
-# the types that compare and hash by identity: their fields hold arrays
-BY_IDENTITY = {Rows, CoreProfile, ConcentrationCurve, EvaluationReport, SelectionRun}
+# each type's array fields; a type with one compares and hashes by identity
+ARRAYS = {cls: [k for k, v in fields.items() if isinstance(v, np.ndarray)]
+          for cls, fields in RECORDS.items()}
+BY_IDENTITY = {cls for cls, names in ARRAYS.items() if names}
 
 TYPES = pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
 
@@ -153,6 +155,13 @@ def test_equality_and_hash(cls):
         assert hash(a) == hash(b) == want
 
 
+def test_records_with_differing_arrays_are_unequal_without_raising():
+    block = RECORDS[RecordBlock]
+    a = RecordBlock(**block)
+    b = RecordBlock(**{**block, "timestamps": arr(0, 1), "volumes": arr(5, 6)})
+    assert (a == b) is False and (a != b) is True
+
+
 def test_a_derived_record_equals_only_its_own_type():
     box = {k: v for k, v in RECORDS[NpSummary].items() if k not in ("p5", "p95")}
     assert NpSummary(**box, p5=0.5, p95=3.5) != BoxplotSummary(**box)
@@ -205,6 +214,14 @@ def test_post_init_may_replace_a_field_and_freeze_arrays():
     assert spec.bursts == (BurstSpec(1, 1, 2.0),)
     profile = CoreProfile(**RECORDS[CoreProfile])
     assert not profile.cp.flags.writeable
+
+
+@TYPES
+def test_every_array_field_is_read_only_after_construction(cls):
+    fields = {k: v.copy() if k in ARRAYS[cls] else v for k, v in RECORDS[cls].items()}
+    record = cls(**fields)
+    for name in ARRAYS[cls]:
+        assert not getattr(record, name).flags.writeable, name
 
 
 def test_prefix_orders_and_hashes_by_text():

@@ -336,7 +336,7 @@ class TestGenerateProbeLog:
 class TestSummaries:
     def test_constant_series(self):
         s = np_summary([1.0, 1.0, 1.0])
-        assert s.minimum == s.p5 == s.median == s.mean == s.p95 == s.maximum == 1.0
+        assert s.min == s.p5 == s.median == s.mean == s.p95 == s.max == 1.0
 
     def test_hand_mean(self):
         assert np_summary([1, 1, 1, 1, 2]).mean == pytest.approx(1.2)
