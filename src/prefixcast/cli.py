@@ -97,6 +97,8 @@ def _cmd_ingest(args) -> int:
         if start is None:
             start = first // trace.BIN_SECONDS * trace.BIN_SECONDS
         if bins is None:
+            if last < start:
+                raise ValueError(f"--start {start} is after the last usable timestamp {last}")
             bins = (last - start) // trace.BIN_SECONDS + 1
             if bins > MAX_DERIVED_BINS:
                 raise ValueError(
@@ -106,7 +108,13 @@ def _cmd_ingest(args) -> int:
     grid = trace.TimeGrid(start=start, bin_count=bins)
 
     policy = "raise" if args.on_error == "abort" else "count"
-    matrix, summary = trace.bin_records(blocks, grid, errors=policy)
+    try:
+        matrix, summary = trace.bin_records(blocks, grid, errors=policy)
+    except ValueError as exc:
+        # the empty-run refusal names no file; every other one names the file or a record
+        if str(exc).startswith("no active prefixes"):
+            raise ValueError(f"{args.input}: {exc}") from None
+        raise
 
     out = _out_dir(args)
     trace.save_matrix(matrix, out / "matrix.csv")

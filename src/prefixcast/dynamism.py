@@ -66,6 +66,18 @@ class CoreProfile(Record, eq=False):
     core_sizes: np.ndarray  # (H,) int
 
 
+def keep_lowest_ties(better: np.ndarray, tied: np.ndarray, size) -> np.ndarray:
+    """``better`` plus each hour's lowest-row ``tied`` entries, up to
+    ``size`` entries in all (a scalar or one per hour).  The (hours, rows)
+    bool arrays mark the entries ranked above and at the hour's cut-off key,
+    rows in text order, so every core and top K is the set a stable sort by
+    (key, text) cuts.  Set in ``better`` and returned; ``tied`` is spent."""
+    room = size - better.sum(axis=1)
+    over = np.flatnonzero(tied.sum(axis=1) > room)
+    tied[over] &= np.cumsum(tied[over], axis=1, dtype=np.int32) <= room[over, None]
+    return np.logical_or(better, tied, out=better)
+
+
 def compute_core_profile(
     m: HourlyTraceMatrix, threshold: float = DEFAULT_CORE_THRESHOLD
 ) -> CoreProfile:
@@ -102,11 +114,8 @@ def compute_core_profile(
     kth = desc[np.arange(hours), cutoff - 1]
     del desc, cum  # the float stages below need the memory
     cp = values > kth
-    tied = values == kth
-    room = cutoff - cp.sum(axis=0)
-    over = np.flatnonzero(tied.sum(axis=0) > room)
-    tied[:, over] &= np.cumsum(tied[:, over], axis=0, dtype=np.int32) <= room[over]
-    cp = np.logical_or(cp, tied, out=cp).view(np.uint8)
+    keep_lowest_ties(cp.T, (values == kth).T, cutoff)
+    cp = cp.view(np.uint8)
 
     icp = cp.mean(axis=1)
 
@@ -250,12 +259,10 @@ def icp_vs_volume_bins(shares_pct: np.ndarray, icp: np.ndarray) -> list[VolumeBi
 def core_summary(profile: CoreProfile, m: HourlyTraceMatrix) -> dict:
     """Core statistics: average size, average percentage of the hourly
     active prefix count, and maximum size."""
-    active = m.active_counts()
-    avg_active = float(active.mean())
     avg_size = float(profile.core_sizes.mean())
     return {
         "avg_core_size": avg_size,
-        "avg_core_pct_of_active": 100.0 * avg_size / avg_active if avg_active else 0.0,
+        "avg_core_pct_of_active": 100.0 * avg_size / float(m.active_counts().mean()),
         "max_core_size": int(profile.core_sizes.max()),
     }
 

@@ -89,13 +89,8 @@ def sorted_median(s: np.ndarray) -> float:
 
 
 def boxplot_summary(series: Sequence[float] | np.ndarray) -> BoxplotSummary:
-    """Summarize a non-empty series; percentiles by linear interpolation."""
-    return _sorted_summary(series)[0]
-
-
-def _sorted_summary(series: Sequence[float] | np.ndarray) -> tuple[BoxplotSummary, np.ndarray]:
-    """``boxplot_summary(series)`` and the sorted float64 copy it was read
-    from, for callers that read more percentiles off the same copy."""
+    """Summarize a non-empty series: percentiles by linear interpolation,
+    read off one sorted copy, and the mean over the series as given."""
     arr = np.asarray(series, dtype=np.float64)
     if arr.size == 0:
         raise ValueError("cannot summarize an empty series")
@@ -107,7 +102,7 @@ def _sorted_summary(series: Sequence[float] | np.ndarray) -> tuple[BoxplotSummar
         mean=float(arr.mean()),
         p75=sorted_percentile(s, 75),
         max=float(arr.max()),
-    ), s
+    )
 
 
 def oracle_topk(m: HourlyTraceMatrix, hour: int, k: int) -> np.ndarray:

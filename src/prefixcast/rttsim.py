@@ -28,8 +28,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ._record import Record
-from .evaluation import BoxplotSummary, _sorted_summary, sorted_percentile
-from .trace import Prefix, parse_column, read_rows
+from .evaluation import BoxplotSummary, boxplot_summary, sorted_percentile
+from .trace import Prefix, read_rows
 
 __all__ = [
     "ProbeLog",
@@ -359,8 +359,9 @@ class NpSummary(BoxplotSummary):
 
 def np_summary(values: Sequence[float]) -> NpSummary:
     """Summarize a normalized-RTT series (gaps must be filtered out)."""
-    box, s = _sorted_summary(values)
-    return NpSummary(**box._asdict(), p5=sorted_percentile(s, 5), p95=sorted_percentile(s, 95))
+    s = np.sort(np.asarray(values, dtype=np.float64))
+    return NpSummary(**boxplot_summary(values)._asdict(),
+                     p5=sorted_percentile(s, 5), p95=sorted_percentile(s, 95))
 
 
 def rank_transits(
@@ -418,7 +419,7 @@ def load_probe_log(path: str | Path) -> ProbeLog:
     text once, and each RTT by ``float()``.  A field that does not parse,
     an RTT that is not finite and > 0, or a second row for one (tick,
     prefix, transit) raises ValueError naming the CSV line."""
-    rows = read_rows(path, ",".join(PROBE_CSV_HEADER), len(PROBE_CSV_HEADER))
+    rows = read_rows(path, PROBE_CSV_HEADER)
     # a blank field, or one of spaces, is a loss
     rtt = rows.floats(3, lambda text: float(text) if text.strip() else math.nan)
     lo, hi = rows.field(3)
@@ -432,7 +433,7 @@ def load_probe_log(path: str | Path) -> ProbeLog:
         return Prefix.parse(prefix), transit.strip()
 
     (lo, _), (_, hi) = rows.field(1), rows.field(2)
-    pairs, pair_codes = parse_column(rows.texts(lo, hi), pair, path, rows.lines)
+    pairs, pair_codes = rows.parse(lo, hi, pair)
     try:
         return ProbeLog((ticks.tolist(), tick_codes), ([p for p, _ in pairs], pair_codes),
                         ([t for _, t in pairs], pair_codes), rtt)

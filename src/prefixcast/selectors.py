@@ -31,8 +31,8 @@ from typing import Sequence
 import numpy as np
 
 from ._record import Record
-from .dynamism import CoreProfile
-from .trace import HourlyTraceMatrix, Prefix, parse_column, read_rows
+from .dynamism import CoreProfile, keep_lowest_ties
+from .trace import HourlyTraceMatrix, Prefix, read_rows
 
 __all__ = [
     "METHODS",
@@ -354,7 +354,7 @@ def load_selection(path: str | Path, m: HourlyTraceMatrix, threshold: float) -> 
     must repeat line 2's method, L and K bytes, which are parsed once.  A
     field that does not parse, an hour outside ``2 .. bins`` or a prefix
     ``m`` does not hold is a ValueError naming its line."""
-    rows = read_rows(path, ",".join(SELECTION_HEADER), len(SELECTION_HEADER))
+    rows = read_rows(path, SELECTION_HEADER)
     hour = rows.ints(0, "hour")
     if (outside := np.flatnonzero((hour < 2) | (hour > m.bin_count))).size:
         i = outside[0]
@@ -369,7 +369,7 @@ def load_selection(path: str | Path, m: HourlyTraceMatrix, threshold: float) -> 
             raise ValueError(f"prefix {canonical} not in matrix")
         return m._index[canonical]
 
-    matrix_rows, codes = parse_column(rows.texts(*rows.field(2)), row_of, path, rows.lines)
+    matrix_rows, codes = rows.parse(*rows.field(2), row_of)
     index = np.array(matrix_rows, dtype=np.int64)[codes]
     # each row's method,L,K bytes against line 2's, all rows at once
     lo, hi = rows.field(4)[0], rows.ends
@@ -386,7 +386,7 @@ def load_selection(path: str | Path, m: HourlyTraceMatrix, threshold: float) -> 
         method, window, size = text.split(",")
         return SelectorConfig(method, int(window), int(size))
 
-    (config,), _ = parse_column([first], config_of, path, rows.lines)
+    (config,), _ = rows.parse(lo[:1], hi[:1], config_of)
     score = rows.floats(3)
     if (unpickable := np.flatnonzero(~(np.isfinite(score) & (score > 0)))).size:
         i = unpickable[0]
@@ -491,11 +491,10 @@ def _top_k(score: np.ndarray, size: int) -> np.ndarray:
     ranking key in place: ``-score`` where it is positive, inf elsewhere.
 
     score > 0 alone marks the candidates (a positive masked sum needs a
-    core hour).  Rows are in text order, so this is the set a stable sort
-    of every hour by (score desc, text asc) would cut.  ``np.partition``
-    finds the hour's K-th key (C. A. R. Hoare, "Find", 1961); the hour
-    keeps the keys below it and, of the keys equal to it, the lowest rows
-    up to K.  Nothing is sorted: ranks are computed only where read.
+    core hour).  ``np.partition`` finds the hour's K-th key (C. A. R.
+    Hoare, "Find", 1961), and ``keep_lowest_ties`` cuts the hour there, as
+    a stable sort by (score desc, text asc) would.  Nothing is sorted:
+    ranks are computed only where read.
     """
     selectable = score.T > 0
     key = score.T
@@ -504,19 +503,11 @@ def _top_k(score: np.ndarray, size: int) -> np.ndarray:
     size = min(size, key.shape[1])
     # a copied column, so the partitioned array is freed at once
     kth = np.partition(key, size - 1, axis=1)[:, [size - 1]]
-    below, tied = key < kth, key == kth
-    room = size - below.sum(axis=1)
-    over = np.flatnonzero(tied.sum(axis=1) > room)
-    tied[over] &= np.cumsum(tied[over], axis=1, dtype=np.int32) <= room[over, None]
+    top = keep_lowest_ties(key < kth, key == kth, size)
     # a K-th key of inf ties the unselectable rows too; the mask reuses selectable
-    return np.logical_and(selectable, below | tied, out=selectable)
+    return np.logical_and(selectable, top, out=selectable)
 
 
 def max_core_size(profile: CoreProfile) -> int:
     """Largest hourly core size over the window; the default selection size."""
-    if profile.core_sizes.size == 0:
-        raise ValueError("profile covers no hours")
-    largest = int(profile.core_sizes.max())
-    if largest < 1:
-        raise ValueError("degenerate trace: every hourly core is empty")
-    return largest
+    return int(profile.core_sizes.max())

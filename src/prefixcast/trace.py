@@ -39,7 +39,6 @@ __all__ = [
     "save_matrix",
     "load_matrix",
     "Rows",
-    "parse_column",
     "read_rows",
     "json_int",
     "read_json",
@@ -473,8 +472,8 @@ def bin_records(
     ValueError
         On the first bad record with ``errors="raise"``, when the binned
         volume would exceed the int64 range (naming the record where it
-        does), or when no active prefix remains after binning.  A single
-        record volume above that range is a malformed record.
+        does), or when no active prefix remains after binning (with the
+        tallies).  A single record volume above that range is malformed.
     """
     if errors not in ("count", "raise"):
         raise ValueError(f"unknown errors policy {errors!r}")
@@ -518,6 +517,9 @@ def bin_records(
         binned += len(take)
         malformed += len(block.reasons)
 
+    if not bytes_binned:  # volumes are >= 0, so no cell is positive
+        raise ValueError(f"no active prefixes: {read} records read, {binned} binned with zero "
+                         f"volume, {malformed} malformed, {read - binned - malformed} off the grid")
     matrix = HourlyTraceMatrix(grid, prefixes, values[:len(prefixes)])
     summary = IngestSummary(
         records_read=read,
@@ -660,26 +662,6 @@ def iter_trace_csv(path: str | Path) -> Iterator[RecordBlock]:
             yield _parse_block(raw, table)
 
 
-def parse_column(
-    column: Iterable[bytes], parse: Callable, path, lines: Sequence[int]
-) -> tuple[list, np.ndarray]:
-    """Parse each distinct text of a CSV column once: the parsed values,
-    and each row's index into them.  ``column`` yields row ``i``'s UTF-8
-    text, whose line in the file at ``path`` is ``lines[i]``; ``parse``
-    gets it decoded, and a ValueError it raises is raised again naming the
-    line of the first row with that text."""
-    codes = defaultdict(count().__next__)  # a new text gets the next code
-    index = np.fromiter(map(codes.__getitem__, column), np.intp)
-    parsed = []
-    for code, text in enumerate(codes):
-        try:
-            parsed.append(parse(text.decode()))
-        except ValueError as exc:
-            line = lines[int(np.argmax(index == code))]
-            raise ValueError(f"{path}: line {line}: {exc}") from None
-    return parsed, index
-
-
 class Rows(Record, eq=False):
     """The rows of a hand-off CSV as byte offsets into its text ``raw``.
 
@@ -721,6 +703,20 @@ class Rows(Record, eq=False):
     def error(self, i: int, message: str) -> ValueError:
         return ValueError(f"{self.path}: line {self.lines[i]}: {message}")
 
+    def parse(self, lo: np.ndarray, hi: np.ndarray, parse: Callable) -> tuple[list, np.ndarray]:
+        """Each distinct text ``raw[lo[i]:hi[i]]``, decoded, parsed once by
+        ``parse``: the values, and each row's index into them.  A ValueError
+        it raises is raised again by ``error`` at the first row of its text."""
+        codes = defaultdict(count().__next__)  # a new text gets the next code
+        index = np.fromiter(map(codes.__getitem__, self.texts(lo, hi)), np.intp)
+        parsed = []
+        for code, text in enumerate(codes):
+            try:
+                parsed.append(parse(text.decode()))
+            except ValueError as exc:
+                raise self.error(int(np.argmax(index == code)), str(exc)) from None
+        return parsed, index
+
     def ints(self, k: int, name: str | None = None) -> np.ndarray:
         """Field ``k`` of every row as int64, where it is 1 to 18 ASCII
         digits after an optional ``-``.  Any other text is a ValueError
@@ -747,20 +743,21 @@ class Rows(Record, eq=False):
             values[full] = np.fromiter(map(float, self.texts(lo[full], hi[full])),
                                        np.float64, len(full))
         except ValueError:
-            parsed, codes = parse_column(self.texts(lo, hi), parse, self.path, self.lines)
+            parsed, codes = self.parse(lo, hi, parse)
             values = np.array(parsed, np.float64)[codes]
         return values
 
 
-def read_rows(path: str | Path, header: str, width: int) -> Rows:
+def read_rows(path: str | Path, header: Sequence[str]) -> Rows:
     """The rows of the hand-off CSV at ``path`` (a matrix, selection or
-    probe file), read once as bytes: a first line equal to ``header``, then
-    one unquoted ``width``-field line per row.  CRLF and lone CR line ends
-    read as LF, and blank lines are skipped.  One newline scan and one comma
-    scan give each row's line number and field offsets; no field is split
-    into a string.  Bytes that are not UTF-8, another first line, no rows,
-    or a row that is not ``width`` unquoted fields raise ValueError naming
-    the file or the line."""
+    probe file), read once as bytes: a first line of the ``header`` fields
+    joined by commas, then one unquoted line of as many fields per row.
+    CRLF and lone CR line ends read as LF, and blank lines are skipped.  One
+    newline scan and one comma scan give each row's line number and field
+    offsets; no field is split into a string.  Bytes that are not UTF-8,
+    another first line, no rows, or a row that is not ``len(header)``
+    unquoted fields raise ValueError naming the file or the line."""
+    text, width = ",".join(header), len(header)
     with open(path, "rb") as fh:
         raw = fh.read()
     if b"\r" in raw:
@@ -774,8 +771,8 @@ def read_rows(path: str | Path, header: str, width: int) -> Rows:
                              f"(byte 0x{raw[exc.start]:02x})") from None
     end = raw.find(b"\n")
     got = raw[:end if end >= 0 else None].decode()
-    if got != header:
-        raise ValueError(f"{path}: expected header {header!r}, got {got!r}")
+    if got != text:
+        raise ValueError(f"{path}: expected header {text!r}, got {got!r}")
     buf = np.frombuffer(raw, np.uint8)
     lines, starts, ends, commas, first, n_commas = _line_fields(buf)
     # the header is line 0, and it is not blank
@@ -826,8 +823,8 @@ def _meta_path_for(csv_path: Path) -> Path:
     return csv_path.with_suffix(".json")
 
 
-def _matrix_header(grid: TimeGrid) -> str:
-    return ",".join(["prefix", *(f"h{h}" for h in grid.hours())])
+def _matrix_header(grid: TimeGrid) -> list[str]:
+    return ["prefix", *(f"h{h}" for h in grid.hours())]
 
 
 def save_matrix(m: HourlyTraceMatrix, csv_path: str | Path) -> None:
@@ -836,7 +833,7 @@ def save_matrix(m: HourlyTraceMatrix, csv_path: str | Path) -> None:
     decimal int64; canonical prefixes and int cells never need quoting."""
     csv_path = Path(csv_path)
     cells = "," + ",".join(["%d"] * m.grid.bin_count)  # one template formats a row
-    lines = [_matrix_header(m.grid)]
+    lines = [",".join(_matrix_header(m.grid))]
     lines += [prefix.text + cells % tuple(row)
               for prefix, row in zip(m.prefixes, m.values.tolist())]
     with open(csv_path, "w", newline="") as fh:
@@ -881,8 +878,8 @@ def load_matrix(csv_path: str | Path) -> HourlyTraceMatrix:
         raise ValueError(f"{meta_path}: unknown dtype {kind!r}; cells are int64 bytes, "
                          "so re-run synth to rewrite a float matrix")
 
-    rows = read_rows(csv_path, _matrix_header(grid), grid.bin_count + 1)
-    parsed, codes = parse_column(rows.texts(*rows.field(0)), Prefix.parse, csv_path, rows.lines)
+    rows = read_rows(csv_path, _matrix_header(grid))
+    parsed, codes = rows.parse(*rows.field(0), Prefix.parse)
     prefixes = [parsed[code] for code in codes.tolist()]
     try:
         values = _parse_cells(map(bytes.decode, rows.texts(rows.starts, rows.ends)),

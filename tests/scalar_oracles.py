@@ -161,10 +161,14 @@ def bin_records(records, grid, errors="count"):
         code = codes.setdefault(prefix, len(codes))
         cells.append(code * grid.bin_count + (ts - grid.start) // 3600)
         volumes.append(volume)
+    malformed = sum(reason is not None for *_, reason in records)
+    if not any(volumes):
+        raise ValueError(f"no active prefixes: {len(records)} records read, {len(cells)} binned "
+                         f"with zero volume, {malformed} malformed, "
+                         f"{len(records) - len(cells) - malformed} off the grid")
     values = np.zeros((len(codes), grid.bin_count), dtype=np.int64)
     np.add.at(values.reshape(-1), np.array(cells, dtype=np.intp), np.array(volumes, np.int64))
     matrix = HourlyTraceMatrix(grid, list(codes), values)
-    malformed = sum(reason is not None for *_, reason in records)
     return matrix, IngestSummary(
         records_read=len(records),
         records_binned=len(cells),

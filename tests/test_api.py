@@ -1,6 +1,6 @@
 """The package exports what its demos and README quickstart import, each
-submodule exports only names it defines, and the README names only flags
-the CLI has."""
+submodule exports only names it defines, no module imports another's
+private name, and the README names only flags the CLI has."""
 
 import argparse
 import ast
@@ -50,6 +50,21 @@ def test_submodule_exports_only_names_it_defines(name):
             defined |= {t.id for t in node.targets if isinstance(t, ast.Name)}
     assert len(module.__all__) == len(set(module.__all__))
     assert set(module.__all__) <= defined - {"__all__"}
+
+
+def test_no_module_imports_a_private_name_of_another():
+    """A rule shared between modules is a public name of one of them; no
+    module of the package imports another's underscore-prefixed name."""
+    private = {
+        f"{path.stem}: {node.module}.{alias.name}"
+        for path in sorted((ROOT / "src" / "prefixcast").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").split(".")[0] == "prefixcast")
+        for alias in node.names
+        if alias.name.startswith("_")
+    }
+    assert sorted(private) == []
 
 
 def test_readme_names_only_cli_flags():

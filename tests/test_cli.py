@@ -138,6 +138,32 @@ class TestIngest:
         assert main(["ingest", str(empty), "--out", str(tmp_path)]) == 2
         assert "no usable records" in capsys.readouterr().err
 
+    def test_start_after_the_last_record_names_both(self, tmp_path, capsys):
+        flows = tmp_path / "flows.csv"
+        flows.write_text("timestamp,prefix,bytes\n3600,10.0.0.0/8,5\n3700,10.0.0.0/8,6\n")
+        out = tmp_path / "stage"
+        assert main(["ingest", str(flows), "--start", "7200", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "--start 7200 is after the last usable timestamp 3700" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("body, grid, tallies", [
+        ("", ["--start", "0", "--bins", "2"], "0 records read, 0 binned"),
+        ("36000,10.0.0.0/8,5\noops,10.0.0.0/8,1\n", ["--start", "0", "--bins", "2"],
+         "2 records read, 0 binned with zero volume, 1 malformed, 1 off the grid"),
+        ("0,10.0.0.0/8,0\n3600,10.1.0.0/16,0\n", [],
+         "2 records read, 2 binned with zero volume, 0 malformed, 0 off the grid"),
+    ], ids=["header only", "all rejected", "zero volumes"])
+    def test_nothing_binned_names_the_file_and_tallies(self, tmp_path, capsys, body, grid,
+                                                       tallies):
+        flows = tmp_path / "flows.csv"
+        flows.write_text("timestamp,prefix,bytes\n" + body)
+        out = tmp_path / "stage"
+        assert main(["ingest", str(flows), *grid, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {flows}: no active prefixes: " in err and tallies in err
+        assert not out.exists()
+
     def test_abort_policy(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("timestamp,prefix,bytes\n0,bogus,5\n")
@@ -936,6 +962,18 @@ class TestSelectEvaluate:
                 for hour, picks, scores in zip(run.hours.tolist(), run.picks, run.scores)
                 for rank, (i, score) in enumerate(zip(picks.tolist(), scores.tolist()), 1)
             ]
+
+    @pytest.mark.xfail(strict=True, reason="a selection CSV with no row cannot carry its method, "
+                       "L and K; the run's sidecar file (ROADMAP item 2) can")
+    def test_evaluate_reads_a_grid_run_that_picked_nothing(self, tmp_path):
+        # the one window with traffic fits, but its GM(1,1) forecast clamps to 0,
+        # so the gm11 L12, L24 and L168 runs pick no prefix in any hour
+        matrix = write_int_matrix(tmp_path, ["10.0.0.0/8,0,0,0,0,0,0,99,0"])
+        out = tmp_path / "select"
+        assert main(["select", "--matrix", str(matrix), "--grid", "--out", str(out)]) == 0
+        assert read_csv(out / "selection_gm11_L24.csv") == [SELECTION_HEADER]
+        assert main(["evaluate", "--matrix", str(matrix), "--select-dir", str(out),
+                     "--out", str(tmp_path / "evaluate")]) == 0
 
 
 class TestProbeSimulate:

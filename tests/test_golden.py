@@ -3,13 +3,16 @@
 C10 only checks that two runs agree with each other; this test pins what
 they produce, so a refactor cannot change a result silently.  It runs the
 same pipeline as C10 (``run_pipeline``) and compares the sha256 of every
-output file against the pins below.  A change that is meant to alter an
-output updates its pin here and says why in CHANGES.md; on a mismatch the
-failure lists each changed file with its new digest, as a line of PINS.
+output file against the pins below.  A second run pins ``probe-synth``
+and ``simulate`` at the benchmark's probe-day size.  A change that is meant
+to alter an output updates its pin here and says why in CHANGES.md; on a
+mismatch the failure lists each changed file with its new digest, as a line
+of its pins.
 """
 
 import hashlib
 
+from prefixcast.cli import main as cli_main
 from test_acceptance import run_pipeline
 
 FLOWS = (
@@ -75,19 +78,46 @@ PINS = {
 }
 
 
-def test_pipeline_outputs_match_pins(tmp_path):
-    flows = tmp_path / "flows.csv"
-    flows.write_text(FLOWS)
-    out = tmp_path / "out"
-    run_pipeline(out, flows)
+# One day of probes at the size the benchmark's probe-day workload runs:
+# 362 rounds of 10 prefixes x 4 transits, enough that summing in another
+# order moves the last bit of an NP mean, where the pipeline's log of
+# 5 prefixes x 2 transits over 17 rounds does not.
+PROBE_DAY = ["--prefix-count", "10", "--transits", "4", "--duration", "86400",
+             "--interval", "240", "--jitter", "0.3", "--loss", "0.02", "--noise-std", "1.0",
+             "--regime", "T4:90:180:1.5", "--seed", "42"]
 
+PROBE_DAY_PINS = {
+    "np.csv": "fc062e28aa4f5f22008fd0680b2c5621d803802f97b80f49714739bff01b1776",
+    "np_summary.json": "ee07e987a5a020a1a3cfee864ef76a7ee48a8b52d52aaee8bfabca82b3425eab",
+    "probe_meta.json": "561659af892ba69387cdd388d6eadde066a78eb9f6f190176df19c8c2c7b5704",
+    "probes.csv": "08a6a6ec020ca43619a8f78059c8d514e892f1a0791ffe9a5de3358d016dd2dd",
+}
+
+
+def assert_outputs_match(out, pins):
     digests = {
         p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
         for p in sorted(out.rglob("*"))
         if p.is_file()
     }
-    assert sorted(digests) == sorted(PINS)
-    changed = [name for name in sorted(PINS) if digests[name] != PINS[name]]
-    # each changed pin as a PINS line, so a deliberate re-pin can be pasted
+    assert sorted(digests) == sorted(pins)
+    changed = [name for name in sorted(pins) if digests[name] != pins[name]]
+    # each changed pin as a pins line, so a deliberate re-pin can be pasted
     repin = "".join(f'    "{name}": "{digests[name]}",\n' for name in changed)
     assert not changed, f"outputs differ from their pins: {changed}; new digests:\n{repin}"
+
+
+def test_pipeline_outputs_match_pins(tmp_path):
+    flows = tmp_path / "flows.csv"
+    flows.write_text(FLOWS)
+    out = tmp_path / "out"
+    run_pipeline(out, flows)
+    assert_outputs_match(out, PINS)
+
+
+def test_probe_day_outputs_match_pins(tmp_path):
+    out = tmp_path / "out"
+    assert cli_main(["probe-synth", *PROBE_DAY, "--out", str(out)]) == 0
+    assert cli_main(["simulate", "--probes", str(out / "probes.csv"), "--seed", "42",
+                     "--out", str(out)]) == 0
+    assert_outputs_match(out, PROBE_DAY_PINS)
