@@ -2,10 +2,12 @@
 plus probe-synth -> simulate for the transit RTT side.
 
 Stages hand off through files (CSV + JSON sidecars), so each one is
-independently scriptable; this module names the files, and the library
-modules read and write their formats.  Every output is a pure function of
-inputs, flags, and the seed; re-running a stage reproduces its files byte
-for byte.  Exit codes: 0 success, 1 usage error, 2 data error.
+independently scriptable; this module names the CSV files, and the library
+module that owns each format reads and writes it, the CSV's sidecar
+included: ``trace`` for a matrix, ``rttsim`` for a probe log.  Every output
+is a pure function of inputs, flags, and the seed; re-running a stage
+reproduces its files byte for byte.  Exit codes: 0 success, 1 usage error,
+2 data error.
 
 Each command's flags are defined once, by its entry in ``_COMMANDS``.
 ``main`` parses a named command with that command's parser alone, so a
@@ -379,11 +381,7 @@ def _cmd_probe_synth(args) -> int:
     log = rttsim.generate_probe_log(schedule, model)
 
     out = _out_dir(args)
-    rttsim.save_probe_log(log, out / "probes.csv")
-    trace.write_json(out / "probe_meta.json", {
-        **schedule._asdict(), "transits": transits, "prefix_count": args.prefix_count,
-        "ticks": len(log.ticks), "tick_times": list(log.tick_times),
-    })
+    rttsim.save_probe_log(log, out / "probes.csv", schedule)
     print(
         f"probe-synth: {len(log.ticks)} rounds x {len(prefixes)} prefixes x "
         f"{len(transits)} transits -> {out / 'probes.csv'}"
@@ -394,46 +392,11 @@ def _cmd_probe_synth(args) -> int:
 # -------------------------------------------------------------- simulate
 
 
-def _load_probes(path: Path) -> rttsim.ProbeLog:
-    """The probe log at ``path``, read once.  A ``probe_meta.json`` beside
-    it (as probe-synth writes) must be a JSON object whose ``ticks`` and
-    ``prefix_count`` are JSON integers, and it must agree with the log on
-    ticks (``tick_times`` listing one finite start time per tick), transits
-    and prefix count."""
-    meta_path = path.with_name("probe_meta.json")
-    if not meta_path.exists():
-        return rttsim.load_probe_log(path)
-    meta = trace.read_json(meta_path)
-    if not isinstance(meta, dict):
-        raise ValueError(f"{meta_path}: expected a JSON object, got {json.dumps(meta)}")
-    try:
-        for key in ("ticks", "prefix_count"):
-            trace.json_int(key, meta.get(key))
-    except ValueError as exc:
-        raise ValueError(f"{meta_path}: {exc}") from None
-    log = rttsim.load_probe_log(path)
-    tick_times = meta.get("tick_times")
-    if not (
-        isinstance(tick_times, list) and len(tick_times) == meta["ticks"] == len(log.ticks)
-        and all(type(t) in (int, float) and math.isfinite(t) for t in tick_times)
-    ):
-        raise ValueError(f"{meta_path}: ticks and tick_times must give one finite start "
-                         f"time to each of the {len(log.ticks)} probing rounds in {path}")
-    found = {"transits": list(log.transits), "prefix_count": len(log.prefixes)}
-    for key, value in found.items():
-        claimed = meta.get(key)
-        if isinstance(claimed, list):
-            claimed = sorted(claimed, key=str)
-        if claimed != value:
-            raise ValueError(f"{meta_path}: {key} is {meta.get(key)!r}, but {path} has {value!r}")
-    return log
-
-
 def _cmd_simulate(args) -> int:
     path = Path(args.probes)
     if not path.exists():
         raise ValueError(f"missing probe artifact {path}; run the probe-synth stage first")
-    log = _load_probes(path)
+    log = rttsim.load_probe_log(path)
 
     series = [rttsim.np_series(log, transit) for transit in log.transits]
     dynamic = None

@@ -15,7 +15,8 @@ and the dynamic simulation read them from there.
 No live probing happens here; logs are ingested from CSV or generated
 synthetically with a seeded model.  Probe CSV lines are written a block
 at a time, each block one ``"".join`` of a list filled by strided slice
-assignment.
+assignment.  A generated log's sidecar, ``probe_meta.json`` beside its
+CSV, is written and checked here too, as ``trace`` does for a matrix's.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 
 from ._record import Record
 from .evaluation import BoxplotSummary, boxplot_summary, sorted_percentile
-from .trace import Prefix, read_rows
+from .trace import Prefix, read_rows, read_sidecar, write_json
 
 __all__ = [
     "ProbeLog",
@@ -50,6 +51,9 @@ __all__ = [
 ]
 
 PROBE_CSV_HEADER = ("tick", "prefix", "transit", "rtt_ms")
+
+# File name of a probe log's sidecar, beside the log's CSV.
+PROBE_META_NAME = "probe_meta.json"
 
 # Label of the simulated last-round-best virtual transit in outputs.
 DYNAMIC_LABEL = "dynamic"
@@ -380,15 +384,21 @@ def rank_transits(
     return entries
 
 
-def save_probe_log(log: ProbeLog, path: str | Path) -> None:
+def save_probe_log(log: ProbeLog, path: str | Path,
+                   schedule: ProbeScheduleSpec | None = None) -> None:
     """Write a probe log as unquoted `tick,prefix,transit,rtt_ms` CSV lines
     in cube order, an empty RTT field for a lost probe.  Canonical prefixes
-    never need quoting, and ``ProbeLog`` refuses a label that would.
+    never need quoting, and ``ProbeLog`` refuses a label that would.  Given
+    the ``schedule`` that generated the log, also write its sidecar beside
+    ``path``: the schedule's fields, the log's ``transits``, its prefix and
+    tick counts and its ``tick_times``.
 
     Each block of ``_WRITE_BLOCK`` probes is one ``"".join`` of a list of
     four texts per probe -- its ``tick,`` head, its ``prefix,transit,``
     text, its RTT and a newline -- filled by four strided slice
     assignments, the first two gathered from object arrays of the texts."""
+    if schedule is not None and log.tick_times is None:
+        raise ValueError("a log without round start times was not generated from a schedule")
     heads = np.array([f"{tick}," for tick in log.ticks], dtype=object)
     pairs = np.array([f"{prefix.text},{transit},"
                       for prefix in log.prefixes for transit in log.transits], dtype=object)
@@ -408,6 +418,12 @@ def save_probe_log(log: ProbeLog, path: str | Path) -> None:
             for i in np.flatnonzero(np.isnan(rtt)).tolist():
                 parts[4 * i + 2] = ""  # a lost probe's RTT field is empty
             fh.write("".join(parts))
+    if schedule is not None:
+        write_json(Path(path).with_name(PROBE_META_NAME), {
+            **schedule._asdict(), "transits": list(log.transits),
+            "prefix_count": len(log.prefixes), "ticks": len(log.ticks),
+            "tick_times": list(log.tick_times),
+        })
 
 
 def load_probe_log(path: str | Path) -> ProbeLog:
@@ -418,7 +434,13 @@ def load_probe_log(path: str | Path) -> ProbeLog:
     ticks (1 to 18 ASCII digits) in bulk, each distinct ``prefix,transit``
     text once, and each RTT by ``float()``.  A field that does not parse,
     an RTT that is not finite and > 0, or a second row for one (tick,
-    prefix, transit) raises ValueError naming the CSV line."""
+    prefix, transit) raises ValueError naming the CSV line.  A sidecar
+    beside ``path`` is read first, if there is one, by ``read_sidecar``
+    (``ticks`` and ``prefix_count`` must be JSON integers), and it must agree
+    with the log on ticks (one finite ``tick_times`` entry each), transits
+    and prefix count; else ValueError naming the sidecar."""
+    meta_path = Path(path).with_name(PROBE_META_NAME)
+    meta = read_sidecar(meta_path, ("ticks", "prefix_count")) if meta_path.exists() else None
     rows = read_rows(path, PROBE_CSV_HEADER)
     # a blank field, or one of spaces, is a loss
     rtt = rows.floats(3, lambda text: float(text) if text.strip() else math.nan)
@@ -435,9 +457,23 @@ def load_probe_log(path: str | Path) -> ProbeLog:
     (lo, _), (_, hi) = rows.field(1), rows.field(2)
     pairs, pair_codes = rows.parse(lo, hi, pair)
     try:
-        return ProbeLog((ticks.tolist(), tick_codes), ([p for p, _ in pairs], pair_codes),
-                        ([t for _, t in pairs], pair_codes), rtt)
+        log = ProbeLog((ticks.tolist(), tick_codes), ([p for p, _ in pairs], pair_codes),
+                       ([t for _, t in pairs], pair_codes), rtt)
     except _DuplicateSample as exc:
         raise rows.error(exc.sample, str(exc)) from None
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+    if meta is None:
+        return log
+    tick_times = meta.get("tick_times")
+    if not (
+        isinstance(tick_times, list) and len(tick_times) == meta["ticks"] == len(log.ticks)
+        and all(type(t) in (int, float) and math.isfinite(t) for t in tick_times)
+    ):
+        raise ValueError(f"{meta_path}: ticks and tick_times must give one finite start "
+                         f"time to each of the {len(log.ticks)} probing rounds in {path}")
+    for key, value in (("transits", list(log.transits)), ("prefix_count", len(log.prefixes))):
+        claimed = meta.get(key)
+        if (sorted(claimed, key=str) if isinstance(claimed, list) else claimed) != value:
+            raise ValueError(f"{meta_path}: {key} is {meta.get(key)!r}, but {path} has {value!r}")
+    return log

@@ -42,6 +42,7 @@ __all__ = [
     "read_rows",
     "json_int",
     "read_json",
+    "read_sidecar",
     "write_json",
 ]
 
@@ -807,6 +808,20 @@ def read_json(path: str | Path):
         raise ValueError(f"{path}: not valid JSON: {exc}") from None
 
 
+def read_sidecar(path: str | Path, int_keys: Iterable[str]) -> dict:
+    """The JSON object in the sidecar at ``path``, each of whose ``int_keys``
+    holds a JSON integer; anything else is a ValueError naming the sidecar."""
+    meta = read_json(path)
+    if not isinstance(meta, dict):
+        raise ValueError(f"{path}: expected a JSON object, got {json.dumps(meta)}")
+    try:
+        for key in int_keys:
+            json_int(key, meta.get(key))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return meta
+
+
 def write_json(path: str | Path, payload) -> None:
     """Write ``payload`` as strict JSON with sorted keys, a two-space indent
     and a final newline: a NaN or infinity in it is a ValueError raised
@@ -861,16 +876,12 @@ def load_matrix(csv_path: str | Path) -> HourlyTraceMatrix:
     """
     csv_path = Path(csv_path)
     meta_path = _meta_path_for(csv_path)
-    meta = read_json(meta_path)
-    if not isinstance(meta, dict):
-        raise ValueError(f"{meta_path}: expected a JSON object, got {json.dumps(meta)}")
+    meta = read_sidecar(meta_path, ("start", "bin_seconds", "bin_count"))
     try:
-        start, width, bins = (json_int(key, meta.get(key))
-                              for key in ("start", "bin_seconds", "bin_count"))
-        if width != BIN_SECONDS:
-            raise ValueError(f"bin_seconds is {width}, but every grid bins by the hour "
-                             f"({BIN_SECONDS})")
-        grid = TimeGrid(start, bins)
+        if meta["bin_seconds"] != BIN_SECONDS:
+            raise ValueError(f"bin_seconds is {meta['bin_seconds']}, but every grid bins by "
+                             f"the hour ({BIN_SECONDS})")
+        grid = TimeGrid(meta["start"], meta["bin_count"])
     except ValueError as exc:
         raise ValueError(f"{meta_path}: {exc}") from None
     kind = meta.get("dtype", "int")

@@ -1,5 +1,6 @@
 """Normalized RTT, last-round-best routing, and the probe log machinery."""
 
+import json
 import re
 import string
 
@@ -27,7 +28,7 @@ from prefixcast.rttsim import (
     save_probe_log,
     simulate_dynamic_selection,
 )
-from prefixcast.trace import Prefix, synthetic_prefix
+from prefixcast.trace import Prefix, read_json, synthetic_prefix
 from scalar_oracles import csv_text, probe_rows, probe_rtt
 from scalar_oracles import probe_log as log_from
 
@@ -466,6 +467,45 @@ class TestProbeCsv:
         path.write_text("a,b,c,d\n0,192.0.2.0/24,T1,10\n")
         with pytest.raises(ValueError, match="header"):
             load_probe_log(path)
+
+
+class TestProbeSidecar:
+    def probe_synth(self, out, transits=3):
+        assert main(["probe-synth", "--prefix-count", "4", "--transits", str(transits),
+                     "--duration", "3000", "--seed", "6", "--out", str(out)]) == 0
+        return read_json(out / "probe_meta.json")
+
+    def test_save_with_its_schedule_writes_the_sidecar_load_accepts(self, tmp_path):
+        schedule = ProbeScheduleSpec(mean_interval=100.0, duration=1000.0, seed=3)
+        log = generate_probe_log(schedule, RttModel(base_rtt={(P1, "T1"): 10.0, (P1, "T2"): 20.0}))
+        save_probe_log(log, tmp_path / "plain.csv")
+        assert not (tmp_path / "probe_meta.json").exists()
+        save_probe_log(log, tmp_path / "probes.csv", schedule)
+        assert read_json(tmp_path / "probe_meta.json") == {
+            **schedule._asdict(), "transits": ["T1", "T2"], "prefix_count": 1,
+            "ticks": len(log.ticks), "tick_times": list(log.tick_times),
+        }
+        assert probe_rows(load_probe_log(tmp_path / "probes.csv")) == probe_rows(log)
+
+    def test_a_loaded_log_has_no_sidecar_to_write(self, tmp_path):
+        log = load_rows(tmp_path, [(0, P1, "T1", 10.0)])
+        with pytest.raises(ValueError, match="without round start times"):
+            save_probe_log(log, tmp_path / "again.csv", ProbeScheduleSpec())
+        assert not (tmp_path / "again.csv").exists()
+
+    def test_library_load_refuses_a_sidecar_that_disagrees(self, tmp_path):
+        meta = self.probe_synth(tmp_path)
+        (tmp_path / "probe_meta.json").write_text(json.dumps({**meta, "prefix_count": 5}))
+        with pytest.raises(ValueError, match=re.escape(
+                f"{tmp_path / 'probe_meta.json'}: prefix_count is 5, but "
+                f"{tmp_path / 'probes.csv'} has 4")):
+            load_probe_log(tmp_path / "probes.csv")
+
+    def test_twelve_transits_are_listed_in_log_order(self, tmp_path):
+        meta = self.probe_synth(tmp_path, transits=12)
+        log = load_probe_log(tmp_path / "probes.csv")
+        assert meta["transits"] == list(log.transits)
+        assert meta["transits"][:4] == ["T1", "T10", "T11", "T12"]
 
 
 # --------------------------------------------------------------------------
