@@ -366,8 +366,10 @@ def _cmd_probe_synth(args) -> int:
     transits = [f"T{i + 1}" for i in range(args.transits)]
     prefixes = [trace.synthetic_prefix(k) for k in range(1, args.prefix_count + 1)]
     pairs = [(p, t) for p in sorted(prefixes, key=lambda p: p.text) for t in transits]
-    # one base RTT per pair, drawn in this order
-    base = np.random.default_rng(args.seed).uniform(args.rtt_low, args.rtt_high, len(pairs))
+    # one base RTT per pair, drawn in this order from a child of the seed's
+    # stream, so it shares no draw with generate_probe_log's
+    rng = np.random.default_rng(np.random.SeedSequence(args.seed).spawn(1)[0])
+    base = rng.uniform(args.rtt_low, args.rtt_high, len(pairs))
     model = rttsim.RttModel(
         base_rtt=dict(zip(pairs, base.tolist())),
         noise_std=args.noise_std,

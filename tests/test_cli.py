@@ -977,6 +977,18 @@ class TestSelectEvaluate:
 
 
 class TestProbeSimulate:
+    def test_base_rtts_share_no_draw_with_the_generator(self, tmp_path):
+        # without noise or loss, round 0's RTTs are the base RTTs, in pair order
+        assert main(["probe-synth", "--prefix-count", "5", "--transits", "3", "--noise-std", "0",
+                     "--duration", "2000", "--seed", "5", "--out", str(tmp_path)]) == 0
+        log = load_probe_log(tmp_path / "probes.csv")
+        base = log.cube[0].ravel()
+        # the generator's own stream starts with the round gaps
+        reused = 20.0 + 60.0 * np.random.default_rng(5).random(base.size)
+        assert not np.isclose(base, reused).any()
+        child = np.random.default_rng(np.random.SeedSequence(5).spawn(1)[0])
+        assert base.tolist() == child.uniform(20.0, 80.0, base.size).tolist()
+
     def test_single_transit_np_is_all_ones(self, tmp_path):
         out = str(tmp_path)
         assert main(["probe-synth", "--prefix-count", "4", "--transits", "1",

@@ -36,11 +36,11 @@ PINS = {
     "ingested/matrix.json": "3b601eae642229172a2a7827e7afafe531d1825db0679c3203d642bc1f57473d",
     "matrix.csv": "ebdb83de8e8448236b7a9951ec01d387706f25d37759c7ce633199919f35d510",
     "matrix.json": "25cf0a96a9f2d45299c043ada639043bba075e175d4f19e1191825caadf1c7ce",
-    "np.csv": "39d251a4bb92c0022272ce6988209785f791347c66081a009ab548c6e9b60e5d",
-    "np_summary.json": "115a0e5084a3e5da6d747c4c3249ee24bd811db6d57f24c591cb1f5f49f29bfd",
+    "np.csv": "5e2e792fa63a6edc35f23bd60055e9b9283fe0c050fdf76dbc499431d2a8202b",
+    "np_summary.json": "54b700c696a9199957d66ccf2fda93b2d5abee92c99ac87fd015002aaceff4aa",
     "prefixes.csv": "209b0daba5e67f656b80b2f00bd3a84994d37d5557f5dbc15fb27026fb09e465",
     "probe_meta.json": "4ba8084a8fb464a9131f74c2e0bfa39407d729baf0e52112545c59b453906dae",
-    "probes.csv": "56dfcbfc597dcffb0d8e089eef119f879be41138dad99dba7f417f10f89c2476",
+    "probes.csv": "fe3456e183650427fc6afb112ba785bbdc0385ed5cfcb5b5612e481a8de86727",
     "report_core_presence_L1.csv": "5359439922fb64d949e243b6ec0c4c49b87e4b34ccc86466a52dfbfe094016aa",
     "report_core_presence_L12.csv": "82cfe951d957963efb0868e855c95b6db8236bc120f01238f2e78794b9047e60",
     "report_core_presence_L168.csv": "6b579335fcbd70b38a06d1a6f6dc6c8c9d4fda51e4fc56cfd4a474c21e7aed7a",
@@ -87,10 +87,10 @@ PROBE_DAY = ["--prefix-count", "10", "--transits", "4", "--duration", "86400",
              "--regime", "T4:90:180:1.5", "--seed", "42"]
 
 PROBE_DAY_PINS = {
-    "np.csv": "fc062e28aa4f5f22008fd0680b2c5621d803802f97b80f49714739bff01b1776",
-    "np_summary.json": "ee07e987a5a020a1a3cfee864ef76a7ee48a8b52d52aaee8bfabca82b3425eab",
+    "np.csv": "9248b936d4664ea0f602ae53c86d4502506ed6137f18d451a83674823fc58f93",
+    "np_summary.json": "9d51b2830dd8aa9b41f01e336e206d4ce039d95fd3924f1870023ab56575b67d",
     "probe_meta.json": "561659af892ba69387cdd388d6eadde066a78eb9f6f190176df19c8c2c7b5704",
-    "probes.csv": "08a6a6ec020ca43619a8f78059c8d514e892f1a0791ffe9a5de3358d016dd2dd",
+    "probes.csv": "52af5a8c177db2095f21dd3fec48de6450681a8f9ca0dbdb5fe6e4de948422ec",
 }
 
 
