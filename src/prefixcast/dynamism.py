@@ -141,7 +141,7 @@ def compute_core_profile(
         icp=icp,
         max_beta=max_beta,
         bi=bi,
-        core_sizes=cp.sum(axis=0, dtype=np.int64),
+        core_sizes=cutoff,
     )
 
 
