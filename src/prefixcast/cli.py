@@ -84,39 +84,33 @@ def _load_matrix(path: str) -> trace.HourlyTraceMatrix:
 
 
 def _cmd_ingest(args) -> int:
-    blocks = trace.iter_trace_csv(args.input)
-
+    blocks = trace.iter_trace_csv(args.input)  # a file without the header is refused here
     start, bins = args.start, args.bins
-    if start is None or bins is None:
-        # the blocks are read once and kept for bin_records; only the
-        # records it would not reject as malformed span the grid
-        blocks = list(blocks)
-        stamps = [b.timestamps[~b.malformed] for b in blocks]
-        stamps = [s for s in stamps if s.size]
-        if not stamps:
-            raise ValueError("no usable records: cannot derive a grid")
-        first, last = int(min(s.min() for s in stamps)), int(max(s.max() for s in stamps))
-        if start is None:
-            start = first // trace.BIN_SECONDS * trace.BIN_SECONDS
-        if bins is None:
-            if last < start:
-                raise ValueError(f"--start {start} is after the last usable timestamp {last}")
-            bins = (last - start) // trace.BIN_SECONDS + 1
-            if bins > MAX_DERIVED_BINS:
-                raise ValueError(
-                    f"the records span {bins} bins, more than the {MAX_DERIVED_BINS} "
-                    "(a leap year of hours) derived without --bins; pass --bins"
-                )
-    grid = trace.TimeGrid(start=start, bin_count=bins)
-
-    policy = "raise" if args.on_error == "abort" else "count"
-    try:
+    try:  # every later refusal is about the file's records, so it names the file
+        if start is None or bins is None:
+            # the blocks are read once and kept for bin_records; only the
+            # records it would not reject as malformed span the grid
+            blocks = list(blocks)
+            spans = [(s.min(), s.max()) for b in blocks if (s := b.timestamps[~b.malformed]).size]
+            if not spans:
+                raise ValueError("no usable records: cannot derive a grid")
+            first, last = int(min(lo for lo, _ in spans)), int(max(hi for _, hi in spans))
+            if start is None:
+                start = first // trace.BIN_SECONDS * trace.BIN_SECONDS
+            if bins is None:
+                if last < start:
+                    raise ValueError(f"--start {start} is after the last usable timestamp {last}")
+                bins = (last - start) // trace.BIN_SECONDS + 1
+                if bins > MAX_DERIVED_BINS:
+                    raise ValueError(
+                        f"the records span {bins} bins, more than the {MAX_DERIVED_BINS} "
+                        "(a leap year of hours) derived without --bins; pass --bins"
+                    )
+        grid = trace.TimeGrid(start=start, bin_count=bins)
+        policy = "raise" if args.on_error == "abort" else "count"
         matrix, summary = trace.bin_records(blocks, grid, errors=policy)
     except ValueError as exc:
-        # the empty-run refusal names no file; every other one names the file or a record
-        if str(exc).startswith("no active prefixes"):
-            raise ValueError(f"{args.input}: {exc}") from None
-        raise
+        raise ValueError(f"{args.input}: {exc}") from None
 
     out = _out_dir(args)
     trace.save_matrix(matrix, out / "matrix.csv")
@@ -366,8 +360,7 @@ def _cmd_probe_synth(args) -> int:
     transits = [f"T{i + 1}" for i in range(args.transits)]
     prefixes = [trace.synthetic_prefix(k) for k in range(1, args.prefix_count + 1)]
     pairs = [(p, t) for p in sorted(prefixes, key=lambda p: p.text) for t in transits]
-    # one base RTT per pair, drawn in this order from a child of the seed's
-    # stream, so it shares no draw with generate_probe_log's
+    # one base RTT per pair, in this order, from a stream apart from the generator's
     rng = np.random.default_rng(np.random.SeedSequence(args.seed).spawn(1)[0])
     base = rng.uniform(args.rtt_low, args.rtt_high, len(pairs))
     model = rttsim.RttModel(

@@ -15,8 +15,7 @@ and the dynamic simulation read them from there.
 No live probing happens here; logs are ingested from CSV or generated
 synthetically with a seeded model.  Probe CSV lines are written a block
 at a time, each block one ``"".join`` of a list filled by strided slice
-assignment.  A generated log's sidecar, ``probe_meta.json`` beside its
-CSV, is written and checked here too, as ``trace`` does for a matrix's.
+assignment; a generated log's sidecar is written and checked beside it.
 """
 
 from __future__ import annotations
@@ -389,9 +388,8 @@ def save_probe_log(log: ProbeLog, path: str | Path,
     """Write a probe log as unquoted `tick,prefix,transit,rtt_ms` CSV lines
     in cube order, an empty RTT field for a lost probe.  Canonical prefixes
     never need quoting, and ``ProbeLog`` refuses a label that would.  Given
-    the ``schedule`` that generated the log, also write its sidecar beside
-    ``path``: the schedule's fields, the log's ``transits``, its prefix and
-    tick counts and its ``tick_times``.
+    the ``schedule`` that made the log, the sidecar beside ``path`` gets its
+    fields and the log's ``transits``, prefix and tick counts and tick times.
 
     Each block of ``_WRITE_BLOCK`` probes is one ``"".join`` of a list of
     four texts per probe -- its ``tick,`` head, its ``prefix,transit,``
@@ -419,11 +417,9 @@ def save_probe_log(log: ProbeLog, path: str | Path,
                 parts[4 * i + 2] = ""  # a lost probe's RTT field is empty
             fh.write("".join(parts))
     if schedule is not None:
-        write_json(Path(path).with_name(PROBE_META_NAME), {
-            **schedule._asdict(), "transits": list(log.transits),
-            "prefix_count": len(log.prefixes), "ticks": len(log.ticks),
-            "tick_times": list(log.tick_times),
-        })
+        meta = {"transits": list(log.transits), "prefix_count": len(log.prefixes),
+                "ticks": len(log.ticks), "tick_times": list(log.tick_times)}
+        write_json(Path(path).with_name(PROBE_META_NAME), {**schedule._asdict(), **meta})
 
 
 def load_probe_log(path: str | Path) -> ProbeLog:
@@ -465,11 +461,9 @@ def load_probe_log(path: str | Path) -> ProbeLog:
         raise ValueError(f"{path}: {exc}") from None
     if meta is None:
         return log
-    tick_times = meta.get("tick_times")
-    if not (
-        isinstance(tick_times, list) and len(tick_times) == meta["ticks"] == len(log.ticks)
-        and all(type(t) in (int, float) and math.isfinite(t) for t in tick_times)
-    ):
+    times = meta.get("tick_times")
+    if not (isinstance(times, list) and len(times) == meta["ticks"] == len(log.ticks)
+            and all(type(t) in (int, float) and math.isfinite(t) for t in times)):
         raise ValueError(f"{meta_path}: ticks and tick_times must give one finite start "
                          f"time to each of the {len(log.ticks)} probing rounds in {path}")
     for key, value in (("transits", list(log.transits)), ("prefix_count", len(log.prefixes))):

@@ -648,16 +648,21 @@ def iter_trace_csv(path: str | Path) -> Iterator[RecordBlock]:
     blocks of up to ``TRACE_BLOCK_LINES`` lines, for ``bin_records``.
 
     The header row is required (matched after trimming and lower-casing
-    its fields); blank lines are skipped.  Fields are split at every
-    comma, so a quoted field is a malformed record, not a CSV quote.
+    its fields) and checked by the call, before any block is asked for;
+    blank lines are skipped.  Fields are split at every comma, so a quoted
+    field is a malformed record, not a CSV quote.
     """
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         first = fh.readline()
-        header = first.rstrip("\n").split(",") if first else None
-        if header is None or tuple(c.strip().lower() for c in header) != TRACE_CSV_HEADER:
-            raise ValueError(
-                f"{path}: expected header {','.join(TRACE_CSV_HEADER)!r}, got {header!r}"
-            )
+    header = first.rstrip("\n").split(",") if first else None
+    if header is None or tuple(c.strip().lower() for c in header) != TRACE_CSV_HEADER:
+        raise ValueError(f"{path}: expected header {','.join(TRACE_CSV_HEADER)!r}, got {header!r}")
+    return _record_blocks(path)
+
+
+def _record_blocks(path: str | Path) -> Iterator[RecordBlock]:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        fh.readline()
         table = _PrefixTable()
         while raw := "".join(islice(fh, TRACE_BLOCK_LINES)).encode(errors="surrogateescape"):
             yield _parse_block(raw, table)
@@ -834,10 +839,6 @@ def write_json(path: str | Path, payload) -> None:
         fh.write(text + "\n")
 
 
-def _meta_path_for(csv_path: Path) -> Path:
-    return csv_path.with_suffix(".json")
-
-
 def _matrix_header(grid: TimeGrid) -> list[str]:
     return ["prefix", *(f"h{h}" for h in grid.hours())]
 
@@ -853,7 +854,7 @@ def save_matrix(m: HourlyTraceMatrix, csv_path: str | Path) -> None:
               for prefix, row in zip(m.prefixes, m.values.tolist())]
     with open(csv_path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
-    write_json(_meta_path_for(csv_path), {**m.grid._asdict(), "bin_seconds": BIN_SECONDS})
+    write_json(csv_path.with_suffix(".json"), {**m.grid._asdict(), "bin_seconds": BIN_SECONDS})
 
 
 def _parse_cells(rows: Iterable[str], bins: int) -> np.ndarray:
@@ -875,19 +876,18 @@ def load_matrix(csv_path: str | Path) -> HourlyTraceMatrix:
     the CSV.
     """
     csv_path = Path(csv_path)
-    meta_path = _meta_path_for(csv_path)
+    meta_path = csv_path.with_suffix(".json")
     meta = read_sidecar(meta_path, ("start", "bin_seconds", "bin_count"))
     try:
         if meta["bin_seconds"] != BIN_SECONDS:
             raise ValueError(f"bin_seconds is {meta['bin_seconds']}, but every grid bins by "
                              f"the hour ({BIN_SECONDS})")
         grid = TimeGrid(meta["start"], meta["bin_count"])
+        if (kind := meta.get("dtype", "int")) != "int":
+            raise ValueError(f"unknown dtype {kind!r}; cells are int64 bytes, "
+                             "so re-run synth to rewrite a float matrix")
     except ValueError as exc:
         raise ValueError(f"{meta_path}: {exc}") from None
-    kind = meta.get("dtype", "int")
-    if kind != "int":
-        raise ValueError(f"{meta_path}: unknown dtype {kind!r}; cells are int64 bytes, "
-                         "so re-run synth to rewrite a float matrix")
 
     rows = read_rows(csv_path, _matrix_header(grid))
     parsed, codes = rows.parse(*rows.field(0), Prefix.parse)

@@ -164,6 +164,23 @@ class TestIngest:
         assert f"error: {flows}: no active prefixes: " in err and tallies in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("body, flags, refusal", [
+        ("ts,pfx,vol\n0,10.0.0.0/8,5\n", ["--start", "0", "--bins", "1"], "expected header"),
+        ("timestamp,prefix,bytes\noops,10.0.0.0/8,5\n", [], "no usable records"),
+        ("timestamp,prefix,bytes\n3600,10.0.0.0/8,5\n", ["--start", "7200"], "--start 7200"),
+        (f"timestamp,prefix,bytes\n0,10.0.0.0/8,5\n{8784 * 3600},10.0.0.0/8,5\n", [],
+         "the records span 8785 bins"),
+        ("timestamp,prefix,bytes\n99999,10.0.0.0/8,5\n", ["--start", "0", "--bins", "1",
+                                                            "--on-error", "abort"],
+         "out-of-range record: timestamp 99999"),
+    ], ids=["header", "no usable records", "start after", "too many bins", "abort"])
+    def test_every_refusal_names_the_input_once(self, tmp_path, capsys, body, flags, refusal):
+        flows = tmp_path / "flows.csv"
+        flows.write_text(body)
+        assert main(["ingest", str(flows), *flags, "--out", str(tmp_path / "stage")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flows}: {refusal}") and err.count(str(flows)) == 1
+
     def test_abort_policy(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("timestamp,prefix,bytes\n0,bogus,5\n")
@@ -220,7 +237,8 @@ class TestIngest:
         flows.write_bytes(b"timestamp,prefix,bytes\n0,10.0.0.0/8,7\n0,10.\xff.0.0/8,5\n")
         out = tmp_path / "stage"
         assert main(["ingest", str(flows), "--on-error", "abort", "--out", str(out)]) == 2
-        assert r"error: malformed record: ('0', '10.\\xff.0.0/8', '5')" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert rf"error: {flows}: malformed record: ('0', '10.\\xff.0.0/8', '5')" in err
         assert not (out / "matrix.csv").exists()
 
     def test_abort_names_the_first_bad_record_in_file_order(self, tmp_path, capsys, monkeypatch):
@@ -249,7 +267,7 @@ class TestIngest:
         assert summary["bytes_rejected"] == 13
         assert main(["ingest", str(flows), "--on-error", "abort",
                      "--out", str(tmp_path / "abort")]) == 2
-        assert (f"error: malformed record: ('{2**63}', '10.1.0.0/16', '9') "
+        assert (f"error: {flows}: malformed record: ('{2**63}', '10.1.0.0/16', '9') "
                 f"(timestamp {2**63} is outside the int64 range)") in capsys.readouterr().err
         # a grid that ends beyond int64 is refused before any record is binned
         assert main(["ingest", str(flows), "--start", str(2**63 // 3600 * 3600), "--bins", "1",

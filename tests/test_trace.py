@@ -523,6 +523,13 @@ class TestCsvInterfaces:
         with pytest.raises(ValueError, match="header"):
             list(iter_trace_csv(path))
 
+    def test_trace_csv_header_is_checked_by_the_call(self, tmp_path):
+        # before any block is asked for, so a caller can tell it from a record's refusal
+        path = tmp_path / "bad.csv"
+        path.write_text("ts,pfx,vol\n0,10.0.0.0/8,5\n")
+        with pytest.raises(ValueError, match=f"{path}: expected header"):
+            iter_trace_csv(path)
+
     def test_trace_csv_roundtrip_through_binning(self, tmp_path):
         path = tmp_path / "flows.csv"
         path.write_text(
