@@ -2,9 +2,9 @@
 plus probe-synth -> simulate for the transit RTT side.
 
 Stages hand off through files (CSV + JSON sidecars), so each one is
-independently scriptable; this module names the CSV files, and the library
-module that owns each format reads and writes it, the CSV's sidecar
-included: ``trace`` for a matrix, ``rttsim`` for a probe log.  Every output
+independently scriptable; this module names each hand-off CSV, and the
+library module that owns its format reads and writes it and any sidecar
+beside it: ``trace`` for a matrix, ``rttsim`` for a probe log.  Every output
 is a pure function of inputs, flags, and the seed; re-running a stage
 reproduces its files byte for byte.  Exit codes: 0 success, 1 usage error,
 2 data error.
