@@ -127,10 +127,14 @@ def _cmd_ingest(args) -> int:
 
 
 def _parse_burst(text: str) -> trace.BurstSpec:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise _UsageError(f"bad burst {text!r}; expected RANK:HOUR:MULTIPLIER")
-    return trace.BurstSpec(rank=int(parts[0]), hour=int(parts[1]), multiplier=float(parts[2]))
+    """A ``--burst`` value: a wrong field count or a field that is not a
+    number is a usage error, and ``BurstSpec``'s range checks data errors."""
+    try:
+        rank, hour, multiplier = text.split(":")
+        fields = int(rank), int(hour), float(multiplier)
+    except ValueError:
+        raise _UsageError(f"bad --burst {text!r}; expected RANK:HOUR:MULTIPLIER") from None
+    return trace.BurstSpec(*fields)
 
 
 def _cmd_synth(args) -> int:
@@ -174,7 +178,7 @@ def _cmd_analyze(args) -> int:
     out = _out_dir(args)
 
     _write_csv(out / "prefixes.csv", ["prefix", "weekly_share_pct", "cv", "icp"],
-               [p.text for p in m.prefixes], shares_pct, cv, profile.icp)
+               m.prefixes, shares_pct, cv, profile.icp)
     _write_csv(out / "hours.csv", ["hour", "total", "active_prefixes", "core_size", "bi"],
                m.grid.hours(), m.totals, m.active_counts(), profile.core_sizes, profile.bi)
     for name, bins in (("cv_bins.csv", dynamism.cv_vs_volume_bins(shares_pct, cv)),
@@ -339,13 +343,14 @@ def _cmd_evaluate(args) -> int:
 
 
 def _parse_regime(text: str) -> rttsim.RegimeSwitch:
-    parts = text.split(":")
-    if len(parts) != 4:
-        raise _UsageError(f"bad regime {text!r}; expected TRANSIT:START:END:MULTIPLIER")
-    return rttsim.RegimeSwitch(
-        transit=parts[0], start_tick=int(parts[1]), end_tick=int(parts[2]),
-        multiplier=float(parts[3]),
-    )
+    """A ``--regime`` value, refused as ``_parse_burst`` refuses a burst."""
+    try:
+        transit, start, end, multiplier = text.split(":")
+        fields = transit, int(start), int(end), float(multiplier)
+    except ValueError:
+        raise _UsageError(f"bad --regime {text!r}; "
+                          "expected TRANSIT:START:END:MULTIPLIER") from None
+    return rttsim.RegimeSwitch(*fields)
 
 
 def _cmd_probe_synth(args) -> int:
@@ -359,7 +364,7 @@ def _cmd_probe_synth(args) -> int:
         raise ValueError(f"--transits must be >= 1, got {args.transits}")
     transits = [f"T{i + 1}" for i in range(args.transits)]
     prefixes = [trace.synthetic_prefix(k) for k in range(1, args.prefix_count + 1)]
-    pairs = [(p, t) for p in sorted(prefixes, key=lambda p: p.text) for t in transits]
+    pairs = [(p, t) for p in sorted(prefixes) for t in transits]
     # one base RTT per pair, in this order, from a stream apart from the generator's
     rng = np.random.default_rng(np.random.SeedSequence(args.seed).spawn(1)[0])
     base = rng.uniform(args.rtt_low, args.rtt_high, len(pairs))
@@ -478,7 +483,7 @@ def _synth_args(p: argparse.ArgumentParser) -> None:
 
 def _analyze_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--matrix", required=True, help="matrix CSV from ingest/synth")
-    p.add_argument("--threshold", type=float, default=0.95)
+    p.add_argument("--threshold", type=float, default=dynamism.DEFAULT_CORE_THRESHOLD)
     p.add_argument("--span", default="week", help="concentration span: week, hour:H, day:H0")
     p.add_argument("--out", default=".")
     p.set_defaults(func=_cmd_analyze)
@@ -486,7 +491,7 @@ def _analyze_args(p: argparse.ArgumentParser) -> None:
 
 def _select_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--matrix", required=True)
-    p.add_argument("--threshold", type=float, default=0.95)
+    p.add_argument("--threshold", type=float, default=dynamism.DEFAULT_CORE_THRESHOLD)
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--method", choices=selectors.METHODS, default=None)
     mode.add_argument("--grid", action="store_true",
@@ -505,7 +510,7 @@ def _evaluate_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--matrix", required=True)
     p.add_argument("--selection", action="append", default=[], help="selection CSV (repeatable)")
     p.add_argument("--select-dir", default=None, help="directory of selection_*.csv files")
-    p.add_argument("--threshold", type=float, default=0.95)
+    p.add_argument("--threshold", type=float, default=dynamism.DEFAULT_CORE_THRESHOLD)
     p.add_argument("--out", default=".")
     p.set_defaults(func=_cmd_evaluate)
 
@@ -537,7 +542,7 @@ def _simulate_args(p: argparse.ArgumentParser) -> None:
 
 def _report_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--matrix", required=True)
-    p.add_argument("--threshold", type=float, default=0.95)
+    p.add_argument("--threshold", type=float, default=dynamism.DEFAULT_CORE_THRESHOLD)
     p.add_argument("--size", type=int, default=None)
     p.add_argument("--out", default=".")
     p.set_defaults(func=_cmd_report)

@@ -48,7 +48,7 @@ def hourly_coverage(
         return 1.0
     covered = 0.0
     col = m.values[:, hour - 1]
-    for prefix in sorted(set(selected), key=lambda p: p.text):
+    for prefix in sorted(set(selected)):
         if prefix in m:
             covered += float(col[m.index_of(prefix)])
     return covered / float(total)

@@ -21,7 +21,6 @@ assignment; a generated log's sidecar is written and checked beside it.
 from __future__ import annotations
 
 import math
-from operator import attrgetter
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -107,9 +106,8 @@ class ProbeLog:
         if rtt.size == 0:
             raise ValueError("empty probe log")
         axes, index = [], []
-        orders = (None, attrgetter("text"), None)
-        for (keys, codes), order in zip((ticks, prefixes, transits), orders):
-            axes.append(tuple(sorted(set(keys), key=order)))
+        for keys, codes in (ticks, prefixes, transits):
+            axes.append(tuple(sorted(set(keys))))
             pos = {label: i for i, label in enumerate(axes[-1])}
             index.append(np.array([pos[k] for k in keys], np.intp)[codes])
         self.ticks, self.prefixes, self.transits = axes
@@ -336,7 +334,7 @@ def generate_probe_log(schedule: ProbeScheduleSpec, model: RttModel) -> ProbeLog
     times = np.concatenate(([0.0], np.cumsum(gaps)))
     times = times[: np.searchsorted(times, schedule.duration)]
 
-    pairs = sorted(model.base_rtt, key=lambda pt: (pt[0].text, pt[1]))
+    pairs = sorted(model.base_rtt)
     shape = (len(times), len(pairs))
     lost = model.loss_prob > rng.random(shape)
     noise = rng.normal(0.0, model.noise_std, shape)
@@ -398,7 +396,7 @@ def save_probe_log(log: ProbeLog, path: str | Path,
     if schedule is not None and log.tick_times is None:
         raise ValueError("a log without round start times was not generated from a schedule")
     heads = np.array([f"{tick}," for tick in log.ticks], dtype=object)
-    pairs = np.array([f"{prefix.text},{transit},"
+    pairs = np.array([f"{prefix},{transit},"
                       for prefix in log.prefixes for transit in log.transits], dtype=object)
     cells = np.flatnonzero(log.probed)  # in cube order
     with open(path, "w", newline="") as fh:

@@ -329,7 +329,7 @@ def save_selection(run: SelectionRun, path: str | Path) -> None:
     step = max(1, _WRITE_BLOCK // max(1, most))
     hour_texts = np.array([f"{h}," for h in run.hours.tolist()], dtype=object)
     rank_texts = np.array([f"{r}," for r in range(most + 1)], dtype=object)
-    prefix_texts = np.array([p.text + "," for p in run.prefixes], dtype=object)
+    prefix_texts = np.array([p + "," for p in run.prefixes], dtype=object)
     tail = f",{cfg.method},{cfg.window},{cfg.size}\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(SELECTION_HEADER) + "\n")
@@ -360,11 +360,11 @@ def load_selection(path: str | Path, m: HourlyTraceMatrix, threshold: float) -> 
         i = outside[0]
         raise rows.error(i, f"hour {hour[i]} outside the matrix grid; "
                             "selection was made against a different matrix")
-    rank = rows.ints(1)  # other text reads 0, which the rank check below refuses
+    rank = rows.ints(1, "rank")
 
     def row_of(text: str) -> int:
         # a text the matrix holds is canonical; only another one is parsed
-        canonical = text if text in m._index else Prefix.parse(text).text
+        canonical = text if text in m._index else Prefix.parse(text)
         if canonical not in m._index:
             raise ValueError(f"prefix {canonical} not in matrix")
         return m._index[canonical]

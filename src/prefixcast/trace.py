@@ -83,37 +83,21 @@ _HEX_CIDR = rf"((?:{_HEXTETS})?(?:::(?:{_HEXTETS})?)?)/{_NUMBER}"
 _ZERO_RUN = r"(?:^|:)0(?::0)+(?::|$)"
 
 
-class Prefix(Record):
+class Prefix(str):
     """A BGP prefix key: canonical IPv4 or IPv6 CIDR text.
 
-    Two prefixes are equal iff their canonical texts are equal; there is
-    no aggregation or longest-prefix-match logic anywhere in the package.
-    Ordering is lexicographic on the canonical text, which is the
-    tie-break rule used by every ranking operation.
+    A prefix is the ``str`` of its canonical text, so it equals, hashes
+    and sorts as that text; there is no aggregation or longest-prefix-match
+    logic anywhere in the package.  Text order is the tie-break rule used
+    by every ranking operation.  ``parse`` is the way to a canonical text.
     """
 
-    text: str
+    __slots__ = ()
 
-    def __init__(self, text: str) -> None:
-        self.__dict__["text"] = text
-
-    def __eq__(self, other):
-        return self.text == other.text if other.__class__ is Prefix else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.text,))
-
-    def __lt__(self, other):
-        return self.text < other.text if other.__class__ is Prefix else NotImplemented
-
-    def __le__(self, other):
-        return self.text <= other.text if other.__class__ is Prefix else NotImplemented
-
-    def __gt__(self, other):
-        return self.text > other.text if other.__class__ is Prefix else NotImplemented
-
-    def __ge__(self, other):
-        return self.text >= other.text if other.__class__ is Prefix else NotImplemented
+    @property
+    def text(self) -> str:
+        """The canonical text: the prefix itself."""
+        return self
 
     @classmethod
     def parse(cls, text: str) -> "Prefix":
@@ -126,14 +110,14 @@ class Prefix(Record):
         two or more zero groups, the leftmost on a tie, written ``::``), is
         checked without ``ipaddress``; any other text goes through it.
         """
-        if type(text) is str and (match := _DOTTED_CIDR.fullmatch(text)):
+        if isinstance(text, str) and (match := _DOTTED_CIDR.fullmatch(text)):
             a, b, c, d, length = map(int, match.groups())
             # no octet above 255, and no host bit set below the mask
             if max(a, b, c, d) <= 255 and length <= 32 and (
                 ((a << 24 | b << 16 | c << 8 | d) << length) & 0xFFFFFFFF == 0
             ):
                 return cls(text)
-        if type(text) is str and (match := re.fullmatch(_HEX_CIDR, text)):
+        if isinstance(text, str) and (match := re.fullmatch(_HEX_CIDR, text)):
             left, gap, right = match[1].partition("::")
             head, tail = left.split(":") if left else [], right.split(":") if right else []
             words = head + ["0"] * (8 - len(head) - len(tail)) + tail if gap else head
@@ -152,9 +136,6 @@ class Prefix(Record):
                     return cls(text)
         net = ipaddress.ip_network(str(text).strip(), strict=True)
         return cls(str(net))
-
-    def __str__(self) -> str:
-        return self.text
 
 
 class TimeGrid(Record):
@@ -206,7 +187,7 @@ class HourlyTraceMatrix:
         if values.shape != (len(prefixes), grid.bin_count):
             raise ValueError(f"values have shape {values.shape}, "
                              f"expected ({len(prefixes)}, {grid.bin_count})")
-        texts = np.array([p.text for p in prefixes], dtype=str)
+        texts = np.array(prefixes, dtype=str)
         order = np.argsort(texts, kind="stable")
         repeated = np.flatnonzero(texts[order[1:]] == texts[order[:-1]])
         if repeated.size:
@@ -234,25 +215,24 @@ class HourlyTraceMatrix:
         self.prefixes: tuple[Prefix, ...] = prefixes
         self.values = values
         self.totals = totals
-        # keyed by canonical text, which is what Prefix equality compares
-        self._index = {p.text: i for i, p in enumerate(prefixes)}
+        self._index = {p: i for i, p in enumerate(prefixes)}
 
     def __len__(self) -> int:
         return len(self.prefixes)
 
     def __contains__(self, prefix: Prefix) -> bool:
-        return prefix.text in self._index
+        return prefix in self._index
 
     @property
     def bin_count(self) -> int:
         return self.grid.bin_count
 
     def index_of(self, prefix: Prefix) -> int:
-        return self._index[prefix.text]
+        return self._index[prefix]
 
     def series(self, prefix: Prefix) -> np.ndarray:
         """Hourly volume series v(P) for one prefix (read-only view)."""
-        return self.values[self._index[prefix.text]]
+        return self.values[self._index[prefix]]
 
     def total(self, h: int) -> int:
         """Total volume of bin h."""
@@ -320,7 +300,7 @@ class _PrefixTable:
         except ValueError as exc:
             self.codes[text], self.errors[text] = -1, str(exc)
             return
-        code = self._canonical.setdefault(prefix.text, len(self.prefixes))
+        code = self._canonical.setdefault(prefix, len(self.prefixes))
         if code == len(self.prefixes):
             self.prefixes.append(prefix)
         self.codes[text] = code
@@ -723,16 +703,16 @@ class Rows(Record, eq=False):
                 raise self.error(int(np.argmax(index == code)), str(exc)) from None
         return parsed, index
 
-    def ints(self, k: int, name: str | None = None) -> np.ndarray:
+    def ints(self, k: int, name: str) -> np.ndarray:
         """Field ``k`` of every row as int64, where it is 1 to 18 ASCII
         digits after an optional ``-``.  Any other text is a ValueError
-        naming its line when ``name`` is given, and reads 0 when it is not."""
+        naming its line and the field's ``name``."""
         buf = np.frombuffer(self.raw, np.uint8)
         lo, hi = self.field(k)
         # an empty last field of a file with no final newline starts at its end
         minus = (hi > lo) & (buf[np.minimum(lo, buf.size - 1)] == ord("-"))
         plain, values = _plain_ints(buf, lo + minus, hi)
-        if name is not None and not plain.all():
+        if not plain.all():
             i = int(np.argmin(plain))
             raise self.error(i, f"invalid literal for {name}: {self.text(i, k)!r} is not "
                                 f"1 to {_BULK_DIGITS} ASCII digits")
@@ -850,7 +830,7 @@ def save_matrix(m: HourlyTraceMatrix, csv_path: str | Path) -> None:
     csv_path = Path(csv_path)
     cells = "," + ",".join(["%d"] * m.grid.bin_count)  # one template formats a row
     lines = [",".join(_matrix_header(m.grid))]
-    lines += [prefix.text + cells % tuple(row)
+    lines += [prefix + cells % tuple(row)
               for prefix, row in zip(m.prefixes, m.values.tolist())]
     with open(csv_path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -867,17 +847,21 @@ def load_matrix(csv_path: str | Path) -> HourlyTraceMatrix:
     """Load a matrix written by ``save_matrix``.
 
     Rows are read by ``read_rows``: below the exact ``prefix,h1,...,hN``
-    header, each is one prefix and N plain decimal int64 cells.  A sidecar
-    that is not JSON or not a JSON object, a grid field that is not a JSON
-    integer, a ``bin_seconds`` other than ``BIN_SECONDS``, and a ``dtype``
-    other than ``"int"`` raise ValueError naming the sidecar.  A prefix or
-    cell that does not parse raises ValueError naming the line (and, for a
-    cell, the prefix); a ``HourlyTraceMatrix`` error is raised again naming
-    the CSV.
+    header, each is one prefix and N plain decimal int64 cells.  A missing
+    sidecar, one that is not JSON or not a JSON object, a grid field that
+    is not a JSON integer, a ``bin_seconds`` other than ``BIN_SECONDS``,
+    and a ``dtype`` other than ``"int"`` raise ValueError naming the
+    sidecar.  A prefix or cell that does not parse raises ValueError naming
+    the line (and, for a cell, the prefix); a ``HourlyTraceMatrix`` error
+    is raised again naming the CSV.
     """
     csv_path = Path(csv_path)
     meta_path = csv_path.with_suffix(".json")
-    meta = read_sidecar(meta_path, ("start", "bin_seconds", "bin_count"))
+    try:
+        meta = read_sidecar(meta_path, ("start", "bin_seconds", "bin_count"))
+    except FileNotFoundError:
+        raise ValueError(f"missing matrix sidecar {meta_path}, which ingest and synth "
+                         f"write beside {csv_path.name}") from None
     try:
         if meta["bin_seconds"] != BIN_SECONDS:
             raise ValueError(f"bin_seconds is {meta['bin_seconds']}, but every grid bins by "
@@ -901,7 +885,7 @@ def load_matrix(csv_path: str | Path) -> HourlyTraceMatrix:
             try:
                 _parse_cells([rows.text(i)], grid.bin_count)
             except ValueError as row_exc:
-                raise rows.error(i, f"bad row for {prefix.text!r}: {row_exc}") from None
+                raise rows.error(i, f"bad row for {prefix!r}: {row_exc}") from None
         raise ValueError(f"{csv_path}: {exc}") from None
     del rows  # the text and its offsets, so the matrix's copies do not sit beside them
     try:

@@ -783,14 +783,15 @@ class TestSelectEvaluate:
         assert str(path) in err and all(text in err for text in named)
         assert not (trace_dir / "evaluation_summary.json").exists()
 
-    @pytest.mark.parametrize("size, picks, hour", [
-        (1, [(2, "0"), (2, "0"), (3, "-7")], 2),
-        (3, [(2, "1"), (2, "3"), (3, "1")], 2),
-        (3, [(2, "1"), (3, "1"), (3, "1")], 3),
-        (1, [(2, "1"), (3, "1"), (3, "2")], 3),
-        (3, [(2, "1"), (2, str(2**70))], 2),
+    @pytest.mark.parametrize("size, picks, message", [
+        (1, [(2, "0"), (2, "0"), (3, "-7")], "hour 2: ranks must run 1..n with n <= K=1"),
+        (3, [(2, "1"), (2, "3"), (3, "1")], "hour 2: ranks must run 1..n with n <= K=3"),
+        (3, [(2, "1"), (3, "1"), (3, "1")], "hour 3: ranks must run 1..n with n <= K=3"),
+        (1, [(2, "1"), (3, "1"), (3, "2")], "hour 3: ranks must run 1..n with n <= K=1"),
+        (3, [(2, "1"), (2, str(2**70))],
+         f"line 3: invalid literal for rank: '{2**70}' is not 1 to 18 ASCII digits"),
     ], ids=["ranked 0 0 and -7 for K=1", "gap", "repeat", "more than K", "beyond int64"])
-    def test_bad_ranks_rejected(self, trace_dir, capsys, size, picks, hour):
+    def test_bad_ranks_rejected(self, trace_dir, capsys, size, picks, message):
         out = str(trace_dir)
         path = trace_dir / "selection_mean_volume_L1.csv"
         path.write_text("hour,rank,prefix,score,method,L,K\n" + "".join(
@@ -800,7 +801,7 @@ class TestSelectEvaluate:
         assert main(["evaluate", "--matrix", f"{out}/matrix.csv",
                      "--selection", str(path), "--out", out]) == 2
         err = capsys.readouterr().err
-        assert str(path) in err and f"hour {hour}: ranks must run 1..n with n <= K={size}" in err
+        assert str(path) in err and message in err
         assert not (trace_dir / "evaluation_summary.json").exists()
 
     @pytest.mark.parametrize("threshold", ["nan", "7", "0", "inf"])
@@ -1215,6 +1216,23 @@ def test_sidecar_not_an_object_or_not_integer_is_data_error(tmp_path, capsys, si
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze"], ["select", "--method", "mean_volume"], ["evaluate", "--selection", "s.csv"],
+    ["report"],
+], ids=lambda argv: argv[0])
+def test_missing_matrix_sidecar_is_data_error(tmp_path, capsys, argv):
+    assert main(["synth", "--prefixes", "5", "--bins", "24", "--out", str(tmp_path)]) == 0
+    (tmp_path / "matrix.json").unlink()
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main([argv[0], "--matrix", str(tmp_path / "matrix.csv"), *argv[1:],
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"missing matrix sidecar {tmp_path / 'matrix.json'}, which ingest and synth" in err
+    assert "Errno" not in err and "Traceback" not in err
+    assert not out.exists()
+
+
 # ints, floats with the edge texts of repr, None, and strings csv.writer quotes
 CSV_FLOATS = st.floats() | st.sampled_from(
     [float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, 1e22])
@@ -1420,8 +1438,8 @@ def test_stage_names_the_line_of_a_byte_that_is_not_utf8(tmp_path, capsys, kind,
     (0, "\u0663", "line 3: invalid literal for hour: '\u0663'"),
     (0, "0_3", "line 3: invalid literal for hour: '0_3'"),
     (0, "03", None),
-    (1, "+1", "line 3: hour 3: ranks must run 1..n with n <= K=2"),
-    (1, "1_0", "line 3: hour 3: ranks must run 1..n with n <= K=2"),
+    (1, "+1", "line 3: invalid literal for rank: '+1' is not 1 to 18 ASCII digits"),
+    (1, "1_0", "line 3: invalid literal for rank: '1_0' is not 1 to 18 ASCII digits"),
     (1, "01", None),
 ])
 def test_selection_hour_and_rank_are_plain_ascii_digits(tmp_path, column, text, message):
@@ -1580,6 +1598,27 @@ class TestUsageErrors:
 
     def test_bad_flag_value(self, tmp_path):
         assert main(["synth", "--prefixes", "many", "--out", str(tmp_path)]) == 1
+
+    @pytest.mark.parametrize("argv, code, message", [
+        (["synth", "--burst", "1:2"], 1, "bad --burst '1:2'; expected RANK:HOUR:MULTIPLIER"),
+        (["synth", "--burst", "a:2:2"], 1, "bad --burst 'a:2:2'; expected RANK:HOUR:MULT"),
+        (["synth", "--burst", "1:2:xyz"], 1, "bad --burst '1:2:xyz'; expected RANK:HOUR:MULT"),
+        (["synth", "--burst", "1:0:2"], 2, "burst hour must be >= 1"),
+        (["synth", "--prefixes", "3", "--burst", "9:2:2"], 2, "burst rank 9 exceeds prefix_count"),
+        (["probe-synth", "--regime", "T1:0:5"], 1,
+         "bad --regime 'T1:0:5'; expected TRANSIT:START:END:MULTIPLIER"),
+        (["probe-synth", "--regime", "T1:x:5:2"], 1,
+         "bad --regime 'T1:x:5:2'; expected TRANSIT:START:END:MULTIPLIER"),
+        (["probe-synth", "--regime", "T1:5:5:2"], 2, "end_tick must be > start_tick"),
+    ], ids=lambda value: " ".join(value) if isinstance(value, list) else None)
+    def test_burst_and_regime_refusals(self, tmp_path, capsys, argv, code, message):
+        """A wrong field count or a field that is not a number is a usage
+        error naming the flag and its text; a range check is a data error."""
+        out = tmp_path / "stage"
+        assert main([*argv, "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err and "int()" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", [["ingest", "flows.csv"], ["synth"]])
     def test_bin_seconds_is_no_flag(self, tmp_path, capsys, command):

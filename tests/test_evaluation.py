@@ -147,6 +147,8 @@ class TestOracle:
             oracle_topk(m, 0, 1)
         with pytest.raises(ValueError):
             oracle_topk(m, 3, 1)
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            oracle_topk(m, 2, 0)
 
     def test_oracle_is_coverage_upper_bound(self):
         rng = np.random.default_rng(9)
@@ -224,6 +226,12 @@ class TestEvaluateRun:
         report = evaluate_run(run, m)
         assert report.churn.size == 0
         assert report.churn_summary is None
+
+    def test_run_against_another_matrix_rejected(self):
+        m = matrix({A: [3, 4], B: [4, 3]}, bins=2)
+        run = run_selection(m, compute_core_profile(m), SelectorConfig("mean_volume", 1, 1))
+        with pytest.raises(ValueError, match="run and matrix cover different prefix sets"):
+            evaluate_run(run, matrix({A: [3, 4], C: [4, 3]}, bins=2))
 
 
 def exact_evaluation(run, m):

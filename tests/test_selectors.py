@@ -162,6 +162,10 @@ class TestGm11:
     def test_forecast_clamped_non_negative(self):
         assert gm11_forecast([100, 10, 1, 0.1, 0.01]) >= 0.0
 
+    def test_series_that_is_not_1d_rejected(self):
+        with pytest.raises(ValueError, match="series must be 1-D"):
+            gm11_forecast([[1, 2, 3, 4], [4, 3, 2, 1]])
+
     def test_fit_matches_oracle_on_random_series(self):
         rng = np.random.default_rng(17)
         for _ in range(100):

@@ -292,6 +292,11 @@ class TestBinRecords:
         m, _ = bin_rows(tmp_path, records, grid)
         assert P8 in m and P16 not in m
 
+    def test_unknown_errors_policy_rejected(self, tmp_path):
+        grid = TimeGrid(start=0, bin_count=2)
+        with pytest.raises(ValueError, match="unknown errors policy 'ignore'"):
+            bin_rows(tmp_path, [(0, P8, 5)], grid, errors="ignore")
+
     def test_empty_input_errors(self, tmp_path):
         grid = TimeGrid(start=0, bin_count=2)
         with pytest.raises(ValueError, match="no active prefixes"):
@@ -445,6 +450,10 @@ class TestSynthesize:
         with pytest.raises(ValueError, match=f"^{named} must be"):
             SyntheticTraceSpec(prefix_count=5, **params)
 
+    def test_synthetic_prefix_rank_below_1_rejected(self):
+        with pytest.raises(ValueError, match=r"rank 0 outside \[1, 65536\]"):
+            synthetic_prefix(0)
+
     @pytest.mark.parametrize("multiplier", [math.nan, math.inf])
     def test_non_finite_burst_multiplier_rejected(self, multiplier):
         with pytest.raises(ValueError, match="burst multiplier must be finite"):
@@ -515,6 +524,12 @@ class TestMatrixModel:
         m = HourlyTraceMatrix(grid, [P8, P16], [[5, 0], [1, 2]])
         assert dict(zip(m.prefixes, m.values[:, 0].tolist())) == {P8: 5, P16: 1}
 
+    @pytest.mark.parametrize("hour", [0, 3])
+    def test_total_of_hour_outside_grid_rejected(self, hour):
+        m = HourlyTraceMatrix(TimeGrid(start=0, bin_count=2), [P8], [[5, 1]])
+        with pytest.raises(ValueError, match=rf"hour {hour} outside \[1, 2\]"):
+            m.total(hour)
+
 
 class TestCsvInterfaces:
     def test_trace_csv_header_required(self, tmp_path):
@@ -561,7 +576,13 @@ class TestCsvInterfaces:
         with pytest.raises(ValueError, match="10.1.0.0/16"):
             load_matrix(tmp_path / "m.csv")
 
-    @pytest.mark.parametrize("cell", ["1_000", "9223372036854775808", "1.0", "0x10"])
+    # np.loadtxt takes a leading "+" and strips spaces around a cell; refusing
+    # them takes one more pass over the matrix text on every load
+    SIGN_OR_SPACE = pytest.mark.xfail(strict=True, reason="a signed or spaced cell loads")
+
+    @pytest.mark.parametrize("cell", ["1_000", "9223372036854775808", "1.0", "0x10",
+                                      pytest.param("+1", marks=SIGN_OR_SPACE),
+                                      pytest.param(" 1", marks=SIGN_OR_SPACE)])
     def test_int_cell_not_plain_int64_names_prefix(self, tmp_path, cell):
         grid = TimeGrid(start=0, bin_count=2)
         save_matrix(HourlyTraceMatrix(grid, [P8, P16], [[1, 0], [0, 2]]), tmp_path / "m.csv")
@@ -757,3 +778,9 @@ class TestZipfShares:
 
     def test_two_elements_s1(self):
         np.testing.assert_allclose(zipf_shares(2, 1.0), [2 / 3, 1 / 3])
+
+    @pytest.mark.parametrize("n, s, message", [(0, 1.0, "n must be >= 1"),
+                                               (5, 0, "s must be > 0")])
+    def test_bad_arguments_rejected(self, n, s, message):
+        with pytest.raises(ValueError, match=message):
+            zipf_shares(n, s)
