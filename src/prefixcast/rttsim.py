@@ -425,14 +425,15 @@ def load_probe_log(path: str | Path) -> ProbeLog:
     prober emitting the same format), without round start times.  Rows
     are read by ``trace.read_rows`` below the exact ``PROBE_CSV_HEADER``,
     each one unquoted four-field line, and parsed from their byte offsets:
-    ticks (1 to 18 ASCII digits) in bulk, each distinct ``prefix,transit``
+    ticks (plain decimal int64) in bulk, each distinct ``prefix,transit``
     text once, and each RTT by ``float()``.  A field that does not parse,
     an RTT that is not finite and > 0, or a second row for one (tick,
-    prefix, transit) raises ValueError naming the CSV line.  A sidecar
-    beside ``path`` is read first, if there is one, by ``read_sidecar``
-    (``ticks`` and ``prefix_count`` must be JSON integers), and it must agree
-    with the log on ticks (one finite ``tick_times`` entry each), transits
-    and prefix count; else ValueError naming the sidecar."""
+    prefix, transit) raises ValueError naming the CSV line; a transit label
+    ``ProbeLog`` refuses (one with spaces around it, say) raises one naming
+    the CSV.  A sidecar beside ``path`` is read first, if there is one, by
+    ``read_sidecar`` (``ticks`` and ``prefix_count`` must be JSON integers),
+    and it must agree with the log on ticks (one finite ``tick_times`` entry
+    each), transits and prefix count; else ValueError naming the sidecar."""
     meta_path = Path(path).with_name(PROBE_META_NAME)
     meta = read_sidecar(meta_path, ("ticks", "prefix_count")) if meta_path.exists() else None
     rows = read_rows(path, PROBE_CSV_HEADER)
@@ -446,7 +447,7 @@ def load_probe_log(path: str | Path) -> ProbeLog:
 
     def pair(text: str) -> tuple[Prefix, str]:
         prefix, transit = text.split(",")
-        return Prefix.parse(prefix), transit.strip()
+        return Prefix.parse(prefix), transit
 
     (lo, _), (_, hi) = rows.field(1), rows.field(2)
     pairs, pair_codes = rows.parse(lo, hi, pair)

@@ -284,9 +284,10 @@ class SelectionRun(Record, eq=False):
 
     @cached_property
     def _ranked(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        _, *flat = _rank_picks(self.mask, self.picked_scores)
-        ends = np.cumsum(self.mask.sum(axis=1)).tolist()
-        return tuple([arr[i:j] for i, j in zip([0, *ends], ends)] for arr in flat)
+        pos, rows = np.divmod(np.flatnonzero(self.mask), self.mask.shape[1])
+        order, _ = _rank_picks(pos, self.picked_scores)
+        ends = np.cumsum(self.mask.sum(axis=1))[:-1]
+        return tuple(np.split(arr, ends) for arr in (rows[order], self.picked_scores[order]))
 
     @property
     def picks(self) -> list[np.ndarray]:
@@ -299,15 +300,16 @@ class SelectionRun(Record, eq=False):
         return self._ranked[1]
 
 
-def _rank_picks(mask: np.ndarray, picked_scores: np.ndarray):
-    """The picks of ``mask`` (hours, prefixes), whose scores ``picked_scores``
-    are in its row-major order, as ``(hour, row, score)`` arrays: ``hour``
-    indexes ``mask``'s rows, and each hour's picks are ranked by (score
-    desc, row asc)."""
-    pos, rows = np.divmod(np.flatnonzero(mask), mask.shape[1])
-    # picks come hour by hour, rows ascending, and lexsort is stable
-    order = np.lexsort((-picked_scores, pos))
-    return pos, rows[order], picked_scores[order]
+def _rank_picks(hours: np.ndarray, scores: np.ndarray):
+    """Rank picks given in a mask's row-major order (hours, then rows,
+    ascending) by (score desc, row asc), as ``save_selection`` writes them:
+    the ranking order, and each ranked pick's 1-based rank in its hour."""
+    # each score's place among the distinct ones, desc (NaNs last, as one), keyed
+    # under its hour; the stable sort keeps rows asc on a tie
+    distinct, dense = np.unique(-scores, return_inverse=True)
+    order = np.argsort(hours * len(distinct) + dense, kind="stable")
+    # each hour's ranked picks fill the places its picks held
+    return order, np.arange(hours.size) - np.searchsorted(hours, hours) + 1
 
 
 SELECTION_HEADER = ["hour", "rank", "prefix", "score", "method", "L", "K"]
@@ -336,24 +338,25 @@ def save_selection(run: SelectionRun, path: str | Path) -> None:
         for h0 in range(0, counts.size, step):
             h1 = min(h0 + step, counts.size)
             lo, hi = bounds[h0], bounds[h1]
-            pos, rows, scores = _rank_picks(run.mask[h0:h1], run.picked_scores[lo:hi])
-            rank = np.arange(pos.size) - (bounds[h0:h1] - lo)[pos] + 1
-            bits, score_codes = np.unique(scores.view(np.int64), return_inverse=True)
+            pos, rows = np.divmod(np.flatnonzero(run.mask[h0:h1]), len(run.prefixes))
+            order, rank = _rank_picks(pos, scores := run.picked_scores[lo:hi])
+            bits, score_codes = np.unique(scores[order].view(np.int64), return_inverse=True)
             score_texts = np.array([repr(v) + tail for v in bits.view(np.float64).tolist()],
                                    dtype=object)
             cells = np.column_stack([hour_texts[h0 + pos], rank_texts[rank],
-                                     prefix_texts[rows], score_texts[score_codes]])
+                                     prefix_texts[rows[order]], score_texts[score_codes]])
             fh.write("".join(cells.ravel().tolist()))
 
 
 def load_selection(path: str | Path, m: HourlyTraceMatrix, threshold: float) -> SelectionRun:
     """The run in a selection file as ``save_selection`` writes it, made
     against ``m``.  Rows are read by ``trace.read_rows`` and parsed from
-    their byte offsets: hour and rank (1 to 18 ASCII digits) in bulk, each
+    their byte offsets: hour and rank (plain decimal int64) in bulk, each
     distinct prefix text once, and each score by ``float()``.  Every row
     must repeat line 2's method, L and K bytes, which are parsed once.  A
-    field that does not parse, an hour outside ``2 .. bins`` or a prefix
-    ``m`` does not hold is a ValueError naming its line."""
+    field that does not parse, an hour outside ``2 .. bins``, a prefix
+    ``m`` does not hold or holds twice in an hour, a pick beyond an hour's
+    K or a rank other than ``_rank_picks`` gives is a ValueError naming its line."""
     rows = read_rows(path, SELECTION_HEADER)
     hour = rows.ints(0, "hour")
     if (outside := np.flatnonzero((hour < 2) | (hour > m.bin_count))).size:
@@ -396,27 +399,19 @@ def load_selection(path: str | Path, m: HourlyTraceMatrix, threshold: float) -> 
     cells = (hour - 2) * len(m) + index
     by_cell = np.argsort(cells)
     if (twice := np.flatnonzero(np.diff(cells[by_cell]) == 0)).size:
-        h, i = divmod(int(cells[by_cell[twice[0]]]), len(m))
-        raise ValueError(f"{path}: duplicate prefix {m.prefixes[i]} in hour {h + 2}")
+        i = np.maximum(by_cell[twice], by_cell[twice + 1]).min()  # the first repeat in the file
+        raise rows.error(i, f"duplicate prefix {m.prefixes[index[i]]} in hour {hour[i]}")
 
-    # each hour's ranks, sorted, must read 1..n with n <= K; a rank outside
-    # 1..K reads as 0, which never fits
-    size = config.size
-    rank[(rank < 1) | (rank > size)] = 0
-    order = np.lexsort((rank, hour))
-    hour, rank = hour[order], rank[order]
-    starts = np.searchsorted(hour, np.arange(2, m.bin_count + 2))
-    misplaced = np.flatnonzero(rank != np.arange(1, len(rank) + 1) - starts[hour - 2])
-    if misplaced.size:
-        j = misplaced[0]
-        raise rows.error(order[j], f"hour {hour[j]}: ranks must run 1..n with n <= K={size}")
-    # and rank as a run ranks: score desc, then row, as rows are in text order
-    s, r = score[order], index[order]
-    later = (s[:-1] < s[1:]) | (s[:-1] == s[1:]) & (r[:-1] > r[1:])
-    if (unranked := np.flatnonzero(later & (hour[1:] == hour[:-1]))).size:
-        raise ValueError(
-            f"{path}: hour {hour[unranked[0]]}: ranks must follow (score desc, prefix text asc)"
-        )
+    # each row's rank must be the one save_selection writes for its pick
+    order, ranked = _rank_picks(hour[by_cell], score[by_cell])
+    want = np.empty_like(ranked)
+    want[by_cell[order]] = ranked
+    if (over := np.flatnonzero(want > config.size)).size:
+        raise rows.error(over[0], f"hour {hour[over[0]]}: more than K={config.size} picks")
+    if (wrong := np.flatnonzero(rank != want)).size:
+        i = wrong[0]
+        raise rows.error(i, f"hour {hour[i]}: {m.prefixes[index[i]]} has rank {rank[i]}, but "
+                            f"(score desc, prefix text asc) ranks it {want[i]}")
     mask = np.zeros((m.bin_count - 1, len(m)), dtype=bool)
     mask.reshape(-1)[cells] = True
     return SelectionRun(config=config, threshold=threshold, prefixes=m.prefixes,

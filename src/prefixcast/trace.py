@@ -14,6 +14,7 @@ import json
 import math
 import re
 from collections import defaultdict
+from contextlib import suppress
 from itertools import chain, count, islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
@@ -60,13 +61,14 @@ _INT64_MIN = int(np.iinfo(np.int64).min)
 # at a time, beside the parsed columns.
 TRACE_BLOCK_LINES = 1 << 16
 
-# Hand-off rows whose field texts ``Rows.texts`` slices out at a time.  The
-# matrix reader's text is a whole row, about 1 KB at 168 hours, so a block
-# of those stays near 256 KB.
+# Hand-off rows whose field texts ``Rows.texts`` slices out, or whose matrix
+# cells ``_plain_ints`` reads, at a time.  The matrix reader's text is a
+# whole row, about 1 KB at 168 hours, so a block of those stays near 256 KB.
 _TEXT_BLOCK = 1 << 8
 
-# A field of at most this many ASCII digits parses in bulk; it fits int64.
-_BULK_DIGITS = 18
+# Bytes that ``np.loadtxt`` skips around an int cell: "+" and the ASCII
+# whitespace of ``str.isspace``.  It skips non-ASCII whitespace too.
+_LOADTXT_SKIPS = b"+ \t\v\f\x1c\x1d\x1e\x1f"
 
 # Dotted-quad CIDR text in ASCII digits without leading zeros, as
 # ``str(ipaddress.ip_network(...))`` writes it; ``Prefix.parse`` bounds
@@ -337,20 +339,24 @@ def _parse_fields(fields: list[str], table: _PrefixTable):
 
 
 def _plain_ints(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-    """Which fields ``buf[lo:hi]`` are 1 to ``_BULK_DIGITS`` ASCII digits,
-    and their values (0 elsewhere)."""
-    width = hi - lo
-    plain = (width >= 1) & (width <= _BULK_DIGITS)
+    """Which fields ``buf[lo:hi]`` (offset arrays of one shape) are a plain
+    decimal int64: 1 to 19 ASCII digits after an optional ``-``, in the
+    int64 range.  Also their int64 values, which mean nothing elsewhere."""
+    # an empty last field of a file with no final newline starts at its end
+    minus = (hi > lo) & (buf[np.minimum(lo, buf.size - 1)] == ord("-"))
+    width = hi - lo - minus
+    plain = (width >= 1) & (width <= 19)
     width[~plain] = 0
-    values = np.zeros(len(lo), np.int64)
+    values = np.zeros(hi.shape, np.uint64)  # 19 digits fit uint64
     for k in range(int(width.max(initial=0))):
-        # the k-th byte from the right, where the field has one; a byte
-        # below "0" wraps above 9 in uint8
+        # the k-th byte from the right where the field has one; bytes below "0" wrap past 9
         has = k < width
         digit = buf[np.where(has, hi - 1 - k, 0)] - ord("0")
         plain &= (digit <= 9) | ~has
-        values += np.where(has, digit, 0).astype(np.int64) * 10**k
-    return plain, values
+        values += np.where(has, digit, 0).astype(np.uint64) * np.uint64(10**k)
+    # -2^63 is an int64 too; negation wraps uint64 to int64's bits
+    plain &= values <= np.uint64(_INT64_MAX) + minus
+    return plain, np.negative(values, out=values, where=minus).view(np.int64)
 
 
 def _line_fields(buf: np.ndarray):
@@ -374,10 +380,10 @@ def _line_fields(buf: np.ndarray):
 def _parse_block(raw: bytes, table: _PrefixTable) -> RecordBlock:
     """The records in ``raw``, whole UTF-8 lines of a flow CSV, as columns.
 
-    Fields of plain ASCII digits parse in bulk, and each distinct prefix
-    text once; the records where either fails, and only those, go through
-    ``_parse_fields``, which applies ``int()`` and formats the reason.  A
-    record that passes either way fits int64 in every column.
+    Plain decimal int64 fields parse in bulk, and each distinct prefix text
+    once; only the records where either fails, or whose volume is negative,
+    go through ``_parse_fields``, which applies ``int()`` and formats the
+    reason.  A record that passes either way fits int64 in every column.
     """
     buf = np.frombuffer(raw, np.uint8)
     _, starts, ends, commas, first, n_commas = _line_fields(buf)
@@ -393,7 +399,7 @@ def _parse_block(raw: bytes, table: _PrefixTable) -> RecordBlock:
     for new in set(texts).difference(table.codes):
         table.add(new)
     codes[three] = np.fromiter(map(table.codes.__getitem__, texts), np.intp, len(texts))
-    clean[three] = plain_ts & plain_vol & (codes[three] >= 0)
+    clean[three] = plain_ts & plain_vol & (volumes[three] >= 0) & (codes[three] >= 0)
 
     reasons: dict[int, str] = {}
     malformed_bytes = 0
@@ -704,19 +710,15 @@ class Rows(Record, eq=False):
         return parsed, index
 
     def ints(self, k: int, name: str) -> np.ndarray:
-        """Field ``k`` of every row as int64, where it is 1 to 18 ASCII
-        digits after an optional ``-``.  Any other text is a ValueError
+        """Field ``k`` of every row as int64, where it is a plain decimal
+        int64 (``_plain_ints``).  Any other text is a ValueError
         naming its line and the field's ``name``."""
-        buf = np.frombuffer(self.raw, np.uint8)
-        lo, hi = self.field(k)
-        # an empty last field of a file with no final newline starts at its end
-        minus = (hi > lo) & (buf[np.minimum(lo, buf.size - 1)] == ord("-"))
-        plain, values = _plain_ints(buf, lo + minus, hi)
+        plain, values = _plain_ints(np.frombuffer(self.raw, np.uint8), *self.field(k))
         if not plain.all():
             i = int(np.argmin(plain))
             raise self.error(i, f"invalid literal for {name}: {self.text(i, k)!r} is not "
-                                f"1 to {_BULK_DIGITS} ASCII digits")
-        return np.negative(values, out=values, where=minus)
+                                "a plain decimal int64")
+        return values
 
     def floats(self, k: int, parse: Callable[[str], float] = float) -> np.ndarray:
         """Field ``k`` of every row by ``float()``, NaN where it is empty.
@@ -837,23 +839,19 @@ def save_matrix(m: HourlyTraceMatrix, csv_path: str | Path) -> None:
     write_json(csv_path.with_suffix(".json"), {**m.grid._asdict(), "bin_seconds": BIN_SECONDS})
 
 
-def _parse_cells(rows: Iterable[str], bins: int) -> np.ndarray:
-    # usecols skips the prefix column, so no copy of the cell text is made
-    return np.loadtxt(rows, delimiter=",", dtype=np.int64, comments=None,
-                      usecols=range(1, bins + 1), ndmin=2)
-
-
 def load_matrix(csv_path: str | Path) -> HourlyTraceMatrix:
     """Load a matrix written by ``save_matrix``.
 
     Rows are read by ``read_rows``: below the exact ``prefix,h1,...,hN``
-    header, each is one prefix and N plain decimal int64 cells.  A missing
+    header, each is one prefix and N plain decimal int64 cells.  The faster
+    ``np.loadtxt`` reads a text with no byte it would skip; ``_plain_ints``
+    decides any other text, and a cell ``np.loadtxt`` refuses.  A missing
     sidecar, one that is not JSON or not a JSON object, a grid field that
     is not a JSON integer, a ``bin_seconds`` other than ``BIN_SECONDS``,
     and a ``dtype`` other than ``"int"`` raise ValueError naming the
     sidecar.  A prefix or cell that does not parse raises ValueError naming
-    the line (and, for a cell, the prefix); a ``HourlyTraceMatrix`` error
-    is raised again naming the CSV.
+    the line (and, for a cell, the prefix and hour); a ``HourlyTraceMatrix``
+    error is raised again naming the CSV.
     """
     csv_path = Path(csv_path)
     meta_path = csv_path.with_suffix(".json")
@@ -876,17 +874,23 @@ def load_matrix(csv_path: str | Path) -> HourlyTraceMatrix:
     rows = read_rows(csv_path, _matrix_header(grid))
     parsed, codes = rows.parse(*rows.field(0), Prefix.parse)
     prefixes = [parsed[code] for code in codes.tolist()]
-    try:
-        values = _parse_cells(map(bytes.decode, rows.texts(rows.starts, rows.ends)),
-                              grid.bin_count)
-    except ValueError as exc:
-        # name the prefix; only this error path parses row by row
-        for i, prefix in enumerate(prefixes):
-            try:
-                _parse_cells([rows.text(i)], grid.bin_count)
-            except ValueError as row_exc:
-                raise rows.error(i, f"bad row for {prefix!r}: {row_exc}") from None
-        raise ValueError(f"{csv_path}: {exc}") from None
+    values = None
+    if rows.raw.isascii() and not any(byte in rows.raw for byte in _LOADTXT_SKIPS):
+        # usecols skips the prefix column, so no copy of the cell text is made
+        with suppress(ValueError):
+            values = np.loadtxt(map(bytes.decode, rows.texts(rows.starts, rows.ends)),
+                                delimiter=",", dtype=np.int64, comments=None,
+                                usecols=range(1, grid.bin_count + 1), ndmin=2)
+    if values is None:
+        buf, values = np.frombuffer(rows.raw, np.uint8), np.empty(rows.commas.shape, np.int64)
+        for r in range(0, len(prefixes), _TEXT_BLOCK):
+            commas = rows.commas[r:r + _TEXT_BLOCK]  # a cell ends at a comma or its row's end
+            ends = np.column_stack((commas[:, 1:], rows.ends[r:r + len(commas)]))
+            plain, values[r:r + len(commas)] = _plain_ints(buf, commas + 1, ends)
+            if not plain.all():
+                i, h = divmod(int(np.argmin(plain)), grid.bin_count)
+                raise rows.error(r + i, f"bad row for {prefixes[r + i]!r}: h{h + 1} is "
+                                        f"{rows.text(r + i, h + 1)!r}, not a plain decimal int64")
     del rows  # the text and its offsets, so the matrix's copies do not sit beside them
     try:
         return HourlyTraceMatrix(grid, prefixes, values)

@@ -653,18 +653,18 @@ class TestSelectEvaluate:
         assert [p.tolist() for p in back.picks] == [p.tolist() for p in run.picks]
         assert [s.tobytes() for s in back.scores] == [s.tobytes() for s in run.scores]
 
-    @pytest.mark.parametrize("rows", [
-        ("2,1,10.0.0.0/24,4.0", "2,2,10.0.1.0/24,5.0"),
-        ("2,1,10.0.1.0/24,5.0", "2,2,10.0.0.0/24,5.0"),
+    @pytest.mark.parametrize("rows, named", [
+        (("2,1,10.0.0.0/24,4.0", "2,2,10.0.1.0/24,5.0"), "10.0.0.0/24 has rank 1"),
+        (("2,1,10.0.1.0/24,5.0", "2,2,10.0.0.0/24,5.0"), "10.0.1.0/24 has rank 1"),
     ], ids=["score ascending", "tie out of text order"])
-    def test_selection_ranks_out_of_order_rejected(self, trace_dir, capsys, rows):
+    def test_selection_ranks_out_of_order_rejected(self, trace_dir, capsys, rows, named):
         path = trace_dir / "selection_mean_volume_L1.csv"
         path.write_text("hour,rank,prefix,score,method,L,K\n"
                         + "".join(f"{row},mean_volume,1,2\n" for row in rows))
         out = trace_dir / "evaluate"
         assert main(["evaluate", "--matrix", f"{trace_dir}/matrix.csv",
                      "--selection", str(path), "--out", str(out)]) == 2
-        assert (f"{path}: hour 2: ranks must follow (score desc, prefix text asc)"
+        assert (f"{path}: line 2: hour 2: {named}, but (score desc, prefix text asc) ranks it 2"
                 in capsys.readouterr().err)
         assert not (out / "evaluation_summary.json").exists()
 
@@ -729,7 +729,8 @@ class TestSelectEvaluate:
         assert ("not in matrix" if inputs else "no selection inputs") in written.err
         assert not out.exists()
 
-    @pytest.mark.parametrize("case", ["prefix written two ways", "mixed configurations",
+    @pytest.mark.parametrize("case", ["prefix written two ways", "a prefix twice in two hours",
+                                      "mixed configurations",
                                       "L changed on the last row", "L written 02 on one row",
                                       "every L unparsable",
                                       "every method unknown", "every L 0", "every K 0",
@@ -744,7 +745,12 @@ class TestSelectEvaluate:
             # the hour-2 rank-1 prefix again as rank 4 of hour 2, its mask as a netmask
             twin = rows[1][2].replace("/24", "/255.255.255.0")
             rows.insert(4, [rows[1][0], "4", twin] + rows[1][3:])
-            named = ["duplicate prefix", rows[1][2], "hour 2"]
+            named = [f"line 5: duplicate prefix {rows[1][2]} in hour 2"]
+        elif case == "a prefix twice in two hours":
+            # a later hour's repeat comes first in the file, the first hour's last
+            rows.insert(5, list(rows[4]))
+            rows.append(list(rows[1]))
+            named = [f"line 6: duplicate prefix {rows[4][2]} in hour {rows[4][0]}"]
         elif case == "mixed configurations":
             rows[5][6] = "4"
             named = ["line 6: mixed selector configurations"]
@@ -784,12 +790,14 @@ class TestSelectEvaluate:
         assert not (trace_dir / "evaluation_summary.json").exists()
 
     @pytest.mark.parametrize("size, picks, message", [
-        (1, [(2, "0"), (2, "0"), (3, "-7")], "hour 2: ranks must run 1..n with n <= K=1"),
-        (3, [(2, "1"), (2, "3"), (3, "1")], "hour 2: ranks must run 1..n with n <= K=3"),
-        (3, [(2, "1"), (3, "1"), (3, "1")], "hour 3: ranks must run 1..n with n <= K=3"),
-        (1, [(2, "1"), (3, "1"), (3, "2")], "hour 3: ranks must run 1..n with n <= K=1"),
+        (1, [(2, "0"), (2, "0"), (3, "-7")], "line 3: hour 2: more than K=1 picks"),
+        (3, [(2, "1"), (2, "3"), (3, "1")], "line 3: hour 2: 10.0.1.0/24 has rank 3, but "
+                                            "(score desc, prefix text asc) ranks it 2"),
+        (3, [(2, "1"), (3, "1"), (3, "1")], "line 4: hour 3: 10.0.2.0/24 has rank 1, but "
+                                            "(score desc, prefix text asc) ranks it 2"),
+        (1, [(2, "1"), (3, "1"), (3, "2")], "line 4: hour 3: more than K=1 picks"),
         (3, [(2, "1"), (2, str(2**70))],
-         f"line 3: invalid literal for rank: '{2**70}' is not 1 to 18 ASCII digits"),
+         f"line 3: invalid literal for rank: '{2**70}' is not a plain decimal int64"),
     ], ids=["ranked 0 0 and -7 for K=1", "gap", "repeat", "more than K", "beyond int64"])
     def test_bad_ranks_rejected(self, trace_dir, capsys, size, picks, message):
         out = str(trace_dir)
@@ -1438,8 +1446,8 @@ def test_stage_names_the_line_of_a_byte_that_is_not_utf8(tmp_path, capsys, kind,
     (0, "\u0663", "line 3: invalid literal for hour: '\u0663'"),
     (0, "0_3", "line 3: invalid literal for hour: '0_3'"),
     (0, "03", None),
-    (1, "+1", "line 3: invalid literal for rank: '+1' is not 1 to 18 ASCII digits"),
-    (1, "1_0", "line 3: invalid literal for rank: '1_0' is not 1 to 18 ASCII digits"),
+    (1, "+1", "line 3: invalid literal for rank: '+1' is not a plain decimal int64"),
+    (1, "1_0", "line 3: invalid literal for rank: '1_0' is not a plain decimal int64"),
     (1, "01", None),
 ])
 def test_selection_hour_and_rank_are_plain_ascii_digits(tmp_path, column, text, message):

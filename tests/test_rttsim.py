@@ -400,7 +400,7 @@ class TestProbeCsv:
         ("0,192.0.2.0/24,T1,fast\n", "line 3: could not convert"),
         ("0,192.0.2.0/24,T1,inf\n", "line 3: rtt_ms must be finite"),
         ("\n\n1,192.0.2.0/24,T1,0\n", "line 5: rtt_ms must be finite"),
-        ("0,192.0.2.0/24, T1 ,9\n", "duplicate sample"),
+        ("0,192.0.2.0/24, T1 ,9\n", "probes.csv: transit label ' T1 ' would not read back"),
         ("1,192.0.2.0/24,T1,9\n0,192.0.2.0/24,T1,9\n", "probes.csv: line 4: duplicate sample"),
         # rows are unquoted, as matrix and selection rows are
         ('0,"192.0.2.0/24",T2,9\n', "line 3: bad row"),

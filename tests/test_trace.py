@@ -261,6 +261,16 @@ class TestBinRecords:
         with pytest.raises(ValueError, match="malformed.*int64"):
             bin_rows(tmp_path, rows, grid, errors="raise")
 
+    @pytest.mark.parametrize("start", [(2**63 - 1) // 3600 * 3600 - 3600, -(2**63 // 3600) * 3600],
+                             ids=["last hour", "first hour"])
+    def test_nineteen_digit_fields_parse_in_bulk(self, tmp_path, start):
+        # int64's bounds have 19 digits: a record that fits needs no int() call
+        rows = [(start, "10.0.0.0/8", 2**63 - 1)]
+        with mock.patch.object(trace, "_parse_fields", side_effect=AssertionError("int() ran")):
+            m, summary = bin_rows(tmp_path, rows, TimeGrid(start=start, bin_count=1))
+        assert m.series(P8).tolist() == [2**63 - 1]
+        assert summary.bytes_binned == 2**63 - 1
+
     @pytest.mark.parametrize("errors", ["count", "raise"])
     def test_binned_total_beyond_int64_raises(self, tmp_path, errors):
         grid = TimeGrid(start=0, bin_count=2)
@@ -576,20 +586,31 @@ class TestCsvInterfaces:
         with pytest.raises(ValueError, match="10.1.0.0/16"):
             load_matrix(tmp_path / "m.csv")
 
-    # np.loadtxt takes a leading "+" and strips spaces around a cell; refusing
-    # them takes one more pass over the matrix text on every load
-    SIGN_OR_SPACE = pytest.mark.xfail(strict=True, reason="a signed or spaced cell loads")
-
-    @pytest.mark.parametrize("cell", ["1_000", "9223372036854775808", "1.0", "0x10",
-                                      pytest.param("+1", marks=SIGN_OR_SPACE),
-                                      pytest.param(" 1", marks=SIGN_OR_SPACE)])
+    # np.loadtxt skips "+" and every str.isspace character around a cell; the
+    # one integer rule refuses them, as every cell that is not a plain decimal int64
+    @pytest.mark.parametrize("cell", ["1_000", "9223372036854775808", "1.0", "0x10", "+1", " 1",
+                                      "1\t", "\x1c1", "1\x1f", "\xa01", "\u30001", "1\u2028",
+                                      "", "-", "9" * 20])
     def test_int_cell_not_plain_int64_names_prefix(self, tmp_path, cell):
         grid = TimeGrid(start=0, bin_count=2)
         save_matrix(HourlyTraceMatrix(grid, [P8, P16], [[1, 0], [0, 2]]), tmp_path / "m.csv")
         text = (tmp_path / "m.csv").read_text().replace("10.1.0.0/16,0,2", f"10.1.0.0/16,{cell},2")
         (tmp_path / "m.csv").write_text(text)
-        with pytest.raises(ValueError, match=r"bad row for '10\.1\.0\.0/16'"):
+        with pytest.raises(ValueError) as info:
             load_matrix(tmp_path / "m.csv")
+        assert str(info.value) == (f"{tmp_path / 'm.csv'}: line 3: bad row for '10.1.0.0/16': "
+                                   f"h1 is {cell!r}, not a plain decimal int64")
+
+    @pytest.mark.parametrize("skips", [trace._LOADTXT_SKIPS, b","], ids=["loadtxt", "strict"])
+    @pytest.mark.parametrize("cell, value", [("007", 7), ("-0", 0), (str(2**63 - 2), 2**63 - 2)])
+    def test_int_cell_of_plain_digits_is_read(self, tmp_path, cell, value, skips):
+        # every text holds a comma, so b"," gates np.loadtxt off
+        grid = TimeGrid(start=0, bin_count=2)
+        save_matrix(HourlyTraceMatrix(grid, [P8, P16], [[1, 0], [0, 2]]), tmp_path / "m.csv")
+        text = (tmp_path / "m.csv").read_text().replace("10.1.0.0/16,0,2", f"10.1.0.0/16,{cell},2")
+        (tmp_path / "m.csv").write_text(text)
+        with mock.patch.object(trace, "_LOADTXT_SKIPS", skips):
+            assert load_matrix(tmp_path / "m.csv").values.tolist() == [[1, 0], [value, 2]]
 
     def test_duplicate_prefix_row_names_prefix(self, tmp_path):
         grid = TimeGrid(start=0, bin_count=2)
@@ -642,6 +663,27 @@ def test_int_matrix_csv_roundtrip_is_exact(tmp_path_factory, values):
     assert text == csv_text([header, *rows]).encode()  # the bytes csv.writer gave
     save_matrix(back, path)
     assert path.read_bytes() == text
+
+
+def _strict_cells_unused(*args, **kwargs):
+    raise AssertionError("the strict cell parser ran")
+
+
+@settings(max_examples=100, deadline=None)
+@given(values=int_matrices())
+def test_int_matrix_cells_read_alike_by_loadtxt_and_by_the_strict_parser(tmp_path_factory, values):
+    """``np.loadtxt`` serves a clean text alone; with it gated off (every
+    text holds a comma), ``_plain_ints`` gives the same int64 array."""
+    grid = TimeGrid(start=0, bin_count=values.shape[1])
+    path = tmp_path_factory.mktemp("matrix") / "m.csv"
+    save_matrix(HourlyTraceMatrix(grid, [synthetic_prefix(k + 1) for k in range(len(values))],
+                                  values), path)
+    with mock.patch.object(trace, "_plain_ints", _strict_cells_unused):
+        fast = load_matrix(path).values
+    with mock.patch.object(trace, "_LOADTXT_SKIPS", b","):
+        strict = load_matrix(path).values
+    assert fast.dtype == strict.dtype == np.int64
+    assert fast.tobytes() == strict.tobytes()
 
 
 @pytest.mark.parametrize("rows", [
