@@ -55,7 +55,7 @@ def _write_csv(path: Path, header, *columns) -> None:
     or a sequence of int, float, None or str, formatted a column at a time:
     an int in decimal, a float as its shortest ``repr`` (which ``str`` of a
     float is), None as an empty field, and a field that needs it quoted as
-    ``csv.writer`` quotes it."""
+    ``csv.writer`` quotes it.  ``trace.write_rows`` writes it in one block."""
     texts = []
     for name, column in zip(header, columns, strict=True):
         values = column.tolist() if isinstance(column, np.ndarray) else column
@@ -63,8 +63,7 @@ def _write_csv(path: Path, header, *columns) -> None:
         if _NEEDS_QUOTES.search("".join(col)):
             col = ['"' + t.replace('"', '""') + '"' if _NEEDS_QUOTES.search(t) else t for t in col]
         texts.append(col)
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(map(",".join, zip(*texts))) + "\n")
+    trace.write_rows(path, [col[0] for col in texts], [[col[1:] for col in texts]])
 
 
 def _out_dir(args) -> Path:
@@ -80,14 +79,31 @@ def _load_matrix(path: str) -> trace.HourlyTraceMatrix:
     return trace.load_matrix(csv_path)
 
 
+def _flag_grid(start: int | None, bins: int | None) -> trace.TimeGrid | None:
+    """The grid of ``--start`` and ``--bins``, or None unless both are
+    given.  A flag value no grid can take is a data error naming the flag,
+    raised before any input is read."""
+    if bins is not None and bins <= 0:
+        raise ValueError(f"--bins must be positive, got {bins}")
+    if start is not None and start % trace.BIN_SECONDS:
+        raise ValueError(f"--start {start} is not aligned to an hour")
+    if start is None or bins is None:
+        return None
+    try:
+        return trace.TimeGrid(start=start, bin_count=bins)
+    except ValueError as exc:
+        raise ValueError(f"--start {start} --bins {bins}: {exc}") from None
+
+
 # ---------------------------------------------------------------- ingest
 
 
 def _cmd_ingest(args) -> int:
-    blocks = trace.iter_trace_csv(args.input)  # a file without the header is refused here
     start, bins = args.start, args.bins
+    grid = _flag_grid(start, bins)
+    blocks = trace.iter_trace_csv(args.input)  # a file without the header is refused here
     try:  # every later refusal is about the file's records, so it names the file
-        if start is None or bins is None:
+        if grid is None:
             # the blocks are read once and kept for bin_records; only the
             # records it would not reject as malformed span the grid
             blocks = list(blocks)
@@ -106,7 +122,7 @@ def _cmd_ingest(args) -> int:
                         f"the records span {bins} bins, more than the {MAX_DERIVED_BINS} "
                         "(a leap year of hours) derived without --bins; pass --bins"
                     )
-        grid = trace.TimeGrid(start=start, bin_count=bins)
+            grid = trace.TimeGrid(start=start, bin_count=bins)
         policy = "raise" if args.on_error == "abort" else "count"
         matrix, summary = trace.bin_records(blocks, grid, errors=policy)
     except ValueError as exc:
@@ -141,6 +157,7 @@ def _cmd_synth(args) -> int:
     if not 1 <= args.prefixes <= trace.MAX_SYNTH_PREFIXES:
         raise ValueError(f"--prefixes must be in [1, {trace.MAX_SYNTH_PREFIXES}], "
                          f"got {args.prefixes}")
+    grid = _flag_grid(args.start, args.bins)
     spec = trace.SyntheticTraceSpec(
         prefix_count=args.prefixes,
         zipf_s=args.zipf_s,
@@ -150,7 +167,6 @@ def _cmd_synth(args) -> int:
         bursts=tuple(_parse_burst(b) for b in args.burst),
         seed=args.seed,
     )
-    grid = trace.TimeGrid(start=args.start, bin_count=args.bins)
     matrix = trace.synthesize_trace(spec, grid)
 
     out = _out_dir(args)

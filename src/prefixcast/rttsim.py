@@ -13,9 +13,8 @@ RTT table are built once, on first use, and kept in the log; the series
 and the dynamic simulation read them from there.
 
 No live probing happens here; logs are ingested from CSV or generated
-synthetically with a seeded model.  Probe CSV lines are written a block
-at a time, each block one ``"".join`` of a list filled by strided slice
-assignment; a generated log's sidecar is written and checked beside it.
+synthetically with a seeded model.  A generated log's sidecar is written
+and checked beside it.
 """
 
 from __future__ import annotations
@@ -26,9 +25,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import trace
 from ._record import Record
 from .evaluation import BoxplotSummary, boxplot_summary, sorted_percentile
-from .trace import Prefix, read_rows, read_sidecar, write_json
 
 __all__ = [
     "ProbeLog",
@@ -65,10 +64,6 @@ MAX_PROBES = 10_000_000
 
 # Floor of every synthetic RTT in ms, so noise never makes one 0 or negative.
 MIN_RTT = 0.1
-
-# Probes per write of ``save_probe_log``.
-_WRITE_BLOCK = 1 << 16
-
 
 class _DuplicateSample(ValueError):
     """A second sample for one (tick, prefix, transit); ``sample`` is its
@@ -286,7 +281,7 @@ class RttModel(Record):
     RTT value.  Each regime switch must name one of ``base_rtt``'s transits.
     """
 
-    base_rtt: Mapping[tuple[Prefix, str], float]
+    base_rtt: Mapping[tuple[trace.Prefix, str], float]
     noise_std: float = 0.0
     loss_prob: float = 0.0
     regime_switches: tuple[RegimeSwitch, ...] = ()
@@ -389,35 +384,28 @@ def save_probe_log(log: ProbeLog, path: str | Path,
     the ``schedule`` that made the log, the sidecar beside ``path`` gets its
     fields and the log's ``transits``, prefix and tick counts and tick times.
 
-    Each block of ``_WRITE_BLOCK`` probes is one ``"".join`` of a list of
-    four texts per probe -- its ``tick,`` head, its ``prefix,transit,``
-    text, its RTT and a newline -- filled by four strided slice
-    assignments, the first two gathered from object arrays of the texts."""
+    ``trace.write_rows`` writes ``trace.WRITE_BLOCK`` probes at a time, their
+    tick and ``prefix,transit`` texts made once per tick and pair."""
     if schedule is not None and log.tick_times is None:
         raise ValueError("a log without round start times was not generated from a schedule")
-    heads = np.array([f"{tick}," for tick in log.ticks], dtype=object)
-    pairs = np.array([f"{prefix},{transit},"
+    heads = np.array(list(map(str, log.ticks)), dtype=object)
+    pairs = np.array([f"{prefix},{transit}"
                       for prefix in log.prefixes for transit in log.transits], dtype=object)
     cells = np.flatnonzero(log.probed)  # in cube order
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(PROBE_CSV_HEADER) + "\n")
-        # one write per block, so the text of the whole log is never held
-        for start in range(0, cells.size, _WRITE_BLOCK):
-            block = cells[start : start + _WRITE_BLOCK]
+
+    def blocks():
+        for start in range(0, cells.size, trace.WRITE_BLOCK):
+            block = cells[start:start + trace.WRITE_BLOCK]
             tick, pair = np.divmod(block, len(pairs))
-            rtt = log.cube.ravel()[block]
-            parts = [""] * (4 * block.size)
-            parts[0::4] = heads[tick].tolist()
-            parts[1::4] = pairs[pair].tolist()
-            parts[2::4] = map(repr, rtt.tolist())
-            parts[3::4] = ["\n"] * block.size
-            for i in np.flatnonzero(np.isnan(rtt)).tolist():
-                parts[4 * i + 2] = ""  # a lost probe's RTT field is empty
-            fh.write("".join(parts))
+            # a lost probe's RTT is NaN, and its field is empty
+            rtts = ["" if v != v else repr(v) for v in log.cube.ravel()[block].tolist()]
+            yield heads[tick].tolist(), pairs[pair].tolist(), rtts
+
+    trace.write_rows(path, PROBE_CSV_HEADER, blocks())
     if schedule is not None:
         meta = {"transits": list(log.transits), "prefix_count": len(log.prefixes),
                 "ticks": len(log.ticks), "tick_times": list(log.tick_times)}
-        write_json(Path(path).with_name(PROBE_META_NAME), {**schedule._asdict(), **meta})
+        trace.write_json(Path(path).with_name(PROBE_META_NAME), {**schedule._asdict(), **meta})
 
 
 def load_probe_log(path: str | Path) -> ProbeLog:
@@ -435,8 +423,8 @@ def load_probe_log(path: str | Path) -> ProbeLog:
     and it must agree with the log on ticks (one finite ``tick_times`` entry
     each), transits and prefix count; else ValueError naming the sidecar."""
     meta_path = Path(path).with_name(PROBE_META_NAME)
-    meta = read_sidecar(meta_path, ("ticks", "prefix_count")) if meta_path.exists() else None
-    rows = read_rows(path, PROBE_CSV_HEADER)
+    meta = trace.read_sidecar(meta_path, ("ticks", "prefix_count")) if meta_path.exists() else None
+    rows = trace.read_rows(path, PROBE_CSV_HEADER)
     # a blank field, or one of spaces, is a loss
     rtt = rows.floats(3, lambda text: float(text) if text.strip() else math.nan)
     lo, hi = rows.field(3)
@@ -445,9 +433,9 @@ def load_probe_log(path: str | Path) -> ProbeLog:
             raise rows.error(i, f"rtt_ms must be finite and > 0, not {text!r}")
     ticks, tick_codes = np.unique(rows.ints(0, "tick"), return_inverse=True)
 
-    def pair(text: str) -> tuple[Prefix, str]:
+    def pair(text: str) -> tuple[trace.Prefix, str]:
         prefix, transit = text.split(",")
-        return Prefix.parse(prefix), transit
+        return trace.Prefix.parse(prefix), transit
 
     (lo, _), (_, hi) = rows.field(1), rows.field(2)
     pairs, pair_codes = rows.parse(lo, hi, pair)

@@ -30,9 +30,9 @@ from typing import Sequence
 
 import numpy as np
 
+from . import trace
 from ._record import Record
 from .dynamism import CoreProfile, keep_lowest_ties
-from .trace import HourlyTraceMatrix, Prefix, read_rows
 
 __all__ = [
     "METHODS",
@@ -59,10 +59,6 @@ GM11_MIN_POINTS = 4
 
 # Cells per row chunk of the GM(1,1) pass; bounds its temporaries.
 GM11_CHUNK_CELLS = 1 << 14
-
-# Picks per write of ``save_selection``, rounded to whole hours (at least one).
-_WRITE_BLOCK = 1 << 16
-
 
 class SelectorConfig(Record):
     """One selector configuration: method, history window L, set size K."""
@@ -203,9 +199,9 @@ def _gm11_scores(
 
         # Gram matrix [[sum z^2, -sum z], [-sum z, m]]: trace and determinant
         det = m * s_zz
-        trace = s_zz + m * z_bar * z_bar + m
+        tr = s_zz + m * z_bar * z_bar + m
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            lam_max = 0.5 * (trace + np.sqrt(np.maximum(trace * trace - 4.0 * det, 0.0)))
+            lam_max = 0.5 * (tr + np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0)))
             full_rank = np.sqrt(det) > np.finfo(np.float64).eps * np.maximum(m, 2.0) * lam_max
             a = -s_zy / s_zz
             b = y_sum / m + a * z_bar
@@ -251,7 +247,7 @@ class SelectionRun(Record, eq=False):
 
     config: SelectorConfig
     threshold: float
-    prefixes: tuple[Prefix, ...]
+    prefixes: tuple[trace.Prefix, ...]
     mask: np.ndarray             # (T, prefixes) bool, read-only: the picked cells
     picked_scores: np.ndarray    # their scores in the mask's row-major order, read-only
     gm11_fallbacks: int = 0
@@ -318,37 +314,36 @@ SELECTION_HEADER = ["hour", "rank", "prefix", "score", "method", "L", "K"]
 def save_selection(run: SelectionRun, path: str | Path) -> None:
     """Write ``run`` as one unquoted ``hour,rank,prefix,score,method,L,K``
     line per pick, in ``picks`` order: canonical prefixes and method names
-    never need quoting.  The lines go out a block of whole hours (at most
-    ``_WRITE_BLOCK`` picks, or one hour) at a time, so the text of the whole
-    run is never held.  Each distinct hour, rank and prefix is formatted
-    once, each block's distinct scores (by their bits: ``-0.0`` is not
-    ``0.0``) once per block, and a block's lines are joined from per-column
-    text arrays."""
+    never need quoting.  ``trace.write_rows`` writes the lines a block of
+    whole hours (at most ``trace.WRITE_BLOCK`` picks, or one hour) at a
+    time, so the text of the whole run is never held.  Each distinct hour,
+    rank and prefix is formatted once, and each block's distinct scores
+    (by their bits: ``-0.0`` is not ``0.0``) once per block."""
     cfg = run.config
     counts = run.mask.sum(axis=1)
     bounds = np.concatenate([[0], np.cumsum(counts)])  # hour i's picks: bounds[i]:bounds[i + 1]
     most = int(counts.max())
-    step = max(1, _WRITE_BLOCK // max(1, most))
-    hour_texts = np.array([f"{h}," for h in run.hours.tolist()], dtype=object)
-    rank_texts = np.array([f"{r}," for r in range(most + 1)], dtype=object)
-    prefix_texts = np.array([p + "," for p in run.prefixes], dtype=object)
-    tail = f",{cfg.method},{cfg.window},{cfg.size}\n"
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(SELECTION_HEADER) + "\n")
+    step = max(1, trace.WRITE_BLOCK // max(1, most))
+    hour_texts = np.array(list(map(str, run.hours.tolist())), dtype=object)
+    rank_texts = np.array(list(map(str, range(most + 1))), dtype=object)
+    prefix_texts = np.array(run.prefixes, dtype=object)
+    tail = f",{cfg.method},{cfg.window},{cfg.size}"
+
+    def blocks():
         for h0 in range(0, counts.size, step):
-            h1 = min(h0 + step, counts.size)
-            lo, hi = bounds[h0], bounds[h1]
-            pos, rows = np.divmod(np.flatnonzero(run.mask[h0:h1]), len(run.prefixes))
+            lo, hi = bounds[h0], bounds[min(h0 + step, counts.size)]
+            pos, rows = np.divmod(np.flatnonzero(run.mask[h0:h0 + step]), len(run.prefixes))
             order, rank = _rank_picks(pos, scores := run.picked_scores[lo:hi])
             bits, score_codes = np.unique(scores[order].view(np.int64), return_inverse=True)
             score_texts = np.array([repr(v) + tail for v in bits.view(np.float64).tolist()],
                                    dtype=object)
-            cells = np.column_stack([hour_texts[h0 + pos], rank_texts[rank],
-                                     prefix_texts[rows[order]], score_texts[score_codes]])
-            fh.write("".join(cells.ravel().tolist()))
+            yield [hour_texts[h0 + pos].tolist(), rank_texts[rank].tolist(),
+                   prefix_texts[rows[order]].tolist(), score_texts[score_codes].tolist()]
+
+    trace.write_rows(path, SELECTION_HEADER, blocks())
 
 
-def load_selection(path: str | Path, m: HourlyTraceMatrix, threshold: float) -> SelectionRun:
+def load_selection(path: str | Path, m: trace.HourlyTraceMatrix, threshold: float) -> SelectionRun:
     """The run in a selection file as ``save_selection`` writes it, made
     against ``m``.  Rows are read by ``trace.read_rows`` and parsed from
     their byte offsets: hour and rank (plain decimal int64) in bulk, each
@@ -357,7 +352,7 @@ def load_selection(path: str | Path, m: HourlyTraceMatrix, threshold: float) -> 
     field that does not parse, an hour outside ``2 .. bins``, a prefix
     ``m`` does not hold or holds twice in an hour, a pick beyond an hour's
     K or a rank other than ``_rank_picks`` gives is a ValueError naming its line."""
-    rows = read_rows(path, SELECTION_HEADER)
+    rows = trace.read_rows(path, SELECTION_HEADER)
     hour = rows.ints(0, "hour")
     if (outside := np.flatnonzero((hour < 2) | (hour > m.bin_count))).size:
         i = outside[0]
@@ -367,7 +362,7 @@ def load_selection(path: str | Path, m: HourlyTraceMatrix, threshold: float) -> 
 
     def row_of(text: str) -> int:
         # a text the matrix holds is canonical; only another one is parsed
-        canonical = text if text in m._index else Prefix.parse(text)
+        canonical = text if text in m._index else trace.Prefix.parse(text)
         if canonical not in m._index:
             raise ValueError(f"prefix {canonical} not in matrix")
         return m._index[canonical]
@@ -419,7 +414,7 @@ def load_selection(path: str | Path, m: HourlyTraceMatrix, threshold: float) -> 
 
 
 def run_selection(
-    m: HourlyTraceMatrix, profile: CoreProfile, config: SelectorConfig
+    m: trace.HourlyTraceMatrix, profile: CoreProfile, config: SelectorConfig
 ) -> SelectionRun:
     """Score and select prefixes for every predictable hour of a trace.
 

@@ -41,6 +41,7 @@ __all__ = [
     "load_matrix",
     "Rows",
     "read_rows",
+    "write_rows",
     "json_int",
     "read_json",
     "read_sidecar",
@@ -65,6 +66,9 @@ TRACE_BLOCK_LINES = 1 << 16
 # cells ``_plain_ints`` reads, at a time.  The matrix reader's text is a
 # whole row, about 1 KB at 168 hours, so a block of those stays near 256 KB.
 _TEXT_BLOCK = 1 << 8
+
+# Rows (matrix rows, picks or probes) a writer hands ``write_rows`` per block.
+WRITE_BLOCK = 1 << 12
 
 # Bytes that ``np.loadtxt`` skips around an int cell: "+" and the ASCII
 # whitespace of ``str.isspace``.  It skips non-ASCII whitespace too.
@@ -777,6 +781,21 @@ def read_rows(path: str | Path, header: Sequence[str]) -> Rows:
     return Rows(path, raw, lines, starts, ends, commas[first[0]:].reshape(-1, width - 1))
 
 
+def write_rows(path: str | Path, header: Sequence[str], blocks: Iterable[Sequence[list]]) -> None:
+    """Write what ``read_rows`` reads: the ``header`` fields joined by commas, then the
+    rows of each block (one list of field texts per column, all of one length), one line
+    each, joined and written once per block.  A caller quotes any field that needs it."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for columns in blocks:
+            width, rows = 2 * len(columns), len(columns[0])
+            parts = [","] * (width * rows)  # each field, then a comma or the line end
+            for k, column in enumerate(columns):
+                parts[2 * k::width] = column
+            parts[width - 1::width] = ["\n"] * rows
+            fh.write("".join(parts))
+
+
 def json_int(key: str, value) -> int:
     """``value`` when it is a JSON integer, else a ValueError naming ``key``:
     a bool, a float or null is refused, not truncated or cast."""
@@ -828,14 +847,14 @@ def _matrix_header(grid: TimeGrid) -> list[str]:
 def save_matrix(m: HourlyTraceMatrix, csv_path: str | Path) -> None:
     """Persist a matrix as columnar CSV `prefix,h1,...,hN` plus a JSON
     sidecar beside it (`<name>.json`) holding the grid.  Cells are plain
-    decimal int64; canonical prefixes and int cells never need quoting."""
+    decimal int64, a row's formatted by one ``%d`` template, ``WRITE_BLOCK``
+    rows at a time; canonical prefixes and int cells never need quoting."""
     csv_path = Path(csv_path)
-    cells = "," + ",".join(["%d"] * m.grid.bin_count)  # one template formats a row
-    lines = [",".join(_matrix_header(m.grid))]
-    lines += [prefix + cells % tuple(row)
-              for prefix, row in zip(m.prefixes, m.values.tolist())]
-    with open(csv_path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    cells, step = ",".join(["%d"] * m.grid.bin_count), WRITE_BLOCK
+    write_rows(csv_path, _matrix_header(m.grid), (
+        [m.prefixes[r:r + step], [cells % tuple(row) for row in m.values[r:r + step].tolist()]]
+        for r in range(0, len(m), step)
+    ))
     write_json(csv_path.with_suffix(".json"), {**m.grid._asdict(), "bin_seconds": BIN_SECONDS})
 
 

@@ -15,12 +15,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from prefixcast import cli, dynamism, selectors, trace
+from prefixcast import cli, dynamism, trace
 from prefixcast.cli import _write_csv, build_parser, main
 from prefixcast.dynamism import compute_core_profile
 from prefixcast.rttsim import (
-    MAX_PROBES, ProbeScheduleSpec, RttModel, generate_probe_log, load_probe_log, save_probe_log,
-    simulate_dynamic_selection,
+    MAX_PROBES, ProbeLog, ProbeScheduleSpec, RttModel, generate_probe_log, load_probe_log,
+    save_probe_log, simulate_dynamic_selection,
 )
 from prefixcast.selectors import (
     METHODS, SELECTION_HEADER, WINDOW_GRID, SelectionRun, SelectorConfig, load_selection,
@@ -282,6 +282,26 @@ class TestIngest:
         assert main(["ingest", str(flows), "--start", "0", "--bins", "1", "--out", str(out)]) == 2
         assert "int64" in capsys.readouterr().err
         assert not (out / "matrix.csv").exists()
+
+
+@pytest.mark.parametrize("stage, flags, refusal", [
+    ("ingest", ["--start", "5", "--bins", "3"], "--start 5 is not aligned to an hour"),
+    ("ingest", ["--bins", "0"], "--bins must be positive, got 0"),
+    ("synth", ["--start", "5"], "--start 5 is not aligned to an hour"),
+    ("synth", ["--bins", "0"], "--bins must be positive, got 0"),
+    ("ingest", ["--start", str(2**63 // 3600 * 3600), "--bins", "1"],
+     f"--start {2**63 // 3600 * 3600} --bins 1: grid ["),
+], ids=["ingest start", "ingest bins", "synth start", "synth bins", "ingest range"])
+def test_grid_flag_refusal_names_the_flag(tmp_path, capsys, stage, flags, refusal):
+    """A grid flag no grid can take is refused naming the flag, before the
+    input is read: here the flow CSV does not even exist."""
+    flows = tmp_path / "flows.csv"
+    out = tmp_path / "stage"
+    argv = [stage, *([str(flows)] if stage == "ingest" else []), *flags, "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {refusal}") and str(flows) not in err
+    assert not out.exists()
 
 
 class TestSynthAnalyze:
@@ -1488,38 +1508,57 @@ def _selection_file(directory: Path) -> tuple[Path, Callable]:
     return path, lambda: load_selection(path, m, threshold)
 
 
-def _selection_writer(directory: Path) -> tuple[Path, Callable]:
-    _, _, run = _selection_run()
-    path = directory / "selection.csv"
+def _probe_log(duration: float = 86400.0) -> ProbeLog:
+    rtt = {(synthetic_prefix(k), f"T{t}"): 10.0 + k + t for k in range(1, 11) for t in (1, 2, 3)}
+    return generate_probe_log(ProbeScheduleSpec(duration=duration, seed=1),
+                              RttModel(rtt, noise_std=1.0, loss_prob=0.02))
 
+
+def _probe_file(directory: Path) -> tuple[Path, Callable]:
+    path = directory / "probes.csv"
+    save_probe_log(_probe_log(), path)
+    return path, lambda: load_probe_log(path)
+
+
+def _writer(path: Path, save: Callable[[Path], None], block: int) -> tuple[Path, Callable]:
     def write() -> None:
-        # blocks of about a thousand picks: the file holds a dozen of them
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(selectors, "_WRITE_BLOCK", 1 << 10)
-            save_selection(run, path)
+            patch.setattr(trace, "WRITE_BLOCK", block)
+            save(path)
 
     return path, write
 
 
-def _probe_file(directory: Path) -> tuple[Path, Callable]:
-    rtt = {(synthetic_prefix(k), f"T{t}"): 10.0 + k + t for k in range(1, 11) for t in (1, 2, 3)}
-    log = generate_probe_log(ProbeScheduleSpec(seed=1),
-                             RttModel(rtt, noise_std=1.0, loss_prob=0.02))
-    path = directory / "probes.csv"
-    save_probe_log(log, path)
-    return path, lambda: load_probe_log(path)
+# each writer at a block size its file holds a dozen or more of: about a
+# thousand picks, 256 probes, or 64 matrix rows of 48 hours
+def _selection_writer(directory: Path) -> tuple[Path, Callable]:
+    run = _selection_run()[2]
+    return _writer(directory / "selection.csv", lambda path: save_selection(run, path), 1 << 10)
+
+
+def _probe_writer(directory: Path) -> tuple[Path, Callable]:
+    log = _probe_log()
+    return _writer(directory / "probes.csv", lambda path: save_probe_log(log, path), 1 << 8)
+
+
+def _matrix_writer(directory: Path) -> tuple[Path, Callable]:
+    m = synthesize_trace(SyntheticTraceSpec(prefix_count=2000, noise=0.5, seed=3),
+                         TimeGrid(start=0, bin_count=48))
+    return _writer(directory / "matrix.csv", lambda path: save_matrix(m, path), 1 << 6)
 
 
 @pytest.mark.parametrize("make, bound", [(_selection_file, 8), (_probe_file, 8),
-                                         (_selection_writer, 1)],
-                         ids=["selection", "probe", "selection writer"])
+                                         (_selection_writer, 1), (_probe_writer, 1),
+                                         (_matrix_writer, 1)],
+                         ids=["selection", "probe", "selection writer", "probe writer",
+                              "matrix writer"])
 def test_hand_off_reader_peak_is_a_few_times_the_file(tmp_path, make, bound):
     """The selection and probe readers hold no string per field: their
     traced peak stays under 8x the file's bytes (about 13x and 11x when
-    every field was split into a string).  The selection writer holds one
-    block of hours' text at a time, here about a thousand of the file's
-    12.7k picks: its peak stays under the file's bytes (about 5.5x when it
-    joined the whole file's text)."""
+    every field was split into a string).  Each writer holds one block's
+    text at a time, here a dozen or more to the file: its peak stays under
+    the file's bytes (about 5.5x for the selection writer when it joined
+    the whole file's text)."""
     path, call = make(tmp_path)
     tracemalloc.start()
     try:
@@ -1528,6 +1567,34 @@ def test_hand_off_reader_peak_is_a_few_times_the_file(tmp_path, make, bound):
     finally:
         tracemalloc.stop()
     assert peak < bound * path.stat().st_size
+
+
+# each hand-off writer, and how to make a small thing for it to write
+HAND_OFF_WRITERS = {
+    "matrix": (save_matrix, lambda: synthesize_trace(
+        SyntheticTraceSpec(prefix_count=30, noise=0.5, seed=3), TimeGrid(start=0, bin_count=5))),
+    "selection": (save_selection, lambda: selection_run(
+        SelectorConfig("mean_volume", 1, 3), [synthetic_prefix(k) for k in range(1, 5)],
+        [[(0, 2.0), (1, 2.0), (3, -0.0)], [(2, 5.0)], [], [(1, 1.5), (0, 0.5), (2, 0.5)],
+         [(3, 1.0), (0, 1.0), (1, 9.0)]])),
+    "probe": (save_probe_log, lambda: _probe_log(duration=3600.0)),
+}
+
+
+@pytest.mark.parametrize("kind", HAND_OFF_WRITERS)
+def test_hand_off_writers_give_the_same_bytes_at_any_block(tmp_path, monkeypatch, kind):
+    """Blocks of one row, of seven, and of one row fewer than the file
+    holds give the bytes of the default block, which holds every row."""
+    save, make = HAND_OFF_WRITERS[kind]
+    thing = make()
+    save(thing, tmp_path / "default.csv")
+    default = (tmp_path / "default.csv").read_bytes()
+    rows = default.count(b"\n") - 1
+    assert 7 < rows <= trace.WRITE_BLOCK
+    for block in (1, 7, rows - 1):
+        monkeypatch.setattr(trace, "WRITE_BLOCK", block)
+        save(thing, tmp_path / f"block{block}.csv")
+        assert (tmp_path / f"block{block}.csv").read_bytes() == default, block
 
 
 def _matrix_file(directory: Path) -> tuple[Path, Callable]:

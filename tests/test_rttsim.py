@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from prefixcast import rttsim
+from prefixcast import rttsim, trace
 from prefixcast.cli import main
 from prefixcast.rttsim import (
     DYNAMIC_LABEL,
@@ -388,7 +388,7 @@ class TestProbeCsv:
         assert default.read_bytes() == csv_text([("tick", "prefix", "transit", "rtt_ms"),
                                                  *texts]).encode()
         for block in (1, 7, len(pairs) - 1):
-            monkeypatch.setattr(rttsim, "_WRITE_BLOCK", block)
+            monkeypatch.setattr(trace, "WRITE_BLOCK", block)
             path = tmp_path / f"block{block}.csv"
             save_probe_log(log, path)
             assert path.read_bytes() == default.read_bytes(), block
