@@ -203,7 +203,10 @@ def test_swapping_two_transit_labels_only_permutes_np_rows(tmp_path_factory, sha
     traded, in another order, and ``np_summary.json`` with the two keys
     traded.  It holds because RTTs are drawn from a continuous range, so
     none tie, and every prefix keeps a sample on some transit in every
-    round, so the dynamic transit never picks at random."""
+    round, so the dynamic transit never picks at random.  Mean NPs can
+    still tie (a transit that is best in every round has mean 1, and so
+    has the dynamic transit), and tied transits rank by label, so the
+    traded ``order`` is the plain one traded and then ranked again."""
     ticks, prefixes, transits = shape
     rng = np.random.default_rng(seed)
     rtt = rng.uniform(5.0, 100.0, shape)
@@ -229,6 +232,8 @@ def test_swapping_two_transit_labels_only_permutes_np_rows(tmp_path_factory, sha
         untraded.append(f"{tick},{trade.get(transit, transit)},{rest}")
     assert traded_header == header and sorted(untraded) == sorted(rows)
     summary = json.loads(plain["np_summary.json"])
-    summary["order"] = [trade.get(t, t) for t in summary["order"]]
     summary["transits"] = {trade.get(t, t): s for t, s in summary["transits"].items()}
+    # the plain order, traded, is already ranked by mean; a stable sort moves only tied labels
+    summary["order"] = sorted((trade.get(t, t) for t in summary["order"]),
+                              key=lambda t: (summary["transits"][t]["mean"], t))
     assert json.loads(traded["np_summary.json"]) == summary
