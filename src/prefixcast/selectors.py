@@ -6,20 +6,21 @@ by canonical prefix text).  Three window metrics are provided -- mean
 volume, core presence intensity, and core-masked mean volume -- plus a
 classic GM(1,1) grey-model forecast as a comparison baseline.
 
-``run_selection`` is one whole-week array pass per configuration: a
-(prefixes, hours) score array, then one (hours, prefixes) mask of each
-hour's top K positive scores: the set a stable sort of the hour by score
-and text would cut.  Ranks are computed only where they are read.  The
-window metrics equal the hour-by-hour loop exactly (the same sequential
-running sums, elementwise float operations and stable tie order).
-GM(1,1) fits every window at once: the 2x2 least-squares fit (J. Deng,
-1982) is solved in closed form from centred sums, merged from
-block-anchored running moments by the pairwise update of Chan, Golub &
-LeVeque (1983), so it agrees with a per-window fit up to rounding, not
-bit for bit.  ``gm11_fit`` and ``gm11_forecast`` fit one series with
-``lstsq``; they are the scalar reference the whole-week pass is tested
-against.  ``save_selection`` and ``load_selection`` write and read a run
-as a selection CSV; the CLI only names the file.
+``run_selection`` is one whole-week array pass per configuration over
+(hours, prefixes) arrays, one row per predicted hour: the window means
+of the method's series, which every method scores or falls back to,
+then one mask of each hour's top K positive scores: the set a stable
+sort of the hour by score and text would cut.  Ranks are computed only
+where they are read.  The window metrics equal the hour-by-hour loop
+exactly (the same sequential running sums, elementwise float operations
+and stable tie order).  GM(1,1) fits every window at once: the 2x2
+least-squares fit (J. Deng, 1982) is solved in closed form from centred
+sums, merged from block-anchored running moments by the pairwise update
+of Chan, Golub & LeVeque (1983), so it agrees with a per-window fit up
+to rounding, not bit for bit.  ``gm11_fit`` and ``gm11_forecast`` fit
+one series with ``lstsq``; they are the scalar reference the whole-week
+pass is tested against.  ``save_selection`` and ``load_selection`` write
+and read a run as a selection CSV; the CLI only names the file.
 """
 
 from __future__ import annotations
@@ -131,69 +132,64 @@ def gm11_forecast(series: Sequence[float] | np.ndarray) -> float:
     return max(float(value), 0.0)
 
 
-def _gm11_scores(
-    values: np.ndarray, active: np.ndarray, lo: np.ndarray
-) -> tuple[np.ndarray, int]:
-    """GM(1,1) forecasts of every (prefix, window) and the active fallback count.
+def _gm11_scores(values: np.ndarray, means: np.ndarray, lo: np.ndarray) -> int:
+    """GM(1,1) forecasts written over the window means where a fit holds;
+    the count of active windows that keep their mean.
 
-    ``active`` marks the windows with a positive sum.  Window ``j`` (bins
-    ``lo[j] .. j``) fits ``y(p) = values[p]`` against
-    the background ``z(p)`` at points ``p = lo+1 .. j``.  The points are
-    cut into blocks of the longest window's length, with running moments
-    taken forward from each block's first point and backward from its
-    last; a window merges the suffix of one block with the prefix of the
-    next.  Both anchors lie inside the window, so no sum outgrows it.
-    ``lstsq``'s rank test is explicit: the design ``[-z, 1]`` is rank
-    deficient when ``sqrt(det) <= eps * max(m, 2) * lambda_max`` of its
-    Gram matrix.  Rank-deficient fits, non-finite forecasts and windows
-    shorter than ``GM11_MIN_POINTS`` fall back to the window mean;
-    ``|a| < 1e-12`` uses ``b``.  Inactive windows score 0.
+    ``values`` is the (hours, prefixes) series and ``means`` its
+    (hours - 1, prefixes) window means: row ``j`` is window ``j`` (bins
+    ``lo[j] .. j``), active where its mean is positive.  The window fits
+    ``y(p) = values[p]`` against the background ``z(p)`` at points
+    ``p = lo+1 .. j``.  The points are cut into blocks of the longest
+    window's length, with running moments taken forward from each block's
+    first point and backward from its last; a window merges the suffix of
+    one block with the prefix of the next.  Both anchors lie inside the
+    window, so no sum outgrows it.  ``lstsq``'s rank test is explicit: the
+    design ``[-z, 1]`` is rank deficient when
+    ``sqrt(det) <= eps * max(m, 2) * lambda_max`` of its Gram matrix.
+    Rank-deficient fits, non-finite forecasts and windows shorter than
+    ``GM11_MIN_POINTS`` keep the mean; ``|a| < 1e-12`` uses ``b``.
+    Inactive windows keep their mean, 0.
     """
-    n, hours = values.shape
+    hours = len(values)
     span = np.arange(1, hours) - lo
     first = int(np.count_nonzero(span < GM11_MIN_POINTS))   # short windows lead
+    fallbacks = int(np.count_nonzero(means[:first] > 0))
     ends = np.arange(first, hours - 1)                     # fitted windows' last points
+    if not ends.size:
+        return fallbacks
     lo_f = lo[first:]
-    m = (ends - lo_f).astype(np.float64)                   # points per fitted window
-    width = int(m.max(initial=1))                          # block length
+    m = (ends - lo_f).astype(np.float64)[:, None]          # points per fitted window
+    width = int(m.max())                                   # block length
     blocks = -(-(hours - 2) // width)
-    k_b = (ends - 1) % width + 1.0           # points in the last block's prefix
-    k_a = m - k_b                            # points in the previous block's suffix
+    k_b = ((ends - 1) % width + 1.0)[:, None]  # points in the last block's prefix
+    k_a = m - k_b                              # points in the previous block's suffix
     at_a = (lo_f // width, lo_f % width)
     at_b = ((ends - 1) // width, (ends - 1) % width)
-    score = np.empty(active.shape)
 
-    def fit(rows: slice) -> int:
-        """Score the windows of ``rows``; return their active fallbacks."""
-        v, live = values[rows], active[rows]
-        fallbacks = int(np.count_nonzero(live[:, :first]))
-        score[rows, :first] = sum(   # short windows' sums, in window order
-            np.where(k < span[:first], v[:, np.minimum(lo[:first] + k, hours - 1)], 0.0)
-            for k in range(GM11_MIN_POINTS - 1)
-        ) / span[:first]
-        if not ends.size:
-            return fallbacks
-
+    def fit(cols: slice) -> int:
+        """Fit the windows of ``cols``; return their active fallbacks."""
+        v, mean = values[:, cols], means[first:, cols]
         # y and the step h(p) = z(p) - z(p-1) = (y(p-1) + y(p)) / 2, in blocks
-        pts = np.zeros((2, len(v), blocks * width))
-        pts[0, :, :hours - 2] = v[:, 1:-1]
-        pts[1, :, :hours - 2] = 0.5 * (v[:, :-2] + v[:, 1:-1])
-        y, h = pts.reshape(2, len(v), blocks, width)
+        pts = np.zeros((2, blocks * width, v.shape[1]))
+        pts[0, :hours - 2] = v[1:-1]
+        pts[1, :hours - 2] = 0.5 * (v[:-2] + v[1:-1])
+        y, h = pts.reshape(2, blocks, width, -1)
         # running dz, dy, dz*dz, dz*dy, forward and backward; backward sums at a
         # block's first point read 0, as a window starting there is all prefix
-        fwd = _running_moments(h[..., 1:], y - y[..., :1])
-        bwd = _running_moments(-h[..., :0:-1], y[..., ::-1] - y[..., -1:])[..., ::-1]
-        bwd[..., 0] = 0.0
+        fwd = _running_moments(h[:, 1:], y - y[:, :1])
+        bwd = _running_moments(-h[:, :0:-1], y[:, ::-1] - y[:, -1:])[:, :, ::-1]
+        bwd[:, :, 0] = 0.0
         # merge suffix a and prefix b (Chan, Golub & LeVeque's pairwise update)
-        s_a, s_b = bwd[:, :, at_a[0], at_a[1]], fwd[:, :, at_b[0], at_b[1]]
-        y_a, y_b, h_b = y[:, at_a[0], -1], y[:, at_b[0], 0], h[:, at_b[0], 0]
+        s_a, s_b = bwd[:, at_a[0], at_a[1]], fwd[:, at_b[0], at_b[1]]
+        y_a, y_b, h_b = y[at_a[0], -1], y[at_b[0], 0], h[at_b[0], 0]
         mean_a, mean_b = s_a[:2] / np.maximum(k_a, 1.0), s_b[:2] / k_b
         delta = np.stack([h_b, y_b - y_a]) + mean_b - mean_a
         s_zz, s_zy = (
             s_a[2:] - s_a[0] * mean_a + s_b[2:] - s_b[0] * mean_b
             + (k_a * k_b / m) * delta[0] * delta
         )
-        x_lo, y_sum_a = v[:, lo_f], k_a * y_a + s_a[1]
+        x_lo, y_sum_a = v[lo_f], k_a * y_a + s_a[1]
         y_sum = y_sum_a + k_b * y_b + s_b[1]
         z_bar = x_lo + y_sum_a + 0.5 * y_b + (s_a[0] + s_b[0] - k_a * h_b) / m
 
@@ -208,28 +204,25 @@ def _gm11_scores(
             forecast = (x_lo - b / a) * -np.expm1(a) * np.exp(-a * (m + 1))
         forecast = np.where(np.abs(a) < 1e-12, b, forecast)
         fallback = ~full_rank | ~np.isfinite(forecast)
-        fallbacks += int(np.count_nonzero(fallback & live[:, first:]))
-        mean = (x_lo + y_sum) / (m + 1)     # the fallback: the window mean
-        score[rows, first:] = np.where(fallback, mean, np.maximum(forecast, 0.0))
-        return fallbacks
+        live = mean > 0
+        np.copyto(mean, np.maximum(forecast, 0.0), where=live & ~fallback)
+        return int(np.count_nonzero(fallback & live))
 
-    # one call per chunk, so no chunk's temporaries outlive it
+    # one call per chunk of prefixes, so no chunk's temporaries outlive it
     step = max(1, GM11_CHUNK_CELLS // hours)
-    fallbacks = sum(fit(slice(r0, r0 + step)) for r0 in range(0, n, step))
-    score[~active] = 0.0
-    return score, fallbacks
+    return fallbacks + sum(fit(slice(c0, c0 + step)) for c0 in range(0, means.shape[1], step))
 
 
 def _running_moments(steps: np.ndarray, dy: np.ndarray) -> np.ndarray:
-    """Running sums along the last axis of dz, dy, dz*dz and dz*dy, in one
-    (4, *dy.shape) array summed in place: dz starts at 0 and rises by
-    ``steps``, one fewer than ``dy``'s points."""
+    """Running sums over a block's points (axis 1 of ``dy``) of dz, dy,
+    dz*dz and dz*dy, in one (4, *dy.shape) array summed in place: dz
+    starts at 0 and rises by ``steps``, one point fewer than ``dy``."""
     out = np.empty((4, *dy.shape))
-    out[0, ..., 0] = 0.0
-    np.cumsum(steps, axis=-1, out=out[0, ..., 1:])
+    out[0, :, 0] = 0.0
+    np.cumsum(steps, axis=1, out=out[0, :, 1:])
     out[1] = dy
     np.multiply(out[:1], out[:2], out=out[2:])
-    return np.cumsum(out, axis=-1, out=out)
+    return np.cumsum(out, axis=2, out=out)
 
 
 class SelectionRun(Record, eq=False):
@@ -436,49 +429,41 @@ def run_selection(
         raise ValueError("need at least 2 bins to select predictively")
 
     L, K = config.window, config.size
-    # column j predicts hour j+2 from bins lo .. hi-1 (0-based)
+    # window j predicts hour j+2 from bins lo .. hi-1 (0-based)
     hi = np.arange(1, hours_total)
     lo = np.maximum(0, hi - L)
 
-    # every window sum is a difference of one float64 running sum per row
-    if config.method in ("mean_volume", "gm11"):
-        series = m.values
-    elif config.method == "core_presence":
-        series = profile.cp
-    else:
-        series = np.where(profile.cp, m.values, 0)
-    cum = np.zeros((len(m), hours_total), dtype=np.float64)
-    np.cumsum(series[:, :-1], axis=1, dtype=np.float64, out=cum[:, 1:])
-    # cum[:, lo] is column 0, which holds 0.0, until the window is L long
-    window_sums = cum[:, 1:].copy()
+    # every method's window means are differences of one float64 running sum
+    # of its series (volumes, core flags or core-masked volumes), hour-major
+    # as the mask is: row j is window j
+    values, cp = np.transpose(m.values), np.transpose(profile.cp)
+    cum = np.zeros((hours_total, len(m)))
+    cum[1:] = cp[:-1] if config.method == "core_presence" else values[:-1]
+    if config.method == "core_volume":
+        cum[1:] *= cp[:-1]
+    np.cumsum(cum, axis=0, out=cum)
+    # cum[lo] is row 0, which holds 0.0, until the window is L long
+    means = cum[1:]
     if L < hours_total - 1:
-        window_sums[:, L:] -= cum[:, 1:hours_total - L]
-    del cum
+        means[L:] -= cum[1:hours_total - L]
+    means /= (hi - lo)[:, None]
 
-    fallbacks = 0
-    if config.method == "gm11":
-        active = window_sums > 0
-        del window_sums
-        score, fallbacks = _gm11_scores(m.values, active, lo)
-    else:
-        score = window_sums
-        score /= hi - lo
-
-    mask = _top_k(score, K)
+    fallbacks = _gm11_scores(values, means, lo) if config.method == "gm11" else 0
+    mask = _top_k(means, K)
     return SelectionRun(
         config=config,
         threshold=profile.threshold,
         prefixes=m.prefixes,
         mask=mask,
-        picked_scores=np.negative(score.T[mask]),  # -(-s) is s exactly
+        picked_scores=np.negative(means[mask]),  # -(-s) is s exactly
         gm11_fallbacks=fallbacks,
     )
 
 
 def _top_k(score: np.ndarray, size: int) -> np.ndarray:
-    """The (hours, prefixes) bool mask of each hour's ``size`` highest
-    positive scores in a (prefixes, hours) score array, which becomes the
-    ranking key in place: ``-score`` where it is positive, inf elsewhere.
+    """The bool mask of each hour's ``size`` highest positive scores in an
+    (hours, prefixes) score array, which becomes the ranking key in place:
+    ``-score`` where it is positive, inf elsewhere.
 
     score > 0 alone marks the candidates (a positive masked sum needs a
     core hour).  ``np.partition`` finds the hour's K-th key (C. A. R.
@@ -486,14 +471,13 @@ def _top_k(score: np.ndarray, size: int) -> np.ndarray:
     a stable sort by (score desc, text asc) would.  Nothing is sorted:
     ranks are computed only where read.
     """
-    selectable = score.T > 0
-    key = score.T
-    np.negative(key, out=key)
-    key[~selectable] = np.inf
-    size = min(size, key.shape[1])
+    selectable = score > 0
+    np.negative(score, out=score)
+    score[~selectable] = np.inf
+    size = min(size, score.shape[1])
     # a copied column, so the partitioned array is freed at once
-    kth = np.partition(key, size - 1, axis=1)[:, [size - 1]]
-    top = keep_lowest_ties(key < kth, key == kth, size)
+    kth = np.partition(score, size - 1, axis=1)[:, [size - 1]]
+    top = keep_lowest_ties(score < kth, score == kth, size)
     # a K-th key of inf ties the unselectable rows too; the mask reuses selectable
     return np.logical_and(selectable, top, out=selectable)
 

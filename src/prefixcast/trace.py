@@ -461,10 +461,11 @@ def bin_records(
     Raises
     ------
     ValueError
-        On the first bad record with ``errors="raise"``, when the binned
-        volume would exceed the int64 range (naming the record where it
-        does), or when no active prefix remains after binning (with the
-        tallies).  A single record volume above that range is malformed.
+        On the first bad record with ``errors="raise"``, or when the binned
+        volume would exceed the int64 range, naming the record and its
+        1-based number among the file's records; or when no active prefix
+        remains after binning (with the tallies).  A single record volume
+        above that range is malformed.
     """
     if errors not in ("count", "raise"):
         raise ValueError(f"unknown errors policy {errors!r}")
@@ -497,8 +498,9 @@ def bin_records(
                         f"{read + i + 1}, beyond the int64 range"
                     )
         if stop < len(bins):
-            raise ValueError(f"malformed record: {block.reasons[stop]}" if block.malformed[stop]
-                             else f"out-of-range record: timestamp {block.timestamps[stop]}")
+            raise ValueError((f"malformed record: {block.reasons[stop]}" if block.malformed[stop]
+                              else f"out-of-range record: timestamp {block.timestamps[stop]}")
+                             + f" at record {read + stop + 1}")
         bytes_binned += total
         out_of_range = rejected[~block.malformed[rejected]]
         bytes_rejected += block.malformed_bytes + _exact_sum(block.volumes[out_of_range])
@@ -868,8 +870,9 @@ def load_matrix(csv_path: str | Path) -> HourlyTraceMatrix:
     sidecar, one that is not JSON or not a JSON object, a grid field that
     is not a JSON integer, a ``bin_seconds`` other than ``BIN_SECONDS``,
     and a ``dtype`` other than ``"int"`` raise ValueError naming the
-    sidecar.  A prefix or cell that does not parse raises ValueError naming
-    the line (and, for a cell, the prefix and hour); a ``HourlyTraceMatrix``
+    sidecar.  A prefix or cell that does not parse, a negative cell and the
+    first line that repeats a canonical prefix raise ValueError naming the
+    line (and, for a cell, the prefix and hour); a ``HourlyTraceMatrix``
     error is raised again naming the CSV.
     """
     csv_path = Path(csv_path)
@@ -893,6 +896,11 @@ def load_matrix(csv_path: str | Path) -> HourlyTraceMatrix:
     rows = read_rows(csv_path, _matrix_header(grid))
     parsed, codes = rows.parse(*rows.field(0), Prefix.parse)
     prefixes = [parsed[code] for code in codes.tolist()]
+    if len(set(prefixes)) < len(prefixes):  # no per-row dict beside the text unless one repeats
+        first_row: dict[Prefix, int] = {}
+        for i, prefix in enumerate(prefixes):
+            if (j := first_row.setdefault(prefix, i)) != i:
+                raise rows.error(i, f"duplicate row for {prefix}, first on line {rows.lines[j]}")
     values = None
     if rows.raw.isascii() and not any(byte in rows.raw for byte in _LOADTXT_SKIPS):
         # usecols skips the prefix column, so no copy of the cell text is made
@@ -910,6 +918,10 @@ def load_matrix(csv_path: str | Path) -> HourlyTraceMatrix:
                 i, h = divmod(int(np.argmin(plain)), grid.bin_count)
                 raise rows.error(r + i, f"bad row for {prefixes[r + i]!r}: h{h + 1} is "
                                         f"{rows.text(r + i, h + 1)!r}, not a plain decimal int64")
+    if values.min(initial=0) < 0:
+        i, h = divmod(int(np.argmax(values < 0)), grid.bin_count)
+        raise rows.error(i, f"bad row for {prefixes[i]!r}: h{h + 1} is "
+                            f"{rows.text(i, h + 1)!r}, a negative volume")
     del rows  # the text and its offsets, so the matrix's copies do not sit beside them
     try:
         return HourlyTraceMatrix(grid, prefixes, values)

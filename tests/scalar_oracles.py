@@ -150,8 +150,9 @@ def bin_records(records, grid, errors="count"):
     for read, (ts, prefix, volume, reason) in enumerate(records, start=1):
         if reason is not None or not grid.start <= ts < grid.end:
             if errors == "raise":
-                raise ValueError(f"malformed record: {reason}" if reason is not None
-                                 else f"out-of-range record: timestamp {ts}")
+                raise ValueError((f"malformed record: {reason}" if reason is not None
+                                  else f"out-of-range record: timestamp {ts}")
+                                 + f" at record {read}")
             bytes_rejected += volume or 0
             continue
         bytes_binned += volume
@@ -181,15 +182,15 @@ def bin_records(records, grid, errors="count"):
 
 
 def argsort_top_k(score, size):
-    """Each hour's picks and scores from a (prefixes, hours) score array,
+    """Each hour's picks and scores from an (hours, prefixes) score array,
     by one stable argsort of every hour's negated positive scores, cut at
     ``size`` and at the hour's positive count: the order
     ``selectors._top_k`` must reproduce."""
-    selectable = score.T > 0
-    key = np.where(selectable, -score.T, np.inf)
+    selectable = score > 0
+    key = np.where(selectable, -score, np.inf)
     order = np.argsort(key, axis=1, kind="stable")[:, :size]
     kept = np.arange(order.shape[1]) < selectable.sum(axis=1)[:, None]
     bounds = np.cumsum(kept.sum(axis=1))[:-1]
     picks = np.split(order[kept], bounds)
-    scores = np.split(np.take_along_axis(score.T, order, axis=1)[kept], bounds)
+    scores = np.split(np.take_along_axis(score, order, axis=1)[kept], bounds)
     return picks, scores

@@ -239,6 +239,7 @@ class TestIngest:
         assert main(["ingest", str(flows), "--on-error", "abort", "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert rf"error: {flows}: malformed record: ('0', '10.\\xff.0.0/8', '5')" in err
+        assert err.endswith(") at record 2\n")
         assert not (out / "matrix.csv").exists()
 
     def test_abort_names_the_first_bad_record_in_file_order(self, tmp_path, capsys, monkeypatch):
@@ -251,7 +252,7 @@ class TestIngest:
         args = ["ingest", str(flows), "--start", "0", "--bins", "1", "--on-error", "abort",
                 "--out", str(tmp_path / "stage")]
         assert main(args) == 2
-        assert "out-of-range record: timestamp 99999" in capsys.readouterr().err
+        assert "out-of-range record: timestamp 99999 at record 3\n" in capsys.readouterr().err
 
     def test_timestamp_beyond_int64_is_a_malformed_record(self, tmp_path, capsys):
         flows = tmp_path / "flows.csv"
@@ -448,6 +449,10 @@ class TestSynthAnalyze:
         # rows are unquoted: a quoted prefix or cell is not unquoted
         (["10.0.0.0/24,1,1", '"10.0.1.0/24",5,5'], """'"10.0.1.0/24"'"""),
         (["10.0.0.0/24,1,1", '10.0.1.0/24,"5",5'], "'10.0.1.0/24'"),
+        (["10.0.0.0/24,5,5", "10.0.1.0/24,1,1", "10.0.0.0/24,1,1"],
+         "line 4: duplicate row for 10.0.0.0/24, first on line 2"),
+        (["10.0.0.0/24,1,1", "10.0.1.0/24,1,-5"],
+         "line 3: bad row for '10.0.1.0/24': h2 is '-5', a negative volume"),
     ])
     def test_bad_int_matrix_is_data_error(self, tmp_path, capsys, rows, named):
         path = write_int_matrix(tmp_path, rows)

@@ -615,9 +615,10 @@ class TestRunSelection:
 def per_hour_selection(m, profile, config):
     """Independent oracle for ``run_selection``: one hour at a time.
 
-    Scores the window's candidates from float64 running sums, keeps the
-    positive ones and stable-sorts them on -score.  Returns the per-hour
-    picks and scores and the GM(1,1) fallback count.
+    Scores the window's candidates from float64 running sums (a GM(1,1)
+    fit from the window's cells, its fallback from the running sum), keeps
+    the positive ones and stable-sorts them on -score.  Returns the
+    per-hour picks and scores and the GM(1,1) fallback count.
     """
     values = m.values.astype(np.float64)
     cp = profile.cp.astype(np.float64)
@@ -644,6 +645,8 @@ def per_hour_selection(m, profile, config):
         else:
             cand_scores, fell_back = gm11_forecast_rows(values[candidates, lo:hi])
             fallbacks += int(fell_back.sum())
+            # a fallback keeps the window mean that mean_volume scores
+            cand_scores[fell_back] = win_v[candidates[fell_back]] / (hi - lo)
         positive = cand_scores > 0
         candidates, cand_scores = candidates[positive], cand_scores[positive]
         order = np.argsort(-cand_scores, kind="stable")[: config.size]
@@ -658,23 +661,28 @@ SELECTION_CELLS = st.sampled_from((0, 0, 1, 2, 3, 3**33))
 
 
 @st.composite
-def selection_cases(draw):
-    """A small matrix with all-zero hours, its core profile, and a config
-    whose K may be below or above the candidate count and L >= bins."""
+def int_weeks(draw, cells):
+    """A small int matrix of ``cells`` with all-zero hours."""
     n = draw(st.integers(1, 8))
     bins = draw(st.integers(2, 12))
     values = np.array(
-        draw(st.lists(SELECTION_CELLS, min_size=n * bins, max_size=n * bins)), dtype=np.int64
+        draw(st.lists(cells, min_size=n * bins, max_size=n * bins)), dtype=np.int64
     ).reshape(n, bins)
     values[:, sorted(draw(st.sets(st.integers(0, bins - 1), max_size=bins - 1)))] = 0
     if not values.any():
         values[0, draw(st.integers(0, bins - 1))] = 1
     grid = TimeGrid(start=0, bin_count=bins)
-    m = HourlyTraceMatrix(grid, [synthetic_prefix(k + 1) for k in range(n)], values)
+    return HourlyTraceMatrix(grid, [synthetic_prefix(k + 1) for k in range(n)], values)
+
+
+@st.composite
+def selection_cases(draw):
+    """A small matrix with all-zero hours, its core profile, and a config
+    whose K may be below or above the candidate count and L >= bins."""
+    m = draw(int_weeks(SELECTION_CELLS))
     profile = compute_core_profile(m, draw(st.sampled_from((0.5, 0.95, 1.0))))
-    config = SelectorConfig(
-        draw(st.sampled_from(METHODS)), draw(st.integers(1, bins + 2)), draw(st.integers(1, n + 2))
-    )
+    config = SelectorConfig(draw(st.sampled_from(METHODS)), draw(st.integers(1, m.bin_count + 2)),
+                            draw(st.integers(1, len(m) + 2)))
     return m, profile, config
 
 
@@ -815,6 +823,48 @@ class TestRunSelectionMatchesPerHourLoop:
                 assert np.unique(picks).size == picks.size
 
 
+def dense_scores(run):
+    """A run's scores as an (hours, prefixes) array, 0 where nothing was picked."""
+    dense = np.zeros(run.mask.shape)
+    dense[run.mask] = run.picked_scores
+    return dense
+
+
+# few distinct volumes, so scores tie; every window sum is exact in float64
+TIED_CELLS = st.sampled_from((0, 0, 1, 2, 3, 1000))
+
+
+class TestSharedWindowMean:
+    """GM(1,1) falls back to the window mean that mean_volume scores."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(m=int_weeks(TIED_CELLS), size=st.integers(1, 9))
+    def test_short_window_gm11_run_is_the_mean_volume_run(self, m, size):
+        profile = compute_core_profile(m)
+        for window in (1, 2, 3):
+            gm, mv = (run_selection(m, profile, SelectorConfig(method, window, size))
+                      for method in ("gm11", "mean_volume"))
+            assert np.array_equal(gm.mask, mv.mask)
+            assert (gm.picked_scores == mv.picked_scores).all()
+            active = sum(int(np.count_nonzero(m.values[:, max(0, j - window):j].any(axis=1)))
+                         for j in range(1, m.bin_count))
+            assert gm.gm11_fallbacks == active, window
+
+    @settings(max_examples=200, deadline=None)
+    @given(m=int_weeks(TIED_CELLS), window=st.integers(1, 14))
+    def test_every_gm11_fallback_keeps_the_mean_volume_score(self, m, window):
+        profile = compute_core_profile(m)
+        gm, mv = (run_selection(m, profile, SelectorConfig(method, window, len(m)))
+                  for method in ("gm11", "mean_volume"))
+        fell_back = np.zeros(gm.mask.shape, dtype=bool)
+        for j in range(1, m.bin_count):
+            cells = m.values[:, max(0, j - window):j]
+            fell_back[j - 1] = gm11_forecast_rows(cells)[1] & cells.any(axis=1)
+        assert gm.gm11_fallbacks == np.count_nonzero(fell_back)
+        assert mv.mask[fell_back].all() and gm.mask[fell_back].all()
+        assert (dense_scores(gm)[fell_back] == dense_scores(mv)[fell_back]).all()
+
+
 def assert_top_k_is_the_stable_cut(score, size, top_k=selectors._top_k):
     """``_top_k``'s mask is the stable argsort's picked set, it leaves
     ``score`` holding the ranking key (``-score`` where positive, inf
@@ -823,7 +873,7 @@ def assert_top_k_is_the_stable_cut(score, size, top_k=selectors._top_k):
     original = score.copy()
     mask = top_k(score, size)
     picks, scores = argsort_top_k(original, size)
-    want = np.zeros((score.shape[1], score.shape[0]), dtype=bool)
+    want = np.zeros(score.shape, dtype=bool)
     for pos, rows in enumerate(picks):
         want[pos, rows] = True
     assert mask.dtype == bool and mask.shape == want.shape
@@ -832,28 +882,28 @@ def assert_top_k_is_the_stable_cut(score, size, top_k=selectors._top_k):
     run = SelectionRun(
         config=SelectorConfig("mean_volume", 1, size),
         threshold=0.95,
-        prefixes=tuple(synthetic_prefix(k + 1) for k in range(score.shape[0])),
+        prefixes=tuple(synthetic_prefix(k + 1) for k in range(score.shape[1])),
         mask=mask,
-        picked_scores=-score.T[mask],
+        picked_scores=-score[mask],
     )
     for got_part, want_part in ((run.picks, picks), (run.scores, scores)):
-        assert len(got_part) == len(want_part) == score.shape[1]
+        assert len(got_part) == len(want_part) == score.shape[0]
         for g, w in zip(got_part, want_part):
             assert g.dtype == w.dtype and g.tolist() == w.tolist()
     return mask
 
 
 class TestTopK:
-    @pytest.mark.parametrize("columns, size, picks", [
+    @pytest.mark.parametrize("hours, size, picks", [
         ([[2.0, 2.0, 2.0, 2.0]], 2, [[0, 1]]),
         ([[1.0, 3.0, 1.0, 0.5, 1.0]], 3, [[1, 0, 2]]),
         ([[1.0, 2.0, 0.0], [0.0, 5.0, 5.0]], 7, [[1, 0], [1, 2]]),
         ([[0.0, 0.0, 0.0], [1.0, 2.0, 0.0]], 2, [[], [1, 0]]),
     ], ids=["all tied", "ties straddle the cut", "K above the prefix count",
             "no positive score"])
-    def test_hand_cases(self, columns, size, picks):
+    def test_hand_cases(self, hours, size, picks):
         # each inner list is one hour's scores, one per prefix row
-        score = np.array(columns).T
+        score = np.array(hours)
         # the oracle first: _top_k turns score into its ranking key
         assert [p.tolist() for p in argsort_top_k(score, size)[0]] == picks
         mask = assert_top_k_is_the_stable_cut(score, size)
@@ -869,7 +919,7 @@ class TestTopK:
     def test_equals_stable_argsort_cut(self, shape, cells, size):
         # few distinct values, so the K-th key is often tied across the cut
         n, hours = shape
-        score = np.array(cells[: n * hours]).reshape(n, hours)
+        score = np.array(cells[: n * hours]).reshape(hours, n)
         assert_top_k_is_the_stable_cut(score, size)
 
     @pytest.mark.parametrize("method", METHODS)

@@ -620,6 +620,20 @@ class TestCsvInterfaces:
         with pytest.raises(ValueError, match=r"duplicate row for 10\.0\.0\.0/8"):
             load_matrix(tmp_path / "m.csv")
 
+    @pytest.mark.parametrize("row, refusal", [
+        ("10.0.0.0/8,1,1", "line 4: duplicate row for 10.0.0.0/8, first on line 2"),
+        ("10.0.0.0/255.0.0.0,1,1", "line 4: duplicate row for 10.0.0.0/8, first on line 2"),
+        ("10.2.0.0/16,3,-5", "line 4: bad row for '10.2.0.0/16': h2 is '-5', a negative volume"),
+    ], ids=["repeated text", "repeated prefix", "negative cell"])
+    def test_matrix_refusal_names_its_line(self, tmp_path, row, refusal):
+        grid = TimeGrid(start=0, bin_count=2)
+        save_matrix(HourlyTraceMatrix(grid, [P8, P16], [[5, 5], [0, 2]]), tmp_path / "m.csv")
+        with open(tmp_path / "m.csv", "a") as fh:
+            fh.write(row + "\n")
+        with pytest.raises(ValueError) as info:
+            load_matrix(tmp_path / "m.csv")
+        assert str(info.value) == f"{tmp_path / 'm.csv'}: {refusal}"
+
     def test_matrix_roundtrip_synth(self, tmp_path):
         grid = TimeGrid(start=0, bin_count=12)
         m = synthesize_trace(SyntheticTraceSpec(prefix_count=17, noise=0.7, seed=3), grid)
