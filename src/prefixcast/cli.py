@@ -95,6 +95,15 @@ def _flag_grid(start: int | None, bins: int | None) -> trace.TimeGrid | None:
         raise ValueError(f"--start {start} --bins {bins}: {exc}") from None
 
 
+def _flag_bounds(threshold: float, size: int | None = None) -> None:
+    """Refuse a ``--threshold`` outside (0, 1] or a ``--size`` below 1 as a
+    data error naming the flag, before any input is read."""
+    if not 0 < threshold <= 1:
+        raise ValueError(f"--threshold must be in (0, 1], got {threshold}")
+    if size is not None and size < 1:
+        raise ValueError(f"--size must be >= 1, got {size}")
+
+
 # ---------------------------------------------------------------- ingest
 
 
@@ -184,6 +193,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    _flag_bounds(args.threshold)
     m = _load_matrix(args.matrix)
     profile = dynamism.compute_core_profile(m, threshold=args.threshold)
     shares_pct, cv = dynamism.prefix_shares_and_cv(m)
@@ -260,10 +270,10 @@ def _selector_configs(
                              f"got {json.dumps(entries)}")
         configs = [_config_entry(config, e, size) for e in entries]
         names = [_selection_name(c) for c in configs]
-        for pos, name in enumerate(names):
-            if name in names[:pos]:
-                first = entries[names.index(name)]
-                raise ValueError(f"{config}: entries {first} and {entries[pos]} both write {name}")
+        if (repeat := trace.first_repeat(names)) is not None:
+            pos, first = repeat
+            raise ValueError(f"{config}: entries {entries[first]} and {entries[pos]} "
+                             f"both write {names[pos]}")
         return configs
     if grid:
         return [
@@ -278,6 +288,7 @@ def _cmd_select(args) -> int:
     if args.window is not None and args.method is None:
         mode = "--grid" if args.grid else "--config"
         raise _UsageError(f"--window has no effect with {mode}; pass it with --method")
+    _flag_bounds(args.threshold, args.size)
     m = _load_matrix(args.matrix)
     profile = dynamism.compute_core_profile(m, threshold=args.threshold)
     configs = _selector_configs(
@@ -314,6 +325,7 @@ def _report_payload(run: selectors.SelectionRun, report: evaluation.EvaluationRe
 
 
 def _cmd_evaluate(args) -> int:
+    _flag_bounds(args.threshold)
     m = _load_matrix(args.matrix)
     paths: list[Path] = [Path(p) for p in args.selection]
     if args.select_dir is not None:
@@ -373,6 +385,9 @@ def _cmd_probe_synth(args) -> int:
     for flag, value in (("--rtt-low", args.rtt_low), ("--rtt-high", args.rtt_high)):
         if not math.isfinite(value):
             raise ValueError(f"{flag} must be finite, got {value}")
+    if not 0 < args.rtt_low <= args.rtt_high:
+        raise ValueError(f"--rtt-low {args.rtt_low} --rtt-high {args.rtt_high}: "
+                         "base RTTs need 0 < low <= high")
     if not 1 <= args.prefix_count <= trace.MAX_SYNTH_PREFIXES:
         raise ValueError(f"--prefix-count must be in [1, {trace.MAX_SYNTH_PREFIXES}], "
                          f"got {args.prefix_count}")
@@ -448,6 +463,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    _flag_bounds(args.threshold, args.size)
     m = _load_matrix(args.matrix)
     profile = dynamism.compute_core_profile(m, threshold=args.threshold)
     configs = _selector_configs(profile, args.size, grid=True)

@@ -65,14 +65,6 @@ MAX_PROBES = 10_000_000
 # Floor of every synthetic RTT in ms, so noise never makes one 0 or negative.
 MIN_RTT = 0.1
 
-class _DuplicateSample(ValueError):
-    """A second sample for one (tick, prefix, transit); ``sample`` is its
-    position in ``rtt``."""
-
-    def __init__(self, message: str, sample: int):
-        super().__init__(message)
-        self.sample = sample
-
 
 class ProbeLog:
     """Immutable RTT store: a float64 cube indexed by (tick, prefix, transit).
@@ -114,13 +106,8 @@ class ProbeLog:
         probed = np.zeros(math.prod(shape), dtype=bool)
         probed[flat] = True
         if np.count_nonzero(probed) != flat.size:
-            first = np.zeros(flat.size, dtype=bool)
-            first[np.unique(flat, return_index=True)[1]] = True
-            repeat = int(np.argmax(~first))
-            cell = np.unravel_index(flat[repeat], shape)
-            raise _DuplicateSample(
-                f"duplicate sample for {tuple(a[i] for a, i in zip(axes, cell))}", repeat
-            )
+            cell = np.unravel_index(flat[trace.first_repeat(flat.tolist())[0]], shape)
+            raise ValueError(f"duplicate sample for {tuple(a[i] for a, i in zip(axes, cell))}")
         cube = np.full(probed.size, np.nan)
         cube[flat] = rtt.ravel()
         self.tick_times = tuple(tick_times) if tick_times is not None else None
@@ -439,11 +426,18 @@ def load_probe_log(path: str | Path) -> ProbeLog:
 
     (lo, _), (_, hi) = rows.field(1), rows.field(2)
     pairs, pair_codes = rows.parse(lo, hi, pair)
+    # each distinct text's (prefix, transit) code: a pair written two ways has one
+    canonical = {p: i for i, p in enumerate(dict.fromkeys(pairs))}
+    keys = np.array([canonical[p] for p in pairs], np.intp)
+    seen = np.zeros((len(ticks), len(canonical)), dtype=bool)
+    seen[tick_codes, keys[pair_codes]] = True
+    if np.count_nonzero(seen) < len(tick_codes):
+        raise rows.repeat_error(zip(tick_codes.tolist(), keys[pair_codes].tolist()), lambda i: (
+            f"sample for {(ticks[tick_codes[i]].item(), *pairs[pair_codes[i]])}"))
+    del seen
     try:
         log = ProbeLog((ticks.tolist(), tick_codes), ([p for p, _ in pairs], pair_codes),
                        ([t for _, t in pairs], pair_codes), rtt)
-    except _DuplicateSample as exc:
-        raise rows.error(exc.sample, str(exc)) from None
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     if meta is None:

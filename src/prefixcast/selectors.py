@@ -386,9 +386,9 @@ def load_selection(path: str | Path, m: trace.HourlyTraceMatrix, threshold: floa
     # a prefix written two ways has one matrix index, so it is caught too
     cells = (hour - 2) * len(m) + index
     by_cell = np.argsort(cells)
-    if (twice := np.flatnonzero(np.diff(cells[by_cell]) == 0)).size:
-        i = np.maximum(by_cell[twice], by_cell[twice + 1]).min()  # the first repeat in the file
-        raise rows.error(i, f"duplicate prefix {m.prefixes[index[i]]} in hour {hour[i]}")
+    if not np.diff(cells[by_cell]).all():
+        raise rows.repeat_error(cells.tolist(),
+                                lambda i: f"prefix {m.prefixes[index[i]]} in hour {hour[i]}")
 
     # each row's rank must be the one save_selection writes for its pick
     order, ranked = _rank_picks(hour[by_cell], score[by_cell])
@@ -442,10 +442,12 @@ def run_selection(
     if config.method == "core_volume":
         cum[1:] *= cp[:-1]
     np.cumsum(cum, axis=0, out=cum)
-    # cum[lo] is row 0, which holds 0.0, until the window is L long
+    # cum[lo] is row 0, which holds 0.0, until the window is L long.  Differences are
+    # taken from the last row back, L rows at a time, so each block reads only rows
+    # that no block has written yet, and numpy copies no operand
+    for stop in range(hours_total, L + 1, -L):
+        cum[max(stop - L, L + 1):stop] -= cum[max(stop - 2 * L, 1):stop - L]
     means = cum[1:]
-    if L < hours_total - 1:
-        means[L:] -= cum[1:hours_total - L]
     means /= (hi - lo)[:, None]
 
     fallbacks = _gm11_scores(values, means, lo) if config.method == "gm11" else 0

@@ -40,6 +40,7 @@ __all__ = [
     "save_matrix",
     "load_matrix",
     "Rows",
+    "first_repeat",
     "read_rows",
     "write_rows",
     "json_int",
@@ -195,9 +196,8 @@ class HourlyTraceMatrix:
                              f"expected ({len(prefixes)}, {grid.bin_count})")
         texts = np.array(prefixes, dtype=str)
         order = np.argsort(texts, kind="stable")
-        repeated = np.flatnonzero(texts[order[1:]] == texts[order[:-1]])
-        if repeated.size:
-            raise ValueError(f"duplicate row for {texts[order[repeated[0]]]}")
+        if (texts[order[1:]] == texts[order[:-1]]).any():
+            raise ValueError(f"duplicate row for {texts[first_repeat(texts.tolist())[0]]}")
         order = order[values.any(axis=1)[order]]
         if not order.size:
             raise ValueError("no active prefixes")
@@ -660,6 +660,16 @@ def _record_blocks(path: str | Path) -> Iterator[RecordBlock]:
             yield _parse_block(raw, table)
 
 
+def first_repeat(keys: Iterable) -> tuple[int, int] | None:
+    """The first position whose key occurs earlier, and that key's first
+    position, in one stable pass; None when all keys differ."""
+    first: dict = {}
+    for i, key in enumerate(keys):
+        if (j := first.setdefault(key, i)) != i:
+            return i, j
+    return None
+
+
 class Rows(Record, eq=False):
     """The rows of a hand-off CSV as byte offsets into its text ``raw``.
 
@@ -700,6 +710,11 @@ class Rows(Record, eq=False):
 
     def error(self, i: int, message: str) -> ValueError:
         return ValueError(f"{self.path}: line {self.lines[i]}: {message}")
+
+    def repeat_error(self, keys: Iterable, what: Callable[[int], str]) -> ValueError:
+        """The error at the first row whose key repeats, naming its first line."""
+        i, j = first_repeat(keys)
+        return self.error(i, f"duplicate {what(i)}, first on line {self.lines[j]}")
 
     def parse(self, lo: np.ndarray, hi: np.ndarray, parse: Callable) -> tuple[list, np.ndarray]:
         """Each distinct text ``raw[lo[i]:hi[i]]``, decoded, parsed once by
@@ -896,11 +911,8 @@ def load_matrix(csv_path: str | Path) -> HourlyTraceMatrix:
     rows = read_rows(csv_path, _matrix_header(grid))
     parsed, codes = rows.parse(*rows.field(0), Prefix.parse)
     prefixes = [parsed[code] for code in codes.tolist()]
-    if len(set(prefixes)) < len(prefixes):  # no per-row dict beside the text unless one repeats
-        first_row: dict[Prefix, int] = {}
-        for i, prefix in enumerate(prefixes):
-            if (j := first_row.setdefault(prefix, i)) != i:
-                raise rows.error(i, f"duplicate row for {prefix}, first on line {rows.lines[j]}")
+    if len(set(prefixes)) < len(prefixes):
+        raise rows.repeat_error(prefixes, lambda i: f"row for {prefixes[i]}")
     values = None
     if rows.raw.isascii() and not any(byte in rows.raw for byte in _LOADTXT_SKIPS):
         # usecols skips the prefix column, so no copy of the cell text is made

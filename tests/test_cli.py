@@ -305,6 +305,24 @@ def test_grid_flag_refusal_names_the_flag(tmp_path, capsys, stage, flags, refusa
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, refusal", [
+    (["analyze", "--threshold", "2"], "--threshold must be in (0, 1], got 2.0"),
+    (["select", "--method", "gm11", "--threshold", "0"], "--threshold must be in (0, 1], got 0.0"),
+    (["evaluate", "--threshold", "nan"], "--threshold must be in (0, 1], got nan"),
+    (["report", "--threshold", "-0.5"], "--threshold must be in (0, 1], got -0.5"),
+    (["select", "--grid", "--size", "0"], "--size must be >= 1, got 0"),
+    (["report", "--size", "-3"], "--size must be >= 1, got -3"),
+], ids=["analyze threshold", "select threshold", "evaluate threshold", "report threshold",
+        "select size", "report size"])
+def test_core_flag_refusal_names_the_flag(tmp_path, capsys, argv, refusal):
+    """A --threshold or --size no run can take is refused naming the flag,
+    before the matrix is read: here it does not even exist."""
+    matrix, out = tmp_path / "matrix.csv", tmp_path / "stage"
+    assert main([*argv, "--matrix", str(matrix), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {refusal}\n"
+    assert not out.exists()
+
+
 class TestSynthAnalyze:
     def test_analyze_outputs(self, tmp_path):
         out = str(tmp_path)
@@ -755,7 +773,7 @@ class TestSelectEvaluate:
         assert not out.exists()
 
     @pytest.mark.parametrize("case", ["prefix written two ways", "a prefix twice in two hours",
-                                      "mixed configurations",
+                                      "a pick written three times", "mixed configurations",
                                       "L changed on the last row", "L written 02 on one row",
                                       "every L unparsable",
                                       "every method unknown", "every L 0", "every K 0",
@@ -770,12 +788,20 @@ class TestSelectEvaluate:
             # the hour-2 rank-1 prefix again as rank 4 of hour 2, its mask as a netmask
             twin = rows[1][2].replace("/24", "/255.255.255.0")
             rows.insert(4, [rows[1][0], "4", twin] + rows[1][3:])
-            named = [f"line 5: duplicate prefix {rows[1][2]} in hour 2"]
+            named = [f"line 5: duplicate prefix {rows[1][2]} in hour 2, first on line 2"]
         elif case == "a prefix twice in two hours":
             # a later hour's repeat comes first in the file, the first hour's last
             rows.insert(5, list(rows[4]))
             rows.append(list(rows[1]))
-            named = [f"line 6: duplicate prefix {rows[4][2]} in hour {rows[4][0]}"]
+            named = [f"line 6: duplicate prefix {rows[4][2]} in hour {rows[4][0]}, "
+                     "first on line 5"]
+        elif case == "a pick written three times":
+            # one pick on lines 3, 50 and 61 (where an unstable sort of the
+            # picks can pair the last two): refused at its second line
+            pick = rows[2]
+            rows.insert(49, list(pick))
+            rows.insert(60, list(pick))
+            named = [f"line 50: duplicate prefix {pick[2]} in hour {pick[0]}, first on line 3"]
         elif case == "mixed configurations":
             rows[5][6] = "4"
             named = ["line 6: mixed selector configurations"]
@@ -1096,6 +1122,16 @@ class TestProbeSimulate:
         err = capsys.readouterr().err
         assert f"{named} must be" in err and "Traceback" not in err
         assert not (out / "probes.csv").exists()
+
+    @pytest.mark.parametrize("low, high", [("50", "10"), ("0", "0"), ("-5", "10")],
+                             ids=["low above high", "zero", "negative low"])
+    def test_rtt_bounds_refusal_names_both_flags(self, tmp_path, capsys, low, high):
+        out = tmp_path / "stage"
+        assert main(["probe-synth", "--rtt-low", low, "--rtt-high", high,
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (f"error: --rtt-low {float(low)} --rtt-high "
+                                           f"{float(high)}: base RTTs need 0 < low <= high\n")
+        assert not out.exists()
 
     def test_unbounded_round_count_is_data_error(self, tmp_path, capsys):
         out = tmp_path / "stage"

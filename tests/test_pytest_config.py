@@ -5,7 +5,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+from hypothesis import settings
+
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+CONFTEST = Path(__file__).resolve().parent / "conftest.py"
 
 FAILING_PROPERTY = """
 from hypothesis import given
@@ -27,12 +30,14 @@ def test_passes():
 """
 
 
-def run_suite(tmp_path, source):
-    """pytest under the suite's settings on one test file holding ``source``."""
+def run_suite(tmp_path, source, *flags):
+    """pytest under the suite's settings and conftest on one test file
+    holding ``source``."""
     (tmp_path / "test_case.py").write_text(source)
+    (tmp_path / "conftest.py").write_text(CONFTEST.read_text())
     result = subprocess.run(
         [sys.executable, "-m", "pytest", "-c", str(PYPROJECT), "-p", "no:cacheprovider",
-         "test_case.py"],
+         *flags, "test_case.py"],
         cwd=tmp_path, capture_output=True, text=True, timeout=300,
     )
     output = result.stdout + result.stderr
@@ -42,7 +47,7 @@ def run_suite(tmp_path, source):
 
 def test_failing_property_reports_its_example(tmp_path):
     code, output = run_suite(tmp_path, FAILING_PROPERTY)
-    assert "Falsifying example" in output
+    assert "Falsifying example" in output and "@reproduce_failure" not in output
     assert code == 1
 
 
@@ -50,3 +55,11 @@ def test_passing_xfail_without_strict_fails_the_run(tmp_path):
     code, output = run_suite(tmp_path, PASSING_XFAIL)
     assert "[XPASS(strict)] fixed since" in output
     assert code == 1
+
+
+def test_ci_profile_replays_a_failing_property(tmp_path):
+    """``--hypothesis-profile=ci`` draws the same examples each run and
+    prints the blob that replays a failure, which a plain run leaves out."""
+    assert settings.get_profile("ci").derandomize
+    code, output = run_suite(tmp_path, FAILING_PROPERTY, "--hypothesis-profile=ci")
+    assert code == 1 and "@reproduce_failure" in output
