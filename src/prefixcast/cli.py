@@ -95,13 +95,13 @@ def _flag_grid(start: int | None, bins: int | None) -> trace.TimeGrid | None:
         raise ValueError(f"--start {start} --bins {bins}: {exc}") from None
 
 
-def _flag_bounds(threshold: float, size: int | None = None) -> None:
-    """Refuse a ``--threshold`` outside (0, 1] or a ``--size`` below 1 as a
-    data error naming the flag, before any input is read."""
-    if not 0 < threshold <= 1:
-        raise ValueError(f"--threshold must be in (0, 1], got {threshold}")
-    if size is not None and size < 1:
-        raise ValueError(f"--size must be >= 1, got {size}")
+def _flag_value(flag: str, value, check) -> None:
+    """Run the library's ``check`` on a flag's value before any input is
+    read; its refusal is a data error naming the flag and the value."""
+    try:
+        check(value)
+    except ValueError as exc:
+        raise ValueError(f"{flag} {value}: {exc}") from None
 
 
 # ---------------------------------------------------------------- ingest
@@ -193,7 +193,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    _flag_bounds(args.threshold)
+    _flag_value("--threshold", args.threshold, dynamism.check_threshold)
     m = _load_matrix(args.matrix)
     profile = dynamism.compute_core_profile(m, threshold=args.threshold)
     shares_pct, cv = dynamism.prefix_shares_and_cv(m)
@@ -288,7 +288,9 @@ def _cmd_select(args) -> int:
     if args.window is not None and args.method is None:
         mode = "--grid" if args.grid else "--config"
         raise _UsageError(f"--window has no effect with {mode}; pass it with --method")
-    _flag_bounds(args.threshold, args.size)
+    _flag_value("--threshold", args.threshold, dynamism.check_threshold)
+    if args.size is not None and args.config is None:  # else entries may set their own
+        _flag_value("--size", args.size, selectors.check_size)
     m = _load_matrix(args.matrix)
     profile = dynamism.compute_core_profile(m, threshold=args.threshold)
     configs = _selector_configs(
@@ -325,7 +327,7 @@ def _report_payload(run: selectors.SelectionRun, report: evaluation.EvaluationRe
 
 
 def _cmd_evaluate(args) -> int:
-    _flag_bounds(args.threshold)
+    _flag_value("--threshold", args.threshold, dynamism.check_threshold)
     m = _load_matrix(args.matrix)
     paths: list[Path] = [Path(p) for p in args.selection]
     if args.select_dir is not None:
@@ -463,7 +465,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    _flag_bounds(args.threshold, args.size)
+    _flag_value("--threshold", args.threshold, dynamism.check_threshold)
+    if args.size is not None:
+        _flag_value("--size", args.size, selectors.check_size)
     m = _load_matrix(args.matrix)
     profile = dynamism.compute_core_profile(m, threshold=args.threshold)
     configs = _selector_configs(profile, args.size, grid=True)

@@ -27,6 +27,7 @@ __all__ = [
     "CoreProfile",
     "ConcentrationCurve",
     "VolumeBinStat",
+    "check_threshold",
     "compute_core_profile",
     "concentration_curve",
     "prefix_shares_and_cv",
@@ -78,6 +79,12 @@ def keep_lowest_ties(better: np.ndarray, tied: np.ndarray, size) -> np.ndarray:
     return np.logical_or(better, tied, out=better)
 
 
+def check_threshold(threshold: float) -> None:
+    """Refuse a core volume share target outside (0, 1]."""
+    if not 0 < threshold <= 1:
+        raise ValueError("threshold must be in (0, 1]")
+
+
 def compute_core_profile(
     m: HourlyTraceMatrix, threshold: float = DEFAULT_CORE_THRESHOLD
 ) -> CoreProfile:
@@ -93,8 +100,7 @@ def compute_core_profile(
     -------
     CoreProfile
     """
-    if not 0 < threshold <= 1:
-        raise ValueError("threshold must be in (0, 1]")
+    check_threshold(threshold)
 
     values = m.values
     n, hours = values.shape

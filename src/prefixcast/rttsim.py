@@ -426,19 +426,16 @@ def load_probe_log(path: str | Path) -> ProbeLog:
 
     (lo, _), (_, hi) = rows.field(1), rows.field(2)
     pairs, pair_codes = rows.parse(lo, hi, pair)
-    # each distinct text's (prefix, transit) code: a pair written two ways has one
-    canonical = {p: i for i, p in enumerate(dict.fromkeys(pairs))}
-    keys = np.array([canonical[p] for p in pairs], np.intp)
-    seen = np.zeros((len(ticks), len(canonical)), dtype=bool)
-    seen[tick_codes, keys[pair_codes]] = True
-    if np.count_nonzero(seen) < len(tick_codes):
-        raise rows.repeat_error(zip(tick_codes.tolist(), keys[pair_codes].tolist()), lambda i: (
-            f"sample for {(ticks[tick_codes[i]].item(), *pairs[pair_codes[i]])}"))
-    del seen
     try:
         log = ProbeLog((ticks.tolist(), tick_codes), ([p for p, _ in pairs], pair_codes),
                        ([t for _, t in pairs], pair_codes), rtt)
     except ValueError as exc:
+        # ProbeLog names a repeated sample by its key; the CSV names its lines.
+        # A pair written two ways parses to one key, so it repeats too
+        samples = list(zip(tick_codes.tolist(), map(pairs.__getitem__, pair_codes.tolist())))
+        if len(set(samples)) < len(samples):
+            raise rows.repeat_error(samples, lambda i: (
+                f"sample for {(ticks[samples[i][0]].item(), *samples[i][1])}")) from None
         raise ValueError(f"{path}: {exc}") from None
     if meta is None:
         return log

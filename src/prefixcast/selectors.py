@@ -33,7 +33,7 @@ import numpy as np
 
 from . import trace
 from ._record import Record
-from .dynamism import CoreProfile, keep_lowest_ties
+from .dynamism import CoreProfile, check_threshold, keep_lowest_ties
 
 __all__ = [
     "METHODS",
@@ -41,6 +41,7 @@ __all__ = [
     "WINDOW_GRID",
     "SelectorConfig",
     "SelectionRun",
+    "check_size",
     "load_selection",
     "save_selection",
     "gm11_fit",
@@ -73,8 +74,13 @@ class SelectorConfig(Record):
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
         if self.window < 1:
             raise ValueError(f"window must be >= 1, got {self.window}")
-        if self.size < 1:
-            raise ValueError(f"size must be >= 1, got {self.size}")
+        check_size(self.size)
+
+
+def check_size(size: int) -> None:
+    """Refuse a selection size K below 1."""
+    if size < 1:
+        raise ValueError(f"size must be >= 1, got {size}")
 
 
 def gm11_fit(series: Sequence[float] | np.ndarray) -> tuple[float, float]:
@@ -246,8 +252,7 @@ class SelectionRun(Record, eq=False):
     gm11_fallbacks: int = 0
 
     def __post_init__(self) -> None:
-        if not 0 < self.threshold <= 1:
-            raise ValueError("threshold must be in (0, 1]")
+        check_threshold(self.threshold)
         if self.mask.shape != (len(self.mask), len(self.prefixes)) or (
             self.picked_scores.shape != (np.count_nonzero(self.mask),)
         ):
@@ -442,12 +447,10 @@ def run_selection(
     if config.method == "core_volume":
         cum[1:] *= cp[:-1]
     np.cumsum(cum, axis=0, out=cum)
-    # cum[lo] is row 0, which holds 0.0, until the window is L long.  Differences are
-    # taken from the last row back, L rows at a time, so each block reads only rows
-    # that no block has written yet, and numpy copies no operand
-    for stop in range(hours_total, L + 1, -L):
-        cum[max(stop - L, L + 1):stop] -= cum[max(stop - 2 * L, 1):stop - L]
+    # cum[lo] is row 0, which holds 0.0, until the window is L long
     means = cum[1:]
+    if L < hours_total - 1:
+        means[L:] -= cum[1:hours_total - L]
     means /= (hi - lo)[:, None]
 
     fallbacks = _gm11_scores(values, means, lo) if config.method == "gm11" else 0

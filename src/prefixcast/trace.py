@@ -661,8 +661,7 @@ def _record_blocks(path: str | Path) -> Iterator[RecordBlock]:
 
 
 def first_repeat(keys: Iterable) -> tuple[int, int] | None:
-    """The first position whose key occurs earlier, and that key's first
-    position, in one stable pass; None when all keys differ."""
+    """The first position whose key occurs earlier and that key's first one, or None."""
     first: dict = {}
     for i, key in enumerate(keys):
         if (j := first.setdefault(key, i)) != i:

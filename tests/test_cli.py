@@ -306,12 +306,13 @@ def test_grid_flag_refusal_names_the_flag(tmp_path, capsys, stage, flags, refusa
 
 
 @pytest.mark.parametrize("argv, refusal", [
-    (["analyze", "--threshold", "2"], "--threshold must be in (0, 1], got 2.0"),
-    (["select", "--method", "gm11", "--threshold", "0"], "--threshold must be in (0, 1], got 0.0"),
-    (["evaluate", "--threshold", "nan"], "--threshold must be in (0, 1], got nan"),
-    (["report", "--threshold", "-0.5"], "--threshold must be in (0, 1], got -0.5"),
-    (["select", "--grid", "--size", "0"], "--size must be >= 1, got 0"),
-    (["report", "--size", "-3"], "--size must be >= 1, got -3"),
+    (["analyze", "--threshold", "2"], "--threshold 2.0: threshold must be in (0, 1]"),
+    (["select", "--method", "gm11", "--threshold", "0"],
+     "--threshold 0.0: threshold must be in (0, 1]"),
+    (["evaluate", "--threshold", "nan"], "--threshold nan: threshold must be in (0, 1]"),
+    (["report", "--threshold", "-0.5"], "--threshold -0.5: threshold must be in (0, 1]"),
+    (["select", "--grid", "--size", "0"], "--size 0: size must be >= 1, got 0"),
+    (["report", "--size", "-3"], "--size -3: size must be >= 1, got -3"),
 ], ids=["analyze threshold", "select threshold", "evaluate threshold", "report threshold",
         "select size", "report size"])
 def test_core_flag_refusal_names_the_flag(tmp_path, capsys, argv, refusal):
@@ -602,6 +603,21 @@ class TestSelectEvaluate:
                      "--config", str(cfg), "--out", out]) == 0
         assert (trace_dir / "selection_core_volume_L4.csv").exists()
         assert (trace_dir / "selection_gm11_L6.csv").exists()
+
+    def test_config_size_flag_only_fills_missing_sizes(self, tmp_path, trace_dir, capsys):
+        """With --config, --size is only the default of entries without a
+        size: a bad one is refused through such an entry, else unused."""
+        cfg, out = tmp_path / "selectors.json", tmp_path / "select"
+        argv = ["select", "--matrix", f"{trace_dir}/matrix.csv", "--config", str(cfg),
+                "--size", "0", "--out", str(out)]
+        cfg.write_text(json.dumps([{"method": "gm11", "window": 6, "size": 5}]))
+        assert main(argv) == 0
+        assert (out / "selection_gm11_L6.csv").exists()
+        cfg.write_text(json.dumps([{"method": "gm11", "window": 6, "size": 5},
+                                   {"method": "core_volume", "window": 4}]))
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "'window': 4}: size must be >= 1, got 0" in err
 
     def test_config_entries_writing_one_file_rejected(self, tmp_path, trace_dir, capsys):
         cfg = tmp_path / "selectors.json"

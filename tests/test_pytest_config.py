@@ -1,14 +1,13 @@
 """The suite's pytest settings let a failing property report its example
-and fail the run on a passing xfail."""
+(on a CI host, with the blob that replays it) and fail the run on a
+passing xfail."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
 
-from hypothesis import settings
-
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
-CONFTEST = Path(__file__).resolve().parent / "conftest.py"
 
 FAILING_PROPERTY = """
 from hypothesis import given
@@ -30,15 +29,14 @@ def test_passes():
 """
 
 
-def run_suite(tmp_path, source, *flags):
-    """pytest under the suite's settings and conftest on one test file
-    holding ``source``."""
+def run_suite(tmp_path, source, **env):
+    """pytest under the suite's settings on one test file holding ``source``,
+    with ``env`` added to the environment."""
     (tmp_path / "test_case.py").write_text(source)
-    (tmp_path / "conftest.py").write_text(CONFTEST.read_text())
     result = subprocess.run(
         [sys.executable, "-m", "pytest", "-c", str(PYPROJECT), "-p", "no:cacheprovider",
-         *flags, "test_case.py"],
-        cwd=tmp_path, capture_output=True, text=True, timeout=300,
+         "test_case.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300, env={**os.environ, **env},
     )
     output = result.stdout + result.stderr
     assert "INTERNALERROR" not in output
@@ -47,7 +45,15 @@ def run_suite(tmp_path, source, *flags):
 
 def test_failing_property_reports_its_example(tmp_path):
     code, output = run_suite(tmp_path, FAILING_PROPERTY)
-    assert "Falsifying example" in output and "@reproduce_failure" not in output
+    assert "Falsifying example" in output
+    assert code == 1
+
+
+def test_ci_host_prints_the_blob_that_replays_a_failure(tmp_path):
+    """Where ``CI`` is set, as on GitHub Actions, hypothesis loads its own
+    ``ci`` profile: the same examples every run, and a replay blob."""
+    code, output = run_suite(tmp_path, FAILING_PROPERTY, CI="true")
+    assert "Falsifying example" in output and "@reproduce_failure" in output
     assert code == 1
 
 
@@ -55,11 +61,3 @@ def test_passing_xfail_without_strict_fails_the_run(tmp_path):
     code, output = run_suite(tmp_path, PASSING_XFAIL)
     assert "[XPASS(strict)] fixed since" in output
     assert code == 1
-
-
-def test_ci_profile_replays_a_failing_property(tmp_path):
-    """``--hypothesis-profile=ci`` draws the same examples each run and
-    prints the blob that replays a failure, which a plain run leaves out."""
-    assert settings.get_profile("ci").derandomize
-    code, output = run_suite(tmp_path, FAILING_PROPERTY, "--hypothesis-profile=ci")
-    assert code == 1 and "@reproduce_failure" in output
